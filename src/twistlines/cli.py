@@ -149,6 +149,8 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     if not (2 <= args.n_min <= args.n_max <= 24):
         raise _UsageError("sweep range must satisfy 2 <= n-min <= n-max <= 24")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     field = _parse_field(args.field, _binom_bound_for_dim(args.n_max))
     flavors = []
     if args.classical:
@@ -169,15 +171,13 @@ def cmd_sweep(args) -> int:
     for r in rows:
         flavor_name = r.flavor or "classical"
         if r.certificate is None:
-            json_rows.append(
-                {
-                    "flavor": flavor_name,
-                    "n": r.n,
-                    "k": r.k,
-                    "status": r.status,
-                }
-            )
-            text_lines.append(f"{flavor_name:>10} n={r.n:<3} k={r.k:<3} {r.status}")
+            row = {"flavor": flavor_name, "n": r.n, "k": r.k, "status": r.status}
+            line = f"{flavor_name:>10} n={r.n:<3} k={r.k:<3} {r.status}"
+            if r.reason is not None:
+                row["reason"] = r.reason
+                line += f" reason: {r.reason}"
+            json_rows.append(row)
+            text_lines.append(line)
         else:
             c = r.certificate
             json_rows.append(
@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--classical", action="store_true")
     p_sweep.add_argument("--symmetric", action="store_true")
     p_sweep.add_argument("--skew", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (capped by CPUs and cases)"
+    )
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

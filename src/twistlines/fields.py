@@ -1,8 +1,11 @@
 """Exact scalar backends.
 
 Every computation in this package is exact.  The default backend is the
-field of arbitrary-precision rationals; an odd prime field is available as
-a fast cross-check backend (the constructions need 2 to be invertible, so
+field of arbitrary-precision rationals, held integer-natively: an integral
+value is a plain Python ``int`` and only a value with denominator > 1 is a
+``fractions.Fraction``.  The construction data is integral, so almost all
+arithmetic stays on ints.  An odd prime field is available as a fast
+cross-check backend (the constructions need 2 to be invertible, so
 characteristic 2 is refused).
 """
 
@@ -38,40 +41,67 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _demote(x):
+    """A Fraction with denominator 1 as an int; anything else unchanged."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class RationalField:
-    """Arbitrary-precision rational scalars (fractions.Fraction values)."""
+    """Arbitrary-precision rationals: ints when integral, else Fractions.
+
+    Invariant: every operation returns an ``int`` for an integral result
+    and a ``Fraction`` with denominator > 1 otherwise.  Both types compare
+    and hash equal for equal values, so callers never see the difference.
+    """
 
     name = "rational"
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
-    def of(self, value) -> Fraction:
-        return Fraction(value)
+    def of(self, value):
+        if type(value) is int:
+            return value
+        if isinstance(value, int):
+            return int(value)
+        return _demote(value if isinstance(value, Fraction) else Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _demote(r)
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int else _demote(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _demote(r)
 
     def neg(self, a):
-        return -a
+        r = -a
+        return r if type(r) is int else _demote(r)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return _demote(1 / a)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return q if not r else Fraction(a, b)
+        return _demote(Fraction(a) / b)
 
     def is_zero(self, a) -> bool:
         return a == 0

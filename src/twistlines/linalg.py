@@ -1,10 +1,15 @@
 """Exact dense linear algebra over the scalar backends.
 
-Matrices are lists of row lists.  Over the rationals the routines clear
-denominators row by row and run fraction-free integer elimination (with
-per-row gcd normalization) so that entry growth stays tame; over a prime
-field they use ordinary modular elimination.  All pivot choices are
-deterministic, which keeps every downstream certificate byte-stable.
+Matrices are lists of row lists.  Over the rationals, whose integral
+scalars are plain ints, each row is cleared of denominators (integer
+arithmetic only, a no-op for an all-int row) and reduced by its content;
+then fraction-free integer elimination with per-row gcd normalization
+keeps entry growth tame.  Back-substitution stays in the integers too:
+kernel vectors come out as primitive int vectors, and a solution is
+divided by its common denominator once per coordinate at the end.  Over a
+prime field the routines use ordinary modular elimination.  All pivot
+choices are deterministic, which keeps every downstream certificate
+byte-stable.
 """
 
 from fractions import Fraction
@@ -16,17 +21,19 @@ __all__ = ["rank", "nullspace", "solve"]
 
 
 def _int_rows(rows):
-    """Scale each row of a Fraction matrix to a primitive integer row."""
+    """Scale each row of a rational matrix to a primitive integer row."""
     out = []
     for row in rows:
-        lcm = 1
-        for v in row:
-            d = v.denominator if isinstance(v, Fraction) else 1
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [int(v * lcm) if isinstance(v, Fraction) else int(v) * lcm for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        if set(map(type, row)) <= {int}:
+            ints = list(row)
+        else:
+            lcm = 1
+            for v in row:
+                d = v.denominator
+                if d != 1:
+                    lcm = lcm // gcd(lcm, d) * d
+            ints = [v.numerator * (lcm // v.denominator) for v in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
@@ -37,9 +44,9 @@ def _int_echelon(rows, ncols):
     """Fraction-free row echelon form; returns (rows, pivot_cols).
 
     Pivot rule: in each column take the surviving row whose entry has the
-    smallest absolute value (lowest index on ties).
+    smallest absolute value (lowest index on ties).  The rows, fresh lists
+    from ``_int_rows``, are reduced in place.
     """
-    rows = [r[:] for r in rows]
     pivots = []
     pr = 0
     nrows = len(rows)
@@ -54,18 +61,21 @@ def _int_echelon(rows, ncols):
         rows[pr], rows[best] = rows[best], rows[pr]
         rp = rows[pr]
         pv = rp[c]
+        tail = rp[c:]
         for i in range(pr + 1, nrows):
             ri = rows[i]
             v = ri[c]
             if not v:
                 continue
-            g = 0
-            for j in range(c, ncols):
-                ri[j] = ri[j] * pv - rp[j] * v
-                g = gcd(g, ri[j])
+            # the row is scaled to its primitive part below, so dividing
+            # both multipliers by their gcd first leaves the result unchanged
+            g = gcd(pv, v)
+            a, b = pv // g, v // g
+            new = [x * a - y * b for x, y in zip(ri[c:], tail)]
+            g = gcd(*new)
             if g > 1:
-                for j in range(c, ncols):
-                    ri[j] //= g
+                new = [x // g for x in new]
+            ri[c:] = new
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -132,30 +142,56 @@ def _back_substitute(field, ech, pivots, x):
     return x
 
 
+def _int_back_substitute(ech, pivots, y):
+    """Integer back-substitution for an integer echelon form.
+
+    On entry y holds the free coordinates (ints) and zeros at the pivot
+    columns.  y is completed in place to an integer solution of ech*y = 0
+    whose free coordinates are the given ones times a common factor d > 0;
+    d is returned.  Only the nonzero coordinates are visited: an echelon
+    row vanishes left of its pivot and y is zero at the pivots still to
+    be filled.
+    """
+    nz = [j for j, v in enumerate(y) if v]
+    den = 1
+    for r in range(len(pivots) - 1, -1, -1):
+        row = ech[r]
+        s = 0
+        for j in nz:
+            s += row[j] * y[j]
+        if not s:
+            continue
+        pc = pivots[r]
+        p = row[pc]
+        g = gcd(s, p)
+        m = abs(p) // g
+        if m != 1:
+            for j in nz:
+                y[j] *= m
+            den *= m
+        y[pc] = -s // g if p > 0 else s // g
+        nz.append(pc)
+    return den
+
+
 def _primitive(vec):
-    g = 0
-    lcm = 1
-    for v in vec:
-        d = v.denominator if isinstance(v, Fraction) else 1
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(v * lcm) for v in vec]
-    for v in ints:
-        g = gcd(g, v)
+    """The integer vector divided by its content, leading entry positive."""
+    g = gcd(*vec)
     if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
+        vec = [v // g for v in vec]
+    for v in vec:
         if v:
             if v < 0:
-                ints = [-w for w in ints]
+                vec = [-w for w in vec]
             break
-    return [Fraction(v) for v in ints]
+    return vec
 
 
 def nullspace(field, rows, ncols):
     """Canonical kernel basis, one vector per free column in ascending order.
 
-    Over the rationals the vectors are scaled to primitive integer vectors
-    with positive leading entry.
+    Over the rationals the vectors are primitive integer vectors (lists of
+    ints) with positive leading entry.
     """
     if ncols == 0:
         return []
@@ -163,27 +199,41 @@ def nullspace(field, rows, ncols):
         rows = [[field.zero] * ncols]
     ech, pivots = _echelon(field, rows, ncols)
     pivot_set = set(pivots)
+    rational = isinstance(field, RationalField)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        x = [field.zero] * ncols
-        x[fc] = field.one
-        _back_substitute(field, ech, pivots, x)
-        if isinstance(field, RationalField):
+        if rational:
+            x = [0] * ncols
+            x[fc] = 1
+            _int_back_substitute(ech, pivots, x)
             x = _primitive(x)
+        else:
+            x = [field.zero] * ncols
+            x[fc] = field.one
+            _back_substitute(field, ech, pivots, x)
         basis.append(x)
     return basis
 
 
 def solve(field, rows, ncols, rhs):
-    """One exact solution of rows * x = rhs (free coordinates 0), or None."""
+    """One exact solution of rows * x = rhs (free coordinates 0), or None.
+
+    Over the rationals the coordinates are ints where integral, else
+    Fractions.
+    """
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     if not aug:
         return [field.zero] * ncols
     ech, pivots = _echelon(field, aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
+    if isinstance(field, RationalField):
+        y = [0] * (ncols + 1)
+        y[ncols] = -1
+        den = _int_back_substitute(ech, pivots, y)
+        return [v // den if not v % den else Fraction(v, den) for v in y[:ncols]]
     x = [field.zero] * (ncols + 1)
     x[ncols] = field.neg(field.one)
     _back_substitute(field, ech, pivots, x)

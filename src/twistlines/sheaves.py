@@ -347,7 +347,10 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
         prev_null = null
         prev_nullity = len(null)
         n += 1
-    assert len(gens) == c, "kernel generator count disagrees with the generic rank"
+    if len(gens) != c:
+        raise RuntimeError(
+            f"kernel scan found {len(gens)} generators but the generic rank implies {c}"
+        )
     cols = []
     for d, vec in gens:
         forms = _coordinates_to_forms(f, src, d, vec)

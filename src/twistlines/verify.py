@@ -17,6 +17,7 @@ generated and the condition holds automatically; certificates record that
 discharge as a note.
 """
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -50,6 +51,7 @@ __all__ = [
     "SesReport",
     "SweepRow",
     "run_sweep",
+    "pool_size",
     "sweep_points",
     "sweep_consistent",
 ]
@@ -297,6 +299,7 @@ class SweepRow(NamedTuple):
     k: int
     status: str  # "very-twisting" | "exceptional" | "failed"
     certificate: Optional[Certificate]
+    reason: Optional[str] = None  # set when building or certifying raised
 
 
 def sweep_points(n_min: int, n_max: int, flavors):
@@ -311,27 +314,38 @@ def sweep_points(n_min: int, n_max: int, flavors):
 
 
 def _sweep_one(args):
+    """One sweep case; an error in this case becomes a "failed" row with
+    its reason instead of aborting the whole sweep."""
     field, flavor, n, k = args
     try:
         if flavor is None:
             fam = build_classical(field, n, k)
         else:
             fam = build_isotropic(field, n, k, flavor)
+        cert = certify(fam)
     except ExceptionalCaseError:
         return SweepRow(flavor, n, k, "exceptional", None)
-    cert = certify(fam)
+    except Exception as exc:
+        return SweepRow(flavor, n, k, "failed", None, f"{type(exc).__name__}: {exc}")
     status = "very-twisting" if cert.very_twisting else "failed"
     return SweepRow(flavor, n, k, status, cert)
+
+
+def pool_size(jobs: int, n_tasks: int, cpus) -> int:
+    """Worker processes for a sweep: the requested number, capped by the
+    CPU count (``None`` counts as 1) and by the number of tasks, at least 1."""
+    return max(1, min(jobs, cpus or 1, n_tasks))
 
 
 def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
     """Certify every case in range; rows come back in deterministic order."""
     points = sweep_points(n_min, n_max, flavors)
     tasks = [(field, flavor, n, k) for flavor, n, k in points]
-    if jobs > 1:
+    workers = pool_size(jobs, len(tasks), os.cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]

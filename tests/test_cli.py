@@ -160,6 +160,34 @@ def test_sweep_range_validation(capsys):
     assert code == 2
 
 
+def test_sweep_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(capsys, "sweep", "--n-max", "4", "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in err
+
+
+def test_sweep_failed_case_row_carries_reason(capsys, monkeypatch):
+    from twistlines import verify
+
+    real_certify = verify.certify
+
+    def certify(fam):
+        if fam.n == 5 and fam.k == 2:
+            raise ValueError("injected failure")
+        return real_certify(fam)
+
+    monkeypatch.setattr(verify, "certify", certify)
+    code, out, _ = run(capsys, "sweep", "--classical", "--n-max", "5", "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    bad = [r for r in rows if "reason" in r]
+    assert [(r["n"], r["k"], r["status"]) for r in bad] == [(5, 2, "failed")]
+    assert bad[0]["reason"] == "ValueError: injected failure"
+    code, text, _ = run(capsys, "sweep", "--classical", "--n-max", "5")
+    assert "reason: ValueError: injected failure" in text
+
+
 def test_ses_single_and_range(capsys):
     code, out, _ = run(capsys, "ses", "--a", "2", "--b", "3")
     assert code == 0

@@ -98,6 +98,29 @@ def test_kernel_of_psi12():
     assert ker.type == oracle_kernel_type(psi)
 
 
+def test_kernel_generator_count_mismatch_raises(monkeypatch):
+    # drop the first new generator the span reports: the Hilbert-function
+    # stopping rule still fires, and the count check must catch the loss
+    # (a plain assert would vanish under python -O)
+    from twistlines import sheaves
+
+    original = sheaves._EchelonSpan.add
+    dropped = []
+
+    def lossy_add(self, v):
+        reduced = original(self, v)
+        if reduced is not None and not dropped:
+            dropped.append(reduced)
+            return None
+        return reduced
+
+    monkeypatch.setattr(sheaves._EchelonSpan, "add", lossy_add)
+    _, psi = build_phi_psi(QQ, 1, 2)
+    with pytest.raises(RuntimeError, match="generators but the generic rank implies"):
+        kernel_free(psi)
+    assert dropped
+
+
 def test_kernel_annihilator_degrees():
     # annihilator of the image of phi_(1,2) inside the dual trivial bundle
     phi, _ = build_phi_psi(QQ, 1, 2)

@@ -18,6 +18,7 @@ from twistlines.verify import (
     check_skew,
     check_symmetric_2k,
     check_symmetric_big,
+    pool_size,
     run_sweep,
     sweep_consistent,
     sweep_points,
@@ -139,6 +140,28 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(QQ, 2, 6, [None, "symmetric"])
     parallel = run_sweep(QQ, 2, 6, [None, "symmetric"], jobs=2)
     assert serial == parallel
+
+
+def test_sweep_isolates_a_case_that_raises():
+    # over GF(3) some constructions degenerate and their builder raises;
+    # those cases become "failed" rows and the rest of the sweep completes
+    rows = run_sweep(PrimeField(3), 2, 12, [None, "symmetric", "skew"])
+    assert len(rows) == len(sweep_points(2, 12, [None, "symmetric", "skew"]))
+    crashed = [r for r in rows if r.status == "failed" and r.certificate is None]
+    assert crashed
+    assert all("not everywhere injective" in r.reason for r in crashed)
+    assert all(r.reason is None for r in rows if r.status != "failed")
+    assert not sweep_consistent(rows)
+    assert sum(r.status == "very-twisting" for r in rows) > len(rows) // 2
+
+
+def test_pool_size_clamps_to_cpus_and_tasks():
+    assert pool_size(1, 100, 8) == 1
+    assert pool_size(4, 100, 8) == 4
+    assert pool_size(16, 100, 8) == 8
+    assert pool_size(16, 3, 8) == 3
+    assert pool_size(4, 100, None) == 1
+    assert pool_size(4, 0, 8) == 1
 
 
 def test_psi_degree_matches_quotient_degrees():
