@@ -5,6 +5,11 @@ index i holds the coefficient of T0^(d-i) * T1^i.  The zero form carries a
 nominal degree tag so that maps between bundles with empty or negative
 twist gaps still type-check; a tag below zero forces the form to be zero
 and is stored with an empty coefficient tuple.
+
+Forms are immutable, so the nonzero terms of a form (which also give its
+zero flag) are found on first use and kept.  The univariate helpers at the
+bottom work on dense coefficient lists indexed by power; the form product
+is their convolution.
 """
 
 __all__ = [
@@ -18,7 +23,13 @@ __all__ = [
 
 
 class BinaryForm:
-    __slots__ = ("field", "degree", "coeffs")
+    """A homogeneous form.
+
+    Immutable: ``terms()`` keeps the nonzero terms found on first use, and
+    with them the zero flag, so ``coeffs`` is never rebound.
+    """
+
+    __slots__ = ("field", "degree", "coeffs", "_terms")
 
     def __init__(self, field, degree: int, coeffs):
         coeffs = tuple(coeffs)
@@ -29,6 +40,7 @@ class BinaryForm:
         self.field = field
         self.degree = degree
         self.coeffs = coeffs
+        self._terms = None
 
     @classmethod
     def zero(cls, field, degree: int = 0) -> "BinaryForm":
@@ -52,9 +64,16 @@ class BinaryForm:
         coeffs = [field.of(c) for c in coeffs]
         return cls(field, len(coeffs) - 1, coeffs)
 
+    def terms(self):
+        """The nonzero (T1-exponent, coeff) pairs, in ascending exponent."""
+        terms = self._terms
+        if terms is None:
+            fz = self.field.is_zero
+            terms = self._terms = tuple((i, c) for i, c in enumerate(self.coeffs) if not fz(c))
+        return terms
+
     def is_zero(self) -> bool:
-        fz = self.field.is_zero
-        return all(fz(c) for c in self.coeffs)
+        return not self.terms()
 
     def __bool__(self):
         return not self.is_zero()
@@ -90,13 +109,8 @@ class BinaryForm:
         d = self.degree + other.degree
         if self.is_zero() or other.is_zero():
             return BinaryForm.zero(f, d)
-        out = [f.zero] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not f.is_zero(b):
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
+        out = _poly_mul(f, self.coeffs, other.coeffs)
+        out += [f.zero] * (d + 1 - len(out))
         return BinaryForm(f, d, out)
 
     def scale(self, scalar) -> "BinaryForm":
@@ -138,15 +152,12 @@ class BinaryForm:
 
     def t1_valuation(self) -> int:
         """Largest j with T1^j dividing the form (degree+1 for the zero form)."""
-        fz = self.field.is_zero
-        for i, c in enumerate(self.coeffs):
-            if not fz(c):
-                return i
-        return self.degree + 1
+        terms = self.terms()
+        return terms[0][0] if terms else self.degree + 1
 
     def dehomogenize(self):
         """Coefficient list of f(x, 1) indexed by x-power."""
-        return _trim(self.field, list(reversed(self.coeffs)))
+        return list(reversed(self.coeffs[self.t1_valuation() :]))
 
     @classmethod
     def rehomogenize(cls, field, poly) -> "BinaryForm":
@@ -216,6 +227,29 @@ def poly_divmod(field, a, b):
         if not r:
             break
     return q, r
+
+
+def _poly_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if not field.is_zero(y):
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(field, out)
+
+
+def _poly_sub(field, a, b):
+    n = max(len(a), len(b))
+    out = [field.zero] * n
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = field.sub(out[i], y)
+    return _trim(field, out)
 
 
 def poly_gcd(field, a, b):

@@ -7,12 +7,17 @@ constructor rejects any entry violating that constraint.  The degree-n
 piece of a frame is the space of degree-n global sections, of dimension
 sum(max(0, n + a + 1)); basis order is summand-major with the T1-exponent
 ascending inside each summand.
+
+A GradedMatrix is immutable.  Its nonzero support (per source column, the
+nonzero entries with their nonzero terms) is computed on first use and
+kept, so degree pieces, products and zero tests of one matrix scan each
+coefficient once rather than on every call.
 """
 
 from typing import NamedTuple
 
 from . import linalg
-from .forms import BinaryForm, poly_divmod
+from .forms import BinaryForm, _poly_mul, _poly_sub, poly_divmod
 
 __all__ = [
     "frame_rank",
@@ -66,7 +71,7 @@ class RankProfile(NamedTuple):
 
 
 class GradedMatrix:
-    __slots__ = ("field", "src", "dst", "entries")
+    __slots__ = ("field", "src", "dst", "entries", "_support")
 
     def __init__(self, field, src, dst, entries):
         src = tuple(src)
@@ -87,6 +92,7 @@ class GradedMatrix:
         self.src = src
         self.dst = dst
         self.entries = entries
+        self._support = None
 
     # -- constructors -------------------------------------------------
 
@@ -135,8 +141,23 @@ class GradedMatrix:
     def columns(self):
         return [self.column(j) for j in range(len(self.src))]
 
+    def support(self):
+        """Per source column, the (row, terms) pairs of its nonzero entries."""
+        support = self._support
+        if support is None:
+            support = []
+            for j in range(len(self.src)):
+                col = []
+                for i, row in enumerate(self.entries):
+                    terms = row[j].terms()
+                    if terms:
+                        col.append((i, terms))
+                support.append(tuple(col))
+            support = self._support = tuple(support)
+        return support
+
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.support())
 
     def __eq__(self, other):
         return (
@@ -160,16 +181,17 @@ class GradedMatrix:
         if other.dst != self.src:
             raise ValueError("frames do not match for composition")
         f = self.field
+        support = other.support()
         rows = []
         for i, b in enumerate(self.dst):
+            left = self.entries[i]
             row = []
             for j, c in enumerate(other.src):
                 acc = BinaryForm.zero(f, b - c)
-                for k in range(len(self.src)):
-                    e1 = self.entries[i][k]
-                    e2 = other.entries[k][j]
-                    if not e1.is_zero() and not e2.is_zero():
-                        acc = acc + e1 * e2
+                for k, _ in support[j]:
+                    e1 = left[k]
+                    if not e1.is_zero():
+                        acc = acc + e1 * other.entries[k][j]
                 row.append(acc)
             rows.append(row)
         return GradedMatrix(f, other.src, self.dst, rows)
@@ -200,6 +222,11 @@ class GradedMatrix:
         """Scalar matrix of values at the point (t0, t1)."""
         return [[e.evaluate(t0, t1) for e in row] for row in self.entries]
 
+    def value_at_infinity(self):
+        """Scalar matrix of values at [1:0]: each entry's T0^d coefficient."""
+        zero = self.field.zero
+        return [[e.coeffs[0] if e.coeffs else zero for e in row] for row in self.entries]
+
     # -- degree pieces --------------------------------------------------
 
     def degree_piece(self, n: int) -> DegreePiece:
@@ -214,19 +241,16 @@ class GradedMatrix:
             dst_off.append(off)
             off += d
         col = 0
-        for j, a in enumerate(self.src):
-            for i_exp in range(src_dims[j]):
-                # source basis monomial T0^(n+a-i_exp) * T1^i_exp of summand j
-                for i, b in enumerate(self.dst):
-                    e = self.entries[i][j]
-                    if e.degree < 0 or e.is_zero():
-                        continue
-                    base = dst_off[i]
-                    for s, cf in enumerate(e.coeffs):
-                        if not f.is_zero(cf):
-                            rows[base + s + i_exp][col] = f.add(
-                                rows[base + s + i_exp][col], cf
-                            )
+        for dim, nonzero in zip(src_dims, self.support()):
+            for i_exp in range(dim):
+                # the source basis monomial T0^(n+a-i_exp) * T1^i_exp of O(a)
+                # maps to each entry's terms shifted by i_exp; a nonzero entry
+                # has b >= a, so they fit the degree-n piece of O(b), and each
+                # (row, col) slot is written at most once
+                for i, terms in nonzero:
+                    base = dst_off[i] + i_exp
+                    for s, cf in terms:
+                        rows[base + s][col] = cf
                 col += 1
         return DegreePiece(n, src_dims, dst_dims, tuple(tuple(r) for r in rows))
 
@@ -251,7 +275,7 @@ class GradedMatrix:
         all_const = all(len(d) == 1 for d in diag)
         if not all_const:
             return RankProfile(r, False)
-        rank_inf = linalg.rank(f, self.evaluate(f.one, f.zero), len(self.src))
+        rank_inf = linalg.rank(f, self.value_at_infinity(), len(self.src))
         return RankProfile(r, rank_inf == r)
 
 
@@ -333,33 +357,6 @@ def _swap_min_into_pivot_row(field, m, k, nc):
             best_j = j
     for row in m:
         row[k], row[best_j] = row[best_j], row[k]
-
-
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if not field.is_zero(y):
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    while out and field.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _poly_sub(field, a, b):
-    n = max(len(a), len(b))
-    out = [field.zero] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = field.sub(out[i], y)
-    while out and field.is_zero(out[-1]):
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ then fraction-free integer elimination with per-row gcd normalization
 keeps entry growth tame.  Back-substitution stays in the integers too:
 kernel vectors come out as primitive int vectors, and a solution is
 divided by its common denominator once per coordinate at the end.  Over a
-prime field the routines use ordinary modular elimination.  All pivot
-choices are deterministic, which keeps every downstream certificate
-byte-stable.
+prime field elimination and back-substitution run on plain ints reduced
+mod p: echelon rows are normalized to pivot 1 with entries in [0, p), and
+back-substitution, like the integer one, visits only the nonzero
+coordinates of the vector it completes.  All pivot choices are
+deterministic, which keeps every downstream certificate byte-stable.
 """
 
 from fractions import Fraction
@@ -129,19 +131,6 @@ def rank(field, rows, ncols=None) -> int:
     return len(_echelon(field, rows, ncols)[1])
 
 
-def _back_substitute(field, ech, pivots, x):
-    """Complete x (free coordinates already set) to a solution of ech*x = 0."""
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = ech[r]
-        s = field.zero
-        for j in range(pc + 1, len(x)):
-            if not field.is_zero(x[j]) and not field.is_zero(field.of(row[j])):
-                s = field.add(s, field.mul(field.of(row[j]), x[j]))
-        x[pc] = field.neg(field.div(s, field.of(row[pc])))
-    return x
-
-
 def _int_back_substitute(ech, pivots, y):
     """Integer back-substitution for an integer echelon form.
 
@@ -174,6 +163,29 @@ def _int_back_substitute(ech, pivots, y):
     return den
 
 
+def _mod_back_substitute(p, ech, pivots, x):
+    """Modular back-substitution for a normalized echelon form mod p.
+
+    The rows come from ``_mod_echelon``: pivot entry 1, entries in [0, p).
+    On entry x holds the free coordinates and zeros at the pivot columns;
+    it is completed in place to the solution of ech*x = 0 with those free
+    coordinates.  As in ``_int_back_substitute`` only the nonzero
+    coordinates are visited.
+    """
+    nz = [j for j, v in enumerate(x) if v]
+    for r in range(len(pivots) - 1, -1, -1):
+        row = ech[r]
+        s = 0
+        for j in nz:
+            s += row[j] * x[j]
+        s %= p
+        if s:
+            pc = pivots[r]
+            x[pc] = p - s
+            nz.append(pc)
+    return x
+
+
 def _primitive(vec):
     """The integer vector divided by its content, leading entry positive."""
     g = gcd(*vec)
@@ -204,15 +216,13 @@ def nullspace(field, rows, ncols):
     for fc in range(ncols):
         if fc in pivot_set:
             continue
+        x = [0] * ncols
+        x[fc] = 1
         if rational:
-            x = [0] * ncols
-            x[fc] = 1
             _int_back_substitute(ech, pivots, x)
             x = _primitive(x)
         else:
-            x = [field.zero] * ncols
-            x[fc] = field.one
-            _back_substitute(field, ech, pivots, x)
+            _mod_back_substitute(field.p, ech, pivots, x)
         basis.append(x)
     return basis
 
@@ -234,7 +244,8 @@ def solve(field, rows, ncols, rhs):
         y[ncols] = -1
         den = _int_back_substitute(ech, pivots, y)
         return [v // den if not v % den else Fraction(v, den) for v in y[:ncols]]
-    x = [field.zero] * (ncols + 1)
-    x[ncols] = field.neg(field.one)
-    _back_substitute(field, ech, pivots, x)
+    p = field.p
+    x = [0] * (ncols + 1)
+    x[ncols] = p - 1
+    _mod_back_substitute(p, ech, pivots, x)
     return x[:ncols]

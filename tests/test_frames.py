@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graded_strategies import graded_matrices
 from twistlines import linalg
 from twistlines.fields import QQ
 from twistlines.forms import BinaryForm, random_form
 from twistlines.frames import (
+    DegreePiece,
     GradedMatrix,
     degree_piece,
     frame_degree,
@@ -126,6 +130,53 @@ def test_degree_piece_functoriality():
             assert left.nrows == pm.nrows and left.ncols == pn.ncols
             assert [list(r) for r in left.matrix] == prod
         trials += 1
+
+
+def dense_degree_piece(m, n):
+    """Reference degree piece: a dense loop over every entry and
+    coefficient that uses neither the cached support nor cached terms."""
+    f = m.field
+    src_dims = tuple(max(0, n + a + 1) for a in m.src)
+    dst_dims = tuple(max(0, n + b + 1) for b in m.dst)
+    ncols = sum(src_dims)
+    rows = [[f.zero] * ncols for _ in range(sum(dst_dims))]
+    dst_off = []
+    off = 0
+    for d in dst_dims:
+        dst_off.append(off)
+        off += d
+    col = 0
+    for j, a in enumerate(m.src):
+        for i_exp in range(src_dims[j]):
+            for i, b in enumerate(m.dst):
+                e = m.entries[i][j]
+                if e.degree < 0 or all(f.is_zero(c) for c in e.coeffs):
+                    continue
+                base = dst_off[i]
+                for s, cf in enumerate(e.coeffs):
+                    if not f.is_zero(cf):
+                        rows[base + s + i_exp][col] = f.add(rows[base + s + i_exp][col], cf)
+            col += 1
+    return DegreePiece(n, src_dims, dst_dims, tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_matrices(), st.lists(st.integers(-8, 8), min_size=1, max_size=4))
+def test_sparse_scatter_matches_the_dense_reference(m, degrees):
+    f = m.field
+    for n in degrees:
+        assert m.degree_piece(n) == dense_degree_piece(m, n)
+    assert m.value_at_infinity() == m.evaluate(f.one, f.zero)
+    for row in m.entries:
+        for e in row:
+            nonzero = tuple((i, c) for i, c in enumerate(e.coeffs) if not f.is_zero(c))
+            assert e.terms() == nonzero
+            assert e.is_zero() == (not nonzero)
+    assert m.support() == tuple(
+        tuple((i, row[j].terms()) for i, row in enumerate(m.entries) if not row[j].is_zero())
+        for j in range(m.ncols)
+    )
+    assert m.is_zero() == all(f.is_zero(c) for row in m.entries for e in row for c in e.coeffs)
 
 
 def test_rank_everywhere_coords():

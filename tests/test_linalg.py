@@ -1,4 +1,8 @@
-"""Property tests for the integer-native rational core (fields + linalg)."""
+"""Property tests for the exact core (fields + linalg).
+
+The kernel and solve tests run over the rationals and over GF(10007) and
+GF(7); over a prime field the matrices are the integer ones reduced mod p.
+"""
 
 from fractions import Fraction
 from math import gcd
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlines import linalg
-from twistlines.fields import QQ
+from twistlines.fields import QQ, PrimeField
 
 SMALL_INT = st.integers(-6, 6)
 RATIONAL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
@@ -38,61 +42,96 @@ INT_MATRICES = matrices(SMALL_INT)
 RATIONAL_MATRICES = matrices(st.one_of(SMALL_INT, RATIONAL))
 
 
-def is_canonical(v):
-    """int if integral, else a Fraction with denominator > 1."""
+PRIME_FIELDS = (PrimeField(10007), PrimeField(7))
+
+
+def reduced(field, case):
+    rows, ncols = case
+    return field, [[field.of(v) for v in row] for row in rows], ncols
+
+
+def systems(int_only=False):
+    """(field, rows, ncols): rational matrices over QQ, integer ones mod p."""
+    qq = INT_MATRICES if int_only else st.one_of(INT_MATRICES, RATIONAL_MATRICES)
+    return st.one_of(
+        qq.map(lambda case: (QQ, *case)),
+        st.sampled_from(PRIME_FIELDS).flatmap(
+            lambda field: INT_MATRICES.map(lambda case: reduced(field, case))
+        ),
+    )
+
+
+def is_canonical(field, v):
+    """Over QQ: int if integral, else a Fraction with denominator > 1.
+    Over GF(p): an int in [0, p)."""
+    if field is not QQ:
+        return type(v) is int and 0 <= v < field.p
     if type(v) is int:
         return True
     return type(v) is Fraction and v.denominator > 1
 
 
-def apply(rows, x):
-    return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+def apply(field, rows, x):
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, b in zip(row, x):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(INT_MATRICES, RATIONAL_MATRICES))
+@settings(max_examples=250, deadline=None)
+@given(systems())
 def test_nullspace_is_a_primitive_integer_kernel_basis(case):
-    rows, ncols = case
-    basis = linalg.nullspace(QQ, rows, ncols)
-    r = linalg.rank(QQ, rows, ncols) if rows else 0
+    # over GF(p) the integers are the representatives in [0, p) and the
+    # basis vector of free column c is the one with a 1 there
+    field, rows, ncols = case
+    basis = linalg.nullspace(field, rows, ncols)
+    r = linalg.rank(field, rows, ncols) if rows else 0
     assert len(basis) == ncols - r
     for v in basis:
         assert len(v) == ncols
         assert all(type(x) is int for x in v)
-        lead = next(x for x in v if x)
-        assert lead > 0
-        assert gcd(*v) == 1
-        assert all(y == 0 for y in apply(rows, v))
+        if field is QQ:
+            lead = next(x for x in v if x)
+            assert lead > 0
+            assert gcd(*v) == 1
+        else:
+            assert all(is_canonical(field, x) for x in v)
+        assert all(field.is_zero(y) for y in apply(field, rows, v))
     # independence: the basis vectors have full rank
     if basis:
-        assert linalg.rank(QQ, basis, ncols) == len(basis)
+        assert linalg.rank(field, basis, ncols) == len(basis)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(INT_MATRICES, RATIONAL_MATRICES), st.data())
+@settings(max_examples=250, deadline=None)
+@given(systems(), st.data())
 def test_solve_satisfies_its_system(case, data):
-    rows, ncols = case
-    x0 = [QQ.of(data.draw(st.one_of(SMALL_INT, RATIONAL))) for _ in range(ncols)]
-    rhs = [QQ.of(v) for v in apply(rows, x0)]
-    x = linalg.solve(QQ, rows, ncols, rhs)
+    field, rows, ncols = case
+    scalars = st.one_of(SMALL_INT, RATIONAL) if field is QQ else SMALL_INT
+    x0 = [field.of(data.draw(scalars)) for _ in range(ncols)]
+    rhs = apply(field, rows, x0)
+    x = linalg.solve(field, rows, ncols, rhs)
     assert x is not None
-    assert all(is_canonical(v) for v in x)
-    assert apply(rows, x) == rhs
+    assert len(x) == ncols
+    assert all(is_canonical(field, v) for v in x)
+    assert apply(field, rows, x) == rhs
 
 
-@settings(max_examples=100, deadline=None)
-@given(INT_MATRICES)
+@settings(max_examples=200, deadline=None)
+@given(systems(int_only=True))
 def test_solve_refuses_inconsistent_systems(case):
-    rows, ncols = case
-    if not rows or linalg.rank(QQ, rows, ncols) == len(rows):
+    field, rows, ncols = case
+    if not rows or linalg.rank(field, rows, ncols) == len(rows):
         return
     # a right-hand side outside the column space exists; find one by
     # trying unit vectors
     for i in range(len(rows)):
-        rhs = [1 if j == i else 0 for j in range(len(rows))]
+        rhs = [field.one if j == i else field.zero for j in range(len(rows))]
         aug = [row + [b] for row, b in zip(rows, rhs)]
-        if linalg.rank(QQ, aug, ncols + 1) > linalg.rank(QQ, rows, ncols):
-            assert linalg.solve(QQ, rows, ncols, rhs) is None
+        if linalg.rank(field, aug, ncols + 1) > linalg.rank(field, rows, ncols):
+            assert linalg.solve(field, rows, ncols, rhs) is None
             return
 
 
@@ -100,7 +139,7 @@ def test_solve_refuses_inconsistent_systems(case):
 @given(st.one_of(SMALL_INT, RATIONAL), st.one_of(SMALL_INT, RATIONAL))
 def test_rational_field_keeps_its_invariant(a, b):
     a, b = QQ.of(a), QQ.of(b)
-    assert is_canonical(a) and is_canonical(b)
+    assert is_canonical(QQ, a) and is_canonical(QQ, b)
     results = [
         (QQ.add(a, b), Fraction(a) + b),
         (QQ.sub(a, b), Fraction(a) - b),
@@ -112,7 +151,7 @@ def test_rational_field_keeps_its_invariant(a, b):
         results.append((QQ.inv(b), 1 / Fraction(b)))
     for got, want in results:
         assert got == want
-        assert is_canonical(got)
+        assert is_canonical(QQ, got)
 
 
 def test_rational_field_demotes_integral_inputs():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from graded_strategies import graded_matrices
 from twistlines import linalg
 from twistlines.fields import QQ
 from twistlines.forms import BinaryForm, random_form
@@ -289,3 +291,48 @@ def test_lift_rejects_malformed_columns():
     beta, e = build_E2a2b(QQ, 1, 2, "symmetric")
     with pytest.raises(ValueError, match="column length"):
         lift_through(e.gen, Column(0, (BinaryForm.constant(QQ, 1),)))
+
+
+# ---------------------------------------------------------------------------
+# Hilbert functions of random graded matrices: a kernel of type (e_i) has
+# sum(max(0, n + e_i + 1)) sections in degree n, and that must be the
+# nullity of the degree-n piece at every degree the kernel scan visits
+
+
+def nullity(m, n):
+    piece = m.degree_piece(n)
+    return len(linalg.nullspace(m.field, [list(r) for r in piece.matrix], piece.ncols))
+
+
+def sections(t, n):
+    return sum(max(0, n + e + 1) for e in t.twists)
+
+
+def assert_hilbert_function(m, t):
+    # below -max(src) every piece has no columns; at and above the largest
+    # generator degree the nullity grows by the rank per step
+    top = max([-e for e in t.twists] + [-max(m.src)])
+    for n in range(-max(m.src) - 1, top + 3):
+        assert nullity(m, n) == sections(t, n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices())
+def test_kernel_type_reproduces_the_hilbert_function(m):
+    ker = kernel_free(m)
+    assert ker.rank == m.ncols - m.rank_everywhere().generic_rank
+    assert_hilbert_function(m, ker.type)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices())
+def test_cokernel_type_reproduces_the_dual_hilbert_function(m):
+    profile = m.rank_everywhere()
+    if not profile.constant:
+        with pytest.raises(ValueError, match="not locally free"):
+            cokernel_type(m)
+        return
+    coker = cokernel_type(m)
+    assert coker.rank == m.nrows - profile.generic_rank
+    # the dual of the cokernel is the kernel of the transposed dual
+    assert_hilbert_function(m.transpose_dual(), coker.dual())
