@@ -75,17 +75,8 @@ def _cert_text(cert) -> str:
     ]
     for note in cert.notes:
         lines.append(f"  note: {note}")
-    if not cert.very_twisting:
-        for name in (
-            "flag_valid",
-            "isotropy_ok",
-            "tev_ample",
-            "tev_rank_positive",
-            "psi_deg_nonneg",
-        ):
-            if not getattr(cert, name):
-                lines.append(f"  first violated predicate: {name}")
-                break
+    if cert.first_violation is not None:
+        lines.append(f"  first violated predicate: {cert.first_violation}")
     return "\n".join(lines)
 
 
@@ -133,16 +124,7 @@ def cmd_check(args) -> int:
         return FAIL_EXIT
     if cert.very_twisting:
         return 0
-    for name in (
-        "flag_valid",
-        "isotropy_ok",
-        "tev_ample",
-        "tev_rank_positive",
-        "psi_deg_nonneg",
-    ):
-        if not getattr(cert, name):
-            print(f"verification failed: {name}", file=sys.stderr)
-            break
+    print(f"verification failed: {cert.first_violation}", file=sys.stderr)
     return FAIL_EXIT
 
 
@@ -211,6 +193,8 @@ def cmd_ses(args) -> int:
         pairs = [(args.a, args.b)]
         bmax = args.b
     elif args.max is not None:
+        if args.max < 1:
+            raise _UsageError(f"--max must be at least 1, got {args.max}")
         pairs = [(a, b) for b in range(1, args.max + 1) for a in range(1, b + 1)]
         bmax = args.max
     else:
@@ -287,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="certify one (n, k, flavor) case")
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--k", type=int, required=True)
-    p_check.add_argument("--classical", action="store_true")
-    p_check.add_argument("--symmetric", action="store_true")
-    p_check.add_argument("--skew", action="store_true")
+    flavor = p_check.add_mutually_exclusive_group()
+    flavor.add_argument("--classical", action="store_true")
+    flavor.add_argument("--symmetric", action="store_true")
+    flavor.add_argument("--skew", action="store_true")
     p_check.add_argument("--expect-exceptional", action="store_true")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)

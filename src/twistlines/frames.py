@@ -11,7 +11,9 @@ ascending inside each summand.
 A GradedMatrix is immutable.  Its nonzero support (per source column, the
 nonzero entries with their nonzero terms) is computed on first use and
 kept, so degree pieces, products and zero tests of one matrix scan each
-coefficient once rather than on every call.
+coefficient once rather than on every call.  Its rank profile is kept the
+same way, and ``transpose_dual`` hands it to the transpose, whose rank is
+the same at every point.
 """
 
 from typing import NamedTuple
@@ -71,7 +73,7 @@ class RankProfile(NamedTuple):
 
 
 class GradedMatrix:
-    __slots__ = ("field", "src", "dst", "entries", "_support")
+    __slots__ = ("field", "src", "dst", "entries", "_support", "_profile")
 
     def __init__(self, field, src, dst, entries):
         src = tuple(src)
@@ -93,6 +95,7 @@ class GradedMatrix:
         self.dst = dst
         self.entries = entries
         self._support = None
+        self._profile = None
 
     # -- constructors -------------------------------------------------
 
@@ -205,9 +208,11 @@ class GradedMatrix:
         rows = [
             [self.entries[i][j] for i in range(len(self.dst))] for j in range(len(self.src))
         ]
-        return GradedMatrix(
+        dual = GradedMatrix(
             self.field, tuple(-b for b in self.dst), tuple(-a for a in self.src), rows
         )
+        dual._profile = self._profile
+        return dual
 
     def pullback_power(self, d: int) -> "GradedMatrix":
         """Substitute T0 -> T0^d, T1 -> T1^d; every twist scales by d."""
@@ -264,8 +269,15 @@ class GradedMatrix:
         the matrix over the affine chart T1 != 0, read off from a
         diagonalization over the univariate polynomial ring (elementary
         operations preserve determinantal divisors), together with a
-        full-rank check at the one remaining point [1:0].
+        full-rank check at the one remaining point [1:0].  The profile is
+        computed once per matrix and kept.
         """
+        profile = self._profile
+        if profile is None:
+            profile = self._profile = self._rank_profile()
+        return profile
+
+    def _rank_profile(self) -> RankProfile:
         if not self.src or not self.dst:
             return RankProfile(0, True)
         f = self.field

@@ -19,7 +19,7 @@ from math import gcd
 
 from .fields import PrimeField, RationalField
 
-__all__ = ["rank", "nullspace", "solve"]
+__all__ = ["rank", "nullspace", "solve", "solve_many"]
 
 
 def _int_rows(rows):
@@ -231,21 +231,44 @@ def solve(field, rows, ncols, rhs):
     """One exact solution of rows * x = rhs (free coordinates 0), or None.
 
     Over the rationals the coordinates are ints where integral, else
-    Fractions.
+    Fractions.  This is the one-column case of ``solve_many``.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not aug:
-        return [field.zero] * ncols
-    ech, pivots = _echelon(field, aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    xs = solve_many(field, rows, ncols, [rhs])
+    return None if xs is None else xs[0]
+
+
+def solve_many(field, rows, ncols, rhss):
+    """rows * x = b for every b in rhss, by one elimination; or None.
+
+    All right-hand sides are appended to the matrix and eliminated
+    together, then each is back-substituted on its own.  The result is one
+    solution per right-hand side, in order, with free coordinates 0; it is
+    None as soon as one right-hand side is outside the column space.  The
+    pivot columns of an echelon form do not depend on the row operations
+    that produced it, so each solution is the one ``solve`` gives for its
+    right-hand side alone.
+    """
+    k = len(rhss)
+    if not rows:
+        return [[field.zero] * ncols for _ in range(k)]
+    aug = [list(r) + [b[i] for b in rhss] for i, r in enumerate(rows)]
+    ech, pivots = _echelon(field, aug, ncols + k)
+    if pivots and pivots[-1] >= ncols:
         return None
+    out = []
     if isinstance(field, RationalField):
-        y = [0] * (ncols + 1)
-        y[ncols] = -1
-        den = _int_back_substitute(ech, pivots, y)
-        return [v // den if not v % den else Fraction(v, den) for v in y[:ncols]]
+        for j in range(k):
+            y = [0] * (ncols + k)
+            y[ncols + j] = -1
+            den = _int_back_substitute(ech, pivots, y)
+            out.append(
+                [v // den if not v % den else Fraction(v, den) for v in y[:ncols]]
+            )
+        return out
     p = field.p
-    x = [0] * (ncols + 1)
-    x[ncols] = p - 1
-    _mod_back_substitute(p, ech, pivots, x)
-    return x[:ncols]
+    for j in range(k):
+        x = [0] * (ncols + k)
+        x[ncols + j] = p - 1
+        _mod_back_substitute(p, ech, pivots, x)
+        out.append(x[:ncols])
+    return out

@@ -30,6 +30,7 @@ __all__ = [
     "kernel_free",
     "cokernel_type",
     "quotient_type",
+    "lift_quotient_type",
     "sub_lift",
     "pairing_map",
     "perp",
@@ -250,24 +251,47 @@ class Subbundle:
 def lift_through(phi: GradedMatrix, col: Column) -> Optional[Column]:
     """The unique x with phi*x = col, or None if col is not in the image.
 
-    phi must be everywhere injective; the lift lives in a single degree
-    piece, so one exact linear solve settles membership.
+    phi must be everywhere injective.  This is the one-column case of
+    ``_lift``.
     """
-    n = -col.twist
-    piece = phi.degree_piece(n)
-    rhs = _column_coordinates(phi.field, phi.dst, n, col)
-    if rhs is None:
-        return None
-    x = linalg.solve(phi.field, [list(r) for r in piece.matrix], piece.ncols, rhs)
-    if x is None:
-        return None
-    forms = _coordinates_to_forms(phi.field, phi.src, n, x)
+    lift = _lift(phi, [col])
+    return None if lift is None else Column(*lift.column(0))
+
+
+def _lift(phi: GradedMatrix, cols) -> Optional[GradedMatrix]:
+    """The matrix L with phi @ L = the given columns, or None if some
+    column is not in the image of phi.
+
+    phi must be everywhere injective, so every degree piece of phi has
+    full column rank and each lift is unique.  A column of twist t lifts
+    inside the degree -t piece; the columns are grouped by twist, and each
+    group is settled by one exact solve with all of its right-hand sides.
+    One product phi @ L then confirms every lift as a polynomial identity.
+    """
+    f = phi.field
+    by_twist = {}
+    for j, col in enumerate(cols):
+        by_twist.setdefault(col.twist, []).append(j)
+    lifted = [None] * len(cols)
+    for twist, js in by_twist.items():
+        n = -twist
+        rhss = []
+        for j in js:
+            rhs = _column_coordinates(f, phi.dst, n, cols[j])
+            if rhs is None:
+                return None
+            rhss.append(rhs)
+        piece = phi.degree_piece(n)
+        xs = linalg.solve_many(f, [list(r) for r in piece.matrix], piece.ncols, rhss)
+        if xs is None:
+            return None
+        for j, x in zip(js, xs):
+            lifted[j] = (twist, _coordinates_to_forms(f, phi.src, n, x))
+    lift = GradedMatrix.from_columns(f, phi.src, lifted)
     # degreewise solving is only consistent if the polynomial identity holds
-    lifted = phi @ GradedMatrix.from_columns(phi.field, phi.src, [(col.twist, forms)])
-    target = GradedMatrix.from_columns(phi.field, phi.dst, [col])
-    if lifted != target:
+    if phi @ lift != GradedMatrix.from_columns(f, phi.dst, cols):
         return None
-    return Column(col.twist, tuple(forms))
+    return lift
 
 
 def _column_coordinates(field, frame, n, col: Column):
@@ -444,22 +468,23 @@ def sub_lift(inner: Subbundle, outer: Subbundle) -> GradedMatrix:
     """The matrix L with outer.gen @ L = inner.gen (membership certified)."""
     if inner.ambient != outer.ambient:
         raise ValueError("subbundles live in different ambient frames")
-    cols = []
-    for col in inner.columns():
-        lifted = lift_through(outer.gen, col)
-        if lifted is None:
-            raise ValueError("E1 not contained in E2")
-        cols.append((lifted.twist, list(lifted.forms)))
-    return GradedMatrix.from_columns(inner.field, outer.gen.src, cols)
+    lift = _lift(outer.gen, inner.columns())
+    if lift is None:
+        raise ValueError("E1 not contained in E2")
+    return lift
 
 
 def quotient_type(inner: Subbundle, outer: Subbundle) -> SplittingType:
     """Splitting type of outer/inner for nested subbundles of one ambient."""
     if inner.rank == 0:
         return outer.type
-    lift = sub_lift(inner, outer)
+    return lift_quotient_type(sub_lift(inner, outer))
+
+
+def lift_quotient_type(lift: GradedMatrix) -> SplittingType:
+    """Splitting type of outer/inner, given the lift L = sub_lift(inner, outer)."""
     profile = lift.rank_everywhere()
-    if profile != (inner.rank, True):
+    if profile != (lift.ncols, True):
         raise ValueError("E1 not a subbundle of E2")
     return cokernel_type(lift)
 

@@ -35,6 +35,7 @@ from .sheaves import (
     cokernel_type,
     is_isotropic,
     kernel_free,
+    lift_quotient_type,
     perp,
     quotient_type,
     sub_lift,
@@ -61,6 +62,14 @@ _HOMOGENEOUS_NOTE = (
     "not computed"
 )
 _PIECEWISE_NOTE = "tangent positivity certified piecewise on the extension"
+# the predicates a very twisting certificate needs, in the order reported
+_PREDICATES = (
+    "flag_valid",
+    "isotropy_ok",
+    "tev_ample",
+    "tev_rank_positive",
+    "psi_deg_nonneg",
+)
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,15 @@ class Certificate:
 
     @property
     def very_twisting(self) -> bool:
-        return (
-            self.flag_valid
-            and self.isotropy_ok
-            and self.tev_ample
-            and self.tev_rank_positive
-            and self.psi_deg_nonneg
-        )
+        return self.first_violation is None
+
+    @property
+    def first_violation(self) -> Optional[str]:
+        """Name of the first false predicate, or None if all five hold."""
+        for name in _PREDICATES:
+            if not getattr(self, name):
+                return name
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,7 +229,7 @@ def check_skew(fam: FlagFamily) -> Certificate:
         return _failed(fam, "a flag member below the top is not isotropic", flag_valid=True)
     low_perp = perp(low, fam.pairing)
     try:
-        sub_lift(r_top, low_perp)
+        rest_lift = sub_lift(r_top, low_perp)
     except ValueError:
         return _failed(
             fam, "top member is not annihilated by the bottom member", isotropy_ok=True
@@ -226,7 +237,7 @@ def check_skew(fam: FlagFamily) -> Certificate:
     try:
         q_bottom = quotient_type(low, mid)
         q_top = quotient_type(mid, r_top)
-        q_rest = quotient_type(r_top, low_perp)
+        q_rest = lift_quotient_type(rest_lift)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     piece_sub = q_top.dual().tensor(q_rest)

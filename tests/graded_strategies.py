@@ -1,9 +1,9 @@
 """Hypothesis strategy for random graded matrices, shared by the property tests.
 
-Frames have rank at most 6 and twists in [-6, 6]; entries in a negative
-twist gap are zero (as the constructor requires), and about one in four of
-the other entries is zero too, so zero entries, zero columns and rank drops
-are common.
+Frames have rank at most 6 and twists in [-6, 6] (or from a given
+strategy); entries in a negative twist gap are zero (as the constructor
+requires), and about one in four of the other entries is zero too, so zero
+entries, zero columns and rank drops are common.
 """
 
 from hypothesis import strategies as st
@@ -14,15 +14,15 @@ from twistlines.frames import GradedMatrix
 
 FIELDS = (QQ, PrimeField(10007))
 TWISTS = st.integers(-6, 6)
-FRAMES = st.lists(TWISTS, min_size=1, max_size=6)
 COEFFS = st.one_of(st.just(0), st.integers(-3, 3))
 
 
 @st.composite
-def graded_matrices(draw):
+def graded_matrices(draw, twists=TWISTS):
     field = draw(st.sampled_from(FIELDS))
-    src = draw(FRAMES)
-    dst = draw(FRAMES)
+    frames = st.lists(twists, min_size=1, max_size=6)
+    src = draw(frames)
+    dst = draw(frames)
     rows = []
     for b in dst:
         row = []

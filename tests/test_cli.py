@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from twistlines.cli import main
+from twistlines.fields import QQ
 
 
 def run(capsys, *argv):
@@ -259,3 +262,37 @@ def test_sweep_text_rows_carry_quotient_and_tangent_types(capsys):
         assert f"quots={row['flag_quotients']}" in text_out
         assert f"tev={row['tev_pieces']}" in text_out
         assert f"psi={row['psi_degree']}" in text_out
+
+
+def test_check_flavor_flags_are_mutually_exclusive(capsys):
+    pairs = (("--classical", "--skew"), ("--symmetric", "--skew"), ("--classical", "--symmetric"))
+    for flags in pairs:
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flags, "--n", "6", "--k", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with" in captured.err
+
+
+def test_ses_rejects_nonpositive_max(capsys):
+    for bound in ("0", "-3"):
+        code, out, err = run(capsys, "ses", "--max", bound)
+        assert code == 2
+        assert out == ""
+        assert "--max" in err
+
+
+def test_failed_check_names_the_first_violated_predicate(capsys, monkeypatch):
+    from twistlines import cli
+    from twistlines.families import case_Ia
+    from twistlines.verify import check_symmetric_big
+
+    # the n = 4 case Ia certificate has both tangent pieces of rank 0
+    cert = check_symmetric_big(case_Ia(QQ, 4, "symmetric"))
+    monkeypatch.setattr(cli, "certify", lambda fam: cert)
+    code, out, err = run(capsys, "check", "--symmetric", "--n", "6", "--k", "2")
+    assert code == 1
+    assert "verdict: NOT very twisting" in out
+    assert out.rstrip().endswith("first violated predicate: tev_rank_positive")
+    assert err == "verification failed: tev_rank_positive\n"

@@ -240,6 +240,18 @@ def test_transpose_involution():
         assert transpose_dual(transpose_dual(m)) == m
 
 
+@settings(max_examples=150, deadline=None)
+@given(graded_matrices())
+def test_transpose_carries_the_rank_profile(m):
+    # a matrix and its transpose have the same rank at every point, so the
+    # profile handed to the transpose is the one a fresh matrix computes
+    t = m.transpose_dual()
+    fresh = GradedMatrix(t.field, t.src, t.dst, t.entries)
+    assert m.rank_everywhere() == fresh.rank_everywhere()
+    assert m.transpose_dual().rank_everywhere() == fresh.rank_everywhere()
+    assert t.rank_everywhere() == fresh.rank_everywhere()
+
+
 def test_pairing_block_transpose_symmetry():
     for flavor, sign in (("symmetric", 1), ("skew", -1)):
         beta = Pairing.hyperbolic(QQ, 3, flavor)

@@ -108,31 +108,46 @@ def test_nullspace_is_a_primitive_integer_kernel_basis(case):
 @settings(max_examples=250, deadline=None)
 @given(systems(), st.data())
 def test_solve_satisfies_its_system(case, data):
+    # solve_many with several right-hand sides gives, for each, what solve
+    # gives for it alone
     field, rows, ncols = case
     scalars = st.one_of(SMALL_INT, RATIONAL) if field is QQ else SMALL_INT
-    x0 = [field.of(data.draw(scalars)) for _ in range(ncols)]
-    rhs = apply(field, rows, x0)
-    x = linalg.solve(field, rows, ncols, rhs)
-    assert x is not None
-    assert len(x) == ncols
-    assert all(is_canonical(field, v) for v in x)
-    assert apply(field, rows, x) == rhs
+    rhss = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x0 = [field.of(data.draw(scalars)) for _ in range(ncols)]
+        rhss.append(apply(field, rows, x0))
+    xs = linalg.solve_many(field, rows, ncols, rhss)
+    assert xs is not None and len(xs) == len(rhss)
+    for x, rhs in zip(xs, rhss):
+        assert x == linalg.solve(field, rows, ncols, rhs)
+        assert len(x) == ncols
+        assert all(is_canonical(field, v) for v in x)
+        assert apply(field, rows, x) == rhs
 
 
 @settings(max_examples=200, deadline=None)
-@given(systems(int_only=True))
-def test_solve_refuses_inconsistent_systems(case):
+@given(systems(int_only=True), st.data())
+def test_solve_refuses_inconsistent_systems(case, data):
     field, rows, ncols = case
     if not rows or linalg.rank(field, rows, ncols) == len(rows):
         return
     # a right-hand side outside the column space exists; find one by
     # trying unit vectors
     for i in range(len(rows)):
-        rhs = [field.one if j == i else field.zero for j in range(len(rows))]
-        aug = [row + [b] for row, b in zip(rows, rhs)]
+        bad = [field.one if j == i else field.zero for j in range(len(rows))]
+        aug = [row + [b] for row, b in zip(rows, bad)]
         if linalg.rank(field, aug, ncols + 1) > linalg.rank(field, rows, ncols):
-            assert linalg.solve(field, rows, ncols, rhs) is None
-            return
+            break
+    assert linalg.solve(field, rows, ncols, bad) is None
+    # solve_many refuses as soon as one right-hand side is inconsistent,
+    # wherever it stands among consistent ones
+    good = [
+        apply(field, rows, [field.of(data.draw(SMALL_INT)) for _ in range(ncols)])
+        for _ in range(data.draw(st.integers(0, 2)))
+    ]
+    pos = data.draw(st.integers(0, len(good)))
+    assert linalg.solve_many(field, rows, ncols, good[:pos] + [bad] + good[pos:]) is None
+    assert linalg.solve_many(field, rows, ncols, good) is not None
 
 
 @settings(max_examples=300, deadline=None)

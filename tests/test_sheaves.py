@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from graded_strategies import graded_matrices
 from twistlines import linalg
@@ -23,6 +24,7 @@ from twistlines.sheaves import (
     positivity,
     quotient_type,
     same_subsheaf,
+    sub_lift,
     tensor_type,
     wedge2_type,
 )
@@ -336,3 +338,86 @@ def test_cokernel_type_reproduces_the_dual_hilbert_function(m):
     assert coker.rank == m.nrows - profile.generic_rank
     # the dual of the cokernel is the kernel of the transposed dual
     assert_hilbert_function(m.transpose_dual(), coker.dual())
+
+
+# ---------------------------------------------------------------------------
+# lifts and quotients of random nested subbundles: outer is the kernel of a
+# random graded matrix (saturated, so everywhere injective), and inner is the
+# image of some of the columns of outer.gen @ U for a unit-triangular graded
+# automorphism U of outer's frame, so outer/inner splits as the omitted
+# summands and equal twists in outer give several inner columns of one twist
+
+
+@hst.composite
+def nested_subbundles(draw):
+    m = draw(graded_matrices(twists=hst.integers(-1, 1)))
+    outer = kernel_free(m)
+    assume(outer.rank >= 1)
+    f = m.field
+    src = outer.gen.src
+    order = sorted(range(len(src)), key=lambda j: -src[j])
+    rank_in_order = {j: pos for pos, j in enumerate(order)}
+    rows = []
+    for i, a_i in enumerate(src):
+        row = []
+        for j, a_j in enumerate(src):
+            if i == j:
+                row.append(BinaryForm.constant(f, 1))
+            elif rank_in_order[i] < rank_in_order[j]:
+                d = a_i - a_j
+                coeffs = [f.of(draw(hst.integers(-3, 3))) for _ in range(d + 1)]
+                row.append(BinaryForm(f, d, coeffs))
+            else:
+                row.append(BinaryForm.zero(f, a_i - a_j))
+        rows.append(row)
+    u = GradedMatrix(f, src, src, rows)
+    # each column is kept with probability 3/4, and at least one is kept
+    keep = [j for j in range(len(src)) if draw(hst.integers(0, 3))] or [0]
+    cols = [u.column(j) for j in keep]
+    inner = Subbundle(outer.gen @ GradedMatrix.from_columns(f, src, cols))
+    omitted = SplittingType(tuple(src[j] for j in range(len(src)) if j not in keep))
+    return outer, inner, omitted
+
+
+def in_image(phi, col):
+    """Membership of a column by the rank of an augmented degree piece."""
+    n = -col.twist
+    piece = phi.degree_piece(n)
+    coords = [c for e in col.forms if e.degree >= 0 for c in e.coeffs]
+    rows = [list(r) for r in piece.matrix]
+    if not rows:
+        return not any(coords)
+    aug = [r + [c] for r, c in zip(rows, coords)]
+    return linalg.rank(phi.field, aug) == linalg.rank(phi.field, rows, piece.ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_subbundles(), hst.data())
+def test_sub_lift_and_quotient_of_nested_subbundles(case, data):
+    outer, inner, omitted = case
+    lift = sub_lift(inner, outer)
+    assert outer.gen @ lift == inner.gen
+    assert [lift_through(outer.gen, col) for col in inner.columns()] == [
+        Column(*lift.column(j)) for j in range(lift.ncols)
+    ]
+    assert quotient_type(inner, outer) == omitted
+    # a column pushed off the image by one monomial is refused
+    j = data.draw(hst.integers(0, inner.rank - 1))
+    twist, forms = inner.gen.column(j)
+    for i, e in enumerate(forms):
+        if e.degree < 0:
+            continue
+        bumped = list(forms)
+        t1_exp = data.draw(hst.integers(0, e.degree))
+        bumped[i] = e + BinaryForm.monomial(e.field, e.degree, t1_exp)
+        col = Column(twist, tuple(bumped))
+        if not in_image(outer.gen, col):
+            break
+    else:
+        return  # outer is the whole ambient piece in these degrees
+    cols = inner.columns()
+    cols[j] = col
+    bad = Subbundle(GradedMatrix.from_columns(inner.field, inner.ambient, cols), check=False)
+    with pytest.raises(ValueError, match="not contained"):
+        sub_lift(bad, outer)
+    assert lift_through(outer.gen, col) is None

@@ -226,3 +226,16 @@ def test_skew_flag_with_unannihilated_top_reports_failure():
     cert = check_skew(bad)
     assert not cert.flag_valid
     assert any("not annihilated" in note for note in cert.notes)
+
+
+def test_first_violation_names_the_first_false_predicate():
+    from twistlines.families import FlagFamily
+
+    assert certify(build_classical(QQ, 5, 2)).first_violation is None
+    cert = check_symmetric_big(case_Ia(QQ, 4, "symmetric"))
+    assert cert.first_violation == "tev_rank_positive"
+    fam = build_isotropic(QQ, 6, 2, "symmetric")
+    e1, e2, e3 = fam.members
+    bad = FlagFamily("IIa-sym", 6, 2, "symmetric", (e2, e1, e3), (1, 2, 3), fam.pairing)
+    # a failed flag clears every later predicate too; the first one is named
+    assert check_symmetric_big(bad).first_violation == "flag_valid"
