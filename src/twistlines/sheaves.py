@@ -30,7 +30,6 @@ __all__ = [
     "kernel_free",
     "cokernel_type",
     "quotient_type",
-    "lift_quotient_type",
     "sub_lift",
     "pairing_map",
     "perp",
@@ -478,10 +477,10 @@ def quotient_type(inner: Subbundle, outer: Subbundle) -> SplittingType:
     """Splitting type of outer/inner for nested subbundles of one ambient."""
     if inner.rank == 0:
         return outer.type
-    return lift_quotient_type(sub_lift(inner, outer))
+    return _lift_quotient_type(sub_lift(inner, outer))
 
 
-def lift_quotient_type(lift: GradedMatrix) -> SplittingType:
+def _lift_quotient_type(lift: GradedMatrix) -> SplittingType:
     """Splitting type of outer/inner, given the lift L = sub_lift(inner, outer)."""
     profile = lift.rank_everywhere()
     if profile != (lift.ncols, True):

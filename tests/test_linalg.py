@@ -105,12 +105,24 @@ def test_nullspace_is_a_primitive_integer_kernel_basis(case):
         assert linalg.rank(field, basis, ncols) == len(basis)
 
 
+def pivot_columns(field, rows, ncols):
+    """The columns that raise the rank of the columns before them."""
+    pivots, r = [], 0
+    for j in range(ncols):
+        if rows and linalg.rank(field, [row[: j + 1] for row in rows], j + 1) > r:
+            pivots.append(j)
+            r += 1
+    return pivots
+
+
 @settings(max_examples=250, deadline=None)
 @given(systems(), st.data())
 def test_solve_satisfies_its_system(case, data):
-    # solve_many with several right-hand sides gives, for each, what solve
-    # gives for it alone
+    # solve_many with several right-hand sides returns, for each, the one
+    # solution that is zero off the pivot columns (those columns are
+    # independent, so it is unique), and solve gives the same alone
     field, rows, ncols = case
+    pivots = pivot_columns(field, rows, ncols)
     scalars = st.one_of(SMALL_INT, RATIONAL) if field is QQ else SMALL_INT
     rhss = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -123,6 +135,7 @@ def test_solve_satisfies_its_system(case, data):
         assert len(x) == ncols
         assert all(is_canonical(field, v) for v in x)
         assert apply(field, rows, x) == rhs
+        assert all(field.is_zero(v) for c, v in enumerate(x) if c not in pivots)
 
 
 @settings(max_examples=200, deadline=None)
