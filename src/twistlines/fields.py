@@ -7,6 +7,9 @@ value is a plain Python ``int`` and only a value with denominator > 1 is a
 arithmetic stays on ints.  An odd prime field is available as a fast
 cross-check backend (the constructions need 2 to be invertible, so
 characteristic 2 is refused).
+
+Hot loops compute on the native scalars with Python operators and call
+``reduce_all`` once per result list to restore the canonical form.
 """
 
 from fractions import Fraction
@@ -106,6 +109,10 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def reduce_all(self, values) -> list:
+        """Exact int/Fraction values as a list that keeps the invariant."""
+        return [v if type(v) is int else _demote(v) for v in values]
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -166,6 +173,11 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def reduce_all(self, values) -> list:
+        """Integer values as a list of their residues in [0, p)."""
+        p = self.p
+        return [v % p for v in values]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -9,8 +9,14 @@ and is stored with an empty coefficient tuple.
 Forms are immutable, so the nonzero terms of a form (which also give its
 zero flag) are found on first use and kept.  The univariate helpers at the
 bottom work on dense coefficient lists indexed by power; the form product
-is their convolution.
+is their convolution.  Division with remainder and a - q*b (the row and
+column operations of the rank profile) compute on native scalars and
+reduce each result once (``field.reduce_all``).
 """
+
+from fractions import Fraction
+
+from .fields import _demote
 
 __all__ = [
     "BinaryForm",
@@ -209,24 +215,44 @@ def _trim(field, poly):
 
 
 def poly_divmod(field, a, b):
-    """Quotient and remainder of dense univariate polynomials over field."""
+    """Quotient and remainder of dense univariate polynomials over field.
+
+    Native arithmetic: each quotient coefficient is the leading remainder
+    coefficient times the modular inverse of b's leading one (GF(p)) or
+    their exact quotient (rationals), and the remainder is reduced once.
+    """
     b = _trim(field, list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    _trim(field, r)
-    q = [field.zero] * max(0, len(r) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    while len(r) >= len(b):
-        c = field.mul(r[-1], inv_lead)
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] = field.sub(r[shift + i], field.mul(c, bc))
-        _trim(field, r)
-        if not r:
-            break
-    return q, r
+    r = _trim(field, list(a))
+    p = field.characteristic
+    nb = len(b) - 1
+    lead = b[-1]
+    inv = pow(lead, p - 2, p) if p else None
+    q = [field.zero] * max(0, len(r) - nb)
+    for shift in range(len(r) - 1 - nb, -1, -1):
+        top = r.pop()
+        if p:
+            c = top * inv % p
+        elif type(top) is int and type(lead) is int and not top % lead:
+            c = top // lead
+        else:
+            c = _demote(Fraction(top) / lead)
+        if c:
+            q[shift] = c
+            for i in range(nb):
+                r[shift + i] -= c * b[i]
+    return q, _trim(field, field.reduce_all(r))
+
+
+def _poly_submul(field, a, q, b):
+    """a - q*b on native scalars, each coefficient reduced once, trimmed."""
+    out = a + [field.zero] * (len(q) + len(b) - 1 - len(a))
+    for s, x in enumerate(q):
+        if x:
+            for t, y in enumerate(b):
+                out[s + t] -= x * y
+    return _trim(field, field.reduce_all(out))
 
 
 def _poly_mul(field, a, b):
@@ -239,16 +265,6 @@ def _poly_mul(field, a, b):
         for j, y in enumerate(b):
             if not field.is_zero(y):
                 out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _trim(field, out)
-
-
-def _poly_sub(field, a, b):
-    n = max(len(a), len(b))
-    out = [field.zero] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = field.sub(out[i], y)
     return _trim(field, out)
 
 

@@ -10,16 +10,16 @@ ascending inside each summand.
 
 A GradedMatrix is immutable.  Its nonzero support (per source column, the
 nonzero entries with their nonzero terms) is computed on first use and
-kept, so degree pieces, products and zero tests of one matrix scan each
-coefficient once rather than on every call.  Its rank profile is kept the
-same way, and ``transpose_dual`` hands it to the transpose, whose rank is
-the same at every point.
+kept, so degree pieces, products, rank profiles and zero tests of one
+matrix scan each coefficient once, not on every call.  Its rank profile
+is kept the same way, and ``transpose_dual`` hands it to the transpose,
+whose rank is the same at every point.
 """
 
 from typing import NamedTuple
 
 from . import linalg
-from .forms import BinaryForm, _poly_mul, _poly_sub, poly_divmod
+from .forms import BinaryForm, _poly_submul, poly_divmod
 
 __all__ = [
     "frame_rank",
@@ -180,22 +180,24 @@ class GradedMatrix:
     # -- algebra --------------------------------------------------------
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        """Composition self∘other (other maps into self's source frame)."""
+        """Composition self∘other (other maps into self's source frame), each
+        entry accumulated from both factors' cached terms and reduced once."""
         if other.dst != self.src:
             raise ValueError("frames do not match for composition")
         f = self.field
+        reduce_all = f.reduce_all
         support = other.support()
         rows = []
-        for i, b in enumerate(self.dst):
-            left = self.entries[i]
+        for b, left in zip(self.dst, self.entries):
+            left = [e.terms() for e in left]
             row = []
-            for j, c in enumerate(other.src):
-                acc = BinaryForm.zero(f, b - c)
-                for k, _ in support[j]:
-                    e1 = left[k]
-                    if not e1.is_zero():
-                        acc = acc + e1 * other.entries[k][j]
-                row.append(acc)
+            for c, nonzero in zip(other.src, support):
+                acc = [0] * max(0, b - c + 1)
+                for k, terms in nonzero:
+                    for s, x in left[k]:
+                        for t, y in terms:
+                            acc[s + t] += x * y
+                row.append(BinaryForm(f, b - c, reduce_all(acc)))
             rows.append(row)
         return GradedMatrix(f, other.src, self.dst, rows)
 
@@ -280,95 +282,91 @@ class GradedMatrix:
     def _rank_profile(self) -> RankProfile:
         if not self.src or not self.dst:
             return RankProfile(0, True)
-        f = self.field
-        polys = [[e.dehomogenize() for e in row] for row in self.entries]
-        diag = _poly_diagonal(f, polys)
+        diag = _poly_diagonal(self.field, self._dehomogenized())
         r = len(diag)
-        all_const = all(len(d) == 1 for d in diag)
-        if not all_const:
+        if any(len(d) > 1 for d in diag):
             return RankProfile(r, False)
-        rank_inf = linalg.rank(f, self.value_at_infinity(), len(self.src))
+        rank_inf = linalg.rank(self.field, self.value_at_infinity(), len(self.src))
         return RankProfile(r, rank_inf == r)
 
-
-def _poly_deg(p):
-    return len(p) - 1
+    def _dehomogenized(self):
+        """Each entry's f(x, 1) as a trimmed list by x-power ([] for zero)."""
+        polys = [[[] for _ in self.src] for _ in self.dst]
+        for j, (a, nonzero) in enumerate(zip(self.src, self.support())):
+            for i, terms in nonzero:
+                d = self.dst[i] - a
+                poly = polys[i][j] = [0] * (d - terms[0][0] + 1)
+                for s, c in terms:
+                    poly[d - s] = c
+        return polys
 
 
 def _poly_diagonal(field, m):
-    """Diagonalize a polynomial matrix by elementary row/column operations.
+    """Diagonalize a nonempty grid m of trimmed coefficient lists (index =
+    power, [] for zero; native scalars) in place by elementary row and
+    column operations; return the nonzero diagonal entries.
 
-    Returns the list of nonzero diagonal entries (no divisibility
-    normalization; only their number and degrees are consumed).
+    Pivot k is the least-degree nonzero entry of rows and columns >= k,
+    first in row-major order.  A round divides the entries below the pivot
+    by it with row operations; if remainders survive, the least-degree one
+    (first on ties) is swapped into the pivot.  Otherwise the entries right
+    of it are divided by column operations (the column below is clear, so
+    only the pivot-row entry changes, to its remainder), with the same swap
+    rule.  Remainders have lower degree than the pivot, so each round
+    finishes the pivot or strictly lowers its degree: a pivot of degree d
+    takes at most d + 1 rounds, and there are at most min(rows, cols).
+
+    Each coefficient is the field element per-operation field calls give
+    (over GF(p) the residue of the same integer expression, over the
+    rationals the same exact value), and the control flow reads only zero
+    tests and lengths, so pivots, swaps and degrees are unchanged by it.
     """
-    m = [row[:] for row in m]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    nr, nc = len(m), len(m[0])
     diag = []
-    k = 0
-    while k < min(nr, nc):
-        pi = pj = -1
-        best = -1
+    for k in range(min(nr, nc)):
+        best = 0
         for i in range(k, nr):
+            row = m[i]
             for j in range(k, nc):
-                if m[i][j]:
-                    d = _poly_deg(m[i][j])
-                    if best < 0 or d < best:
-                        best, pi, pj = d, i, j
-        if best < 0:
+                e = row[j]
+                if e and (not best or len(e) < best):
+                    best, pi, pj = len(e), i, j
+            if best == 1:  # a constant: nothing later in row-major order wins
+                break
+        if not best:
             break
         m[k], m[pi] = m[pi], m[k]
         for row in m:
             row[k], row[pj] = row[pj], row[k]
         while True:
-            # kill column k below the pivot
-            dirty = False
-            for i in range(k + 1, nr):
-                if m[i][k]:
-                    q, rem = poly_divmod(field, m[i][k], m[k][k])
-                    if q:
-                        for j in range(k, nc):
-                            m[i][j] = _poly_sub(field, m[i][j], _poly_mul(field, q, m[k][j]))
-                    m[i][k] = rem
-                    if rem:
-                        dirty = True
-            if dirty:
-                _swap_min_into_pivot_col(field, m, k, nr)
+            piv, rk = m[k][k], m[k]
+            low = -1  # the least-degree remainder, first on ties
+            for i in range(k + 1, nr):  # row operations below the pivot
+                ri = m[i]
+                rem = ri[k]
+                if rem and len(rem) >= len(piv):
+                    q, rem = poly_divmod(field, rem, piv)
+                    for j in range(k + 1, nc):
+                        if rk[j]:
+                            ri[j] = _poly_submul(field, ri[j], q, rk[j])
+                    ri[k] = rem
+                if rem and (low < 0 or len(rem) < len(m[low][k])):
+                    low = i
+            if low >= 0:
+                m[k], m[low] = m[low], m[k]
                 continue
-            # kill row k right of the pivot
-            dirty = False
-            for j in range(k + 1, nc):
-                if m[k][j]:
-                    q, rem = poly_divmod(field, m[k][j], m[k][k])
-                    if q:
-                        for i in range(k, nr):
-                            m[i][j] = _poly_sub(field, m[i][j], _poly_mul(field, q, m[i][k]))
-                    m[k][j] = rem
-                    if rem:
-                        dirty = True
-            if not dirty:
+            for j in range(k + 1, nc):  # column operations right of it
+                rem = rk[j]
+                if rem and len(rem) >= len(piv):
+                    rem = rk[j] = poly_divmod(field, rem, piv)[1]
+                if rem and (low < 0 or len(rem) < len(rk[low])):
+                    low = j
+            if low < 0:
                 break
-            _swap_min_into_pivot_row(field, m, k, nc)
+            for row in m:
+                row[k], row[low] = row[low], row[k]
         diag.append(m[k][k])
-        k += 1
     return diag
-
-
-def _swap_min_into_pivot_col(field, m, k, nr):
-    best_i = k
-    for i in range(k, nr):
-        if m[i][k] and (not m[best_i][k] or _poly_deg(m[i][k]) < _poly_deg(m[best_i][k])):
-            best_i = i
-    m[k], m[best_i] = m[best_i], m[k]
-
-
-def _swap_min_into_pivot_row(field, m, k, nc):
-    best_j = k
-    for j in range(k, nc):
-        if m[k][j] and (not m[k][best_j] or _poly_deg(m[k][j]) < _poly_deg(m[k][best_j])):
-            best_j = j
-    for row in m:
-        row[k], row[best_j] = row[best_j], row[k]
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ class Subbundle:
     into the ambient frame, so the splitting type is the source frame.
     """
 
-    __slots__ = ("gen", "type")
+    __slots__ = ("gen", "type", "_pairing")
 
     def __init__(self, gen: GradedMatrix, check: bool = True):
         if check and gen.ncols:
@@ -212,6 +212,7 @@ class Subbundle:
                 )
         self.gen = gen
         self.type = SplittingType(gen.src)
+        self._pairing = None  # (pairing, pairing map), see _member_pairing_map
 
     @classmethod
     def zero(cls, field, ambient) -> "Subbundle":
@@ -425,27 +426,30 @@ def _shift_up(field, src, n, vectors):
 
 
 class _EchelonSpan:
-    """Incremental reduced span with deterministic normalized remainders."""
+    """Incremental reduced span with deterministic normalized remainders,
+    on native scalars; each row keeps its nonzero columns for updates."""
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = []  # (pivot_col, row)
+        self.rows = []  # (pivot_col, row, nonzero columns of row)
 
     def add(self, v):
         """Reduce v; absorb and return the normalized remainder if new."""
         f = self.field
+        p = f.characteristic
         v = list(v)
-        for pc, row in self.rows:
-            cv = v[pc]
-            if not f.is_zero(cv):
-                for j in range(pc, self.ncols):
-                    v[j] = f.sub(v[j], f.mul(cv, row[j]))
-        for pc in range(self.ncols):
-            if not f.is_zero(v[pc]):
-                inv = f.inv(v[pc])
-                v = [f.mul(inv, x) for x in v]
-                self.rows.append((pc, v))
+        for pc, row, nz in self.rows:
+            cv = v[pc] % p if p else v[pc]
+            if cv:
+                for j in nz:
+                    v[j] -= cv * row[j]
+        v = f.reduce_all(v)
+        for pc, x in enumerate(v):
+            if x:
+                inv = f.inv(x)
+                v = f.reduce_all([inv * y for y in v])
+                self.rows.append((pc, v, [j for j in range(pc, self.ncols) if v[j]]))
                 self.rows.sort(key=lambda t: t[0])
                 return v
         return None
@@ -489,36 +493,49 @@ def _lift_quotient_type(lift: GradedMatrix) -> SplittingType:
 
 
 def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
-    """The map ambient -> dual of e's frame sending x to beta(gen_j, x)_j."""
+    """The map ambient -> dual of e's frame sending x to beta(gen_j, x)_j.
+
+    Each nonzero generator entry gen[k][j] is scattered, times beta[k][i],
+    into entry (j, i) for the nonzero entries of the (sparse) Gram row k.
+    """
     f = e.field
     amb = e.ambient
     if len(amb) != beta.dim:
         raise ValueError("pairing dimension does not match the ambient frame")
+    if any(amb):
+        raise ValueError("a pairing needs a trivial ambient frame")
+    gram = [[(i, b) for i, b in enumerate(row) if b] for row in beta.matrix]
     rows = []
-    for tw, forms in e.gen.columns():
-        row = []
-        for i in range(beta.dim):
-            acc = BinaryForm.zero(f, -tw)
-            for k in range(beta.dim):
-                b = beta.matrix[k][i]
-                if not f.is_zero(b) and not forms[k].is_zero():
-                    acc = acc + forms[k].scale(b)
-            row.append(acc)
-        rows.append(row)
-    return GradedMatrix(f, amb, tuple(-tw for tw, _ in e.gen.columns()), rows)
+    for tw, nonzero in zip(e.gen.src, e.gen.support()):
+        accs = [[0] * max(0, 1 - tw) for _ in amb]
+        for k, terms in nonzero:
+            for i, b in gram[k]:
+                acc = accs[i]
+                for s, c in terms:
+                    acc[s] += b * c
+        rows.append([BinaryForm(f, -tw, f.reduce_all(acc)) for acc in accs])
+    return GradedMatrix(f, amb, tuple(-tw for tw in e.gen.src), rows)
+
+
+def _member_pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
+    """pairing_map(e, beta), kept on e for its isotropy test and perp."""
+    kept = e._pairing
+    if kept is None or kept[0] is not beta:
+        kept = e._pairing = (beta, pairing_map(e, beta))
+    return kept[1]
 
 
 def perp(e: Subbundle, beta: Pairing) -> Subbundle:
     """Annihilator subbundle of e under beta."""
     if e.rank == 0:
         return Subbundle.full(e.field, e.ambient)
-    return kernel_free(pairing_map(e, beta))
+    return kernel_free(_member_pairing_map(e, beta))
 
 
 def is_isotropic(e: Subbundle, beta: Pairing) -> bool:
     if e.rank == 0:
         return True
-    product = pairing_map(e, beta) @ e.gen
+    product = _member_pairing_map(e, beta) @ e.gen
     return product.is_zero()
 
 

@@ -3,8 +3,13 @@
 Frames have rank at most 6 and twists in [-6, 6] (or from a given
 strategy); entries in a negative twist gap are zero (as the constructor
 requires), and about one in four of the other entries is zero too, so zero
-entries, zero columns and rank drops are common.
+entries, zero columns and rank drops are common.  The field, the target
+frame and the coefficient strategy can be fixed by the caller, e.g. to draw
+a second factor of a product or rational entries with denominators.
+``assert_canonical`` checks the stored form of computed scalars.
 """
+
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -13,16 +18,21 @@ from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix
 
 FIELDS = (QQ, PrimeField(10007))
+ALL_FIELDS = FIELDS + (PrimeField(7),)
 TWISTS = st.integers(-6, 6)
 COEFFS = st.one_of(st.just(0), st.integers(-3, 3))
+# denominators up to 4 stay invertible in GF(7) and GF(10007)
+FRACTION_COEFFS = st.one_of(COEFFS, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
 
 
 @st.composite
-def graded_matrices(draw, twists=TWISTS):
-    field = draw(st.sampled_from(FIELDS))
+def graded_matrices(draw, twists=TWISTS, fields=FIELDS, coeffs=COEFFS, field=None, dst=None):
+    if field is None:
+        field = draw(st.sampled_from(fields))
     frames = st.lists(twists, min_size=1, max_size=6)
     src = draw(frames)
-    dst = draw(frames)
+    if dst is None:
+        dst = draw(frames)
     rows = []
     for b in dst:
         row = []
@@ -31,7 +41,16 @@ def graded_matrices(draw, twists=TWISTS):
             if d < 0 or draw(st.integers(0, 3)) == 3:
                 row.append(BinaryForm.zero(field, d))
             else:
-                coeffs = [field.of(draw(COEFFS)) for _ in range(d + 1)]
-                row.append(BinaryForm(field, d, coeffs))
+                values = [field.of(draw(coeffs)) for _ in range(d + 1)]
+                row.append(BinaryForm(field, d, values))
         rows.append(row)
     return GradedMatrix(field, src, dst, rows)
+
+
+def assert_canonical(field, values):
+    """Over QQ an integral value is an int; over GF(p) a value is in [0, p)."""
+    for v in values:
+        if field.characteristic:
+            assert type(v) is int and 0 <= v < field.characteristic
+        else:
+            assert type(v) is int or v.denominator > 1

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graded_strategies import graded_matrices
-from twistlines import linalg
+from graded_strategies import ALL_FIELDS, FRACTION_COEFFS, assert_canonical, graded_matrices
+from twistlines import frames, linalg
 from twistlines.fields import QQ
-from twistlines.forms import BinaryForm, random_form
+from twistlines.forms import BinaryForm, _poly_mul, _trim, poly_divmod, random_form
 from twistlines.frames import (
     DegreePiece,
     GradedMatrix,
+    RankProfile,
     degree_piece,
     frame_degree,
     frame_rank,
@@ -177,6 +178,192 @@ def test_sparse_scatter_matches_the_dense_reference(m, degrees):
         for j in range(m.ncols)
     )
     assert m.is_zero() == all(f.is_zero(c) for row in m.entries for e in row for c in e.coeffs)
+
+
+# -- the generic diagonalization, kept as the reference for the native one
+
+
+def reference_poly_divmod(field, a, b):
+    b = _trim(field, list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    _trim(field, r)
+    q = [field.zero] * max(0, len(r) - len(b) + 1)
+    inv_lead = field.inv(b[-1])
+    while len(r) >= len(b):
+        c = field.mul(r[-1], inv_lead)
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            r[shift + i] = field.sub(r[shift + i], field.mul(c, bc))
+        _trim(field, r)
+        if not r:
+            break
+    return q, r
+
+
+def reference_poly_sub(field, a, b):
+    n = max(len(a), len(b))
+    out = [field.zero] * n
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = field.sub(out[i], y)
+    return _trim(field, out)
+
+
+def reference_poly_diagonal(field, m):
+    """Diagonalization with one field-method call per coefficient operation."""
+    m = [row[:] for row in m]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    deg = len
+    diag = []
+    k = 0
+    while k < min(nr, nc):
+        pi = pj = -1
+        best = -1
+        for i in range(k, nr):
+            for j in range(k, nc):
+                if m[i][j]:
+                    d = deg(m[i][j])
+                    if best < 0 or d < best:
+                        best, pi, pj = d, i, j
+        if best < 0:
+            break
+        m[k], m[pi] = m[pi], m[k]
+        for row in m:
+            row[k], row[pj] = row[pj], row[k]
+        while True:
+            # kill column k below the pivot
+            dirty = False
+            for i in range(k + 1, nr):
+                if m[i][k]:
+                    q, rem = reference_poly_divmod(field, m[i][k], m[k][k])
+                    if q:
+                        for j in range(k, nc):
+                            prod = _poly_mul(field, q, m[k][j])
+                            m[i][j] = reference_poly_sub(field, m[i][j], prod)
+                    m[i][k] = rem
+                    if rem:
+                        dirty = True
+            if dirty:
+                best_i = k
+                for i in range(k, nr):
+                    if m[i][k] and deg(m[i][k]) < deg(m[best_i][k]):
+                        best_i = i
+                m[k], m[best_i] = m[best_i], m[k]
+                continue
+            # kill row k right of the pivot
+            dirty = False
+            for j in range(k + 1, nc):
+                if m[k][j]:
+                    q, rem = reference_poly_divmod(field, m[k][j], m[k][k])
+                    if q:
+                        for i in range(k, nr):
+                            prod = _poly_mul(field, q, m[i][k])
+                            m[i][j] = reference_poly_sub(field, m[i][j], prod)
+                    m[k][j] = rem
+                    if rem:
+                        dirty = True
+            if not dirty:
+                break
+            best_j = k
+            for j in range(k, nc):
+                if m[k][j] and deg(m[k][j]) < deg(m[k][best_j]):
+                    best_j = j
+            for row in m:
+                row[k], row[best_j] = row[best_j], row[k]
+        diag.append(m[k][k])
+        k += 1
+    return diag
+
+
+def reference_rank_profile(m):
+    if not m.src or not m.dst:
+        return RankProfile(0, True)
+    f = m.field
+    diag = reference_poly_diagonal(f, [[e.dehomogenize() for e in row] for row in m.entries])
+    r = len(diag)
+    if not all(len(d) == 1 for d in diag):
+        return RankProfile(r, False)
+    return RankProfile(r, linalg.rank(f, m.evaluate(f.one, f.zero), m.ncols) == r)
+
+
+def mixed_graded_matrices(**kwargs):
+    """Graded matrices over QQ, GF(10007) and GF(7), with rational entries
+    that have denominators (reduced mod p over the prime fields)."""
+    return graded_matrices(fields=ALL_FIELDS, coeffs=FRACTION_COEFFS, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graded_matrices())
+def test_native_diagonalization_matches_the_generic_reference(m):
+    f = m.field
+    assert m.rank_everywhere() == reference_rank_profile(m)
+    if not m.src or not m.dst:
+        return
+    polys = [[e.dehomogenize() for e in row] for row in m.entries]
+    assert m._dehomogenized() == polys
+    diag = frames._poly_diagonal(f, m._dehomogenized())
+    # the same pivots, hence the same diagonal entries, not only degrees
+    assert diag == reference_poly_diagonal(f, polys)
+    for d in diag:
+        assert d and d[-1]
+        assert_canonical(f, d)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    field = draw(st.sampled_from(ALL_FIELDS))
+    poly = st.lists(FRACTION_COEFFS.map(field.of), max_size=8)
+    a = draw(poly)
+    b = draw(poly.filter(lambda b: any(b)))
+    return field, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_pairs())
+def test_native_poly_divmod_matches_the_generic_reference(case):
+    # untrimmed inputs, and dividends shorter than the divisor, included
+    field, a, b = case
+    q, r = poly_divmod(field, a, b)
+    assert (q, r) == reference_poly_divmod(field, a, b)
+    assert_canonical(field, q + r)
+
+
+def reference_matmul(a, b):
+    """The product as chains of BinaryForm * and + from zero forms."""
+    f = a.field
+    rows = []
+    for i, t in enumerate(a.dst):
+        row = []
+        for j, s in enumerate(b.src):
+            acc = BinaryForm.zero(f, t - s)
+            for k in range(len(a.src)):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        rows.append(row)
+    return GradedMatrix(f, b.src, a.dst, rows)
+
+
+@st.composite
+def composable_pairs(draw):
+    a = draw(mixed_graded_matrices())
+    b = draw(mixed_graded_matrices(field=a.field, dst=a.src))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable_pairs())
+def test_native_product_matches_the_form_arithmetic_reference(pair):
+    a, b = pair
+    prod = a @ b
+    assert prod == reference_matmul(a, b)
+    for row in prod.entries:
+        for e in row:
+            assert_canonical(a.field, e.coeffs)
 
 
 def test_rank_everywhere_coords():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from graded_strategies import graded_matrices
-from twistlines import linalg
+from graded_strategies import ALL_FIELDS, FRACTION_COEFFS, assert_canonical, graded_matrices
+from twistlines import linalg, sheaves
 from twistlines.fields import QQ
 from twistlines.forms import BinaryForm, random_form
 from twistlines.frames import GradedMatrix, trivial_frame
@@ -20,6 +20,7 @@ from twistlines.sheaves import (
     is_isotropic,
     kernel_free,
     lift_through,
+    pairing_map,
     perp,
     positivity,
     quotient_type,
@@ -421,3 +422,144 @@ def test_sub_lift_and_quotient_of_nested_subbundles(case, data):
     with pytest.raises(ValueError, match="not contained"):
         sub_lift(bad, outer)
     assert lift_through(outer.gen, col) is None
+
+
+# ---------------------------------------------------------------------------
+# native pairing maps and kernel-scan spans against field-method references
+
+
+@hst.composite
+def pairings(draw, field):
+    flavor = draw(hst.sampled_from(["symmetric", "skew"]))
+    n = 2 * draw(hst.integers(1, 3)) if flavor == "skew" else draw(hst.integers(1, 6))
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and flavor == "skew":
+                continue
+            v = field.of(draw(hst.sampled_from([0, 0, 1, -1, 2])))
+            rows[i][j] = v
+            rows[j][i] = v if flavor == "symmetric" else field.neg(v)
+    try:
+        return Pairing(flavor, rows, field)
+    except ValueError:  # degenerate
+        return Pairing.hyperbolic(field, n // 2, flavor) if n > 1 else Pairing.one_dim(field)
+
+
+@hst.composite
+def members_and_pairings(draw):
+    field = draw(hst.sampled_from(ALL_FIELDS))
+    beta = draw(pairings(field))
+    gen = draw(
+        graded_matrices(field=field, dst=trivial_frame(beta.dim), coeffs=FRACTION_COEFFS)
+    )
+    return Subbundle(gen, check=False), beta
+
+
+def reference_pairing_map(e, beta):
+    """beta(gen_j, x)_j with BinaryForm * and + from zero forms."""
+    f = e.field
+    rows = []
+    for tw, forms in e.gen.columns():
+        row = []
+        for i in range(beta.dim):
+            acc = BinaryForm.zero(f, -tw)
+            for k in range(beta.dim):
+                acc = acc + forms[k] * BinaryForm.constant(f, beta.matrix[k][i])
+            row.append(acc)
+        rows.append(row)
+    return GradedMatrix(f, e.ambient, tuple(-tw for tw in e.gen.src), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(members_and_pairings())
+def test_native_pairing_map_matches_the_form_arithmetic_reference(case):
+    e, beta = case
+    pm = pairing_map(e, beta)
+    assert pm == reference_pairing_map(e, beta)
+    for row in pm.entries:
+        for form in row:
+            assert_canonical(e.field, form.coeffs)
+
+
+def test_pairing_map_needs_a_trivial_ambient():
+    one = BinaryForm.constant(QQ, 1)
+    gen = GradedMatrix.from_columns(QQ, (0, 1), [(0, [one, BinaryForm.zero(QQ, 1)])])
+    with pytest.raises(ValueError, match="trivial ambient"):
+        pairing_map(Subbundle(gen), Pairing.hyperbolic(QQ, 1, "symmetric"))
+
+
+def test_isotropy_and_perp_share_one_pairing_map(monkeypatch):
+    from twistlines.verify import certify
+
+    built = []
+
+    def counting(e, beta):
+        built.append(e)
+        return pairing_map(e, beta)
+
+    monkeypatch.setattr(sheaves, "pairing_map", counting)
+    beta = Pairing.hyperbolic(QQ, 2, "symmetric")
+    zero = BinaryForm.zero(QQ, 1)
+    e = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(4), [(-1, [T0, T1, zero, zero])]))
+    assert is_isotropic(e, beta)
+    assert perp(e, beta).gen == kernel_free(pairing_map(e, beta)).gen
+    assert len(built) == 1
+    # an equal but distinct pairing is not taken for the kept one
+    perp(e, Pairing.hyperbolic(QQ, 2, "symmetric"))
+    assert len(built) == 2
+    # one build per member tested: three for the symmetric (k-1,k,k+1)
+    # flag, whose top member is also perped; two for the skew flag, whose
+    # bottom member is perped
+    for flavor, members in (("symmetric", 3), ("skew", 2)):
+        built.clear()
+        fam = build_isotropic(QQ, 8, 3, flavor)
+        assert certify(fam).very_twisting
+        assert len(built) == len(set(map(id, built))) == members
+
+
+class ReferenceSpan:
+    """The kernel scan's span with one field-method call per operation."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+
+    def add(self, v):
+        f = self.field
+        v = list(v)
+        for pc, row in self.rows:
+            cv = v[pc]
+            if not f.is_zero(cv):
+                for j in range(pc, self.ncols):
+                    v[j] = f.sub(v[j], f.mul(cv, row[j]))
+        for pc in range(self.ncols):
+            if not f.is_zero(v[pc]):
+                inv = f.inv(v[pc])
+                v = [f.mul(inv, x) for x in v]
+                self.rows.append((pc, v))
+                self.rows.sort(key=lambda t: t[0])
+                return v
+        return None
+
+
+@hst.composite
+def vector_lists(draw):
+    field = draw(hst.sampled_from(ALL_FIELDS))
+    ncols = draw(hst.integers(1, 8))
+    vec = hst.lists(FRACTION_COEFFS, min_size=ncols, max_size=ncols)
+    return field, ncols, [[field.of(c) for c in v] for v in draw(hst.lists(vec, max_size=10))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_native_span_matches_the_generic_reference(case):
+    field, ncols, vectors = case
+    span = sheaves._EchelonSpan(field, ncols)
+    ref = ReferenceSpan(field, ncols)
+    for v in vectors:
+        got = span.add(v)
+        assert got == ref.add(v)
+        if got is not None:
+            assert_canonical(field, got)
