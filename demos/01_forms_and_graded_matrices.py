@@ -10,11 +10,7 @@ from twistlines import (
     QQ,
     BinaryForm,
     GradedMatrix,
-    degree_piece,
-    eval_at,
     form_gcd,
-    rank_everywhere,
-    transpose_dual,
     trivial_frame,
 )
 
@@ -25,22 +21,22 @@ print("== binary forms ==")
 f = (T0 + T1) * (T0 - T1)
 print(f"(T0 + T1)(T0 - T1) = {f}")
 print(f"gcd with T0 + T1:    {form_gcd(f, T0 + T1)}")
-print(f"value at [1:1]:      {eval_at(f, (1, 1))}")
-print(f"value at [2:1]:      {eval_at(f, (2, 1))}")
+print(f"value at [1:1]:      {f.evaluate(1, 1)}")
+print(f"value at [2:1]:      {f.evaluate(2, 1)}")
 
 print()
 print("== graded matrices ==")
 # the coordinate column O(-1) -> O^2, the universal example of a subbundle
 col = GradedMatrix.from_columns(QQ, trivial_frame(2), [(-1, [T0, T1])])
 print(f"column {col}: entries {col.entries}")
-print(f"rank profile: {rank_everywhere(col)}")
+print(f"rank profile: {col.rank_everywhere()}")
 print("(generic rank 1, and the rank is 1 at every point: T0, T1 have no common zero)")
 
 # a column that degenerates at [0:1]
 bad = GradedMatrix.from_columns(
     QQ, trivial_frame(2), [(-2, [T0 * T0, T0 * T1])]
 )
-print(f"column with common factor T0: rank profile {rank_everywhere(bad)}")
+print(f"column with common factor T0: rank profile {bad.rank_everywhere()}")
 print("(constant=False: both entries vanish at [0:1])")
 
 print()
@@ -48,13 +44,13 @@ print("== degree pieces ==")
 # the degree-n piece of O(a) has dimension max(0, n+a+1); a graded matrix
 # induces a scalar matrix between pieces in each degree
 for n in (0, 1, 2):
-    piece = degree_piece(col, n)
+    piece = col.degree_piece(n)
     print(f"degree {n}: {piece.nrows} x {piece.ncols} scalar matrix")
-piece = degree_piece(col, 1)
+piece = col.degree_piece(1)
 print(f"the degree-1 matrix, flattened: {[row[0] for row in piece.matrix]}")
 
 print()
 print("== duals ==")
-dual = transpose_dual(col)
+dual = col.transpose_dual()
 print(f"transpose-dual maps {dual.src} -> {dual.dst}: entries {dual.entries}")
-print("double dual returns the original:", transpose_dual(dual) == col)
+print("double dual returns the original:", dual.transpose_dual() == col)

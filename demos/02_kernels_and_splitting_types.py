@@ -12,8 +12,6 @@ from twistlines import (
     cokernel_type,
     build_phi_psi,
     kernel_free,
-    positivity,
-    rank_everywhere,
     verify_claim_ses,
 )
 
@@ -33,7 +31,10 @@ print()
 print("== splitting-type calculus ==")
 phi, psi = build_phi_psi(QQ, 2, 5)
 ker = kernel_free(psi)
-print(f"rank profile of phi_(2,5): {rank_everywhere(phi)}")
+print(f"rank profile of phi_(2,5): {phi.rank_everywhere()}")
 t = cokernel_type(phi)
-print(f"cokernel type {t}: positivity record {positivity(t)}")
+print(
+    f"cokernel type {t}: ample {t.is_ample}, globally generated "
+    f"{t.is_globally_generated}, degree {t.degree}, rank {t.rank}"
+)
 print(f"dual type: {t.dual()}, tensor with itself: rank {t.tensor(t).rank}")

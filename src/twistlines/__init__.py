@@ -7,37 +7,26 @@ they parametrize on classical and isotropic Grassmannians.
 """
 
 from .fields import QQ, PrimeField, RationalField
-from .forms import BinaryForm, eval_at, form_gcd, form_mul
+from .forms import BinaryForm, form_gcd
 from .frames import (
     DegreePiece,
     GradedMatrix,
     RankProfile,
-    degree_piece,
-    frame_degree,
-    frame_rank,
-    pullback_power,
-    rank_everywhere,
-    transpose_dual,
     trivial_frame,
 )
 from .sheaves import (
     Column,
     Pairing,
-    Positivity,
     SplittingType,
     Subbundle,
     cokernel_type,
-    dual_type,
     is_isotropic,
     kernel_free,
     lift_through,
     perp,
-    positivity,
     quotient_type,
     same_subsheaf,
     sub_lift,
-    tensor_type,
-    wedge2_type,
 )
 from .families import (
     EXCEPTIONAL_CASES,
@@ -57,10 +46,6 @@ from .verify import (
     SesReport,
     SweepRow,
     certify,
-    check_classical,
-    check_skew,
-    check_symmetric_2k,
-    check_symmetric_big,
     run_sweep,
     sweep_consistent,
     sweep_points,

@@ -20,7 +20,7 @@ from .families import (
 )
 from .fields import QQ, PrimeField, is_prime
 from .sheaves import same_subsheaf
-from .verify import certify, run_sweep, sweep_consistent, verify_claim_ses
+from .verify import Certificate, certify, run_sweep, sweep_consistent, verify_claim_ses
 
 __all__ = ["main"]
 
@@ -52,7 +52,8 @@ def _parse_field(spec: str, binom_bound: int):
 
 
 def _binom_bound_for_dim(n: int) -> int:
-    b = n // 2
+    # n < 0 is left for the builder to refuse as a usage error
+    b = max(n, 0) // 2
     return comb(b, b // 2) if b else 1
 
 
@@ -66,15 +67,15 @@ def _emit(args, payload_json: dict, payload_text: str) -> None:
 
 
 def _cert_text(cert) -> str:
+    c = cert.to_json_dict()
     lines = [
-        f"case {cert.case}: n={cert.n} k={cert.k} flavor={cert.flavor or 'classical'}",
-        f"  flag quotient types: {[list(t.twists) for t in cert.flag_quotients]}",
-        f"  tangent piece types: {[list(t.twists) for t in cert.tev_pieces]}",
-        f"  psi degree: {cert.psi_degree}",
-        f"  verdict: {'very twisting' if cert.very_twisting else 'NOT very twisting'}",
+        f"case {c['case']}: n={c['n']} k={c['k']} flavor={c['flavor']}",
+        f"  flag quotient types: {c['flag_quotients']}",
+        f"  tangent piece types: {c['tev_pieces']}",
+        f"  psi degree: {c['psi_degree']}",
+        f"  verdict: {'very twisting' if c['verdict'] else 'NOT very twisting'}",
     ]
-    for note in cert.notes:
-        lines.append(f"  note: {note}")
+    lines.extend(f"  note: {note}" for note in c["notes"])
     if cert.first_violation is not None:
         lines.append(f"  first violated predicate: {cert.first_violation}")
     return "\n".join(lines)
@@ -99,18 +100,8 @@ def cmd_check(args) -> int:
         else:
             fam = build_isotropic(field, args.n, args.k, flavor)
     except ExceptionalCaseError as exc:
-        payload = {
-            "case": "exceptional",
-            "n": args.n,
-            "k": args.k,
-            "flavor": flavor or "classical",
-            "flag_quotients": [],
-            "tev_pieces": [],
-            "psi_degree": 0,
-            "verdict": False,
-            "notes": [str(exc)],
-        }
-        _emit(args, payload, f"{exc}")
+        refusal = Certificate.refusal("exceptional", args.n, args.k, flavor, [str(exc)])
+        _emit(args, refusal.to_json_dict(), f"{exc}")
         if args.expect_exceptional:
             return 0
         print("exceptional case (pass --expect-exceptional to accept)", file=sys.stderr)
@@ -148,43 +139,15 @@ def cmd_sweep(args) -> int:
     exceptional = sum(1 for r in rows if r.status == "exceptional")
     failed = sum(1 for r in rows if r.status == "failed")
     ok = sweep_consistent(rows)
-    json_rows = []
-    text_lines = []
-    for r in rows:
-        flavor_name = r.flavor or "classical"
-        if r.certificate is None:
-            row = {"flavor": flavor_name, "n": r.n, "k": r.k, "status": r.status}
-            line = f"{flavor_name:>10} n={r.n:<3} k={r.k:<3} {r.status}"
-            if r.reason is not None:
-                row["reason"] = r.reason
-                line += f" reason: {r.reason}"
-            json_rows.append(row)
-            text_lines.append(line)
-        else:
-            c = r.certificate
-            json_rows.append(
-                {
-                    "flavor": flavor_name,
-                    "n": r.n,
-                    "k": r.k,
-                    "status": r.status,
-                    "case": c.case,
-                    "flag_quotients": [list(t.twists) for t in c.flag_quotients],
-                    "tev_pieces": [list(t.twists) for t in c.tev_pieces],
-                    "psi_degree": c.psi_degree,
-                }
-            )
-            text_lines.append(
-                f"{flavor_name:>10} n={r.n:<3} k={r.k:<3} {r.status:<14} case={c.case:<14}"
-                f" quots={[list(t.twists) for t in c.flag_quotients]}"
-                f" tev={[list(t.twists) for t in c.tev_pieces]} psi={c.psi_degree}"
-            )
     summary = (
         f"verified={verified} exceptional={exceptional} failed={failed} "
         f"consistent={'yes' if ok else 'NO'}"
     )
-    text_lines.append(summary)
-    _emit(args, {"rows": json_rows, "summary": summary, "consistent": ok}, "\n".join(text_lines))
+    _emit(
+        args,
+        {"rows": [r.to_json_dict() for r in rows], "summary": summary, "consistent": ok},
+        "\n".join([*(r.text_line() for r in rows), summary]),
+    )
     return 0 if ok else FAIL_EXIT
 
 
@@ -205,18 +168,7 @@ def cmd_ses(args) -> int:
     reports = [verify_claim_ses(field, a, b) for a, b in pairs]
     all_ok = all(r.exact for r in reports)
     json_payload = {
-        "pairs": [
-            {
-                "a": r.a,
-                "b": r.b,
-                "composite_zero": r.composite_zero,
-                "injective": r.injective,
-                "surjective": r.surjective,
-                "kernel_matches": r.kernel_matches,
-                "exact": r.exact,
-            }
-            for r in reports
-        ],
+        "pairs": [{**r._asdict(), "exact": r.exact} for r in reports],
         "all_exact": all_ok,
     }
     text = "\n".join(

@@ -20,9 +20,7 @@ from .fields import _demote
 
 __all__ = [
     "BinaryForm",
-    "form_mul",
     "form_gcd",
-    "eval_at",
     "poly_divmod",
     "poly_gcd",
 ]
@@ -282,15 +280,7 @@ def poly_gcd(field, a, b):
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations
-
-def form_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    return f * g
-
-
-def eval_at(f: BinaryForm, point):
-    t0, t1 = point
-    return f.evaluate(t0, t1)
+# homogeneous gcd
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -22,34 +22,15 @@ from . import linalg
 from .forms import BinaryForm, _poly_submul, poly_divmod
 
 __all__ = [
-    "frame_rank",
-    "frame_degree",
     "trivial_frame",
     "GradedMatrix",
     "DegreePiece",
     "RankProfile",
-    "degree_piece",
-    "rank_everywhere",
-    "transpose_dual",
-    "pullback_power",
-    "piece_dimension",
 ]
-
-
-def frame_rank(frame) -> int:
-    return len(frame)
-
-
-def frame_degree(frame) -> int:
-    return sum(frame)
 
 
 def trivial_frame(n: int):
     return (0,) * n
-
-
-def piece_dimension(frame, n: int) -> int:
-    return sum(max(0, n + a + 1) for a in frame)
 
 
 class DegreePiece(NamedTuple):
@@ -368,21 +349,3 @@ def _poly_diagonal(field, m):
         diag.append(m[k][k])
     return diag
 
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-
-def degree_piece(m: GradedMatrix, n: int) -> DegreePiece:
-    return m.degree_piece(n)
-
-
-def rank_everywhere(m: GradedMatrix) -> RankProfile:
-    return m.rank_everywhere()
-
-
-def transpose_dual(m: GradedMatrix) -> GradedMatrix:
-    return m.transpose_dual()
-
-
-def pullback_power(m: GradedMatrix, d: int) -> GradedMatrix:
-    return m.pullback_power(d)

@@ -18,11 +18,6 @@ from .frames import GradedMatrix
 
 __all__ = [
     "SplittingType",
-    "Positivity",
-    "positivity",
-    "tensor_type",
-    "dual_type",
-    "wedge2_type",
     "Pairing",
     "Subbundle",
     "Column",
@@ -61,9 +56,6 @@ class SplittingType:
     def tensor(self, other: "SplittingType") -> "SplittingType":
         return SplittingType(tuple(a + b for a in self.twists for b in other.twists))
 
-    def direct_sum(self, other: "SplittingType") -> "SplittingType":
-        return SplittingType(self.twists + other.twists)
-
     def wedge2(self) -> "SplittingType":
         if self.rank != 2:
             raise ValueError("wedge2 is only defined for rank-2 types")
@@ -85,29 +77,6 @@ class SplittingType:
 
     def __repr__(self):
         return "{" + ", ".join(map(str, self.twists)) + "}"
-
-
-class Positivity(NamedTuple):
-    ample: bool
-    globally_generated: bool
-    degree: int
-    rank: int
-
-
-def positivity(t: SplittingType) -> Positivity:
-    return Positivity(t.is_ample, t.is_globally_generated, t.degree, t.rank)
-
-
-def tensor_type(s: SplittingType, t: SplittingType) -> SplittingType:
-    return s.tensor(t)
-
-
-def dual_type(t: SplittingType) -> SplittingType:
-    return t.dual()
-
-
-def wedge2_type(t: SplittingType) -> SplittingType:
-    return t.wedge2()
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +209,6 @@ class Subbundle:
 
     def columns(self):
         return [Column(tw, forms) for tw, forms in self.gen.columns()]
-
-    def contains(self, col: Column) -> bool:
-        return lift_through(self.gen, col) is not None
 
     def __repr__(self):
         return f"Subbundle(type={self.type}, ambient rank {len(self.ambient)})"

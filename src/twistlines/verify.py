@@ -11,6 +11,10 @@ evaluation map and for the dual psi class:
                     quotient (bottom q) x (low)^v; ampleness is certified
                     piecewise (an extension of ample by ample is ample)
 
+These are the rows of one table, ``_RULES``, keyed by flavor and flag
+length; a row names the members that must be isotropic, the complement
+beside the top quotient and the formula, and ``certify`` reads it.
+
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
 generated and the condition holds automatically; certificates record that
@@ -44,10 +48,6 @@ from .sheaves import (
 __all__ = [
     "Certificate",
     "certify",
-    "check_classical",
-    "check_symmetric_big",
-    "check_symmetric_2k",
-    "check_skew",
     "verify_claim_ses",
     "SesReport",
     "SweepRow",
@@ -101,6 +101,14 @@ class Certificate:
                 return name
         return None
 
+    @classmethod
+    def refusal(cls, case, n, k, flavor, notes, **flags) -> "Certificate":
+        """A certificate with no types and every predicate false except
+        those ``flags`` set: a failed check or an exceptional case."""
+        predicates = dict.fromkeys(_PREDICATES, False)
+        predicates.update(flags)
+        return cls(case, n, k, flavor, (), (), None, 0, notes=tuple(notes), **predicates)
+
     def to_json_dict(self) -> dict:
         return {
             "case": self.case,
@@ -115,153 +123,109 @@ class Certificate:
         }
 
 
+def _requested(fam: FlagFamily):
+    return fam.requested if fam.requested else (fam.n, fam.k)
+
+
 def _failed(fam: FlagFamily, reason: str, **flags) -> Certificate:
-    base = dict(
-        case=fam.case,
-        n=fam.requested[0] if fam.requested else fam.n,
-        k=fam.requested[1] if fam.requested else fam.k,
-        flavor=fam.flavor,
-        flag_quotients=(),
-        tev_pieces=(),
-        psi_type=None,
-        psi_degree=0,
-        flag_valid=False,
-        isotropy_ok=False,
-        tev_ample=False,
-        tev_rank_positive=False,
-        psi_deg_nonneg=False,
-        notes=fam.notes + (reason,),
-    )
-    base.update(flags)
-    return Certificate(**base)
+    notes = fam.notes + (reason,)
+    return Certificate.refusal(fam.case, *_requested(fam), fam.flavor, notes, **flags)
 
 
-def _finish(fam, quotients, pieces, psi, isotropy_ok, extra_notes=()) -> Certificate:
-    n, k = fam.requested if fam.requested else (fam.n, fam.k)
+def _finish(fam, quotients, pieces, psi, extra_notes) -> Certificate:
     return Certificate(
-        case=fam.case,
-        n=n,
-        k=k,
-        flavor=fam.flavor,
+        fam.case,
+        *_requested(fam),
+        fam.flavor,
         flag_quotients=tuple(quotients),
         tev_pieces=tuple(pieces),
         psi_type=psi,
         psi_degree=psi.degree,
         flag_valid=True,
-        isotropy_ok=isotropy_ok,
+        isotropy_ok=True,
         tev_ample=all(t.is_ample for t in pieces),
         tev_rank_positive=sum(t.rank for t in pieces) >= 1,
         psi_deg_nonneg=psi.degree >= 0,
-        notes=fam.notes + (_HOMOGENEOUS_NOTE,) + tuple(extra_notes),
+        notes=fam.notes + (_HOMOGENEOUS_NOTE,) + extra_notes,
     )
 
 
-def _shape_ok(fam: FlagFamily) -> bool:
-    return tuple(m.rank for m in fam.members) == fam.shape
+def _two_step(low, q_bottom, q_top, beside_top):
+    """Pieces and psi of a (k-1, k, k+1) flag; ``beside_top`` is the
+    complement the top quotient pairs with."""
+    pieces = [q_top.dual().tensor(beside_top), q_bottom.tensor(low.dual())]
+    return pieces, q_top.tensor(q_bottom.dual())
 
 
-def check_classical(fam: FlagFamily) -> Certificate:
-    if fam.flavor is not None or len(fam.members) != 3:
-        raise ValueError("check_classical expects a classical (k-1,k,k+1) family")
-    if not _shape_ok(fam):
-        return _failed(fam, "flag member ranks do not match the expected shape")
-    low, mid, top = fam.members
-    try:
-        q_bottom = quotient_type(low, mid)
-        q_top = quotient_type(mid, top)
-    except ValueError as exc:
-        return _failed(fam, f"flag is not nested: {exc}")
-    ambient_quot = cokernel_type(top.gen)
-    piece1 = q_top.dual().tensor(ambient_quot)
-    piece2 = q_bottom.tensor(low.type.dual())
-    psi = q_top.tensor(q_bottom.dual())
-    return _finish(
-        fam, [low.type, q_bottom, q_top], [piece1, piece2], psi, isotropy_ok=True
-    )
+def _one_step(low, q, beside_top):
+    """Pieces and psi of a (k-2, k) flag."""
+    return [q.tensor(low.dual())], q.dual().wedge2()
 
 
-def check_symmetric_big(fam: FlagFamily) -> Certificate:
-    if fam.flavor != "symmetric" or len(fam.members) != 3:
-        raise ValueError("check_symmetric_big expects a symmetric (k-1,k,k+1) family")
-    if not _shape_ok(fam):
-        return _failed(fam, "flag member ranks do not match the expected shape")
-    low, mid, top = fam.members
-    if not all(is_isotropic(m, fam.pairing) for m in fam.members):
-        return _failed(fam, "a flag member is not isotropic", flag_valid=True)
-    try:
-        q_bottom = quotient_type(low, mid)
-        q_top = quotient_type(mid, top)
-        q_perp = quotient_type(top, perp(top, fam.pairing))
-    except ValueError as exc:
-        return _failed(fam, f"flag is not nested: {exc}")
-    piece1 = q_top.dual().tensor(q_perp)
-    piece2 = q_bottom.tensor(low.type.dual())
-    psi = q_top.tensor(q_bottom.dual())
-    return _finish(
-        fam, [low.type, q_bottom, q_top], [piece1, piece2], psi, isotropy_ok=True
-    )
+class _Rule(NamedTuple):
+    isotropic: int  # members, from the bottom, that must be isotropic
+    isotropy_note: str
+    beside_top: Optional[str]  # "ambient" | "perp(top)" | "perp(low)" | None
+    formula: object  # (low type, *quotients, beside_top) -> (pieces, psi)
+    notes: tuple = ()
 
 
-def check_symmetric_2k(fam: FlagFamily) -> Certificate:
-    if fam.flavor != "symmetric" or len(fam.members) != 2:
-        raise ValueError("check_symmetric_2k expects a symmetric (k-2,k) family")
-    if not _shape_ok(fam):
-        return _failed(fam, "flag member ranks do not match the expected shape")
-    low, top = fam.members
-    if not all(is_isotropic(m, fam.pairing) for m in fam.members):
-        return _failed(fam, "a flag member is not isotropic", flag_valid=True)
-    try:
-        q = quotient_type(low, top)
-    except ValueError as exc:
-        return _failed(fam, f"flag is not nested: {exc}")
-    piece = q.tensor(low.type.dual())
-    psi = q.dual().wedge2()
-    return _finish(fam, [low.type, q], [piece], psi, isotropy_ok=True)
-
-
-def check_skew(fam: FlagFamily) -> Certificate:
-    if fam.flavor != "skew" or len(fam.members) != 3:
-        raise ValueError("check_skew expects a skew (k-1,k,k+1) family")
-    if not _shape_ok(fam):
-        return _failed(fam, "flag member ranks do not match the expected shape")
-    low, mid, r_top = fam.members
-    if not (is_isotropic(low, fam.pairing) and is_isotropic(mid, fam.pairing)):
-        return _failed(fam, "a flag member below the top is not isotropic", flag_valid=True)
-    low_perp = perp(low, fam.pairing)
-    try:
-        rest_lift = sub_lift(r_top, low_perp)
-    except ValueError:
-        return _failed(
-            fam, "top member is not annihilated by the bottom member", isotropy_ok=True
-        )
-    try:
-        q_bottom = quotient_type(low, mid)
-        q_top = quotient_type(mid, r_top)
-        q_rest = _lift_quotient_type(rest_lift)
-    except ValueError as exc:
-        return _failed(fam, f"flag is not nested: {exc}")
-    piece_sub = q_top.dual().tensor(q_rest)
-    piece_quot = q_bottom.tensor(low.type.dual())
-    psi = q_top.tensor(q_bottom.dual())
-    return _finish(
-        fam,
-        [low.type, q_bottom, q_top],
-        [piece_sub, piece_quot],
-        psi,
-        isotropy_ok=True,
-        extra_notes=(_PIECEWISE_NOTE,),
-    )
+_NOT_ISOTROPIC = "a flag member is not isotropic"
+# one row per (flavor, number of members); see the module docstring
+_RULES = {
+    (None, 3): _Rule(0, "", "ambient", _two_step),
+    ("symmetric", 3): _Rule(3, _NOT_ISOTROPIC, "perp(top)", _two_step),
+    ("symmetric", 2): _Rule(2, _NOT_ISOTROPIC, None, _one_step),
+    ("skew", 3): _Rule(
+        2,
+        "a flag member below the top is not isotropic",
+        "perp(low)",
+        _two_step,
+        (_PIECEWISE_NOTE,),
+    ),
+}
 
 
 def certify(fam: FlagFamily) -> Certificate:
-    """Dispatch a family to the matching positivity check."""
-    if fam.flavor is None:
-        return check_classical(fam)
-    if fam.flavor == "skew":
-        return check_skew(fam)
-    if len(fam.members) == 2:
-        return check_symmetric_2k(fam)
-    return check_symmetric_big(fam)
+    """Certify a flag family by the rule for its flavor and length.
+
+    The checks run in order: member ranks, isotropy of the bottom members,
+    (skew) the top inside perp(low), nesting, then the types.  The first
+    failure gives a refusal certificate with its note.
+    """
+    members = fam.members
+    rule = _RULES.get((fam.flavor, len(members)))
+    if rule is None:
+        raise ValueError(
+            f"no certificate rule for a {fam.flavor or 'classical'} flag "
+            f"of {len(members)} members"
+        )
+    if tuple(m.rank for m in members) != fam.shape:
+        return _failed(fam, "flag member ranks do not match the expected shape")
+    if not all(is_isotropic(m, fam.pairing) for m in members[: rule.isotropic]):
+        return _failed(fam, rule.isotropy_note, flag_valid=True)
+    low, top = members[0], members[-1]
+    if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
+        low_perp = perp(low, fam.pairing)
+        try:
+            rest_lift = sub_lift(top, low_perp)
+        except ValueError:
+            return _failed(
+                fam, "top member is not annihilated by the bottom member", isotropy_ok=True
+            )
+    beside_top = None
+    try:
+        quotients = [quotient_type(a, b) for a, b in zip(members, members[1:])]
+        if rule.beside_top == "perp(top)":
+            beside_top = quotient_type(top, perp(top, fam.pairing))
+        elif rule.beside_top == "perp(low)":
+            beside_top = _lift_quotient_type(rest_lift)
+    except ValueError as exc:
+        return _failed(fam, f"flag is not nested: {exc}")
+    if rule.beside_top == "ambient":
+        beside_top = cokernel_type(top.gen)
+    pieces, psi = rule.formula(low.type, *quotients, beside_top)
+    return _finish(fam, [low.type, *quotients], pieces, psi, rule.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +278,31 @@ class SweepRow(NamedTuple):
     status: str  # "very-twisting" | "exceptional" | "failed"
     certificate: Optional[Certificate]
     reason: Optional[str] = None  # set when building or certifying raised
+
+    def to_json_dict(self) -> dict:
+        """The case and status, then the certificate's types or the reason."""
+        row = {"flavor": self.flavor or "classical", "n": self.n, "k": self.k}
+        row["status"] = self.status
+        if self.certificate is not None:
+            cert = self.certificate.to_json_dict()
+            row.update((key, cert[key]) for key in _SWEEP_FIELDS)
+        elif self.reason is not None:
+            row["reason"] = self.reason
+        return row
+
+    def text_line(self) -> str:
+        row = self.to_json_dict()
+        line = f"{row['flavor']:>10} n={self.n:<3} k={self.k:<3} "
+        if self.certificate is None:
+            return line + self.status + (f" reason: {self.reason}" if "reason" in row else "")
+        return line + (
+            f"{self.status:<14} case={row['case']:<14} quots={row['flag_quotients']}"
+            f" tev={row['tev_pieces']} psi={row['psi_degree']}"
+        )
+
+
+# the certificate fields a sweep row carries, in order
+_SWEEP_FIELDS = ("case", "flag_quotients", "tev_pieces", "psi_degree")
 
 
 def sweep_points(n_min: int, n_max: int, flavors):

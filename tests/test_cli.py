@@ -222,6 +222,18 @@ def test_orbit_exceptional_is_usage_error(capsys):
     assert code == 2
 
 
+def test_negative_dimension_is_usage_error(capsys):
+    # the field's binomial bound must not run before the builder refuses n
+    for argv in (
+        ("check", "--classical", "--n", "-4", "--k", "1"),
+        ("orbit", "--n", "-3", "--k", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: need n >= 2")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -286,10 +298,10 @@ def test_ses_rejects_nonpositive_max(capsys):
 def test_failed_check_names_the_first_violated_predicate(capsys, monkeypatch):
     from twistlines import cli
     from twistlines.families import case_Ia
-    from twistlines.verify import check_symmetric_big
+    from twistlines.verify import certify
 
     # the n = 4 case Ia certificate has both tangent pieces of rank 0
-    cert = check_symmetric_big(case_Ia(QQ, 4, "symmetric"))
+    cert = certify(case_Ia(QQ, 4, "symmetric"))
     monkeypatch.setattr(cli, "certify", lambda fam: cert)
     code, out, err = run(capsys, "check", "--symmetric", "--n", "6", "--k", "2")
     assert code == 1

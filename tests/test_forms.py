@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlines.fields import QQ, PrimeField
-from twistlines.forms import BinaryForm, eval_at, form_gcd, form_mul, random_form
+from twistlines.forms import BinaryForm, form_gcd, random_form
 
 T0 = BinaryForm.monomial(QQ, 1, 0)
 T1 = BinaryForm.monomial(QQ, 1, 1)
@@ -17,16 +17,16 @@ def form(*coeffs):
 
 
 def test_monomial_product():
-    assert form_mul(T0, T1) == form(0, 1, 0)  # T0*T1
+    assert T0 * T1 == form(0, 1, 0)  # T0*T1
 
 
 def test_difference_of_squares():
-    assert form_mul(form(1, 1), form(1, -1)) == form(1, 0, -1)
+    assert form(1, 1) * form(1, -1) == form(1, 0, -1)
 
 
 def test_zero_absorbs_with_degree_tag():
     z = BinaryForm.zero(QQ, 3)
-    prod = form_mul(form(1, 0, 0), z)  # T0^2 * 0
+    prod = form(1, 0, 0) * z  # T0^2 * 0
     assert prod.is_zero()
     assert prod.degree == 5
 
@@ -69,14 +69,14 @@ def test_gcd_with_zero_form():
 
 
 def test_eval_examples():
-    assert eval_at(form(1, 0, 0, 0), (1, 0)) == 1  # T0^3 at [1:0]
-    assert eval_at(T1, (1, 0)) == 0
-    assert eval_at(form(0, 1, 0), (1, 1)) == 1  # T0*T1 at [1:1]
+    assert form(1, 0, 0, 0).evaluate(1, 0) == 1  # T0^3 at [1:0]
+    assert T1.evaluate(1, 0) == 0
+    assert form(0, 1, 0).evaluate(1, 1) == 1  # T0*T1 at [1:1]
 
 
 def test_eval_rejects_origin():
     with pytest.raises(ValueError):
-        eval_at(T0, (0, 0))
+        T0.evaluate(0, 0)
 
 
 def test_substitute_power():
@@ -122,7 +122,7 @@ def test_gcd_product_invariance(f, g, h):
 def test_eval_homogeneity(f, lam):
     p = (Fraction(2), Fraction(3))
     scaled = (lam * p[0], lam * p[1])
-    assert eval_at(f, scaled) == Fraction(lam) ** f.degree * eval_at(f, p)
+    assert f.evaluate(*scaled) == Fraction(lam) ** f.degree * f.evaluate(*p)
 
 
 def test_backend_agreement_small_forms():

@@ -13,12 +13,6 @@ from twistlines.frames import (
     DegreePiece,
     GradedMatrix,
     RankProfile,
-    degree_piece,
-    frame_degree,
-    frame_rank,
-    pullback_power,
-    rank_everywhere,
-    transpose_dual,
     trivial_frame,
 )
 from twistlines.sheaves import Pairing, kernel_free
@@ -46,8 +40,6 @@ def random_graded(rng, max_rank=3, twist_span=2, field=QQ):
 
 
 def test_frame_helpers():
-    assert frame_rank((1, -2, 0)) == 3
-    assert frame_degree((1, -2, 0)) == -1
     assert trivial_frame(2) == (0, 0)
 
 
@@ -62,7 +54,7 @@ def test_constructor_rejects_nonzero_in_negative_gap():
 
 
 def test_degree_piece_empty_source():
-    piece = degree_piece(coords_column(), 0)
+    piece = coords_column().degree_piece(0)
     assert piece.ncols == 0
     assert piece.nrows == 2
 
@@ -70,7 +62,7 @@ def test_degree_piece_empty_source():
 def test_degree_piece_identity():
     ident = GradedMatrix.identity(QQ, trivial_frame(3))
     for n in (0, 1, 2):
-        piece = degree_piece(ident, n)
+        piece = ident.degree_piece(n)
         size = 3 * (n + 1)
         assert piece.ncols == piece.nrows == size
         assert all(
@@ -81,7 +73,7 @@ def test_degree_piece_identity():
 
 
 def test_degree_piece_coords_column_n1():
-    piece = degree_piece(coords_column(), 1)
+    piece = coords_column().degree_piece(1)
     # source basis: the single monomial of degree 0; hand expansion gives
     # T0*(1) = T0 in summand 1 and T1*(1) = T1 in summand 2
     assert piece.ncols == 1
@@ -114,9 +106,9 @@ def test_degree_piece_functoriality():
             )
         comp = m @ n_mat
         for n in range(-3, 6):
-            left = degree_piece(comp, n)
-            pm = degree_piece(m, n)
-            pn = degree_piece(n_mat, n)
+            left = comp.degree_piece(n)
+            pm = m.degree_piece(n)
+            pn = n_mat.degree_piece(n)
             assert pm.ncols == pn.nrows
             prod = [
                 [
@@ -367,7 +359,7 @@ def test_native_product_matches_the_form_arithmetic_reference(pair):
 
 
 def test_rank_everywhere_coords():
-    assert rank_everywhere(coords_column()) == (1, True)
+    assert coords_column().rank_everywhere() == (1, True)
 
 
 def test_rank_everywhere_common_factor():
@@ -377,7 +369,7 @@ def test_rank_everywhere_common_factor():
         trivial_frame(2),
         [(-2, [BinaryForm.monomial(QQ, 2, 0), BinaryForm.monomial(QQ, 2, 1)])],
     )
-    assert rank_everywhere(m) == (1, False)
+    assert m.rank_everywhere() == (1, False)
     at_01 = m.evaluate(QQ.zero, QQ.one)
     assert linalg.rank(QQ, at_01, 1) == 0
 
@@ -386,14 +378,14 @@ def test_rank_everywhere_phi23():
     from twistlines.families import build_phi_psi
 
     phi, _ = build_phi_psi(QQ, 2, 3)
-    assert rank_everywhere(phi) == (2, True)
+    assert phi.rank_everywhere() == (2, True)
 
 
 def test_rank_everywhere_zero_and_empty():
     z = GradedMatrix.zero(QQ, (0,), (1,))
-    assert rank_everywhere(z) == (0, True)
+    assert z.rank_everywhere() == (0, True)
     empty = GradedMatrix.zero(QQ, (), (0, 0))
-    assert rank_everywhere(empty) == (0, True)
+    assert empty.rank_everywhere() == (0, True)
 
 
 def test_constant_rank_matches_evaluations():
@@ -401,7 +393,7 @@ def test_constant_rank_matches_evaluations():
     checked = 0
     while checked < 10:
         m = random_graded(rng)
-        profile = rank_everywhere(m)
+        profile = m.rank_everywhere()
         if not profile.constant:
             continue
         for i in range(20):
@@ -414,7 +406,7 @@ def test_constant_rank_matches_evaluations():
 
 
 def test_transpose_shape():
-    t = transpose_dual(coords_column())
+    t = coords_column().transpose_dual()
     assert t.src == (0, 0)
     assert t.dst == (1,)
     assert t.entries == ((T0, T1),)
@@ -424,7 +416,7 @@ def test_transpose_involution():
     rng = random.Random(5)
     for _ in range(10):
         m = random_graded(rng)
-        assert transpose_dual(transpose_dual(m)) == m
+        assert m.transpose_dual().transpose_dual() == m
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,7 +436,7 @@ def test_pairing_block_transpose_symmetry():
         beta = Pairing.hyperbolic(QQ, 3, flavor)
         rows = [[BinaryForm.constant(QQ, c) for c in row] for row in beta.matrix]
         m = GradedMatrix(QQ, trivial_frame(6), trivial_frame(6), rows)
-        t = transpose_dual(m)
+        t = m.transpose_dual()
         expected = [
             [BinaryForm.constant(QQ, sign * c) for c in row] for row in beta.matrix
         ]
@@ -453,22 +445,22 @@ def test_pairing_block_transpose_symmetry():
 
 def test_pullback_identity_and_squares():
     m = coords_column()
-    assert pullback_power(m, 1) == m
-    sq = pullback_power(m, 2)
+    assert m.pullback_power(1) == m
+    sq = m.pullback_power(2)
     assert sq.src == (-2,)
     assert sq.entries == (
         (BinaryForm.monomial(QQ, 2, 0),),
         (BinaryForm.monomial(QQ, 2, 2),),
     )
     with pytest.raises(ValueError):
-        pullback_power(m, 0)
+        m.pullback_power(0)
 
 
 def test_pullback_composes():
     rng = random.Random(3)
     for _ in range(6):
         m = random_graded(rng)
-        assert pullback_power(pullback_power(m, 2), 3) == pullback_power(m, 6)
+        assert m.pullback_power(2).pullback_power(3) == m.pullback_power(6)
 
 
 def test_pullback_scales_kernel_type():
@@ -487,7 +479,7 @@ def test_pullback_scales_kernel_type():
             )
         m = GradedMatrix(QQ, src, dst, rows)
         base = kernel_free(m).type
-        doubled = kernel_free(pullback_power(m, 2)).type
+        doubled = kernel_free(m.pullback_power(2)).type
         assert doubled == base.scaled(2)
 
 

@@ -1,23 +1,23 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from twistlines import linalg
 from twistlines.fields import QQ, PrimeField
 from twistlines.families import (
+    FlagFamily,
     build_classical,
     build_isotropic,
     build_phi_psi,
     case_Ia,
     case_IVa,
 )
-from twistlines.sheaves import SplittingType
+from twistlines.forms import BinaryForm
+from twistlines.frames import GradedMatrix, trivial_frame
+from twistlines.sheaves import SplittingType, Subbundle
 from twistlines.verify import (
     certify,
-    check_classical,
-    check_skew,
-    check_symmetric_2k,
-    check_symmetric_big,
     pool_size,
     run_sweep,
     sweep_consistent,
@@ -31,36 +31,41 @@ def st(*twists):
 
 
 def test_classical_42_verdict():
-    cert = check_classical(build_classical(QQ, 4, 2))
+    cert = certify(build_classical(QQ, 4, 2))
     assert cert.very_twisting
     assert cert.flavor is None
 
 
 def test_classical_k1_psi_degree():
     for n in (3, 5, 8):
-        cert = check_classical(build_classical(QQ, n, 1))
+        cert = certify(build_classical(QQ, n, 1))
         assert cert.psi_degree == n - 2
         assert cert.psi_deg_nonneg
 
 
 def test_checker_rejects_wrong_shape():
-    fam = build_isotropic(QQ, 6, 2, "symmetric")
-    with pytest.raises(ValueError):
-        check_classical(fam)
-    with pytest.raises(ValueError):
-        check_symmetric_2k(fam)
-    with pytest.raises(ValueError):
-        check_skew(fam)
+    # a (flavor, length) pair with no certificate rule raises
+    sym = build_isotropic(QQ, 6, 2, "symmetric")
+    classical = build_classical(QQ, 6, 2)
+    skew = case_IVa(QQ, 2)
+    for fam in (
+        replace(classical, members=classical.members[:2], shape=(1, 2)),
+        replace(skew, members=skew.members[:2], shape=(1, 2)),
+        replace(sym, members=sym.members + sym.members[-1:], shape=(1, 2, 3, 3)),
+        replace(sym, flavor="hermitian"),
+    ):
+        with pytest.raises(ValueError, match="no certificate rule"):
+            certify(fam)
 
 
 def test_symmetric_big_case_Ia_pieces():
-    cert = check_symmetric_big(case_Ia(QQ, 5, "symmetric"))
+    cert = certify(case_Ia(QQ, 5, "symmetric"))
     assert cert.tev_pieces == (st(1), st())
     assert cert.very_twisting
 
 
 def test_symmetric_n4_fails_rank_positivity():
-    cert = check_symmetric_big(case_Ia(QQ, 4, "symmetric"))
+    cert = certify(case_Ia(QQ, 4, "symmetric"))
     assert not cert.tev_rank_positive
     assert cert.tev_ample  # vacuously: both pieces have rank 0
     assert not cert.very_twisting
@@ -196,46 +201,102 @@ def test_prime_backend_matches_rational_on_sample():
         assert cq.to_json_dict() == cp.to_json_dict()
 
 
-def test_invalid_flag_shape_reports_failure():
-    from twistlines.families import FlagFamily
+def constant_span(n, *vectors):
+    """The trivial subbundle of O^n spanned by constant vectors over QQ."""
+    cols = [(0, [BinaryForm.constant(QQ, c) for c in v]) for v in vectors]
+    return Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(n), cols))
 
-    fam = build_isotropic(QQ, 6, 2, "symmetric")
-    e1, e2, e3 = fam.members
-    bad = FlagFamily(
-        "IIa-sym", 6, 2, "symmetric", (e2, e1, e3), (1, 2, 3), fam.pairing
+
+def unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+def with_member(fam, i, member):
+    members = list(fam.members)
+    members[i] = member
+    return replace(fam, members=tuple(members))
+
+
+def predicates(cert):
+    return (
+        cert.flag_valid,
+        cert.isotropy_ok,
+        cert.tev_ample,
+        cert.tev_rank_positive,
+        cert.psi_deg_nonneg,
     )
-    cert = check_symmetric_big(bad)
-    assert not cert.flag_valid
+
+
+def assert_refused(cert, note, flags=(False, False, False, False, False)):
+    assert cert.notes[-1] == note
+    assert predicates(cert) == flags
+    assert cert.flag_quotients == () and cert.tev_pieces == ()
+    assert cert.psi_type is None and cert.psi_degree == 0
     assert not cert.very_twisting
 
 
-def test_skew_flag_with_unannihilated_top_reports_failure():
-    from twistlines.families import FlagFamily
-    from twistlines.forms import BinaryForm
-    from twistlines.frames import GradedMatrix, trivial_frame
-    from twistlines.sheaves import Subbundle
+def test_invalid_flag_shape_reports_failure():
+    # rows ranked out of order, one family per certificate rule
+    note = "flag member ranks do not match the expected shape"
+    for fam in (
+        build_classical(QQ, 6, 2),
+        build_isotropic(QQ, 6, 2, "symmetric"),
+        case_IVa(QQ, 2),
+    ):
+        e1, e2, e3 = fam.members
+        assert_refused(certify(replace(fam, members=(e2, e1, e3))), note)
+    sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
+    assert_refused(certify(with_member(sym_2k, 0, constant_span(8, unit(8, 6)))), note)
 
-    fam = case_IVa(QQ, 2)
-    _, mid, r_top = fam.members
-    one = BinaryForm.constant(QQ, 1)
-    zero = BinaryForm.zero(QQ, 0)
-    e1_line = Subbundle(
-        GradedMatrix.from_columns(QQ, trivial_frame(4), [(0, [one, zero, zero, zero])])
+
+def test_non_isotropic_member_reports_failure():
+    # in the hyperbolic symmetric pairings coordinate i pairs with i + n/2
+    # (n = 6) and 4 pairs with 6 (n = 8); in the IVa skew pairing 0 pairs with 2
+    iso_fails = (True, False, False, False, False)
+    sym = build_isotropic(QQ, 6, 2, "symmetric")
+    bad = with_member(sym, 0, constant_span(6, (1, 0, 0, 1, 0, 0)))
+    assert_refused(certify(bad), "a flag member is not isotropic", iso_fails)
+    sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
+    bad = with_member(sym_2k, 0, constant_span(8, unit(8, 4), unit(8, 6)))
+    assert_refused(certify(bad), "a flag member is not isotropic", iso_fails)
+    skew = case_IVa(QQ, 2)
+    bad = with_member(skew, 1, constant_span(4, unit(4, 0), unit(4, 2)))
+    assert_refused(certify(bad), "a flag member below the top is not isotropic", iso_fails)
+
+
+def test_skew_flag_with_unannihilated_top_reports_failure():
+    # the line e1 pairs with e3, which the top member reaches
+    bad = with_member(case_IVa(QQ, 2), 0, constant_span(4, unit(4, 0)))
+    assert_refused(
+        certify(bad),
+        "top member is not annihilated by the bottom member",
+        (False, True, False, False, False),
     )
-    bad = FlagFamily("IVa", 4, 2, "skew", (e1_line, mid, r_top), (1, 2, 3), fam.pairing)
-    cert = check_skew(bad)
-    assert not cert.flag_valid
-    assert any("not annihilated" in note for note in cert.notes)
+
+
+def test_flag_not_nested_reports_failure_for_every_rule():
+    # each bottom (or skew middle) member is replaced by constant isotropic
+    # vectors that the next member up does not contain
+    note = "flag is not nested: E1 not contained in E2"
+    classical = build_classical(QQ, 6, 2)
+    sym = build_isotropic(QQ, 6, 2, "symmetric")
+    sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
+    skew = case_IVa(QQ, 2)
+    for bad in (
+        with_member(classical, 0, constant_span(6, unit(6, 5))),
+        with_member(sym, 0, constant_span(6, unit(6, 5))),
+        with_member(sym_2k, 0, constant_span(8, unit(8, 6), unit(8, 7))),
+        with_member(skew, 1, constant_span(4, unit(4, 0), unit(4, 1))),
+    ):
+        assert_refused(certify(bad), note)
 
 
 def test_first_violation_names_the_first_false_predicate():
-    from twistlines.families import FlagFamily
-
     assert certify(build_classical(QQ, 5, 2)).first_violation is None
-    cert = check_symmetric_big(case_Ia(QQ, 4, "symmetric"))
+    cert = certify(case_Ia(QQ, 4, "symmetric"))
     assert cert.first_violation == "tev_rank_positive"
     fam = build_isotropic(QQ, 6, 2, "symmetric")
     e1, e2, e3 = fam.members
     bad = FlagFamily("IIa-sym", 6, 2, "symmetric", (e2, e1, e3), (1, 2, 3), fam.pairing)
     # a failed flag clears every later predicate too; the first one is named
-    assert check_symmetric_big(bad).first_violation == "flag_valid"
+    assert certify(bad).first_violation == "flag_valid"
