@@ -60,8 +60,11 @@ def _binom_bound_for_dim(n: int) -> int:
 def _emit(args, payload_json: dict, payload_text: str) -> None:
     out = json.dumps(payload_json, indent=2) if args.format == "json" else payload_text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror or exc}")
     else:
         print(out)
 

@@ -3,9 +3,17 @@
 Each builder assembles a nested chain of certified subbundles of a trivial
 bundle, together with the pairing the chain must respect.  The matrix data
 is exactly the binomial/monomial data the constructions call for; every
-member is re-certified as a locally split subbundle on construction, so a
-returned family is already a verified flag (the positivity layer sits in
-``verify``).
+member is re-certified as a locally split subbundle on construction (the
+positivity layer sits in ``verify``).
+
+The builders assemble the members from shared columns, so they also know
+how each member sits inside the next one.  A family carries that knowledge
+as its ``inclusions``: one matrix L per adjacent pair of members, with
+members[i+1].gen @ L == members[i].gen.  Most are column selections; the
+two exceptions are the combined column of classical case II and the e1
+column of case IVa.  These are witnesses, not trusted data: ``certify``
+uses one only after checking that product, and otherwise finds the
+inclusion again by elimination.
 """
 
 from dataclasses import dataclass, replace
@@ -72,6 +80,12 @@ class FlagFamily:
     In the skew n=2k cases the top member is the R-flag member, which is
     not required to be isotropic.  ``requested`` keeps the original (n, k)
     when an odd symmetric dimension was rerouted to its even neighbor.
+
+    ``inclusions`` holds the builder's witness for each adjacent pair: the
+    matrix L_i with members[i+1].gen @ L_i == members[i].gen.  Empty means
+    no witnesses (the orbit family, hand-built flags).  ``verify.certify``
+    checks each product before it reads a quotient from L_i, and falls back
+    to elimination when a witness is missing or fails.
     """
 
     case: str
@@ -83,6 +97,7 @@ class FlagFamily:
     pairing: object
     notes: tuple = ()
     requested: object = None
+    inclusions: tuple = ()  # L_i with members[i+1].gen @ L_i == members[i].gen
 
     @property
     def field(self):
@@ -202,6 +217,29 @@ def _member(field, n, chunks) -> Subbundle:
     return Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), cols))
 
 
+def _inclusion(field, outer: Subbundle, columns) -> GradedMatrix:
+    """The witness L with outer.gen @ L == inner.gen, given inner's
+    generators in terms of outer's: column j of inner is the combination
+    columns[j] = {i: form} of outer's generators i, and a plain index i
+    stands for {i: 1}, generator i itself."""
+    one = BinaryForm.constant(field, 1)
+    src = outer.gen.src
+    zeros = {}  # degree -> zero form, shared by the entries of that degree
+    cols = []
+    for col in columns:
+        if isinstance(col, int):
+            col = {col: one}
+        i, form = next(iter(col.items()))
+        tw = src[i] - form.degree
+        forms = []
+        for r, a in enumerate(src):
+            if r not in col and a - tw not in zeros:
+                zeros[a - tw] = BinaryForm.zero(field, a - tw)
+            forms.append(col[r] if r in col else zeros[a - tw])
+        cols.append((tw, forms))
+    return GradedMatrix.from_columns(field, src, cols)
+
+
 def _unit_column(field, size, index):
     forms = [BinaryForm.zero(field, 0)] * size
     forms[index] = BinaryForm.constant(field, 1)
@@ -273,6 +311,7 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
     mid = _member(field, n, [(off_prime, prime_cols), (off_dprime, [dprime_col])])
     if k == 1:
         low = Subbundle.zero(field, trivial_frame(n))
+        low_in_mid = []
         case = "classical-I"
     else:
         t1 = BinaryForm.monomial(field, 1, 1)
@@ -287,6 +326,8 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
         low = _member(field, n, low_chunks + [(0, [combined])]) if k > 2 else _member(
             field, n, [(0, [combined])]
         )
+        # mid's generators are prime_cols, then dprime_col
+        low_in_mid = [*range(k - 2), {k - 2: scale0, k - 1: t1}]
         case = "classical-II"
     return FlagFamily(
         case=case,
@@ -296,6 +337,7 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
         members=(low, mid, top),
         shape=(k - 1, k, k + 1),
         pairing=None,
+        inclusions=(_inclusion(field, mid, low_in_mid), _inclusion(field, top, range(k))),
     )
 
 
@@ -425,7 +467,10 @@ def case_Ia(field, n: int, flavor: str) -> FlagFamily:
     e2 = _member(field, n, [(0, cols)])
     e1 = _member(field, n, [(0, cols[:1])])
     e0 = Subbundle.zero(field, amb)
-    return FlagFamily("Ia", n, 1, flavor, (e0, e1, e2), (0, 1, 2), pairing)
+    inclusions = (_inclusion(field, e1, []), _inclusion(field, e2, [0]))
+    return FlagFamily(
+        "Ia", n, 1, flavor, (e0, e1, e2), (0, 1, 2), pairing, inclusions=inclusions
+    )
 
 
 def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
@@ -446,7 +491,14 @@ def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
     top = _member(field, n, [(0, cols4), (4, cols_big)])
     mid = _member(field, n, [(0, cols4[:1]), (4, cols_big)])
     low = _member(field, n, [(4, cols_big)])
-    return FlagFamily("Ib", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing)
+    big = len(cols_big)
+    inclusions = (
+        _inclusion(field, mid, range(1, 1 + big)),
+        _inclusion(field, top, [0, *range(2, 2 + big)]),
+    )
+    return FlagFamily(
+        "Ib", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    )
 
 
 def case_IIa(field, n: int, flavor: str) -> FlagFamily:
@@ -460,7 +512,10 @@ def case_IIa(field, n: int, flavor: str) -> FlagFamily:
     e2 = _member(field, n, [(0, [g, f1])])
     e1 = _member(field, n, [(0, [g])])
     tag = "IIa-sym" if flavor == "symmetric" else "IIa-skew"
-    return FlagFamily(tag, n, 2, flavor, (e1, e2, e3), (1, 2, 3), pairing)
+    inclusions = (_inclusion(field, e2, [0]), _inclusion(field, e3, [0, 1]))
+    return FlagFamily(
+        tag, n, 2, flavor, (e1, e2, e3), (1, 2, 3), pairing, inclusions=inclusions
+    )
 
 
 def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
@@ -481,7 +536,14 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
     top = _member(field, n, [(0, [g, f1, f2]), (6, cols_big)])
     mid = _member(field, n, [(0, [g, f1]), (6, cols_big)])
     low = _member(field, n, [(0, [g]), (6, cols_big)])
-    return FlagFamily("IIb", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing)
+    big = len(cols_big)
+    inclusions = (
+        _inclusion(field, mid, [0, *range(2, 2 + big)]),
+        _inclusion(field, top, [0, 1, *range(3, 3 + big)]),
+    )
+    return FlagFamily(
+        "IIb", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    )
 
 
 def case_IIIa(field, k: int) -> FlagFamily:
@@ -498,7 +560,10 @@ def case_IIIa(field, k: int) -> FlagFamily:
     cols_big = e_big.columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     low = _member(field, n, [(4, cols_big)])
-    return FlagFamily("IIIa", n, k, "symmetric", (low, top), (k - 2, k), pairing)
+    inclusions = (_inclusion(field, top, range(2, 2 + len(cols_big))),)
+    return FlagFamily(
+        "IIIa", n, k, "symmetric", (low, top), (k - 2, k), pairing, inclusions=inclusions
+    )
 
 
 def case_IIIb(field, k: int) -> FlagFamily:
@@ -511,6 +576,7 @@ def case_IIIb(field, k: int) -> FlagFamily:
     g, f1, f2 = _phi36_columns(field, "symmetric")
     if l == 1:
         pairing = beta6
+        cols_big = []
         top = _member(field, n, [(0, [g, f1, f2])])
         low = _member(field, n, [(0, [g])])
     else:
@@ -521,7 +587,10 @@ def case_IIIb(field, k: int) -> FlagFamily:
         cols_big = e_big.columns()
         top = _member(field, n, [(0, [g, f1, f2]), (6, cols_big)])
         low = _member(field, n, [(0, [g]), (6, cols_big)])
-    return FlagFamily("IIIb", n, k, "symmetric", (low, top), (k - 2, k), pairing)
+    inclusions = (_inclusion(field, top, [0, *range(3, 3 + len(cols_big))]),)
+    return FlagFamily(
+        "IIIb", n, k, "symmetric", (low, top), (k - 2, k), pairing, inclusions=inclusions
+    )
 
 
 def _r3_columns(field):
@@ -549,16 +618,24 @@ def case_IVa(field, k: int) -> FlagFamily:
     col_e1 = _combine(field, [(t0, col_bp), (-t1, col_bm)], -2)
     if l == 1:
         pairing = beta4
-        chunks_extra = []
+        cols_big = []
     else:
         a, b = l - 1, 2 * l - 2
         beta_big, e_big = build_E2a2b(field, a, b, "skew")
         pairing = _ortho(beta4, beta_big)
-        chunks_extra = [(4, e_big.columns())]
+        cols_big = e_big.columns()
+    chunks_extra = [(4, cols_big)]
     r_top = _member(field, n, [(0, [col_a, col_bp, col_bm])] + chunks_extra)
     mid = _member(field, n, [(0, [col_bp, col_bm])] + chunks_extra)
     low = _member(field, n, [(0, [col_e1])] + chunks_extra)
-    return FlagFamily("IVa", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing)
+    big = len(cols_big)
+    inclusions = (
+        _inclusion(field, mid, [{0: t0, 1: -t1}, *range(2, 2 + big)]),
+        _inclusion(field, r_top, range(1, 3 + big)),
+    )
+    return FlagFamily(
+        "IVa", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    )
 
 
 def case_IVb(field, k: int) -> FlagFamily:
@@ -577,7 +654,14 @@ def case_IVb(field, k: int) -> FlagFamily:
     r_top = _member(field, n, [(0, [e_unit]), (1, [x_unit]), (2, cols_big)])
     mid = _member(field, n, [(0, [e_unit]), (2, cols_big)])
     low = _member(field, n, [(2, cols_big)])
-    return FlagFamily("IVb", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing)
+    big = len(cols_big)
+    inclusions = (
+        _inclusion(field, mid, range(1, 1 + big)),
+        _inclusion(field, r_top, [0, *range(2, 2 + big)]),
+    )
+    return FlagFamily(
+        "IVb", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    )
 
 
 def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
@@ -608,7 +692,8 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
         else:
             fam = case_IVa(field, k) if k % 2 == 0 else case_IVb(field, k)
         return fam
-    # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension
+    # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension;
+    # replace keeps the members and their inclusion witnesses
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
     return replace(
         fam,

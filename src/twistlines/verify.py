@@ -15,6 +15,16 @@ These are the rows of one table, ``_RULES``, keyed by flavor and flag
 length; a row names the members that must be isotropic, the complement
 beside the top quotient and the formula, and ``certify`` reads it.
 
+Each flag quotient is read from the lift L of a member into the next one.
+A family's builder supplies L as a witness (``FlagFamily.inclusions``), and
+``certify`` checks it with one product, outer.gen @ L == inner.gen, after
+checking that its frames fit.  The outer generator is everywhere injective,
+so a witness that passes is the unique lift, the very matrix elimination
+would find, and the certificate is the same.  A missing, stale or wrong
+witness fails the check, and the quotient is then found by elimination
+(``quotient_type``), so a witness can cost time but never change a
+verdict or a note.  The lifts into perps are always found by elimination.
+
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
 generated and the condition holds automatically; certificates record that
@@ -33,6 +43,7 @@ from .families import (
     build_phi_psi,
     is_exceptional,
 )
+from .frames import GradedMatrix
 from .sheaves import (
     SplittingType,
     Subbundle,
@@ -186,6 +197,23 @@ _RULES = {
 }
 
 
+def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
+    """Type of members[i+1]/members[i]: from the family's inclusion witness
+    if its frames fit and its product checks, else by elimination."""
+    inner, outer = fam.members[i], fam.members[i + 1]
+    lift = fam.inclusions[i] if i < len(fam.inclusions) else None
+    if (
+        inner.rank
+        and isinstance(lift, GradedMatrix)
+        and lift.field == outer.field
+        and lift.dst == outer.gen.src
+        and lift.src == inner.gen.src
+        and outer.gen @ lift == inner.gen
+    ):
+        return _lift_quotient_type(lift)
+    return quotient_type(inner, outer)
+
+
 def certify(fam: FlagFamily) -> Certificate:
     """Certify a flag family by the rule for its flavor and length.
 
@@ -215,7 +243,7 @@ def certify(fam: FlagFamily) -> Certificate:
             )
     beside_top = None
     try:
-        quotients = [quotient_type(a, b) for a, b in zip(members, members[1:])]
+        quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
             beside_top = quotient_type(top, perp(top, fam.pairing))
         elif rule.beside_top == "perp(low)":

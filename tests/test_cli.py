@@ -255,6 +255,21 @@ def test_out_file(tmp_path, capsys):
     assert payload["verdict"] is True
 
 
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (
+        ("check", "--classical", "--n", "6", "--k", "2"),
+        ("check", "--symmetric", "--n", "4", "--k", "2", "--expect-exceptional"),
+        ("ses", "--a", "1", "--b", "2"),
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot write --out")
+        assert str(target) in err
+    assert not target.parent.exists()
+
+
 def test_check_usage_error_on_bad_parameters(capsys):
     code, _, err = run(capsys, "check", "--classical", "--n", "5", "--k", "3")
     assert code == 2

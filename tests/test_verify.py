@@ -3,19 +3,21 @@ from dataclasses import replace
 
 import pytest
 
-from twistlines import linalg
+from twistlines import linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField
 from twistlines.families import (
     FlagFamily,
     build_classical,
+    build_classical_orbit,
     build_isotropic,
     build_phi_psi,
     case_Ia,
     case_IVa,
+    is_exceptional,
 )
 from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix, trivial_frame
-from twistlines.sheaves import SplittingType, Subbundle
+from twistlines.sheaves import SplittingType, Subbundle, sub_lift
 from twistlines.verify import (
     certify,
     pool_size,
@@ -300,3 +302,131 @@ def test_first_violation_names_the_first_false_predicate():
     bad = FlagFamily("IIa-sym", 6, 2, "symmetric", (e2, e1, e3), (1, 2, 3), fam.pairing)
     # a failed flag clears every later predicate too; the first one is named
     assert certify(bad).first_violation == "flag_valid"
+
+
+# ---------------------------------------------------------------------------
+# inclusion witnesses
+
+FIELDS = (QQ, PrimeField(10007))
+ALL_FLAVORS = [None, "symmetric", "skew"]
+
+
+def sweep_families(field, n_max):
+    """The built family of every non-exceptional sweep point up to n_max."""
+    for flavor, n, k in sweep_points(2, n_max, ALL_FLAVORS):
+        if is_exceptional(flavor, n, k):
+            continue
+        if flavor is None:
+            yield build_classical(field, n, k)
+        else:
+            yield build_isotropic(field, n, k, flavor)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_inclusion_witnesses_are_the_lifts_and_change_no_certificate(field):
+    # oracle: each witness is the lift elimination finds, and certifying
+    # without the witnesses gives the same certificate
+    for fam in sweep_families(field, 16):
+        members = fam.members
+        assert len(fam.inclusions) == len(members) - 1, fam.case
+        for lift, inner, outer in zip(fam.inclusions, members, members[1:]):
+            assert lift == sub_lift(inner, outer), (fam.case, fam.n, fam.k)
+        cert = certify(fam)
+        plain = certify(replace(fam, inclusions=()))
+        assert plain.to_json_dict() == cert.to_json_dict()
+        assert plain == cert
+
+
+def test_orbit_family_carries_no_witnesses():
+    _, orbit = build_classical_orbit(QQ, 7, 3)
+    assert orbit.inclusions == ()
+    assert certify(orbit).very_twisting
+
+
+def scaled_by_two(lift):
+    rows = [[e.scale(2) for e in row] for row in lift.entries]
+    return GradedMatrix(lift.field, lift.src, lift.dst, rows)
+
+
+def first_two_columns_swapped(lift):
+    cols = lift.columns()
+    cols[0], cols[1] = cols[1], cols[0]
+    return GradedMatrix.from_columns(lift.field, lift.dst, cols)
+
+
+def with_inclusion(fam, i, lift):
+    inclusions = list(fam.inclusions)
+    inclusions[i] = lift
+    return replace(fam, inclusions=tuple(inclusions))
+
+
+def test_wrong_witness_is_never_trusted(monkeypatch):
+    # a corrupted witness fails its product check, so the inclusion is found
+    # by elimination and the certificate is the no-witness one
+    calls = []
+    real_solve = linalg.solve_many
+
+    def solve_many(*args, **kwargs):
+        calls.append(None)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_many", solve_many)
+    cases = [  # classical-II, Ib, IIb, IIIa, IIIb, IVa, IVb, skew Ib and IIa
+        (None, 7, 3),
+        ("symmetric", 12, 3),
+        ("symmetric", 14, 4),
+        ("symmetric", 12, 6),
+        ("symmetric", 10, 5),
+        ("skew", 8, 4),
+        ("skew", 10, 5),
+        ("skew", 10, 3),
+        ("skew", 8, 2),
+    ]
+    stale = build_classical(QQ, 9, 4).inclusions[0]  # frames of another family
+    for flavor, n, k in cases:
+        fam = build_classical(QQ, n, k) if flavor is None else build_isotropic(QQ, n, k, flavor)
+        plain = certify(replace(fam, inclusions=()))
+        del calls[:]
+        assert certify(fam) == plain
+        trusted = len(calls)
+        for i, lift in enumerate(fam.inclusions):
+            corrupted = [scaled_by_two(lift), stale, "not a matrix"]
+            if lift.ncols >= 2:
+                corrupted.append(first_two_columns_swapped(lift))
+            for bad in corrupted:
+                del calls[:]
+                assert certify(with_inclusion(fam, i, bad)) == plain, (fam.case, i)
+                assert len(calls) > trusted, (fam.case, i)
+
+
+def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
+    # over the n <= 16 sweep on QQ, every solve under certify lifts a member
+    # into a perp; the member inclusions are all settled by their witnesses
+    perp_gens, lifting_into_perp, solves = [], [], []
+    real_perp, real_lift, real_solve = verify.perp, sheaves._lift, linalg.solve_many
+
+    def kept_perp(e, beta):
+        result = real_perp(e, beta)
+        perp_gens.append(result.gen)
+        return result
+
+    def lift(phi, cols):
+        lifting_into_perp.append(any(phi is gen for gen in perp_gens))
+        try:
+            return real_lift(phi, cols)
+        finally:
+            lifting_into_perp.pop()
+
+    def solve_many(*args, **kwargs):
+        solves.append((rule, lifting_into_perp[-1]))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "perp", kept_perp)
+    monkeypatch.setattr(sheaves, "_lift", lift)
+    monkeypatch.setattr(linalg, "solve_many", solve_many)
+    for fam in sweep_families(QQ, 16):
+        rule = (fam.flavor, len(fam.members))
+        certify(fam)
+    assert len(solves) == 156
+    assert all(into_perp for _, into_perp in solves)
+    assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
