@@ -155,16 +155,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ses(args) -> int:
-    if args.a is not None and args.b is not None:
+    given = (args.a is not None) + (args.b is not None)
+    if given == 2 and args.max is None:
         pairs = [(args.a, args.b)]
         bmax = args.b
-    elif args.max is not None:
+    elif given == 0 and args.max is not None:
         if args.max < 1:
             raise _UsageError(f"--max must be at least 1, got {args.max}")
         pairs = [(a, b) for b in range(1, args.max + 1) for a in range(1, b + 1)]
         bmax = args.max
     else:
-        raise _UsageError("ses needs either --a and --b, or --max B")
+        raise _UsageError("ses needs either --a and --b, or --max B, and not both")
     if any(a < 1 or a > b for a, b in pairs):
         raise _UsageError("ses needs 1 <= a <= b")
     field = _parse_field(args.field, comb(bmax, bmax // 2))

@@ -6,14 +6,15 @@ is exactly the binomial/monomial data the constructions call for; every
 member is re-certified as a locally split subbundle on construction (the
 positivity layer sits in ``verify``).
 
-The builders assemble the members from shared columns, so they also know
-how each member sits inside the next one.  A family carries that knowledge
-as its ``inclusions``: one matrix L per adjacent pair of members, with
-members[i+1].gen @ L == members[i].gen.  Most are column selections; the
-two exceptions are the combined column of classical case II and the e1
-column of case IVa.  These are witnesses, not trusted data: ``certify``
-uses one only after checking that product, and otherwise finds the
-inclusion again by elimination.
+Each builder assembles only the top member; every lower member is one
+list of columns of the member above it (``_flag``).  An entry is either an
+index, that generator itself, or a combination of generators; only the
+combined column of classical case II and the e1 column of case IVa are
+computed.  The same list gives the member's generator matrix and the
+family's ``inclusions`` entry for it: the matrix L with
+members[i+1].gen @ L == members[i].gen.  These are witnesses, not trusted
+data: ``certify`` uses one only after checking that product, and otherwise
+finds the inclusion again by elimination.
 """
 
 from dataclasses import dataclass, replace
@@ -82,8 +83,9 @@ class FlagFamily:
     when an odd symmetric dimension was rerouted to its even neighbor.
 
     ``inclusions`` holds the builder's witness for each adjacent pair: the
-    matrix L_i with members[i+1].gen @ L_i == members[i].gen.  Empty means
-    no witnesses (the orbit family, hand-built flags).  ``verify.certify``
+    matrix L_i with members[i+1].gen @ L_i == members[i].gen, made from the
+    same column list as members[i] itself.  Empty means no witnesses (the
+    orbit family, hand-built flags).  ``verify.certify``
     checks each product before it reads a quotient from L_i, and falls back
     to elimination when a witness is missing or fails.
     """
@@ -193,57 +195,64 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
 
 
 def _zero_forms(field, twists):
-    return [BinaryForm.zero(field, -t) for t in twists]
-
-
-def _embed_columns(field, n, offset, columns):
-    """Place block columns (twist, forms) into an ambient of rank n."""
-    out = []
-    for tw, forms in columns:
-        full = _zero_forms(field, (tw,) * n)
-        for i, f in enumerate(forms):
-            full[offset + i] = f
-        out.append((tw, full))
-    return out
+    """Zero forms of degree -t for the twists t; forms are immutable, so
+    each degree gets one shared form."""
+    zeros = {t: BinaryForm.zero(field, -t) for t in set(twists)}
+    return [zeros[t] for t in twists]
 
 
 def _member(field, n, chunks) -> Subbundle:
-    """Assemble a subbundle of O^n from [(offset, columns), ...] chunks."""
+    """Assemble a subbundle of O^n from [(offset, columns), ...] chunks,
+    placing each block column (twist, forms) at rows offset, offset+1, ..."""
     cols = []
     for offset, columns in chunks:
-        cols.extend(_embed_columns(field, n, offset, columns))
-    if not cols:
-        return Subbundle.zero(field, trivial_frame(n))
+        for tw, forms in columns:
+            full = _zero_forms(field, (tw,) * n)
+            full[offset : offset + len(forms)] = forms
+            cols.append((tw, full))
     return Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), cols))
 
 
-def _inclusion(field, outer: Subbundle, columns) -> GradedMatrix:
-    """The witness L with outer.gen @ L == inner.gen, given inner's
-    generators in terms of outer's: column j of inner is the combination
-    columns[j] = {i: form} of outer's generators i, and a plain index i
-    stands for {i: 1}, generator i itself."""
+def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
+    """The family with top member ``top`` and, from the top down, one lower
+    member per entry of ``lower``.  Each is a list of columns of the member
+    above it: an index i is that member's generator i (the same forms), and
+    {i: form, ...} is the combination sum(form * generator i).  The one list
+    gives both the member's generator matrix and its witness L, with
+    outer.gen @ L == member.gen."""
+    field = top.field
     one = BinaryForm.constant(field, 1)
-    src = outer.gen.src
-    zeros = {}  # degree -> zero form, shared by the entries of that degree
-    cols = []
-    for col in columns:
-        if isinstance(col, int):
-            col = {col: one}
-        i, form = next(iter(col.items()))
-        tw = src[i] - form.degree
-        forms = []
-        for r, a in enumerate(src):
-            if r not in col and a - tw not in zeros:
-                zeros[a - tw] = BinaryForm.zero(field, a - tw)
-            forms.append(col[r] if r in col else zeros[a - tw])
-        cols.append((tw, forms))
-    return GradedMatrix.from_columns(field, src, cols)
+    members, inclusions = [top], []
+    for columns in lower:
+        outer = members[0].gen
+        gen_cols, wit_cols = [], []
+        for col in columns:
+            if isinstance(col, int):
+                tw, forms = outer.column(col)
+                col = {col: one}
+            else:
+                i, form = next(iter(col.items()))
+                tw = outer.src[i] - form.degree
+                forms = _zero_forms(field, (tw,) * n)
+                for i, factor in col.items():
+                    for r, f in enumerate(outer.column(i)[1]):
+                        if not f.is_zero():
+                            forms[r] = forms[r] + factor * f
+            gen_cols.append((tw, forms))
+            wit = _zero_forms(field, [tw - a for a in outer.src])
+            for i, form in col.items():
+                wit[i] = form
+            wit_cols.append((tw, wit))
+        gen = GradedMatrix.from_columns(field, trivial_frame(n), gen_cols)
+        members.insert(0, Subbundle(gen))
+        inclusions.insert(0, GradedMatrix.from_columns(field, outer.src, wit_cols))
+    return FlagFamily(
+        case, n, k, flavor, tuple(members), shape, pairing, inclusions=tuple(inclusions)
+    )
 
 
-def _unit_column(field, size, index):
-    forms = [BinaryForm.zero(field, 0)] * size
-    forms[index] = BinaryForm.constant(field, 1)
-    return (0, forms)
+def _unit_column(field):
+    return (0, [BinaryForm.constant(field, 1)])
 
 
 def _filler_pairing(field, flavor, dim):
@@ -259,17 +268,6 @@ def _filler_pairing(field, flavor, dim):
 def _ortho(*pairings):
     parts = [p for p in pairings if p is not None]
     return Pairing.orthogonal_sum(*parts)
-
-
-def _combine(field, scalars_and_columns, twist):
-    """Linear combination sum(form_i * column_i) as a single (twist, forms)."""
-    n = len(scalars_and_columns[0][1][1])
-    forms = _zero_forms(field, (twist,) * n)
-    for factor, (tw, col) in scalars_and_columns:
-        for i, f in enumerate(col):
-            if not f.is_zero():
-                forms[i] = forms[i] + factor * f
-    return (twist, forms)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,7 @@ def _classical_blocks(field, n, k):
         -d,
         [BinaryForm.monomial(field, d, j) for j in range(d + 1)],
     )  # monomial column over the middle block of size n+1-2k
-    unit_col = _unit_column(field, 1, 0)
+    unit_col = _unit_column(field)
     return prime_cols, dprime_col, unit_col
 
 
@@ -302,43 +300,18 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
     if is_exceptional(None, n, k):
         raise ExceptionalCaseError(f"exceptional case: classical ({n},{k})")
     prime_cols, dprime_col, unit_col = _classical_blocks(field, n, k)
-    off_prime, off_dprime, off_unit = 0, 2 * k - 2, n - 1
     top = _member(
-        field,
-        n,
-        [(off_prime, prime_cols), (off_dprime, [dprime_col]), (off_unit, [unit_col])],
+        field, n, [(0, prime_cols), (2 * k - 2, [dprime_col]), (n - 1, [unit_col])]
     )
-    mid = _member(field, n, [(off_prime, prime_cols), (off_dprime, [dprime_col])])
     if k == 1:
-        low = Subbundle.zero(field, trivial_frame(n))
-        low_in_mid = []
-        case = "classical-I"
+        case, low = "classical-I", []
     else:
+        # mid's generators are prime_cols, then dprime_col; low combines the
+        # last prime column times T0^(n-2k) with dprime_col times T1
+        scale0 = BinaryForm.monomial(field, n - 2 * k, 0)
         t1 = BinaryForm.monomial(field, 1, 1)
-        d = n - 2 * k
-        scale0 = BinaryForm.monomial(field, d, 0)  # T0^(n-2k)
-        last_prime = _embed_columns(field, n, off_prime, [prime_cols[-1]])[0]
-        dprime_full = _embed_columns(field, n, off_dprime, [dprime_col])[0]
-        combined = _combine(
-            field, [(scale0, last_prime), (t1, dprime_full)], -(n + 1 - 2 * k)
-        )
-        low_chunks = [(off_prime, prime_cols[: k - 2])]
-        low = _member(field, n, low_chunks + [(0, [combined])]) if k > 2 else _member(
-            field, n, [(0, [combined])]
-        )
-        # mid's generators are prime_cols, then dprime_col
-        low_in_mid = [*range(k - 2), {k - 2: scale0, k - 1: t1}]
-        case = "classical-II"
-    return FlagFamily(
-        case=case,
-        n=n,
-        k=k,
-        flavor=None,
-        members=(low, mid, top),
-        shape=(k - 1, k, k + 1),
-        pairing=None,
-        inclusions=(_inclusion(field, mid, low_in_mid), _inclusion(field, top, range(k))),
-    )
+        case, low = "classical-II", [*range(k - 2), {k - 2: scale0, k - 1: t1}]
+    return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, range(k), low)
 
 
 def build_classical_orbit(field, n: int, k: int):
@@ -462,15 +435,8 @@ def case_Ia(field, n: int, flavor: str) -> FlagFamily:
         raise HypothesisError(f"case Ia needs n >= 4, got n={n}")
     beta4, e24 = build_E2a2b(field, 1, 2, flavor)
     pairing = _ortho(beta4, _filler_pairing(field, flavor, n - 4))
-    amb = trivial_frame(n)
-    cols = e24.columns()
-    e2 = _member(field, n, [(0, cols)])
-    e1 = _member(field, n, [(0, cols[:1])])
-    e0 = Subbundle.zero(field, amb)
-    inclusions = (_inclusion(field, e1, []), _inclusion(field, e2, [0]))
-    return FlagFamily(
-        "Ia", n, 1, flavor, (e0, e1, e2), (0, 1, 2), pairing, inclusions=inclusions
-    )
+    top = _member(field, n, [(0, e24.columns())])
+    return _flag("Ia", n, 1, flavor, (0, 1, 2), pairing, top, [0], [])
 
 
 def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
@@ -486,18 +452,12 @@ def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
     e_big = _pullback_sub(e_pre, d)
     odd = n % 2
     pairing = _ortho(beta4, beta_big, Pairing.one_dim(field) if odd else None)
-    cols4 = e24.columns()
     cols_big = e_big.columns()
-    top = _member(field, n, [(0, cols4), (4, cols_big)])
-    mid = _member(field, n, [(0, cols4[:1]), (4, cols_big)])
-    low = _member(field, n, [(4, cols_big)])
+    top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     big = len(cols_big)
-    inclusions = (
-        _inclusion(field, mid, range(1, 1 + big)),
-        _inclusion(field, top, [0, *range(2, 2 + big)]),
-    )
-    return FlagFamily(
-        "Ib", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    return _flag(
+        "Ib", n, k, flavor, (k - 1, k, k + 1), pairing, top,
+        [0, *range(2, 2 + big)], range(1, 1 + big),
     )
 
 
@@ -506,16 +466,10 @@ def case_IIa(field, n: int, flavor: str) -> FlagFamily:
     if n < 6:
         raise HypothesisError(f"case IIa needs n >= 6, got n={n}")
     beta6 = Pairing.hyperbolic(field, 3, flavor)
-    g, f1, f2 = _phi36_columns(field, flavor)
     pairing = _ortho(beta6, _filler_pairing(field, flavor, n - 6))
-    e3 = _member(field, n, [(0, [g, f1, f2])])
-    e2 = _member(field, n, [(0, [g, f1])])
-    e1 = _member(field, n, [(0, [g])])
+    top = _member(field, n, [(0, _phi36_columns(field, flavor))])
     tag = "IIa-sym" if flavor == "symmetric" else "IIa-skew"
-    inclusions = (_inclusion(field, e2, [0]), _inclusion(field, e3, [0, 1]))
-    return FlagFamily(
-        tag, n, 2, flavor, (e1, e2, e3), (1, 2, 3), pairing, inclusions=inclusions
-    )
+    return _flag(tag, n, 2, flavor, (1, 2, 3), pairing, top, [0, 1], [0])
 
 
 def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
@@ -525,7 +479,6 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
     if l < 2 or m < 2 * l + 1:
         raise HypothesisError(f"case IIb needs k even > 2 and n >= 2k+2, got ({n},{k})")
     beta6 = Pairing.hyperbolic(field, 3, flavor)
-    g, f1, f2 = _phi36_columns(field, flavor)
     a, b = l - 1, m - 3
     beta_big, e_pre = build_E2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
@@ -533,16 +486,11 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
     odd = n % 2
     pairing = _ortho(beta6, beta_big, Pairing.one_dim(field) if odd else None)
     cols_big = e_big.columns()
-    top = _member(field, n, [(0, [g, f1, f2]), (6, cols_big)])
-    mid = _member(field, n, [(0, [g, f1]), (6, cols_big)])
-    low = _member(field, n, [(0, [g]), (6, cols_big)])
+    top = _member(field, n, [(0, _phi36_columns(field, flavor)), (6, cols_big)])
     big = len(cols_big)
-    inclusions = (
-        _inclusion(field, mid, [0, *range(2, 2 + big)]),
-        _inclusion(field, top, [0, 1, *range(3, 3 + big)]),
-    )
-    return FlagFamily(
-        "IIb", n, k, flavor, (low, mid, top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    return _flag(
+        "IIb", n, k, flavor, (k - 1, k, k + 1), pairing, top,
+        [0, 1, *range(3, 3 + big)], [0, *range(2, 2 + big)],
     )
 
 
@@ -559,10 +507,8 @@ def case_IIIa(field, k: int) -> FlagFamily:
     pairing = _ortho(beta4, beta_big)
     cols_big = e_big.columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
-    low = _member(field, n, [(4, cols_big)])
-    inclusions = (_inclusion(field, top, range(2, 2 + len(cols_big))),)
-    return FlagFamily(
-        "IIIa", n, k, "symmetric", (low, top), (k - 2, k), pairing, inclusions=inclusions
+    return _flag(
+        "IIIa", n, k, "symmetric", (k - 2, k), pairing, top, range(2, 2 + len(cols_big))
     )
 
 
@@ -572,24 +518,17 @@ def case_IIIb(field, k: int) -> FlagFamily:
     if l < 1:
         raise HypothesisError(f"case IIIb needs odd k >= 3, got k={k}")
     n = 4 * l + 2
-    beta6 = Pairing.hyperbolic(field, 3, "symmetric")
-    g, f1, f2 = _phi36_columns(field, "symmetric")
-    if l == 1:
-        pairing = beta6
-        cols_big = []
-        top = _member(field, n, [(0, [g, f1, f2])])
-        low = _member(field, n, [(0, [g])])
-    else:
+    pairing = Pairing.hyperbolic(field, 3, "symmetric")
+    cols_big = []
+    if l > 1:
         a, b = l - 1, 2 * l - 2
         beta_big, e_pre = build_E2a2b(field, a, b, "symmetric")
-        e_big = _pullback_sub(e_pre, _finite_cover_degree(a, b))
-        pairing = _ortho(beta6, beta_big)
-        cols_big = e_big.columns()
-        top = _member(field, n, [(0, [g, f1, f2]), (6, cols_big)])
-        low = _member(field, n, [(0, [g]), (6, cols_big)])
-    inclusions = (_inclusion(field, top, [0, *range(3, 3 + len(cols_big))]),)
-    return FlagFamily(
-        "IIIb", n, k, "symmetric", (low, top), (k - 2, k), pairing, inclusions=inclusions
+        pairing = _ortho(pairing, beta_big)
+        cols_big = _pullback_sub(e_pre, _finite_cover_degree(a, b)).columns()
+    top = _member(field, n, [(0, _phi36_columns(field, "symmetric")), (6, cols_big)])
+    return _flag(
+        "IIIb", n, k, "symmetric", (k - 2, k), pairing, top,
+        [0, *range(3, 3 + len(cols_big))],
     )
 
 
@@ -611,30 +550,22 @@ def case_IVa(field, k: int) -> FlagFamily:
     if l < 1:
         raise HypothesisError(f"case IVa needs even k >= 2, got k={k}")
     n = 4 * l
-    beta4 = Pairing.hyperbolic(field, 2, "skew")
-    col_a, col_bp, col_bm = _r3_columns(field)
-    t0 = BinaryForm.monomial(field, 1, 0)
-    t1 = BinaryForm.monomial(field, 1, 1)
-    col_e1 = _combine(field, [(t0, col_bp), (-t1, col_bm)], -2)
-    if l == 1:
-        pairing = beta4
-        cols_big = []
-    else:
+    pairing = Pairing.hyperbolic(field, 2, "skew")
+    cols_big = []
+    if l > 1:
         a, b = l - 1, 2 * l - 2
         beta_big, e_big = build_E2a2b(field, a, b, "skew")
-        pairing = _ortho(beta4, beta_big)
+        pairing = _ortho(pairing, beta_big)
         cols_big = e_big.columns()
-    chunks_extra = [(4, cols_big)]
-    r_top = _member(field, n, [(0, [col_a, col_bp, col_bm])] + chunks_extra)
-    mid = _member(field, n, [(0, [col_bp, col_bm])] + chunks_extra)
-    low = _member(field, n, [(0, [col_e1])] + chunks_extra)
+    # the R-member's generators are col_a, col_bp, col_bm, then the big block
+    top = _member(field, n, [(0, _r3_columns(field)), (4, cols_big)])
+    t0 = BinaryForm.monomial(field, 1, 0)
+    t1 = BinaryForm.monomial(field, 1, 1)
     big = len(cols_big)
-    inclusions = (
-        _inclusion(field, mid, [{0: t0, 1: -t1}, *range(2, 2 + big)]),
-        _inclusion(field, r_top, range(1, 3 + big)),
-    )
-    return FlagFamily(
-        "IVa", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    # low's first column is e1 = T0 * col_bp - T1 * col_bm
+    return _flag(
+        "IVa", n, k, "skew", (k - 1, k, k + 1), pairing, top,
+        range(1, 3 + big), [{0: t0, 1: -t1}, *range(2, 2 + big)],
     )
 
 
@@ -649,18 +580,13 @@ def case_IVb(field, k: int) -> FlagFamily:
     beta_big, e_big = build_E2a2b(field, a, b, "skew")
     pairing = _ortho(beta2, beta_big)
     cols_big = e_big.columns()
-    e_unit = _unit_column(field, 1, 0)
-    x_unit = _unit_column(field, 1, 0)
-    r_top = _member(field, n, [(0, [e_unit]), (1, [x_unit]), (2, cols_big)])
-    mid = _member(field, n, [(0, [e_unit]), (2, cols_big)])
-    low = _member(field, n, [(2, cols_big)])
+    unit = _unit_column(field)
+    # the R-member's generators are e, x, then the big block
+    top = _member(field, n, [(0, [unit]), (1, [unit]), (2, cols_big)])
     big = len(cols_big)
-    inclusions = (
-        _inclusion(field, mid, range(1, 1 + big)),
-        _inclusion(field, r_top, [0, *range(2, 2 + big)]),
-    )
-    return FlagFamily(
-        "IVb", n, k, "skew", (low, mid, r_top), (k - 1, k, k + 1), pairing, inclusions=inclusions
+    return _flag(
+        "IVb", n, k, "skew", (k - 1, k, k + 1), pairing, top,
+        [0, *range(2, 2 + big)], range(1, 1 + big),
     )
 
 

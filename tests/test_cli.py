@@ -209,6 +209,23 @@ def test_ses_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--a", "5", "--max", "2"),
+        ("--b", "3", "--max", "2"),
+        ("--a", "2", "--b", "3", "--max", "1"),
+        ("--a", "2"),
+        ("--b", "3"),
+    ],
+)
+def test_ses_takes_a_pair_or_a_bound_not_both(capsys, flags):
+    code, out, err = run(capsys, "ses", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ses needs either --a and --b, or --max B")
+
+
 def test_orbit_commands(capsys):
     for (n, k) in [(5, 2), (6, 2)]:
         code, out, _ = run(capsys, "orbit", "--n", str(n), "--k", str(k))
