@@ -418,12 +418,6 @@ def _phi36_columns(field, flavor):
     return g, f1, f2
 
 
-def _pullback_sub(e: Subbundle, d: int) -> Subbundle:
-    if d == 1:
-        return e
-    return Subbundle(e.gen.pullback_power(d))
-
-
 def _finite_cover_degree(a: int, b: int) -> int:
     # the dual twists b-a must stay ample after tensoring with O(-1)
     return 1 if b - a >= 2 else 2
@@ -449,10 +443,9 @@ def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
     a, b = l, m - 2
     beta_big, e_pre = build_E2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
-    e_big = _pullback_sub(e_pre, d)
     odd = n % 2
     pairing = _ortho(beta4, beta_big, Pairing.one_dim(field) if odd else None)
-    cols_big = e_big.columns()
+    cols_big = e_pre.gen.pullback_power(d).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     big = len(cols_big)
     return _flag(
@@ -482,10 +475,9 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
     a, b = l - 1, m - 3
     beta_big, e_pre = build_E2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
-    e_big = _pullback_sub(e_pre, d)
     odd = n % 2
     pairing = _ortho(beta6, beta_big, Pairing.one_dim(field) if odd else None)
-    cols_big = e_big.columns()
+    cols_big = e_pre.gen.pullback_power(d).columns()
     top = _member(field, n, [(0, _phi36_columns(field, flavor)), (6, cols_big)])
     big = len(cols_big)
     return _flag(
@@ -503,9 +495,8 @@ def case_IIIa(field, k: int) -> FlagFamily:
     beta4, e24 = build_E2a2b(field, 1, 2, "symmetric")
     a, b = l - 1, 2 * l - 2
     beta_big, e_pre = build_E2a2b(field, a, b, "symmetric")
-    e_big = _pullback_sub(e_pre, _finite_cover_degree(a, b))
     pairing = _ortho(beta4, beta_big)
-    cols_big = e_big.columns()
+    cols_big = e_pre.gen.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     return _flag(
         "IIIa", n, k, "symmetric", (k - 2, k), pairing, top, range(2, 2 + len(cols_big))
@@ -524,7 +515,7 @@ def case_IIIb(field, k: int) -> FlagFamily:
         a, b = l - 1, 2 * l - 2
         beta_big, e_pre = build_E2a2b(field, a, b, "symmetric")
         pairing = _ortho(pairing, beta_big)
-        cols_big = _pullback_sub(e_pre, _finite_cover_degree(a, b)).columns()
+        cols_big = e_pre.gen.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, _phi36_columns(field, "symmetric")), (6, cols_big)])
     return _flag(
         "IIIb", n, k, "symmetric", (k - 2, k), pairing, top,

@@ -198,9 +198,12 @@ class GradedMatrix:
         return dual
 
     def pullback_power(self, d: int) -> "GradedMatrix":
-        """Substitute T0 -> T0^d, T1 -> T1^d; every twist scales by d."""
+        """Substitute T0 -> T0^d, T1 -> T1^d; every twist scales by d.
+        d = 1 returns self, so its forms and their cached terms are shared."""
         if d < 1:
             raise ValueError("pullback exponent must be >= 1")
+        if d == 1:
+            return self
         rows = [[e.substitute_power(d) for e in row] for row in self.entries]
         return GradedMatrix(
             self.field, tuple(d * a for a in self.src), tuple(d * b for b in self.dst), rows

@@ -12,6 +12,8 @@ mod p: echelon rows are normalized to pivot 1 with entries in [0, p), and
 back-substitution, like the integer one, visits only the nonzero
 coordinates of the vector it completes.  All pivot choices are
 deterministic, which keeps every downstream certificate byte-stable.
+This is the one echelon engine: ranks, kernels, solutions and the kernel
+scan's generator choice (``pivot_columns``) all come from ``_echelon``.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from math import gcd
 
 from .fields import PrimeField, RationalField
 
-__all__ = ["rank", "nullspace", "solve", "solve_many"]
+__all__ = ["pivot_columns", "rank", "nullspace", "solve", "solve_many"]
 
 
 def _int_rows(rows):
@@ -124,11 +126,17 @@ def _echelon(field, rows, ncols):
     raise TypeError(f"unsupported field {field!r}")
 
 
+def pivot_columns(field, rows, ncols):
+    """The pivot columns of an echelon form, ascending: whatever the row
+    operations, the columns outside the span of those left of them."""
+    return _echelon(field, rows, ncols)[1]
+
+
 def rank(field, rows, ncols=None) -> int:
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    return len(_echelon(field, rows, ncols)[1])
+    return len(pivot_columns(field, rows, ncols))
 
 
 def _int_back_substitute(ech, pivots, y):

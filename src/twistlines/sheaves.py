@@ -5,8 +5,10 @@ to a sorted multiset of twist integers.  Kernels are computed degreewise:
 the kernel of a map of free graded modules over a two-variable polynomial
 ring is free, and its Hilbert function pins down the generator degrees, so
 the scan below terminates with a certificate rather than a heuristic.
-Cokernel types come from the dual kernel (for a map with locally free
-cokernel, the dual of the cokernel is the kernel of the transposed map).
+Its generators are nullspace vectors (primitive integer ones over the
+rationals) picked by ``linalg`` pivot columns.  Cokernel types come from
+the dual kernel (for a map with locally free cokernel, the dual of the
+cokernel is the kernel of the transposed map).
 """
 
 from dataclasses import dataclass
@@ -91,18 +93,17 @@ class Pairing:
     field: object
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
+        f = self.field
+        object.__setattr__(self, "matrix", tuple(tuple(map(f.of, r)) for r in self.matrix))
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix):
             raise ValueError("pairing matrix must be square")
         if self.flavor not in ("symmetric", "skew"):
             raise ValueError(f"unknown pairing flavor {self.flavor!r}")
-        f = self.field
         for i in range(n):
             for j in range(n):
                 m, mt = self.matrix[i][j], self.matrix[j][i]
-                want = mt if self.flavor == "symmetric" else f.neg(mt)
-                if m != want:
+                if not (m == mt if self.flavor == "symmetric" else f.is_zero(m + mt)):
                     raise ValueError(f"pairing matrix is not {self.flavor}")
         if self.flavor == "skew" and n % 2:
             raise ValueError("a nondegenerate skew pairing needs even dimension")
@@ -297,13 +298,19 @@ def _coordinates_to_forms(field, frame, n, coords):
 def kernel_free(m: GradedMatrix) -> Subbundle:
     """Free generators of ker(m) inside the source frame of m.
 
-    Scans section degrees upward.  At degree n the full kernel piece is the
-    nullspace of the degree piece; the span of T0, T1 times the previous
-    kernel piece is completed to it, and any complement vectors are new
-    minimal generators.  Since the kernel module K is free of known rank c,
-    its Hilbert function satisfies dim K_n - dim K_(n-1) = #{generators of
-    degree <= n}; the first time that difference hits c every generator has
-    been seen, which is the certified stopping rule.
+    K = ker(m) is a free k[T0, T1]-module of rank c = #src - generic rank,
+    so generators of twists t found so far span sum(n + 1 + t) dimensions
+    of K_n, the nullspace of the degree-n piece of m.  The scan visits n
+    upward.  Where K_n is larger, the degree-n piece of the generators found
+    so far, with the nullspace vectors appended as columns, goes through
+    one ``linalg.pivot_columns`` elimination.  Pivots are the columns
+    outside the span of those left of them, so the generator columns,
+    being independent, are all pivots, and each appended pivot is a new
+    generator.  Stopping rule: dim K_n - dim K_(n-1) counts the generators
+    of degree <= n, so all are seen once it reaches c.  Termination bound:
+    no generator degree exceeds ``_generator_degree_bound``, so the scan
+    raises ``RuntimeError`` past that bound plus two, and if it finds
+    other than c generators.
     """
     f = m.field
     src = m.src
@@ -317,34 +324,28 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
 
     n = -max(src)
     guard = _generator_degree_bound(m, r, c) + 2
-    prev_null = []
     prev_nullity = 0
-    gens = []  # (degree n, coordinate vector at degree n)
+    cols = []  # generator columns (twist, forms), in order of degree
     while True:
         piece = m.degree_piece(n)
         null = linalg.nullspace(f, [list(row) for row in piece.matrix], piece.ncols)
-        span = _EchelonSpan(f, piece.ncols)
-        for v in _shift_up(f, src, n, prev_null):
-            span.add(v)
-        for v in null:
-            reduced = span.add(v)
-            if reduced is not None:
-                gens.append((n, reduced))
+        if len(null) > sum(n + 1 + t for t, _ in cols):
+            span = GradedMatrix.from_columns(f, src, cols).degree_piece(n)
+            k = span.ncols
+            rows = [list(row) + [v[i] for v in null] for i, row in enumerate(span.matrix)]
+            for j in linalg.pivot_columns(f, rows, k + len(null)):
+                if j >= k:
+                    cols.append((-n, _coordinates_to_forms(f, src, n, null[j - k])))
         if len(null) - prev_nullity == c:
             break
         if n > guard:
             raise RuntimeError("kernel scan exceeded its degree bound")
-        prev_null = null
         prev_nullity = len(null)
         n += 1
-    if len(gens) != c:
+    if len(cols) != c:
         raise RuntimeError(
-            f"kernel scan found {len(gens)} generators but the generic rank implies {c}"
+            f"kernel scan found {len(cols)} generators but the generic rank implies {c}"
         )
-    cols = []
-    for d, vec in gens:
-        forms = _coordinates_to_forms(f, src, d, vec)
-        cols.append((-d, forms))
     return Subbundle(GradedMatrix.from_columns(f, src, cols))
 
 
@@ -361,64 +362,6 @@ def _generator_degree_bound(m: GradedMatrix, r: int, c: int) -> int:
     max_a = max(m.src)
     top_b = sum(sorted(m.dst, reverse=True)[:r]) if r else 0
     return (c - 1) * max_a - sum(m.src) + top_b
-
-
-def _shift_up(field, src, n, vectors):
-    """Images of degree-(n-1) piece vectors under multiplication by T0, T1."""
-    if not vectors:
-        return []
-    prev_dims = [max(0, n - 1 + a + 1) for a in src]
-    dims = [max(0, n + a + 1) for a in src]
-    prev_off = []
-    off = 0
-    for d in prev_dims:
-        prev_off.append(off)
-        off += d
-    offs = []
-    off = 0
-    for d in dims:
-        offs.append(off)
-        off += d
-    total = off
-    out = []
-    for v in vectors:
-        for shift in (0, 1):  # T0 keeps the T1-exponent, T1 raises it
-            w = [field.zero] * total
-            for j, dprev in enumerate(prev_dims):
-                for i in range(dprev):
-                    w[offs[j] + i + shift] = v[prev_off[j] + i]
-            out.append(w)
-    return out
-
-
-class _EchelonSpan:
-    """Incremental reduced span with deterministic normalized remainders,
-    on native scalars; each row keeps its nonzero columns for updates."""
-
-    def __init__(self, field, ncols):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []  # (pivot_col, row, nonzero columns of row)
-
-    def add(self, v):
-        """Reduce v; absorb and return the normalized remainder if new."""
-        f = self.field
-        p = f.characteristic
-        v = list(v)
-        for pc, row, nz in self.rows:
-            cv = v[pc] % p if p else v[pc]
-            if cv:
-                for j in nz:
-                    v[j] -= cv * row[j]
-        v = f.reduce_all(v)
-        for pc, x in enumerate(v):
-            if x:
-                inv = f.inv(x)
-                v = f.reduce_all([inv * y for y in v])
-                self.rows.append((pc, v, [j for j in range(pc, self.ncols) if v[j]]))
-                self.rows.sort(key=lambda t: t[0])
-                return v
-        return None
 
 
 # ---------------------------------------------------------------------------

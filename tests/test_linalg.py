@@ -105,7 +105,7 @@ def test_nullspace_is_a_primitive_integer_kernel_basis(case):
         assert linalg.rank(field, basis, ncols) == len(basis)
 
 
-def pivot_columns(field, rows, ncols):
+def rank_raising_columns(field, rows, ncols):
     """The columns that raise the rank of the columns before them."""
     pivots, r = [], 0
     for j in range(ncols):
@@ -122,7 +122,7 @@ def test_solve_satisfies_its_system(case, data):
     # solution that is zero off the pivot columns (those columns are
     # independent, so it is unique), and solve gives the same alone
     field, rows, ncols = case
-    pivots = pivot_columns(field, rows, ncols)
+    pivots = rank_raising_columns(field, rows, ncols)
     scalars = st.one_of(SMALL_INT, RATIONAL) if field is QQ else SMALL_INT
     rhss = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -204,3 +204,19 @@ def test_rational_rank_agrees_with_sympy(case):
         return
     exact = [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows]
     assert linalg.rank(QQ, rows, ncols) == sympy.Matrix(exact).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_pivot_columns_are_the_leftmost_column_basis(case):
+    # over every field they are the columns that raise the rank of the
+    # columns before them, as many as the rank; over QQ they are sympy's
+    # reduced-row-echelon pivots
+    field, rows, ncols = case
+    pivots = linalg.pivot_columns(field, rows, ncols)
+    assert pivots == rank_raising_columns(field, rows, ncols)
+    assert len(pivots) == linalg.rank(field, rows, ncols)
+    if field is QQ and rows:
+        sympy = pytest.importorskip("sympy")
+        exact = [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows]
+        assert tuple(pivots) == sympy.Matrix(exact).rref()[1]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as hst
 
 from graded_strategies import ALL_FIELDS, FRACTION_COEFFS, assert_canonical, graded_matrices
 from twistlines import linalg, sheaves
-from twistlines.fields import QQ
+from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm, random_form
 from twistlines.frames import GradedMatrix, trivial_frame
 from twistlines.families import build_E2a2b, build_isotropic, build_phi_psi, case_IVa
@@ -88,6 +89,14 @@ def test_pairing_validation():
         Pairing("symmetric", ((QQ.zero, QQ.zero), (QQ.zero, QQ.one)), QQ)  # degenerate
 
 
+def test_pairing_entries_are_reduced_into_the_field():
+    gf7 = PrimeField(7)
+    assert Pairing("skew", ((0, 1), (-1, 0)), gf7).matrix == ((0, 1), (6, 0))
+    assert Pairing("symmetric", ((1, 3), (10, 1)), gf7).matrix == ((1, 3), (3, 1))
+    assert Pairing("symmetric", ((8, 0), (0, 1)), gf7).matrix == ((1, 0), (0, 1))
+    assert Pairing("symmetric", ((Fraction(2, 2), 0), (0, 1)), QQ).matrix == ((1, 0), (0, 1))
+
+
 def test_kernel_of_zero_map():
     z = GradedMatrix.zero(QQ, (0, 0), (1,))
     ker = kernel_free(z)
@@ -103,23 +112,21 @@ def test_kernel_of_psi12():
 
 
 def test_kernel_generator_count_mismatch_raises(monkeypatch):
-    # drop the first new generator the span reports: the Hilbert-function
-    # stopping rule still fires, and the count check must catch the loss
-    # (a plain assert would vanish under python -O)
-    from twistlines import sheaves
-
-    original = sheaves._EchelonSpan.add
+    # drop the new generator's pivot from the scan's first selection: the
+    # Hilbert-function stopping rule still fires, and the count check must
+    # catch the loss (a plain assert would vanish under python -O)
+    _, psi = build_phi_psi(QQ, 1, 2)
+    psi.rank_everywhere()  # kept on psi, so only the scan sees the patch
+    original = linalg.pivot_columns
     dropped = []
 
-    def lossy_add(self, v):
-        reduced = original(self, v)
-        if reduced is not None and not dropped:
-            dropped.append(reduced)
-            return None
-        return reduced
+    def lossy(field, rows, ncols):
+        pivots = original(field, rows, ncols)
+        if not dropped:
+            dropped.append(pivots.pop())
+        return pivots
 
-    monkeypatch.setattr(sheaves._EchelonSpan, "add", lossy_add)
-    _, psi = build_phi_psi(QQ, 1, 2)
+    monkeypatch.setattr(linalg, "pivot_columns", lossy)
     with pytest.raises(RuntimeError, match="generators but the generic rank implies"):
         kernel_free(psi)
     assert dropped
@@ -517,15 +524,22 @@ def test_isotropy_and_perp_share_one_pairing_map(monkeypatch):
         assert len(built) == len(set(map(id, built))) == members
 
 
-class ReferenceSpan:
-    """The kernel scan's span with one field-method call per operation."""
+# ---------------------------------------------------------------------------
+# the kernel scan before it picked generators by pivot columns, kept as the
+# oracle: at each degree T0 and T1 times the previous kernel piece are
+# reduced into an incremental span with one field-method call per
+# operation, and each nullspace vector with a nonzero remainder gives that
+# remainder, normalized to pivot 1, as a new generator
 
+
+class ReferenceSpan:
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
         self.rows = []
 
     def add(self, v):
+        """Reduce v; absorb and return the normalized remainder if new."""
         f = self.field
         v = list(v)
         for pc, row in self.rows:
@@ -543,22 +557,72 @@ class ReferenceSpan:
         return None
 
 
-@hst.composite
-def vector_lists(draw):
-    field = draw(hst.sampled_from(ALL_FIELDS))
-    ncols = draw(hst.integers(1, 8))
-    vec = hst.lists(FRACTION_COEFFS, min_size=ncols, max_size=ncols)
-    return field, ncols, [[field.of(c) for c in v] for v in draw(hst.lists(vec, max_size=10))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(vector_lists())
-def test_native_span_matches_the_generic_reference(case):
-    field, ncols, vectors = case
-    span = sheaves._EchelonSpan(field, ncols)
-    ref = ReferenceSpan(field, ncols)
+def shift_up(field, src, n, vectors):
+    """Images of degree-(n-1) piece vectors under multiplication by T0, T1."""
+    out = []
     for v in vectors:
-        got = span.add(v)
-        assert got == ref.add(v)
-        if got is not None:
-            assert_canonical(field, got)
+        for shift in (0, 1):  # T0 keeps the T1-exponent, T1 raises it
+            w, pos = [], 0
+            for a in src:
+                d = max(0, n + a)
+                pad = [field.zero] * shift + list(v[pos : pos + d]) + [field.zero] * (1 - shift)
+                w.extend(pad[: max(0, n + a + 1)])
+                pos += d
+            out.append(w)
+    return out
+
+
+def span_scan_kernel(m):
+    f, src = m.field, m.src
+    c = len(src) - (m.rank_everywhere().generic_rank if src and m.dst else 0)
+    if c == 0:
+        return Subbundle.zero(f, src)
+    n = -max(src)
+    prev_null, cols = [], []
+    while True:
+        piece = m.degree_piece(n)
+        null = linalg.nullspace(f, [list(r) for r in piece.matrix], piece.ncols)
+        span = ReferenceSpan(f, piece.ncols)
+        for v in shift_up(f, src, n, prev_null):
+            span.add(v)
+        for v in null:
+            reduced = span.add(v)
+            if reduced is not None:
+                cols.append((-n, sheaves._coordinates_to_forms(f, src, n, reduced)))
+        if len(null) - len(prev_null) == c:
+            break
+        assert n < 100, "oracle scan did not stop"
+        prev_null = null
+        n += 1
+    return Subbundle(GradedMatrix.from_columns(f, src, cols))
+
+
+def assert_matches_span_scan(m, ker):
+    oracle = span_scan_kernel(m)
+    assert ker.type == oracle.type
+    assert same_subsheaf(ker, oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices(fields=ALL_FIELDS))
+def test_kernel_scan_matches_the_span_scan(m):
+    assert_matches_span_scan(m, kernel_free(m))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_sweep_kernel_matches_the_span_scan(field, monkeypatch):
+    from twistlines.verify import run_sweep
+
+    seen = []
+    original = sheaves.kernel_free
+
+    def recording(m):
+        ker = original(m)
+        seen.append((m, ker))
+        return ker
+
+    monkeypatch.setattr(sheaves, "kernel_free", recording)
+    run_sweep(field, 2, 12, (None, "symmetric", "skew"))
+    assert seen
+    for m, ker in seen:
+        assert_matches_span_scan(m, ker)
