@@ -3,7 +3,9 @@
 Each builder assembles a nested chain of certified subbundles of a trivial
 bundle, together with the pairing the chain must respect.  The matrix data
 is exactly the binomial/monomial data the constructions call for; every
-member is re-certified as a locally split subbundle on construction (the
+member is certified as a locally split subbundle on construction, the top
+by its rank profile and a lower member by that check or, when it is a
+selection of the generators above it, by the proof in ``_flag`` (the
 positivity layer sits in ``verify``).
 
 Each builder assembles only the top member; every lower member is one
@@ -13,8 +15,9 @@ combined column of classical case II and the e1 column of case IVa are
 computed.  The same list gives the member's generator matrix and the
 family's ``inclusions`` entry for it: the matrix L with
 members[i+1].gen @ L == members[i].gen.  These are witnesses, not trusted
-data: ``certify`` uses one only after checking that product, and otherwise
-finds the inclusion again by elimination.
+data: ``certify`` uses one only after checking that product (for a
+selection, column by column), and otherwise finds the inclusion again by
+elimination.
 """
 
 from dataclasses import dataclass, replace
@@ -170,6 +173,18 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
     the e-half image composed with a second binomial matrix, which is what
     makes the cross terms vanish.
     """
+    beta, gen = _e2a2b(field, a, b, flavor)
+    return beta, Subbundle(gen)
+
+
+def _e2a2b(field, a: int, b: int, flavor: str):
+    """The pairing and the unchecked generator matrix of ``build_E2a2b``.
+
+    The case builders embed this block, or its pullback, in a
+    block-diagonal top member.  A block-diagonal matrix is everywhere
+    injective exactly when each block is, so ``_member``'s check of the top
+    certifies the block too.
+    """
     if a < 1:
         raise HypothesisError(f"need a >= 1, got a={a}")
     if b < 2 * a:
@@ -186,8 +201,7 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
         cols.append((tw, list(forms) + [BinaryForm.zero(field, -tw)] * b))
     for tw, forms in phi_minus.columns():
         cols.append((tw, [BinaryForm.zero(field, -tw)] * b + list(forms)))
-    gen = GradedMatrix.from_columns(field, trivial_frame(n), cols)
-    return beta, Subbundle(gen)
+    return beta, GradedMatrix.from_columns(field, trivial_frame(n), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +233,13 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     above it: an index i is that member's generator i (the same forms), and
     {i: form, ...} is the combination sum(form * generator i).  The one list
     gives both the member's generator matrix and its witness L, with
-    outer.gen @ L == member.gen."""
+    outer.gen @ L == member.gen.
+
+    A member whose witness is a selection (distinct indices only) is not
+    checked again: at every point the outer generator matrix has
+    independent columns, so any set of its columns is independent there
+    too, and the member is everywhere injective because the member above
+    it is.  A member with a combination column is checked."""
     field = top.field
     one = BinaryForm.constant(field, 1)
     members, inclusions = [top], []
@@ -244,8 +264,9 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
                 wit[i] = form
             wit_cols.append((tw, wit))
         gen = GradedMatrix.from_columns(field, trivial_frame(n), gen_cols)
-        members.insert(0, Subbundle(gen))
-        inclusions.insert(0, GradedMatrix.from_columns(field, outer.src, wit_cols))
+        witness = GradedMatrix.from_columns(field, outer.src, wit_cols)
+        members.insert(0, Subbundle(gen, check=witness.selection() is None))
+        inclusions.insert(0, witness)
     return FlagFamily(
         case, n, k, flavor, tuple(members), shape, pairing, inclusions=tuple(inclusions)
     )
@@ -427,7 +448,7 @@ def case_Ia(field, n: int, flavor: str) -> FlagFamily:
     """k = 1 flag: both small members inside one rank-2 isotropic block."""
     if n < 4:
         raise HypothesisError(f"case Ia needs n >= 4, got n={n}")
-    beta4, e24 = build_E2a2b(field, 1, 2, flavor)
+    beta4, e24 = _e2a2b(field, 1, 2, flavor)
     pairing = _ortho(beta4, _filler_pairing(field, flavor, n - 4))
     top = _member(field, n, [(0, e24.columns())])
     return _flag("Ia", n, 1, flavor, (0, 1, 2), pairing, top, [0], [])
@@ -439,13 +460,13 @@ def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
     m = n // 2
     if l < 1 or m < 2 * l + 2:
         raise HypothesisError(f"case Ib needs k odd > 1 and n >= 2k+2, got ({n},{k})")
-    beta4, e24 = build_E2a2b(field, 1, 2, flavor)
+    beta4, e24 = _e2a2b(field, 1, 2, flavor)
     a, b = l, m - 2
-    beta_big, e_pre = build_E2a2b(field, a, b, flavor)
+    beta_big, e_pre = _e2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
     odd = n % 2
     pairing = _ortho(beta4, beta_big, Pairing.one_dim(field) if odd else None)
-    cols_big = e_pre.gen.pullback_power(d).columns()
+    cols_big = e_pre.pullback_power(d).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     big = len(cols_big)
     return _flag(
@@ -473,11 +494,11 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
         raise HypothesisError(f"case IIb needs k even > 2 and n >= 2k+2, got ({n},{k})")
     beta6 = Pairing.hyperbolic(field, 3, flavor)
     a, b = l - 1, m - 3
-    beta_big, e_pre = build_E2a2b(field, a, b, flavor)
+    beta_big, e_pre = _e2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
     odd = n % 2
     pairing = _ortho(beta6, beta_big, Pairing.one_dim(field) if odd else None)
-    cols_big = e_pre.gen.pullback_power(d).columns()
+    cols_big = e_pre.pullback_power(d).columns()
     top = _member(field, n, [(0, _phi36_columns(field, flavor)), (6, cols_big)])
     big = len(cols_big)
     return _flag(
@@ -492,11 +513,11 @@ def case_IIIa(field, k: int) -> FlagFamily:
     if l < 2:
         raise HypothesisError(f"case IIIa needs even k >= 4, got k={k}")
     n = 4 * l
-    beta4, e24 = build_E2a2b(field, 1, 2, "symmetric")
+    beta4, e24 = _e2a2b(field, 1, 2, "symmetric")
     a, b = l - 1, 2 * l - 2
-    beta_big, e_pre = build_E2a2b(field, a, b, "symmetric")
+    beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
     pairing = _ortho(beta4, beta_big)
-    cols_big = e_pre.gen.pullback_power(_finite_cover_degree(a, b)).columns()
+    cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     return _flag(
         "IIIa", n, k, "symmetric", (k - 2, k), pairing, top, range(2, 2 + len(cols_big))
@@ -513,9 +534,9 @@ def case_IIIb(field, k: int) -> FlagFamily:
     cols_big = []
     if l > 1:
         a, b = l - 1, 2 * l - 2
-        beta_big, e_pre = build_E2a2b(field, a, b, "symmetric")
+        beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
         pairing = _ortho(pairing, beta_big)
-        cols_big = e_pre.gen.pullback_power(_finite_cover_degree(a, b)).columns()
+        cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, _phi36_columns(field, "symmetric")), (6, cols_big)])
     return _flag(
         "IIIb", n, k, "symmetric", (k - 2, k), pairing, top,
@@ -545,7 +566,7 @@ def case_IVa(field, k: int) -> FlagFamily:
     cols_big = []
     if l > 1:
         a, b = l - 1, 2 * l - 2
-        beta_big, e_big = build_E2a2b(field, a, b, "skew")
+        beta_big, e_big = _e2a2b(field, a, b, "skew")
         pairing = _ortho(pairing, beta_big)
         cols_big = e_big.columns()
     # the R-member's generators are col_a, col_bp, col_bm, then the big block
@@ -568,7 +589,7 @@ def case_IVb(field, k: int) -> FlagFamily:
     n = 4 * l + 2
     beta2 = Pairing.hyperbolic(field, 1, "skew")
     a, b = l, 2 * l
-    beta_big, e_big = build_E2a2b(field, a, b, "skew")
+    beta_big, e_big = _e2a2b(field, a, b, "skew")
     pairing = _ortho(beta2, beta_big)
     cols_big = e_big.columns()
     unit = _unit_column(field)

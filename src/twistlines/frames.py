@@ -143,6 +143,25 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return not any(self.support())
 
+    def selection(self):
+        """The selected row indices, one per column, if every column is a
+        distinct unit column with constant entry 1; else None.
+
+        Such a matrix is the inclusion of the summands it selects, so
+        ``outer @ self`` is the list of outer's columns at those indices.
+        """
+        rows = []
+        for a, nonzero in zip(self.src, self.support()):
+            if len(nonzero) != 1:
+                return None
+            i, terms = nonzero[0]
+            if self.dst[i] != a or len(terms) != 1 or terms[0][1] != 1:
+                return None
+            rows.append(i)
+        if len(set(rows)) != len(rows):
+            return None
+        return rows
+
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)

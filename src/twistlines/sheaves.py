@@ -6,9 +6,11 @@ the kernel of a map of free graded modules over a two-variable polynomial
 ring is free, and its Hilbert function pins down the generator degrees, so
 the scan below terminates with a certificate rather than a heuristic.
 Its generators are nullspace vectors (primitive integer ones over the
-rationals) picked by ``linalg`` pivot columns.  Cokernel types come from
-the dual kernel (for a map with locally free cokernel, the dual of the
-cokernel is the kernel of the transposed map).
+rationals) picked by ``linalg`` pivot columns.  A cokernel type needs no
+generators: for a map with locally free cokernel, the dual of the
+cokernel is the kernel of the transposed map, and the second differences
+of that kernel's Hilbert function, read from ranks alone, count its
+generators degree by degree.
 """
 
 from dataclasses import dataclass
@@ -368,12 +370,57 @@ def _generator_degree_bound(m: GradedMatrix, r: int, c: int) -> int:
 
 
 def cokernel_type(m: GradedMatrix) -> SplittingType:
-    """Splitting type of coker(m); m must have constant pointwise rank."""
+    """Splitting type of coker(m); m must have constant pointwise rank.
+
+    Constant rank makes Q = coker(m) locally free, and then Q's dual is the
+    kernel K of the transposed dual t.  K is free of rank c = #dst - r (r
+    the generic rank), say with generators of degrees d_i, so its Hilbert
+    function h(n) = dim K_n = ncols - rank of t's degree-n piece is
+    sum(max(0, n - d_i + 1)).  Its first difference h(n) - h(n-1) counts
+    the d_i <= n, and its second difference h(n) - 2h(n-1) + h(n-2) counts
+    the d_i = n, each of which gives Q a summand O(n).  Only ranks are
+    taken: no nullspace, no generators.  The scan is ``kernel_free``'s:
+    it starts at n = -max(t.src), where h(n-1) = h(n-2) = 0, stops once
+    the first difference reaches c, and raises ``RuntimeError`` past
+    ``_generator_degree_bound`` plus two.  The second differences then
+    sum to c, the rank of Q.  A wrong rank anywhere in the scan shows as a
+    negative second difference or, for injective m, as a degree other than
+    deg dst - deg src (0 -> src -> dst -> Q -> 0 is then exact); both raise
+    ``RuntimeError``.
+    """
     profile = m.rank_everywhere()
     if not profile.constant:
         raise ValueError("cokernel not locally free: pointwise rank is not constant")
-    ker = kernel_free(m.transpose_dual())
-    return ker.type.dual()
+    f = m.field
+    r = profile.generic_rank
+    c = len(m.dst) - r
+    if c == 0:
+        return SplittingType(())
+    t = m.transpose_dual()
+    n = -max(t.src)
+    guard = _generator_degree_bound(t, r, c) + 2
+    h1 = h2 = 0  # h(n-1), h(n-2)
+    twists = []
+    while True:
+        piece = t.degree_piece(n)
+        h = piece.ncols - linalg.rank(f, piece.matrix, piece.ncols)
+        gens = h - 2 * h1 + h2
+        if gens < 0:
+            raise RuntimeError(f"negative generator count {gens} in degree {n}")
+        twists.extend([n] * gens)
+        if h - h1 == c:
+            break
+        if n > guard:
+            raise RuntimeError("cokernel scan exceeded its degree bound")
+        h1, h2 = h, h1
+        n += 1
+    coker = SplittingType(tuple(twists))
+    if r == len(m.src) and coker.degree != sum(m.dst) - sum(m.src):
+        raise RuntimeError(
+            f"cokernel type {coker} has degree {coker.degree}, but the map "
+            f"has degree {sum(m.dst) - sum(m.src)}"
+        )
+    return coker
 
 
 def sub_lift(inner: Subbundle, outer: Subbundle) -> GradedMatrix:

@@ -20,10 +20,15 @@ A family's builder supplies L as a witness (``FlagFamily.inclusions``), and
 ``certify`` checks it with one product, outer.gen @ L == inner.gen, after
 checking that its frames fit.  The outer generator is everywhere injective,
 so a witness that passes is the unique lift, the very matrix elimination
-would find, and the certificate is the same.  A missing, stale or wrong
-witness fails the check, and the quotient is then found by elimination
-(``quotient_type``), so a witness can cost time but never change a
-verdict or a note.  The lifts into perps are always found by elimination.
+would find, and the certificate is the same.  Most witnesses are column
+selections: L picks some of the outer generators.  Then the product is a
+comparison of inner's columns with the picked outer columns, and
+outer/inner is the direct sum of the summands of outer's frame that L
+leaves out, read with no rank profile and no kernel scan.  A missing,
+stale or wrong witness fails the check, and the quotient is then found by
+elimination (``quotient_type``), so a witness can cost time but never
+change a verdict or a note.  The lifts into perps are always found by
+elimination.
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -199,7 +204,12 @@ _RULES = {
 
 def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
     """Type of members[i+1]/members[i]: from the family's inclusion witness
-    if its frames fit and its product checks, else by elimination."""
+    if its frames fit and it checks, else by elimination.
+
+    A selection witness (``GradedMatrix.selection``) checks column by
+    column, and the quotient is the outer summands it leaves out.  Any
+    other witness checks with the product outer.gen @ L == inner.gen.
+    """
     inner, outer = fam.members[i], fam.members[i + 1]
     lift = fam.inclusions[i] if i < len(fam.inclusions) else None
     if (
@@ -208,10 +218,25 @@ def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
         and lift.field == outer.field
         and lift.dst == outer.gen.src
         and lift.src == inner.gen.src
-        and outer.gen @ lift == inner.gen
     ):
-        return _lift_quotient_type(lift)
+        rows = lift.selection()
+        if rows is None:
+            if outer.gen @ lift == inner.gen:
+                return _lift_quotient_type(lift)
+        elif _selects(inner.gen, outer.gen, rows):
+            left_out = set(range(outer.rank)) - set(rows)
+            return SplittingType(tuple(outer.gen.src[j] for j in left_out))
     return quotient_type(inner, outer)
+
+
+def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
+    """True iff inner's column j is outer's column rows[j], entry by entry:
+    for a selection L this is outer @ L == inner without the product."""
+    return inner.dst == outer.dst and all(
+        inner_row[j] == outer_row[r]
+        for inner_row, outer_row in zip(inner.entries, outer.entries)
+        for j, r in enumerate(rows)
+    )
 
 
 def certify(fam: FlagFamily) -> Certificate:

@@ -7,21 +7,27 @@ change and must be intended and documented.
 The member pin is a SHA-256 over the generator matrices and inclusion
 witnesses of every n <= 12 sweep family, so a change to a member that keeps
 its splitting type (which the reports alone would not show) is caught.
+
+The n <= 20 pin is of the JSON of the ``run_sweep`` rows themselves, on
+both fields, and reaches the larger cases the CLI pins do not.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from twistlines.cli import main
 from twistlines.families import build_classical, build_isotropic, is_exceptional
 from twistlines.fields import QQ, PrimeField
-from twistlines.verify import sweep_points
+from twistlines.verify import run_sweep, sweep_points
 
 SWEEP_16_SHA256 = {
     "json": "c417720e2e742a19b2c136d70a5fd433ce79218ff8d962371b7903034ddfc624",
     "text": "e4db1e97350eec2f9c58695641c2efe21b5ebd6ff1723e80b417d4caf152dc19",
 }
+
+SWEEP_20_ROWS_SHA256 = "203667230d2417ccbbb2d6922141edd0480bb7ffcda45b471dc26b94f83e3263"
 
 EXCEPTIONAL_CHECK_JSON = """\
 {
@@ -71,6 +77,12 @@ def test_sweep_16_bytes_with_two_jobs(capsys):
         "--jobs", "2",
     )
     assert sha256(out) == SWEEP_16_SHA256["json"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_sweep_20_rows_are_pinned(field):
+    rows = run_sweep(field, 2, 20, (None, "symmetric", "skew"))
+    assert sha256(json.dumps([row.to_json_dict() for row in rows])) == SWEEP_20_ROWS_SHA256
 
 
 def test_exceptional_check_json_bytes(capsys):

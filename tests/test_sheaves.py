@@ -168,6 +168,75 @@ def test_cokernel_requires_constant_rank():
         cokernel_type(m)
 
 
+# ---------------------------------------------------------------------------
+# the rank-only cokernel type against the generator scan it replaced: the
+# dual of the kernel of the transposed dual
+
+
+def generator_cokernel_type(m):
+    return kernel_free(m.transpose_dual()).type.dual()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices(fields=ALL_FIELDS))
+def test_cokernel_type_matches_the_generator_scan(m):
+    # the kernel generators of a random m are everywhere injective, and
+    # their transposed dual is everywhere surjective: both have constant rank
+    gen = kernel_free(m).gen
+    cases = [gen, gen.transpose_dual()] if gen.ncols else []
+    if m.rank_everywhere().constant:
+        cases.append(m)
+    for mat in cases:
+        assert cokernel_type(mat) == generator_cokernel_type(mat)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_sweep_cokernel_matches_the_generator_scan(field, monkeypatch):
+    from twistlines import verify
+
+    seen = []
+    original = sheaves.cokernel_type
+
+    def recording(m):
+        coker = original(m)
+        seen.append((m, coker))
+        return coker
+
+    monkeypatch.setattr(sheaves, "cokernel_type", recording)
+    monkeypatch.setattr(verify, "cokernel_type", recording)
+    verify.run_sweep(field, 2, 16, (None, "symmetric", "skew"))
+    assert len(seen) > 100
+    for m, coker in seen:
+        assert coker == generator_cokernel_type(m)
+
+
+@pytest.mark.parametrize("off_by", [1, -1])
+def test_cokernel_scan_with_a_wrong_rank_raises(monkeypatch, off_by):
+    # a rank off by one in every degree shifts a generator to the next
+    # degree or leaves a negative count; the degree invariant or the count
+    # check catches it
+    col = GradedMatrix.from_columns(QQ, trivial_frame(2), [(-1, [T0, T1])])
+    phi, _ = build_phi_psi(QQ, 2, 5)
+    for m in (col, phi):
+        m.rank_everywhere()  # kept on m, so only the scan sees the patch
+    original = linalg.rank
+    monkeypatch.setattr(
+        linalg, "rank", lambda f, rows, ncols=None: original(f, rows, ncols) + off_by
+    )
+    for m in (col, phi):
+        with pytest.raises(RuntimeError, match="degree|negative generator count"):
+            cokernel_type(m)
+
+
+def test_cokernel_scan_guard_fires(monkeypatch):
+    # the cokernel of phi_(2,5) is {5, 5, 5}, so the scan of its transpose
+    # runs from degree 3 to 5; a bound below the start stops it at once
+    phi, _ = build_phi_psi(QQ, 2, 5)
+    monkeypatch.setattr(sheaves, "_generator_degree_bound", lambda m, r, c: -10)
+    with pytest.raises(RuntimeError, match="exceeded its degree bound"):
+        cokernel_type(phi)
+
+
 def test_subbundle_certification():
     good = GradedMatrix.from_columns(QQ, trivial_frame(2), [(-1, [T0, T1])])
     assert Subbundle(good).type == st(-1)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from twistlines import linalg, sheaves, verify
+from twistlines import families, linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField
 from twistlines.families import (
     FlagFamily,
@@ -430,3 +430,78 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
     assert len(solves) == 156
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
+
+
+# ---------------------------------------------------------------------------
+# selection witnesses and the members built without a re-check
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_selection_witnesses_give_the_elimination_quotient(field, monkeypatch):
+    # each selection witness is checked column by column and its quotient
+    # is read from the frame; elimination must find the same quotient
+    matched = []
+    real_selects = verify._selects
+
+    def selects(inner, outer, rows):
+        matched.append(real_selects(inner, outer, rows))
+        return matched[-1]
+
+    monkeypatch.setattr(verify, "_selects", selects)
+    selections = 0
+    for fam in sweep_families(field, 16):
+        for i, (lift, inner) in enumerate(zip(fam.inclusions, fam.members)):
+            if not inner.rank or lift.selection() is None:
+                continue
+            selections += 1
+            outer = fam.members[i + 1]
+            assert verify._flag_quotient(fam, i) == sheaves.quotient_type(inner, outer)
+    assert selections > 100
+    assert matched == [True] * selections
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_members_built_without_a_check_are_everywhere_injective(field, monkeypatch):
+    unchecked = []
+
+    class Recording(Subbundle):
+        def __init__(self, gen, check=True):
+            if not check:
+                unchecked.append(gen)
+            super().__init__(gen, check)
+
+    monkeypatch.setattr(families, "Subbundle", Recording)
+    for _ in sweep_families(field, 16):
+        pass
+    assert len(unchecked) > 100
+    for gen in unchecked:
+        assert gen.rank_everywhere() == (gen.ncols, True)
+
+
+def test_selection_witness_of_a_changed_member_falls_back_to_elimination(monkeypatch):
+    # IVb: mid selects the top's generators 0, 2, 3; doubling mid's unit
+    # entry keeps the subsheaf but breaks the column comparison, so the
+    # quotient and the certificate come from elimination and do not change
+    calls = []
+    real_solve = linalg.solve_many
+
+    def solve_many(*args, **kwargs):
+        calls.append(None)
+        return real_solve(*args, **kwargs)
+
+    fam = build_isotropic(QQ, 6, 3, "skew")
+    assert fam.case == "IVb" and fam.inclusions[1].selection() == [0, 2, 3]
+    mid = fam.members[1].gen
+    entries = [list(row) for row in mid.entries]
+    entries[0][0] = BinaryForm.constant(QQ, 2)
+    bad = with_member(fam, 1, Subbundle(GradedMatrix(QQ, mid.src, mid.dst, entries)))
+    monkeypatch.setattr(linalg, "solve_many", solve_many)
+    assert verify._flag_quotient(bad, 1) == verify._flag_quotient(fam, 1)
+    assert calls
+    plain = certify(replace(fam, inclusions=()))
+    del calls[:]
+    assert certify(fam) == plain
+    trusted = len(calls)
+    del calls[:]
+    assert certify(bad) == plain
+    assert len(calls) > trusted
