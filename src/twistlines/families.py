@@ -277,18 +277,11 @@ def _unit_column(field):
 
 
 def _filler_pairing(field, flavor, dim):
-    if dim == 0:
-        return None
     if flavor == "symmetric":
         return Pairing.diagonal_ones(field, dim)
     if dim % 2:
         raise HypothesisError("skew filler blocks need even dimension")
     return Pairing.hyperbolic(field, dim // 2, "skew")
-
-
-def _ortho(*pairings):
-    parts = [p for p in pairings if p is not None]
-    return Pairing.orthogonal_sum(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,7 @@ def case_Ia(field, n: int, flavor: str) -> FlagFamily:
     if n < 4:
         raise HypothesisError(f"case Ia needs n >= 4, got n={n}")
     beta4, e24 = _e2a2b(field, 1, 2, flavor)
-    pairing = _ortho(beta4, _filler_pairing(field, flavor, n - 4))
+    pairing = Pairing.orthogonal_sum(beta4, _filler_pairing(field, flavor, n - 4))
     top = _member(field, n, [(0, e24.columns())])
     return _flag("Ia", n, 1, flavor, (0, 1, 2), pairing, top, [0], [])
 
@@ -465,7 +458,7 @@ def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
     beta_big, e_pre = _e2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
     odd = n % 2
-    pairing = _ortho(beta4, beta_big, Pairing.one_dim(field) if odd else None)
+    pairing = Pairing.orthogonal_sum(beta4, beta_big, Pairing.diagonal_ones(field, odd))
     cols_big = e_pre.pullback_power(d).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     big = len(cols_big)
@@ -480,7 +473,7 @@ def case_IIa(field, n: int, flavor: str) -> FlagFamily:
     if n < 6:
         raise HypothesisError(f"case IIa needs n >= 6, got n={n}")
     beta6 = Pairing.hyperbolic(field, 3, flavor)
-    pairing = _ortho(beta6, _filler_pairing(field, flavor, n - 6))
+    pairing = Pairing.orthogonal_sum(beta6, _filler_pairing(field, flavor, n - 6))
     top = _member(field, n, [(0, _phi36_columns(field, flavor))])
     tag = "IIa-sym" if flavor == "symmetric" else "IIa-skew"
     return _flag(tag, n, 2, flavor, (1, 2, 3), pairing, top, [0, 1], [0])
@@ -497,7 +490,7 @@ def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
     beta_big, e_pre = _e2a2b(field, a, b, flavor)
     d = _finite_cover_degree(a, b)
     odd = n % 2
-    pairing = _ortho(beta6, beta_big, Pairing.one_dim(field) if odd else None)
+    pairing = Pairing.orthogonal_sum(beta6, beta_big, Pairing.diagonal_ones(field, odd))
     cols_big = e_pre.pullback_power(d).columns()
     top = _member(field, n, [(0, _phi36_columns(field, flavor)), (6, cols_big)])
     big = len(cols_big)
@@ -516,7 +509,7 @@ def case_IIIa(field, k: int) -> FlagFamily:
     beta4, e24 = _e2a2b(field, 1, 2, "symmetric")
     a, b = l - 1, 2 * l - 2
     beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
-    pairing = _ortho(beta4, beta_big)
+    pairing = Pairing.orthogonal_sum(beta4, beta_big)
     cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
     return _flag(
@@ -535,7 +528,7 @@ def case_IIIb(field, k: int) -> FlagFamily:
     if l > 1:
         a, b = l - 1, 2 * l - 2
         beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
-        pairing = _ortho(pairing, beta_big)
+        pairing = Pairing.orthogonal_sum(pairing, beta_big)
         cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
     top = _member(field, n, [(0, _phi36_columns(field, "symmetric")), (6, cols_big)])
     return _flag(
@@ -567,7 +560,7 @@ def case_IVa(field, k: int) -> FlagFamily:
     if l > 1:
         a, b = l - 1, 2 * l - 2
         beta_big, e_big = _e2a2b(field, a, b, "skew")
-        pairing = _ortho(pairing, beta_big)
+        pairing = Pairing.orthogonal_sum(pairing, beta_big)
         cols_big = e_big.columns()
     # the R-member's generators are col_a, col_bp, col_bm, then the big block
     top = _member(field, n, [(0, _r3_columns(field)), (4, cols_big)])
@@ -590,7 +583,7 @@ def case_IVb(field, k: int) -> FlagFamily:
     beta2 = Pairing.hyperbolic(field, 1, "skew")
     a, b = l, 2 * l
     beta_big, e_big = _e2a2b(field, a, b, "skew")
-    pairing = _ortho(beta2, beta_big)
+    pairing = Pairing.orthogonal_sum(beta2, beta_big)
     cols_big = e_big.columns()
     unit = _unit_column(field)
     # the R-member's generators are e, x, then the big block

@@ -32,6 +32,7 @@ __all__ = [
     "sub_lift",
     "pairing_map",
     "perp",
+    "orthogonal_blocks",
     "is_isotropic",
     "same_subsheaf",
 ]
@@ -88,7 +89,13 @@ class SplittingType:
 
 @dataclass(frozen=True)
 class Pairing:
-    """Nondegenerate symmetric or skew-symmetric scalar pairing."""
+    """Nondegenerate symmetric or skew-symmetric scalar pairing.
+
+    ``Pairing(...)`` reduces, tests symmetry (n^2) and eliminates (n x n).
+    The constructors skip that (``_valid``) where it is proved: hyperbolic
+    and identity Gram matrices are signed permutations, and a block sum of
+    valid pairings of one flavor, or a principal union of whole blocks of
+    one, keeps the flavor and has a product of nonzero determinants."""
 
     flavor: str  # "symmetric" | "skew"
     matrix: tuple  # n x n Gram matrix, rows of scalars
@@ -112,6 +119,15 @@ class Pairing:
         if linalg.rank(f, [list(r) for r in self.matrix], n) != n:
             raise ValueError("pairing matrix is degenerate")
 
+    @classmethod
+    def _valid(cls, flavor, rows, field) -> "Pairing":
+        """The pairing of reduced ``rows`` proved valid, unchecked."""
+        if flavor not in ("symmetric", "skew"):
+            raise ValueError(f"unknown pairing flavor {flavor!r}")
+        pairing = object.__new__(cls)
+        pairing.__dict__.update(flavor=flavor, matrix=tuple(map(tuple, rows)), field=field)
+        return pairing
+
     @property
     def dim(self) -> int:
         return len(self.matrix)
@@ -126,17 +142,13 @@ class Pairing:
         for i in range(b):
             rows[i][b + i] = one
             rows[b + i][i] = one if flavor == "symmetric" else field.neg(one)
-        return cls(flavor, rows, field)
+        return cls._valid(flavor, rows, field)
 
     @classmethod
     def diagonal_ones(cls, field, n: int) -> "Pairing":
         """Symmetric filler block: the identity Gram matrix."""
         rows = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-        return cls("symmetric", rows, field)
-
-    @classmethod
-    def one_dim(cls, field) -> "Pairing":
-        return cls("symmetric", ((field.one,),), field)
+        return cls._valid("symmetric", rows, field)
 
     @classmethod
     def orthogonal_sum(cls, *pairings: "Pairing") -> "Pairing":
@@ -148,14 +160,11 @@ class Pairing:
         if any(p.flavor != flavor or p.field != f for p in pairings):
             raise ValueError("orthogonal sum needs one flavor over one field")
         n = sum(p.dim for p in pairings)
-        rows = [[f.zero] * n for _ in range(n)]
-        off = 0
+        rows, off = [], 0
         for p in pairings:
-            for i in range(p.dim):
-                for j in range(p.dim):
-                    rows[off + i][off + j] = p.matrix[i][j]
+            rows += [(f.zero,) * off + row + (f.zero,) * (n - off - p.dim) for row in p.matrix]
             off += p.dim
-        return cls(flavor, rows, f)
+        return cls._valid(flavor, rows, f)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +488,55 @@ def _member_pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
     if kept is None or kept[0] is not beta:
         kept = e._pairing = (beta, pairing_map(e, beta))
     return kept[1]
+
+
+class Block(NamedTuple):
+    coords: tuple  # ambient coordinates of the block, ascending
+    pairing: Optional[Pairing]  # beta on coords; None if no member has a column here
+    chunks: tuple  # per member, its columns there: a Subbundle of O^len(coords)
+
+
+def orthogonal_blocks(beta: Pairing, members) -> list:
+    """The orthogonal blocks of the ambient of ``members``, by first coordinate.
+
+    A block is a connected component of the graph joining coordinates i, j
+    when beta pairs them or one member column is nonzero at both.  A
+    member's chunk is its columns there (a zero column goes with coordinate
+    0) on the block's coordinates; equal chunks of a block are one object.
+
+    Why the pairing stages may run per block: beta is the orthogonal sum of
+    its (valid, see ``Pairing``) block restrictions, and a member E is the
+    sum of its chunks E_B.  So E is isotropic iff each E_B is; a perp is a
+    direct sum over blocks (x is orthogonal to E iff each block part x_B is
+    to E_B), where an empty chunk contributes the whole block; for F in
+    E^perp the lift of F into E^perp is block diagonal, so its cokernel
+    E^perp/F is the union of the block cokernels.  A chunk of an everywhere-
+    injective member is everywhere injective (independent columns stay so,
+    the dropped rows being zero), so it is not checked."""
+    n = beta.dim
+    if any(m.ambient != (0,) * n for m in members):
+        raise ValueError("a pairing needs a trivial ambient frame of its dimension")
+    supports = [m.gen.support() for m in members]
+    label = list(range(n))  # the least coordinate of each block, as blocks merge
+    groups = [[i] + [j for j, b in enumerate(row) if b] for i, row in enumerate(beta.matrix)]
+    for group in groups + [[i for i, _ in c] for sup in supports for c in sup if c]:
+        merged = {label[i] for i in group}
+        label = [min(merged) if x in merged else x for x in label]
+    f, blocks = beta.field, []
+    for block in sorted(set(label)):
+        coords, chunks = tuple(i for i in range(n) if label[i] == block), []
+        for m, sup in zip(members, supports):
+            js = [j for j, c in enumerate(sup) if label[c[0][0] if c else 0] == block]
+            src = tuple(m.gen.src[j] for j in js)
+            rows = tuple(tuple(m.gen.entries[i][j] for j in js) for i in coords)
+            same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
+            if not same:
+                same = [Subbundle(GradedMatrix(f, src, (0,) * len(coords), rows), check=False)]
+            chunks.append(same[0])
+        gram = [[beta.matrix[i][j] for j in coords] for i in coords]
+        pairing = Pairing._valid(beta.flavor, gram, f) if any(e.rank for e in chunks) else None
+        blocks.append(Block(coords, pairing, tuple(chunks)))
+    return blocks
 
 
 def perp(e: Subbundle, beta: Pairing) -> Subbundle:

@@ -19,16 +19,18 @@ Each flag quotient is read from the lift L of a member into the next one.
 A family's builder supplies L as a witness (``FlagFamily.inclusions``), and
 ``certify`` checks it with one product, outer.gen @ L == inner.gen, after
 checking that its frames fit.  The outer generator is everywhere injective,
-so a witness that passes is the unique lift, the very matrix elimination
-would find, and the certificate is the same.  Most witnesses are column
-selections: L picks some of the outer generators.  Then the product is a
-comparison of inner's columns with the picked outer columns, and
-outer/inner is the direct sum of the summands of outer's frame that L
-leaves out, read with no rank profile and no kernel scan.  A missing,
-stale or wrong witness fails the check, and the quotient is then found by
-elimination (``quotient_type``), so a witness can cost time but never
-change a verdict or a note.  The lifts into perps are always found by
-elimination.
+so a witness that passes is the unique lift elimination would find.  Most
+witnesses are column selections: then the product is a comparison of
+columns, and outer/inner is the summands of outer's frame that L leaves
+out.  A missing, stale or wrong witness fails the check, and the quotient
+is found by elimination (``quotient_type``), so a witness can cost time but
+never change a verdict or a note.
+
+The pairing stages (isotropy, perps, the lift of the top into a perp and
+its quotient) run per block of ``sheaves.orthogonal_blocks``: a member is a
+direct sum of chunks, one per orthogonal block, so isotropy holds iff it
+does on each chunk, a perp is the sum of the chunks' perps, and perp/top is
+the union of the block quotients (proved there; lifts by elimination).
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -56,6 +58,7 @@ from .sheaves import (
     _lift_quotient_type,
     is_isotropic,
     kernel_free,
+    orthogonal_blocks,
     perp,
     quotient_type,
     sub_lift,
@@ -239,12 +242,37 @@ def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
     )
 
 
+def _perp_parts(blocks, i):
+    """Per block, perp(member i)/top there: the top chunk's lift into the
+    perp of member i's chunk (itself where that chunk is empty and the perp
+    is the whole block), or a type where the top chunk is empty."""
+    parts = []
+    for b in blocks:
+        top, perped = b.chunks[-1], b.chunks[i]
+        p = perp(perped, b.pairing) if perped.rank else None
+        if not top.rank:
+            parts.append(p.type if p else SplittingType((0,) * len(b.coords)))
+        else:
+            parts.append(sub_lift(top, p) if p else top.gen)
+    return parts
+
+
+def _union_of_quotients(parts) -> SplittingType:
+    """The union of the block quotients, read from lifts by ``_lift_quotient_type``."""
+    types = [p if isinstance(p, SplittingType) else _lift_quotient_type(p) for p in parts]
+    return SplittingType(sum((t.twists for t in types), ()))
+
+
 def certify(fam: FlagFamily) -> Certificate:
     """Certify a flag family by the rule for its flavor and length.
 
     The checks run in order: member ranks, isotropy of the bottom members,
     (skew) the top inside perp(low), nesting, then the types.  The first
     failure gives a refusal certificate with its note.
+
+    The pairing stages run per block of ``orthogonal_blocks``, which
+    proves them equal to the whole-member ones, on the members' chunks
+    (equal ones once); perp/top is the union of the block quotients.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -255,13 +283,14 @@ def certify(fam: FlagFamily) -> Certificate:
         )
     if tuple(m.rank for m in members) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    if not all(is_isotropic(m, fam.pairing) for m in members[: rule.isotropic]):
+    blocks = orthogonal_blocks(fam.pairing, members) if rule.isotropic else ()
+    tested = {id(e): (e, b.pairing) for b in blocks for e in b.chunks[: rule.isotropic]}
+    if not all(is_isotropic(e, beta) for e, beta in tested.values()):
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
-        low_perp = perp(low, fam.pairing)
         try:
-            rest_lift = sub_lift(top, low_perp)
+            rest_lifts = _perp_parts(blocks, 0)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
@@ -270,9 +299,9 @@ def certify(fam: FlagFamily) -> Certificate:
     try:
         quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
-            beside_top = quotient_type(top, perp(top, fam.pairing))
+            beside_top = _union_of_quotients(_perp_parts(blocks, -1))
         elif rule.beside_top == "perp(low)":
-            beside_top = _lift_quotient_type(rest_lift)
+            beside_top = _union_of_quotients(rest_lifts)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":

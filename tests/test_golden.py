@@ -9,7 +9,8 @@ witnesses of every n <= 12 sweep family, so a change to a member that keeps
 its splitting type (which the reports alone would not show) is caught.
 
 The n <= 20 pin is of the JSON of the ``run_sweep`` rows themselves, on
-both fields, and reaches the larger cases the CLI pins do not.
+both fields, and reaches the larger cases the CLI pins do not.  The
+n = 21-24 pin does the same for the sizes the north-star sweep adds.
 """
 
 import hashlib
@@ -28,6 +29,8 @@ SWEEP_16_SHA256 = {
 }
 
 SWEEP_20_ROWS_SHA256 = "203667230d2417ccbbb2d6922141edd0480bb7ffcda45b471dc26b94f83e3263"
+
+SWEEP_21_24_ROWS_SHA256 = "c1b0cc08789512a9c1d3cb2cc31c05324bf13b50bb702e79f4b44f2f52a88148"
 
 EXCEPTIONAL_CHECK_JSON = """\
 {
@@ -83,6 +86,13 @@ def test_sweep_16_bytes_with_two_jobs(capsys):
 def test_sweep_20_rows_are_pinned(field):
     rows = run_sweep(field, 2, 20, (None, "symmetric", "skew"))
     assert sha256(json.dumps([row.to_json_dict() for row in rows])) == SWEEP_20_ROWS_SHA256
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_sweep_21_24_rows_are_pinned(field):
+    rows = run_sweep(field, 21, 24, (None, "symmetric", "skew"))
+    assert len(rows) == 111
+    assert sha256(json.dumps([row.to_json_dict() for row in rows])) == SWEEP_21_24_ROWS_SHA256
 
 
 def test_exceptional_check_json_bytes(capsys):

@@ -20,6 +20,7 @@ from twistlines.sheaves import (
     is_isotropic,
     kernel_free,
     lift_through,
+    orthogonal_blocks,
     pairing_map,
     perp,
     quotient_type,
@@ -87,6 +88,36 @@ def test_pairing_validation():
         Pairing("symmetric", ((QQ.zero, QQ.one), (QQ.neg(QQ.one), QQ.zero)), QQ)
     with pytest.raises(ValueError):
         Pairing("symmetric", ((QQ.zero, QQ.zero), (QQ.zero, QQ.one)), QQ)  # degenerate
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_assembled_pairings_equal_their_validated_construction(field, flavor):
+    # hyperbolic and identity blocks, their sums and the restrictions to
+    # orthogonal blocks are built without validation; each must equal the
+    # pairing that the validating constructor makes of its Gram matrix
+    parts = [Pairing.hyperbolic(field, 2, flavor), Pairing.hyperbolic(field, 1, flavor)]
+    if flavor == "symmetric":
+        parts += [Pairing.diagonal_ones(field, 3), Pairing.diagonal_ones(field, 1)]
+    total = Pairing.orthogonal_sum(*parts)
+    n = total.dim
+    # unit columns keep the blocks the Gram components: (0, 2), (1, 3), ...
+    blocks = orthogonal_blocks(total, [Subbundle.full(field, trivial_frame(n))])
+    assert [b.coords for b in blocks][:3] == [(0, 2), (1, 3), (4, 5)]
+    assert len(blocks) == (3 if flavor == "skew" else 7)
+    for p in parts + [total] + [b.pairing for b in blocks]:
+        assert p == Pairing(p.flavor, p.matrix, field)
+    # the same Gram matrices made degenerate or asymmetric still raise
+    degenerate = [list(row) for row in total.matrix]
+    degenerate[0][2] = degenerate[2][0] = field.zero
+    with pytest.raises(ValueError, match="degenerate"):
+        Pairing(flavor, degenerate, field)
+    asymmetric = [list(row) for row in total.matrix]
+    asymmetric[0][1] = field.one
+    with pytest.raises(ValueError, match=f"not {flavor}"):
+        Pairing(flavor, asymmetric, field)
+    with pytest.raises(ValueError, match="unknown pairing flavor"):
+        Pairing.hyperbolic(field, 1, "hermitian")
 
 
 def test_pairing_entries_are_reduced_into_the_field():
@@ -518,7 +549,7 @@ def pairings(draw, field):
     try:
         return Pairing(flavor, rows, field)
     except ValueError:  # degenerate
-        return Pairing.hyperbolic(field, n // 2, flavor) if n > 1 else Pairing.one_dim(field)
+        return Pairing.hyperbolic(field, n // 2, flavor) if n > 1 else Pairing.diagonal_ones(field, 1)
 
 
 @hst.composite

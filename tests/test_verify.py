@@ -12,12 +12,13 @@ from twistlines.families import (
     build_isotropic,
     build_phi_psi,
     case_Ia,
+    case_IIb,
     case_IVa,
     is_exceptional,
 )
 from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix, trivial_frame
-from twistlines.sheaves import SplittingType, Subbundle, sub_lift
+from twistlines.sheaves import Pairing, SplittingType, Subbundle, orthogonal_blocks, sub_lift
 from twistlines.verify import (
     certify,
     pool_size,
@@ -427,7 +428,7 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
     for fam in sweep_families(QQ, 16):
         rule = (fam.flavor, len(fam.members))
         certify(fam)
-    assert len(solves) == 156
+    assert len(solves) == 147
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
 
@@ -505,3 +506,135 @@ def test_selection_witness_of_a_changed_member_falls_back_to_elimination(monkeyp
     del calls[:]
     assert certify(bad) == plain
     assert len(calls) > trusted
+
+
+# ---------------------------------------------------------------------------
+# the pairing stages run block by block; the whole-member calls they
+# replaced are the oracle
+
+
+def whole_member_certify(fam):
+    """``certify`` with isotropy, perp, the lift into perp(low) and the
+    quotient perp(top)/top run on the whole members."""
+    members = fam.members
+    rule = verify._RULES[(fam.flavor, len(members))]
+    if tuple(m.rank for m in members) != fam.shape:
+        return verify._failed(fam, "flag member ranks do not match the expected shape")
+    if not all(sheaves.is_isotropic(m, fam.pairing) for m in members[: rule.isotropic]):
+        return verify._failed(fam, rule.isotropy_note, flag_valid=True)
+    low, top = members[0], members[-1]
+    if rule.beside_top == "perp(low)":
+        try:
+            rest_lift = sub_lift(top, sheaves.perp(low, fam.pairing))
+        except ValueError:
+            return verify._failed(
+                fam, "top member is not annihilated by the bottom member", isotropy_ok=True
+            )
+    beside_top = None
+    try:
+        quotients = [verify._flag_quotient(fam, i) for i in range(len(members) - 1)]
+        if rule.beside_top == "perp(top)":
+            beside_top = sheaves.quotient_type(top, sheaves.perp(top, fam.pairing))
+        elif rule.beside_top == "perp(low)":
+            beside_top = sheaves._lift_quotient_type(rest_lift)
+    except ValueError as exc:
+        return verify._failed(fam, f"flag is not nested: {exc}")
+    if rule.beside_top == "ambient":
+        beside_top = sheaves.cokernel_type(top.gen)
+    pieces, psi = rule.formula(low.type, *quotients, beside_top)
+    return verify._finish(fam, [low.type, *quotients], pieces, psi, rule.notes)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_blockwise_certificates_equal_the_whole_member_oracle(field):
+    families_seen = 0
+    for fam in sweep_families(field, 16):
+        assert certify(fam) == whole_member_certify(fam), (fam.case, fam.n, fam.k)
+        families_seen += 1
+    assert families_seen == 158
+
+
+T0 = BinaryForm.monomial(QQ, 1, 0)
+T1 = BinaryForm.monomial(QQ, 1, 1)
+ZERO1 = BinaryForm.zero(QQ, 1)
+
+
+def hyperbolic_planes(flavor, *extra):
+    """Hyperbolic planes on coordinates (0, 1) and (2, 3), then ``extra``."""
+    plane = Pairing.hyperbolic(QQ, 1, flavor)
+    return Pairing.orthogonal_sum(plane, plane, *extra)
+
+
+def assert_blocks(fam, coords, with_columns):
+    blocks = orthogonal_blocks(fam.pairing, fam.members)
+    assert [b.coords for b in blocks] == coords
+    assert [b.pairing is not None for b in blocks] == with_columns
+    for b in blocks:
+        rows = tuple(tuple(fam.pairing.matrix[i][j] for j in b.coords) for i in b.coords)
+        assert b.pairing is None or b.pairing.matrix == rows
+
+
+def test_a_column_across_two_gram_blocks_merges_them():
+    # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes; the
+    # identity filler on coordinates 4 and 5 holds no member column
+    pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
+    low = Subbundle.zero(QQ, trivial_frame(6))
+    mid_col = (-1, [T0, ZERO1, T1] + [ZERO1] * 3)
+    mid = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(6), [mid_col]))
+    top = constant_span(6, unit(6, 0), unit(6, 2))
+    fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
+    assert_blocks(fam, [(0, 1, 2, 3), (4,), (5,)], [True, False, False])
+    cert = certify(fam)
+    assert cert == whole_member_certify(fam)
+    assert cert.flag_quotients == (st(), st(-1), st(1))
+    # perp(top)/top = {0, 0}, beside the top quotient {1}
+    assert cert.tev_pieces[0] == st(-1, -1)
+
+
+def test_a_block_with_no_member_column_contributes_the_whole_block():
+    # skew planes on (0, 1), (2, 3); the filler hyperbolic(2) splits into
+    # the blocks (4, 6) and (5, 7), and only (4, 6) holds a column
+    pairing = hyperbolic_planes("skew", Pairing.hyperbolic(QQ, 2, "skew"))
+    col = (-1, [ZERO1] * 4 + [T0, ZERO1, T1, ZERO1])
+    e0, e2 = ((0, [BinaryForm.constant(QQ, c) for c in unit(8, j)]) for j in (0, 2))
+    members = [
+        GradedMatrix.from_columns(QQ, trivial_frame(8), cols)
+        for cols in ([e0], [e0, col], [e0, col, e2])
+    ]
+    fam = FlagFamily("hand", 8, 2, "skew", tuple(map(Subbundle, members)), (1, 2, 3), pairing)
+    assert_blocks(fam, [(0, 1), (2, 3), (4, 6), (5, 7)], [True, True, True, False])
+    cert = certify(fam)
+    assert cert == whole_member_certify(fam)
+    # perp(low)/top: {} on (0, 1), {0} on (2, 3), {1} on (4, 6), {0, 0} on (5, 7)
+    quotients = cert.flag_quotients
+    assert cert.tev_pieces[0] == quotients[2].dual().tensor(st(1, 0, 0, 0))
+
+
+def test_a_chunk_that_is_not_isotropic_in_one_block_only():
+    # mid's e0 is isotropic in its plane; e1 + x1 pairs with itself
+    pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
+    low = constant_span(6, unit(6, 0))
+    mid = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0))
+    top = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0), unit(6, 4))
+    fam = FlagFamily("hand", 6, 2, "symmetric", (low, mid, top), (1, 2, 3), pairing)
+    blocks = orthogonal_blocks(pairing, fam.members)
+    iso = [[sheaves.is_isotropic(e, b.pairing) for e in b.chunks] for b in blocks[:2]]
+    assert iso == [[True] * 3, [True, False, False]]
+    cert = certify(fam)
+    assert cert == whole_member_certify(fam)
+    assert_refused(cert, "a flag member is not isotropic", (True, False, False, False, False))
+
+
+def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
+    # case IIb at n = 20, k = 8 is the cubic block (6 coordinates) plus a
+    # hyperbolic block of 14: every perp scans a map from one block
+    widths = []
+    real_kernel_free = sheaves.kernel_free
+
+    def kernel_free(m):
+        widths.append(m.ncols)
+        return real_kernel_free(m)
+
+    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    assert certify(case_IIb(QQ, 20, 8, "symmetric")).very_twisting
+    assert widths and max(widths) == 14
