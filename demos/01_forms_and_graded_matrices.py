@@ -10,7 +10,6 @@ from twistlines import (
     QQ,
     BinaryForm,
     GradedMatrix,
-    form_gcd,
     trivial_frame,
 )
 
@@ -20,9 +19,7 @@ T1 = BinaryForm.monomial(QQ, 1, 1)
 print("== binary forms ==")
 f = (T0 + T1) * (T0 - T1)
 print(f"(T0 + T1)(T0 - T1) = {f}")
-print(f"gcd with T0 + T1:    {form_gcd(f, T0 + T1)}")
-print(f"value at [1:1]:      {f.evaluate(1, 1)}")
-print(f"value at [2:1]:      {f.evaluate(2, 1)}")
+print(f"minus T0^2:         {f - T0 * T0}")
 
 print()
 print("== graded matrices ==")

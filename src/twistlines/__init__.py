@@ -7,7 +7,7 @@ they parametrize on classical and isotropic Grassmannians.
 """
 
 from .fields import QQ, PrimeField, RationalField
-from .forms import BinaryForm, form_gcd
+from .forms import BinaryForm
 from .frames import (
     DegreePiece,
     GradedMatrix,

@@ -8,8 +8,11 @@ arithmetic stays on ints.  An odd prime field is available as a fast
 cross-check backend (the constructions need 2 to be invertible, so
 characteristic 2 is refused).
 
-Hot loops compute on the native scalars with Python operators and call
-``reduce_all`` once per result list to restore the canonical form.
+All package arithmetic computes on the native scalars with Python
+operators and calls ``reduce_all`` once per result list to restore the
+canonical form.  The per-scalar methods (``add``, ``sub``, ``mul``,
+``neg``, ``div``, ``inv``) remain as the tests' per-coefficient references
+and as the operations ``perfbench``'s tracer counts.
 """
 
 from fractions import Fraction

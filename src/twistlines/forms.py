@@ -7,11 +7,12 @@ twist gaps still type-check; a tag below zero forces the form to be zero
 and is stored with an empty coefficient tuple.
 
 Forms are immutable, so the nonzero terms of a form (which also give its
-zero flag) are found on first use and kept.  The univariate helpers at the
-bottom work on dense coefficient lists indexed by power; the form product
-is their convolution.  Division with remainder and a - q*b (the row and
-column operations of the rank profile) compute on native scalars and
-reduce each result once (``field.reduce_all``).
+zero flag) are found on first use and kept.  Form arithmetic computes on
+the native scalars with Python's operators and reduces each result once
+(``field.reduce_all``); the product convolves both factors' kept terms.
+The univariate helpers at the bottom, division with remainder and a - q*b
+(the row and column operations of the rank profile), work the same way on
+dense coefficient lists indexed by power.
 """
 
 from fractions import Fraction
@@ -20,9 +21,7 @@ from .fields import _demote
 
 __all__ = [
     "BinaryForm",
-    "form_gcd",
     "poly_divmod",
-    "poly_gcd",
 ]
 
 
@@ -63,11 +62,6 @@ class BinaryForm:
         coeffs[t1_exp] = field.of(coeff)
         return cls(field, degree, coeffs)
 
-    @classmethod
-    def from_coeffs(cls, field, coeffs) -> "BinaryForm":
-        coeffs = [field.of(c) for c in coeffs]
-        return cls(field, len(coeffs) - 1, coeffs)
-
     def terms(self):
         """The nonzero (T1-exponent, coeff) pairs, in ascending exponent."""
         terms = self._terms
@@ -93,53 +87,35 @@ class BinaryForm:
     def __hash__(self):
         return hash((self.degree, self.coeffs))
 
-    def __add__(self, other):
+    def _pairs(self, other):
         if self.degree != other.degree:
-            raise ValueError(f"cannot add forms of degrees {self.degree} and {other.degree}")
-        add = self.field.add
-        return BinaryForm(
-            self.field, self.degree, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+            raise ValueError(
+                f"cannot add or subtract forms of degrees {self.degree} and {other.degree}"
+            )
+        return zip(self.coeffs, other.coeffs)
+
+    def __add__(self, other):
+        f = self.field
+        return BinaryForm(f, self.degree, f.reduce_all([a + b for a, b in self._pairs(other)]))
 
     def __neg__(self):
-        neg = self.field.neg
-        return BinaryForm(self.field, self.degree, [neg(c) for c in self.coeffs])
+        f = self.field
+        return BinaryForm(f, self.degree, f.reduce_all([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        return BinaryForm(f, self.degree, f.reduce_all([a - b for a, b in self._pairs(other)]))
 
     def __mul__(self, other):
+        """The product, convolved from both factors' kept terms."""
         f = self.field
         d = self.degree + other.degree
-        if self.is_zero() or other.is_zero():
-            return BinaryForm.zero(f, d)
-        out = _poly_mul(f, self.coeffs, other.coeffs)
-        out += [f.zero] * (d + 1 - len(out))
-        return BinaryForm(f, d, out)
-
-    def scale(self, scalar) -> "BinaryForm":
-        f = self.field
-        s = f.of(scalar)
-        return BinaryForm(f, self.degree, [f.mul(s, c) for c in self.coeffs])
-
-    def evaluate(self, t0, t1):
-        """Value at the affine representative (t0, t1); (0, 0) is refused."""
-        f = self.field
-        t0, t1 = f.of(t0), f.of(t1)
-        if f.is_zero(t0) and f.is_zero(t1):
-            raise ValueError("(0, 0) does not represent a point of the projective line")
-        acc = f.zero
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if f.is_zero(c):
-                continue
-            term = c
-            for _ in range(d - i):
-                term = f.mul(term, t0)
-            for _ in range(i):
-                term = f.mul(term, t1)
-            acc = f.add(acc, term)
-        return acc
+        acc = [0] * max(0, d + 1)
+        right = other.terms()
+        for s, x in self.terms():
+            for t, y in right:
+                acc[s + t] += x * y
+        return BinaryForm(f, d, f.reduce_all(acc))
 
     def substitute_power(self, d: int) -> "BinaryForm":
         """Substitute T0 -> T0^d, T1 -> T1^d."""
@@ -153,23 +129,6 @@ class BinaryForm:
         for i, c in enumerate(self.coeffs):
             out[i * d] = c
         return BinaryForm(f, deg, out)
-
-    def t1_valuation(self) -> int:
-        """Largest j with T1^j dividing the form (degree+1 for the zero form)."""
-        terms = self.terms()
-        return terms[0][0] if terms else self.degree + 1
-
-    def dehomogenize(self):
-        """Coefficient list of f(x, 1) indexed by x-power."""
-        return list(reversed(self.coeffs[self.t1_valuation() :]))
-
-    @classmethod
-    def rehomogenize(cls, field, poly) -> "BinaryForm":
-        """Inverse of dehomogenize onto degree = deg(poly)."""
-        poly = _trim(field, poly)
-        if not poly:
-            raise ValueError("cannot rehomogenize the zero polynomial without a degree")
-        return cls(field, len(poly) - 1, list(reversed(poly)))
 
     def __repr__(self):
         if self.degree < 0 or self.is_zero():
@@ -251,73 +210,6 @@ def _poly_submul(field, a, q, b):
             for t, y in enumerate(b):
                 out[s + t] -= x * y
     return _trim(field, field.reduce_all(out))
-
-
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if not field.is_zero(y):
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _trim(field, out)
-
-
-def poly_gcd(field, a, b):
-    """Monic gcd of univariate polynomials (empty list if both are zero)."""
-    a = _trim(field, list(a))
-    b = _trim(field, list(b))
-    while b:
-        _, r = poly_divmod(field, a, b)
-        a, b = b, r
-    if a:
-        inv_lead = field.inv(a[-1])
-        a = [field.mul(c, inv_lead) for c in a]
-    return a
-
-
-# ---------------------------------------------------------------------------
-# homogeneous gcd
-
-
-def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic homogeneous gcd.
-
-    The common T1-power is split off first (dehomogenizing at T1 = 1 loses
-    it), then the one-variable Euclidean algorithm runs on the
-    dehomogenizations and the result is rehomogenized.  Normalization makes
-    the leading nonzero coefficient (highest T0-power) equal to 1.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd undefined for two zero forms")
-    if f.is_zero():
-        f, g = g, f
-    if g.is_zero():
-        body = BinaryForm.rehomogenize(f.field, f.dehomogenize())
-        body = body.scale(f.field.inv(_lead(body)))
-        return _attach_t1(body, f.t1_valuation())
-    field = f.field
-    vf, vg = f.t1_valuation(), g.t1_valuation()
-    shared = min(vf, vg)
-    p = poly_gcd(field, f.dehomogenize(), g.dehomogenize())
-    body = BinaryForm.rehomogenize(field, p)
-    return _attach_t1(body, shared)
-
-
-def _lead(f: BinaryForm):
-    for c in f.coeffs:
-        if not f.field.is_zero(c):
-            return c
-    raise ValueError("zero form has no leading coefficient")
-
-
-def _attach_t1(f: BinaryForm, power: int) -> BinaryForm:
-    if power == 0:
-        return f
-    return f * BinaryForm.monomial(f.field, power, power)
 
 
 def random_form(field, degree: int, rng, span: int = 5) -> BinaryForm:

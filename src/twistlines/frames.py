@@ -228,10 +228,6 @@ class GradedMatrix:
             self.field, tuple(d * a for a in self.src), tuple(d * b for b in self.dst), rows
         )
 
-    def evaluate(self, t0, t1):
-        """Scalar matrix of values at the point (t0, t1)."""
-        return [[e.evaluate(t0, t1) for e in row] for row in self.entries]
-
     def value_at_infinity(self):
         """Scalar matrix of values at [1:0]: each entry's T0^d coefficient."""
         zero = self.field.zero

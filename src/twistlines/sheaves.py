@@ -137,11 +137,12 @@ class Pairing:
         """Dimension 2b, basis e_1..e_b, x_1..x_b with <e_i, x_j> = delta_ij
         and <x_j, e_i> = +-delta_ij per flavor."""
         one, zero = field.one, field.zero
+        sign = one if flavor == "symmetric" else field.of(-1)
         n = 2 * b
         rows = [[zero] * n for _ in range(n)]
         for i in range(b):
             rows[i][b + i] = one
-            rows[b + i][i] = one if flavor == "symmetric" else field.neg(one)
+            rows[b + i][i] = sign
         return cls._valid(flavor, rows, field)
 
     @classmethod
@@ -219,9 +220,6 @@ class Subbundle:
     def degree(self) -> int:
         return self.type.degree
 
-    def columns(self):
-        return [Column(tw, forms) for tw, forms in self.gen.columns()]
-
     def __repr__(self):
         return f"Subbundle(type={self.type}, ambient rank {len(self.ambient)})"
 
@@ -232,33 +230,32 @@ def lift_through(phi: GradedMatrix, col: Column) -> Optional[Column]:
     phi must be everywhere injective.  This is the one-column case of
     ``_lift``.
     """
-    lift = _lift(phi, [col])
+    if len(col.forms) != len(phi.dst):
+        raise ValueError("column length does not match the frame rank")
+    lift = _lift(phi, GradedMatrix.from_columns(phi.field, phi.dst, [col]))
     return None if lift is None else Column(*lift.column(0))
 
 
-def _lift(phi: GradedMatrix, cols) -> Optional[GradedMatrix]:
-    """The matrix L with phi @ L = the given columns, or None if some
-    column is not in the image of phi.
+def _lift(phi: GradedMatrix, target: GradedMatrix) -> Optional[GradedMatrix]:
+    """The matrix L with phi @ L = target, or None if some column of
+    target is not in the image of phi.
 
     phi must be everywhere injective, so every degree piece of phi has
     full column rank and each lift is unique.  A column of twist t lifts
-    inside the degree -t piece; the columns are grouped by twist, and each
-    group is settled by one exact solve with all of its right-hand sides.
-    One product phi @ L then confirms every lift as a polynomial identity.
+    inside the degree -t piece, where its coordinates are its entries'
+    coefficients in order (an entry of negative degree has none, and is
+    zero).  The columns are grouped by twist, and each group is settled by
+    one exact solve with all of its right-hand sides.  One product
+    phi @ L then confirms every lift as a polynomial identity.
     """
     f = phi.field
     by_twist = {}
-    for j, col in enumerate(cols):
-        by_twist.setdefault(col.twist, []).append(j)
-    lifted = [None] * len(cols)
+    for j, twist in enumerate(target.src):
+        by_twist.setdefault(twist, []).append(j)
+    lifted = [None] * target.ncols
     for twist, js in by_twist.items():
         n = -twist
-        rhss = []
-        for j in js:
-            rhs = _column_coordinates(f, phi.dst, n, cols[j])
-            if rhs is None:
-                return None
-            rhss.append(rhs)
+        rhss = [[c for row in target.entries for c in row[j].coeffs] for j in js]
         piece = phi.degree_piece(n)
         xs = linalg.solve_many(f, [list(r) for r in piece.matrix], piece.ncols, rhss)
         if xs is None:
@@ -267,26 +264,9 @@ def _lift(phi: GradedMatrix, cols) -> Optional[GradedMatrix]:
             lifted[j] = (twist, _coordinates_to_forms(f, phi.src, n, x))
     lift = GradedMatrix.from_columns(f, phi.src, lifted)
     # degreewise solving is only consistent if the polynomial identity holds
-    if phi @ lift != GradedMatrix.from_columns(f, phi.dst, cols):
+    if phi @ lift != target:
         return None
     return lift
-
-
-def _column_coordinates(field, frame, n, col: Column):
-    """Coordinates of a column in the degree-n piece of the frame."""
-    if len(col.forms) != len(frame):
-        raise ValueError("column length does not match the frame rank")
-    coords = []
-    for a, f in zip(frame, col.forms):
-        d = n + a
-        if f.degree != n + a:
-            raise ValueError("column entry degree does not match the frame")
-        if d < 0:
-            if not f.is_zero():
-                return None
-            continue
-        coords.extend(f.coeffs)
-    return coords
 
 
 def _coordinates_to_forms(field, frame, n, coords):
@@ -436,7 +416,7 @@ def sub_lift(inner: Subbundle, outer: Subbundle) -> GradedMatrix:
     """The matrix L with outer.gen @ L = inner.gen (membership certified)."""
     if inner.ambient != outer.ambient:
         raise ValueError("subbundles live in different ambient frames")
-    lift = _lift(outer.gen, inner.columns())
+    lift = _lift(outer.gen, inner.gen)
     if lift is None:
         raise ValueError("E1 not contained in E2")
     return lift

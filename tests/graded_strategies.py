@@ -7,6 +7,10 @@ entries, zero columns and rank drops are common.  The field, the target
 frame and the coefficient strategy can be fixed by the caller, e.g. to draw
 a second factor of a product or rational entries with denominators.
 ``assert_canonical`` checks the stored form of computed scalars.
+
+The ``reference_*`` form operations and ``evaluate`` make one field-method
+call per coefficient operation, so the oracles built from them share no
+code with the native arithmetic they check.
 """
 
 from fractions import Fraction
@@ -54,3 +58,46 @@ def assert_canonical(field, values):
             assert type(v) is int and 0 <= v < field.characteristic
         else:
             assert type(v) is int or v.denominator > 1
+
+
+def reference_add(e, g):
+    f = e.field
+    return BinaryForm(f, e.degree, [f.add(a, b) for a, b in zip(e.coeffs, g.coeffs)])
+
+
+def reference_sub(e, g):
+    f = e.field
+    return BinaryForm(f, e.degree, [f.sub(a, b) for a, b in zip(e.coeffs, g.coeffs)])
+
+
+def reference_neg(e):
+    f = e.field
+    return BinaryForm(f, e.degree, [f.neg(c) for c in e.coeffs])
+
+
+def reference_mul(e, g):
+    f = e.field
+    d = e.degree + g.degree
+    out = [f.zero] * max(0, d + 1)
+    for i, x in enumerate(e.coeffs):
+        for j, y in enumerate(g.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return BinaryForm(f, d, out)
+
+
+def evaluate(m, t0, t1):
+    """The scalar matrix of m's values at the point (t0, t1)."""
+    f = m.field
+    t0, t1 = f.of(t0), f.of(t1)
+
+    def value(e):
+        acc = f.zero
+        for i, c in enumerate(e.coeffs):
+            for _ in range(e.degree - i):
+                c = f.mul(c, t0)
+            for _ in range(i):
+                c = f.mul(c, t1)
+            acc = f.add(acc, c)
+        return acc
+
+    return [[value(e) for e in row] for row in m.entries]

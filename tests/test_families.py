@@ -49,12 +49,12 @@ def test_phi_psi_square_case_is_isomorphism():
 def test_phi_psi_evaluation_at_one_zero():
     for (a, b) in [(2, 5), (3, 7)]:
         phi, psi = build_phi_psi(QQ, a, b)
-        phi_vals = phi.evaluate(QQ.one, QQ.zero)
+        phi_vals = phi.value_at_infinity()
         for j in range(b):
             for k in range(a):
                 expect = comb(b - j - 1, a - j - 1) if j == k and j < a else 0
                 assert phi_vals[j][k] == expect, (j, k)
-        psi_vals = psi.evaluate(QQ.one, QQ.zero)
+        psi_vals = psi.value_at_infinity()
         sign = (-1) ** a
         for i in range(b - a):
             for j in range(b):

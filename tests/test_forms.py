@@ -5,15 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graded_strategies import (
+    ALL_FIELDS,
+    FRACTION_COEFFS,
+    assert_canonical,
+    reference_add,
+    reference_mul,
+    reference_neg,
+    reference_sub,
+)
 from twistlines.fields import QQ, PrimeField
-from twistlines.forms import BinaryForm, form_gcd, random_form
+from twistlines.forms import BinaryForm, random_form
 
 T0 = BinaryForm.monomial(QQ, 1, 0)
 T1 = BinaryForm.monomial(QQ, 1, 1)
 
 
 def form(*coeffs):
-    return BinaryForm.from_coeffs(QQ, coeffs)
+    return BinaryForm(QQ, len(coeffs) - 1, coeffs)
 
 
 def test_monomial_product():
@@ -34,49 +43,14 @@ def test_zero_absorbs_with_degree_tag():
 def test_add_requires_equal_degree():
     with pytest.raises(ValueError):
         T0 + form(1, 0, 0)
+    with pytest.raises(ValueError):
+        T0 - form(1, 0, 0)
 
 
 def test_negative_degree_zero_form():
     z = BinaryForm.zero(QQ, -2)
     assert z.is_zero()
     assert z.coeffs == ()
-
-
-def test_gcd_common_factor():
-    # gcd(T0^2, T0*T1) = T0
-    assert form_gcd(form(1, 0, 0), form(0, 1, 0)) == T0
-
-
-def test_gcd_coprime_coordinates():
-    assert form_gcd(T0, T1) == BinaryForm.constant(QQ, 1)
-
-
-def test_gcd_linear_factor():
-    # T0^2 - T1^2 = (T0+T1)(T0-T1), hand-factored over QQ
-    assert form_gcd(form(1, 0, -1), form(1, 1)) == form(1, 1)
-
-
-def test_gcd_pure_t1_powers():
-    # dehomogenizing alone would lose these factors
-    assert form_gcd(form(0, 0, 1), form(0, 1, 0)) == T1
-
-
-def test_gcd_with_zero_form():
-    g = form_gcd(form(0, 2, 0), BinaryForm.zero(QQ, 5))
-    assert g == form(0, 1, 0)
-    with pytest.raises(ValueError):
-        form_gcd(BinaryForm.zero(QQ, 1), BinaryForm.zero(QQ, 2))
-
-
-def test_eval_examples():
-    assert form(1, 0, 0, 0).evaluate(1, 0) == 1  # T0^3 at [1:0]
-    assert T1.evaluate(1, 0) == 0
-    assert form(0, 1, 0).evaluate(1, 1) == 1  # T0*T1 at [1:1]
-
-
-def test_eval_rejects_origin():
-    with pytest.raises(ValueError):
-        T0.evaluate(0, 0)
 
 
 def test_substitute_power():
@@ -92,37 +66,36 @@ def test_repr_readable():
 
 
 @st.composite
-def forms(draw, max_degree=6, nonzero=False):
-    d = draw(st.integers(min_value=0, max_value=max_degree))
-    coeffs = draw(
-        st.lists(st.integers(min_value=-5, max_value=5), min_size=d + 1, max_size=d + 1)
-    )
-    f = BinaryForm.from_coeffs(QQ, coeffs)
-    if nonzero and f.is_zero():
-        f = f + BinaryForm.monomial(QQ, d, 0)
-    return f
+def forms(draw, field, d):
+    """A form of degree d over field; about one in five is zero, and so is
+    every form of negative degree."""
+    if d < 0 or draw(st.integers(0, 4)) == 0:
+        return BinaryForm.zero(field, d)
+    return BinaryForm(field, d, [field.of(draw(FRACTION_COEFFS)) for _ in range(d + 1)])
 
 
-def _monic(f):
-    lead = next(c for c in f.coeffs if c)
-    return f.scale(QQ.inv(lead))
+@st.composite
+def form_triples(draw):
+    """Two forms of one degree and a third of any degree, over one field."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    d, e = draw(st.integers(-3, 6)), draw(st.integers(-3, 6))
+    return draw(forms(field, d)), draw(forms(field, d)), draw(forms(field, e))
 
 
-@settings(max_examples=60, deadline=None)
-@given(forms(nonzero=True), forms(nonzero=True), forms(max_degree=3, nonzero=True))
-def test_gcd_product_invariance(f, g, h):
-    # gcd(f*h, g*h) equals gcd(f, g)*h up to a scalar
-    lhs = form_gcd(f * h, g * h)
-    rhs = form_gcd(f, g) * h
-    assert lhs == _monic(rhs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(forms(), st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0))
-def test_eval_homogeneity(f, lam):
-    p = (Fraction(2), Fraction(3))
-    scaled = (lam * p[0], lam * p[1])
-    assert f.evaluate(*scaled) == Fraction(lam) ** f.degree * f.evaluate(*p)
+@settings(max_examples=300, deadline=None)
+@given(form_triples())
+def test_native_form_arithmetic_matches_the_field_method_reference(case):
+    f, g, h = case
+    checks = [
+        (f + g, reference_add(f, g)),
+        (f - g, reference_sub(f, g)),
+        (-f, reference_neg(f)),
+        (f * h, reference_mul(f, h)),
+        (h * f, reference_mul(h, f)),
+    ]
+    for got, want in checks:
+        assert got == want
+        assert_canonical(f.field, got.coeffs)
 
 
 def test_backend_agreement_small_forms():

@@ -282,7 +282,7 @@ def test_subbundle_certification():
 
 def test_lift_of_generator_is_unit_vector():
     beta, e = build_E2a2b(QQ, 1, 2, "symmetric")
-    col = e.columns()[0]
+    col = Column(*e.gen.column(0))
     lifted = lift_through(e.gen, col)
     assert lifted is not None
     one = BinaryForm.constant(QQ, 1)
@@ -306,7 +306,7 @@ def test_lift_failure_outside_image():
 def test_lift_in_rank2_skew_block():
     fam = case_IVa(QQ, 2)
     low, mid, _ = fam.members
-    lift = lift_through(mid.gen, low.columns()[0])
+    lift = lift_through(mid.gen, Column(*low.gen.column(0)))
     assert lift is not None
     assert lift.forms[0] == T0
     assert lift.forms[1] == -T1
@@ -504,7 +504,7 @@ def test_sub_lift_and_quotient_of_nested_subbundles(case, data):
     outer, inner, omitted = case
     lift = sub_lift(inner, outer)
     assert outer.gen @ lift == inner.gen
-    assert [lift_through(outer.gen, col) for col in inner.columns()] == [
+    assert [lift_through(outer.gen, Column(*col)) for col in inner.gen.columns()] == [
         Column(*lift.column(j)) for j in range(lift.ncols)
     ]
     assert quotient_type(inner, outer) == omitted
@@ -522,7 +522,7 @@ def test_sub_lift_and_quotient_of_nested_subbundles(case, data):
             break
     else:
         return  # outer is the whole ambient piece in these degrees
-    cols = inner.columns()
+    cols = inner.gen.columns()
     cols[j] = col
     bad = Subbundle(GradedMatrix.from_columns(inner.field, inner.ambient, cols), check=False)
     with pytest.raises(ValueError, match="not contained"):

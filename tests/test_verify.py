@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from twistlines import families, linalg, sheaves, verify
-from twistlines.fields import QQ, PrimeField
+from twistlines.fields import QQ, PrimeField, RationalField
 from twistlines.families import (
     FlagFamily,
     build_classical,
@@ -161,6 +161,30 @@ def test_sweep_isolates_a_case_that_raises():
     assert all(r.reason is None for r in rows if r.status != "failed")
     assert not sweep_consistent(rows)
     assert sum(r.status == "very-twisting" for r in rows) > len(rows) // 2
+
+
+def test_sweep_and_ses_make_no_per_scalar_field_calls(monkeypatch):
+    # the package computes on native scalars: a sweep and the exactness
+    # reports give the same results with add/sub/mul/neg raising
+    flavors = (None, "symmetric", "skew")
+    gf = PrimeField(10007)
+    plain = {field: run_sweep(field, 2, 12, flavors) for field in (QQ, gf)}
+    pairs = [(a, b) for b in range(1, 7) for a in range(1, b + 1)]
+    ses = [verify_claim_ses(field, a, b) for field in (QQ, gf) for a, b in pairs]
+
+    def refuse(name):
+        def method(*args):
+            raise AssertionError(f"per-scalar field.{name} called")
+
+        return method
+
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "neg"):
+            monkeypatch.setattr(cls, name, refuse(name))
+    for field in (QQ, gf):
+        assert run_sweep(field, 2, 12, flavors) == plain[field]
+    assert [verify_claim_ses(field, a, b) for field in (QQ, gf) for a, b in pairs] == ses
+    assert all(report.exact for report in ses)
 
 
 def test_pool_size_clamps_to_cpus_and_tasks():
@@ -345,7 +369,8 @@ def test_orbit_family_carries_no_witnesses():
 
 
 def scaled_by_two(lift):
-    rows = [[e.scale(2) for e in row] for row in lift.entries]
+    two = BinaryForm.constant(lift.field, 2)
+    rows = [[e * two for e in row] for row in lift.entries]
     return GradedMatrix(lift.field, lift.src, lift.dst, rows)
 
 
@@ -411,10 +436,10 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
         perp_gens.append(result.gen)
         return result
 
-    def lift(phi, cols):
+    def lift(phi, target):
         lifting_into_perp.append(any(phi is gen for gen in perp_gens))
         try:
-            return real_lift(phi, cols)
+            return real_lift(phi, target)
         finally:
             lifting_into_perp.pop()
 
