@@ -37,6 +37,7 @@ from .families import (
     build_classical,
     build_classical_orbit,
     build_E2a2b,
+    build_family,
     build_isotropic,
     build_phi_psi,
     is_exceptional,

@@ -16,7 +16,7 @@ from .families import (
     HypothesisError,
     build_classical,
     build_classical_orbit,
-    build_isotropic,
+    build_family,
 )
 from .fields import QQ, PrimeField, is_prime
 from .sheaves import same_subsheaf
@@ -98,10 +98,7 @@ def cmd_check(args) -> int:
     field = _parse_field(args.field, _binom_bound_for_dim(args.n))
     flavor = _flavor_of(args)
     try:
-        if flavor is None:
-            fam = build_classical(field, args.n, args.k)
-        else:
-            fam = build_isotropic(field, args.n, args.k, flavor)
+        fam = build_family(field, args.n, args.k, flavor)
     except ExceptionalCaseError as exc:
         refusal = Certificate.refusal("exceptional", args.n, args.k, flavor, [str(exc)])
         _emit(args, refusal.to_json_dict(), f"{exc}")

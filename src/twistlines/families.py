@@ -1,4 +1,4 @@
-"""The explicit flag families on the projective line, case by case.
+"""The explicit flag families on the projective line.
 
 Each builder assembles a nested chain of certified subbundles of a trivial
 bundle, together with the pairing the chain must respect.  The matrix data
@@ -7,6 +7,14 @@ member is certified as a locally split subbundle on construction, the top
 by its rank profile and a lower member by that check or, when it is a
 selection of the generators above it, by the proof in ``_flag`` (the
 positivity layer sits in ``verify``).
+
+Every isotropic case (I-IV) is one row of ``_CASES``: an orthogonal sum of
+a small block (E(1,2), the cubic block, the R3 block or a hyperbolic
+plane), an optional E_{2a,2b} block, pulled back by a finite cover in
+cases I-III, and a filler.  A row names the small block, its columns in
+each lower member, and (a, b) as a function of l = k // 2 and m = n // 2;
+``_isotropic`` builds every row the same way, and ``build_isotropic``
+picks the row.
 
 Each builder assembles only the top member; every lower member is one
 list of columns of the member above it (``_flag``).  An entry is either an
@@ -19,9 +27,9 @@ data: ``certify`` uses one only after checking that product (for a
 selection, column by column), and otherwise finds the inclusion again by
 elimination.
 """
-
 from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 from .forms import BinaryForm
 from .frames import GradedMatrix, trivial_frame
@@ -39,14 +47,8 @@ __all__ = [
     "build_classical",
     "build_classical_orbit",
     "build_isotropic",
+    "build_family",
     "case_Ia",
-    "case_Ib",
-    "case_IIa",
-    "case_IIb",
-    "case_IIIa",
-    "case_IIIb",
-    "case_IVa",
-    "case_IVb",
 ]
 
 
@@ -180,7 +182,7 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
 def _e2a2b(field, a: int, b: int, flavor: str):
     """The pairing and the unchecked generator matrix of ``build_E2a2b``.
 
-    The case builders embed this block, or its pullback, in a
+    ``_isotropic`` embeds this block, or its pullback, in a
     block-diagonal top member.  A block-diagonal matrix is everywhere
     injective exactly when each block is, so ``_member``'s check of the top
     certifies the block too.
@@ -231,7 +233,8 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     """The family with top member ``top`` and, from the top down, one lower
     member per entry of ``lower``.  Each is a list of columns of the member
     above it: an index i is that member's generator i (the same forms), and
-    {i: form, ...} is the combination sum(form * generator i).  The one list
+    {i: (d, e) or (d, e, c), ...} is the combination of the generators i
+    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.  The one list
     gives both the member's generator matrix and its witness L, with
     outer.gen @ L == member.gen.
 
@@ -251,6 +254,7 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
                 tw, forms = outer.column(col)
                 col = {col: one}
             else:
+                col = {i: BinaryForm.monomial(field, *spec) for i, spec in col.items()}
                 i, form = next(iter(col.items()))
                 tw = outer.src[i] - form.degree
                 forms = _zero_forms(field, (tw,) * n)
@@ -272,18 +276,6 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     )
 
 
-def _unit_column(field):
-    return (0, [BinaryForm.constant(field, 1)])
-
-
-def _filler_pairing(field, flavor, dim):
-    if flavor == "symmetric":
-        return Pairing.diagonal_ones(field, dim)
-    if dim % 2:
-        raise HypothesisError("skew filler blocks need even dimension")
-    return Pairing.hyperbolic(field, dim // 2, "skew")
-
-
 # ---------------------------------------------------------------------------
 # classical Grassmannian
 
@@ -303,7 +295,7 @@ def _classical_blocks(field, n, k):
         -d,
         [BinaryForm.monomial(field, d, j) for j in range(d + 1)],
     )  # monomial column over the middle block of size n+1-2k
-    unit_col = _unit_column(field)
+    unit_col = (0, [BinaryForm.constant(field, 1)])
     return prime_cols, dprime_col, unit_col
 
 
@@ -322,9 +314,7 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
     else:
         # mid's generators are prime_cols, then dprime_col; low combines the
         # last prime column times T0^(n-2k) with dprime_col times T1
-        scale0 = BinaryForm.monomial(field, n - 2 * k, 0)
-        t1 = BinaryForm.monomial(field, 1, 1)
-        case, low = "classical-II", [*range(k - 2), {k - 2: scale0, k - 1: t1}]
+        case, low = "classical-II", [*range(k - 2), {k - 2: (n - 2 * k, 0), k - 1: (1, 1)}]
     return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, range(k), low)
 
 
@@ -412,8 +402,14 @@ def _orbit_member(field, weights, cols, n) -> Subbundle:
 # isotropic cases
 
 
-def _phi36_columns(field, flavor):
-    """Images of g, f1, f2 in the 6-dimensional hyperbolic block."""
+def _e12_block(field, flavor):
+    """E(1,2): two isotropic columns in a hyperbolic 4-space."""
+    beta, gen = _e2a2b(field, 1, 2, flavor)
+    return beta, gen.columns()
+
+
+def _cubic_block(field, flavor):
+    """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block."""
     t0 = BinaryForm.monomial(field, 1, 0)
     t1 = BinaryForm.monomial(field, 1, 1)
     t00 = BinaryForm.monomial(field, 2, 0)
@@ -429,115 +425,12 @@ def _phi36_columns(field, flavor):
         g = (-2, [-t00, t01, z2, z2, -t01, t11])
         f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
         f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
-    return g, f1, f2
+    return Pairing.hyperbolic(field, 3, flavor), [g, f1, f2]
 
 
-def _finite_cover_degree(a: int, b: int) -> int:
-    # the dual twists b-a must stay ample after tensoring with O(-1)
-    return 1 if b - a >= 2 else 2
-
-
-def case_Ia(field, n: int, flavor: str) -> FlagFamily:
-    """k = 1 flag: both small members inside one rank-2 isotropic block."""
-    if n < 4:
-        raise HypothesisError(f"case Ia needs n >= 4, got n={n}")
-    beta4, e24 = _e2a2b(field, 1, 2, flavor)
-    pairing = Pairing.orthogonal_sum(beta4, _filler_pairing(field, flavor, n - 4))
-    top = _member(field, n, [(0, e24.columns())])
-    return _flag("Ia", n, 1, flavor, (0, 1, 2), pairing, top, [0], [])
-
-
-def case_Ib(field, n: int, k: int, flavor: str) -> FlagFamily:
-    """Odd k > 1, n >= 2k+2: rank-2 block plus a pulled-back big block."""
-    l = (k - 1) // 2
-    m = n // 2
-    if l < 1 or m < 2 * l + 2:
-        raise HypothesisError(f"case Ib needs k odd > 1 and n >= 2k+2, got ({n},{k})")
-    beta4, e24 = _e2a2b(field, 1, 2, flavor)
-    a, b = l, m - 2
-    beta_big, e_pre = _e2a2b(field, a, b, flavor)
-    d = _finite_cover_degree(a, b)
-    odd = n % 2
-    pairing = Pairing.orthogonal_sum(beta4, beta_big, Pairing.diagonal_ones(field, odd))
-    cols_big = e_pre.pullback_power(d).columns()
-    top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
-    big = len(cols_big)
-    return _flag(
-        "Ib", n, k, flavor, (k - 1, k, k + 1), pairing, top,
-        [0, *range(2, 2 + big)], range(1, 1 + big),
-    )
-
-
-def case_IIa(field, n: int, flavor: str) -> FlagFamily:
-    """k = 2, n >= 6: the rank-3 cubic block carries the whole flag."""
-    if n < 6:
-        raise HypothesisError(f"case IIa needs n >= 6, got n={n}")
-    beta6 = Pairing.hyperbolic(field, 3, flavor)
-    pairing = Pairing.orthogonal_sum(beta6, _filler_pairing(field, flavor, n - 6))
-    top = _member(field, n, [(0, _phi36_columns(field, flavor))])
-    tag = "IIa-sym" if flavor == "symmetric" else "IIa-skew"
-    return _flag(tag, n, 2, flavor, (1, 2, 3), pairing, top, [0, 1], [0])
-
-
-def case_IIb(field, n: int, k: int, flavor: str) -> FlagFamily:
-    """Even k > 2, n >= 2k+2: cubic block plus a pulled-back big block."""
-    l = k // 2
-    m = n // 2
-    if l < 2 or m < 2 * l + 1:
-        raise HypothesisError(f"case IIb needs k even > 2 and n >= 2k+2, got ({n},{k})")
-    beta6 = Pairing.hyperbolic(field, 3, flavor)
-    a, b = l - 1, m - 3
-    beta_big, e_pre = _e2a2b(field, a, b, flavor)
-    d = _finite_cover_degree(a, b)
-    odd = n % 2
-    pairing = Pairing.orthogonal_sum(beta6, beta_big, Pairing.diagonal_ones(field, odd))
-    cols_big = e_pre.pullback_power(d).columns()
-    top = _member(field, n, [(0, _phi36_columns(field, flavor)), (6, cols_big)])
-    big = len(cols_big)
-    return _flag(
-        "IIb", n, k, flavor, (k - 1, k, k + 1), pairing, top,
-        [0, 1, *range(3, 3 + big)], [0, *range(2, 2 + big)],
-    )
-
-
-def case_IIIa(field, k: int) -> FlagFamily:
-    """Symmetric n = 2k, k even >= 4: a (k-2, k)-flag."""
-    l = k // 2
-    if l < 2:
-        raise HypothesisError(f"case IIIa needs even k >= 4, got k={k}")
-    n = 4 * l
-    beta4, e24 = _e2a2b(field, 1, 2, "symmetric")
-    a, b = l - 1, 2 * l - 2
-    beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
-    pairing = Pairing.orthogonal_sum(beta4, beta_big)
-    cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
-    top = _member(field, n, [(0, e24.columns()), (4, cols_big)])
-    return _flag(
-        "IIIa", n, k, "symmetric", (k - 2, k), pairing, top, range(2, 2 + len(cols_big))
-    )
-
-
-def case_IIIb(field, k: int) -> FlagFamily:
-    """Symmetric n = 2k, k odd >= 3: a (k-2, k)-flag on the cubic block."""
-    l = (k - 1) // 2
-    if l < 1:
-        raise HypothesisError(f"case IIIb needs odd k >= 3, got k={k}")
-    n = 4 * l + 2
-    pairing = Pairing.hyperbolic(field, 3, "symmetric")
-    cols_big = []
-    if l > 1:
-        a, b = l - 1, 2 * l - 2
-        beta_big, e_pre = _e2a2b(field, a, b, "symmetric")
-        pairing = Pairing.orthogonal_sum(pairing, beta_big)
-        cols_big = e_pre.pullback_power(_finite_cover_degree(a, b)).columns()
-    top = _member(field, n, [(0, _phi36_columns(field, "symmetric")), (6, cols_big)])
-    return _flag(
-        "IIIb", n, k, "symmetric", (k - 2, k), pairing, top,
-        [0, *range(3, 3 + len(cols_big))],
-    )
-
-
-def _r3_columns(field):
+def _r3_block(field, flavor):
+    """col_a, col_bp, col_bm in a skew hyperbolic 4-space: the R3 block,
+    whose top member is not isotropic."""
     t0 = BinaryForm.monomial(field, 1, 0)
     t1 = BinaryForm.monomial(field, 1, 1)
     one = BinaryForm.constant(field, 1)
@@ -546,59 +439,88 @@ def _r3_columns(field):
     col_a = (0, [z0, one, z0, -one])
     col_bp = (-1, [t0, t1, z1, z1])
     col_bm = (-1, [z1, z1, -t1, t0])
-    return col_a, col_bp, col_bm
+    return Pairing.hyperbolic(field, 2, flavor), [col_a, col_bp, col_bm]
 
 
-def case_IVa(field, k: int) -> FlagFamily:
-    """Skew n = 2k, k even >= 2: flag with the non-isotropic R-member."""
-    l = k // 2
-    if l < 1:
-        raise HypothesisError(f"case IVa needs even k >= 2, got k={k}")
-    n = 4 * l
-    pairing = Pairing.hyperbolic(field, 2, "skew")
-    cols_big = []
-    if l > 1:
-        a, b = l - 1, 2 * l - 2
-        beta_big, e_big = _e2a2b(field, a, b, "skew")
-        pairing = Pairing.orthogonal_sum(pairing, beta_big)
-        cols_big = e_big.columns()
-    # the R-member's generators are col_a, col_bp, col_bm, then the big block
-    top = _member(field, n, [(0, _r3_columns(field)), (4, cols_big)])
-    t0 = BinaryForm.monomial(field, 1, 0)
-    t1 = BinaryForm.monomial(field, 1, 1)
-    big = len(cols_big)
-    # low's first column is e1 = T0 * col_bp - T1 * col_bm
-    return _flag(
-        "IVa", n, k, "skew", (k - 1, k, k + 1), pairing, top,
-        range(1, 3 + big), [{0: t0, 1: -t1}, *range(2, 2 + big)],
-    )
+def _plane_block(field, flavor):
+    """e and x spanning a skew hyperbolic plane."""
+    return Pairing.hyperbolic(field, 1, flavor), GradedMatrix.identity(field, (0, 0)).columns()
 
 
-def case_IVb(field, k: int) -> FlagFamily:
-    """Skew n = 2k, k odd >= 3: R-member spans a full hyperbolic plane."""
-    l = (k - 1) // 2
-    if l < 1:
-        raise HypothesisError(f"case IVb needs odd k >= 3, got k={k}")
-    n = 4 * l + 2
-    beta2 = Pairing.hyperbolic(field, 1, "skew")
-    a, b = l, 2 * l
-    beta_big, e_big = _e2a2b(field, a, b, "skew")
-    pairing = Pairing.orthogonal_sum(beta2, beta_big)
-    cols_big = e_big.columns()
-    unit = _unit_column(field)
-    # the R-member's generators are e, x, then the big block
-    top = _member(field, n, [(0, [unit]), (1, [unit]), (2, cols_big)])
-    big = len(cols_big)
-    return _flag(
-        "IVb", n, k, "skew", (k - 1, k, k + 1), pairing, top,
-        [0, *range(2, 2 + big)], range(1, 1 + big),
-    )
+def _finite_cover_degree(a: int, b: int) -> int:
+    # the dual twists b-a must stay ample after tensoring with O(-1)
+    return 1 if b - a >= 2 else 2
+
+
+def _filler_pairing(field, flavor, dim):
+    if flavor == "symmetric":
+        return Pairing.diagonal_ones(field, dim)
+    if dim % 2:
+        raise HypothesisError("skew filler blocks need even dimension")
+    return Pairing.hyperbolic(field, dim // 2, "skew")
+
+
+class _Case(NamedTuple):
+    small: object  # (field, flavor) -> (pairing, top columns in the block)
+    lower: tuple  # per lower member, from the top down: its small-block columns
+    big: object  # (l, m) -> (a, b) of the E_{2a,2b} block; a = 0: no big block
+    pulled: bool  # pulled back by T -> T^d, d = _finite_cover_degree(a, b)
+
+
+# one row per construction, l = k // 2 and m = n // 2; see the module docstring
+_CASES = {
+    "I": _Case(_e12_block, ([0], []), lambda l, m: (l, m - 2), True),
+    "II": _Case(_cubic_block, ([0, 1], [0]), lambda l, m: (l - 1, m - 3), True),
+    "IIIa": _Case(_e12_block, ([],), lambda l, m: (l - 1, m - 2), True),
+    "IIIb": _Case(_cubic_block, ([0],), lambda l, m: (l - 1, m - 3), True),
+    # IVa's low member starts with e1 = T0 * col_bp - T1 * col_bm
+    "IVa": _Case(
+        _r3_block, ([1, 2], [{0: (1, 0), 1: (1, 1, -1)}]), lambda l, m: (l - 1, m - 2), False
+    ),
+    "IVb": _Case(_plane_block, ([0], []), lambda l, m: (l, m - 1), False),
+}
+
+
+def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
+    """The family of one ``_CASES`` row: the small block, then the big
+    block, then the filler, each a block of the pairing and of the top.
+    A lower member is its small-block columns followed by every big-block
+    column, which in the member above start right after that member's
+    small-block entries.  A one-step (case III) flag has shape (k-2, k)."""
+    small, lower, big, pulled = row
+    beta, top_cols = small(field, flavor)
+    blocks, big_cols = [beta], []
+    a, b = big(k // 2, n // 2)
+    if a:
+        beta_big, e_big = _e2a2b(field, a, b, flavor)
+        blocks.append(beta_big)
+        big_cols = e_big.pullback_power(_finite_cover_degree(a, b) if pulled else 1).columns()
+    filler = n - sum(p.dim for p in blocks)
+    pairing = Pairing.orthogonal_sum(*blocks, _filler_pairing(field, flavor, filler))
+    top = _member(field, n, [(0, top_cols), (beta.dim, big_cols)])
+    lists, above = [], len(top_cols)
+    for cols in lower:
+        lists.append([*cols, *range(above, above + len(big_cols))])
+        above = len(cols)
+    shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
+    return _flag(case, n, k, flavor, shape, pairing, top, *lists)
+
+
+def case_Ia(field, n: int, flavor: str) -> FlagFamily:
+    """k = 1 flag: both small members inside one rank-2 isotropic block.
+    Unlike ``build_isotropic`` it also builds the exceptional symmetric
+    n = 4 flag, whose positivity verdict is what fails."""
+    if n < 4:
+        raise HypothesisError(f"case Ia needs n >= 4, got n={n}")
+    return _isotropic("Ia", field, n, 1, flavor, _CASES["I"])
 
 
 def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
-    """Dispatch to the case construction for the isotropic Grassmannian.
+    """The isotropic Grassmannian's family, from its ``_CASES`` row.
 
-    Odd symmetric dimension with n = 2k+1 is rerouted to the equivalent
+    n >= 2k+2 is case I for odd k and II for even k (Ia and IIa for k <= 2,
+    with no big block); n = 2k is III when symmetric and IV when skew (a
+    for even k, b for odd k).  Odd symmetric dimension with n = 2k+1 is rerouted to the equivalent
     (n+1, k+1) construction; the certificate keeps the requested pair.
     """
     if flavor not in ("symmetric", "skew"):
@@ -610,19 +532,14 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
     if is_exceptional(flavor, n, k):
         raise ExceptionalCaseError(f"exceptional case: {flavor} ({n},{k})")
     if n >= 2 * k + 2:
-        if k == 1:
-            return case_Ia(field, n, flavor)
-        if k == 2:
-            return case_IIa(field, n, flavor)
-        if k % 2:
-            return case_Ib(field, n, k, flavor)
-        return case_IIb(field, n, k, flavor)
+        row = "I" if k % 2 else "II"
+        case = row + ("a" if k <= 2 else "b")
+        if case == "IIa":
+            case = "IIa-sym" if flavor == "symmetric" else "IIa-skew"
+        return _isotropic(case, field, n, k, flavor, _CASES[row])
     if n == 2 * k:
-        if flavor == "symmetric":
-            fam = case_IIIa(field, k) if k % 2 == 0 else case_IIIb(field, k)
-        else:
-            fam = case_IVa(field, k) if k % 2 == 0 else case_IVb(field, k)
-        return fam
+        row = ("III" if flavor == "symmetric" else "IV") + ("b" if k % 2 else "a")
+        return _isotropic(row, field, n, k, flavor, _CASES[row])
     # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension;
     # replace keeps the members and their inclusion witnesses
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
@@ -632,3 +549,10 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
         notes=fam.notes
         + (f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag",),
     )
+
+
+def build_family(field, n: int, k: int, flavor) -> FlagFamily:
+    """The classical family when ``flavor`` is None, else the isotropic one."""
+    if flavor is None:
+        return build_classical(field, n, k)
+    return build_isotropic(field, n, k, flavor)

@@ -45,8 +45,7 @@ from typing import NamedTuple, Optional
 from .families import (
     ExceptionalCaseError,
     FlagFamily,
-    build_classical,
-    build_isotropic,
+    build_family,
     build_phi_psi,
     is_exceptional,
 )
@@ -403,11 +402,7 @@ def _sweep_one(args):
     its reason instead of aborting the whole sweep."""
     field, flavor, n, k = args
     try:
-        if flavor is None:
-            fam = build_classical(field, n, k)
-        else:
-            fam = build_isotropic(field, n, k, flavor)
-        cert = certify(fam)
+        cert = certify(build_family(field, n, k, flavor))
     except ExceptionalCaseError:
         return SweepRow(flavor, n, k, "exceptional", None)
     except Exception as exc:

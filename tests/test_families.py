@@ -13,7 +13,6 @@ from twistlines.families import (
     build_isotropic,
     build_phi_psi,
     case_Ia,
-    case_IVa,
     is_exceptional,
 )
 from twistlines.sheaves import (
@@ -239,6 +238,14 @@ def test_case_Ia_exists_below_verification_threshold():
     fam = case_Ia(QQ, 4, "symmetric")
     assert [m.rank for m in fam.members] == [0, 1, 2]
     assert all(is_isotropic(m, fam.pairing) for m in fam.members)
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_case_Ia_needs_room_for_its_block(flavor):
+    # the E(1,2) block alone is 4-dimensional; below that the filler's
+    # dimension would be negative
+    with pytest.raises(HypothesisError):
+        case_Ia(QQ, 3, flavor)
 
 
 def test_members_isotropic_across_cases():

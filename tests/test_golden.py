@@ -6,7 +6,8 @@ change and must be intended and documented.
 
 The member pin is a SHA-256 over the generator matrices and inclusion
 witnesses of every n <= 12 sweep family, so a change to a member that keeps
-its splitting type (which the reports alone would not show) is caught.
+its splitting type (which the reports alone would not show) is caught.  The
+n <= 24 pin adds each family's pairing Gram matrix.
 
 The n <= 20 pin is of the JSON of the ``run_sweep`` rows themselves, on
 both fields, and reaches the larger cases the CLI pins do not.  The
@@ -52,6 +53,11 @@ EXCEPTIONAL_CHECK_JSON = """\
 MEMBERS_12_SHA256 = {
     "QQ": "911ad84cff609e90c0c7cfd56f16ea002205667a5db87d98d9e7bb4eed68af91",
     "GF(10007)": "9b17ad79f19abc72a81969199899af0fee6afb08341548938b5b8ea820c83fd3",
+}
+
+FAMILIES_24_SHA256 = {
+    "QQ": "cc2a3e3e264136a0b9e17ca16e04c3fcf7723c97fc65be603c8dc9f845defb66",
+    "GF(10007)": "08b6c69667a3bfe72e4791dfea3150226d456ff5c243b6e214bfb7c7bf1ba845",
 }
 
 
@@ -103,12 +109,13 @@ def test_exceptional_check_json_bytes(capsys):
     assert out == EXCEPTIONAL_CHECK_JSON
 
 
-def members_digest(field):
+def members_digest(field, n_max=12, with_pairing=False):
     """SHA-256 over case, shape, and the frames and entry coefficients of
-    each member's generator matrix and each witness, for every
-    non-exceptional sweep point with n <= 12."""
+    each member's generator matrix and each witness, and with
+    ``with_pairing`` the flavor and Gram matrix of each pairing, for every
+    non-exceptional sweep point with n <= n_max."""
     digest = hashlib.sha256()
-    for flavor, n, k in sweep_points(2, 12, (None, "symmetric", "skew")):
+    for flavor, n, k in sweep_points(2, n_max, (None, "symmetric", "skew")):
         if is_exceptional(flavor, n, k):
             continue
         if flavor is None:
@@ -116,6 +123,8 @@ def members_digest(field):
         else:
             fam = build_isotropic(field, n, k, flavor)
         digest.update(repr((fam.case, fam.shape)).encode())
+        if with_pairing and fam.pairing is not None:
+            digest.update(repr((fam.pairing.flavor, fam.pairing.matrix)).encode())
         for mat in [m.gen for m in fam.members] + list(fam.inclusions):
             coeffs = tuple(tuple(e.coeffs for e in row) for row in mat.entries)
             digest.update(repr((mat.src, mat.dst, coeffs)).encode())
@@ -125,3 +134,9 @@ def members_digest(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
 def test_flag_members_and_witnesses_are_pinned(field):
     assert members_digest(field) == MEMBERS_12_SHA256[str(field)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_flag_members_witnesses_and_pairings_are_pinned_to_24(field):
+    digest = members_digest(field, n_max=24, with_pairing=True)
+    assert digest == FAMILIES_24_SHA256[str(field)]

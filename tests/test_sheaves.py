@@ -10,7 +10,7 @@ from twistlines import linalg, sheaves
 from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm, random_form
 from twistlines.frames import GradedMatrix, trivial_frame
-from twistlines.families import build_E2a2b, build_isotropic, build_phi_psi, case_IVa
+from twistlines.families import build_E2a2b, build_isotropic, build_phi_psi
 from twistlines.sheaves import (
     Column,
     Pairing,
@@ -304,7 +304,7 @@ def test_lift_failure_outside_image():
 
 
 def test_lift_in_rank2_skew_block():
-    fam = case_IVa(QQ, 2)
+    fam = build_isotropic(QQ, 4, 2, "skew")
     low, mid, _ = fam.members
     lift = lift_through(mid.gen, Column(*low.gen.column(0)))
     assert lift is not None
@@ -339,7 +339,7 @@ def test_perp_examples():
     zero = Subbundle.zero(QQ, e.ambient)
     assert perp(zero, beta).type == st(0, 0, 0, 0)
     assert same_subsheaf(perp(e, beta), e)  # self-annihilating
-    fam = case_IVa(QQ, 2)
+    fam = build_isotropic(QQ, 4, 2, "skew")
     low, mid, r_top = fam.members
     assert same_subsheaf(perp(low, fam.pairing), r_top)
 

@@ -12,8 +12,6 @@ from twistlines.families import (
     build_isotropic,
     build_phi_psi,
     case_Ia,
-    case_IIb,
-    case_IVa,
     is_exceptional,
 )
 from twistlines.forms import BinaryForm
@@ -50,7 +48,7 @@ def test_checker_rejects_wrong_shape():
     # a (flavor, length) pair with no certificate rule raises
     sym = build_isotropic(QQ, 6, 2, "symmetric")
     classical = build_classical(QQ, 6, 2)
-    skew = case_IVa(QQ, 2)
+    skew = build_isotropic(QQ, 4, 2, "skew")
     for fam in (
         replace(classical, members=classical.members[:2], shape=(1, 2)),
         replace(skew, members=skew.members[:2], shape=(1, 2)),
@@ -268,7 +266,7 @@ def test_invalid_flag_shape_reports_failure():
     for fam in (
         build_classical(QQ, 6, 2),
         build_isotropic(QQ, 6, 2, "symmetric"),
-        case_IVa(QQ, 2),
+        build_isotropic(QQ, 4, 2, "skew"),
     ):
         e1, e2, e3 = fam.members
         assert_refused(certify(replace(fam, members=(e2, e1, e3))), note)
@@ -286,14 +284,14 @@ def test_non_isotropic_member_reports_failure():
     sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
     bad = with_member(sym_2k, 0, constant_span(8, unit(8, 4), unit(8, 6)))
     assert_refused(certify(bad), "a flag member is not isotropic", iso_fails)
-    skew = case_IVa(QQ, 2)
+    skew = build_isotropic(QQ, 4, 2, "skew")
     bad = with_member(skew, 1, constant_span(4, unit(4, 0), unit(4, 2)))
     assert_refused(certify(bad), "a flag member below the top is not isotropic", iso_fails)
 
 
 def test_skew_flag_with_unannihilated_top_reports_failure():
     # the line e1 pairs with e3, which the top member reaches
-    bad = with_member(case_IVa(QQ, 2), 0, constant_span(4, unit(4, 0)))
+    bad = with_member(build_isotropic(QQ, 4, 2, "skew"), 0, constant_span(4, unit(4, 0)))
     assert_refused(
         certify(bad),
         "top member is not annihilated by the bottom member",
@@ -308,7 +306,7 @@ def test_flag_not_nested_reports_failure_for_every_rule():
     classical = build_classical(QQ, 6, 2)
     sym = build_isotropic(QQ, 6, 2, "symmetric")
     sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
-    skew = case_IVa(QQ, 2)
+    skew = build_isotropic(QQ, 4, 2, "skew")
     for bad in (
         with_member(classical, 0, constant_span(6, unit(6, 5))),
         with_member(sym, 0, constant_span(6, unit(6, 5))),
@@ -661,5 +659,5 @@ def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
         return real_kernel_free(m)
 
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
-    assert certify(case_IIb(QQ, 20, 8, "symmetric")).very_twisting
+    assert certify(build_isotropic(QQ, 20, 8, "symmetric")).very_twisting
     assert widths and max(widths) == 14
