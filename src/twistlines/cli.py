@@ -18,7 +18,7 @@ from .families import (
     build_classical_orbit,
     build_family,
 )
-from .fields import QQ, PrimeField, is_prime
+from .fields import QQ, PrimeField
 from .sheaves import same_subsheaf
 from .verify import Certificate, certify, run_sweep, sweep_consistent, verify_claim_ses
 
@@ -40,14 +40,16 @@ def _parse_field(spec: str, binom_bound: int):
             p = int(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"cannot parse prime in --field {spec!r}")
-        if not is_prime(p) or p == 2:
-            raise _UsageError(f"--field prime:{p}: p must be an odd prime")
+        try:
+            field = PrimeField(p)
+        except ValueError as e:
+            raise _UsageError(f"--field prime:{p}: {e}")
         if p <= 2 * binom_bound:
             raise _UsageError(
                 f"--field prime:{p}: p must exceed twice the largest binomial "
                 f"coefficient in play ({binom_bound})"
             )
-        return PrimeField(p)
+        return field
     raise _UsageError(f"unknown field {spec!r} (use rational or prime:P)")
 
 

@@ -19,11 +19,14 @@ from fractions import Fraction
 
 __all__ = ["RationalField", "PrimeField", "QQ", "is_prime"]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to all of them
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; ``ValueError`` from psi_13 on, where it could err."""
+    if n >= _PSI_13:
+        raise ValueError(f"primality is only decided below {_PSI_13}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

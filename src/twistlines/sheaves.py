@@ -1,16 +1,13 @@
 """Subbundles of split bundles and the splitting-type calculus.
 
 Everything on the projective line splits, so each computation here reduces
-to a sorted multiset of twist integers.  Kernels are computed degreewise:
-the kernel of a map of free graded modules over a two-variable polynomial
-ring is free, and its Hilbert function pins down the generator degrees, so
-the scan below terminates with a certificate rather than a heuristic.
-Its generators are nullspace vectors (primitive integer ones over the
-rationals) picked by ``linalg`` pivot columns.  A cokernel type needs no
-generators: for a map with locally free cokernel, the dual of the
-cokernel is the kernel of the transposed map, and the second differences
-of that kernel's Hilbert function, read from ranks alone, count its
-generators degree by degree.
+to a sorted multiset of twist integers.  Kernels and cokernels come from one
+degreewise scan: the kernel of a map of free graded modules over k[T0, T1]
+is free, so the second differences of its Hilbert function count its
+generators degree by degree, and the scan ends with a certificate rather
+than a heuristic.  ``kernel_free`` picks generators among the nullspace
+vectors by ``linalg`` pivot columns; ``cokernel_type`` reads the cokernel's
+twists from the counts alone, on the transposed dual.
 """
 
 from dataclasses import dataclass
@@ -283,67 +280,48 @@ def _coordinates_to_forms(field, frame, n, coords):
 
 
 # ---------------------------------------------------------------------------
-# kernel of a graded matrix, as a free subbundle of the source frame
+# kernels and cokernels, read from one Hilbert-function scan
 
 
-def kernel_free(m: GradedMatrix) -> Subbundle:
-    """Free generators of ker(m) inside the source frame of m.
+def _hilbert_scan(m: GradedMatrix, r: int):
+    """Yield (n, g, null) for each generator degree n of K = ker(m).
 
-    K = ker(m) is a free k[T0, T1]-module of rank c = #src - generic rank,
-    so generators of twists t found so far span sum(n + 1 + t) dimensions
-    of K_n, the nullspace of the degree-n piece of m.  The scan visits n
-    upward.  Where K_n is larger, the degree-n piece of the generators found
-    so far, with the nullspace vectors appended as columns, goes through
-    one ``linalg.pivot_columns`` elimination.  Pivots are the columns
-    outside the span of those left of them, so the generator columns,
-    being independent, are all pivots, and each appended pivot is a new
-    generator.  Stopping rule: dim K_n - dim K_(n-1) counts the generators
-    of degree <= n, so all are seen once it reaches c.  Termination bound:
-    no generator degree exceeds ``_generator_degree_bound``, so the scan
-    raises ``RuntimeError`` past that bound plus two, and if it finds
-    other than c generators.
+    K is free of rank c = #src - r, r the generic rank of m, say with
+    generators of degrees d_i, so its Hilbert function h(n) = dim K_n =
+    len(null), null the nullspace of m's degree-n piece, is
+    sum(max(0, n - d_i + 1)).  The first difference h(n) - h(n-1) counts
+    the d_i <= n and the second difference g = h(n) - 2h(n-1) + h(n-2) the
+    d_i = n.  Each degree piece is built and eliminated once.
+
+    Termination: the scan visits n upward from -max(src), below which
+    every piece has no columns, so h(n-1) = h(n-2) = 0 there; it stops once
+    the first difference reaches c, when every d_i has been passed.  No d_i
+    exceeds ``_generator_degree_bound``, so the scan raises ``RuntimeError``
+    past that bound plus two, and on a negative g, which no free module's
+    Hilbert function has.  The yielded g then sum to c.
     """
-    f = m.field
-    src = m.src
-    s = len(src)
-    if s == 0:
-        return Subbundle.zero(f, src)
-    r = _generic_rank(m)
-    c = s - r
+    f, src = m.field, m.src
+    c = len(src) - r
     if c == 0:
-        return Subbundle.zero(f, src)
-
+        return
     n = -max(src)
     guard = _generator_degree_bound(m, r, c) + 2
-    prev_nullity = 0
-    cols = []  # generator columns (twist, forms), in order of degree
+    h1 = h2 = 0  # h(n-1), h(n-2)
     while True:
         piece = m.degree_piece(n)
         null = linalg.nullspace(f, [list(row) for row in piece.matrix], piece.ncols)
-        if len(null) > sum(n + 1 + t for t, _ in cols):
-            span = GradedMatrix.from_columns(f, src, cols).degree_piece(n)
-            k = span.ncols
-            rows = [list(row) + [v[i] for v in null] for i, row in enumerate(span.matrix)]
-            for j in linalg.pivot_columns(f, rows, k + len(null)):
-                if j >= k:
-                    cols.append((-n, _coordinates_to_forms(f, src, n, null[j - k])))
-        if len(null) - prev_nullity == c:
-            break
+        h = len(null)
+        g = h - 2 * h1 + h2
+        if g < 0:
+            raise RuntimeError(f"negative generator count {g} in degree {n}")
+        if g:
+            yield n, g, null
+        if h - h1 == c:
+            return
         if n > guard:
             raise RuntimeError("kernel scan exceeded its degree bound")
-        prev_nullity = len(null)
+        h1, h2 = h, h1
         n += 1
-    if len(cols) != c:
-        raise RuntimeError(
-            f"kernel scan found {len(cols)} generators but the generic rank implies {c}"
-        )
-    return Subbundle(GradedMatrix.from_columns(f, src, cols))
-
-
-def _generic_rank(m: GradedMatrix) -> int:
-    if not m.src or not m.dst:
-        return 0
-    return m.rank_everywhere().generic_rank
 
 
 def _generator_degree_bound(m: GradedMatrix, r: int, c: int) -> int:
@@ -355,55 +333,65 @@ def _generator_degree_bound(m: GradedMatrix, r: int, c: int) -> int:
     return (c - 1) * max_a - sum(m.src) + top_b
 
 
-# ---------------------------------------------------------------------------
+def kernel_free(m: GradedMatrix) -> Subbundle:
+    """Free generators G of K = ker(m) inside the source frame of m.
+
+    At each generator degree n of ``_hilbert_scan``, the degree-n piece of
+    the generators found so far, with the nullspace vectors appended as
+    columns, goes through one ``linalg.pivot_columns`` elimination.  Pivots
+    are the columns outside the span of those left of them, and each
+    appended pivot is a new generator of twist -n.  Their number must be
+    the scan's g, the count of generators of K in degree n.
+
+    Why G is returned unchecked.  The pivots span every column, so G_n = K_n
+    after the pick at each generator degree n of K; K is generated in those
+    degrees and G lies in K, so G = K.  By the counts G has c generators, so
+    the free module on them maps onto K, free of rank c, with a kernel of
+    rank 0 inside a free module: G is a free basis of K.  K is saturated
+    (src/K embeds in the free target, so it is torsion free, hence locally
+    free on P^1), so G's matrix is everywhere injective.
+
+    A wrong nullity in one degree raises ``RuntimeError``: a repeated
+    nullspace vector gives fewer pivots than g; a dropped one gives a
+    negative g, fewer pivots than g later, or in place of a generator u two
+    generators with T0 u and T1 u in their span, hence dependent ones,
+    which the rank at [1:0] shows.
+    """
+    f, src = m.field, m.src
+    cols = []  # generator columns (twist, forms), in order of degree
+    for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank):
+        span = GradedMatrix.from_columns(f, src, cols).degree_piece(n)
+        k = span.ncols
+        rows = [list(row) + [v[i] for v in null] for i, row in enumerate(span.matrix)]
+        new = [j - k for j in linalg.pivot_columns(f, rows, k + len(null)) if j >= k]
+        if len(new) != g:
+            raise RuntimeError(
+                f"kernel scan found {len(new)} generators but the generic rank "
+                f"implies {g} in degree {n}"
+            )
+        cols += [(-n, _coordinates_to_forms(f, src, n, null[j])) for j in new]
+    gen = GradedMatrix.from_columns(f, src, cols)
+    if cols and linalg.rank(f, gen.value_at_infinity(), len(cols)) < len(cols):
+        raise RuntimeError("kernel scan found dependent generators")
+    return Subbundle(gen, check=False)
 
 
 def cokernel_type(m: GradedMatrix) -> SplittingType:
     """Splitting type of coker(m); m must have constant pointwise rank.
 
     Constant rank makes Q = coker(m) locally free, and then Q's dual is the
-    kernel K of the transposed dual t.  K is free of rank c = #dst - r (r
-    the generic rank), say with generators of degrees d_i, so its Hilbert
-    function h(n) = dim K_n = ncols - rank of t's degree-n piece is
-    sum(max(0, n - d_i + 1)).  Its first difference h(n) - h(n-1) counts
-    the d_i <= n, and its second difference h(n) - 2h(n-1) + h(n-2) counts
-    the d_i = n, each of which gives Q a summand O(n).  Only ranks are
-    taken: no nullspace, no generators.  The scan is ``kernel_free``'s:
-    it starts at n = -max(t.src), where h(n-1) = h(n-2) = 0, stops once
-    the first difference reaches c, and raises ``RuntimeError`` past
-    ``_generator_degree_bound`` plus two.  The second differences then
-    sum to c, the rank of Q.  A wrong rank anywhere in the scan shows as a
-    negative second difference or, for injective m, as a degree other than
-    deg dst - deg src (0 -> src -> dst -> Q -> 0 is then exact); both raise
-    ``RuntimeError``.
+    kernel of the transposed dual t.  Each generator of it in degree n, as
+    ``_hilbert_scan`` of t counts them, gives Q a summand O(n); no
+    generators are built.  For injective m, 0 -> src -> dst -> Q -> 0 is
+    exact, so a type of degree other than deg dst - deg src, which a wrong
+    nullity in the scan can give, raises ``RuntimeError``.
     """
     profile = m.rank_everywhere()
     if not profile.constant:
         raise ValueError("cokernel not locally free: pointwise rank is not constant")
-    f = m.field
     r = profile.generic_rank
-    c = len(m.dst) - r
-    if c == 0:
-        return SplittingType(())
-    t = m.transpose_dual()
-    n = -max(t.src)
-    guard = _generator_degree_bound(t, r, c) + 2
-    h1 = h2 = 0  # h(n-1), h(n-2)
-    twists = []
-    while True:
-        piece = t.degree_piece(n)
-        h = piece.ncols - linalg.rank(f, piece.matrix, piece.ncols)
-        gens = h - 2 * h1 + h2
-        if gens < 0:
-            raise RuntimeError(f"negative generator count {gens} in degree {n}")
-        twists.extend([n] * gens)
-        if h - h1 == c:
-            break
-        if n > guard:
-            raise RuntimeError("cokernel scan exceeded its degree bound")
-        h1, h2 = h, h1
-        n += 1
-    coker = SplittingType(tuple(twists))
+    scan = _hilbert_scan(m.transpose_dual(), r)
+    coker = SplittingType(tuple(n for n, g, _ in scan for _ in range(g)))
     if r == len(m.src) and coker.degree != sum(m.dst) - sum(m.src):
         raise RuntimeError(
             f"cokernel type {coker} has degree {coker.degree}, but the map "

@@ -109,6 +109,16 @@ def test_check_rejects_bad_prime(capsys):
     assert "binomial" in err
 
 
+@pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981])
+def test_check_rejects_the_miller_rabin_pseudoprimes(capsys, p):
+    # psi_12 and psi_13 are composite; over either ring a certificate is void
+    code, out, err = run(
+        capsys, "check", "--classical", "--n", "6", "--k", "2", "--field", f"prime:{p}"
+    )
+    assert code == 2 and not out
+    assert "usage error" in err
+
+
 def test_check_prime_backend(capsys):
     code, out, _ = run(
         capsys,

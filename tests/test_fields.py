@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,30 @@ def test_is_prime():
     assert not is_prime(10009 * 10007)
     assert not is_prime(1)
     assert is_prime(1000000007)  # large prime, exercises Miller-Rabin
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to the primes up to 37
+PSI_13 = 3317044064679887385961981  # ... and to 41
+
+
+def test_is_prime_refuses_the_strong_pseudoprimes():
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PSI_13)
+    for p in (PSI_12, PSI_13):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    values = list(range(-5, 3000))
+    values += [PSI_12 + d for d in range(-300, 301)] + [PSI_13 - d for d in range(1, 601)]
+    values += [rng.randrange(10**k, 10 * 10**k) for k in range(3, 24) for _ in range(40)]
+    values += [rng.randrange(PSI_13) | 1 for _ in range(500)]
+    for n in values:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_field_equality():

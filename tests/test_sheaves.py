@@ -163,6 +163,62 @@ def test_kernel_generator_count_mismatch_raises(monkeypatch):
     assert dropped
 
 
+def scan_matrices():
+    beta, e = build_E2a2b(QQ, 1, 4, "symmetric")
+    # (T0, T1, 0): O^2 + O(-3) -> O(1) has kernel generators in degrees 1
+    # and 3 and none in degree 2
+    mixed = GradedMatrix.from_columns(
+        QQ, (1,), [(0, [T0]), (0, [T1]), (-3, [BinaryForm.zero(QQ, 4)])]
+    )
+    return [build_phi_psi(QQ, 1, 2)[1], build_phi_psi(QQ, 2, 5)[1], pairing_map(e, beta), mixed]
+
+
+@pytest.mark.parametrize("change", ["repeat", "drop"])
+@pytest.mark.parametrize("index", range(4))
+def test_kernel_scan_with_a_wrong_nullity_in_one_degree_raises(monkeypatch, index, change):
+    # one nullspace vector repeated or dropped in a single degree: a repeat
+    # gives one more generator than pivots there; a drop gives a negative
+    # count, a count mismatch later, or generators dependent at [1:0] (for
+    # the mixed matrix, T0 v and T1 v in place of the degree-1 generator v)
+    m = scan_matrices()[index]
+    m.rank_everywhere()  # kept on m, so only the scan sees the patch
+    original = linalg.nullspace
+    nonempty = [n for n in range(-max(m.src), 12) if nullity(m, n)]
+    degrees = [n for n in nonempty if n <= max(-e for e in kernel_free(m).type)]
+    assert degrees
+    for bad in degrees:
+
+        def wrong(f, rows, ncols, bad=bad):
+            null = original(f, rows, ncols)
+            if ncols != m.degree_piece(bad).ncols:
+                return null
+            return null + null[:1] if change == "repeat" else null[1:]
+
+        monkeypatch.setattr(linalg, "nullspace", wrong)
+        with pytest.raises(RuntimeError, match="generator"):
+            kernel_free(m)
+        monkeypatch.setattr(linalg, "nullspace", original)
+
+
+def test_perp_makes_no_checked_subbundle(monkeypatch):
+    # kernel_free returns a free basis of a saturated kernel, which is
+    # everywhere injective by its proof, so no rank_everywhere re-check
+    checked = []
+    original = Subbundle.__init__
+
+    def recording(self, gen, check=True):
+        if check and gen.ncols:
+            checked.append(gen)
+        original(self, gen, check)
+
+    beta, e = build_E2a2b(QQ, 1, 4, "symmetric")
+    monkeypatch.setattr(Subbundle, "__init__", recording)
+    p = perp(e, beta)
+    monkeypatch.setattr(Subbundle, "__init__", original)
+    assert p.type == st(*[-1] * 6) and not checked
+    assert p.gen.rank_everywhere() == (p.rank, True)
+
+
 def test_kernel_annihilator_degrees():
     # annihilator of the image of phi_(1,2) inside the dual trivial bundle
     phi, _ = build_phi_psi(QQ, 1, 2)
@@ -243,17 +299,21 @@ def test_every_sweep_cokernel_matches_the_generator_scan(field, monkeypatch):
 
 @pytest.mark.parametrize("off_by", [1, -1])
 def test_cokernel_scan_with_a_wrong_rank_raises(monkeypatch, off_by):
-    # a rank off by one in every degree shifts a generator to the next
-    # degree or leaves a negative count; the degree invariant or the count
-    # check catches it
+    # a rank off by one in every degree with a nonempty nullspace (one
+    # nullspace vector dropped, or one repeated) shifts a generator to the
+    # next degree or leaves a negative count; the degree invariant or the
+    # count check catches it
     col = GradedMatrix.from_columns(QQ, trivial_frame(2), [(-1, [T0, T1])])
     phi, _ = build_phi_psi(QQ, 2, 5)
     for m in (col, phi):
         m.rank_everywhere()  # kept on m, so only the scan sees the patch
-    original = linalg.rank
-    monkeypatch.setattr(
-        linalg, "rank", lambda f, rows, ncols=None: original(f, rows, ncols) + off_by
-    )
+    original = linalg.nullspace
+
+    def wrong(f, rows, ncols):
+        null = original(f, rows, ncols)
+        return null[1:] if off_by > 0 else null + null[:1]
+
+    monkeypatch.setattr(linalg, "nullspace", wrong)
     for m in (col, phi):
         with pytest.raises(RuntimeError, match="degree|negative generator count"):
             cokernel_type(m)
@@ -266,6 +326,10 @@ def test_cokernel_scan_guard_fires(monkeypatch):
     monkeypatch.setattr(sheaves, "_generator_degree_bound", lambda m, r, c: -10)
     with pytest.raises(RuntimeError, match="exceeded its degree bound"):
         cokernel_type(phi)
+    # the kernel scan is the same loop: ker(psi_(1,2)) = O starts at degree -1
+    _, psi = build_phi_psi(QQ, 1, 2)
+    with pytest.raises(RuntimeError, match="exceeded its degree bound"):
+        kernel_free(psi)
 
 
 def test_subbundle_certification():
@@ -726,3 +790,59 @@ def test_every_sweep_kernel_matches_the_span_scan(field, monkeypatch):
     assert seen
     for m, ker in seen:
         assert_matches_span_scan(m, ker)
+
+
+# ---------------------------------------------------------------------------
+# the kernel scan before it shared the Hilbert-function loop, kept as the
+# oracle: a nullspace at every degree, a pivot pick wherever the nullity
+# exceeds the span of the generators so far, and a checked Subbundle
+
+
+def pivot_scan_kernel(m):
+    f, src = m.field, m.src
+    c = len(src) - m.rank_everywhere().generic_rank
+    if c == 0:
+        return Subbundle.zero(f, src)
+    n, prev_nullity, cols = -max(src), 0, []
+    while True:
+        piece = m.degree_piece(n)
+        null = linalg.nullspace(f, [list(row) for row in piece.matrix], piece.ncols)
+        if len(null) > sum(n + 1 + t for t, _ in cols):
+            span = GradedMatrix.from_columns(f, src, cols).degree_piece(n)
+            k = span.ncols
+            rows = [list(row) + [v[i] for v in null] for i, row in enumerate(span.matrix)]
+            for j in linalg.pivot_columns(f, rows, k + len(null)):
+                if j >= k:
+                    cols.append((-n, sheaves._coordinates_to_forms(f, src, n, null[j - k])))
+        if len(null) - prev_nullity == c:
+            break
+        assert n < 100, "oracle scan did not stop"
+        prev_nullity = len(null)
+        n += 1
+    assert len(cols) == c
+    return Subbundle(GradedMatrix.from_columns(f, src, cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices(fields=ALL_FIELDS))
+def test_kernel_scan_equals_the_pivot_scan(m):
+    assert kernel_free(m).gen == pivot_scan_kernel(m).gen
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
+    from twistlines.verify import run_sweep
+
+    seen = []
+    original = sheaves.kernel_free
+
+    def recording(m):
+        ker = original(m)
+        seen.append((m, ker))
+        return ker
+
+    monkeypatch.setattr(sheaves, "kernel_free", recording)
+    run_sweep(field, 2, 16, (None, "symmetric", "skew"))
+    assert len(seen) > 50
+    for m, ker in seen:
+        assert ker.gen == pivot_scan_kernel(m).gen
