@@ -81,6 +81,14 @@ class GradedMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _valid(cls, field, src, dst, entries) -> "GradedMatrix":
+        """The matrix of tuple frames and entry rows proved valid, unchecked."""
+        m = object.__new__(cls)
+        m.field, m.src, m.dst, m.entries = field, src, dst, entries
+        m._support = m._profile = None
+        return m
+
+    @classmethod
     def zero(cls, field, src, dst):
         return cls(
             field, src, dst, [[BinaryForm.zero(field, b - a) for a in src] for b in dst]

@@ -389,7 +389,11 @@ def cokernel_type(m: GradedMatrix) -> SplittingType:
     profile = m.rank_everywhere()
     if not profile.constant:
         raise ValueError("cokernel not locally free: pointwise rank is not constant")
-    r = profile.generic_rank
+    return _scan_cokernel(m, profile.generic_rank)
+
+
+def _scan_cokernel(m: GradedMatrix, r: int) -> SplittingType:
+    """``cokernel_type`` of m known to have constant pointwise rank r."""
     scan = _hilbert_scan(m.transpose_dual(), r)
     coker = SplittingType(tuple(n for n, g, _ in scan for _ in range(g)))
     if r == len(m.src) and coker.degree != sum(m.dst) - sum(m.src):
@@ -418,11 +422,11 @@ def quotient_type(inner: Subbundle, outer: Subbundle) -> SplittingType:
 
 
 def _lift_quotient_type(lift: GradedMatrix) -> SplittingType:
-    """Splitting type of outer/inner, given the lift L = sub_lift(inner, outer)."""
-    profile = lift.rank_everywhere()
-    if profile != (lift.ncols, True):
-        raise ValueError("E1 not a subbundle of E2")
-    return cokernel_type(lift)
+    """Splitting type of outer/inner, given a lift L with outer.gen @ L = inner.gen
+    (a top chunk's gen is its own lift into its block).  No rank profile: a
+    vector L kills at a point is killed by inner.gen = outer.gen @ L, which
+    is everywhere injective, so L has constant rank ncols too."""
+    return _scan_cokernel(lift, lift.ncols)
 
 
 def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
@@ -480,7 +484,7 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     E^perp the lift of F into E^perp is block diagonal, so its cokernel
     E^perp/F is the union of the block cokernels.  A chunk of an everywhere-
     injective member is everywhere injective (independent columns stay so,
-    the dropped rows being zero), so it is not checked."""
+    the dropped rows being zero), and its entries are the member's, so neither is checked."""
     n = beta.dim
     if any(m.ambient != (0,) * n for m in members):
         raise ValueError("a pairing needs a trivial ambient frame of its dimension")
@@ -499,7 +503,8 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
             rows = tuple(tuple(m.gen.entries[i][j] for j in js) for i in coords)
             same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
             if not same:
-                same = [Subbundle(GradedMatrix(f, src, (0,) * len(coords), rows), check=False)]
+                chunk = GradedMatrix._valid(f, src, (0,) * len(coords), rows)
+                same = [Subbundle(chunk, check=False)]
             chunks.append(same[0])
         gram = [[beta.matrix[i][j] for j in coords] for i in coords]
         pairing = Pairing._valid(beta.flavor, gram, f) if any(e.rank for e in chunks) else None

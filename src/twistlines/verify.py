@@ -32,6 +32,12 @@ direct sum of chunks, one per orthogonal block, so isotropy holds iff it
 does on each chunk, a perp is the sum of the chunks' perps, and perp/top is
 the union of the block quotients (proved there; lifts by elimination).
 
+While ``run_sweep`` runs, each process computes each block stage once
+(``_once``): the key is the stage and its arguments' content, field
+included, and a stage is a deterministic function of that content, so a hit
+is what a recomputation gives and every check still runs once.  A stage that
+raises stores nothing; a direct ``certify`` sees no memo.
+
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
 generated and the condition holds automatically; certificates record that
@@ -241,6 +247,25 @@ def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
     )
 
 
+_memo = None  # the block stages' results while run_sweep runs, by content
+
+
+def _set_memo(memo):
+    global _memo
+    _memo = memo
+
+
+def _once(stage, *args):
+    """stage(*args), once per key while a memo is open (a Subbundle's key is its gen)."""
+    if _memo is None:
+        return stage(*args)
+    key = (stage, *(a.gen if isinstance(a, Subbundle) else a for a in args))
+    found = _memo.get(key, _memo)
+    if found is _memo:
+        found = _memo[key] = stage(*args)
+    return found
+
+
 def _perp_parts(blocks, i):
     """Per block, perp(member i)/top there: the top chunk's lift into the
     perp of member i's chunk (itself where that chunk is empty and the perp
@@ -248,17 +273,17 @@ def _perp_parts(blocks, i):
     parts = []
     for b in blocks:
         top, perped = b.chunks[-1], b.chunks[i]
-        p = perp(perped, b.pairing) if perped.rank else None
+        p = _once(perp, perped, b.pairing) if perped.rank else None
         if not top.rank:
             parts.append(p.type if p else SplittingType((0,) * len(b.coords)))
         else:
-            parts.append(sub_lift(top, p) if p else top.gen)
+            parts.append(_once(sub_lift, top, p) if p else top.gen)
     return parts
 
 
 def _union_of_quotients(parts) -> SplittingType:
     """The union of the block quotients, read from lifts by ``_lift_quotient_type``."""
-    types = [p if isinstance(p, SplittingType) else _lift_quotient_type(p) for p in parts]
+    types = [p if isinstance(p, SplittingType) else _once(_lift_quotient_type, p) for p in parts]
     return SplittingType(sum((t.twists for t in types), ()))
 
 
@@ -284,7 +309,7 @@ def certify(fam: FlagFamily) -> Certificate:
         return _failed(fam, "flag member ranks do not match the expected shape")
     blocks = orthogonal_blocks(fam.pairing, members) if rule.isotropic else ()
     tested = {id(e): (e, b.pairing) for b in blocks for e in b.chunks[: rule.isotropic]}
-    if not all(is_isotropic(e, beta) for e, beta in tested.values()):
+    if not all(_once(is_isotropic, e, beta) for e, beta in tested.values()):
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
@@ -425,11 +450,13 @@ def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
-    else:
-        rows = [_sweep_one(t) for t in tasks]
-    return rows
+        with ProcessPoolExecutor(workers, initializer=_set_memo, initargs=({},)) as pool:
+            return list(pool.map(_sweep_one, tasks))
+    _set_memo({})
+    try:
+        return [_sweep_one(t) for t in tasks]
+    finally:
+        _set_memo(None)
 
 
 def sweep_consistent(rows) -> bool:

@@ -277,21 +277,28 @@ def test_cokernel_type_matches_the_generator_scan(m):
         assert cokernel_type(mat) == generator_cokernel_type(mat)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
-def test_every_sweep_cokernel_matches_the_generator_scan(field, monkeypatch):
+def certify_every_sweep_case(field, n_max):
+    """Every sweep case through the per-case path, which has no memo of the
+    block stages, so a recorder sees every call the certifier can make."""
     from twistlines import verify
 
-    seen = []
-    original = sheaves.cokernel_type
+    for point in verify.sweep_points(2, n_max, (None, "symmetric", "skew")):
+        verify._sweep_one((field, *point))
 
-    def recording(m):
-        coker = original(m)
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_sweep_cokernel_matches_the_generator_scan(field, monkeypatch):
+    # cokernel_type and the lift quotients both read the scan here
+    seen = []
+    original = sheaves._scan_cokernel
+
+    def recording(m, r):
+        coker = original(m, r)
         seen.append((m, coker))
         return coker
 
-    monkeypatch.setattr(sheaves, "cokernel_type", recording)
-    monkeypatch.setattr(verify, "cokernel_type", recording)
-    verify.run_sweep(field, 2, 16, (None, "symmetric", "skew"))
+    monkeypatch.setattr(sheaves, "_scan_cokernel", recording)
+    certify_every_sweep_case(field, 16)
     assert len(seen) > 100
     for m, coker in seen:
         assert coker == generator_cokernel_type(m)
@@ -775,8 +782,6 @@ def test_kernel_scan_matches_the_span_scan(m):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
 def test_every_sweep_kernel_matches_the_span_scan(field, monkeypatch):
-    from twistlines.verify import run_sweep
-
     seen = []
     original = sheaves.kernel_free
 
@@ -786,7 +791,7 @@ def test_every_sweep_kernel_matches_the_span_scan(field, monkeypatch):
         return ker
 
     monkeypatch.setattr(sheaves, "kernel_free", recording)
-    run_sweep(field, 2, 12, (None, "symmetric", "skew"))
+    certify_every_sweep_case(field, 12)
     assert seen
     for m, ker in seen:
         assert_matches_span_scan(m, ker)
@@ -831,8 +836,6 @@ def test_kernel_scan_equals_the_pivot_scan(m):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
 def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
-    from twistlines.verify import run_sweep
-
     seen = []
     original = sheaves.kernel_free
 
@@ -842,7 +845,7 @@ def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
         return ker
 
     monkeypatch.setattr(sheaves, "kernel_free", recording)
-    run_sweep(field, 2, 16, (None, "symmetric", "skew"))
+    certify_every_sweep_case(field, 16)
     assert len(seen) > 50
     for m, ker in seen:
         assert ker.gen == pivot_scan_kernel(m).gen

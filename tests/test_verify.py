@@ -143,9 +143,83 @@ def test_sweep_points_skip_odd_skew():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = run_sweep(QQ, 2, 6, [None, "symmetric"])
-    parallel = run_sweep(QQ, 2, 6, [None, "symmetric"], jobs=2)
+    # each worker keeps its own memo of the block stages
+    flavors = [None, "symmetric", "skew"]
+    serial = run_sweep(QQ, 2, 12, flavors)
+    parallel = run_sweep(QQ, 2, 12, flavors, jobs=2)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# the per-sweep memo of the block stages
+
+
+SWEEP_FLAVORS = (None, "symmetric", "skew")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_memo_rows_equal_the_per_case_rows(field):
+    rows = run_sweep(field, 2, 16, SWEEP_FLAVORS)
+    points = sweep_points(2, 16, SWEEP_FLAVORS)
+    assert verify._memo is None
+    assert rows == [verify._sweep_one((field, *point)) for point in points]
+
+
+def test_no_memo_outlives_a_sweep(monkeypatch):
+    run_sweep(PrimeField(3), 2, 8, SWEEP_FLAVORS)  # some of its cases raise
+    assert verify._memo is None
+
+    class Stop(BaseException):
+        pass
+
+    seen = []
+
+    def stop(fam):
+        seen.append(verify._memo)
+        raise Stop
+
+    monkeypatch.setattr(verify, "certify", stop)
+    with pytest.raises(Stop):
+        run_sweep(QQ, 4, 4, [None])
+    assert seen == [{}]
+    assert verify._memo is None
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_a_stage_that_raises_is_computed_again(monkeypatch, error):
+    plain = run_sweep(QQ, 2, 10, ["symmetric"])
+    original = verify.perp
+    calls = []
+
+    def fails_once(e, beta):
+        calls.append((e.gen, beta))
+        if len(calls) == 1:
+            raise error("stage failed")
+        return original(e, beta)
+
+    monkeypatch.setattr(verify, "perp", fails_once)
+    rows = run_sweep(QQ, 2, 10, ["symmetric"])
+    assert sum(row != want for row, want in zip(rows, plain)) == 1
+    assert calls.count(calls[0]) == 2  # the key comes back and is computed again
+    assert len(calls) == len(set(calls)) + 1
+
+
+def test_a_sweep_scans_each_distinct_perp_once(monkeypatch):
+    perps, kernels = [], []
+    original_perp, original_kernel = verify.perp, sheaves.kernel_free
+
+    def perp(e, beta):
+        perps.append((e.gen, beta))
+        return original_perp(e, beta)
+
+    def kernel_free(m):
+        kernels.append(m)
+        return original_kernel(m)
+
+    monkeypatch.setattr(verify, "perp", perp)
+    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
+    assert len(kernels) == len(perps) == len(set(perps)) > 0
 
 
 def test_sweep_isolates_a_case_that_raises():
