@@ -3,10 +3,11 @@
 A frame (a1, ..., am) stands for the split bundle O(a1) + ... + O(am) on
 the projective line.  A GradedMatrix from frame A to frame B is a grid of
 binary forms whose (i, j) entry is homogeneous of degree B[i] - A[j]; the
-constructor rejects any entry violating that constraint.  The degree-n
-piece of a frame is the space of degree-n global sections, of dimension
-sum(max(0, n + a + 1)); basis order is summand-major with the T1-exponent
-ascending inside each summand.
+constructor rejects any entry violating that constraint; products, twists
+and transposed duals meet it by construction and skip the check.  The
+degree-n piece of a frame is the space of degree-n global sections, of
+dimension sum(max(0, n + a + 1)); basis order is summand-major with the
+T1-exponent ascending inside each summand.
 
 A GradedMatrix is immutable.  Its nonzero support (per source column, the
 nonzero entries with their nonzero terms) is computed on first use and
@@ -206,20 +207,20 @@ class GradedMatrix:
                         for t, y in terms:
                             acc[s + t] += x * y
                 row.append(BinaryForm(f, b - c, reduce_all(acc)))
-            rows.append(row)
-        return GradedMatrix(f, other.src, self.dst, rows)
+            rows.append(tuple(row))
+        return GradedMatrix._valid(f, other.src, self.dst, tuple(rows))
 
     def twist(self, t: int) -> "GradedMatrix":
-        return GradedMatrix(
+        return GradedMatrix._valid(
             self.field, tuple(a + t for a in self.src), tuple(b + t for b in self.dst), self.entries
         )
 
     def transpose_dual(self) -> "GradedMatrix":
-        rows = [
-            [self.entries[i][j] for i in range(len(self.dst))] for j in range(len(self.src))
-        ]
-        dual = GradedMatrix(
-            self.field, tuple(-b for b in self.dst), tuple(-a for a in self.src), rows
+        dual = GradedMatrix._valid(
+            self.field,
+            tuple(-b for b in self.dst),
+            tuple(-a for a in self.src),
+            tuple(tuple(row[j] for row in self.entries) for j in range(len(self.src))),
         )
         dual._profile = self._profile
         return dual

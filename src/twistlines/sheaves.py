@@ -180,7 +180,7 @@ class Subbundle:
     into the ambient frame, so the splitting type is the source frame.
     """
 
-    __slots__ = ("gen", "type", "_pairing")
+    __slots__ = ("gen", "type")
 
     def __init__(self, gen: GradedMatrix, check: bool = True):
         if check and gen.ncols:
@@ -191,7 +191,6 @@ class Subbundle:
                 )
         self.gen = gen
         self.type = SplittingType(gen.src)
-        self._pairing = None  # (pairing, pairing map), see _member_pairing_map
 
     @classmethod
     def zero(cls, field, ambient) -> "Subbundle":
@@ -454,14 +453,6 @@ def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
     return GradedMatrix(f, amb, tuple(-tw for tw in e.gen.src), rows)
 
 
-def _member_pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
-    """pairing_map(e, beta), kept on e for its isotropy test and perp."""
-    kept = e._pairing
-    if kept is None or kept[0] is not beta:
-        kept = e._pairing = (beta, pairing_map(e, beta))
-    return kept[1]
-
-
 class Block(NamedTuple):
     coords: tuple  # ambient coordinates of the block, ascending
     pairing: Optional[Pairing]  # beta on coords; None if no member has a column here
@@ -480,9 +471,9 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     its (valid, see ``Pairing``) block restrictions, and a member E is the
     sum of its chunks E_B.  So E is isotropic iff each E_B is; a perp is a
     direct sum over blocks (x is orthogonal to E iff each block part x_B is
-    to E_B), where an empty chunk contributes the whole block; for F in
-    E^perp the lift of F into E^perp is block diagonal, so its cokernel
-    E^perp/F is the union of the block cokernels.  A chunk of an everywhere-
+    to E_B), and ``perp`` of an empty chunk is the whole block; for F in
+    E^perp the lift of F into E^perp is block diagonal, so E^perp/F is the
+    union of the block quotients E_B^perp/F_B.  A chunk of an everywhere-
     injective member is everywhere injective (independent columns stay so,
     the dropped rows being zero), and its entries are the member's, so neither is checked."""
     n = beta.dim
@@ -516,13 +507,13 @@ def perp(e: Subbundle, beta: Pairing) -> Subbundle:
     """Annihilator subbundle of e under beta."""
     if e.rank == 0:
         return Subbundle.full(e.field, e.ambient)
-    return kernel_free(_member_pairing_map(e, beta))
+    return kernel_free(pairing_map(e, beta))
 
 
 def is_isotropic(e: Subbundle, beta: Pairing) -> bool:
     if e.rank == 0:
         return True
-    product = _member_pairing_map(e, beta) @ e.gen
+    product = pairing_map(e, beta) @ e.gen
     return product.is_zero()
 
 

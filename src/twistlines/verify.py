@@ -26,17 +26,19 @@ out.  A missing, stale or wrong witness fails the check, and the quotient
 is found by elimination (``quotient_type``), so a witness can cost time but
 never change a verdict or a note.
 
-The pairing stages (isotropy, perps, the lift of the top into a perp and
-its quotient) run per block of ``sheaves.orthogonal_blocks``: a member is a
-direct sum of chunks, one per orthogonal block, so isotropy holds iff it
-does on each chunk, a perp is the sum of the chunks' perps, and perp/top is
-the union of the block quotients (proved there; lifts by elimination).
+The pairing stages (isotropy, perps and the quotient of a perp by the top)
+run per block of ``sheaves.orthogonal_blocks``: a member is a direct sum of
+chunks, one per orthogonal block, so isotropy holds iff it does on each
+chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
+the block quotients (proved there), each one ``quotient_type`` of the top
+chunk in its block's perp.
 
-While ``run_sweep`` runs, each process computes each block stage once
-(``_once``): the key is the stage and its arguments' content, field
-included, and a stage is a deterministic function of that content, so a hit
-is what a recomputation gives and every check still runs once.  A stage that
-raises stores nothing; a direct ``certify`` sees no memo.
+While ``run_sweep`` runs, each process computes each of the three block
+stages (isotropy, perp, quotient) once (``_once``): the key is the stage
+and its arguments' content, field included, and a stage is a deterministic
+function of that content, so a hit is what a recomputation gives and every
+check still runs once.  A stage that raises stores nothing; a direct
+``certify`` sees no memo.
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -266,25 +268,15 @@ def _once(stage, *args):
     return found
 
 
-def _perp_parts(blocks, i):
-    """Per block, perp(member i)/top there: the top chunk's lift into the
-    perp of member i's chunk (itself where that chunk is empty and the perp
-    is the whole block), or a type where the top chunk is empty."""
-    parts = []
+def _perp_over_top(blocks, i) -> SplittingType:
+    """perp(member i)/top: per block, the quotient of the perp of member
+    i's chunk by the top chunk, joined; raises ``ValueError`` if a top
+    chunk does not lie in its perp."""
+    twists = ()
     for b in blocks:
-        top, perped = b.chunks[-1], b.chunks[i]
-        p = _once(perp, perped, b.pairing) if perped.rank else None
-        if not top.rank:
-            parts.append(p.type if p else SplittingType((0,) * len(b.coords)))
-        else:
-            parts.append(_once(sub_lift, top, p) if p else top.gen)
-    return parts
-
-
-def _union_of_quotients(parts) -> SplittingType:
-    """The union of the block quotients, read from lifts by ``_lift_quotient_type``."""
-    types = [p if isinstance(p, SplittingType) else _once(_lift_quotient_type, p) for p in parts]
-    return SplittingType(sum((t.twists for t in types), ()))
+        p = _once(perp, b.chunks[i], b.pairing)
+        twists += _once(quotient_type, b.chunks[-1], p).twists
+    return SplittingType(twists)
 
 
 def certify(fam: FlagFamily) -> Certificate:
@@ -296,7 +288,8 @@ def certify(fam: FlagFamily) -> Certificate:
 
     The pairing stages run per block of ``orthogonal_blocks``, which
     proves them equal to the whole-member ones, on the members' chunks
-    (equal ones once); perp/top is the union of the block quotients.
+    (equal ones once); perp/top is the union of the block quotients, one
+    ``quotient_type`` of the top chunk in its perp per block.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -312,20 +305,18 @@ def certify(fam: FlagFamily) -> Certificate:
     if not all(_once(is_isotropic, e, beta) for e, beta in tested.values()):
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
+    beside_top = None
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
         try:
-            rest_lifts = _perp_parts(blocks, 0)
+            beside_top = _perp_over_top(blocks, 0)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
             )
-    beside_top = None
     try:
         quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
-            beside_top = _union_of_quotients(_perp_parts(blocks, -1))
-        elif rule.beside_top == "perp(low)":
-            beside_top = _union_of_quotients(rest_lifts)
+            beside_top = _perp_over_top(blocks, -1)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":

@@ -666,35 +666,6 @@ def test_pairing_map_needs_a_trivial_ambient():
         pairing_map(Subbundle(gen), Pairing.hyperbolic(QQ, 1, "symmetric"))
 
 
-def test_isotropy_and_perp_share_one_pairing_map(monkeypatch):
-    from twistlines.verify import certify
-
-    built = []
-
-    def counting(e, beta):
-        built.append(e)
-        return pairing_map(e, beta)
-
-    monkeypatch.setattr(sheaves, "pairing_map", counting)
-    beta = Pairing.hyperbolic(QQ, 2, "symmetric")
-    zero = BinaryForm.zero(QQ, 1)
-    e = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(4), [(-1, [T0, T1, zero, zero])]))
-    assert is_isotropic(e, beta)
-    assert perp(e, beta).gen == kernel_free(pairing_map(e, beta)).gen
-    assert len(built) == 1
-    # an equal but distinct pairing is not taken for the kept one
-    perp(e, Pairing.hyperbolic(QQ, 2, "symmetric"))
-    assert len(built) == 2
-    # one build per member tested: three for the symmetric (k-1,k,k+1)
-    # flag, whose top member is also perped; two for the skew flag, whose
-    # bottom member is perped
-    for flavor, members in (("symmetric", 3), ("skew", 2)):
-        built.clear()
-        fam = build_isotropic(QQ, 8, 3, flavor)
-        assert certify(fam).very_twisting
-        assert len(built) == len(set(map(id, built))) == members
-
-
 # ---------------------------------------------------------------------------
 # the kernel scan before it picked generators by pivot columns, kept as the
 # oracle: at each degree T0 and T1 times the previous kernel piece are

@@ -219,7 +219,33 @@ def test_a_sweep_scans_each_distinct_perp_once(monkeypatch):
     monkeypatch.setattr(verify, "perp", perp)
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
     run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
-    assert len(kernels) == len(perps) == len(set(perps)) > 0
+    assert len(perps) == len(set(perps))
+    # the perp of an empty chunk is its whole block and scans nothing
+    assert len(kernels) == sum(gen.ncols > 0 for gen, _ in perps) > 0
+
+
+def test_a_sweep_computes_each_distinct_block_quotient_once(monkeypatch):
+    # the quotients of top chunks by their perps; a flag quotient with an
+    # empty inner member also calls quotient_type, outside the memo
+    quotients, in_perp_over_top = [], []
+    original_quotient, original_perp_over_top = verify.quotient_type, verify._perp_over_top
+
+    def perp_over_top(blocks, i):
+        in_perp_over_top.append(True)
+        try:
+            return original_perp_over_top(blocks, i)
+        finally:
+            in_perp_over_top.pop()
+
+    def quotient_type(inner, outer):
+        if in_perp_over_top:
+            quotients.append((inner.gen, outer.gen))
+        return original_quotient(inner, outer)
+
+    monkeypatch.setattr(verify, "_perp_over_top", perp_over_top)
+    monkeypatch.setattr(verify, "quotient_type", quotient_type)
+    run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
+    assert len(quotients) == len(set(quotients)) > 0
 
 
 def test_sweep_isolates_a_case_that_raises():
@@ -525,7 +551,7 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
     for fam in sweep_families(QQ, 16):
         rule = (fam.flavor, len(fam.members))
         certify(fam)
-    assert len(solves) == 147
+    assert len(solves) == 166
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
 
@@ -645,10 +671,10 @@ def whole_member_certify(fam):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_blockwise_certificates_equal_the_whole_member_oracle(field):
     families_seen = 0
-    for fam in sweep_families(field, 16):
+    for fam in sweep_families(field, 24):
         assert certify(fam) == whole_member_certify(fam), (fam.case, fam.n, fam.k)
         families_seen += 1
-    assert families_seen == 158
+    assert families_seen == 360
 
 
 T0 = BinaryForm.monomial(QQ, 1, 0)
