@@ -7,7 +7,10 @@ constructor rejects any entry violating that constraint; products, twists
 and transposed duals meet it by construction and skip the check.  The
 degree-n piece of a frame is the space of degree-n global sections, of
 dimension sum(max(0, n + a + 1)); basis order is summand-major with the
-T1-exponent ascending inside each summand.
+T1-exponent ascending inside each summand.  A matrix's degree-n piece is
+built by one scatter of its nonzero terms into sparse rows, {column:
+nonzero} (``sparse_piece``), which ``linalg`` eliminates as they are;
+``degree_piece`` is the dense view of that scatter.
 
 A GradedMatrix is immutable.  Its nonzero support (per source column, the
 nonzero entries with their nonzero terms) is computed on first use and
@@ -38,7 +41,7 @@ class DegreePiece(NamedTuple):
     n: int
     src_dims: tuple
     dst_dims: tuple
-    matrix: tuple  # rows of scalars
+    matrix: tuple  # rows: tuples of scalars, or a list of {column: nonzero} dicts
 
     @property
     def nrows(self):
@@ -55,7 +58,7 @@ class RankProfile(NamedTuple):
 
 
 class GradedMatrix:
-    __slots__ = ("field", "src", "dst", "entries", "_support", "_profile")
+    __slots__ = ("field", "src", "dst", "entries", "_support", "_profile", "_hash")
 
     def __init__(self, field, src, dst, entries):
         src = tuple(src)
@@ -76,8 +79,7 @@ class GradedMatrix:
         self.src = src
         self.dst = dst
         self.entries = entries
-        self._support = None
-        self._profile = None
+        self._support = self._profile = self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -86,7 +88,7 @@ class GradedMatrix:
         """The matrix of tuple frames and entry rows proved valid, unchecked."""
         m = object.__new__(cls)
         m.field, m.src, m.dst, m.entries = field, src, dst, entries
-        m._support = m._profile = None
+        m._support = m._profile = m._hash = None
         return m
 
     @classmethod
@@ -181,7 +183,10 @@ class GradedMatrix:
         )
 
     def __hash__(self):
-        return hash((self.src, self.dst, self.entries))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.src, self.dst, self.entries))
+        return h
 
     def __repr__(self):
         return f"GradedMatrix({list(self.src)} -> {list(self.dst)})"
@@ -244,12 +249,12 @@ class GradedMatrix:
 
     # -- degree pieces --------------------------------------------------
 
-    def degree_piece(self, n: int) -> DegreePiece:
-        f = self.field
+    def sparse_piece(self, n: int) -> DegreePiece:
+        """The degree-n piece with rows as {column: nonzero} dicts, columns
+        ascending: one scatter of the kept support."""
         src_dims = tuple(max(0, n + a + 1) for a in self.src)
         dst_dims = tuple(max(0, n + b + 1) for b in self.dst)
-        ncols = sum(src_dims)
-        rows = [[f.zero] * ncols for _ in range(sum(dst_dims))]
+        rows = [{} for _ in range(sum(dst_dims))]
         dst_off = []
         off = 0
         for d in dst_dims:
@@ -267,7 +272,14 @@ class GradedMatrix:
                     for s, cf in terms:
                         rows[base + s][col] = cf
                 col += 1
-        return DegreePiece(n, src_dims, dst_dims, tuple(tuple(r) for r in rows))
+        return DegreePiece(n, src_dims, dst_dims, rows)
+
+    def degree_piece(self, n: int) -> DegreePiece:
+        """The degree-n piece with dense rows: the view of ``sparse_piece``."""
+        piece, zero = self.sparse_piece(n), self.field.zero
+        cols = range(piece.ncols)
+        dense = tuple(tuple(row.get(c, zero) for c in cols) for row in piece.matrix)
+        return piece._replace(matrix=dense)
 
     # -- everywhere-rank certificate -------------------------------------
 

@@ -1,138 +1,171 @@
-"""Exact dense linear algebra over the scalar backends.
+"""Exact sparse linear algebra over the scalar backends.
 
-Matrices are lists of row lists.  Over the rationals, whose integral
-scalars are plain ints, each row is cleared of denominators (integer
-arithmetic only, a no-op for an all-int row) and reduced by its content;
-then fraction-free integer elimination with per-row gcd normalization
-keeps entry growth tame.  Back-substitution stays in the integers too:
-kernel vectors come out as primitive int vectors, and a solution is
-divided by its common denominator once per coordinate at the end.  Over a
-prime field elimination and back-substitution run on plain ints reduced
-mod p: echelon rows are normalized to pivot 1 with entries in [0, p), and
-back-substitution, like the integer one, visits only the nonzero
-coordinates of the vector it completes.  All pivot choices are
-deterministic, which keeps every downstream certificate byte-stable.
-This is the one echelon engine: ranks, kernels, solutions and the kernel
-scan's generator choice (``pivot_columns``) all come from ``_echelon``.
+A matrix is a list of rows of field elements.  A row is either dense, a
+sequence, or sparse, a dict {column: nonzero element}; sparse rows need an
+explicit column count.  Every routine copies its rows into fresh sparse
+dicts (a dense row at C speed, by ``itertools.compress`` and ``filter``),
+so the degree pieces that ``frames`` scatters, almost all of whose entries
+are zero, are eliminated in time proportional to their nonzeros.
+
+This is the one elimination engine (``_echelon``): ranks, kernels,
+solutions and the kernel scan's generator choice (``pivot_columns``) all
+come from it.  It eliminates column by column.  In each column one row
+holding an entry there becomes the pivot row, and every other row holding
+one is reduced by it; only those rows are visited, found by indexing the
+rows by their leading column.  Only the row update and the pivot
+normalization depend on the field.  Over the rationals, whose integral
+scalars are plain ints, a matrix with a ``Fraction`` entry is first
+cleared of denominators row by row; the update is fraction-free (a * row
+- b * pivot row) followed by a division by the row's content, which keeps
+entry growth tame.  Over a prime field, whose elements are ints in
+[0, p), the pivot row is scaled to pivot 1.  Back-substitution stays in
+the integers too: kernel vectors come out as primitive int vectors with
+positive leading entry, and a solution is divided by its common
+denominator once per coordinate at the end.
+
+Why the choice of pivot row cannot change an output.  The pivot row is
+the sparsest candidate, then the one with the smallest entry, then the
+first, to limit fill-in and entry growth; any other choice gives the same
+outputs, because each output is fixed by the matrix alone:
+
+* the pivot columns are the columns outside the span of the columns to
+  their left, since row operations keep every linear relation among the
+  columns;
+* the nullspace vector of a free column c is the unique kernel vector
+  with coordinate 1 at c and 0 at the other free columns (the pivot
+  columns are independent, so the rest is determined), scaled over the
+  rationals to the primitive integer vector with positive leading entry;
+* a solution is the unique one with every free coordinate 0.
+
+So ranks, kernels, solutions and every certificate built on them are
+byte-stable whatever the elimination order does.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain, compress, count
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .fields import PrimeField, RationalField
 
 __all__ = ["pivot_columns", "rank", "nullspace", "solve", "solve_many"]
 
+_DENOMINATOR = attrgetter("denominator")
+_NUMERATOR = attrgetter("numerator")
 
-def _int_rows(rows):
-    """Scale each row of a rational matrix to a primitive integer row."""
-    out = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            ints = list(row)
+
+def _fresh(rows) -> list:
+    """Fresh {column: nonzero} copies of dense rows, or of sparse ones."""
+    if rows and isinstance(rows[0], dict):
+        return list(map(dict, rows))
+    return [dict(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
+def _primitive_row(row: dict) -> dict:
+    """A rational sparse row scaled to a primitive integer row."""
+    vals = list(row.values())
+    den = lcm(*map(_DENOMINATOR, vals))
+    if den == 1:
+        vals = list(map(_NUMERATOR, vals))
+    else:
+        vals = [v.numerator * (den // v.denominator) for v in vals]
+    g = gcd(*vals)
+    if g > 1:
+        vals = [v // g for v in vals]
+    return dict(zip(row, vals))
+
+
+def _int_update(_, row, prow, c):
+    """Replace the integer row by the primitive part of a * row - b * prow,
+    which is 0 at the pivot column c of prow."""
+    pv = prow[c]
+    g = gcd(pv, row[c])
+    # the row is scaled to its primitive part below, so dividing both
+    # multipliers by their gcd first leaves the result unchanged
+    a, b = pv // g, row[c] // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, y in prow.items():
+        x = row.get(k, 0) - b * y
+        if x:
+            row[k] = x
         else:
-            lcm = 1
-            for v in row:
-                d = v.denominator
-                if d != 1:
-                    lcm = lcm // gcd(lcm, d) * d
-            ints = [v.numerator * (lcm // v.denominator) for v in row]
-        g = gcd(*ints)
+            del row[k]
+    if row:
+        g = gcd(*row.values())
         if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+            for k in row:
+                row[k] //= g
 
 
-def _int_echelon(rows, ncols):
-    """Fraction-free row echelon form; returns (rows, pivot_cols).
-
-    Pivot rule: in each column take the surviving row whose entry has the
-    smallest absolute value (lowest index on ties).  The rows, fresh lists
-    from ``_int_rows``, are reduced in place.
-    """
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        best = -1
-        for i in range(pr, nrows):
-            v = rows[i][c]
-            if v and (best < 0 or abs(v) < abs(rows[best][c])):
-                best = i
-        if best < 0:
-            continue
-        rows[pr], rows[best] = rows[best], rows[pr]
-        rp = rows[pr]
-        pv = rp[c]
-        tail = rp[c:]
-        for i in range(pr + 1, nrows):
-            ri = rows[i]
-            v = ri[c]
-            if not v:
-                continue
-            # the row is scaled to its primitive part below, so dividing
-            # both multipliers by their gcd first leaves the result unchanged
-            g = gcd(pv, v)
-            a, b = pv // g, v // g
-            new = [x * a - y * b for x, y in zip(ri[c:], tail)]
-            g = gcd(*new)
-            if g > 1:
-                new = [x // g for x in new]
-            ri[c:] = new
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows[:pr], pivots
-
-
-def _mod_echelon(p, rows, ncols):
-    rows = [[v % p for v in r] for r in rows]
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = -1
-        for i in range(pr, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        rp = rows[pr]
-        inv = pow(rp[c], p - 2, p)
-        for j in range(c, ncols):
-            rp[j] = rp[j] * inv % p
-        for i in range(pr + 1, nrows):
-            ri = rows[i]
-            v = ri[c]
-            if v:
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - v * rp[j]) % p
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows[:pr], pivots
+def _mod_update(p, row, prow, c):
+    """Replace the row by row - row[c] * prow mod p; prow[c] is 1."""
+    v = row[c]
+    for k, y in prow.items():
+        x = (row.get(k, 0) - v * y) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 def _echelon(field, rows, ncols):
+    """Row echelon form of fresh sparse rows; returns (rows, pivot_cols).
+
+    Echelon row r has its pivot at column pivot_cols[r] and no entry left
+    of it; over GF(p) the pivot entry is 1.  Over the rationals a matrix
+    with a non-int entry is first made integral row by row.  The rows are
+    indexed by their leading column: when column c comes up, every row
+    still to be reduced that holds an entry there leads with it (the
+    columns left of c are cleared), so the rows led by c are exactly the
+    candidates.  A reduced row is filed again under its new leading
+    column, once, and a row that cancels to zero is dropped.
+    """
     if isinstance(field, PrimeField):
-        return _mod_echelon(field.p, rows, ncols)
-    if isinstance(field, RationalField):
-        return _int_echelon(_int_rows(rows), ncols)
-    raise TypeError(f"unsupported field {field!r}")
+        p, update = field.p, _mod_update
+    elif isinstance(field, RationalField):
+        p, update = 0, _int_update
+        if not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
+            rows = [_primitive_row(row) for row in rows if row]
+    else:
+        raise TypeError(f"unsupported field {field!r}")
+    led = {}
+    for row in rows:
+        if row:
+            led.setdefault(min(row), []).append(row)
+    ech, pivots = [], []
+    for c in range(ncols):
+        if not led:
+            break
+        cand = led.pop(c, None)
+        if cand is None:
+            continue
+        i = min([(len(r), abs(r[c]), i) for i, r in enumerate(cand)])[2] if len(cand) > 1 else 0
+        prow = cand.pop(i)
+        if p and prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        for row in cand:
+            if len(prow) == 1:
+                del row[c]  # a pivot row with one entry just clears the column
+            else:
+                update(p, row, prow, c)
+            if row:
+                led.setdefault(min(row), []).append(row)
+        ech.append(prow)
+        pivots.append(c)
+    return ech, pivots
 
 
 def pivot_columns(field, rows, ncols):
     """The pivot columns of an echelon form, ascending: whatever the row
     operations, the columns outside the span of those left of them."""
-    return _echelon(field, rows, ncols)[1]
+    return _echelon(field, _fresh(rows), ncols)[1]
 
 
 def rank(field, rows, ncols=None) -> int:
+    """The rank; ``ncols`` defaults to the length of the first (dense) row."""
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
@@ -145,17 +178,13 @@ def _int_back_substitute(ech, pivots, y):
     On entry y holds the free coordinates (ints) and zeros at the pivot
     columns.  y is completed in place to an integer solution of ech*y = 0
     whose free coordinates are the given ones times a common factor d > 0;
-    d is returned.  Only the nonzero coordinates are visited: an echelon
-    row vanishes left of its pivot and y is zero at the pivots still to
-    be filled.
+    d is returned.  y is zero at the pivots still to be filled, so each
+    row's dot product reads only the columns set so far.
     """
-    nz = [j for j, v in enumerate(y) if v]
     den = 1
     for r in range(len(pivots) - 1, -1, -1):
         row = ech[r]
-        s = 0
-        for j in nz:
-            s += row[j] * y[j]
+        s = sum(map(mul, row.values(), map(y.__getitem__, row)))
         if not s:
             continue
         pc = pivots[r]
@@ -163,34 +192,24 @@ def _int_back_substitute(ech, pivots, y):
         g = gcd(s, p)
         m = abs(p) // g
         if m != 1:
-            for j in nz:
-                y[j] *= m
+            y[:] = map(m.__mul__, y)
             den *= m
         y[pc] = -s // g if p > 0 else s // g
-        nz.append(pc)
     return den
 
 
 def _mod_back_substitute(p, ech, pivots, x):
-    """Modular back-substitution for a normalized echelon form mod p.
+    """Modular back-substitution for a pivot-1 echelon form mod p.
 
-    The rows come from ``_mod_echelon``: pivot entry 1, entries in [0, p).
     On entry x holds the free coordinates and zeros at the pivot columns;
     it is completed in place to the solution of ech*x = 0 with those free
-    coordinates.  As in ``_int_back_substitute`` only the nonzero
-    coordinates are visited.
+    coordinates.
     """
-    nz = [j for j, v in enumerate(x) if v]
     for r in range(len(pivots) - 1, -1, -1):
         row = ech[r]
-        s = 0
-        for j in nz:
-            s += row[j] * x[j]
-        s %= p
+        s = sum(map(mul, row.values(), map(x.__getitem__, row))) % p
         if s:
-            pc = pivots[r]
-            x[pc] = p - s
-            nz.append(pc)
+            x[pivots[r]] = p - s
     return x
 
 
@@ -210,14 +229,10 @@ def _primitive(vec):
 def nullspace(field, rows, ncols):
     """Canonical kernel basis, one vector per free column in ascending order.
 
-    Over the rationals the vectors are primitive integer vectors (lists of
-    ints) with positive leading entry.
+    Each vector is a dense list.  Over the rationals the vectors are
+    primitive integer vectors (lists of ints) with positive leading entry.
     """
-    if ncols == 0:
-        return []
-    if not rows:
-        rows = [[field.zero] * ncols]
-    ech, pivots = _echelon(field, rows, ncols)
+    ech, pivots = _echelon(field, _fresh(rows), ncols)
     pivot_set = set(pivots)
     rational = isinstance(field, RationalField)
     basis = []
@@ -248,18 +263,21 @@ def solve(field, rows, ncols, rhs):
 def solve_many(field, rows, ncols, rhss):
     """rows * x = b for every b in rhss, by one elimination; or None.
 
-    All right-hand sides are appended to the matrix and eliminated
-    together, then each is back-substituted on its own.  The result is one
-    solution per right-hand side, in order, with free coordinates 0; it is
-    None as soon as one right-hand side is outside the column space.  The
-    pivot columns of an echelon form do not depend on the row operations
-    that produced it, so each solution is the one ``solve`` gives for its
-    right-hand side alone.
+    A right-hand side is dense (one element per row) or sparse ({row:
+    nonzero}).  All of them are appended to the matrix as columns and
+    eliminated together, then each is back-substituted on its own.  The
+    result is one dense solution per right-hand side, in order, with free
+    coordinates 0; it is None as soon as one right-hand side is outside
+    the column space.  Pivot columns do not depend on the row operations
+    that produced them, so each solution is the one ``solve`` gives for
+    its right-hand side alone.
     """
     k = len(rhss)
-    if not rows:
-        return [[field.zero] * ncols for _ in range(k)]
-    aug = [list(r) + [b[i] for b in rhss] for i, r in enumerate(rows)]
+    aug = _fresh(rows)
+    for col, b in enumerate(rhss, ncols):
+        entries = b.items() if isinstance(b, dict) else zip(compress(count(), b), filter(None, b))
+        for i, v in entries:
+            aug[i][col] = v
     ech, pivots = _echelon(field, aug, ncols + k)
     if pivots and pivots[-1] >= ncols:
         return None

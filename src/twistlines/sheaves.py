@@ -7,10 +7,12 @@ is free, so the second differences of its Hilbert function count its
 generators degree by degree, and the scan ends with a certificate rather
 than a heuristic.  ``kernel_free`` picks generators among the nullspace
 vectors by ``linalg`` pivot columns; ``cokernel_type`` reads the cokernel's
-twists from the counts alone, on the transposed dual.
+twists from the counts alone, on the transposed dual.  Every degree piece
+reaches ``linalg`` as the sparse rows of ``GradedMatrix.sparse_piece``.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -113,7 +115,7 @@ class Pairing:
                     raise ValueError(f"pairing matrix is not {self.flavor}")
         if self.flavor == "skew" and n % 2:
             raise ValueError("a nondegenerate skew pairing needs even dimension")
-        if linalg.rank(f, [list(r) for r in self.matrix], n) != n:
+        if linalg.rank(f, self.matrix, n) != n:
             raise ValueError("pairing matrix is degenerate")
 
     @classmethod
@@ -240,20 +242,23 @@ def _lift(phi: GradedMatrix, target: GradedMatrix) -> Optional[GradedMatrix]:
     full column rank and each lift is unique.  A column of twist t lifts
     inside the degree -t piece, where its coordinates are its entries'
     coefficients in order (an entry of negative degree has none, and is
-    zero).  The columns are grouped by twist, and each group is settled by
-    one exact solve with all of its right-hand sides.  One product
-    phi @ L then confirms every lift as a polynomial identity.
+    zero), read sparsely from its nonzero terms.  The columns are grouped
+    by twist, and each group is settled by one exact solve with all of its
+    right-hand sides.  One product phi @ L then confirms every lift as a
+    polynomial identity.
     """
     f = phi.field
     by_twist = {}
     for j, twist in enumerate(target.src):
         by_twist.setdefault(twist, []).append(j)
     lifted = [None] * target.ncols
+    support = target.support()
     for twist, js in by_twist.items():
         n = -twist
-        rhss = [[c for row in target.entries for c in row[j].coeffs] for j in js]
-        piece = phi.degree_piece(n)
-        xs = linalg.solve_many(f, [list(r) for r in piece.matrix], piece.ncols, rhss)
+        piece = phi.sparse_piece(n)
+        off = [0, *accumulate(piece.dst_dims)]
+        rhss = [{off[i] + s: c for i, terms in support[j] for s, c in terms} for j in js]
+        xs = linalg.solve_many(f, piece.matrix, piece.ncols, rhss)
         if xs is None:
             return None
         for j, x in zip(js, xs):
@@ -307,8 +312,8 @@ def _hilbert_scan(m: GradedMatrix, r: int):
     guard = _generator_degree_bound(m, r, c) + 2
     h1 = h2 = 0  # h(n-1), h(n-2)
     while True:
-        piece = m.degree_piece(n)
-        null = linalg.nullspace(f, [list(row) for row in piece.matrix], piece.ncols)
+        piece = m.sparse_piece(n)
+        null = linalg.nullspace(f, piece.matrix, piece.ncols)
         h = len(null)
         g = h - 2 * h1 + h2
         if g < 0:
@@ -359,9 +364,11 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
     f, src = m.field, m.src
     cols = []  # generator columns (twist, forms), in order of degree
     for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank):
-        span = GradedMatrix.from_columns(f, src, cols).degree_piece(n)
-        k = span.ncols
-        rows = [list(row) + [v[i] for v in null] for i, row in enumerate(span.matrix)]
+        span = GradedMatrix.from_columns(f, src, cols).sparse_piece(n)
+        rows, k = span.matrix, span.ncols
+        for col, v in enumerate(null, k):
+            for i in compress(count(), v):
+                rows[i][col] = v[i]
         new = [j - k for j in linalg.pivot_columns(f, rows, k + len(null)) if j >= k]
         if len(new) != g:
             raise RuntimeError(

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -59,6 +60,25 @@ def test_constructor_rejects_degree_violation():
 def test_constructor_rejects_nonzero_in_negative_gap():
     with pytest.raises(ValueError):
         GradedMatrix(QQ, (1,), (0,), [[T0]])
+
+
+def test_equal_matrices_built_separately_hash_equal():
+    # the hash is kept on first use; every constructor path must start
+    # without one, and a pickled copy must carry a valid one
+    built = GradedMatrix(QQ, (-1,), (0, 0), [[T0], [T1]])
+    hash(built)
+    others = [
+        coords_column(),
+        GradedMatrix.identity(QQ, trivial_frame(2)) @ built,
+        built.transpose_dual().transpose_dual(),
+        built.twist(1).twist(-1),
+        pickle.loads(pickle.dumps(built)),
+    ]
+    for other in others:
+        assert other == built and hash(other) == hash(built)
+        assert hash(other) == hash(other)
+    assert len({built: 1, **{m: 2 for m in others}}) == 1
+    assert hash(built) == hash((built.src, built.dst, built.entries))
 
 
 def test_degree_piece_empty_source():
@@ -164,9 +184,17 @@ def dense_degree_piece(m, n):
 @settings(max_examples=150, deadline=None)
 @given(graded_matrices(), st.lists(st.integers(-8, 8), min_size=1, max_size=4))
 def test_sparse_scatter_matches_the_dense_reference(m, degrees):
+    # degree_piece is the dense view of sparse_piece, whose rows hold the
+    # nonzero entries only, columns ascending
     f = m.field
     for n in degrees:
-        assert m.degree_piece(n) == dense_degree_piece(m, n)
+        dense = dense_degree_piece(m, n)
+        assert m.degree_piece(n) == dense
+        sparse = m.sparse_piece(n)
+        assert sparse == dense._replace(
+            matrix=[{c: v for c, v in enumerate(row) if v} for row in dense.matrix]
+        )
+        assert all(list(row) == sorted(row) for row in sparse.matrix)
     assert m.value_at_infinity() == evaluate(m, f.one, f.zero)
     for row in m.entries:
         for e in row:

@@ -12,6 +12,14 @@ n <= 24 pin adds each family's pairing Gram matrix.
 The n <= 20 pin is of the JSON of the ``run_sweep`` rows themselves, on
 both fields, and reaches the larger cases the CLI pins do not.  The
 n = 21-24 pin does the same for the sizes the north-star sweep adds.
+
+The kernel-basis pins are over every distinct (argument, generator matrix)
+pair that ``kernel_free`` gives in the per-case n <= 20 sweep and in the
+``verify_claim_ses`` reports with b <= 14, on each field.  ``linalg``'s
+outputs are canonical (see its docstring), so no change to the elimination
+may move them.  The scan's own checks share ``linalg`` with the code they
+check; these digests were taken with the earlier dense elimination.  The
+``ses --max 14`` JSON is pinned too.
 """
 
 import hashlib
@@ -19,6 +27,7 @@ import json
 
 import pytest
 
+from twistlines import sheaves, verify
 from twistlines.cli import main
 from twistlines.families import build_classical, build_isotropic, is_exceptional
 from twistlines.fields import QQ, PrimeField
@@ -32,6 +41,20 @@ SWEEP_16_SHA256 = {
 SWEEP_20_ROWS_SHA256 = "203667230d2417ccbbb2d6922141edd0480bb7ffcda45b471dc26b94f83e3263"
 
 SWEEP_21_24_ROWS_SHA256 = "c1b0cc08789512a9c1d3cb2cc31c05324bf13b50bb702e79f4b44f2f52a88148"
+
+SES_14_JSON_SHA256 = "8f704229f07dd63b97a8aa8f714178bc11820f9db1f20c852e1515cc3a2a211f"
+
+# (distinct kernel_free calls, SHA-256 of their sorted argument -> basis lines)
+KERNEL_BASES = {
+    ("sweep", "QQ"): (37, "0ea48bd6dc149dea7177f3d0656384552a64f2386a8757094e5953e215f7ce97"),
+    ("sweep", "GF(10007)"): (
+        37, "1aea7bf9cbf63fbdef7900938314bf04b4bd2d056d18f3fe36a8d8c170fdb0e4"
+    ),
+    ("ses", "QQ"): (105, "386fa490e71cc010df5a40b90a4002e29af93f07d36c800b94e7305e88785e22"),
+    ("ses", "GF(10007)"): (
+        105, "d503042f3efc3cb4271e6199879008692b3ac4cc8fcc3bba37cc8b8033c72c2f"
+    ),
+}
 
 EXCEPTIONAL_CHECK_JSON = """\
 {
@@ -140,3 +163,46 @@ def test_flag_members_and_witnesses_are_pinned(field):
 def test_flag_members_witnesses_and_pairings_are_pinned_to_24(field):
     digest = members_digest(field, n_max=24, with_pairing=True)
     assert digest == FAMILIES_24_SHA256[str(field)]
+
+
+@pytest.mark.parametrize("field", ["rational", "prime:10007"])
+def test_ses_14_json_bytes(capsys, field):
+    out = stdout_of(capsys, "ses", "--max", "14", "--format", "json", "--field", field)
+    assert sha256(out) == SES_14_JSON_SHA256
+
+
+def matrix_text(m):
+    coeffs = tuple(tuple(e.coeffs for e in row) for row in m.entries)
+    return repr((m.src, m.dst, coeffs))
+
+
+def sweep_every_case(field):
+    """The per-case path, with no memo of the block stages."""
+    for point in sweep_points(2, 20, (None, "symmetric", "skew")):
+        verify._sweep_one((field, *point))
+
+
+def every_ses_report(field):
+    for b in range(1, 15):
+        for a in range(1, b + 1):
+            verify.verify_claim_ses(field, a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+@pytest.mark.parametrize(
+    "name, run", [("sweep", sweep_every_case), ("ses", every_ses_report)], ids=["sweep", "ses"]
+)
+def test_kernel_bases_are_pinned(field, name, run, monkeypatch):
+    seen = set()
+    real = sheaves.kernel_free
+
+    def recording(m):
+        sub = real(m)
+        seen.add(f"{matrix_text(m)}->{matrix_text(sub.gen)}")
+        return sub
+
+    # verify binds kernel_free at import, and perp calls it inside sheaves
+    monkeypatch.setattr(sheaves, "kernel_free", recording)
+    monkeypatch.setattr(verify, "kernel_free", recording)
+    run(field)
+    assert (len(seen), sha256("\n".join(sorted(seen)))) == KERNEL_BASES[name, str(field)]

@@ -2,6 +2,8 @@
 
 The kernel and solve tests run over the rationals and over GF(10007) and
 GF(7); over a prime field the matrices are the integer ones reduced mod p.
+The sparse engine must also equal, exactly, the dense elimination it
+replaced, kept in ``dense_linalg``, on dense and on sparse rows.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_linalg
 from twistlines import linalg
 from twistlines.fields import QQ, PrimeField
 
@@ -220,3 +223,103 @@ def test_pivot_columns_are_the_leftmost_column_basis(case):
         sympy = pytest.importorskip("sympy")
         exact = [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows]
         assert tuple(pivots) == sympy.Matrix(exact).rref()[1]
+
+
+# ---------------------------------------------------------------------------
+# the sparse engine against the dense elimination it replaced
+# (``dense_linalg``), with dense and with sparse input
+
+REFERENCE_FIELDS = (QQ, PrimeField(10007), PrimeField(7))
+# mostly zeros, as in the degree pieces; raw Fractions (integral ones too)
+# exercise the rational clearing of denominators
+SPARSE_ENTRY = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+RAW_FRACTION = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def reference_systems(draw):
+    """(field, dense rows, ncols): zero rows, ncols = 0 and rows that
+    cancel to zero (a combination of earlier rows) are common."""
+    field = draw(st.sampled_from(REFERENCE_FIELDS))
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(SPARSE_ENTRY, RAW_FRACTION) if field is QQ else SPARSE_ENTRY
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            a, b = draw(SMALL_INT), draw(SMALL_INT)
+            rows[i] = [a * x + b * y for x, y in zip(rows[i - 2], rows[i - 1])]
+    if field is not QQ:
+        rows = [[field.of(v) for v in row] for row in rows]
+    return field, rows, ncols
+
+
+def as_sparse(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def typed(value):
+    """Nested values with each scalar's type, so 2 and Fraction(2) differ."""
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return value if value is None else (type(value).__name__, value)
+
+
+def assert_matches_reference(field, rows, ncols, rhss):
+    sparse = as_sparse(rows)
+    pivots = dense_linalg.pivot_columns(field, [list(r) for r in rows], ncols)
+    null = dense_linalg.nullspace(field, [list(r) for r in rows], ncols)
+    solved = dense_linalg.solve_many(field, [list(r) for r in rows], ncols, rhss)
+    for given in (rows, sparse):
+        assert linalg.pivot_columns(field, given, ncols) == pivots
+        assert linalg.rank(field, given, ncols) == len(pivots)
+        assert typed(linalg.nullspace(field, given, ncols)) == typed(null)
+        assert typed(linalg.solve_many(field, given, ncols, rhss)) == typed(solved)
+    sparse_rhss = [{i: v for i, v in enumerate(b) if v} for b in rhss]
+    assert typed(linalg.solve_many(field, sparse, ncols, sparse_rhss)) == typed(solved)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reference_systems(), st.data())
+def test_sparse_engine_equals_the_dense_reference(case, data):
+    # right-hand sides in the column space, and arbitrary ones, which are
+    # mostly outside it when the rank is short
+    field, rows, ncols = case
+    scalars = st.one_of(SMALL_INT, RAW_FRACTION) if field is QQ else SMALL_INT
+    rhss = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            x0 = [field.of(data.draw(scalars)) for _ in range(ncols)]
+            rhss.append(apply(field, rows, x0))
+        else:
+            rhss.append([field.of(data.draw(SPARSE_ENTRY)) for _ in rows])
+    assert_matches_reference(field, rows, ncols, rhss)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_reference_edge_cases(field):
+    # no rows, zero rows, no columns, and an inconsistent system
+    for rows, ncols in (([], 3), ([[0, 0, 0]], 3), ([[], []], 0), ([[1, 2], [2, 4]], 2)):
+        rows = [[field.of(v) for v in row] for row in rows]
+        rhss = [[field.of(i + 1) for i in range(len(rows))]]
+        assert_matches_reference(field, rows, ncols, rhss)
+    assert linalg.solve_many(field, [[1, 2], [2, 4]], 2, [[1, 1]]) is None
+    assert linalg.solve_many(field, [[], []], 0, [[0, 1]]) is None
+    assert linalg.nullspace(field, [{}, {}], 0) == []
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_a_row_that_loses_an_entry_and_regains_it(field):
+    # column 0: the sparsest row r0 is the pivot, and r1 - r0 loses column
+    # 2; column 1: the sparser r2 is the pivot, and r1 regains column 2 (an
+    # index of the rows holding each column would list r1 twice there)
+    rows = [
+        [1, 0, 1, 0, 0],
+        [1, 1, 1, 1, 1],
+        [0, 1, 1, 0, 0],
+        [0, 0, 3, 1, 0],
+    ]
+    rows = [[field.of(v) for v in row] for row in rows]
+    rhss = [apply(field, rows, [1, 2, 3, 4, 5]), [field.of(v) for v in (0, 0, 1, 1)]]
+    assert_matches_reference(field, rows, 5, rhss)
+    assert linalg.rank(field, rows, 5) == 4
