@@ -7,8 +7,9 @@ is free, so the second differences of its Hilbert function count its
 generators degree by degree, and the scan ends with a certificate rather
 than a heuristic.  ``kernel_free`` picks generators among the nullspace
 vectors by ``linalg`` pivot columns; ``cokernel_type`` reads the cokernel's
-twists from the counts alone, on the transposed dual.  Every degree piece
-reaches ``linalg`` as the sparse rows of ``GradedMatrix.sparse_piece``.
+twists from the counts alone, on the transposed dual, each nullity from a
+rank.  Every degree piece reaches ``linalg`` as the sparse rows of
+``GradedMatrix.sparse_piece``.
 """
 
 from dataclasses import dataclass
@@ -287,15 +288,18 @@ def _coordinates_to_forms(field, frame, n, coords):
 # kernels and cokernels, read from one Hilbert-function scan
 
 
-def _hilbert_scan(m: GradedMatrix, r: int):
-    """Yield (n, g, null) for each generator degree n of K = ker(m).
+def _hilbert_scan(m: GradedMatrix, r: int, basis: bool):
+    """Yield (n, g, null) for each generator degree n of K = ker(m), null
+    the nullspace basis of m's degree-n piece if ``basis``, else None.
 
     K is free of rank c = #src - r, r the generic rank of m, say with
-    generators of degrees d_i, so its Hilbert function h(n) = dim K_n =
-    len(null), null the nullspace of m's degree-n piece, is
-    sum(max(0, n - d_i + 1)).  The first difference h(n) - h(n-1) counts
-    the d_i <= n and the second difference g = h(n) - 2h(n-1) + h(n-2) the
-    d_i = n.  Each degree piece is built and eliminated once.
+    generators of degrees d_i, so its Hilbert function h(n) = dim K_n, the
+    nullity of m's degree-n piece, is sum(max(0, n - d_i + 1)).  The
+    nullity is len(null), or without a basis the piece's column count less
+    its rank, which needs no back-substitution.  The first difference
+    h(n) - h(n-1) counts the d_i <= n and the second difference g = h(n) -
+    2h(n-1) + h(n-2) the d_i = n.  Each degree piece is built and
+    eliminated once.
 
     Termination: the scan visits n upward from -max(src), below which
     every piece has no columns, so h(n-1) = h(n-2) = 0 there; it stops once
@@ -313,8 +317,11 @@ def _hilbert_scan(m: GradedMatrix, r: int):
     h1 = h2 = 0  # h(n-1), h(n-2)
     while True:
         piece = m.sparse_piece(n)
-        null = linalg.nullspace(f, piece.matrix, piece.ncols)
-        h = len(null)
+        if basis:
+            null = linalg.nullspace(f, piece.matrix, piece.ncols)
+            h = len(null)
+        else:
+            null, h = None, piece.ncols - linalg.rank(f, piece.matrix, piece.ncols)
         g = h - 2 * h1 + h2
         if g < 0:
             raise RuntimeError(f"negative generator count {g} in degree {n}")
@@ -363,7 +370,7 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
     """
     f, src = m.field, m.src
     cols = []  # generator columns (twist, forms), in order of degree
-    for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank):
+    for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank, True):
         span = GradedMatrix.from_columns(f, src, cols).sparse_piece(n)
         rows, k = span.matrix, span.ncols
         for col, v in enumerate(null, k):
@@ -400,7 +407,7 @@ def cokernel_type(m: GradedMatrix) -> SplittingType:
 
 def _scan_cokernel(m: GradedMatrix, r: int) -> SplittingType:
     """``cokernel_type`` of m known to have constant pointwise rank r."""
-    scan = _hilbert_scan(m.transpose_dual(), r)
+    scan = _hilbert_scan(m.transpose_dual(), r, False)
     coker = SplittingType(tuple(n for n, g, _ in scan for _ in range(g)))
     if r == len(m.src) and coker.degree != sum(m.dst) - sum(m.src):
         raise RuntimeError(

@@ -330,6 +330,12 @@ def certify(fam: FlagFamily) -> Certificate:
 
 
 class SesReport(NamedTuple):
+    """The four facts exactness of 0 -> O^a -> O(b-a)^b -> O(b)^(b-a) -> 0
+    rests on.  ``kernel_matches``: ker psi has phi's source frame as its
+    type and contains every column of phi, so ker psi = im phi; it holds by
+    the saturation lemma of ``verify_claim_ses`` where that applies, and is
+    otherwise read from the kernel scan and one lift."""
+
     a: int
     b: int
     composite_zero: bool
@@ -348,11 +354,37 @@ class SesReport(NamedTuple):
 
 
 def verify_claim_ses(field, a: int, b: int) -> SesReport:
-    """Check exactness of the phi/psi pair by independent rank certificates."""
+    """Check exactness of the phi/psi pair: psi phi = 0, phi everywhere
+    injective, psi everywhere surjective, and ker psi = im phi.
+
+    The last is certified by saturation where the matrices allow it.
+    Lemma: let A be a subsheaf of B, both of equal rank in a vector bundle V
+    on P^1, with A saturated (V/A torsion free).  Then A = B: B/A has rank
+    0, so it is torsion, and it sits inside the torsion-free V/A, so it is
+    0.  Here V = O(phi.dst), A = im phi and B = ker psi.  If phi.dst is
+    psi.src and psi @ phi is zero, A lies in B.  If phi has rank phi.ncols
+    at every point, A is isomorphic to O(phi.src), of rank phi.ncols, and
+    V/A = coker phi is locally free, so A is saturated.  If psi's generic
+    rank is len(psi.src) - phi.ncols, B has rank phi.ncols too.  Then
+    ker psi = im phi: its type is phi's source frame and every column of
+    phi lifts through it, so ``kernel_matches`` holds with no kernel
+    computed.  Each condition is read from the matrices, not from (a, b).
+
+    Otherwise ker psi comes from the Hilbert-function scan (``kernel_free``)
+    and must have phi's source frame as its type; if the composite is zero,
+    every column of phi must also lift through it (``sub_lift``).
+    """
     phi, psi = build_phi_psi(field, a, b)
     composite_zero = (psi @ phi).is_zero()
     injective = phi.rank_everywhere() == (a, True)
     surjective = psi.rank_everywhere() == (b - a, True)
+    if (
+        phi.dst == psi.src
+        and composite_zero
+        and phi.rank_everywhere() == (phi.ncols, True)
+        and psi.rank_everywhere().generic_rank == len(psi.src) - phi.ncols
+    ):
+        return SesReport(a, b, composite_zero, injective, surjective, True)
     ker = kernel_free(psi)
     kernel_matches = ker.type == SplittingType(phi.src)
     if kernel_matches and composite_zero:

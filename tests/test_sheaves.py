@@ -309,18 +309,24 @@ def test_cokernel_scan_with_a_wrong_rank_raises(monkeypatch, off_by):
     # a rank off by one in every degree with a nonempty nullspace (one
     # nullspace vector dropped, or one repeated) shifts a generator to the
     # next degree or leaves a negative count; the degree invariant or the
-    # count check catches it
+    # count check catches it.  The scan reads each nullity from the rank,
+    # that is from the number of pivot columns.
     col = GradedMatrix.from_columns(QQ, trivial_frame(2), [(-1, [T0, T1])])
     phi, _ = build_phi_psi(QQ, 2, 5)
     for m in (col, phi):
         m.rank_everywhere()  # kept on m, so only the scan sees the patch
-    original = linalg.nullspace
+    original = linalg.pivot_columns
 
     def wrong(f, rows, ncols):
-        null = original(f, rows, ncols)
-        return null[1:] if off_by > 0 else null + null[:1]
+        pivots = original(f, rows, ncols)
+        if len(pivots) == ncols:  # an empty nullspace
+            return pivots
+        assert pivots  # so a rank one smaller exists
+        if off_by > 0:
+            return sorted(pivots + [min(set(range(ncols)) - set(pivots))])
+        return pivots[1:]
 
-    monkeypatch.setattr(linalg, "nullspace", wrong)
+    monkeypatch.setattr(linalg, "pivot_columns", wrong)
     for m in (col, phi):
         with pytest.raises(RuntimeError, match="degree|negative generator count"):
             cokernel_type(m)

@@ -18,6 +18,7 @@ from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix, trivial_frame
 from twistlines.sheaves import Pairing, SplittingType, Subbundle, orthogonal_blocks, sub_lift
 from twistlines.verify import (
+    SesReport,
     certify,
     pool_size,
     run_sweep,
@@ -121,6 +122,109 @@ def test_ses_degreewise_rank_oracle():
             )
             assert rank_phi == null_psi, (a, b, n)
             assert rank_phi == min(p_phi.ncols, a * max(0, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the saturation certificate of verify_claim_ses, against the kernel scan
+
+SES_PAIRS = [(a, b) for b in range(1, 15) for a in range(1, b + 1)]
+
+
+def scan_ses_report(a, b, phi, psi):
+    """The report by the kernel scan of psi and one lift of phi through it."""
+    composite_zero = (psi @ phi).is_zero()
+    ker = sheaves.kernel_free(psi)
+    kernel_matches = ker.type == SplittingType(phi.src)
+    if kernel_matches and composite_zero:
+        try:
+            sub_lift(Subbundle(phi), ker)
+        except ValueError:
+            kernel_matches = False
+    injective = phi.rank_everywhere() == (a, True)
+    surjective = psi.rank_everywhere() == (b - a, True)
+    return SesReport(a, b, composite_zero, injective, surjective, kernel_matches)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_ses_reports_equal_the_kernel_scan_oracle(field):
+    for a, b in SES_PAIRS:
+        oracle = scan_ses_report(a, b, *build_phi_psi(field, a, b))
+        assert verify_claim_ses(field, a, b) == oracle, (a, b)
+        assert oracle.exact, (a, b)
+
+
+class NoScan(Exception):
+    pass
+
+
+def no_scan(*args):
+    raise NoScan
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_exact_ses_reports_need_no_kernel_scan(field, monkeypatch):
+    monkeypatch.setattr(verify, "kernel_free", no_scan)
+    monkeypatch.setattr(verify, "sub_lift", no_scan)
+    assert all(verify_claim_ses(field, a, b).exact for a, b in SES_PAIRS)
+
+
+def with_entries(m, change):
+    """m with each entry (i, j) replaced by change(i, j, entry), in m's
+    frames except that a column's twist follows its new entries' degree."""
+    columns = []
+    for j, (_, forms) in enumerate(m.columns()):
+        forms = [change(i, j, e) for i, e in enumerate(forms)]
+        columns.append((m.dst[0] - forms[0].degree, forms))
+    return GradedMatrix.from_columns(m.field, m.dst, columns)
+
+
+def first_column_times_t0(phi, psi):
+    # phi vanishes at T0 = 0 on the first column: not everywhere injective
+    t0 = BinaryForm.monomial(phi.field, 1, 0)
+    return with_entries(phi, lambda i, j, e: e * t0 if j == 0 else e), psi
+
+
+def zero_first_row(phi, psi):
+    # psi drops rank everywhere: its kernel is one larger than phi's image
+    def change(i, j, e):
+        return BinaryForm.zero(e.field, e.degree) if i == 0 else e
+
+    return phi, with_entries(psi, change)
+
+
+def nonzero_composite(phi, psi):
+    # phi's entry (0, 0) plus T1^(b-a): psi @ phi gains psi's first column
+    # times T1^(b-a), which is nonzero
+    def change(i, j, e):
+        return e + BinaryForm.monomial(e.field, e.degree, e.degree) if i == j == 0 else e
+
+    return with_entries(phi, change), psi
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+@pytest.mark.parametrize("corrupt", [first_column_times_t0, zero_first_row, nonzero_composite])
+def test_corrupted_ses_pairs_take_the_kernel_scan(field, corrupt, monkeypatch):
+    # a pair that misses one condition of the saturation certificate gets
+    # the report of the scan path, and the scan really runs
+    pairs = {}
+
+    def corrupted(f, a, b):
+        pairs[a, b] = corrupt(*build_phi_psi(f, a, b))
+        return pairs[a, b]
+
+    scans = []
+
+    def counted(m):
+        scans.append(m)
+        return sheaves.kernel_free(m)
+
+    monkeypatch.setattr(verify, "build_phi_psi", corrupted)
+    monkeypatch.setattr(verify, "kernel_free", counted)
+    for a, b in [(1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (4, 9)]:
+        report = verify_claim_ses(field, a, b)
+        assert report == scan_ses_report(a, b, *pairs[a, b]), (a, b)
+        assert not report.exact, (a, b)
+        assert scans and scans[-1] is pairs[a, b][1], (a, b)
 
 
 def test_sweep_to_8_matches_exceptional_list():
