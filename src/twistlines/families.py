@@ -4,9 +4,8 @@ Each builder assembles a nested chain of certified subbundles of a trivial
 bundle, together with the pairing the chain must respect.  The matrix data
 is exactly the binomial/monomial data the constructions call for; every
 member is certified as a locally split subbundle on construction, the top
-by its rank profile and a lower member by that check or, when it is a
-selection of the generators above it, by the proof in ``_flag`` (the
-positivity layer sits in ``verify``).
+by its rank profile and a lower member by its witness into the member
+above, as ``_flag`` proves (the positivity layer sits in ``verify``).
 
 Every isotropic case (I-IV) is one row of ``_CASES``: an orthogonal sum of
 a small block (E(1,2), the cubic block, the R3 block or a hyperbolic
@@ -238,11 +237,13 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     gives both the member's generator matrix and its witness L, with
     outer.gen @ L == member.gen.
 
-    A member whose witness is a selection (distinct indices only) is not
-    checked again: at every point the outer generator matrix has
-    independent columns, so any set of its columns is independent there
-    too, and the member is everywhere injective because the member above
-    it is.  A member with a combination column is checked."""
+    The member is certified by its witness, not by its n-row generator.
+    By construction member.gen = outer.gen @ L, and outer.gen is
+    everywhere injective, so at every point the member's rank is L's: the
+    member is everywhere injective iff L is.  A selection witness (distinct
+    indices only) is, with no check; one with a combination column is
+    checked by its r_outer x r_member rank profile, and a failing one
+    raises ``ValueError``."""
     field = top.field
     one = BinaryForm.constant(field, 1)
     members, inclusions = [top], []
@@ -269,7 +270,11 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
             wit_cols.append((tw, wit))
         gen = GradedMatrix.from_columns(field, trivial_frame(n), gen_cols)
         witness = GradedMatrix.from_columns(field, outer.src, wit_cols)
-        members.insert(0, Subbundle(gen, check=witness.selection() is None))
+        if witness.selection() is None:
+            profile = witness.rank_everywhere()
+            if profile != (witness.ncols, True):
+                raise ValueError(f"flag witness is not everywhere injective: {profile}")
+        members.insert(0, Subbundle(gen, check=False))
         inclusions.insert(0, witness)
     return FlagFamily(
         case, n, k, flavor, tuple(members), shape, pairing, inclusions=tuple(inclusions)

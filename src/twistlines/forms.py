@@ -6,16 +6,23 @@ nominal degree tag so that maps between bundles with empty or negative
 twist gaps still type-check; a tag below zero forces the form to be zero
 and is stored with an empty coefficient tuple.
 
-Forms are immutable, so the nonzero terms of a form (which also give its
-zero flag) are found on first use and kept.  Form arithmetic computes on
-the native scalars with Python's operators and reduces each result once
-(``field.reduce_all``); the product convolves both factors' kept terms.
+Coefficients are stored reduced: over GF(p) an int in [0, p), over the
+rationals an int or a ``Fraction``.  So a coefficient is zero iff it is
+falsy, and the nonzero terms of a form (which also give its zero flag) are
+read by ``itertools.compress`` on first use and kept, the form being
+immutable.  The public constructor reduces its coefficients with
+``field.of``; results that are reduced already (products, graded products,
+pairing maps, solved coordinates) are built unchecked by
+``BinaryForm._valid``.  Form arithmetic computes on the native scalars with
+Python's operators and reduces each result once (``field.reduce_all``);
+the product convolves both factors' kept terms.
 The univariate helpers at the bottom, division with remainder and a - q*b
 (the row and column operations of the rank profile), work the same way on
 dense coefficient lists indexed by power.
 """
 
 from fractions import Fraction
+from itertools import compress
 
 from .fields import _demote
 
@@ -35,7 +42,7 @@ class BinaryForm:
     __slots__ = ("field", "degree", "coeffs", "_terms")
 
     def __init__(self, field, degree: int, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(field.of, coeffs))
         if len(coeffs) != max(0, degree + 1):
             raise ValueError(
                 f"degree {degree} needs {max(0, degree + 1)} coefficients, got {len(coeffs)}"
@@ -46,12 +53,21 @@ class BinaryForm:
         self._terms = None
 
     @classmethod
+    def _valid(cls, field, degree: int, coeffs) -> "BinaryForm":
+        """The form of max(0, degree + 1) reduced coefficients, unchecked."""
+        form = object.__new__(cls)
+        form.field, form.degree, form.coeffs, form._terms = field, degree, tuple(coeffs), None
+        return form
+
+    @classmethod
     def zero(cls, field, degree: int = 0) -> "BinaryForm":
-        return cls(field, degree, (field.zero,) * max(0, degree + 1))
+        form = cls._valid(field, degree, (field.zero,) * max(0, degree + 1))
+        form._terms = ()
+        return form
 
     @classmethod
     def constant(cls, field, value) -> "BinaryForm":
-        return cls(field, 0, (field.of(value),))
+        return cls(field, 0, (value,))
 
     @classmethod
     def monomial(cls, field, degree: int, t1_exp: int, coeff=1) -> "BinaryForm":
@@ -59,15 +75,17 @@ class BinaryForm:
         if not 0 <= t1_exp <= degree:
             raise ValueError(f"T1-exponent {t1_exp} out of range for degree {degree}")
         coeffs = [field.zero] * (degree + 1)
-        coeffs[t1_exp] = field.of(coeff)
-        return cls(field, degree, coeffs)
+        c = coeffs[t1_exp] = field.of(coeff)
+        form = cls._valid(field, degree, coeffs)
+        form._terms = ((t1_exp, c),) if c else ()
+        return form
 
     def terms(self):
         """The nonzero (T1-exponent, coeff) pairs, in ascending exponent."""
         terms = self._terms
         if terms is None:
-            fz = self.field.is_zero
-            terms = self._terms = tuple((i, c) for i, c in enumerate(self.coeffs) if not fz(c))
+            coeffs = self.coeffs
+            terms = self._terms = tuple(compress(enumerate(coeffs), coeffs))
         return terms
 
     def is_zero(self) -> bool:
@@ -96,15 +114,17 @@ class BinaryForm:
 
     def __add__(self, other):
         f = self.field
-        return BinaryForm(f, self.degree, f.reduce_all([a + b for a, b in self._pairs(other)]))
+        coeffs = f.reduce_all([a + b for a, b in self._pairs(other)])
+        return BinaryForm._valid(f, self.degree, coeffs)
 
     def __neg__(self):
         f = self.field
-        return BinaryForm(f, self.degree, f.reduce_all([-c for c in self.coeffs]))
+        return BinaryForm._valid(f, self.degree, f.reduce_all([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         f = self.field
-        return BinaryForm(f, self.degree, f.reduce_all([a - b for a, b in self._pairs(other)]))
+        coeffs = f.reduce_all([a - b for a, b in self._pairs(other)])
+        return BinaryForm._valid(f, self.degree, coeffs)
 
     def __mul__(self, other):
         """The product, convolved from both factors' kept terms."""
@@ -115,7 +135,7 @@ class BinaryForm:
         for s, x in self.terms():
             for t, y in right:
                 acc[s + t] += x * y
-        return BinaryForm(f, d, f.reduce_all(acc))
+        return BinaryForm._valid(f, d, f.reduce_all(acc))
 
     def substitute_power(self, d: int) -> "BinaryForm":
         """Substitute T0 -> T0^d, T1 -> T1^d."""
@@ -128,16 +148,13 @@ class BinaryForm:
         out = [f.zero] * (deg + 1)
         for i, c in enumerate(self.coeffs):
             out[i * d] = c
-        return BinaryForm(f, deg, out)
+        return BinaryForm._valid(f, deg, out)
 
     def __repr__(self):
         if self.degree < 0 or self.is_zero():
             return f"0(deg {self.degree})"
-        fz = self.field.is_zero
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if fz(c):
-                continue
+        for i, c in self.terms():
             e0, e1 = self.degree - i, i
             mono = "*".join(
                 ([f"T0^{e0}" if e0 > 1 else "T0"] if e0 else [])

@@ -17,7 +17,9 @@ nonzero entries with their nonzero terms) is computed on first use and
 kept, so degree pieces, products, rank profiles and zero tests of one
 matrix scan each coefficient once, not on every call.  Its rank profile
 is kept the same way, and ``transpose_dual`` hands it to the transpose,
-whose rank is the same at every point.
+whose rank is the same at every point.  A generic rank alone is read at
+one point where that point proves it (``generic_rank``), with the profile's
+Smith form as the fallback.
 """
 
 from typing import NamedTuple
@@ -211,7 +213,7 @@ class GradedMatrix:
                     for s, x in left[k]:
                         for t, y in terms:
                             acc[s + t] += x * y
-                row.append(BinaryForm(f, b - c, reduce_all(acc)))
+                row.append(BinaryForm._valid(f, b - c, reduce_all(acc)))
             rows.append(tuple(row))
         return GradedMatrix._valid(f, other.src, self.dst, tuple(rows))
 
@@ -292,12 +294,31 @@ class GradedMatrix:
         diagonalization over the univariate polynomial ring (elementary
         operations preserve determinantal divisors), together with a
         full-rank check at the one remaining point [1:0].  The profile is
-        computed once per matrix and kept.
+        computed once per matrix and kept.  It is the oracle and the
+        fallback of ``generic_rank``.
         """
         profile = self._profile
         if profile is None:
             profile = self._profile = self._rank_profile()
         return profile
+
+    def generic_rank(self) -> int:
+        """The rank over the function field, from one point where it can be.
+
+        Every minor of size r + 1 vanishes identically when the generic
+        rank is r, so the rank at any point is at most the generic rank,
+        which is at most min(nrows, ncols).  So a rank at [1:0] equal to
+        that minimum is the generic rank, and no Smith form is needed.
+        A kept profile answers first; a short rank at [1:0] falls back to
+        ``rank_everywhere``.
+        """
+        profile = self._profile
+        if profile is not None:
+            return profile.generic_rank
+        full = min(len(self.src), len(self.dst))
+        if not full or linalg.rank(self.field, self.value_at_infinity(), len(self.src)) == full:
+            return full
+        return self.rank_everywhere().generic_rank
 
     def _rank_profile(self) -> RankProfile:
         if not self.src or not self.dst:

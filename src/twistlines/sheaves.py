@@ -279,7 +279,7 @@ def _coordinates_to_forms(field, frame, n, coords):
         if d < 0:
             forms.append(BinaryForm.zero(field, d))
             continue
-        forms.append(BinaryForm(field, d, coords[pos : pos + d + 1]))
+        forms.append(BinaryForm._valid(field, d, coords[pos : pos + d + 1]))
         pos += d + 1
     return forms
 
@@ -367,10 +367,16 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
     negative g, fewer pivots than g later, or in place of a generator u two
     generators with T0 u and T1 u in their span, hence dependent ones,
     which the rank at [1:0] shows.
+
+    The scan needs only m's generic rank (``GradedMatrix.generic_rank``),
+    read at [1:0] where m has full rank there.  A pairing map of a
+    subbundle E does, at every point: its rows are E's generators paired by
+    a nondegenerate beta, independent wherever E's generators are.  So
+    ``perp`` runs no Smith form.
     """
     f, src = m.field, m.src
     cols = []  # generator columns (twist, forms), in order of degree
-    for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank, True):
+    for n, g, null in _hilbert_scan(m, m.generic_rank(), True):
         span = GradedMatrix.from_columns(f, src, cols).sparse_piece(n)
         rows, k = span.matrix, span.ncols
         for col, v in enumerate(null, k):
@@ -447,6 +453,8 @@ def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
 
     Each nonzero generator entry gen[k][j] is scattered, times beta[k][i],
     into entry (j, i) for the nonzero entries of the (sparse) Gram row k.
+    Row j's entries have degree -twist_j, which the frames require, so the
+    matrix is built unchecked.
     """
     f = e.field
     amb = e.ambient
@@ -463,8 +471,8 @@ def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
                 acc = accs[i]
                 for s, c in terms:
                     acc[s] += b * c
-        rows.append([BinaryForm(f, -tw, f.reduce_all(acc)) for acc in accs])
-    return GradedMatrix(f, amb, tuple(-tw for tw in e.gen.src), rows)
+        rows.append(tuple(BinaryForm._valid(f, -tw, f.reduce_all(acc)) for acc in accs))
+    return GradedMatrix._valid(f, amb, tuple(-tw for tw in e.gen.src), tuple(rows))
 
 
 class Block(NamedTuple):

@@ -333,7 +333,7 @@ class SesReport(NamedTuple):
     """The four facts exactness of 0 -> O^a -> O(b-a)^b -> O(b)^(b-a) -> 0
     rests on.  ``kernel_matches``: ker psi has phi's source frame as its
     type and contains every column of phi, so ker psi = im phi; it holds by
-    the saturation lemma of ``verify_claim_ses`` where that applies, and is
+    the degree lemma of ``verify_claim_ses`` where that applies, and is
     otherwise read from the kernel scan and one lift."""
 
     a: int
@@ -357,34 +357,43 @@ def verify_claim_ses(field, a: int, b: int) -> SesReport:
     """Check exactness of the phi/psi pair: psi phi = 0, phi everywhere
     injective, psi everywhere surjective, and ker psi = im phi.
 
-    The last is certified by saturation where the matrices allow it.
-    Lemma: let A be a subsheaf of B, both of equal rank in a vector bundle V
-    on P^1, with A saturated (V/A torsion free).  Then A = B: B/A has rank
-    0, so it is torsion, and it sits inside the torsion-free V/A, so it is
-    0.  Here V = O(phi.dst), A = im phi and B = ker psi.  If phi.dst is
-    psi.src and psi @ phi is zero, A lies in B.  If phi has rank phi.ncols
-    at every point, A is isomorphic to O(phi.src), of rank phi.ncols, and
-    V/A = coker phi is locally free, so A is saturated.  If psi's generic
-    rank is len(psi.src) - phi.ncols, B has rank phi.ncols too.  Then
-    ker psi = im phi: its type is phi's source frame and every column of
-    phi lifts through it, so ``kernel_matches`` holds with no kernel
-    computed.  Each condition is read from the matrices, not from (a, b).
+    All but the first are certified from psi's rank profile alone where
+    the matrices allow it.  Lemma: if psi is everywhere surjective, psi phi
+    = 0, phi has generic rank phi.ncols, and phi.ncols and sum(phi.src) are
+    the rank and degree of K = ker psi, then im phi = K and phi is
+    everywhere injective.  Proof: K is the kernel of a surjection of
+    vector bundles, so a subbundle of O(psi.src) of rank #psi.src -
+    #psi.dst and degree sum(psi.src) - sum(psi.dst).  phi maps O(phi.src)
+    into K, and its kernel has rank 0 inside the torsion-free O(phi.src),
+    so it is 0; so im phi is isomorphic to O(phi.src), of K's rank and
+    degree.  K/im phi then has rank 0, so it is torsion, and its length is
+    deg K - deg im phi = 0, so im phi = K.  phi is thus an isomorphism onto
+    the subbundle K, injective on the fiber at every point.
 
-    Otherwise ker psi comes from the Hilbert-function scan (``kernel_free``)
-    and must have phi's source frame as its type; if the composite is zero,
-    every column of phi must also lift through it (``sub_lift``).
+    Then ``injective`` is phi.ncols == a, ``kernel_matches`` holds (K has
+    phi's source frame as its type and contains every column of phi), and
+    ``surjective`` is read from psi's profile.  Each condition is read from
+    the matrices, not from (a, b).  phi's generic rank is read at [1:0],
+    where the binomial phi has full column rank, so an exact report runs
+    one Smith form, psi's.
+
+    Otherwise phi's profile gives ``injective``, and ker psi comes from the
+    Hilbert-function scan (``kernel_free``) and must have phi's source
+    frame as its type; if the composite is zero, every column of phi must
+    also lift through it (``sub_lift``).
     """
     phi, psi = build_phi_psi(field, a, b)
     composite_zero = (psi @ phi).is_zero()
-    injective = phi.rank_everywhere() == (a, True)
     surjective = psi.rank_everywhere() == (b - a, True)
     if (
-        phi.dst == psi.src
-        and composite_zero
-        and phi.rank_everywhere() == (phi.ncols, True)
-        and psi.rank_everywhere().generic_rank == len(psi.src) - phi.ncols
+        composite_zero
+        and psi.rank_everywhere() == (psi.nrows, True)
+        and phi.ncols == psi.ncols - psi.nrows
+        and sum(phi.src) == sum(psi.src) - sum(psi.dst)
+        and phi.generic_rank() == phi.ncols
     ):
-        return SesReport(a, b, composite_zero, injective, surjective, True)
+        return SesReport(a, b, composite_zero, phi.ncols == a, surjective, True)
+    injective = phi.rank_everywhere() == (a, True)
     ker = kernel_free(psi)
     kernel_matches = ker.type == SplittingType(phi.src)
     if kernel_matches and composite_zero:

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from twistlines import families
 from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm
 from twistlines.families import (
@@ -10,6 +11,7 @@ from twistlines.families import (
     build_classical,
     build_classical_orbit,
     build_E2a2b,
+    build_family,
     build_isotropic,
     build_phi_psi,
     case_Ia,
@@ -17,6 +19,7 @@ from twistlines.families import (
 )
 from twistlines.sheaves import (
     SplittingType,
+    Subbundle,
     is_isotropic,
     perp,
     quotient_type,
@@ -276,3 +279,31 @@ def test_constructions_work_over_prime_field():
     assert fam.members[0].type == st(-2, -2)
     fam_q = build_isotropic(QQ, 8, 3, "skew")
     assert [m.type for m in fam.members] == [m.type for m in fam_q.members]
+
+
+# ---------------------------------------------------------------------------
+# lower members certified by their witnesses
+
+
+def test_flag_refuses_a_combination_witness_that_drops_rank():
+    # T0 e0 + T0 e1 vanishes at [0:1]; T0 e0 + T1 e1 vanishes nowhere
+    top = Subbundle.full(QQ, (0, 0))
+    with pytest.raises(ValueError, match="not everywhere injective"):
+        families._flag("x", 2, 1, None, (1, 2), None, top, [{0: (1, 0), 1: (1, 0)}])
+    fam = families._flag("x", 2, 1, None, (1, 2), None, top, [{0: (1, 0), 1: (1, 1)}])
+    assert fam.members[0].type == st(-1)
+    assert fam.inclusions[0].rank_everywhere() == (1, True)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_every_lower_member_to_24_is_everywhere_injective(field):
+    # the witness check stands in for the member's own rank profile
+    for flavor in (None, "symmetric", "skew"):
+        for n in range(2, 25):
+            for k in range(1, n // 2 + 1):
+                if (flavor == "skew" and n % 2) or is_exceptional(flavor, n, k):
+                    continue
+                fam = build_family(field, n, k, flavor)
+                for member in fam.members[:-1]:
+                    if member.rank:
+                        Subbundle(member.gen, check=True)

@@ -189,7 +189,7 @@ def sweep_every_case(field):
 
 def every_ses_report(field):
     """The kernel of psi for every pair with b <= 14: the reports certify it
-    by saturation and scan none, so the scan is called here directly."""
+    by a degree lemma and scan none, so the scan is called here directly."""
     for b in range(1, 15):
         for a in range(1, b + 1):
             sheaves.kernel_free(build_phi_psi(field, a, b)[1])

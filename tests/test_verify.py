@@ -16,7 +16,14 @@ from twistlines.families import (
 )
 from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix, trivial_frame
-from twistlines.sheaves import Pairing, SplittingType, Subbundle, orthogonal_blocks, sub_lift
+from twistlines.sheaves import (
+    Pairing,
+    SplittingType,
+    Subbundle,
+    kernel_free,
+    orthogonal_blocks,
+    sub_lift,
+)
 from twistlines.verify import (
     SesReport,
     certify,
@@ -125,7 +132,7 @@ def test_ses_degreewise_rank_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the saturation certificate of verify_claim_ses, against the kernel scan
+# the degree lemma of verify_claim_ses, against the kernel scan
 
 SES_PAIRS = [(a, b) for b in range(1, 15) for a in range(1, b + 1)]
 
@@ -168,6 +175,24 @@ def test_exact_ses_reports_need_no_kernel_scan(field, monkeypatch):
     assert all(verify_claim_ses(field, a, b).exact for a, b in SES_PAIRS)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_exact_ses_reports_run_one_smith_form(field, monkeypatch):
+    # psi's rank profile is the only one: phi's generic rank is read at [1:0]
+    profiled = []
+    original = GradedMatrix._rank_profile
+
+    def counted(m):
+        profiled.append(m)
+        return original(m)
+
+    monkeypatch.setattr(GradedMatrix, "_rank_profile", counted)
+    for a, b in SES_PAIRS:
+        profiled.clear()
+        assert verify_claim_ses(field, a, b).exact, (a, b)
+        assert len(profiled) == 1, (a, b)
+        assert profiled[0].dst == (b,) * (b - a), (a, b)
+
+
 def with_entries(m, change):
     """m with each entry (i, j) replaced by change(i, j, entry), in m's
     frames except that a column's twist follows its new entries' degree."""
@@ -204,7 +229,7 @@ def nonzero_composite(phi, psi):
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
 @pytest.mark.parametrize("corrupt", [first_column_times_t0, zero_first_row, nonzero_composite])
 def test_corrupted_ses_pairs_take_the_kernel_scan(field, corrupt, monkeypatch):
-    # a pair that misses one condition of the saturation certificate gets
+    # a pair that misses one condition of the degree lemma gets
     # the report of the scan path, and the scan really runs
     pairs = {}
 
@@ -225,6 +250,41 @@ def test_corrupted_ses_pairs_take_the_kernel_scan(field, corrupt, monkeypatch):
         assert report == scan_ses_report(a, b, *pairs[a, b]), (a, b)
         assert not report.exact, (a, b)
         assert scans and scans[-1] is pairs[a, b][1], (a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_phi_times_t0_fails_only_the_degree_condition(field):
+    # every other condition of the lemma holds, so only the degree sends the
+    # pair to the fallback, which reports phi as not everywhere injective
+    for a, b in [(1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (4, 9)]:
+        phi, psi = first_column_times_t0(*build_phi_psi(field, a, b))
+        assert (psi @ phi).is_zero()
+        assert psi.rank_everywhere() == (psi.nrows, True)
+        assert phi.ncols == psi.ncols - psi.nrows
+        assert phi.generic_rank() == phi.ncols
+        assert sum(phi.src) == sum(psi.src) - sum(psi.dst) - 1
+        assert not phi.rank_everywhere().constant
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_perp_reads_each_generic_rank_at_one_point(field, monkeypatch):
+    # every pairing map perp scans in the n <= 24 sweep has full rank at
+    # [1:0], so its generic rank needs no Smith form; the Smith form agrees
+    scanned = []
+
+    def collect(m):
+        scanned.append(m)
+        return kernel_free(m)
+
+    monkeypatch.setattr(sheaves, "kernel_free", collect)
+    assert sweep_consistent(run_sweep(field, 2, 24, [None, "symmetric", "skew"]))
+    assert scanned
+    for m in scanned:
+        assert m._profile is None
+        fresh = GradedMatrix(m.field, m.src, m.dst, m.entries)
+        assert fresh.generic_rank() == m.nrows
+        assert fresh._profile is None
+        assert fresh.rank_everywhere().generic_rank == m.nrows
 
 
 def test_sweep_to_8_matches_exceptional_list():
