@@ -7,24 +7,26 @@ member is certified as a locally split subbundle on construction, the top
 by its rank profile and a lower member by its witness into the member
 above, as ``_flag`` proves (the positivity layer sits in ``verify``).
 
-Every isotropic case (I-IV) is one row of ``_CASES``: an orthogonal sum of
-a small block (E(1,2), the cubic block, the R3 block or a hyperbolic
-plane), an optional E_{2a,2b} block, pulled back by a finite cover in
-cases I-III, and a filler.  A row names the small block, its columns in
-each lower member, and (a, b) as a function of l = k // 2 and m = n // 2;
-``_isotropic`` builds every row the same way, and ``build_isotropic``
-picks the row.
+Every top member is the direct sum of its blocks
+(``GradedMatrix.direct_sum``).  The classical top is k - 1 lines, the
+degree-(n - 2k) monomial curve and a unit.  Every isotropic case (I-IV) is
+one row of ``_CASES``: an orthogonal sum of a small block (E(1,2), the
+cubic block, the R3 block or a hyperbolic plane), an optional E_{2a,2b}
+block, pulled back by a finite cover in cases I-III, and a filler with no
+columns.  A row names the small block, its columns in each lower member,
+and (a, b) as a function of l = k // 2 and m = n // 2; ``_isotropic``
+builds every row the same way, and ``build_isotropic`` picks the row.
 
-Each builder assembles only the top member; every lower member is one
-list of columns of the member above it (``_flag``).  An entry is either an
-index, that generator itself, or a combination of generators; only the
-combined column of classical case II and the e1 column of case IVa are
-computed.  The same list gives the member's generator matrix and the
-family's ``inclusions`` entry for it: the matrix L with
-members[i+1].gen @ L == members[i].gen.  These are witnesses, not trusted
-data: ``certify`` uses one only after checking that product (for a
-selection, column by column), and otherwise finds the inclusion again by
-elimination.
+Each builder assembles only the top member; every lower member is given
+by its witness into the member above (``_flag``): the matrix L with
+members[i+1].gen @ L == members[i].gen, written as a list of columns.  An
+entry is either an index, a unit column selecting that generator, or a
+combination of generators; only the combined column of classical case II
+and the e1 column of case IVa are combinations.  The member's generator is
+the outer columns a selection picks, else the product.  The witnesses are
+kept as the family's ``inclusions``, not trusted data: ``certify`` uses
+one only after checking that product (for a selection, column by column),
+and otherwise finds the inclusion again by elimination.
 """
 from dataclasses import dataclass, replace
 from math import comb
@@ -87,8 +89,8 @@ class FlagFamily:
     when an odd symmetric dimension was rerouted to its even neighbor.
 
     ``inclusions`` holds the builder's witness for each adjacent pair: the
-    matrix L_i with members[i+1].gen @ L_i == members[i].gen, made from the
-    same column list as members[i] itself.  Empty means no witnesses (the
+    matrix L_i with members[i+1].gen @ L_i == members[i].gen, from which
+    the builder made members[i] itself.  Empty means no witnesses (the
     orbit family, hand-built flags).  ``verify.certify``
     checks each product before it reads a quotient from L_i, and falls back
     to elimination when a witness is missing or fails.
@@ -130,35 +132,35 @@ def build_phi_psi(field, a: int, b: int):
 
     Entries are single monomials with binomial coefficients; psi∘phi = 0,
     phi is everywhere injective and psi everywhere surjective, so the pair
-    is an exact splice realizing a cokernel of type {b}^(b-a).
+    is an exact splice realizing a cokernel of type {b}^(b-a).  Every entry
+    of phi has degree b - a and every entry of psi degree a, as their frames
+    ask, so both are built unchecked with one zero form each.
     """
     if a < 1 or a > b:
         raise HypothesisError(f"need 1 <= a <= b, got a={a}, b={b}")
-    phi_rows = []
-    for j in range(1, b + 1):
-        row = []
-        for k in range(1, a + 1):
-            e1 = b - a + k - j  # T0 exponent
-            e2 = j - k  # T1 exponent
-            if e1 < 0 or e2 < 0:
-                row.append(BinaryForm.zero(field, b - a))
-                continue
-            c = comb(b - j, a - k) * comb(j - 1, k - 1)
-            row.append(BinaryForm.monomial(field, b - a, e2, c) if c else BinaryForm.zero(field, b - a))
-        phi_rows.append(row)
-    phi = GradedMatrix(field, trivial_frame(a), (b - a,) * b, phi_rows)
-    psi_rows = []
-    for i in range(1, b - a + 1):
-        row = []
-        for j in range(1, b + 1):
-            e0 = j - i
-            if e0 < 0 or e0 > a:
-                row.append(BinaryForm.zero(field, a))
-                continue
-            c = (-1) ** e0 * comb(a, e0)
-            row.append(BinaryForm.monomial(field, a, a - e0, c))
-        psi_rows.append(row)
-    psi = GradedMatrix(field, (b - a,) * b, (b,) * (b - a), psi_rows)
+    zero = BinaryForm.zero(field, b - a)
+    phi_rows = tuple(
+        tuple(
+            # T0^(b-a+k-j) T1^(j-k)
+            BinaryForm.monomial(field, b - a, j - k, comb(b - j, a - k) * comb(j - 1, k - 1))
+            if 0 <= j - k <= b - a
+            else zero
+            for k in range(1, a + 1)
+        )
+        for j in range(1, b + 1)
+    )
+    phi = GradedMatrix._valid(field, trivial_frame(a), (b - a,) * b, phi_rows)
+    zero = BinaryForm.zero(field, a)
+    psi_rows = tuple(
+        tuple(
+            BinaryForm.monomial(field, a, a - (j - i), (-1) ** (j - i) * comb(a, j - i))
+            if 0 <= j - i <= a
+            else zero
+            for j in range(1, b + 1)
+        )
+        for i in range(1, b - a + 1)
+    )
+    psi = GradedMatrix._valid(field, (b - a,) * b, (b,) * (b - a), psi_rows)
     return phi, psi
 
 
@@ -174,16 +176,19 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
     the e-half image composed with a second binomial matrix, which is what
     makes the cross terms vanish.
     """
-    beta, gen = _e2a2b(field, a, b, flavor)
+    beta, gen = _e2a2b(field, flavor, a, b)
     return beta, Subbundle(gen)
 
 
-def _e2a2b(field, a: int, b: int, flavor: str):
-    """The pairing and the unchecked generator matrix of ``build_E2a2b``.
+def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
+    """The pairing and the unchecked generator phi_plus ⊕ phi_minus of
+    ``build_E2a2b``, phi_plus into the e-half and phi_minus into the x-half.
+    The defaults give the smallest block, E(1,2), the small block of the
+    case I and III rows.
 
     ``_isotropic`` embeds this block, or its pullback, in a
     block-diagonal top member.  A block-diagonal matrix is everywhere
-    injective exactly when each block is, so ``_member``'s check of the top
+    injective exactly when each block is, so the check of the top
     certifies the block too.
     """
     if a < 1:
@@ -195,85 +200,50 @@ def _e2a2b(field, a: int, b: int, flavor: str):
     phi_plus = phi.twist(-(b - a))  # O(-(b-a))^a -> O^b
     psi_dagger = psi.twist(-(b - a)).transpose_dual()  # O(-a)^(b-a) -> O^b
     inner = build_phi_psi(field, a, b - a)[0].twist(-(b - a))  # O(-(b-a))^a -> O(-a)^(b-a)
-    phi_minus = psi_dagger @ inner
-    n = 2 * b
-    cols = []
-    for tw, forms in phi_plus.columns():
-        cols.append((tw, list(forms) + [BinaryForm.zero(field, -tw)] * b))
-    for tw, forms in phi_minus.columns():
-        cols.append((tw, [BinaryForm.zero(field, -tw)] * b + list(forms)))
-    return beta, GradedMatrix.from_columns(field, trivial_frame(n), cols)
+    return beta, GradedMatrix.direct_sum(field, phi_plus, psi_dagger @ inner)
 
 
 # ---------------------------------------------------------------------------
-# column plumbing
-
-
-def _zero_forms(field, twists):
-    """Zero forms of degree -t for the twists t; forms are immutable, so
-    each degree gets one shared form."""
-    zeros = {t: BinaryForm.zero(field, -t) for t in set(twists)}
-    return [zeros[t] for t in twists]
-
-
-def _member(field, n, chunks) -> Subbundle:
-    """Assemble a subbundle of O^n from [(offset, columns), ...] chunks,
-    placing each block column (twist, forms) at rows offset, offset+1, ..."""
-    cols = []
-    for offset, columns in chunks:
-        for tw, forms in columns:
-            full = _zero_forms(field, (tw,) * n)
-            full[offset : offset + len(forms)] = forms
-            cols.append((tw, full))
-    return Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), cols))
+# flags from their witnesses
 
 
 def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     """The family with top member ``top`` and, from the top down, one lower
     member per entry of ``lower``.  Each is a list of columns of the member
-    above it: an index i is that member's generator i (the same forms), and
+    above it: an index i selects that member's generator i, and
     {i: (d, e) or (d, e, c), ...} is the combination of the generators i
-    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.  The one list
-    gives both the member's generator matrix and its witness L, with
-    outer.gen @ L == member.gen.
+    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.  The
+    list is the witness L, a matrix from the member's frame to the outer
+    member's, and the member's generator is outer.gen @ L: for a selection
+    (distinct indices only) the selected outer columns themselves, else
+    the product.
 
     The member is certified by its witness, not by its n-row generator.
-    By construction member.gen = outer.gen @ L, and outer.gen is
-    everywhere injective, so at every point the member's rank is L's: the
-    member is everywhere injective iff L is.  A selection witness (distinct
-    indices only) is, with no check; one with a combination column is
-    checked by its r_outer x r_member rank profile, and a failing one
-    raises ``ValueError``."""
+    outer.gen is everywhere injective, so at every point the member's rank
+    is L's: the member is everywhere injective iff L is.  A selection
+    witness is, with no check; one with a combination column is checked by
+    its r_outer x r_member rank profile, and a failing one raises
+    ``ValueError``."""
     field = top.field
-    one = BinaryForm.constant(field, 1)
     members, inclusions = [top], []
     for columns in lower:
         outer = members[0].gen
-        gen_cols, wit_cols = [], []
-        for col in columns:
-            if isinstance(col, int):
-                tw, forms = outer.column(col)
-                col = {col: one}
-            else:
-                col = {i: BinaryForm.monomial(field, *spec) for i, spec in col.items()}
-                i, form = next(iter(col.items()))
-                tw = outer.src[i] - form.degree
-                forms = _zero_forms(field, (tw,) * n)
-                for i, factor in col.items():
-                    for r, f in enumerate(outer.column(i)[1]):
-                        if not f.is_zero():
-                            forms[r] = forms[r] + factor * f
-            gen_cols.append((tw, forms))
-            wit = _zero_forms(field, [tw - a for a in outer.src])
-            for i, form in col.items():
-                wit[i] = form
-            wit_cols.append((tw, wit))
-        gen = GradedMatrix.from_columns(field, trivial_frame(n), gen_cols)
-        witness = GradedMatrix.from_columns(field, outer.src, wit_cols)
-        if witness.selection() is None:
+        cols = [{c: (0, 0)} if isinstance(c, int) else c for c in columns]  # index: entry 1
+        src = [outer.src[i] - spec[0] for i, spec in (next(iter(c.items())) for c in cols)]
+        grid = [list(row) for row in GradedMatrix.zero(field, src, outer.src).entries]
+        for j, col in enumerate(cols):
+            for i, spec in col.items():
+                grid[i][j] = BinaryForm.monomial(field, *spec)
+        witness = GradedMatrix(field, src, outer.src, grid)
+        rows = witness.selection()
+        if rows is not None:
+            selected = tuple(tuple(row[i] for i in rows) for row in outer.entries)
+            gen = GradedMatrix._valid(field, witness.src, outer.dst, selected)
+        else:
             profile = witness.rank_everywhere()
             if profile != (witness.ncols, True):
                 raise ValueError(f"flag witness is not everywhere injective: {profile}")
+            gen = outer @ witness
         members.insert(0, Subbundle(gen, check=False))
         inclusions.insert(0, witness)
     return FlagFamily(
@@ -285,40 +255,33 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
 # classical Grassmannian
 
 
-def _classical_blocks(field, n, k):
-    """Generator columns for the three direct-sum blocks of the ambient."""
-    t0 = BinaryForm.monomial(field, 1, 0)
-    t1 = BinaryForm.monomial(field, 1, 1)
-    prime_cols = []  # k-1 columns, twists -1, inside coords [0, 2k-2)
-    for i in range(k - 1):
-        forms = _zero_forms(field, (-1,) * (2 * k - 2))
-        forms[2 * i] = t0
-        forms[2 * i + 1] = t1
-        prime_cols.append((-1, forms))
-    d = n - 2 * k
-    dprime_col = (
-        -d,
-        [BinaryForm.monomial(field, d, j) for j in range(d + 1)],
-    )  # monomial column over the middle block of size n+1-2k
-    unit_col = (0, [BinaryForm.constant(field, 1)])
-    return prime_cols, dprime_col, unit_col
-
-
-def build_classical(field, n: int, k: int) -> FlagFamily:
-    """The (k-1, k, k+1)-flag inside O^n for the classical Grassmannian."""
+def _classical_point(n, k):
+    """Refuse an (n, k) with no classical family, as both builders do."""
     if n < 2 or k < 1 or 2 * k > n:
         raise HypothesisError(f"need n >= 2 and 1 <= k <= n/2, got ({n},{k})")
     if is_exceptional(None, n, k):
         raise ExceptionalCaseError(f"exceptional case: classical ({n},{k})")
-    prime_cols, dprime_col, unit_col = _classical_blocks(field, n, k)
-    top = _member(
-        field, n, [(0, prime_cols), (2 * k - 2, [dprime_col]), (n - 1, [unit_col])]
-    )
+
+
+def build_classical(field, n: int, k: int) -> FlagFamily:
+    """The (k-1, k, k+1)-flag inside O^n for the classical Grassmannian.
+
+    The top member is line^(k-1) ⊕ curve ⊕ unit, each block the column
+    O(-d) -> O^(d+1) of all degree-d monomials: k-1 lines (T0, T1) with
+    d = 1, the curve with d = n-2k, and the unit with d = 0."""
+    _classical_point(n, k)
+
+    def monomials(d):
+        forms = [BinaryForm.monomial(field, d, j) for j in range(d + 1)]
+        return GradedMatrix.from_columns(field, (0,) * (d + 1), [(-d, forms)])
+
+    blocks = [monomials(1)] * (k - 1) + [monomials(n - 2 * k), monomials(0)]
+    top = Subbundle(GradedMatrix.direct_sum(field, *blocks))
     if k == 1:
         case, low = "classical-I", []
     else:
-        # mid's generators are prime_cols, then dprime_col; low combines the
-        # last prime column times T0^(n-2k) with dprime_col times T1
+        # mid's generators are the lines, then the curve; low combines the
+        # last line times T0^(n-2k) with the curve times T1
         case, low = "classical-II", [*range(k - 2), {k - 2: (n - 2 * k, 0), k - 1: (1, 1)}]
     return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, range(k), low)
 
@@ -331,10 +294,7 @@ def build_classical_orbit(field, n: int, k: int):
     weight on the last line so the total is zero.  Homogenizing t^w per
     column and clearing common powers reproduces the monomial matrices.
     """
-    if n < 2 or k < 1 or 2 * k > n:
-        raise HypothesisError(f"need n >= 2 and 1 <= k <= n/2, got ({n},{k})")
-    if is_exceptional(None, n, k):
-        raise ExceptionalCaseError(f"exceptional case: classical ({n},{k})")
+    _classical_point(n, k)
     r = n + 1 - 2 * k
     c = -((k - 1) + (r + 1) * r // 2)
     weights = []
@@ -407,12 +367,6 @@ def _orbit_member(field, weights, cols, n) -> Subbundle:
 # isotropic cases
 
 
-def _e12_block(field, flavor):
-    """E(1,2): two isotropic columns in a hyperbolic 4-space."""
-    beta, gen = _e2a2b(field, 1, 2, flavor)
-    return beta, gen.columns()
-
-
 def _cubic_block(field, flavor):
     """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block."""
     t0 = BinaryForm.monomial(field, 1, 0)
@@ -430,7 +384,8 @@ def _cubic_block(field, flavor):
         g = (-2, [-t00, t01, z2, z2, -t01, t11])
         f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
         f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
-    return Pairing.hyperbolic(field, 3, flavor), [g, f1, f2]
+    gen = GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2])
+    return Pairing.hyperbolic(field, 3, flavor), gen
 
 
 def _r3_block(field, flavor):
@@ -444,12 +399,13 @@ def _r3_block(field, flavor):
     col_a = (0, [z0, one, z0, -one])
     col_bp = (-1, [t0, t1, z1, z1])
     col_bm = (-1, [z1, z1, -t1, t0])
-    return Pairing.hyperbolic(field, 2, flavor), [col_a, col_bp, col_bm]
+    gen = GradedMatrix.from_columns(field, trivial_frame(4), [col_a, col_bp, col_bm])
+    return Pairing.hyperbolic(field, 2, flavor), gen
 
 
 def _plane_block(field, flavor):
     """e and x spanning a skew hyperbolic plane."""
-    return Pairing.hyperbolic(field, 1, flavor), GradedMatrix.identity(field, (0, 0)).columns()
+    return Pairing.hyperbolic(field, 1, flavor), GradedMatrix.identity(field, (0, 0))
 
 
 def _finite_cover_degree(a: int, b: int) -> int:
@@ -466,7 +422,7 @@ def _filler_pairing(field, flavor, dim):
 
 
 class _Case(NamedTuple):
-    small: object  # (field, flavor) -> (pairing, top columns in the block)
+    small: object  # (field, flavor) -> (pairing, top generator in the block)
     lower: tuple  # per lower member, from the top down: its small-block columns
     big: object  # (l, m) -> (a, b) of the E_{2a,2b} block; a = 0: no big block
     pulled: bool  # pulled back by T -> T^d, d = _finite_cover_degree(a, b)
@@ -474,9 +430,9 @@ class _Case(NamedTuple):
 
 # one row per construction, l = k // 2 and m = n // 2; see the module docstring
 _CASES = {
-    "I": _Case(_e12_block, ([0], []), lambda l, m: (l, m - 2), True),
+    "I": _Case(_e2a2b, ([0], []), lambda l, m: (l, m - 2), True),
     "II": _Case(_cubic_block, ([0, 1], [0]), lambda l, m: (l - 1, m - 3), True),
-    "IIIa": _Case(_e12_block, ([],), lambda l, m: (l - 1, m - 2), True),
+    "IIIa": _Case(_e2a2b, ([],), lambda l, m: (l - 1, m - 2), True),
     "IIIb": _Case(_cubic_block, ([0],), lambda l, m: (l - 1, m - 3), True),
     # IVa's low member starts with e1 = T0 * col_bp - T1 * col_bm
     "IVa": _Case(
@@ -488,24 +444,26 @@ _CASES = {
 
 def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     """The family of one ``_CASES`` row: the small block, then the big
-    block, then the filler, each a block of the pairing and of the top.
-    A lower member is its small-block columns followed by every big-block
-    column, which in the member above start right after that member's
-    small-block entries.  A one-step (case III) flag has shape (k-2, k)."""
+    block, then the filler, each a block of the pairing and of the top,
+    whose filler block has no columns.  A lower member is its small-block
+    columns followed by every big-block column, which in the member above
+    start right after that member's small-block entries.  A one-step
+    (case III) flag has shape (k-2, k)."""
     small, lower, big, pulled = row
-    beta, top_cols = small(field, flavor)
-    blocks, big_cols = [beta], []
+    beta, small_gen = small(field, flavor)
+    pairings, gens = [beta], [small_gen]
     a, b = big(k // 2, n // 2)
     if a:
-        beta_big, e_big = _e2a2b(field, a, b, flavor)
-        blocks.append(beta_big)
-        big_cols = e_big.pullback_power(_finite_cover_degree(a, b) if pulled else 1).columns()
-    filler = n - sum(p.dim for p in blocks)
-    pairing = Pairing.orthogonal_sum(*blocks, _filler_pairing(field, flavor, filler))
-    top = _member(field, n, [(0, top_cols), (beta.dim, big_cols)])
-    lists, above = [], len(top_cols)
+        beta_big, e_big = _e2a2b(field, flavor, a, b)
+        pairings.append(beta_big)
+        gens.append(e_big.pullback_power(_finite_cover_degree(a, b) if pulled else 1))
+    filler = n - sum(p.dim for p in pairings)
+    pairing = Pairing.orthogonal_sum(*pairings, _filler_pairing(field, flavor, filler))
+    filler_gen = GradedMatrix.zero(field, (), trivial_frame(filler))
+    top = Subbundle(GradedMatrix.direct_sum(field, *gens, filler_gen))
+    lists, above, nbig = [], small_gen.ncols, top.rank - small_gen.ncols
     for cols in lower:
-        lists.append([*cols, *range(above, above + len(big_cols))])
+        lists.append([*cols, *range(above, above + nbig)])
         above = len(cols)
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
     return _flag(case, n, k, flavor, shape, pairing, top, *lists)

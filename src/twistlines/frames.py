@@ -3,8 +3,9 @@
 A frame (a1, ..., am) stands for the split bundle O(a1) + ... + O(am) on
 the projective line.  A GradedMatrix from frame A to frame B is a grid of
 binary forms whose (i, j) entry is homogeneous of degree B[i] - A[j]; the
-constructor rejects any entry violating that constraint; products, twists
-and transposed duals meet it by construction and skip the check.  The
+constructor rejects any entry violating that constraint.  Products,
+twists, transposed duals, pullbacks and direct sums (and so the zero and
+identity matrices) meet it by construction and skip the check.  The
 degree-n piece of a frame is the space of degree-n global sections, of
 dimension sum(max(0, n + a + 1)); basis order is summand-major with the
 T1-exponent ascending inside each summand.  A matrix's degree-n piece is
@@ -94,23 +95,43 @@ class GradedMatrix:
         return m
 
     @classmethod
+    def direct_sum(cls, field, *blocks) -> "GradedMatrix":
+        """The block-diagonal matrix of ``blocks`` over ``field``: each
+        block's rows and columns placed after the earlier blocks', every
+        other entry zero.
+
+        Built unchecked, being valid: a block entry keeps the row and column
+        twists it had in its block, and an entry off the blocks, joining a
+        row twist b to a column twist a, is the zero form of degree b - a,
+        which the frames allow whatever the sign of b - a.  Forms are
+        immutable, so each degree gets one shared zero form.
+        """
+        if any(m.field != field for m in blocks):
+            raise ValueError("a direct sum needs all its blocks over one field")
+        src = tuple(a for m in blocks for a in m.src)
+        dst = tuple(b for m in blocks for b in m.dst)
+        zeros = {d: BinaryForm.zero(field, d) for d in {b - a for b in set(dst) for a in set(src)}}
+        rows, start = [], 0
+        for m in blocks:
+            for b, row in zip(m.dst, m.entries):
+                full = [zeros[b - a] for a in src]
+                full[start : start + len(row)] = row
+                rows.append(tuple(full))
+            start += len(m.src)
+        return cls._valid(field, src, dst, tuple(rows))
+
+    @classmethod
     def zero(cls, field, src, dst):
-        return cls(
-            field, src, dst, [[BinaryForm.zero(field, b - a) for a in src] for b in dst]
+        """The direct sum of a block with no columns and one with no rows."""
+        return cls.direct_sum(
+            field, cls._valid(field, (), dst, ((),) * len(dst)), cls._valid(field, src, (), ())
         )
 
     @classmethod
     def identity(cls, field, frame):
-        rows = []
-        for i, b in enumerate(frame):
-            row = []
-            for j, a in enumerate(frame):
-                if i == j:
-                    row.append(BinaryForm.constant(field, 1))
-                else:
-                    row.append(BinaryForm.zero(field, b - a))
-            rows.append(row)
-        return cls(field, frame, frame, rows)
+        """The direct sum of one 1 x 1 block with entry 1 per twist."""
+        one = (BinaryForm.constant(field, 1),)
+        return cls.direct_sum(field, *(cls._valid(field, (a,), (a,), (one,)) for a in frame))
 
     @classmethod
     def from_columns(cls, field, dst, columns):
@@ -134,9 +155,6 @@ class GradedMatrix:
 
     def column(self, j):
         return self.src[j], tuple(self.entries[i][j] for i in range(len(self.dst)))
-
-    def columns(self):
-        return [self.column(j) for j in range(len(self.src))]
 
     def support(self):
         """Per source column, the (row, terms) pairs of its nonzero entries."""
@@ -234,13 +252,17 @@ class GradedMatrix:
 
     def pullback_power(self, d: int) -> "GradedMatrix":
         """Substitute T0 -> T0^d, T1 -> T1^d; every twist scales by d.
-        d = 1 returns self, so its forms and their cached terms are shared."""
+        d = 1 returns self, so its forms and their cached terms are shared.
+
+        Built unchecked: the substitution takes an entry of degree b - a to
+        one of degree d(b - a), the gap between the scaled twists, and a
+        zero entry to a zero one."""
         if d < 1:
             raise ValueError("pullback exponent must be >= 1")
         if d == 1:
             return self
-        rows = [[e.substitute_power(d) for e in row] for row in self.entries]
-        return GradedMatrix(
+        rows = tuple(tuple(e.substitute_power(d) for e in row) for row in self.entries)
+        return GradedMatrix._valid(
             self.field, tuple(d * a for a in self.src), tuple(d * b for b in self.dst), rows
         )
 

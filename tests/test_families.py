@@ -5,6 +5,7 @@ import pytest
 from twistlines import families
 from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm
+from twistlines.frames import GradedMatrix
 from twistlines.families import (
     ExceptionalCaseError,
     HypothesisError,
@@ -26,6 +27,7 @@ from twistlines.sheaves import (
     same_subsheaf,
 )
 
+FIELDS = (QQ, PrimeField(10007))
 T0 = BinaryForm.monomial(QQ, 1, 0)
 T1 = BinaryForm.monomial(QQ, 1, 1)
 
@@ -62,6 +64,19 @@ def test_phi_psi_evaluation_at_one_zero():
             for j in range(b):
                 expect = sign if j == i + a else 0
                 assert psi_vals[i][j] == expect
+
+
+def checked_copy(m):
+    """The matrix rebuilt through the checked constructor."""
+    return GradedMatrix(m.field, m.src, m.dst, m.entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_phi_psi_pass_the_checked_constructor(field):
+    for b in range(1, 15):
+        for a in range(1, b + 1):
+            for m in build_phi_psi(field, a, b):
+                assert checked_copy(m) == m, (a, b)
 
 
 def test_phi_psi_rejects_bad_parameters():
@@ -136,12 +151,16 @@ def test_orbit_monomial_column():
 
 
 def test_orbit_flag_equals_direct_flag():
-    for (n, k) in [(5, 2), (6, 2), (7, 3), (8, 3)]:
-        _, orbit = build_classical_orbit(QQ, n, k)
-        direct = build_classical(QQ, n, k)
-        assert all(
-            same_subsheaf(a, b) for a, b in zip(orbit.members, direct.members)
-        )
+    # the orbit members come from their own code, so they check the
+    # classical top assembled as a direct sum and the members below it
+    for field in FIELDS:
+        for n in range(3, 13):
+            for k in range(1, n // 2 + 1):
+                _, orbit = build_classical_orbit(field, n, k)
+                direct = build_classical(field, n, k)
+                assert all(
+                    same_subsheaf(a, b) for a, b in zip(orbit.members, direct.members)
+                ), (field, n, k)
 
 
 def test_orbit_rejects_exceptional():
@@ -295,15 +314,34 @@ def test_flag_refuses_a_combination_witness_that_drops_rank():
     assert fam.inclusions[0].rank_everywhere() == (1, True)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
-def test_every_lower_member_to_24_is_everywhere_injective(field):
-    # the witness check stands in for the member's own rank profile
+def families_to_24(field):
+    """Every non-exceptional family with n <= 24."""
     for flavor in (None, "symmetric", "skew"):
         for n in range(2, 25):
             for k in range(1, n // 2 + 1):
-                if (flavor == "skew" and n % 2) or is_exceptional(flavor, n, k):
-                    continue
-                fam = build_family(field, n, k, flavor)
-                for member in fam.members[:-1]:
-                    if member.rank:
-                        Subbundle(member.gen, check=True)
+                if not ((flavor == "skew" and n % 2) or is_exceptional(flavor, n, k)):
+                    yield build_family(field, n, k, flavor)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_lower_member_to_24_is_everywhere_injective(field):
+    # the witness check stands in for the member's own rank profile
+    for fam in families_to_24(field):
+        for member in fam.members[:-1]:
+            if member.rank:
+                Subbundle(member.gen, check=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_blocks_and_members_to_24_pass_the_checked_constructor(field):
+    # every E_{2a,2b} generator the n <= 24 families can use, as built and
+    # pulled back, and every member and witness they hold
+    for flavor in ("symmetric", "skew"):
+        for b in range(2, 13):
+            for a in range(1, b // 2 + 1):
+                gen = families._e2a2b(field, flavor, a, b)[1]
+                for d in (1, 2):
+                    assert checked_copy(gen.pullback_power(d)) == gen.pullback_power(d)
+    for fam in families_to_24(field):
+        for m in [member.gen for member in fam.members] + list(fam.inclusions):
+            assert checked_copy(m) == m, (fam.flavor, fam.n, fam.k)

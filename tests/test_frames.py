@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graded_strategies import (
     ALL_FIELDS,
+    FIELDS,
     FRACTION_COEFFS,
     assert_canonical,
     evaluate,
@@ -79,6 +80,64 @@ def test_equal_matrices_built_separately_hash_equal():
         assert hash(other) == hash(other)
     assert len({built: 1, **{m: 2 for m in others}}) == 1
     assert hash(built) == hash((built.src, built.dst, built.entries))
+
+
+@st.composite
+def block_lists(draw):
+    """Up to four blocks over one field, some with no columns or no rows."""
+    field = draw(st.sampled_from(FIELDS))
+    frames = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["full", "no columns", "no rows"]), max_size=4)):
+        if kind == "full":
+            blocks.append(draw(graded_matrices(field=field)))
+        elif kind == "no columns":
+            dst = draw(frames)
+            blocks.append(GradedMatrix(field, (), dst, [[] for _ in dst]))
+        else:
+            blocks.append(GradedMatrix(field, draw(frames), (), []))
+    return field, blocks
+
+
+def zero_padded(field, blocks):
+    """The block-diagonal matrix, each block column padded with zero forms."""
+    dst = tuple(b for m in blocks for b in m.dst)
+    cols, offset = [], 0
+    for m in blocks:
+        for j in range(m.ncols):
+            tw, forms = m.column(j)
+            full = [BinaryForm.zero(field, b - tw) for b in dst]
+            full[offset : offset + len(forms)] = forms
+            cols.append((tw, full))
+        offset += m.nrows
+    return GradedMatrix.from_columns(field, dst, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+def test_direct_sum_matches_zero_padded_columns(case):
+    # the checked constructor is the oracle for the unchecked direct sum
+    field, blocks = case
+    total = GradedMatrix.direct_sum(field, *blocks)
+    assert total == zero_padded(field, blocks)
+    assert GradedMatrix(field, total.src, total.dst, total.entries) == total
+
+
+def test_direct_sum_needs_one_field():
+    m = GradedMatrix.identity(FIELDS[1], (0,))
+    with pytest.raises(ValueError, match="one field"):
+        GradedMatrix.direct_sum(QQ, GradedMatrix.identity(QQ, (0,)), m)
+
+
+def test_zero_and_identity_match_the_checked_constructor():
+    for field in FIELDS:
+        for m in (
+            GradedMatrix.zero(field, (2, -1), (0, 3, -2)),
+            GradedMatrix.zero(field, (), (0, 0)),
+            GradedMatrix.identity(field, (1, 0, -3)),
+            GradedMatrix.identity(field, ()),
+        ):
+            assert GradedMatrix(field, m.src, m.dst, m.entries) == m
 
 
 def test_degree_piece_empty_source():
@@ -556,6 +615,8 @@ def test_pullback_composes():
     for _ in range(6):
         m = random_graded(rng)
         assert m.pullback_power(2).pullback_power(3) == m.pullback_power(6)
+        pulled = m.pullback_power(2)
+        assert GradedMatrix(QQ, pulled.src, pulled.dst, pulled.entries) == pulled
 
 
 def test_pullback_scales_kernel_type():

@@ -197,8 +197,8 @@ def with_entries(m, change):
     """m with each entry (i, j) replaced by change(i, j, entry), in m's
     frames except that a column's twist follows its new entries' degree."""
     columns = []
-    for j, (_, forms) in enumerate(m.columns()):
-        forms = [change(i, j, e) for i, e in enumerate(forms)]
+    for j in range(m.ncols):
+        forms = [change(i, j, e) for i, e in enumerate(m.column(j)[1])]
         columns.append((m.dst[0] - forms[0].degree, forms))
     return GradedMatrix.from_columns(m.field, m.dst, columns)
 
@@ -637,7 +637,7 @@ def scaled_by_two(lift):
 
 
 def first_two_columns_swapped(lift):
-    cols = lift.columns()
+    cols = [lift.column(j) for j in range(lift.ncols)]
     cols[0], cols[1] = cols[1], cols[0]
     return GradedMatrix.from_columns(lift.field, lift.dst, cols)
 
