@@ -27,13 +27,27 @@ the outer columns a selection picks, else the product.  The witnesses are
 kept as the family's ``inclusions``, not trusted data: ``certify`` uses
 one only after checking that product (for a selection, column by column),
 and otherwise finds the inclusion again by elimination.
+
+Every matrix here is assembled from blocks that carry their rank
+profile, so the profiles of the top member and of each witness compose
+(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity``) and only
+a block runs a Smith form.  While ``verify.run_sweep`` runs, each
+process keeps one memo (``_once``), and the builders take their blocks
+from it: the classical monomial column per (field, d), each small block
+per (field, flavor, kind), the pulled-back E_{2a,2b} block with its
+pairing per (field, flavor, a, b, d), and each combination column of a
+witness per its content.  So a sweep worker builds each distinct block,
+and runs its Smith form, once; a column of monomials (a classical block,
+or a witness's combination column) needs none (``_column``).
+``verify``'s block stages share the memo.  Outside a sweep nothing is
+kept, and a build that raises stores nothing.
 """
 from dataclasses import dataclass, replace
 from math import comb
 from typing import NamedTuple
 
 from .forms import BinaryForm
-from .frames import GradedMatrix, trivial_frame
+from .frames import GradedMatrix, RankProfile, trivial_frame
 from .sheaves import Pairing, Subbundle
 
 __all__ = [
@@ -124,6 +138,32 @@ class OrbitDatum:
 
 
 # ---------------------------------------------------------------------------
+# the sweep memo
+
+_memo = None  # results by content while run_sweep runs, one per process
+
+
+def _set_memo(memo):
+    global _memo
+    _memo = memo
+
+
+def _once(stage, *args):
+    """stage(*args), once per key while a memo is open (a Subbundle's key is its gen).
+
+    The key is the stage and its arguments' content, field included, and a
+    stage is a deterministic function of that content, so a hit is what a
+    recomputation gives.  A stage that raises stores nothing."""
+    if _memo is None:
+        return stage(*args)
+    key = (stage, *(a.gen if isinstance(a, Subbundle) else a for a in args))
+    found = _memo.get(key, _memo)
+    if found is _memo:
+        found = _memo[key] = stage(*args)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # binomial matrix pair
 
 
@@ -187,9 +227,8 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     case I and III rows.
 
     ``_isotropic`` embeds this block, or its pullback, in a
-    block-diagonal top member.  A block-diagonal matrix is everywhere
-    injective exactly when each block is, so the check of the top
-    certifies the block too.
+    block-diagonal top member, whose rank profile composes from its
+    blocks', so the check of the top certifies the block too.
     """
     if a < 1:
         raise HypothesisError(f"need a >= 1, got a={a}")
@@ -207,6 +246,61 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
 # flags from their witnesses
 
 
+def _column(field, twists, specs):
+    """The column into O(twists[0]) + O(twists[1]) + ... whose entry i is
+    BinaryForm.monomial(field, *specs[i]), checked, with its rank profile.
+
+    The profile needs no Smith form.  A column has generic rank 1 iff an
+    entry is nonzero, and then rank 1 at a point iff an entry is nonzero
+    there.  A nonzero c T0^(d-e) T1^e vanishes at [0:1] iff e < d, at
+    [1:0] iff e > 0, and nowhere else; so the rank is constant iff some
+    nonzero entry has e = 0 and some has e = d (a zero column has rank 0
+    everywhere)."""
+    forms = [BinaryForm.monomial(field, *spec) for spec in specs]
+    col = GradedMatrix.from_columns(field, twists, [(twists[0] - specs[0][0], forms)])
+    nonzero = [spec[:2] for spec, form in zip(specs, forms) if not form.is_zero()]
+    col._profile = RankProfile(
+        min(1, len(nonzero)),
+        not nonzero or (any(e == 0 for _, e in nonzero) and any(e == d for d, e in nonzero)),
+    )
+    return col
+
+
+def _witness(field, outer, columns):
+    """The witness L into a member with source frame ``outer``, from its
+    list of columns (see ``_flag``), as a direct sum of blocks, each on a
+    run of outer rows: an identity for a run of indices i, i+1, ..., and a
+    ``_column`` from ``_once`` for a combination.  The rows before a run
+    that no column covers form a block with no columns, as do the rows
+    after the last run.  The runs must follow each other down the rows,
+    else ``ValueError``.  Every block with columns carries its profile, so
+    L's composes with no Smith form."""
+    runs = []  # [first row, last row + 1, the combination or None for indices]
+    for col in columns:
+        if isinstance(col, int) and runs and runs[-1][1:] == [col, None]:
+            runs[-1][1] += 1
+        elif isinstance(col, int):
+            runs.append([col, col + 1, None])
+        else:
+            runs.append([min(col), max(col) + 1, col])
+
+    def uncovered(stop):  # the rows from ``row`` to ``stop``, with no columns
+        return GradedMatrix._valid(field, (), outer[row:stop], ((),) * (stop - row))
+
+    blocks, row = [], 0
+    for start, stop, col in runs:
+        if start < row or (col and len(col) != stop - start):
+            raise ValueError("witness columns must cover runs of the outer rows in order")
+        if col is None:
+            block = GradedMatrix.identity(field, outer[start:stop])
+        else:
+            spec = tuple(col[i] for i in range(start, stop))
+            block = _once(_column, field, outer[start:stop], spec)
+        blocks += [uncovered(start), block]
+        row = stop
+    return GradedMatrix.direct_sum(field, *blocks, uncovered(len(outer)))
+
+
 def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     """The family with top member ``top`` and, from the top down, one lower
     member per entry of ``lower``.  Each is a list of columns of the member
@@ -222,19 +316,13 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     outer.gen is everywhere injective, so at every point the member's rank
     is L's: the member is everywhere injective iff L is.  A selection
     witness is, with no check; one with a combination column is checked by
-    its r_outer x r_member rank profile, and a failing one raises
-    ``ValueError``."""
+    its rank profile, composed from its blocks (``_witness``), and a
+    failing one raises ``ValueError``."""
     field = top.field
     members, inclusions = [top], []
     for columns in lower:
         outer = members[0].gen
-        cols = [{c: (0, 0)} if isinstance(c, int) else c for c in columns]  # index: entry 1
-        src = [outer.src[i] - spec[0] for i, spec in (next(iter(c.items())) for c in cols)]
-        grid = [list(row) for row in GradedMatrix.zero(field, src, outer.src).entries]
-        for j, col in enumerate(cols):
-            for i, spec in col.items():
-                grid[i][j] = BinaryForm.monomial(field, *spec)
-        witness = GradedMatrix(field, src, outer.src, grid)
+        witness = _witness(field, outer.src, columns)
         rows = witness.selection()
         if rows is not None:
             selected = tuple(tuple(row[i] for i in rows) for row in outer.entries)
@@ -263,6 +351,12 @@ def _classical_point(n, k):
         raise ExceptionalCaseError(f"exceptional case: classical ({n},{k})")
 
 
+def _monomials(field, d):
+    """The column O(-d) -> O^(d+1) of all degree-d monomials, with its
+    profile (1, True): T0^d and T1^d have no common zero."""
+    return _column(field, (0,) * (d + 1), [(d, j) for j in range(d + 1)])
+
+
 def build_classical(field, n: int, k: int) -> FlagFamily:
     """The (k-1, k, k+1)-flag inside O^n for the classical Grassmannian.
 
@@ -270,13 +364,8 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
     O(-d) -> O^(d+1) of all degree-d monomials: k-1 lines (T0, T1) with
     d = 1, the curve with d = n-2k, and the unit with d = 0."""
     _classical_point(n, k)
-
-    def monomials(d):
-        forms = [BinaryForm.monomial(field, d, j) for j in range(d + 1)]
-        return GradedMatrix.from_columns(field, (0,) * (d + 1), [(-d, forms)])
-
-    blocks = [monomials(1)] * (k - 1) + [monomials(n - 2 * k), monomials(0)]
-    top = Subbundle(GradedMatrix.direct_sum(field, *blocks))
+    line, curve, unit = (_once(_monomials, field, d) for d in (1, n - 2 * k, 0))
+    top = Subbundle(GradedMatrix.direct_sum(field, *[line] * (k - 1), curve, unit))
     if k == 1:
         case, low = "classical-I", []
     else:
@@ -442,6 +531,16 @@ _CASES = {
 }
 
 
+def _block(build, field, flavor, d, *ab):
+    """The pairing and the generator of one block of an isotropic top
+    member: build(field, flavor, *ab), pulled back by T -> T^d, with its
+    rank profile, whose one Smith form runs before the pullback, which
+    keeps it.  ``_isotropic`` takes every block through ``_once``."""
+    beta, gen = build(field, flavor, *ab)
+    gen.rank_everywhere()
+    return beta, gen.pullback_power(d)
+
+
 def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     """The family of one ``_CASES`` row: the small block, then the big
     block, then the filler, each a block of the pairing and of the top,
@@ -450,13 +549,14 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     start right after that member's small-block entries.  A one-step
     (case III) flag has shape (k-2, k)."""
     small, lower, big, pulled = row
-    beta, small_gen = small(field, flavor)
+    beta, small_gen = _once(_block, small, field, flavor, 1)
     pairings, gens = [beta], [small_gen]
     a, b = big(k // 2, n // 2)
     if a:
-        beta_big, e_big = _e2a2b(field, flavor, a, b)
+        d = _finite_cover_degree(a, b) if pulled else 1
+        beta_big, e_big = _once(_block, _e2a2b, field, flavor, d, a, b)
         pairings.append(beta_big)
-        gens.append(e_big.pullback_power(_finite_cover_degree(a, b) if pulled else 1))
+        gens.append(e_big)
     filler = n - sum(p.dim for p in pairings)
     pairing = Pairing.orthogonal_sum(*pairings, _filler_pairing(field, flavor, filler))
     filler_gen = GradedMatrix.zero(field, (), trivial_frame(filler))

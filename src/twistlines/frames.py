@@ -18,9 +18,13 @@ nonzero entries with their nonzero terms) is computed on first use and
 kept, so degree pieces, products, rank profiles and zero tests of one
 matrix scan each coefficient once, not on every call.  Its rank profile
 is kept the same way, and ``transpose_dual`` hands it to the transpose,
-whose rank is the same at every point.  A generic rank alone is read at
-one point where that point proves it (``generic_rank``), with the profile's
-Smith form as the fallback.
+whose rank is the same at every point.  Profiles compose: ``direct_sum``
+keeps one when each block has one, ``pullback_power`` keeps its argument's,
+and ``identity`` carries its own, each proved where it is made; so a
+matrix assembled from profiled blocks needs no Smith form of its own, and
+``_rank_profile`` is the fallback and the oracle.  A generic rank alone is
+read at one point where that point proves it (``generic_rank``), with the
+profile's Smith form as the fallback.
 """
 
 from typing import NamedTuple
@@ -105,6 +109,15 @@ class GradedMatrix:
         row twist b to a column twist a, is the zero form of degree b - a,
         which the frames allow whatever the sign of b - a.  Forms are
         immutable, so each degree gets one shared zero form.
+
+        The sum keeps a rank profile when every block with rows and columns
+        has one: the generic rank is the sum of the blocks', and the rank is
+        constant iff each block's is.  Proof: at every point (the generic
+        one included) the rank of a block-diagonal matrix is the sum of its
+        blocks' ranks, and a block with no rows or no columns has rank 0
+        everywhere.  No block's rank at a point exceeds its generic rank,
+        so the sum equals the sum of the generic ranks at a point iff every
+        block's rank does there.
         """
         if any(m.field != field for m in blocks):
             raise ValueError("a direct sum needs all its blocks over one field")
@@ -118,7 +131,13 @@ class GradedMatrix:
                 full[start : start + len(row)] = row
                 rows.append(tuple(full))
             start += len(m.src)
-        return cls._valid(field, src, dst, tuple(rows))
+        total = cls._valid(field, src, dst, tuple(rows))
+        profiles = [m._profile for m in blocks if m.src and m.dst]
+        if None not in profiles:
+            total._profile = RankProfile(
+                sum(p.generic_rank for p in profiles), all(p.constant for p in profiles)
+            )
+        return total
 
     @classmethod
     def zero(cls, field, src, dst):
@@ -129,9 +148,12 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, field, frame):
-        """The direct sum of one 1 x 1 block with entry 1 per twist."""
+        """The direct sum of one 1 x 1 block with entry 1 per twist; its
+        rank is len(frame) at every point, and it keeps that profile."""
         one = (BinaryForm.constant(field, 1),)
-        return cls.direct_sum(field, *(cls._valid(field, (a,), (a,), (one,)) for a in frame))
+        m = cls.direct_sum(field, *(cls._valid(field, (a,), (a,), (one,)) for a in frame))
+        m._profile = RankProfile(len(frame), True)
+        return m
 
     @classmethod
     def from_columns(cls, field, dst, columns):
@@ -256,15 +278,24 @@ class GradedMatrix:
 
         Built unchecked: the substitution takes an entry of degree b - a to
         one of degree d(b - a), the gap between the scaled twists, and a
-        zero entry to a zero one."""
+        zero entry to a zero one.
+
+        The pullback keeps self's rank profile.  Proof: its rank at [s:t] is
+        self's rank at [s^d:t^d].  The substitution is an injective ring
+        map, so each minor of the pullback is the substituted minor of
+        self, nonzero iff that one is: the generic rank is unchanged.  Over
+        the algebraic closure [s:t] -> [s^d:t^d] is onto the line, so the
+        set of pointwise ranks is unchanged, and with it constancy."""
         if d < 1:
             raise ValueError("pullback exponent must be >= 1")
         if d == 1:
             return self
         rows = tuple(tuple(e.substitute_power(d) for e in row) for row in self.entries)
-        return GradedMatrix._valid(
+        pulled = GradedMatrix._valid(
             self.field, tuple(d * a for a in self.src), tuple(d * b for b in self.dst), rows
         )
+        pulled._profile = self._profile
+        return pulled
 
     def value_at_infinity(self):
         """Scalar matrix of values at [1:0]: each entry's T0^d coefficient."""

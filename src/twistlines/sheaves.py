@@ -128,6 +128,14 @@ class Pairing:
         pairing.__dict__.update(flavor=flavor, matrix=tuple(map(tuple, rows)), field=field)
         return pairing
 
+    def __hash__(self):
+        # kept after the first computation, as GradedMatrix keeps its own;
+        # of the Gram matrix alone, whose hash is the same in every process
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self.matrix)
+        return h
+
     @property
     def dim(self) -> int:
         return len(self.matrix)

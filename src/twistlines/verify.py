@@ -33,12 +33,16 @@ chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
 the block quotients (proved there), each one ``quotient_type`` of the top
 chunk in its block's perp.
 
-While ``run_sweep`` runs, each process computes each of the three block
-stages (isotropy, perp, quotient) once (``_once``): the key is the stage
-and its arguments' content, field included, and a stage is a deterministic
-function of that content, so a hit is what a recomputation gives and every
-check still runs once.  A stage that raises stores nothing; a direct
-``certify`` sees no memo.
+While ``run_sweep`` runs, each process keeps one memo (``families._once``),
+and computes each of the three block stages (isotropy, perp, quotient)
+once through it: the key is the stage and its arguments' content, field
+included, and a stage is a deterministic function of that content, so a
+hit is what a recomputation gives and every check still runs once.  The
+builders take their blocks from the same memo, each built, with its rank
+profile, once per process (see ``families``).  A stage that raises stores
+nothing; a direct ``certify`` sees no memo.  With more than one worker,
+``run_sweep`` sends the cases that share their blocks to one worker: one
+task per (flavor, n // 2), the largest n first.
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -53,6 +57,8 @@ from typing import NamedTuple, Optional
 from .families import (
     ExceptionalCaseError,
     FlagFamily,
+    _once,
+    _set_memo,
     build_family,
     build_phi_psi,
     is_exceptional,
@@ -241,31 +247,13 @@ def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
 
 def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
     """True iff inner's column j is outer's column rows[j], entry by entry:
-    for a selection L this is outer @ L == inner without the product."""
+    for a selection L this is outer @ L == inner without the product.  The
+    builders copy the selected entries, so most are the same object."""
     return inner.dst == outer.dst and all(
-        inner_row[j] == outer_row[r]
+        inner_row[j] is outer_row[r] or inner_row[j] == outer_row[r]
         for inner_row, outer_row in zip(inner.entries, outer.entries)
         for j, r in enumerate(rows)
     )
-
-
-_memo = None  # the block stages' results while run_sweep runs, by content
-
-
-def _set_memo(memo):
-    global _memo
-    _memo = memo
-
-
-def _once(stage, *args):
-    """stage(*args), once per key while a memo is open (a Subbundle's key is its gen)."""
-    if _memo is None:
-        return stage(*args)
-    key = (stage, *(a.gen if isinstance(a, Subbundle) else a for a in args))
-    found = _memo.get(key, _memo)
-    if found is _memo:
-        found = _memo[key] = stage(*args)
-    return found
 
 
 def _perp_over_top(blocks, i) -> SplittingType:
@@ -474,16 +462,32 @@ def pool_size(jobs: int, n_tasks: int, cpus) -> int:
     return max(1, min(jobs, cpus or 1, n_tasks))
 
 
+def _sweep_group(tasks):
+    return [_sweep_one(t) for t in tasks]
+
+
 def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
-    """Certify every case in range; rows come back in deterministic order."""
+    """Certify every case in range; rows come back in deterministic order.
+
+    With more than one worker, the cases of one (flavor, n // 2) are one
+    task, so they share one worker's memo: the big block's b is fixed by
+    n // 2 and the case row.  The tasks go out with the largest n, the
+    slowest, first, and the rows are put back in sweep order.
+    """
     points = sweep_points(n_min, n_max, flavors)
     tasks = [(field, flavor, n, k) for flavor, n, k in points]
     workers = pool_size(jobs, len(tasks), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        groups = {}
+        for task in tasks:
+            groups.setdefault((task[1], task[2] // 2), []).append(task)
+        order = sorted(groups.values(), key=lambda group: -group[-1][2])
         with ProcessPoolExecutor(workers, initializer=_set_memo, initargs=({},)) as pool:
-            return list(pool.map(_sweep_one, tasks))
+            done = [row for rows in pool.map(_sweep_group, order) for row in rows]
+        by_point = {(row.flavor, row.n, row.k): row for row in done}
+        return [by_point[point] for point in points]
     _set_memo({})
     try:
         return [_sweep_one(t) for t in tasks]

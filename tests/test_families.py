@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from twistlines import families
 from twistlines.fields import QQ, PrimeField
@@ -345,3 +347,52 @@ def test_blocks_and_members_to_24_pass_the_checked_constructor(field):
     for fam in families_to_24(field):
         for m in [member.gen for member in fam.members] + list(fam.inclusions):
             assert checked_copy(m) == m, (fam.flavor, fam.n, fam.k)
+
+
+# ---------------------------------------------------------------------------
+# rank profiles built with their matrices
+
+
+@hst.composite
+def monomial_columns(draw):
+    """A field, a column's target twists and its monomial specs (d, e, c),
+    with coefficients that can vanish in the field."""
+    field = draw(hst.sampled_from([QQ, PrimeField(7)]))
+    src = draw(hst.integers(-4, 0))
+    degrees = draw(hst.lists(hst.integers(0, 4), min_size=1, max_size=4))
+    specs = tuple((d, draw(hst.integers(0, d)), draw(hst.integers(-8, 8))) for d in degrees)
+    return field, tuple(src + d for d in degrees), specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_columns())
+def test_a_monomial_column_is_profiled_without_a_smith_form(case):
+    field, twists, specs = case
+    col = families._column(field, twists, specs)
+    assert col == checked_copy(col)
+    assert col._profile == checked_copy(col)._rank_profile()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_composed_profiles_to_24_equal_a_fresh_smith_form(field):
+    # the top member's profile composes from its blocks', each witness's
+    # from its columns'; each is kept, and is what the whole matrix gives
+    for fam in families_to_24(field):
+        for m in [fam.members[-1].gen, *fam.inclusions]:
+            assert m._profile == checked_copy(m)._rank_profile(), (fam.n, fam.k, fam.flavor)
+
+
+def test_a_witness_is_the_direct_sum_of_its_columns():
+    # an index, a combination over the next run of rows, a row left out
+    frame = (0, -1, -2, -3)
+    one, zero = BinaryForm.constant(QQ, 1), BinaryForm.zero
+    t00, t1 = BinaryForm.monomial(QQ, 2, 0), BinaryForm.monomial(QQ, 1, 1)
+    witness = families._witness(QQ, frame, [0, {1: (2, 0), 2: (1, 1)}])
+    first = [one, zero(QQ, -1), zero(QQ, -2), zero(QQ, -3)]
+    second = [zero(QQ, 3), t00, t1, zero(QQ, 0)]
+    expected = GradedMatrix.from_columns(QQ, frame, [(0, first), (-3, second)])
+    assert witness == expected
+    assert witness._profile == (2, True) == checked_copy(witness)._rank_profile()
+    for columns in ([2, 0], [0, 0], [{0: (0, 0), 2: (2, 0)}]):
+        with pytest.raises(ValueError, match="runs of the outer rows in order"):
+            families._witness(QQ, frame, columns)

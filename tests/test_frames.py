@@ -123,6 +123,34 @@ def test_direct_sum_matches_zero_padded_columns(case):
     assert GradedMatrix(field, total.src, total.dst, total.entries) == total
 
 
+@settings(max_examples=150, deadline=None)
+@given(block_lists(), st.booleans())
+def test_direct_sum_composes_the_blocks_profiles(case, profiled):
+    # with every block profiled, the sum keeps the profile a fresh Smith
+    # form of the whole matrix finds; with one block that has rows and
+    # columns unprofiled, it keeps none
+    field, blocks = case
+    if profiled:
+        for m in blocks:
+            m.rank_everywhere()
+    total = GradedMatrix.direct_sum(field, *blocks)
+    fresh = GradedMatrix(field, total.src, total.dst, total.entries)
+    if profiled or not any(m.src and m.dst for m in blocks):
+        assert total._profile == fresh._rank_profile() == reference_rank_profile(fresh)
+    else:
+        assert total._profile is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_matrices(), st.integers(2, 3))
+def test_pullback_keeps_the_profile(m, d):
+    profile = m.rank_everywhere()
+    pulled = m.pullback_power(d)
+    fresh = GradedMatrix(m.field, pulled.src, pulled.dst, pulled.entries)
+    assert pulled._profile == profile == fresh._rank_profile()
+    assert GradedMatrix(m.field, m.src, m.dst, m.entries).pullback_power(d)._profile is None
+
+
 def test_direct_sum_needs_one_field():
     m = GradedMatrix.identity(FIELDS[1], (0,))
     with pytest.raises(ValueError, match="one field"):
@@ -137,7 +165,10 @@ def test_zero_and_identity_match_the_checked_constructor():
             GradedMatrix.identity(field, (1, 0, -3)),
             GradedMatrix.identity(field, ()),
         ):
-            assert GradedMatrix(field, m.src, m.dst, m.entries) == m
+            fresh = GradedMatrix(field, m.src, m.dst, m.entries)
+            assert fresh == m
+            # both keep their profile, (0, True) and (n, True), unasked
+            assert m._profile == fresh._rank_profile()
 
 
 def test_degree_piece_empty_source():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -118,6 +119,22 @@ def test_assembled_pairings_equal_their_validated_construction(field, flavor):
         Pairing(flavor, asymmetric, field)
     with pytest.raises(ValueError, match="unknown pairing flavor"):
         Pairing.hyperbolic(field, 1, "hermitian")
+
+
+def test_a_pairing_keeps_its_hash():
+    # the hash is computed once and kept, equal for equal pairings however
+    # built, and the same in a pickled copy
+    for field in (QQ, PrimeField(7)):
+        built = Pairing.hyperbolic(field, 3, "skew")
+        assert "_hash" not in built.__dict__
+        kept = hash(built)
+        assert built.__dict__["_hash"] == kept == hash(built)
+        checked = Pairing("skew", built.matrix, field)
+        copy = pickle.loads(pickle.dumps(built))
+        for other in (checked, copy, Pairing.orthogonal_sum(built)):
+            assert other == built and hash(other) == kept
+        assert len({built: 1, checked: 2, copy: 3}) == 1
+        assert built != Pairing.diagonal_ones(field, 6)
 
 
 def test_pairing_entries_are_reduced_into_the_field():

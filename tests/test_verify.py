@@ -306,11 +306,13 @@ def test_sweep_points_skip_odd_skew():
     assert all(n % 2 == 0 for _, n, _ in pts)
 
 
-def test_sweep_parallel_matches_serial():
-    # each worker keeps its own memo of the block stages
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_sweep_parallel_matches_serial(field):
+    # each worker keeps its own memo and takes whole (flavor, n // 2)
+    # groups; the rows come back in sweep order
     flavors = [None, "symmetric", "skew"]
-    serial = run_sweep(QQ, 2, 12, flavors)
-    parallel = run_sweep(QQ, 2, 12, flavors, jobs=2)
+    serial = run_sweep(field, 2, 16, flavors)
+    parallel = run_sweep(field, 2, 16, flavors, jobs=2)
     assert serial == parallel
 
 
@@ -325,13 +327,13 @@ SWEEP_FLAVORS = (None, "symmetric", "skew")
 def test_memo_rows_equal_the_per_case_rows(field):
     rows = run_sweep(field, 2, 16, SWEEP_FLAVORS)
     points = sweep_points(2, 16, SWEEP_FLAVORS)
-    assert verify._memo is None
+    assert families._memo is None
     assert rows == [verify._sweep_one((field, *point)) for point in points]
 
 
 def test_no_memo_outlives_a_sweep(monkeypatch):
     run_sweep(PrimeField(3), 2, 8, SWEEP_FLAVORS)  # some of its cases raise
-    assert verify._memo is None
+    assert families._memo is None
 
     class Stop(BaseException):
         pass
@@ -339,14 +341,93 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
     seen = []
 
     def stop(fam):
-        seen.append(verify._memo)
+        seen.append(dict(families._memo))
         raise Stop
 
     monkeypatch.setattr(verify, "certify", stop)
     with pytest.raises(Stop):
         run_sweep(QQ, 4, 4, [None])
-    assert seen == [{}]
-    assert verify._memo is None
+    # inside the sweep the memo holds the family's blocks, line, curve, unit
+    assert [set(memo) for memo in seen] == [{(families._monomials, QQ, d) for d in (1, 2, 0)}]
+    assert families._memo is None
+    # outside a sweep every build makes its blocks again and keeps none
+    built = []
+    original = families._e2a2b
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(families, "_e2a2b", counted)
+    first, second = (build_isotropic(QQ, 12, 3, "skew") for _ in range(2))
+    assert len(built) == 2 and built[0] == built[1]
+    assert first.members[-1].gen is not second.members[-1].gen
+    assert families._memo is None
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_a_block_build_that_raises_is_built_again(monkeypatch, error):
+    plain = run_sweep(QQ, 2, 12, ["skew"])
+    original = families._block
+    calls = []
+
+    def fails_once(*key):
+        calls.append(key)
+        if len(calls) == 1:
+            raise error("build failed")
+        return original(*key)
+
+    monkeypatch.setattr(families, "_block", fails_once)
+    rows = run_sweep(QQ, 2, 12, ["skew"])
+    changed = [row for row, want in zip(rows, plain) if row != want]
+    assert len(changed) == 1 and changed[0].reason == f"{error.__name__}: build failed"
+    assert calls.count(calls[0]) == 2  # the key comes back and is built again
+    assert len(calls) == len(set(calls)) + 1
+
+
+def test_a_serial_sweep_builds_each_block_once(monkeypatch):
+    # each distinct (field, flavor, a, b, d) big block is built once, and
+    # the only Smith forms are those of the distinct blocks
+    blocks, builds, smith = [], [], []
+    original_block, original_e2a2b = families._block, families._e2a2b
+    original_profile = GradedMatrix._rank_profile
+
+    def block(*key):
+        blocks.append(key)
+        return original_block(*key)
+
+    def e2a2b(*args):
+        builds.append(args)
+        return original_e2a2b(*args)
+
+    def profile(m):
+        smith.append(m)
+        return original_profile(m)
+
+    monkeypatch.setattr(families, "_block", block)
+    monkeypatch.setattr(families, "_e2a2b", e2a2b)
+    monkeypatch.setattr(GradedMatrix, "_rank_profile", profile)
+    assert sweep_consistent(run_sweep(QQ, 2, 24, SWEEP_FLAVORS))
+    assert len(blocks) == len(set(blocks))
+    assert len(builds) == sum(key[0] is e2a2b for key in blocks) == 51
+    assert len(smith) <= 100
+
+
+def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
+    # _flag copies a selected member's entries from the member above, so
+    # the check compares identical objects; a rebuilt copy is compared
+    fam = build_classical(QQ, 9, 3)
+    inner, outer = fam.members[1].gen, fam.members[2].gen
+    rows = fam.inclusions[1].selection()
+    rebuilt = [[BinaryForm(QQ, e.degree, e.coeffs) for e in row] for row in inner.entries]
+    copy = GradedMatrix(QQ, inner.src, inner.dst, rebuilt)
+    assert verify._selects(copy, outer, rows)
+
+    def refuse(self, other):
+        raise AssertionError("BinaryForm.__eq__ called")
+
+    monkeypatch.setattr(BinaryForm, "__eq__", refuse)
+    assert verify._selects(inner, outer, rows)
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
