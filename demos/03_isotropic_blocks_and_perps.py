@@ -7,8 +7,12 @@ rank-2a isotropic subbundle with trivial perp quotient and ample dual.
 
 from twistlines import (
     QQ,
+    GradedMatrix,
     Pairing,
+    SplittingType,
     build_E2a2b,
+    build_phi_psi,
+    cokernel_type,
     is_isotropic,
     perp,
     quotient_type,
@@ -39,3 +43,23 @@ print()
 print("== perp is an involution ==")
 beta, e = build_E2a2b(QQ, 1, 3, "skew")
 print("perp(perp(E)) == E:", same_subsheaf(perp(perp(e, beta), beta), e))
+
+print()
+print("== perp/E two ways: a kernel scan, or the two binomial sequences ==")
+# E's generator is phi_plus on the e-half and phi_minus on the x-half; with
+# c = b - a, psi' = psi_(a,b)(-c) and inner = phi_(a,c)(-c) are the witness
+# that certify reads from FlagFamily.perps (proof in verify._perp_over_top)
+a, b, c = 2, 7, 5
+beta, e = build_E2a2b(QQ, a, b, "skew")
+psi = build_phi_psi(QQ, a, b)[1].twist(-c)  # O^b -> O(a)^c
+inner = build_phi_psi(QQ, a, c)[0].twist(-c)  # O(-c)^a -> O(-a)^c
+rows = e.gen.entries
+phi_plus = GradedMatrix(QQ, e.gen.src[:a], (0,) * b, [row[:a] for row in rows[:b]])
+phi_minus = GradedMatrix(QQ, e.gen.src[a:], (0,) * b, [row[a:] for row in rows[b:]])
+print(f"(a,b)=({a},{b}) skew:")
+print(f"  psi' onto at every point: {psi.rank_everywhere() == (c, True)}")
+print(f"  psi' phi_plus = 0: {(psi @ phi_plus).is_zero()}")
+print(f"  psi'^T inner = phi_minus: {psi.transpose_dual() @ inner == phi_minus}")
+q = cokernel_type(inner)
+print(f"  coker(inner) with its dual: {SplittingType(q.twists + q.dual().twists)}")
+print(f"  kernel scan and lift:       {quotient_type(e, perp(e, beta))}")

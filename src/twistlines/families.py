@@ -41,6 +41,13 @@ and runs its Smith form, once; a column of monomials (a classical block,
 or a witness's combination column) needs none (``_column``).
 ``verify``'s block stages share the memo.  Outside a sweep nothing is
 kept, and a build that raises stores nothing.
+
+An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
+(psi', inner), two matrices of the binomial sequences it is built from
+(``_e2a2b``), pulled back with it by ``_block``.  ``_isotropic`` hands
+each to the family's ``perps`` with the block's first coordinate, and
+``verify.certify`` reads the block's perp/top from it, once checked, with
+no kernel scan; the cubic, R3 and plane blocks have none.
 """
 from dataclasses import dataclass, replace
 from math import comb
@@ -108,6 +115,11 @@ class FlagFamily:
     orbit family, hand-built flags).  ``verify.certify``
     checks each product before it reads a quotient from L_i, and falls back
     to elimination when a witness is missing or fails.
+
+    ``perps`` holds, per E_{2a,2b} block of the pairing, the block's first
+    ambient coordinate and its perp witness (psi', inner) (``_e2a2b``).
+    ``verify.certify`` checks a witness against the block it finds there
+    before it reads perp/top from it, and otherwise runs the kernel scan.
     """
 
     case: str
@@ -120,6 +132,7 @@ class FlagFamily:
     notes: tuple = ()
     requested: object = None
     inclusions: tuple = ()  # L_i with members[i+1].gen @ L_i == members[i].gen
+    perps: tuple = ()  # (first coordinate, (psi', inner)) per E_{2a,2b} block
 
     @property
     def field(self):
@@ -175,6 +188,15 @@ def build_phi_psi(field, a: int, b: int):
     is an exact splice realizing a cokernel of type {b}^(b-a).  Every entry
     of phi has degree b - a and every entry of psi degree a, as their frames
     ask, so both are built unchecked with one zero form each.
+
+    psi keeps its rank profile (b - a, True), over any field, with no
+    Smith form.  Proof: psi's row i holds the coefficients of y^(i-1) p(y),
+    p = (T1 - T0 y)^a, in the basis y^0, ..., y^(b-1), so at a point
+    [s:t] psi^T is multiplication by p_(s,t) = (t - s y)^a from the
+    polynomials of degree < b - a to those of degree < b.  Its y^0 and y^a
+    coefficients are t^a and (-s)^a, which never vanish together, so
+    p_(s,t) is nonzero and multiplying by it is injective: psi has full
+    row rank b - a at every point.
     """
     if a < 1 or a > b:
         raise HypothesisError(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -201,6 +223,7 @@ def build_phi_psi(field, a: int, b: int):
         for i in range(1, b - a + 1)
     )
     psi = GradedMatrix._valid(field, (b - a,) * b, (b,) * (b - a), psi_rows)
+    psi._profile = RankProfile(b - a, True)
     return phi, psi
 
 
@@ -216,15 +239,21 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
     the e-half image composed with a second binomial matrix, which is what
     makes the cross terms vanish.
     """
-    beta, gen = _e2a2b(field, flavor, a, b)
+    beta, gen, _ = _e2a2b(field, flavor, a, b)
     return beta, Subbundle(gen)
 
 
 def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
-    """The pairing and the unchecked generator phi_plus ⊕ phi_minus of
-    ``build_E2a2b``, phi_plus into the e-half and phi_minus into the x-half.
-    The defaults give the smallest block, E(1,2), the small block of the
-    case I and III rows.
+    """The pairing, the unchecked generator phi_plus ⊕ phi_minus of
+    ``build_E2a2b``, phi_plus into the e-half and phi_minus into the
+    x-half, and the block's perp witness (psi', inner).  The defaults give
+    the smallest block, E(1,2), the small block of the case I and III rows.
+
+    With c = b - a, psi' = psi.twist(-c): O^b -> O(a)^c is everywhere
+    surjective (its profile is kept, see ``build_phi_psi``), psi' phi_plus
+    = 0, and phi_minus = psi'^T inner with inner = phi_(a,c).twist(-c):
+    O(-c)^a -> O(-a)^c.  ``verify._witnessed_quotient`` checks these
+    and reads perp/top from them.
 
     ``_isotropic`` embeds this block, or its pullback, in a
     block-diagonal top member, whose rank profile composes from its
@@ -237,9 +266,10 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     beta = Pairing.hyperbolic(field, b, flavor)
     phi, psi = build_phi_psi(field, a, b)
     phi_plus = phi.twist(-(b - a))  # O(-(b-a))^a -> O^b
-    psi_dagger = psi.twist(-(b - a)).transpose_dual()  # O(-a)^(b-a) -> O^b
+    psi = psi.twist(-(b - a))  # O^b -> O(a)^(b-a)
     inner = build_phi_psi(field, a, b - a)[0].twist(-(b - a))  # O(-(b-a))^a -> O(-a)^(b-a)
-    return beta, GradedMatrix.direct_sum(field, phi_plus, psi_dagger @ inner)
+    gen = GradedMatrix.direct_sum(field, phi_plus, psi.transpose_dual() @ inner)
+    return beta, gen, (psi, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +331,7 @@ def _witness(field, outer, columns):
     return GradedMatrix.direct_sum(field, *blocks, uncovered(len(outer)))
 
 
-def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
+def _flag(case, n, k, flavor, shape, pairing, top, *lower, perps=()) -> FlagFamily:
     """The family with top member ``top`` and, from the top down, one lower
     member per entry of ``lower``.  Each is a list of columns of the member
     above it: an index i selects that member's generator i, and
@@ -317,7 +347,8 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
     is L's: the member is everywhere injective iff L is.  A selection
     witness is, with no check; one with a combination column is checked by
     its rank profile, composed from its blocks (``_witness``), and a
-    failing one raises ``ValueError``."""
+    failing one raises ``ValueError``.  ``perps`` goes to the family
+    as it is."""
     field = top.field
     members, inclusions = [top], []
     for columns in lower:
@@ -334,8 +365,9 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower) -> FlagFamily:
             gen = outer @ witness
         members.insert(0, Subbundle(gen, check=False))
         inclusions.insert(0, witness)
+    members, inclusions = tuple(members), tuple(inclusions)
     return FlagFamily(
-        case, n, k, flavor, tuple(members), shape, pairing, inclusions=tuple(inclusions)
+        case, n, k, flavor, members, shape, pairing, inclusions=inclusions, perps=perps
     )
 
 
@@ -511,7 +543,7 @@ def _filler_pairing(field, flavor, dim):
 
 
 class _Case(NamedTuple):
-    small: object  # (field, flavor) -> (pairing, top generator in the block)
+    small: object  # (field, flavor) -> (pairing, top generator in the block[, perp witness])
     lower: tuple  # per lower member, from the top down: its small-block columns
     big: object  # (l, m) -> (a, b) of the E_{2a,2b} block; a = 0: no big block
     pulled: bool  # pulled back by T -> T^d, d = _finite_cover_degree(a, b)
@@ -532,13 +564,16 @@ _CASES = {
 
 
 def _block(build, field, flavor, d, *ab):
-    """The pairing and the generator of one block of an isotropic top
-    member: build(field, flavor, *ab), pulled back by T -> T^d, with its
-    rank profile, whose one Smith form runs before the pullback, which
-    keeps it.  ``_isotropic`` takes every block through ``_once``."""
-    beta, gen = build(field, flavor, *ab)
+    """The pairing, the generator and the perp witness of one block of an
+    isotropic top member: build(field, flavor, *ab), pulled back by
+    T -> T^d, with its rank profile, whose one Smith form runs before the
+    pullback, which keeps it.  The witness is that of an E_{2a,2b} block
+    (``_e2a2b``), pulled back too, else None.  ``_isotropic`` takes every
+    block through ``_once``."""
+    beta, gen, *witness = build(field, flavor, *ab)
     gen.rank_everywhere()
-    return beta, gen.pullback_power(d)
+    witness = tuple(m.pullback_power(d) for m in witness[0]) if witness else None
+    return beta, gen.pullback_power(d), witness
 
 
 def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
@@ -547,14 +582,16 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     whose filler block has no columns.  A lower member is its small-block
     columns followed by every big-block column, which in the member above
     start right after that member's small-block entries.  A one-step
-    (case III) flag has shape (k-2, k)."""
+    (case III) flag has shape (k-2, k).  The family's ``perps`` holds the
+    perp witness of each block that has one, at its first coordinate."""
     small, lower, big, pulled = row
-    beta, small_gen = _once(_block, small, field, flavor, 1)
-    pairings, gens = [beta], [small_gen]
+    beta, small_gen, witness = _once(_block, small, field, flavor, 1)
+    pairings, gens, perps = [beta], [small_gen], [(0, witness)]
     a, b = big(k // 2, n // 2)
     if a:
         d = _finite_cover_degree(a, b) if pulled else 1
-        beta_big, e_big = _once(_block, _e2a2b, field, flavor, d, a, b)
+        beta_big, e_big, witness = _once(_block, _e2a2b, field, flavor, d, a, b)
+        perps.append((beta.dim, witness))
         pairings.append(beta_big)
         gens.append(e_big)
     filler = n - sum(p.dim for p in pairings)
@@ -566,7 +603,8 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
         lists.append([*cols, *range(above, above + nbig)])
         above = len(cols)
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
-    return _flag(case, n, k, flavor, shape, pairing, top, *lists)
+    perps = tuple((at, witness) for at, witness in perps if witness)
+    return _flag(case, n, k, flavor, shape, pairing, top, *lists, perps=perps)
 
 
 def case_Ia(field, n: int, flavor: str) -> FlagFamily:

@@ -31,6 +31,8 @@ __all__ = [
     "poly_divmod",
 ]
 
+_ZEROS = {}  # (field, degree) -> the zero form, see BinaryForm.zero
+
 
 class BinaryForm:
     """A homogeneous form.
@@ -61,8 +63,20 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, field, degree: int = 0) -> "BinaryForm":
-        form = cls._valid(field, degree, (field.zero,) * max(0, degree + 1))
-        form._terms = ()
+        """The zero form of ``degree``, one shared object per (field, degree).
+
+        A form is immutable, so sharing it changes no result, and equal
+        matrices built of shared zeros compare them by identity; a matrix
+        product or a pullback returns it for an entry that comes out zero.
+        These are constants of (field, degree), not results of a
+        computation, so the rules of the sweep memo (``families._once``) do
+        not apply: the table lives as long as the process and is never
+        cleared."""
+        form = _ZEROS.get((field, degree))
+        if form is None:
+            form = cls._valid(field, degree, (field.zero,) * max(0, degree + 1))
+            form._terms = ()
+            _ZEROS[field, degree] = form
         return form
 
     @classmethod
@@ -143,7 +157,7 @@ class BinaryForm:
             raise ValueError("substitution exponent must be >= 1")
         f = self.field
         deg = self.degree * d
-        if self.degree < 0:
+        if not self.terms():
             return BinaryForm.zero(f, deg)
         out = [f.zero] * (deg + 1)
         for i, c in enumerate(self.coeffs):

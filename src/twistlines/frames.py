@@ -18,9 +18,10 @@ nonzero entries with their nonzero terms) is computed on first use and
 kept, so degree pieces, products, rank profiles and zero tests of one
 matrix scan each coefficient once, not on every call.  Its rank profile
 is kept the same way, and ``transpose_dual`` hands it to the transpose,
-whose rank is the same at every point.  Profiles compose: ``direct_sum``
-keeps one when each block has one, ``pullback_power`` keeps its argument's,
-and ``identity`` carries its own, each proved where it is made; so a
+whose rank is the same at every point, as does ``twist``.  Profiles
+compose: ``direct_sum`` keeps one when each block has one,
+``pullback_power`` keeps its argument's, and ``identity`` carries its
+own, each proved where it is made; so a
 matrix assembled from profiled blocks needs no Smith form of its own, and
 ``_rank_profile`` is the fallback and the oracle.  A generic rank alone is
 read at one point where that point proves it (``generic_rank``), with the
@@ -237,11 +238,12 @@ class GradedMatrix:
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Composition self∘other (other maps into self's source frame), each
-        entry accumulated from both factors' cached terms and reduced once."""
+        entry accumulated from both factors' cached terms and reduced once;
+        an entry that comes out zero is the shared ``BinaryForm.zero``."""
         if other.dst != self.src:
             raise ValueError("frames do not match for composition")
         f = self.field
-        reduce_all = f.reduce_all
+        reduce_all, zero = f.reduce_all, BinaryForm.zero
         support = other.support()
         rows = []
         for b, left in zip(self.dst, self.entries):
@@ -253,14 +255,20 @@ class GradedMatrix:
                     for s, x in left[k]:
                         for t, y in terms:
                             acc[s + t] += x * y
-                row.append(BinaryForm._valid(f, b - c, reduce_all(acc)))
+                coeffs = reduce_all(acc)
+                d = b - c
+                row.append(BinaryForm._valid(f, d, coeffs) if any(coeffs) else zero(f, d))
             rows.append(tuple(row))
         return GradedMatrix._valid(f, other.src, self.dst, tuple(rows))
 
     def twist(self, t: int) -> "GradedMatrix":
-        return GradedMatrix._valid(
+        """self ⊗ O(t), with self's entries and rank profile: the entries,
+        hence the rank at every point, are unchanged."""
+        twisted = GradedMatrix._valid(
             self.field, tuple(a + t for a in self.src), tuple(b + t for b in self.dst), self.entries
         )
+        twisted._profile = self._profile
+        return twisted
 
     def transpose_dual(self) -> "GradedMatrix":
         dual = GradedMatrix._valid(

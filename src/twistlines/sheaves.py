@@ -487,6 +487,7 @@ class Block(NamedTuple):
     coords: tuple  # ambient coordinates of the block, ascending
     pairing: Optional[Pairing]  # beta on coords; None if no member has a column here
     chunks: tuple  # per member, its columns there: a Subbundle of O^len(coords)
+    witness: object = None  # a builder's perp witness, checked before use (verify)
 
 
 def orthogonal_blocks(beta: Pairing, members) -> list:

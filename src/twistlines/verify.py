@@ -31,13 +31,19 @@ run per block of ``sheaves.orthogonal_blocks``: a member is a direct sum of
 chunks, one per orthogonal block, so isotropy holds iff it does on each
 chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
 the block quotients (proved there), each one ``quotient_type`` of the top
-chunk in its block's perp.
+chunk in its block's perp.  An E_{2a,2b} block has a witness for that
+quotient, as a member inclusion does: the builder's (psi', inner)
+(``FlagFamily.perps``), from which ``_perp_over_top`` reads perp/top with
+no kernel scan and no lift once ``_witnessed_quotient`` has checked it
+(the lemma is proved there); a refused witness falls back to ``perp`` and
+``quotient_type``.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``),
-and computes each of the three block stages (isotropy, perp, quotient)
-once through it: the key is the stage and its arguments' content, field
-included, and a stage is a deterministic function of that content, so a
-hit is what a recomputation gives and every check still runs once.  The
+and computes each of the four block stages (isotropy, perp, quotient and
+the witnessed quotient) once through it: the key is the stage and its
+arguments' content, field included, and a stage is a deterministic
+function of that content, so a hit is what a recomputation gives and
+every check still runs once.  The
 builders take their blocks from the same memo, each built, with its rank
 profile, once per process (see ``families``).  A stage that raises stores
 nothing; a direct ``certify`` sees no memo.  With more than one worker,
@@ -65,10 +71,12 @@ from .families import (
 )
 from .frames import GradedMatrix
 from .sheaves import (
+    Pairing,
     SplittingType,
     Subbundle,
     cokernel_type,
     _lift_quotient_type,
+    _scan_cokernel,
     is_isotropic,
     kernel_free,
     orthogonal_blocks,
@@ -256,15 +264,95 @@ def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
     )
 
 
+def _blocks(fam: FlagFamily) -> list:
+    """``orthogonal_blocks`` of the family's members, each with the perp
+    witness the builder gave for the block at its first coordinate."""
+    blocks = orthogonal_blocks(fam.pairing, fam.members)
+    if not fam.perps:
+        return blocks
+    witnesses = dict(fam.perps)
+    return [b._replace(witness=witnesses.get(b.coords[0])) for b in blocks]
+
+
 def _perp_over_top(blocks, i) -> SplittingType:
     """perp(member i)/top: per block, the quotient of the perp of member
     i's chunk by the top chunk, joined; raises ``ValueError`` if a top
-    chunk does not lie in its perp."""
+    chunk does not lie in its perp.
+
+    A block whose member-i chunk is its nonempty top chunk E (the same
+    object, as ``orthogonal_blocks`` makes equal chunks) and which carries an
+    E_{2a,2b} witness (psi', inner) gets perp(E)/E from
+    ``_witnessed_quotient``, with no kernel scan and no lift, if the
+    witness passes its checks.  Every other block, and every refused
+    witness, takes ``perp`` and ``quotient_type``, which stay the oracle.
+
+    The lemma.  Let beta be hyperbolic of dimension 2b (an e-half and an
+    x-half, <e_i, x_j> = delta_ij, <x_j, e_i> = +-delta_ij), and let E's
+    generator be phi_plus on the e-rows ⊕ phi_minus on the x-rows, of a
+    columns each.  Suppose psi': O^b -> O(psi'.dst) is everywhere
+    surjective with b - a rows, psi' phi_plus = 0 and psi'^T inner =
+    phi_minus (^T the transposed dual).  Then perp(E)/E is coker(inner) ∪
+    coker(inner)^v.  Proof: (u, w) is in perp(E) iff phi_minus^T u = 0 and
+    phi_plus^T w = 0, so perp(E) and E split along the two halves.
+    E's generator is everywhere injective (a chunk of a member), so phi_plus
+    and phi_minus are, and so is inner, as phi_minus = psi'^T inner is.
+    - e-half: ker psi' is a subbundle of rank a holding the subbundle
+      im phi_plus of rank a, and a subbundle of equal rank inside a
+      subsheaf is all of it, so ker psi' = im phi_plus.  As phi_minus^T =
+      inner^T psi' and psi' is onto, ker phi_minus^T / im phi_plus =
+      psi'^-1(ker inner^T) / ker psi' ≅ ker inner^T, which is coker(inner)^v
+      because inner has constant rank.
+    - x-half: psi'^T is everywhere injective and phi_plus^T psi'^T = 0, so
+      im psi'^T is a subbundle of rank b - a inside ker phi_plus^T, of rank
+      b - a: they are equal.  So ker phi_plus^T / im phi_minus =
+      im psi'^T / psi'^T(im inner) ≅ coker(inner).
+    The hypotheses are what ``_witnessed_quotient`` checks, so perp/top
+    is one rank-only cokernel scan of the small matrix inner."""
     twists = ()
     for b in blocks:
-        p = _once(perp, b.chunks[i], b.pairing)
-        twists += _once(quotient_type, b.chunks[-1], p).twists
+        top, found = b.chunks[-1], None
+        if b.witness is not None and top.rank and b.chunks[i] is top:
+            found = _once(_witnessed_quotient, top, b.pairing, *b.witness)
+        if found is None:
+            found = _once(quotient_type, top, _once(perp, b.chunks[i], b.pairing))
+        twists += found.twists
     return SplittingType(twists)
+
+
+def _witnessed_quotient(e, beta, psi, inner) -> Optional[SplittingType]:
+    """perp(e)/e from the E_{2a,2b} witness (psi, inner) by the lemma of
+    ``_perp_over_top``, or None if one of its hypotheses fails: beta is
+    hyperbolic of its flavor on 2b = 2 * psi.ncols coordinates, e's
+    first a = inner.ncols columns vanish off the e-half and its last a off
+    the x-half, psi has b - a rows and is everywhere surjective (a kept
+    profile answers), psi @ phi_plus = 0 and psi^T @ inner = phi_minus."""
+    f, gen = e.field, e.gen
+    b, a = psi.ncols, inner.ncols
+    if (
+        psi.field != f
+        or inner.field != f
+        or gen.src[a:] != inner.src
+        or psi.src != (0,) * b
+        or inner.dst != tuple(-t for t in psi.dst)
+        or psi.nrows != b - a
+        or beta.matrix != Pairing.hyperbolic(f, b, beta.flavor).matrix
+    ):
+        return None
+    support = gen.support()
+    if any(i >= b for col in support[:a] for i, _ in col) or any(
+        i < b for col in support[a:] for i, _ in col
+    ):
+        return None
+    plus = GradedMatrix._valid(f, gen.src[:a], psi.src, tuple(row[:a] for row in gen.entries[:b]))
+    minus = tuple(row[a:] for row in gen.entries[b:])
+    if (
+        psi.rank_everywhere() != (b - a, True)
+        or not (psi @ plus).is_zero()
+        or (psi.transpose_dual() @ inner).entries != minus
+    ):
+        return None
+    coker = _scan_cokernel(inner, a)
+    return SplittingType(coker.twists + coker.dual().twists)
 
 
 def certify(fam: FlagFamily) -> Certificate:
@@ -276,8 +364,11 @@ def certify(fam: FlagFamily) -> Certificate:
 
     The pairing stages run per block of ``orthogonal_blocks``, which
     proves them equal to the whole-member ones, on the members' chunks
-    (equal ones once); perp/top is the union of the block quotients, one
-    ``quotient_type`` of the top chunk in its perp per block.
+    (equal ones once); perp/top is the union of the block quotients
+    (``_perp_over_top``).  An E_{2a,2b} block's quotient is read from the
+    perp witness the family carries for it, once checked; any other
+    block's, or one whose witness fails, is one ``quotient_type`` of the
+    top chunk in its perp.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -288,7 +379,7 @@ def certify(fam: FlagFamily) -> Certificate:
         )
     if tuple(m.rank for m in members) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    blocks = orthogonal_blocks(fam.pairing, members) if rule.isotropic else ()
+    blocks = _blocks(fam) if rule.isotropic else ()
     tested = {id(e): (e, b.pairing) for b in blocks for e in b.chunks[: rule.isotropic]}
     if not all(_once(is_isotropic, e, beta) for e, beta in tested.values()):
         return _failed(fam, rule.isotropy_note, flag_valid=True)
@@ -362,8 +453,8 @@ def verify_claim_ses(field, a: int, b: int) -> SesReport:
     phi's source frame as its type and contains every column of phi), and
     ``surjective`` is read from psi's profile.  Each condition is read from
     the matrices, not from (a, b).  phi's generic rank is read at [1:0],
-    where the binomial phi has full column rank, so an exact report runs
-    one Smith form, psi's.
+    where the binomial phi has full column rank, and psi keeps the profile
+    ``build_phi_psi`` proves for it, so an exact report runs no Smith form.
 
     Otherwise phi's profile gives ``injective``, and ker psi comes from the
     Hilbert-function scan (``kernel_free``) and must have phi's source

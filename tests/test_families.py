@@ -81,6 +81,18 @@ def test_phi_psi_pass_the_checked_constructor(field):
                 assert checked_copy(m) == m, (a, b)
 
 
+@pytest.mark.parametrize("field", [*FIELDS, PrimeField(5)], ids=str)
+def test_psi_keeps_the_profile_a_fresh_smith_form_gives(field):
+    # everywhere surjective by build_phi_psi's lemma, over GF(5) too, where
+    # some of psi's binomial coefficients vanish; a twist keeps the profile
+    for b in range(1, 15):
+        for a in range(1, b + 1):
+            psi = build_phi_psi(field, a, b)[1]
+            assert psi._profile == (b - a, True), (a, b)
+            assert psi.twist(-(b - a))._profile is psi._profile
+            assert checked_copy(psi)._rank_profile() == psi._profile, (a, b)
+
+
 def test_phi_psi_rejects_bad_parameters():
     with pytest.raises(HypothesisError):
         build_phi_psi(QQ, 0, 2)

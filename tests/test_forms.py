@@ -40,6 +40,20 @@ def test_zero_absorbs_with_degree_tag():
     assert prod.degree == 5
 
 
+def test_zero_forms_are_shared_per_field_and_degree():
+    # and a product entry or a pullback that comes out zero is the shared form
+    from twistlines.frames import GradedMatrix
+
+    z = BinaryForm.zero(QQ, 2)
+    assert BinaryForm.zero(QQ, 2) is z
+    assert BinaryForm.zero(PrimeField(7), 2) is not z and BinaryForm.zero(QQ, 1) is not z
+    assert BinaryForm.zero(QQ, 1).substitute_power(2) is z
+    t1 = BinaryForm.monomial(QQ, 1, 1)
+    row = GradedMatrix(QQ, (0, 0), (1,), [(T0, t1)])
+    col = GradedMatrix.from_columns(QQ, (0, 0), [(-1, [t1, -T0])])
+    assert (row @ col).entries[0][0] is z
+
+
 def test_add_requires_equal_degree():
     with pytest.raises(ValueError):
         T0 + form(1, 0, 0)
