@@ -119,7 +119,8 @@ class FlagFamily:
     ``perps`` holds, per E_{2a,2b} block of the pairing, the block's first
     ambient coordinate and its perp witness (psi', inner) (``_e2a2b``).
     ``verify.certify`` checks a witness against the block it finds there
-    before it reads perp/top from it, and otherwise runs the kernel scan.
+    before it reads isotropy and perp/top from it, and otherwise falls
+    back to ``is_isotropic``, ``perp`` and ``quotient_type``.
     """
 
     case: str

@@ -506,30 +506,58 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     E^perp the lift of F into E^perp is block diagonal, so E^perp/F is the
     union of the block quotients E_B^perp/F_B.  A chunk of an everywhere-
     injective member is everywhere injective (independent columns stay so,
-    the dropped rows being zero), and its entries are the member's, so neither is checked."""
+    the dropped rows being zero), and its entries are the member's, so neither is checked.
+
+    The components come from one union-find pass over the Gram rows and
+    the column supports; coordinates taken in ascending order then meet
+    the blocks in the order of their first coordinates."""
     n = beta.dim
     if any(m.ambient != (0,) * n for m in members):
         raise ValueError("a pairing needs a trivial ambient frame of its dimension")
     supports = [m.gen.support() for m in members]
-    label = list(range(n))  # the least coordinate of each block, as blocks merge
-    groups = [[i] + [j for j, b in enumerate(row) if b] for i, row in enumerate(beta.matrix)]
-    for group in groups + [[i for i, _ in c] for sup in supports for c in sup if c]:
-        merged = {label[i] for i in group}
-        label = [min(merged) if x in merged else x for x in label]
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def join(group):
+        r = root(group[0])
+        for i in group[1:]:
+            parent[root(i)] = r
+
+    for i, row in enumerate(beta.matrix):
+        join([i] + [j for j, b in enumerate(row) if b])
+    for sup in supports:
+        for c in sup:
+            if c:
+                join([i for i, _ in c])
+    coords_of = {}  # root -> coordinates, ascending, by first coordinate
+    label = [root(i) for i in range(n)]
+    for i, r in enumerate(label):
+        coords_of.setdefault(r, []).append(i)
+    columns_of = [{r: [] for r in coords_of} for _ in members]
+    for columns, sup in zip(columns_of, supports):
+        for j, c in enumerate(sup):
+            columns[label[c[0][0] if c else 0]].append(j)
     f, blocks = beta.field, []
-    for block in sorted(set(label)):
-        coords, chunks = tuple(i for i in range(n) if label[i] == block), []
-        for m, sup in zip(members, supports):
-            js = [j for j, c in enumerate(sup) if label[c[0][0] if c else 0] == block]
-            src = tuple(m.gen.src[j] for j in js)
-            rows = tuple(tuple(m.gen.entries[i][j] for j in js) for i in coords)
+    for block, coords in coords_of.items():
+        coords, chunks = tuple(coords), []
+        for m, columns in zip(members, columns_of):
+            js = columns[block]
+            src = tuple([m.gen.src[j] for j in js])
+            rows = tuple(tuple([m.gen.entries[i][j] for j in js]) for i in coords)
             same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
             if not same:
                 chunk = GradedMatrix._valid(f, src, (0,) * len(coords), rows)
                 same = [Subbundle(chunk, check=False)]
             chunks.append(same[0])
-        gram = [[beta.matrix[i][j] for j in coords] for i in coords]
-        pairing = Pairing._valid(beta.flavor, gram, f) if any(e.rank for e in chunks) else None
+        pairing = None
+        if any(e.rank for e in chunks):
+            gram = [[beta.matrix[i][j] for j in coords] for i in coords]
+            pairing = Pairing._valid(beta.flavor, gram, f)
         blocks.append(Block(coords, pairing, tuple(chunks)))
     return blocks
 

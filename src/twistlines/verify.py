@@ -33,20 +33,22 @@ chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
 the block quotients (proved there), each one ``quotient_type`` of the top
 chunk in its block's perp.  An E_{2a,2b} block has a witness for that
 quotient, as a member inclusion does: the builder's (psi', inner)
-(``FlagFamily.perps``), from which ``_perp_over_top`` reads perp/top with
-no kernel scan and no lift once ``_witnessed_quotient`` has checked it
-(the lemma is proved there); a refused witness falls back to ``perp`` and
-``quotient_type``.
+(``FlagFamily.perps``).  Once ``_witnessed_quotient`` has checked it, in
+the isotropy step, it proves the top chunk isotropic and gives perp/top
+with no kernel scan and no lift (the lemma is in ``_perp_over_top``); a
+refused witness falls back to ``is_isotropic``, ``perp`` and
+``quotient_type``.  A block whose chunk is empty, or whose top chunk is
+isotropic of half its dimension, has its perp/top by its shape.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``),
-and computes each of the four block stages (isotropy, perp, quotient and
-the witnessed quotient) once through it: the key is the stage and its
-arguments' content, field included, and a stage is a deterministic
-function of that content, so a hit is what a recomputation gives and
-every check still runs once.  The
-builders take their blocks from the same memo, each built, with its rank
-profile, once per process (see ``families``).  A stage that raises stores
-nothing; a direct ``certify`` sees no memo.  With more than one worker,
+and computes each of the five block stages (isotropy, perp, quotient, the
+cokernel of a top chunk and the witnessed quotient) once through it: the
+key is the stage and its arguments' content, field included, and a stage
+is a deterministic function of that content, so a hit is what a
+recomputation gives and every check still runs once.  The builders take
+their blocks from the same memo, each built, with its rank profile, once
+per process (see ``families``).  A stage that raises stores nothing; a
+direct ``certify`` sees no memo.  With more than one worker,
 ``run_sweep`` sends the cases that share their blocks to one worker: one
 task per (flavor, n // 2), the largest n first.
 
@@ -274,26 +276,66 @@ def _blocks(fam: FlagFamily) -> list:
     return [b._replace(witness=witnesses.get(b.coords[0])) for b in blocks]
 
 
-def _perp_over_top(blocks, i) -> SplittingType:
+def _isotropy(blocks, count) -> Optional[list]:
+    """Check every distinct chunk of the bottom ``count`` members of each
+    block isotropic; None if one is not.  Otherwise, per block, perp/top
+    of its top chunk where a fact checked here decides it, else None: the
+    ``known`` list of ``_perp_over_top`` (its rules (b) and (c)).
+
+    A tested nonempty top chunk of a block with a perp witness is checked
+    by ``_witnessed_quotient`` in place of ``is_isotropic``: a witness that
+    passes proves the chunk isotropic and gives its perp/top.  A refused
+    witness leaves the chunk to ``is_isotropic``."""
+    known = []
+    for b in blocks:
+        top, found = b.chunks[-1], None
+        tested = {id(e): e for e in b.chunks[:count] if e.rank}
+        if b.witness is not None and top.rank and id(top) in tested:
+            found = _once(_witnessed_quotient, top, b.pairing, *b.witness)
+            if found is not None:
+                del tested[id(top)]
+        if not all(_once(is_isotropic, e, b.pairing) for e in tested.values()):
+            return None
+        if id(top) in tested and 2 * top.rank == len(b.coords):
+            found = SplittingType(())
+        known.append(found)
+    return known
+
+
+def _perp_over_top(blocks, i, known) -> SplittingType:
     """perp(member i)/top: per block, the quotient of the perp of member
     i's chunk by the top chunk, joined; raises ``ValueError`` if a top
-    chunk does not lie in its perp.
+    chunk does not lie in its perp.  ``known`` holds, per block, perp/top
+    of its top chunk as ``_isotropy`` decided it, or None.
 
-    A block whose member-i chunk is its nonempty top chunk E (the same
-    object, as ``orthogonal_blocks`` makes equal chunks) and which carries an
-    E_{2a,2b} witness (psi', inner) gets perp(E)/E from
-    ``_witnessed_quotient``, with no kernel scan and no lift, if the
-    witness passes its checks.  Every other block, and every refused
-    witness, takes ``perp`` and ``quotient_type``, which stay the oracle.
+    A block's answer depends only on its shape, by three rules; every
+    other block takes ``perp`` and ``quotient_type``, which stay the oracle.
+    (a) Member i's chunk is empty.  Its perp is the whole block, whose
+        generator is the identity, and the top chunk's generator is its
+        own lift into it, so perp/top is coker(top) (``_lift_quotient_type``),
+        or (0,) * dim if the top chunk is empty too.  No perp and no solve.
+    (b) Member i's chunk is the top chunk E (the same object, as
+        ``orthogonal_blocks`` makes equal chunks), checked isotropic in
+        this ``certify``, and 2 rank E = dim.  The block's pairing is
+        nondegenerate, so E^perp is a subbundle of rank dim - rank E =
+        rank E, and it holds E, which is isotropic.  A subbundle inside a
+        subbundle of equal rank is all of it, so E^perp = E and perp/top
+        is empty.
+    (c) Member i's chunk is the top chunk E, and the block's E_{2a,2b}
+        witness passed ``_witnessed_quotient`` in ``_isotropy``: its
+        answer, by the lemma below.
 
     The lemma.  Let beta be hyperbolic of dimension 2b (an e-half and an
     x-half, <e_i, x_j> = delta_ij, <x_j, e_i> = +-delta_ij), and let E's
     generator be phi_plus on the e-rows ⊕ phi_minus on the x-rows, of a
     columns each.  Suppose psi': O^b -> O(psi'.dst) is everywhere
     surjective with b - a rows, psi' phi_plus = 0 and psi'^T inner =
-    phi_minus (^T the transposed dual).  Then perp(E)/E is coker(inner) ∪
-    coker(inner)^v.  Proof: (u, w) is in perp(E) iff phi_minus^T u = 0 and
-    phi_plus^T w = 0, so perp(E) and E split along the two halves.
+    phi_minus (^T the transposed dual).  Then E is isotropic and
+    perp(E)/E is coker(inner) ∪ coker(inner)^v.  Proof: the pairing of a
+    phi_plus column with a phi_minus column is an entry of +-phi_minus^T
+    phi_plus = +-inner^T psi' phi_plus = 0, and two columns in one half
+    pair to 0, so E is isotropic.  (u, w) is in perp(E) iff phi_minus^T u
+    = 0 and phi_plus^T w = 0, so perp(E) and E split along the two halves.
     E's generator is everywhere injective (a chunk of a member), so phi_plus
     and phi_minus are, and so is inner, as phi_minus = psi'^T inner is.
     - e-half: ker psi' is a subbundle of rank a holding the subbundle
@@ -309,12 +351,15 @@ def _perp_over_top(blocks, i) -> SplittingType:
     The hypotheses are what ``_witnessed_quotient`` checks, so perp/top
     is one rank-only cokernel scan of the small matrix inner."""
     twists = ()
-    for b in blocks:
-        top, found = b.chunks[-1], None
-        if b.witness is not None and top.rank and b.chunks[i] is top:
-            found = _once(_witnessed_quotient, top, b.pairing, *b.witness)
-        if found is None:
-            found = _once(quotient_type, top, _once(perp, b.chunks[i], b.pairing))
+    for b, found in zip(blocks, known):
+        top, chunk = b.chunks[-1], b.chunks[i]
+        if not chunk.rank:
+            if top.rank:
+                found = _once(_lift_quotient_type, top.gen)
+            else:
+                found = SplittingType((0,) * len(b.coords))
+        elif chunk is not top or found is None:
+            found = _once(quotient_type, top, _once(perp, chunk, b.pairing))
         twists += found.twists
     return SplittingType(twists)
 
@@ -365,10 +410,13 @@ def certify(fam: FlagFamily) -> Certificate:
     The pairing stages run per block of ``orthogonal_blocks``, which
     proves them equal to the whole-member ones, on the members' chunks
     (equal ones once); perp/top is the union of the block quotients
-    (``_perp_over_top``).  An E_{2a,2b} block's quotient is read from the
-    perp witness the family carries for it, once checked; any other
-    block's, or one whose witness fails, is one ``quotient_type`` of the
-    top chunk in its perp.
+    (``_perp_over_top``).  No stage runs whose answer a checked fact
+    already decides.  An E_{2a,2b} block's perp witness, checked once in
+    the isotropy step (``_isotropy``), proves its top chunk isotropic and
+    gives its quotient; a block whose chunk is empty, or whose top chunk
+    is isotropic of half its dimension, has its quotient by shape.  Any
+    other block's, or one whose witness fails, is one ``quotient_type`` of
+    the top chunk in its perp.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -380,14 +428,14 @@ def certify(fam: FlagFamily) -> Certificate:
     if tuple(m.rank for m in members) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
     blocks = _blocks(fam) if rule.isotropic else ()
-    tested = {id(e): (e, b.pairing) for b in blocks for e in b.chunks[: rule.isotropic]}
-    if not all(_once(is_isotropic, e, beta) for e, beta in tested.values()):
+    known = _isotropy(blocks, rule.isotropic)
+    if known is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
     beside_top = None
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
         try:
-            beside_top = _perp_over_top(blocks, 0)
+            beside_top = _perp_over_top(blocks, 0, known)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
@@ -395,7 +443,7 @@ def certify(fam: FlagFamily) -> Certificate:
     try:
         quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
-            beside_top = _perp_over_top(blocks, -1)
+            beside_top = _perp_over_top(blocks, -1, known)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":

@@ -187,10 +187,20 @@ def matrix_text(m):
 def sweep_every_case(field):
     """The per-case path, with no memo of the block stages.  Each family's
     perp witnesses are dropped, so every block perp takes the kernel scan,
-    the witnesses' fallback, as every perp did when the pin was taken."""
+    the witnesses' fallback, as every perp did when the pin was taken.
+    ``certify`` answers a block with an empty or a Lagrangian chunk by its
+    shape, so the chunk its rule reads goes through ``perp`` here, in every
+    block, as ``certify`` took it when the pin was taken."""
     for flavor, n, k in sweep_points(2, 20, (None, "symmetric", "skew")):
         if not is_exceptional(flavor, n, k):
-            verify.certify(replace(build_family(field, n, k, flavor), perps=()))
+            fam = build_family(field, n, k, flavor)
+            verify.certify(replace(fam, perps=()))
+            i = {"perp(top)": -1, "perp(low)": 0}.get(
+                verify._RULES[flavor, len(fam.members)].beside_top
+            )
+            if i is not None:
+                for b in sheaves.orthogonal_blocks(fam.pairing, fam.members):
+                    sheaves.perp(b.chunks[i], b.pairing)
 
 
 def every_ses_report(field):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+import label_blocks
 from graded_strategies import ALL_FIELDS, FRACTION_COEFFS, assert_canonical, graded_matrices
 from twistlines import linalg, sheaves
 from twistlines.fields import QQ, PrimeField
@@ -304,14 +305,22 @@ def test_cokernel_type_matches_the_generator_scan(m):
 def certify_every_sweep_case(field, n_max, perps=True):
     """Every sweep case through the per-case path, which has no memo of the
     block stages, so a recorder sees every call the certifier can make.
-    With ``perps=False`` each family's perp witnesses are dropped, so every
-    block perp takes their fallback, the kernel scan."""
+    With ``perps=False`` each family's perp witnesses are dropped, and the
+    chunk whose perp its rule reads goes through ``perp`` in every block,
+    the ones ``certify`` answers by their shape (an empty or a Lagrangian
+    chunk) too, so every block perp takes the kernel scan."""
     from twistlines import verify
 
     for flavor, n, k in verify.sweep_points(2, n_max, (None, "symmetric", "skew")):
         if not is_exceptional(flavor, n, k):
             fam = build_family(field, n, k, flavor)
             verify.certify(fam if perps else replace(fam, perps=()))
+            i = {"perp(top)": -1, "perp(low)": 0}.get(
+                verify._RULES[flavor, len(fam.members)].beside_top
+            )
+            if not perps and i is not None:
+                for b in orthogonal_blocks(fam.pairing, fam.members):
+                    perp(b.chunks[i], b.pairing)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
@@ -855,3 +864,57 @@ def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
     assert len(seen) > 50
     for m, ker in seen:
         assert ker.gen == pivot_scan_kernel(m).gen
+
+
+# ---------------------------------------------------------------------------
+# the union-find block split against the label merging it replaced
+# (``label_blocks``), on orthogonal sums with their coordinates shuffled
+
+
+@hst.composite
+def split_cases(draw):
+    """A pairing that is an orthogonal sum of small pairings of one flavor,
+    its coordinates permuted, and nested members whose columns have random
+    supports: each column is zero or a monomial at each coordinate, and a
+    zero column can occur."""
+    field = draw(hst.sampled_from(ALL_FIELDS))
+    parts = draw(hst.lists(pairings(field), min_size=1, max_size=4))
+    parts = [p for p in parts if p.flavor == parts[0].flavor]
+    total = Pairing.orthogonal_sum(*parts)
+    n = total.dim
+    perm = draw(hst.permutations(range(n)))
+    rows = [[total.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    beta = Pairing(total.flavor, rows, field)
+    entry = hst.one_of(hst.none(), hst.tuples(hst.integers(0, 1), hst.sampled_from([1, -1, 2])))
+    columns = []
+    for twist in draw(hst.lists(hst.sampled_from([0, -1]), max_size=5)):
+        forms, zero = [], draw(hst.integers(0, 3)) == 0
+        for spec in draw(hst.lists(entry, min_size=n, max_size=n)):
+            if zero or spec is None or spec[0] > -twist:
+                forms.append(BinaryForm.zero(field, -twist))
+            else:
+                forms.append(BinaryForm.monomial(field, -twist, *spec))
+        columns.append((twist, forms))
+    sizes = sorted(draw(hst.lists(hst.integers(0, len(columns)), min_size=1, max_size=3)))
+    members = [
+        Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), columns[:size]), check=False)
+        if size
+        else Subbundle.zero(field, trivial_frame(n))
+        for size in sizes
+    ]
+    return beta, members
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_union_find_blocks_equal_the_label_merging_reference(case):
+    beta, members = case
+    found = orthogonal_blocks(beta, members)
+    reference = label_blocks.orthogonal_blocks(beta, members)
+    assert [b.coords for b in found] == [b.coords for b in reference]
+    for b, ref in zip(found, reference):
+        assert (b.pairing is None) == (ref.pairing is None)
+        assert b.pairing is None or b.pairing.matrix == ref.pairing.matrix
+        assert [e.gen for e in b.chunks] == [e.gen for e in ref.chunks]
+        shared = [[e is other for other in b.chunks] for e in b.chunks]
+        assert shared == [[e is other for other in ref.chunks] for e in ref.chunks]

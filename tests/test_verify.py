@@ -432,7 +432,8 @@ def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_a_stage_that_raises_is_computed_again(monkeypatch, error):
-    plain = run_sweep(QQ, 2, 10, ["symmetric"])
+    # the skew cubic and R3 blocks' low chunks are the perps left to compute
+    plain = run_sweep(QQ, 2, 10, ["skew"])
     original = verify.perp
     calls = []
 
@@ -443,7 +444,7 @@ def test_a_stage_that_raises_is_computed_again(monkeypatch, error):
         return original(e, beta)
 
     monkeypatch.setattr(verify, "perp", fails_once)
-    rows = run_sweep(QQ, 2, 10, ["symmetric"])
+    rows = run_sweep(QQ, 2, 10, ["skew"])
     assert sum(row != want for row, want in zip(rows, plain)) == 1
     assert calls.count(calls[0]) == 2  # the key comes back and is computed again
     assert len(calls) == len(set(calls)) + 1
@@ -475,10 +476,10 @@ def test_a_sweep_computes_each_distinct_block_quotient_once(monkeypatch):
     quotients, in_perp_over_top = [], []
     original_quotient, original_perp_over_top = verify.quotient_type, verify._perp_over_top
 
-    def perp_over_top(blocks, i):
+    def perp_over_top(*args):
         in_perp_over_top.append(True)
         try:
-            return original_perp_over_top(blocks, i)
+            return original_perp_over_top(*args)
         finally:
             in_perp_over_top.pop()
 
@@ -797,8 +798,10 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
         rule = (fam.flavor, len(fam.members))
         certify(fam)
     # the E(2a, 2b) blocks read perp/top from their witnesses and lift
-    # nothing (166 solves without them); these are the other blocks' lifts
-    assert len(solves) == 93
+    # nothing (166 solves without them, 93 with them); neither does a block
+    # answered by its shape, an empty chunk or the symmetric cubic block's
+    # Lagrangian top chunk.  These are the skew cubic and R3 blocks' lifts
+    assert len(solves) == 32
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
 
@@ -1098,9 +1101,10 @@ def test_a_refused_perp_witness_falls_back_to_the_kernel_scan(field, corrupt, mo
         return real_kernel_free(m)
 
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
-    # Ib with a big block (a, b) = (3, 8), IIb with (1, 4), Ib pulled back
-    # by T -> T^2, (1, 2) at d = 2, on both flavors
-    cases = [("symmetric", 20, 7), ("skew", 14, 4), ("symmetric", 8, 3), ("skew", 8, 3)]
+    # Ib with a big block (a, b) = (3, 8), IIb with (1, 4), Ib with (1, 3),
+    # on both flavors: each b > 2a, so the block is not Lagrangian and its
+    # perp/top is not decided by its shape
+    cases = [("symmetric", 20, 7), ("skew", 14, 4), ("symmetric", 10, 3), ("skew", 10, 3)]
     for flavor, n, k in cases:
         fam = build_isotropic(field, n, k, flavor)
         bad = corrupt(fam)
@@ -1126,17 +1130,18 @@ def test_a_perp_witness_needs_the_hyperbolic_gram_matrix(field):
         b = orthogonal_blocks(flipped, fam.members)[1]
         assert b.coords[0] == start
         assert verify._witnessed_quotient(b.chunks[-1], b.pairing, *witness) is None
+        assert verify._isotropy([b._replace(witness=witness)], 3) is None
         with pytest.raises(ValueError, match="not contained"):
-            verify._perp_over_top([b._replace(witness=witness)], -1)
+            verify._perp_over_top([b._replace(witness=witness)], -1, [None])
         bad = replace(fam, pairing=flipped)
         assert certify(bad) == certify(replace(bad, perps=())) and not certify(bad).isotropy_ok
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
-    # 55 kernel scans before the perp witnesses; the three left are the
-    # cubic block's top chunk (symmetric) and low chunk (skew) and the R3
-    # block's low chunk
+    # 55 kernel scans before the perp witnesses, and 3 with them; the
+    # symmetric cubic block's top chunk is Lagrangian, so the two left are
+    # the skew cubic block's low chunk and the R3 block's low chunk
     scans = []
     real_kernel_free = sheaves.kernel_free
 
@@ -1147,4 +1152,114 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
     assert sweep_consistent(run_sweep(field, 2, 24, SWEEP_FLAVORS))
     assert len(scans) <= 9
-    assert sorted((m.nrows, m.ncols) for m in scans) == [(1, 4), (1, 6), (3, 6)]
+    assert sorted((m.nrows, m.ncols) for m in scans) == [(1, 4), (1, 6)]
+
+
+# ---------------------------------------------------------------------------
+# blocks whose perp/top a checked fact decides: an empty chunk, a
+# Lagrangian top chunk and a witnessed E(2a, 2b) block; perp and
+# quotient_type are the oracle
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_blocks_answered_by_their_shape_equal_perp_and_quotient_type(field):
+    seen, rules = set(), set()
+    for fam in sweep_families(field, 24):
+        rule = verify._RULES[fam.flavor, len(fam.members)]
+        i = {"perp(top)": -1, "perp(low)": 0}.get(rule.beside_top)
+        if i is None:
+            continue
+        blocks = verify._blocks(fam)
+        known = verify._isotropy(blocks, rule.isotropic)
+        for b, found in zip(blocks, known):
+            top, chunk = b.chunks[-1], b.chunks[i]
+            if not chunk.rank:
+                answered_by = "a: empty chunk"
+            elif chunk is top and found is not None:
+                answered_by = "c: witness" if b.witness else "b: Lagrangian"
+            else:
+                continue
+            key = (top.gen, chunk.gen, b.pairing)
+            if key not in seen:
+                seen.add(key)
+                rules.add(answered_by)
+                oracle = sheaves.quotient_type(top, sheaves.perp(chunk, b.pairing))
+                assert verify._perp_over_top([b], i, [found]) == oracle, (fam.case, fam.n)
+    assert rules == {"a: empty chunk", "b: Lagrangian", "c: witness"}
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_refuses(flavor):
+    # symmetric, on the hyperbolic 4-space: the top's chunk on the block
+    # (0, 2) is e0 + x0, of rank 1, which pairs with itself.  Skew, on the
+    # hyperbolic 6-space: x0 + e1 joins (0, 3) and (1, 4) into one block,
+    # where the top's chunk e0, x0 + e1 has rank 2 and <e0, x0 + e1> = 1;
+    # low's chunk there is e0, whose perp does not hold the top's
+    if flavor == "symmetric":
+        dim, low = 4, Subbundle.zero(QQ, trivial_frame(4))
+        mid = constant_span(4, unit(4, 1))
+        top = constant_span(4, unit(4, 1), (1, 0, 1, 0))
+        shape, note = (0, 1, 2), "a flag member is not isotropic"
+        flags = (True, False, False, False, False)
+    else:
+        dim, low = 6, constant_span(6, unit(6, 0))
+        mid = constant_span(6, unit(6, 0), unit(6, 2))
+        top = constant_span(6, unit(6, 0), (0, 1, 0, 1, 0, 0), unit(6, 2))
+        shape, note = (1, 2, 3), "top member is not annihilated by the bottom member"
+        flags = (False, True, False, False, False)
+    pairing = Pairing.hyperbolic(QQ, dim // 2, flavor)
+    fam = FlagFamily("hand", dim, 1, flavor, (low, mid, top), shape, pairing)
+    b = orthogonal_blocks(pairing, fam.members)[0]
+    assert 2 * b.chunks[-1].rank == len(b.coords)
+    assert not sheaves.is_isotropic(b.chunks[-1], b.pairing)
+    cert = certify(fam)
+    assert cert == whole_member_certify(fam)
+    assert_refused(cert, note, flags)
+
+
+def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
+    # on the hyperbolic 6-space, e1 + e2 joins (1, 4) and (2, 5) into one
+    # block of 4, where the top's chunk has rank 1: isotropic, not
+    # Lagrangian, so perp/top there is {0, 0}, and {} on the block (0, 3)
+    pairing = Pairing.hyperbolic(QQ, 3, "symmetric")
+    low = Subbundle.zero(QQ, trivial_frame(6))
+    mid = constant_span(6, unit(6, 0))
+    top = constant_span(6, unit(6, 0), (0, 1, 1, 0, 0, 0))
+    fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
+    blocks = orthogonal_blocks(pairing, fam.members)
+    assert [b.coords for b in blocks] == [(0, 3), (1, 2, 4, 5)]
+    assert verify._isotropy(blocks, 3) == [st(), None]
+    assert verify._perp_over_top(blocks, -1, [st(), None]) == st(0, 0)
+    cert = certify(fam)
+    assert cert == whole_member_certify(fam)
+    assert cert.tev_pieces[0] == cert.flag_quotients[2].dual().tensor(st(0, 0))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("corrupt", [doubled_psi_entry, inner_of_another_block, gram_negated])
+def test_a_refused_perp_witness_falls_back_to_is_isotropic(field, corrupt, monkeypatch):
+    # a witness that passes proves the big block's top chunk isotropic, and
+    # is_isotropic never sees it; a refused one leaves it to is_isotropic.
+    # The (8, 3) big blocks, E(1, 2) pulled back by T -> T^2, are Lagrangian
+    checked = []
+    real_is_isotropic = sheaves.is_isotropic
+
+    def is_isotropic(e, beta):
+        checked.append(e.gen)
+        return real_is_isotropic(e, beta)
+
+    monkeypatch.setattr(verify, "is_isotropic", is_isotropic)
+    cases = [("symmetric", 20, 7), ("skew", 14, 4), ("symmetric", 8, 3), ("skew", 8, 3)]
+    for flavor, n, k in cases:
+        fam = build_isotropic(field, n, k, flavor)
+        start = fam.perps[-1][0]
+        big = [b for b in orthogonal_blocks(fam.pairing, fam.members) if b.coords[0] == start]
+        big_top = big[0].chunks[-1].gen
+        del checked[:]
+        plain = certify(fam)
+        assert plain.very_twisting and big_top not in checked, (flavor, n, k)
+        bad = corrupt(fam)
+        del checked[:]
+        cert = certify(bad)
+        assert big_top in checked, (flavor, n, k)
+        assert cert == certify(replace(bad, perps=())) == plain, (flavor, n, k)
