@@ -11,6 +11,7 @@ from twistlines import (
     Pairing,
     SplittingType,
     build_E2a2b,
+    build_isotropic,
     build_phi_psi,
     cokernel_type,
     is_isotropic,
@@ -18,6 +19,7 @@ from twistlines import (
     quotient_type,
     same_subsheaf,
 )
+from twistlines.sheaves import pairing_map
 
 print("== hyperbolic pairings ==")
 for flavor in ("symmetric", "skew"):
@@ -63,3 +65,18 @@ print(f"  psi'^T inner = phi_minus: {psi.transpose_dual() @ inner == phi_minus}"
 q = cokernel_type(inner)
 print(f"  coker(inner) with its dual: {SplittingType(q.twists + q.dual().twists)}")
 print(f"  kernel scan and lift:       {quotient_type(e, perp(e, beta))}")
+
+print()
+print("== the skew cubic block's perp/top two ways: a kernel scan, or its lift witness ==")
+# skew (6, 2) is the cubic block alone; the skew rule asks for perp(g)/E,
+# g the low member.  The builder hands certify P, a basis of perp(g), and
+# L with P @ L = E (FlagFamily.perps); proof in verify._lifted_quotient
+fam = build_isotropic(QQ, 6, 2, "skew")
+low, top = fam.members[0], fam.members[-1]
+p, lift = fam.perps[0][1]
+print(f"{fam.case} (n, k) = (6, 2):")
+print(f"  pairing_map(g) @ P = 0: {(pairing_map(low, fam.pairing) @ p).is_zero()}")
+print(f"  P everywhere injective: {p.rank_everywhere() == (p.ncols, True)}")
+print(f"  P has 6 - rank g = {p.ncols} columns, P @ L = E: {p @ lift == top.gen}")
+print(f"  coker(L):             {cokernel_type(lift)}")
+print(f"  kernel scan and lift: {quotient_type(top, perp(low, fam.pairing))}")

@@ -30,24 +30,29 @@ and otherwise finds the inclusion again by elimination.
 
 Every matrix here is assembled from blocks that carry their rank
 profile, so the profiles of the top member and of each witness compose
-(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity``) and only
-a block runs a Smith form.  While ``verify.run_sweep`` runs, each
-process keeps one memo (``_once``), and the builders take their blocks
-from it: the classical monomial column per (field, d), each small block
-per (field, flavor, kind), the pulled-back E_{2a,2b} block with its
-pairing per (field, flavor, a, b, d), and each combination column of a
-witness per its content.  So a sweep worker builds each distinct block,
-and runs its Smith form, once; a column of monomials (a classical block,
-or a witness's combination column) needs none (``_column``).
+(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity`` and
+products) and only the cubic and R3 blocks run a Smith form: an E_{2a,2b}
+block composes its profile from the binomial pair (``build_phi_psi``).
+While ``verify.run_sweep`` runs, each process keeps one memo
+(``_once``), and the builders take their blocks from it: the classical
+monomial column per (field, d), each small block per (field, flavor,
+kind), the pulled-back E_{2a,2b} block with its pairing per (field,
+flavor, a, b, d), and each combination column of a witness per its
+content.  So a sweep worker builds each distinct block, and runs a
+cubic or R3 block's Smith form, once; a column of monomials (a classical
+block, or a witness's combination column) needs none (``_column``).
 ``verify``'s block stages share the memo.  Outside a sweep nothing is
 kept, and a build that raises stores nothing.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
 (psi', inner), two matrices of the binomial sequences it is built from
-(``_e2a2b``), pulled back with it by ``_block``.  ``_isotropic`` hands
-each to the family's ``perps`` with the block's first coordinate, and
-``verify.certify`` reads the block's perp/top from it, once checked, with
-no kernel scan; the cubic, R3 and plane blocks have none.
+(``_e2a2b``), pulled back with it by ``_block``; the skew cubic block
+comes with (P, L), a basis of its low chunk's perp and the block's lift
+into it (``_cubic_block``).  ``_isotropic`` hands each to the family's
+``perps`` with the block's first coordinate, and ``verify.certify`` reads
+the block's perp/top from it, once checked, with no kernel scan.  The
+symmetric cubic, R3 and plane blocks have none: ``certify`` answers them
+by their shape.
 """
 from dataclasses import dataclass, replace
 from math import comb
@@ -116,11 +121,13 @@ class FlagFamily:
     checks each product before it reads a quotient from L_i, and falls back
     to elimination when a witness is missing or fails.
 
-    ``perps`` holds, per E_{2a,2b} block of the pairing, the block's first
-    ambient coordinate and its perp witness (psi', inner) (``_e2a2b``).
-    ``verify.certify`` checks a witness against the block it finds there
-    before it reads isotropy and perp/top from it, and otherwise falls
-    back to ``is_isotropic``, ``perp`` and ``quotient_type``.
+    ``perps`` holds, per block of the pairing with a perp witness, the
+    block's first ambient coordinate and the witness: (psi', inner) for
+    an E_{2a,2b} block (``_e2a2b``), (P, L) for the skew cubic block
+    (``_cubic_block``).  ``verify.certify`` checks a witness against the
+    block it finds there before it reads isotropy or perp/top from it,
+    and otherwise falls back to ``is_isotropic``, ``perp`` and
+    ``quotient_type``.
     """
 
     case: str
@@ -133,7 +140,7 @@ class FlagFamily:
     notes: tuple = ()
     requested: object = None
     inclusions: tuple = ()  # L_i with members[i+1].gen @ L_i == members[i].gen
-    perps: tuple = ()  # (first coordinate, (psi', inner)) per E_{2a,2b} block
+    perps: tuple = ()  # (first coordinate, witness) per block with a perp witness
 
     @property
     def field(self):
@@ -198,6 +205,19 @@ def build_phi_psi(field, a: int, b: int):
     coefficients are t^a and (-s)^a, which never vanish together, so
     p_(s,t) is nonzero and multiplying by it is injective: psi has full
     row rank b - a at every point.
+
+    phi keeps the profile (a, True) when 2a coefficients of its entries
+    are nonzero in the field, read from the built entries.  Proof: entry
+    (j, k) is a multiple of T0^(b-a+k-j) T1^(j-k), zero unless 0 <= j - k
+    <= b - a.  So phi's top a x a block is lower triangular with diagonal
+    entries C(b-k, a-k) T0^(b-a); at a point [s:t] with s != 0 its
+    determinant is the product of the C(b-k, a-k) times s^(a(b-a)).  At
+    [0:1] an entry survives iff its T0-exponent is 0, so column k keeps
+    only its entry in row k + b - a, C(k+b-a-1, k-1) T1^(b-a), in a row of
+    its own.  If all these coefficients are nonzero, phi has rank a at
+    every point, the generic one included (no rank exceeds the generic
+    rank, nor a).  Where one vanishes (C(5, 1) in GF(5), say) phi keeps
+    no profile, and ``rank_everywhere`` runs its Smith form.
     """
     if a < 1 or a > b:
         raise HypothesisError(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -213,6 +233,10 @@ def build_phi_psi(field, a: int, b: int):
         for j in range(1, b + 1)
     )
     phi = GradedMatrix._valid(field, trivial_frame(a), (b - a,) * b, phi_rows)
+    # the lemma's coefficients: the top block's diagonal at T0^(b-a), and
+    # each column's one entry at [0:1], at T1^(b-a); reduced, so zero iff falsy
+    if all(phi_rows[k][k].coeffs[0] and phi_rows[k + b - a][k].coeffs[-1] for k in range(a)):
+        phi._profile = RankProfile(a, True)
     zero = BinaryForm.zero(field, a)
     psi_rows = tuple(
         tuple(
@@ -253,12 +277,15 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     With c = b - a, psi' = psi.twist(-c): O^b -> O(a)^c is everywhere
     surjective (its profile is kept, see ``build_phi_psi``), psi' phi_plus
     = 0, and phi_minus = psi'^T inner with inner = phi_(a,c).twist(-c):
-    O(-c)^a -> O(-a)^c.  ``verify._witnessed_quotient`` checks these
-    and reads perp/top from them.
+    O(-c)^a -> O(-a)^c.  ``verify._witness_holds`` checks these, and
+    ``verify._witnessed_quotient`` reads perp/top from inner.
 
-    ``_isotropic`` embeds this block, or its pullback, in a
-    block-diagonal top member, whose rank profile composes from its
-    blocks', so the check of the top certifies the block too.
+    The generator's profile (2a, True) composes with no Smith form where
+    ``build_phi_psi`` keeps phi's: phi_plus is phi twisted, phi_minus the
+    product of two everywhere-injective maps, psi'^T and inner, and the
+    generator their direct sum.  ``_isotropic`` embeds this block, or its
+    pullback, in a block-diagonal top member, whose rank profile composes
+    from its blocks', so the check of the top certifies the block too.
     """
     if a < 1:
         raise HypothesisError(f"need a >= 1, got a={a}")
@@ -490,7 +517,15 @@ def _orbit_member(field, weights, cols, n) -> Subbundle:
 
 
 def _cubic_block(field, flavor):
-    """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block."""
+    """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block.
+
+    The skew block also returns its perp witness (P, L): P's columns e0,
+    e1 - x1, x2, T1 e1 + T0 e2 and T0 e1 + T1 x0 span perp(g), which is
+    where the skew rule asks for a perp, and L is the lift of the block
+    into it, P @ L = (g, f1, f2): g = -T0^2 e0 + T0 T1 (e1 - x1) + T1^2 x2,
+    f1 = -T0 (e1 - x1) + 2 (T0 e1 + T1 x0), f2 = -T1 (e1 - x1) + 2 (T1 e1
+    + T0 e2).  ``verify._lifted_quotient`` checks both before it reads
+    perp(g)/top from L."""
     t0 = BinaryForm.monomial(field, 1, 0)
     t1 = BinaryForm.monomial(field, 1, 1)
     t00 = BinaryForm.monomial(field, 2, 0)
@@ -498,16 +533,38 @@ def _cubic_block(field, flavor):
     t11 = BinaryForm.monomial(field, 2, 2)
     z1 = BinaryForm.zero(field, 1)
     z2 = BinaryForm.zero(field, 2)
+    beta = Pairing.hyperbolic(field, 3, flavor)
     if flavor == "symmetric":
         g = (-2, [t00, t01, z2, z2, z2, t11])
         f1 = (-1, [z1, z1, t0, z1, -t1, z1])
         f2 = (-1, [z1, z1, z1, t1, -t0, z1])
-    else:
-        g = (-2, [-t00, t01, z2, z2, -t01, t11])
-        f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
-        f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
+        return beta, GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2])
+    g = (-2, [-t00, t01, z2, z2, -t01, t11])
+    f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
+    f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
     gen = GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2])
-    return Pairing.hyperbolic(field, 3, flavor), gen
+    one, two, z0 = (BinaryForm.constant(field, c) for c in (1, 2, 0))
+    p = GradedMatrix.from_columns(
+        field,
+        trivial_frame(6),
+        [
+            (0, [one, z0, z0, z0, z0, z0]),
+            (0, [z0, one, z0, z0, -one, z0]),
+            (0, [z0, z0, z0, z0, z0, one]),
+            (-1, [z1, t1, t0, z1, z1, z1]),
+            (-1, [z1, t0, z1, t1, z1, z1]),
+        ],
+    )
+    lift = GradedMatrix.from_columns(
+        field,
+        p.src,
+        [
+            (-2, [-t00, t01, t11, z1, z1]),
+            (-1, [z1, -t0, z1, z0, two]),
+            (-1, [z1, -t1, z1, two, z0]),
+        ],
+    )
+    return beta, gen, (p, lift)
 
 
 def _r3_block(field, flavor):
@@ -567,10 +624,12 @@ _CASES = {
 def _block(build, field, flavor, d, *ab):
     """The pairing, the generator and the perp witness of one block of an
     isotropic top member: build(field, flavor, *ab), pulled back by
-    T -> T^d, with its rank profile, whose one Smith form runs before the
-    pullback, which keeps it.  The witness is that of an E_{2a,2b} block
-    (``_e2a2b``), pulled back too, else None.  ``_isotropic`` takes every
-    block through ``_once``."""
+    T -> T^d, with its rank profile, found before the pullback, which
+    keeps it.  The E_{2a,2b} and plane blocks carry theirs; the cubic and
+    R3 blocks, and an E_{2a,2b} block whose phi keeps none, run one Smith
+    form.  The witness is that of an E_{2a,2b} block (``_e2a2b``) or of
+    the skew cubic block (``_cubic_block``), pulled back too, else None.
+    ``_isotropic`` takes every block through ``_once``."""
     beta, gen, *witness = build(field, flavor, *ab)
     gen.rank_everywhere()
     witness = tuple(m.pullback_power(d) for m in witness[0]) if witness else None

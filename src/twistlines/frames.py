@@ -20,7 +20,8 @@ matrix scan each coefficient once, not on every call.  Its rank profile
 is kept the same way, and ``transpose_dual`` hands it to the transpose,
 whose rank is the same at every point, as does ``twist``.  Profiles
 compose: ``direct_sum`` keeps one when each block has one,
-``pullback_power`` keeps its argument's, and ``identity`` carries its
+``pullback_power`` keeps its argument's, a product of two everywhere-
+injective factors is everywhere injective, and ``identity`` carries its
 own, each proved where it is made; so a
 matrix assembled from profiled blocks needs no Smith form of its own, and
 ``_rank_profile`` is the fallback and the oracle.  A generic rank alone is
@@ -239,17 +240,33 @@ class GradedMatrix:
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Composition self∘other (other maps into self's source frame), each
         entry accumulated from both factors' cached terms and reduced once;
-        an entry that comes out zero is the shared ``BinaryForm.zero``."""
+        an entry that comes out zero is the shared ``BinaryForm.zero``.  A
+        column of other that is a unit column with constant entry 1 at row
+        k gives self's column k, whose forms are returned as they are, so
+        equal columns of a product and its factor compare by identity.
+
+        The product keeps the profile (other.ncols, True) when self has
+        (self.ncols, True) and other has (other.ncols, True): at every
+        point, the generic one included, a composition of injective fibre
+        maps is injective."""
         if other.dst != self.src:
             raise ValueError("frames do not match for composition")
         f = self.field
         reduce_all, zero = f.reduce_all, BinaryForm.zero
         support = other.support()
+        units = [  # the row of a unit column with constant entry 1, else None
+            col[0][0] if len(col) == 1 and col[0][1] == ((0, 1),) and other.dst[col[0][0]] == c
+            else None
+            for c, col in zip(other.src, support)
+        ]
         rows = []
-        for b, left in zip(self.dst, self.entries):
-            left = [e.terms() for e in left]
+        for b, entries in zip(self.dst, self.entries):
+            left = [e.terms() for e in entries]
             row = []
-            for c, nonzero in zip(other.src, support):
+            for c, nonzero, unit in zip(other.src, support, units):
+                if unit is not None:
+                    row.append(entries[unit])
+                    continue
                 acc = [0] * max(0, b - c + 1)
                 for k, terms in nonzero:
                     for s, x in left[k]:
@@ -259,7 +276,10 @@ class GradedMatrix:
                 d = b - c
                 row.append(BinaryForm._valid(f, d, coeffs) if any(coeffs) else zero(f, d))
             rows.append(tuple(row))
-        return GradedMatrix._valid(f, other.src, self.dst, tuple(rows))
+        product = GradedMatrix._valid(f, other.src, self.dst, tuple(rows))
+        if self._profile == (len(self.src), True) and other._profile == (len(other.src), True):
+            product._profile = RankProfile(len(other.src), True)
+        return product
 
     def twist(self, t: int) -> "GradedMatrix":
         """self ⊗ O(t), with self's entries and rank profile: the entries,

@@ -494,9 +494,19 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     """The orthogonal blocks of the ambient of ``members``, by first coordinate.
 
     A block is a connected component of the graph joining coordinates i, j
-    when beta pairs them or one member column is nonzero at both.  A
-    member's chunk is its columns there (a zero column goes with coordinate
-    0) on the block's coordinates; equal chunks of a block are one object.
+    when beta pairs them or one member column is nonzero at both, except
+    that the components no member column lies in (a zero column goes with
+    coordinate 0) are one block, whose chunks are all empty.  A member's
+    chunk is its columns there on the block's coordinates; equal chunks of
+    a block are one object.
+
+    A set S of coordinates is an orthogonal block when beta pairs no
+    coordinate of S with one outside it and every member column lies in S
+    or outside it.  Each component is one, and a union of orthogonal
+    blocks is one: no coordinate of the union is paired with one outside
+    it, for it lies in one of the blocks, and a column lies in one of
+    them or outside all of them.  What follows uses only these two
+    properties, so it holds for the untouched components joined.
 
     Why the pairing stages may run per block: beta is the orthogonal sum of
     its (valid, see ``Pairing``) block restrictions, and a member E is the
@@ -534,6 +544,10 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
         for c in sup:
             if c:
                 join([i for i, _ in c])
+    touched = {root(c[0][0] if c else 0) for sup in supports for c in sup}
+    untouched = [i for i in range(n) if root(i) not in touched]
+    if untouched:
+        join(untouched)
     coords_of = {}  # root -> coordinates, ascending, by first coordinate
     label = [root(i) for i in range(n)]
     for i, r in enumerate(label):

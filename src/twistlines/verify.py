@@ -31,18 +31,23 @@ run per block of ``sheaves.orthogonal_blocks``: a member is a direct sum of
 chunks, one per orthogonal block, so isotropy holds iff it does on each
 chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
 the block quotients (proved there), each one ``quotient_type`` of the top
-chunk in its block's perp.  An E_{2a,2b} block has a witness for that
-quotient, as a member inclusion does: the builder's (psi', inner)
-(``FlagFamily.perps``).  Once ``_witnessed_quotient`` has checked it, in
-the isotropy step, it proves the top chunk isotropic and gives perp/top
-with no kernel scan and no lift (the lemma is in ``_perp_over_top``); a
-refused witness falls back to ``is_isotropic``, ``perp`` and
-``quotient_type``.  A block whose chunk is empty, or whose top chunk is
-isotropic of half its dimension, has its perp/top by its shape.
+chunk in its block's perp.  A block may have a witness for that
+quotient, as a member inclusion does (``FlagFamily.perps``).  An
+E_{2a,2b} block's is the builder's (psi', inner): once ``_witness_holds``
+has checked it, in the isotropy step, it proves the top chunk isotropic,
+and perp/top is one cokernel scan of inner, run only when a rule asks
+for it.  The skew cubic block's is (P, L), a basis of its low chunk's
+perp and the top's lift into it, checked by ``_lifted_quotient``.
+Neither needs a kernel scan or a lift; the lemmas are in
+``_perp_over_top``.  A refused witness falls back to ``is_isotropic``,
+``perp`` and ``quotient_type``.  A block whose chunk is empty, or whose
+chunk pairs to zero with the top chunk and has the rank the top chunk
+leaves, has its perp/top by its shape.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``),
-and computes each of the five block stages (isotropy, perp, quotient, the
-cokernel of a top chunk and the witnessed quotient) once through it: the
+and computes each of its block stages (isotropy, the witness checks, the
+pairing of a chunk with the top chunk, perp, quotient, the cokernel of a
+top chunk and of a witness's inner matrix) once through it: the
 key is the stage and its arguments' content, field included, and a stage
 is a deterministic function of that content, so a hit is what a
 recomputation gives and every check still runs once.  The builders take
@@ -82,6 +87,7 @@ from .sheaves import (
     is_isotropic,
     kernel_free,
     orthogonal_blocks,
+    pairing_map,
     perp,
     quotient_type,
     sub_lift,
@@ -278,52 +284,56 @@ def _blocks(fam: FlagFamily) -> list:
 
 def _isotropy(blocks, count) -> Optional[list]:
     """Check every distinct chunk of the bottom ``count`` members of each
-    block isotropic; None if one is not.  Otherwise, per block, perp/top
-    of its top chunk where a fact checked here decides it, else None: the
-    ``known`` list of ``_perp_over_top`` (its rules (b) and (c)).
+    block isotropic; None if one is not.  Otherwise, per block, the pair
+    (isotropic, witnessed): whether its top chunk was checked isotropic
+    here, and whether by its E_{2a,2b} witness, the facts
+    ``_perp_over_top`` reads.
 
     A tested nonempty top chunk of a block with a perp witness is checked
-    by ``_witnessed_quotient`` in place of ``is_isotropic``: a witness that
-    passes proves the chunk isotropic and gives its perp/top.  A refused
-    witness leaves the chunk to ``is_isotropic``."""
-    known = []
+    by ``_witness_holds`` in place of ``is_isotropic``: a witness that
+    holds proves the chunk isotropic.  A refused witness leaves the chunk
+    to ``is_isotropic``."""
+    facts = []
     for b in blocks:
-        top, found = b.chunks[-1], None
+        top, witnessed = b.chunks[-1], False
         tested = {id(e): e for e in b.chunks[:count] if e.rank}
-        if b.witness is not None and top.rank and id(top) in tested:
-            found = _once(_witnessed_quotient, top, b.pairing, *b.witness)
-            if found is not None:
+        if b.witness is not None and id(top) in tested:
+            witnessed = _once(_witness_holds, top, b.pairing, *b.witness)
+            if witnessed:
                 del tested[id(top)]
         if not all(_once(is_isotropic, e, b.pairing) for e in tested.values()):
             return None
-        if id(top) in tested and 2 * top.rank == len(b.coords):
-            found = SplittingType(())
-        known.append(found)
-    return known
+        facts.append((witnessed or id(top) in tested, witnessed))
+    return facts
 
 
-def _perp_over_top(blocks, i, known) -> SplittingType:
+def _perp_over_top(blocks, i, facts) -> SplittingType:
     """perp(member i)/top: per block, the quotient of the perp of member
     i's chunk by the top chunk, joined; raises ``ValueError`` if a top
-    chunk does not lie in its perp.  ``known`` holds, per block, perp/top
-    of its top chunk as ``_isotropy`` decided it, or None.
+    chunk does not lie in its perp.  ``facts`` holds, per block, what
+    ``_isotropy`` checked of its top chunk: (isotropic, witnessed).
 
-    A block's answer depends only on its shape, by three rules; every
-    other block takes ``perp`` and ``quotient_type``, which stay the oracle.
-    (a) Member i's chunk is empty.  Its perp is the whole block, whose
-        generator is the identity, and the top chunk's generator is its
-        own lift into it, so perp/top is coker(top) (``_lift_quotient_type``),
-        or (0,) * dim if the top chunk is empty too.  No perp and no solve.
-    (b) Member i's chunk is the top chunk E (the same object, as
-        ``orthogonal_blocks`` makes equal chunks), checked isotropic in
-        this ``certify``, and 2 rank E = dim.  The block's pairing is
-        nondegenerate, so E^perp is a subbundle of rank dim - rank E =
-        rank E, and it holds E, which is isotropic.  A subbundle inside a
-        subbundle of equal rank is all of it, so E^perp = E and perp/top
-        is empty.
-    (c) Member i's chunk is the top chunk E, and the block's E_{2a,2b}
-        witness passed ``_witnessed_quotient`` in ``_isotropy``: its
-        answer, by the lemma below.
+    Four rules answer a block; every other block, and one whose witness
+    is refused, takes ``perp`` and ``quotient_type``, which stay the
+    oracle.  Let C be member i's chunk and E the top chunk (the same
+    object when equal, as ``orthogonal_blocks`` makes them).
+    (a) C is empty.  Its perp is the whole block, whose generator is the
+        identity, and E's generator is its own lift into it, so perp/top
+        is coker(E) (``_lift_quotient_type``), or (0,) * dim if E is empty
+        too.  No perp and no solve.
+    (b) C and E pair to zero, and rank C + rank E = dim.  For C = E that is
+        the isotropy ``_isotropy`` checked; otherwise one product,
+        ``pairing_map(C) @ E.gen`` (``_annihilates``).  The block's pairing
+        is nondegenerate, so C^perp is a subbundle of rank dim - rank C =
+        rank E, and it holds E, a subbundle.  A subbundle inside a
+        subsheaf of equal rank is all of it, so C^perp = E and perp/top is
+        empty: the symmetric cubic block (C = E, Lagrangian) and the R3
+        block (C its low chunk).
+    (c) C is E, and the block's E_{2a,2b} witness held in ``_isotropy``:
+        coker(inner) ∪ coker(inner)^v (``_witnessed_quotient``), by the
+        lemma below.
+    (d) C is not E, and the block's lift witness (P, L) passes
+        ``_lifted_quotient``: coker(L), the skew cubic block.
 
     The lemma.  Let beta be hyperbolic of dimension 2b (an e-half and an
     x-half, <e_i, x_j> = delta_ij, <x_j, e_i> = +-delta_ij), and let E's
@@ -348,29 +358,39 @@ def _perp_over_top(blocks, i, known) -> SplittingType:
       im psi'^T is a subbundle of rank b - a inside ker phi_plus^T, of rank
       b - a: they are equal.  So ker phi_plus^T / im phi_minus =
       im psi'^T / psi'^T(im inner) ≅ coker(inner).
-    The hypotheses are what ``_witnessed_quotient`` checks, so perp/top
-    is one rank-only cokernel scan of the small matrix inner."""
+    The hypotheses are what ``_witness_holds`` checks, so perp/top is one
+    rank-only cokernel scan of the small matrix inner, run only here: a
+    rule that asks for no perp/top (case III) checks the witness and
+    scans nothing."""
     twists = ()
-    for b, found in zip(blocks, known):
-        top, chunk = b.chunks[-1], b.chunks[i]
+    for b, (isotropic, witnessed) in zip(blocks, facts):
+        top, chunk, dim = b.chunks[-1], b.chunks[i], len(b.coords)
         if not chunk.rank:
-            if top.rank:
-                found = _once(_lift_quotient_type, top.gen)
-            else:
-                found = SplittingType((0,) * len(b.coords))
-        elif chunk is not top or found is None:
-            found = _once(quotient_type, top, _once(perp, chunk, b.pairing))
+            found = _once(_lift_quotient_type, top.gen) if top.rank else SplittingType((0,) * dim)
+        elif chunk is top and witnessed:
+            found = _once(_witnessed_quotient, b.witness[1])
+        elif chunk.rank + top.rank == dim and (
+            isotropic if chunk is top else _once(_annihilates, chunk, top.gen, b.pairing)
+        ):
+            found = SplittingType(())
+        else:
+            found = None
+            if chunk is not top and b.witness is not None:
+                found = _once(_lifted_quotient, chunk, top, b.pairing, *b.witness)
+            if found is None:
+                found = _once(quotient_type, top, _once(perp, chunk, b.pairing))
         twists += found.twists
     return SplittingType(twists)
 
 
-def _witnessed_quotient(e, beta, psi, inner) -> Optional[SplittingType]:
-    """perp(e)/e from the E_{2a,2b} witness (psi, inner) by the lemma of
-    ``_perp_over_top``, or None if one of its hypotheses fails: beta is
-    hyperbolic of its flavor on 2b = 2 * psi.ncols coordinates, e's
-    first a = inner.ncols columns vanish off the e-half and its last a off
-    the x-half, psi has b - a rows and is everywhere surjective (a kept
-    profile answers), psi @ phi_plus = 0 and psi^T @ inner = phi_minus."""
+def _witness_holds(e, beta, psi, inner) -> bool:
+    """True iff the E_{2a,2b} witness (psi, inner) meets the hypotheses of
+    the lemma of ``_perp_over_top`` for e: beta is hyperbolic of its
+    flavor on 2b = 2 * psi.ncols coordinates, e's first a = inner.ncols
+    columns vanish off the e-half and its last a off the x-half, psi has
+    b - a rows and is everywhere surjective (a kept profile answers), psi
+    @ phi_plus = 0 and psi^T @ inner = phi_minus.  Then e is isotropic,
+    and perp(e)/e is ``_witnessed_quotient(inner)``."""
     f, gen = e.field, e.gen
     b, a = psi.ncols, inner.ncols
     if (
@@ -382,22 +402,64 @@ def _witnessed_quotient(e, beta, psi, inner) -> Optional[SplittingType]:
         or psi.nrows != b - a
         or beta.matrix != Pairing.hyperbolic(f, b, beta.flavor).matrix
     ):
-        return None
+        return False
     support = gen.support()
     if any(i >= b for col in support[:a] for i, _ in col) or any(
         i < b for col in support[a:] for i, _ in col
     ):
-        return None
+        return False
     plus = GradedMatrix._valid(f, gen.src[:a], psi.src, tuple(row[:a] for row in gen.entries[:b]))
     minus = tuple(row[a:] for row in gen.entries[b:])
+    return (
+        psi.rank_everywhere() == (b - a, True)
+        and (psi @ plus).is_zero()
+        and (psi.transpose_dual() @ inner).entries == minus
+    )
+
+
+def _witnessed_quotient(inner) -> SplittingType:
+    """perp(E)/E of a top chunk E whose witness (psi', inner) holds
+    (``_witness_holds``): coker(inner) ∪ coker(inner)^v, by the lemma of
+    ``_perp_over_top``.  inner is everywhere injective there, so the scan
+    runs with its column count as the rank."""
+    coker = _scan_cokernel(inner, inner.ncols)
+    return SplittingType(coker.twists + coker.dual().twists)
+
+
+def _annihilates(e, m: GradedMatrix, beta) -> bool:
+    """True iff every generator of e pairs to zero with every column of m."""
+    return (pairing_map(e, beta) @ m).is_zero()
+
+
+def _lifted_quotient(e, top, beta, p, lift) -> Optional[SplittingType]:
+    """perp(e)/top from a lift witness (P, L), or None if it fails.
+
+    The witness holds when its frames fit (P maps into e's ambient, L from
+    top's source into P's), P has dim - rank e columns, ``pairing_map(e)
+    @ P`` is zero, P @ L = top.gen, and P is everywhere injective (its
+    rank profile; P is a constant of its block, so a kept one answers).
+    Then perp(e) = im P: im P lies in perp(e), which is a subbundle of
+    rank dim - rank e (beta is nondegenerate), and im P is a subbundle of
+    that rank, so they are equal (a subbundle inside a subsheaf of equal
+    rank is all of it).  So L is the lift of top into perp(e), and
+    perp(e)/top is coker(L) (``_lift_quotient_type``)."""
+    f = e.field
     if (
-        psi.rank_everywhere() != (b - a, True)
-        or not (psi @ plus).is_zero()
-        or (psi.transpose_dual() @ inner).entries != minus
+        p.field != f
+        or lift.field != f
+        or p.dst != e.ambient
+        or lift.dst != p.src
+        or lift.src != top.gen.src
+        or p.ncols != len(e.ambient) - e.rank
     ):
         return None
-    coker = _scan_cokernel(inner, a)
-    return SplittingType(coker.twists + coker.dual().twists)
+    if (
+        not _annihilates(e, p, beta)
+        or p @ lift != top.gen
+        or p.rank_everywhere() != (p.ncols, True)
+    ):
+        return None
+    return _lift_quotient_type(lift)
 
 
 def certify(fam: FlagFamily) -> Certificate:
@@ -413,10 +475,12 @@ def certify(fam: FlagFamily) -> Certificate:
     (``_perp_over_top``).  No stage runs whose answer a checked fact
     already decides.  An E_{2a,2b} block's perp witness, checked once in
     the isotropy step (``_isotropy``), proves its top chunk isotropic and
-    gives its quotient; a block whose chunk is empty, or whose top chunk
-    is isotropic of half its dimension, has its quotient by shape.  Any
-    other block's, or one whose witness fails, is one ``quotient_type`` of
-    the top chunk in its perp.
+    gives its quotient from one scan of inner, run only if the rule asks
+    for perp/top; the skew cubic block's lift witness gives its low
+    chunk's quotient.  A block whose chunk is empty, or whose chunk pairs
+    to zero with the top chunk and has the rank the top chunk leaves, has
+    its quotient by shape.  Any other block's, or one whose witness
+    fails, is one ``quotient_type`` of the top chunk in its perp.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -428,14 +492,14 @@ def certify(fam: FlagFamily) -> Certificate:
     if tuple(m.rank for m in members) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
     blocks = _blocks(fam) if rule.isotropic else ()
-    known = _isotropy(blocks, rule.isotropic)
-    if known is None:
+    facts = _isotropy(blocks, rule.isotropic)
+    if facts is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
     beside_top = None
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
         try:
-            beside_top = _perp_over_top(blocks, 0, known)
+            beside_top = _perp_over_top(blocks, 0, facts)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
@@ -443,7 +507,7 @@ def certify(fam: FlagFamily) -> Certificate:
     try:
         quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
-            beside_top = _perp_over_top(blocks, -1, known)
+            beside_top = _perp_over_top(blocks, -1, facts)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":

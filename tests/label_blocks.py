@@ -4,8 +4,10 @@ replaced with a union-find pass, kept as a test reference.
 This is the earlier routine, unchanged: every coordinate starts with its
 own label, and each Gram row and each member column merges the labels it
 touches into their least, rewriting the whole label list per group.  The
-union-find pass must give exactly its blocks: the same coordinates,
-pairings and chunk generators, with the same chunks shared as one object.
+union-find pass must give exactly its blocks, once ``fold_untouched``
+has joined those that hold no member column into one: the same
+coordinates, pairings and chunk generators, with the same chunks shared
+as one object.
 """
 
 from twistlines.frames import GradedMatrix
@@ -38,3 +40,17 @@ def orthogonal_blocks(beta, members):
         pairing = Pairing._valid(beta.flavor, gram, f) if any(e.rank for e in chunks) else None
         blocks.append(Block(coords, pairing, tuple(chunks)))
     return blocks
+
+
+def fold_untouched(beta, blocks):
+    """``blocks`` with those that hold no member column (no pairing) joined
+    into one block at their least coordinate, its chunks one empty chunk."""
+    untouched = sorted(i for b in blocks if b.pairing is None for i in b.coords)
+    kept = [b for b in blocks if b.pairing is not None]
+    if not untouched:
+        return kept
+    rows = ((),) * len(untouched)
+    empty = Subbundle(GradedMatrix._valid(beta.field, (), (0,) * len(untouched), rows), check=False)
+    count = len(blocks[0].chunks)
+    kept.append(Block(tuple(untouched), None, (empty,) * count))
+    return sorted(kept, key=lambda b: b.coords[0])

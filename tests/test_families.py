@@ -93,6 +93,48 @@ def test_psi_keeps_the_profile_a_fresh_smith_form_gives(field):
             assert checked_copy(psi)._rank_profile() == psi._profile, (a, b)
 
 
+@pytest.mark.parametrize("field", [*FIELDS, PrimeField(5), PrimeField(3)], ids=str)
+def test_phi_keeps_the_profile_a_fresh_smith_form_gives(field):
+    # build_phi_psi's lemma: phi keeps (a, True) iff the diagonal
+    # coefficients C(b-k, a-k) of its top block and its coefficients
+    # C(k+b-a-1, k-1) at [0:1] are nonzero in the field; over GF(5) and
+    # GF(3) some vanish, and phi keeps no profile, injective or not
+    p = field.characteristic
+    kept = withheld = 0
+    for b in range(1, 15):
+        for a in range(1, b + 1):
+            phi = build_phi_psi(field, a, b)[0]
+            coefficients = [
+                comb(b - k, a - k) * comb(k + b - a - 1, k - 1) for k in range(1, a + 1)
+            ]
+            lemma = all(c % p for c in coefficients) if p else True
+            fresh = checked_copy(phi)._rank_profile()
+            if lemma:
+                kept += 1
+                assert phi._profile == (a, True) == fresh, (a, b)
+            else:
+                withheld += 1
+                assert phi._profile is None, (a, b)
+                assert phi.rank_everywhere() == fresh, (a, b)
+    assert kept and (withheld > 0) == (p in (3, 5)), (kept, withheld)
+
+
+def test_an_e2a2b_block_composes_its_profile_with_no_smith_form(monkeypatch):
+    # phi_plus, inner and psi'^T keep their profiles, so the block's
+    # generator has (2a, True) from the product and direct-sum rules
+    def refuse(m):
+        raise AssertionError("Smith form run")
+
+    monkeypatch.setattr(GradedMatrix, "_rank_profile", refuse)
+    for field in FIELDS:
+        for a, b in [(1, 2), (1, 5), (2, 4), (3, 8), (4, 11)]:
+            for flavor in ("symmetric", "skew"):
+                gen = families._e2a2b(field, flavor, a, b)[1]
+                assert gen._profile == (2 * a, True), (a, b)
+    monkeypatch.undo()
+    assert checked_copy(gen)._rank_profile() == (2 * a, True)
+
+
 def test_phi_psi_rejects_bad_parameters():
     with pytest.raises(HypothesisError):
         build_phi_psi(QQ, 0, 2)

@@ -29,6 +29,7 @@ from twistlines.sheaves import Pairing, kernel_free
 
 T0 = BinaryForm.monomial(QQ, 1, 0)
 T1 = BinaryForm.monomial(QQ, 1, 1)
+ONE, ZERO0, ZERO1 = BinaryForm.constant(QQ, 1), BinaryForm.zero(QQ, 0), BinaryForm.zero(QQ, 1)
 
 
 def coords_column():
@@ -541,6 +542,67 @@ def test_native_product_matches_the_form_arithmetic_reference(pair):
     for row in prod.entries:
         for e in row:
             assert_canonical(a.field, e.coeffs)
+
+
+@st.composite
+def stacked_matrices(draw, field, src):
+    """A matrix from ``src``: an identity block on src's own twists (or,
+    one time in four, a random block there) and up to three random rows,
+    its rows shuffled.  With the identity it is everywhere injective."""
+    extra = draw(st.lists(st.integers(-3, 3), max_size=3))
+    identity = draw(st.integers(0, 3)) > 0
+    dst, rows = list(src) + extra, []
+    for i, b in enumerate(dst):
+        row = []
+        for j, a in enumerate(src):
+            d = b - a
+            if identity and i < len(src):
+                row.append(BinaryForm.constant(field, 1) if i == j else BinaryForm.zero(field, d))
+            elif d < 0 or draw(st.integers(0, 3)) == 3:
+                row.append(BinaryForm.zero(field, d))
+            else:
+                values = [draw(st.integers(-3, 3)) for _ in range(d + 1)]
+                row.append(BinaryForm(field, d, values))
+        rows.append(row)
+    order = draw(st.permutations(range(len(dst))))
+    return GradedMatrix(field, src, [dst[i] for i in order], [rows[i] for i in order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_product_keeps_the_profile_of_everywhere_injective_factors(data):
+    # the product keeps (ncols, True) iff both factors have (ncols, True),
+    # and then a fresh Smith form of the product agrees
+    field = data.draw(st.sampled_from(ALL_FIELDS))
+    src = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    inner = data.draw(stacked_matrices(field, src))
+    outer = data.draw(stacked_matrices(field, inner.dst))
+    for m in (inner, outer):
+        if data.draw(st.booleans()):
+            m.rank_everywhere()
+    product = outer @ inner
+    kept = inner._profile == (inner.ncols, True) and outer._profile == (outer.ncols, True)
+    assert (product._profile is not None) == kept
+    fresh = GradedMatrix(field, product.src, product.dst, product.entries)
+    assert fresh == product
+    if kept:
+        assert product._profile == (inner.ncols, True) == fresh._rank_profile()
+
+
+def test_a_unit_column_of_a_product_is_the_factors_column():
+    # a column of the right factor with one entry, the constant 1, gives
+    # the left factor's column with the same form objects
+    m = GradedMatrix.from_columns(
+        QQ, trivial_frame(3), [(-1, [T0, ZERO1, T1]), (0, [ONE, ONE, ZERO0])]
+    )
+    pick = GradedMatrix.from_columns(
+        QQ, m.src, [(0, [BinaryForm.zero(QQ, -1), ONE]), (-1, [ONE, ZERO1])]
+    )
+    prod = m @ pick
+    assert [prod.column(j) for j in range(2)] == [m.column(1), m.column(0)]
+    assert all(
+        prod.entries[i][j] is m.entries[i][1 - j] for i in range(3) for j in range(2)
+    )
 
 
 def test_rank_everywhere_coords():

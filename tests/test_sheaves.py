@@ -868,7 +868,8 @@ def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the union-find block split against the label merging it replaced
-# (``label_blocks``), on orthogonal sums with their coordinates shuffled
+# (``label_blocks``), its untouched blocks folded into one, on orthogonal
+# sums with their coordinates shuffled
 
 
 @hst.composite
@@ -910,7 +911,7 @@ def split_cases(draw):
 def test_union_find_blocks_equal_the_label_merging_reference(case):
     beta, members = case
     found = orthogonal_blocks(beta, members)
-    reference = label_blocks.orthogonal_blocks(beta, members)
+    reference = label_blocks.fold_untouched(beta, label_blocks.orthogonal_blocks(beta, members))
     assert [b.coords for b in found] == [b.coords for b in reference]
     for b, ref in zip(found, reference):
         assert (b.pairing is None) == (ref.pairing is None)

@@ -266,10 +266,22 @@ def test_phi_times_t0_fails_only_the_degree_condition(field):
         assert not phi.rank_everywhere().constant
 
 
+def drop_perp_witnesses(monkeypatch):
+    """Build every family with no perp witnesses, so the blocks that have
+    one in a sweep (E(2a, 2b), skew cubic) go through perp."""
+    real_flag = families._flag
+
+    def flag(*args, perps=()):
+        return real_flag(*args)
+
+    monkeypatch.setattr(families, "_flag", flag)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
 def test_perp_reads_each_generic_rank_at_one_point(field, monkeypatch):
-    # every pairing map perp scans in the n <= 24 sweep has full rank at
-    # [1:0], so its generic rank needs no Smith form; the Smith form agrees
+    # every pairing map perp scans in the n <= 24 sweep with the witnesses
+    # dropped has full rank at [1:0], so its generic rank needs no Smith
+    # form; the Smith form agrees
     scanned = []
 
     def collect(m):
@@ -277,6 +289,7 @@ def test_perp_reads_each_generic_rank_at_one_point(field, monkeypatch):
         return kernel_free(m)
 
     monkeypatch.setattr(sheaves, "kernel_free", collect)
+    drop_perp_witnesses(monkeypatch)
     assert sweep_consistent(run_sweep(field, 2, 24, [None, "symmetric", "skew"]))
     assert scanned
     for m in scanned:
@@ -432,18 +445,20 @@ def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_a_stage_that_raises_is_computed_again(monkeypatch, error):
-    # the skew cubic and R3 blocks' low chunks are the perps left to compute
+    # the skew cubic block's lift witness check, the one block stage of
+    # the skew sweep that reads perp(low)/top from neither a shape nor an
+    # E(2a, 2b) witness
     plain = run_sweep(QQ, 2, 10, ["skew"])
-    original = verify.perp
+    original = verify._lifted_quotient
     calls = []
 
-    def fails_once(e, beta):
-        calls.append((e.gen, beta))
+    def fails_once(e, top, beta, p, lift):
+        calls.append((e.gen, top.gen, beta, p, lift))
         if len(calls) == 1:
             raise error("stage failed")
-        return original(e, beta)
+        return original(e, top, beta, p, lift)
 
-    monkeypatch.setattr(verify, "perp", fails_once)
+    monkeypatch.setattr(verify, "_lifted_quotient", fails_once)
     rows = run_sweep(QQ, 2, 10, ["skew"])
     assert sum(row != want for row, want in zip(rows, plain)) == 1
     assert calls.count(calls[0]) == 2  # the key comes back and is computed again
@@ -464,6 +479,7 @@ def test_a_sweep_scans_each_distinct_perp_once(monkeypatch):
 
     monkeypatch.setattr(verify, "perp", perp)
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    drop_perp_witnesses(monkeypatch)  # else no block asks for a perp
     run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
     assert len(perps) == len(set(perps))
     # the perp of an empty chunk is its whole block and scans nothing
@@ -490,6 +506,7 @@ def test_a_sweep_computes_each_distinct_block_quotient_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_perp_over_top", perp_over_top)
     monkeypatch.setattr(verify, "quotient_type", quotient_type)
+    drop_perp_witnesses(monkeypatch)  # else no block asks for a quotient
     run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
     assert len(quotients) == len(set(quotients)) > 0
 
@@ -797,11 +814,13 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
     for fam in sweep_families(QQ, 16):
         rule = (fam.flavor, len(fam.members))
         certify(fam)
-    # the E(2a, 2b) blocks read perp/top from their witnesses and lift
-    # nothing (166 solves without them, 93 with them); neither does a block
-    # answered by its shape, an empty chunk or the symmetric cubic block's
-    # Lagrangian top chunk.  These are the skew cubic and R3 blocks' lifts
-    assert len(solves) == 32
+    # the E(2a, 2b) and skew cubic blocks read perp/top from their
+    # witnesses and lift nothing (166 solves without the E(2a, 2b)
+    # witnesses, 93 with them, 32 before the skew cubic witness and the R3
+    # block's shape rule); neither does a block answered by its shape: an
+    # empty chunk, the symmetric cubic block's Lagrangian top chunk or the
+    # R3 block's low chunk
+    assert len(solves) == 0
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
 
@@ -949,14 +968,15 @@ def assert_blocks(fam, coords, with_columns):
 
 def test_a_column_across_two_gram_blocks_merges_them():
     # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes; the
-    # identity filler on coordinates 4 and 5 holds no member column
+    # identity filler on coordinates 4 and 5 holds no member column, so
+    # its two Gram blocks are one orthogonal block
     pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
     low = Subbundle.zero(QQ, trivial_frame(6))
     mid_col = (-1, [T0, ZERO1, T1] + [ZERO1] * 3)
     mid = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(6), [mid_col]))
     top = constant_span(6, unit(6, 0), unit(6, 2))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
-    assert_blocks(fam, [(0, 1, 2, 3), (4,), (5,)], [True, False, False])
+    assert_blocks(fam, [(0, 1, 2, 3), (4, 5)], [True, False])
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert cert.flag_quotients == (st(), st(-1), st(1))
@@ -1023,20 +1043,30 @@ def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_witness_quotients_to_24_equal_perp_and_quotient_type(field):
     # every E(2a, 2b) block of every n <= 24 family, the small E(1,2)
-    # blocks included; each distinct block is checked once
+    # blocks included; each distinct block is checked once.  The skew
+    # cubic block's witness speaks of its low chunk (see below)
     seen = set()
     for fam in sweep_families(field, 24):
         blocks = [b for b in verify._blocks(fam) if b.witness] if fam.flavor else []
         assert len(blocks) == len(fam.perps), (fam.case, fam.n, fam.k)
         for b in blocks:
             top = b.chunks[-1]
+            if is_skew_cubic_block(fam, b):
+                assert not verify._witness_holds(top, b.pairing, *b.witness)
+                continue
             key = (top.gen, b.pairing, *b.witness)
             if key not in seen:
                 seen.add(key)
                 oracle = sheaves.quotient_type(top, sheaves.perp(top, b.pairing))
-                found = verify._witnessed_quotient(top, b.pairing, *b.witness)
+                assert verify._witness_holds(top, b.pairing, *b.witness)
+                found = verify._witnessed_quotient(b.witness[1])
                 assert found == oracle, (fam.case, fam.n, fam.k)
     assert len(seen) == 52
+
+
+def is_skew_cubic_block(fam, b):
+    """True iff b is the cubic block of a skew case II family."""
+    return fam.flavor == "skew" and fam.case in ("IIa-skew", "IIb") and b.coords[0] == 0
 
 
 def with_big_witness(fam, psi, inner):
@@ -1129,10 +1159,10 @@ def test_a_perp_witness_needs_the_hyperbolic_gram_matrix(field):
     for flipped in (flipped_gram(fam, [0]), flipped_gram(fam, [3])):
         b = orthogonal_blocks(flipped, fam.members)[1]
         assert b.coords[0] == start
-        assert verify._witnessed_quotient(b.chunks[-1], b.pairing, *witness) is None
+        assert not verify._witness_holds(b.chunks[-1], b.pairing, *witness)
         assert verify._isotropy([b._replace(witness=witness)], 3) is None
         with pytest.raises(ValueError, match="not contained"):
-            verify._perp_over_top([b._replace(witness=witness)], -1, [None])
+            verify._perp_over_top([b._replace(witness=witness)], -1, [(False, False)])
         bad = replace(fam, pairing=flipped)
         assert certify(bad) == certify(replace(bad, perps=())) and not certify(bad).isotropy_ok
 
@@ -1140,8 +1170,9 @@ def test_a_perp_witness_needs_the_hyperbolic_gram_matrix(field):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
     # 55 kernel scans before the perp witnesses, and 3 with them; the
-    # symmetric cubic block's top chunk is Lagrangian, so the two left are
-    # the skew cubic block's low chunk and the R3 block's low chunk
+    # symmetric cubic block's top chunk is Lagrangian, the R3 block's low
+    # chunk has the rank its top chunk leaves, and the skew cubic block has
+    # a lift witness, so none is left
     scans = []
     real_kernel_free = sheaves.kernel_free
 
@@ -1151,8 +1182,7 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
 
     monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
     assert sweep_consistent(run_sweep(field, 2, 24, SWEEP_FLAVORS))
-    assert len(scans) <= 9
-    assert sorted((m.nrows, m.ncols) for m in scans) == [(1, 4), (1, 6)]
+    assert scans == []
 
 
 # ---------------------------------------------------------------------------
@@ -1170,13 +1200,19 @@ def test_blocks_answered_by_their_shape_equal_perp_and_quotient_type(field):
         if i is None:
             continue
         blocks = verify._blocks(fam)
-        known = verify._isotropy(blocks, rule.isotropic)
-        for b, found in zip(blocks, known):
+        facts = verify._isotropy(blocks, rule.isotropic)
+        for b, (isotropic, witnessed) in zip(blocks, facts):
             top, chunk = b.chunks[-1], b.chunks[i]
             if not chunk.rank:
                 answered_by = "a: empty chunk"
-            elif chunk is top and found is not None:
-                answered_by = "c: witness" if b.witness else "b: Lagrangian"
+            elif chunk is top and witnessed:
+                answered_by = "c: witness"
+            elif chunk is top and isotropic and 2 * top.rank == len(b.coords):
+                answered_by = "b: Lagrangian"
+            elif chunk.rank + top.rank == len(b.coords):
+                answered_by = "b: the rank the top leaves"
+            elif b.witness:
+                answered_by = "d: lift witness"
             else:
                 continue
             key = (top.gen, chunk.gen, b.pairing)
@@ -1184,8 +1220,133 @@ def test_blocks_answered_by_their_shape_equal_perp_and_quotient_type(field):
                 seen.add(key)
                 rules.add(answered_by)
                 oracle = sheaves.quotient_type(top, sheaves.perp(chunk, b.pairing))
-                assert verify._perp_over_top([b], i, [found]) == oracle, (fam.case, fam.n)
-    assert rules == {"a: empty chunk", "b: Lagrangian", "c: witness"}
+                found = verify._perp_over_top([b], i, [(isotropic, witnessed)])
+                assert found == oracle, (fam.case, fam.n)
+    assert rules == {
+        "a: empty chunk",
+        "b: Lagrangian",
+        "b: the rank the top leaves",
+        "c: witness",
+        "d: lift witness",
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_skew_cubic_and_r3_blocks_to_24_equal_perp_and_quotient_type(field, monkeypatch):
+    # the low chunks of the skew cubic block (case II) and of the R3 block
+    # (case IVa) of every n <= 24 family: perp/top from the lift witness
+    # and from the shape rule, with no perp, equals the oracle's
+    def refuse(e, beta):
+        raise AssertionError("perp called")
+
+    seen = {}
+    for fam in sweep_families(field, 24):
+        if fam.flavor != "skew" or fam.case not in ("IIa-skew", "IIb", "IVa"):
+            continue
+        b = verify._blocks(fam)[0]
+        low, top = b.chunks[0], b.chunks[-1]
+        shape = (4, 1, 3) if fam.case == "IVa" else (6, 1, 3)
+        assert (len(b.coords), low.rank, top.rank) == shape
+        assert (b.witness is None) == (fam.case == "IVa")
+        with monkeypatch.context() as m:
+            m.setattr(verify, "perp", refuse)
+            found = verify._perp_over_top([b], 0, verify._isotropy([b], 2))
+        oracle = sheaves.quotient_type(top, sheaves.perp(low, b.pairing))
+        assert found == oracle, (fam.case, fam.n, fam.k)
+        seen.setdefault(fam.case, set()).add((low.gen, top.gen, b.pairing))
+    assert sorted(seen) == ["IIa-skew", "IIb", "IVa"]
+    # one distinct block of each kind
+    assert len(seen["IIa-skew"] | seen["IIb"]) == 1 and len(seen["IVa"]) == 1
+
+
+def with_cubic_witness(fam, p, lift):
+    """fam with the skew cubic block's lift witness replaced by (P, L)."""
+    return replace(fam, perps=((0, (p, lift)), *fam.perps[1:]))
+
+
+def with_entry(m, i, j, form):
+    entries = [list(row) for row in m.entries]
+    entries[i][j] = form
+    return GradedMatrix(m.field, m.src, m.dst, entries)
+
+
+def p_column_doubled(fam):
+    p, lift = fam.perps[0][1]
+    return with_cubic_witness(fam, with_entry(p, 0, 0, p.entries[0][0] + p.entries[0][0]), lift)
+
+
+def p_pairing_with_g(fam):
+    # x0 in place of e0: <g, x0> = -T0^2, which the first product check,
+    # pairing_map(g) @ P = 0, refuses
+    p, lift = fam.perps[0][1]
+    one, zero = p.entries[0][0], p.entries[3][0]
+    return with_cubic_witness(fam, with_entry(with_entry(p, 0, 0, zero), 3, 0, one), lift)
+
+
+def l_entry_doubled(fam):
+    p, lift = fam.perps[0][1]
+    doubled = lift.entries[4][1] + lift.entries[4][1]
+    return with_cubic_witness(fam, p, with_entry(lift, 4, 1, doubled))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("corrupt", [p_column_doubled, p_pairing_with_g, l_entry_doubled])
+def test_a_refused_lift_witness_falls_back_to_the_kernel_scan(field, corrupt, monkeypatch):
+    scans = []
+    real_kernel_free = sheaves.kernel_free
+
+    def kernel_free(m):
+        scans.append(m)
+        return real_kernel_free(m)
+
+    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    for n, k in [(6, 2), (14, 4), (20, 8)]:
+        fam = build_isotropic(field, n, k, "skew")
+        assert fam.case in ("IIa-skew", "IIb") and fam.perps[0][0] == 0
+        bad = corrupt(fam)
+        b = verify._blocks(bad)[0]
+        assert verify._lifted_quotient(b.chunks[0], b.chunks[-1], b.pairing, *b.witness) is None
+        plain = certify(fam)
+        assert plain.very_twisting and not scans
+        assert certify(bad) == plain == certify(replace(fam, perps=fam.perps[1:])), (n, k)
+        # the cubic block's low chunk, and only it, is scanned
+        assert [(m.nrows, m.ncols) for m in scans] == [(1, 6)] * 2, (n, k)
+        del scans[:]
+
+
+def top_column_replaced(fam, j, column):
+    top = fam.members[-1].gen
+    cols = [column if i == j else top.column(i) for i in range(top.ncols)]
+    top = Subbundle(GradedMatrix.from_columns(top.field, top.dst, cols))
+    return replace(fam, members=(*fam.members[:-1], top), inclusions=())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_a_top_not_orthogonal_to_the_low_chunk_is_refused_as_the_oracle_refuses(field):
+    # the skew cubic block with f2 = T1 x1 + T0 x2, <g, f2> = T0 T1^2, and
+    # the R3 block with col_a = e1 + x1, <e1, col_a> = 2 T0 T1: each top
+    # chunk is everywhere injective and holds the mid chunk, but does not
+    # lie in perp(low); the lift witness and the shape rule both refuse
+    t0, t1 = BinaryForm.monomial(field, 1, 0), BinaryForm.monomial(field, 1, 1)
+    z1 = BinaryForm.zero(field, 1)
+    one, z0 = BinaryForm.constant(field, 1), BinaryForm.zero(field, 0)
+    cubic = top_column_replaced(
+        build_isotropic(field, 6, 2, "skew"), 2, (-1, [z1, z1, z1, z1, t1, t0])
+    )
+    r3 = top_column_replaced(build_isotropic(field, 4, 2, "skew"), 0, (0, [z0, one, z0, one]))
+    for bad in (cubic, r3):
+        b = verify._blocks(bad)[0]
+        low, top = b.chunks[0], b.chunks[-1]
+        assert not verify._annihilates(low, top.gen, b.pairing)
+        if b.witness:
+            assert verify._lifted_quotient(low, top, b.pairing, *b.witness) is None
+        cert = certify(bad)
+        assert cert == whole_member_certify(bad) == certify(replace(bad, perps=()))
+        assert_refused(
+            cert,
+            "top member is not annihilated by the bottom member",
+            (False, True, False, False, False),
+        )
 
 
 @pytest.mark.parametrize("flavor", ["symmetric", "skew"])
@@ -1228,8 +1389,9 @@ def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
     blocks = orthogonal_blocks(pairing, fam.members)
     assert [b.coords for b in blocks] == [(0, 3), (1, 2, 4, 5)]
-    assert verify._isotropy(blocks, 3) == [st(), None]
-    assert verify._perp_over_top(blocks, -1, [st(), None]) == st(0, 0)
+    facts = verify._isotropy(blocks, 3)
+    assert facts == [(True, False), (True, False)]
+    assert verify._perp_over_top(blocks, -1, facts) == st(0, 0)
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert cert.tev_pieces[0] == cert.flag_quotients[2].dual().tensor(st(0, 0))
