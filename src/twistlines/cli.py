@@ -86,19 +86,20 @@ def _cert_text(cert) -> str:
     return "\n".join(lines)
 
 
-def _flavor_of(args):
-    if args.classical:
-        return None
-    if args.symmetric:
-        return "symmetric"
-    if args.skew:
-        return "skew"
-    raise _UsageError("choose one of --classical / --symmetric / --skew")
+_FLAVOR_FLAGS = (("classical", None), ("symmetric", "symmetric"), ("skew", "skew"))
+
+
+def _flavors(args) -> list:
+    """The flavors whose flags are set, in flag order."""
+    return [flavor for flag, flavor in _FLAVOR_FLAGS if getattr(args, flag)]
 
 
 def cmd_check(args) -> int:
     field = _parse_field(args.field, _binom_bound_for_dim(args.n))
-    flavor = _flavor_of(args)
+    flavors = _flavors(args)
+    if len(flavors) != 1:
+        raise _UsageError("choose one of --classical / --symmetric / --skew")
+    flavor = flavors[0]
     try:
         fam = build_family(field, args.n, args.k, flavor)
     except ExceptionalCaseError as exc:
@@ -127,15 +128,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     field = _parse_field(args.field, _binom_bound_for_dim(args.n_max))
-    flavors = []
-    if args.classical:
-        flavors.append(None)
-    if args.symmetric:
-        flavors.append("symmetric")
-    if args.skew:
-        flavors.append("skew")
-    if not flavors:
-        flavors = [None, "symmetric", "skew"]
+    flavors = _flavors(args) or [flavor for _, flavor in _FLAVOR_FLAGS]
     rows = run_sweep(field, args.n_min, args.n_max, flavors, jobs=args.jobs)
     verified = sum(1 for r in rows if r.status == "very-twisting")
     exceptional = sum(1 for r in rows if r.status == "exceptional")
@@ -241,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--symmetric", action="store_true")
     p_sweep.add_argument("--skew", action="store_true")
     p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (capped by CPUs and cases)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (capped by CPUs and by case groups, one per flavor and n//2)",
     )
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -12,7 +12,7 @@ falsy, and the nonzero terms of a form (which also give its zero flag) are
 read by ``itertools.compress`` on first use and kept, the form being
 immutable.  The public constructor reduces its coefficients with
 ``field.of``; results that are reduced already (products, graded products,
-pairing maps, solved coordinates) are built unchecked by
+solved coordinates) are built unchecked by
 ``BinaryForm._valid``.  Form arithmetic computes on the native scalars with
 Python's operators and reduces each result once (``field.reduce_all``);
 the product convolves both factors' kept terms.

@@ -22,11 +22,10 @@ whose rank is the same at every point, as does ``twist``.  Profiles
 compose: ``direct_sum`` keeps one when each block has one,
 ``pullback_power`` keeps its argument's, a product of two everywhere-
 injective factors is everywhere injective, and ``identity`` carries its
-own, each proved where it is made; so a
+own, as ``sheaves.pairing_map`` does, each proved where it is made; so a
 matrix assembled from profiled blocks needs no Smith form of its own, and
-``_rank_profile`` is the fallback and the oracle.  A generic rank alone is
-read at one point where that point proves it (``generic_rank``), with the
-profile's Smith form as the fallback.
+``_rank_profile`` is the fallback and the oracle.  Every rank, generic
+rank included, is read from a kept profile or that Smith form.
 """
 
 from typing import NamedTuple
@@ -375,31 +374,14 @@ class GradedMatrix:
         diagonalization over the univariate polynomial ring (elementary
         operations preserve determinantal divisors), together with a
         full-rank check at the one remaining point [1:0].  The profile is
-        computed once per matrix and kept.  It is the oracle and the
-        fallback of ``generic_rank``.
+        computed once per matrix and kept; a matrix built with a proved
+        profile (see the module docstring) keeps that one and runs no
+        Smith form.
         """
         profile = self._profile
         if profile is None:
             profile = self._profile = self._rank_profile()
         return profile
-
-    def generic_rank(self) -> int:
-        """The rank over the function field, from one point where it can be.
-
-        Every minor of size r + 1 vanishes identically when the generic
-        rank is r, so the rank at any point is at most the generic rank,
-        which is at most min(nrows, ncols).  So a rank at [1:0] equal to
-        that minimum is the generic rank, and no Smith form is needed.
-        A kept profile answers first; a short rank at [1:0] falls back to
-        ``rank_everywhere``.
-        """
-        profile = self._profile
-        if profile is not None:
-            return profile.generic_rank
-        full = min(len(self.src), len(self.dst))
-        if not full or linalg.rank(self.field, self.value_at_infinity(), len(self.src)) == full:
-            return full
-        return self.rank_everywhere().generic_rank
 
     def _rank_profile(self) -> RankProfile:
         if not self.src or not self.dst:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .forms import BinaryForm
-from .frames import GradedMatrix
+from .frames import GradedMatrix, RankProfile
 
 __all__ = [
     "SplittingType",
@@ -135,6 +135,20 @@ class Pairing:
         if h is None:
             h = self.__dict__["_hash"] = hash(self.matrix)
         return h
+
+    def _gram(self) -> GradedMatrix:
+        """The Gram matrix as a constant GradedMatrix on the trivial frame,
+        kept after the first call as the hash is; not a field, so equality
+        and the hash do not see it."""
+        g = self.__dict__.get("_gram_matrix")
+        if g is None:
+            f, frame, zero = self.field, (0,) * self.dim, BinaryForm.zero(self.field)
+            rows = tuple(
+                tuple(BinaryForm._valid(f, 0, (b,)) if b else zero for b in row)
+                for row in self.matrix
+            )
+            g = self.__dict__["_gram_matrix"] = GradedMatrix._valid(f, frame, frame, rows)
+        return g
 
     @property
     def dim(self) -> int:
@@ -376,15 +390,13 @@ def kernel_free(m: GradedMatrix) -> Subbundle:
     generators with T0 u and T1 u in their span, hence dependent ones,
     which the rank at [1:0] shows.
 
-    The scan needs only m's generic rank (``GradedMatrix.generic_rank``),
-    read at [1:0] where m has full rank there.  A pairing map of a
-    subbundle E does, at every point: its rows are E's generators paired by
-    a nondegenerate beta, independent wherever E's generators are.  So
-    ``perp`` runs no Smith form.
+    The scan needs m's generic rank, read from its rank profile
+    (``rank_everywhere``).  A pairing map keeps its profile
+    (``pairing_map``), so ``perp`` runs no Smith form.
     """
     f, src = m.field, m.src
     cols = []  # generator columns (twist, forms), in order of degree
-    for n, g, null in _hilbert_scan(m, m.generic_rank(), True):
+    for n, g, null in _hilbert_scan(m, m.rank_everywhere().generic_rank, True):
         span = GradedMatrix.from_columns(f, src, cols).sparse_piece(n)
         rows, k = span.matrix, span.ncols
         for col, v in enumerate(null, k):
@@ -457,30 +469,23 @@ def _lift_quotient_type(lift: GradedMatrix) -> SplittingType:
 
 
 def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
-    """The map ambient -> dual of e's frame sending x to beta(gen_j, x)_j.
+    """The map ambient -> dual of e's frame sending x to beta(gen_j, x)_j:
+    e's transposed dual generator times beta's Gram matrix (``Pairing._gram``).
 
-    Each nonzero generator entry gen[k][j] is scattered, times beta[k][i],
-    into entry (j, i) for the nonzero entries of the (sparse) Gram row k.
-    Row j's entries have degree -twist_j, which the frames require, so the
-    matrix is built unchecked.
+    It keeps the profile (rank e, True).  Proof: at a point its rows are
+    the functionals x -> beta(v_j, x) of the values v_j of e's generators
+    there, which are independent, e's generator being everywhere
+    injective; beta is nondegenerate, so v -> beta(v, .) is injective and
+    the rows are independent at every point.
     """
-    f = e.field
     amb = e.ambient
     if len(amb) != beta.dim:
         raise ValueError("pairing dimension does not match the ambient frame")
     if any(amb):
         raise ValueError("a pairing needs a trivial ambient frame")
-    gram = [[(i, b) for i, b in enumerate(row) if b] for row in beta.matrix]
-    rows = []
-    for tw, nonzero in zip(e.gen.src, e.gen.support()):
-        accs = [[0] * max(0, 1 - tw) for _ in amb]
-        for k, terms in nonzero:
-            for i, b in gram[k]:
-                acc = accs[i]
-                for s, c in terms:
-                    acc[s] += b * c
-        rows.append(tuple(BinaryForm._valid(f, -tw, f.reduce_all(acc)) for acc in accs))
-    return GradedMatrix._valid(f, amb, tuple(-tw for tw in e.gen.src), tuple(rows))
+    m = e.gen.transpose_dual() @ beta._gram()
+    m._profile = RankProfile(e.rank, True)
+    return m
 
 
 class Block(NamedTuple):
@@ -584,10 +589,7 @@ def perp(e: Subbundle, beta: Pairing) -> Subbundle:
 
 
 def is_isotropic(e: Subbundle, beta: Pairing) -> bool:
-    if e.rank == 0:
-        return True
-    product = pairing_map(e, beta) @ e.gen
-    return product.is_zero()
+    return e.rank == 0 or (pairing_map(e, beta) @ e.gen).is_zero()
 
 
 def same_subsheaf(e1: Subbundle, e2: Subbundle) -> bool:

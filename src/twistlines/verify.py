@@ -548,7 +548,7 @@ def verify_claim_ses(field, a: int, b: int) -> SesReport:
     """Check exactness of the phi/psi pair: psi phi = 0, phi everywhere
     injective, psi everywhere surjective, and ker psi = im phi.
 
-    All but the first are certified from psi's rank profile alone where
+    The last is certified from phi's and psi's rank profiles alone where
     the matrices allow it.  Lemma: if psi is everywhere surjective, psi phi
     = 0, phi has generic rank phi.ncols, and phi.ncols and sum(phi.src) are
     the rank and degree of K = ker psi, then im phi = K and phi is
@@ -561,30 +561,30 @@ def verify_claim_ses(field, a: int, b: int) -> SesReport:
     deg K - deg im phi = 0, so im phi = K.  phi is thus an isomorphism onto
     the subbundle K, injective on the fiber at every point.
 
-    Then ``injective`` is phi.ncols == a, ``kernel_matches`` holds (K has
-    phi's source frame as its type and contains every column of phi), and
-    ``surjective`` is read from psi's profile.  Each condition is read from
-    the matrices, not from (a, b).  phi's generic rank is read at [1:0],
-    where the binomial phi has full column rank, and psi keeps the profile
-    ``build_phi_psi`` proves for it, so an exact report runs no Smith form.
+    ``injective`` and ``surjective`` are read from phi's and psi's
+    profiles, and ``kernel_matches`` holds where the lemma's conditions,
+    read from the matrices and not from (a, b), do.  ``build_phi_psi``
+    proves psi's profile, and phi's wherever its binomial coefficients are
+    nonzero in the field, so an exact report there runs no Smith form.
 
-    Otherwise phi's profile gives ``injective``, and ker psi comes from the
-    Hilbert-function scan (``kernel_free``) and must have phi's source
-    frame as its type; if the composite is zero, every column of phi must
-    also lift through it (``sub_lift``).
+    Otherwise ker psi comes from the Hilbert-function scan
+    (``kernel_free``) and must have phi's source frame as its type; if the
+    composite is zero, every column of phi must also lift through it
+    (``sub_lift``).
     """
     phi, psi = build_phi_psi(field, a, b)
     composite_zero = (psi @ phi).is_zero()
-    surjective = psi.rank_everywhere() == (b - a, True)
+    phi_profile, psi_profile = phi.rank_everywhere(), psi.rank_everywhere()
+    injective = phi_profile == (a, True)
+    surjective = psi_profile == (b - a, True)
     if (
         composite_zero
-        and psi.rank_everywhere() == (psi.nrows, True)
+        and psi_profile == (psi.nrows, True)
         and phi.ncols == psi.ncols - psi.nrows
         and sum(phi.src) == sum(psi.src) - sum(psi.dst)
-        and phi.generic_rank() == phi.ncols
+        and phi_profile.generic_rank == phi.ncols
     ):
-        return SesReport(a, b, composite_zero, phi.ncols == a, surjective, True)
-    injective = phi.rank_everywhere() == (a, True)
+        return SesReport(a, b, composite_zero, injective, surjective, True)
     ker = kernel_free(psi)
     kernel_matches = ker.type == SplittingType(phi.src)
     if kernel_matches and composite_zero:
@@ -672,30 +672,32 @@ def _sweep_group(tasks):
 def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
     """Certify every case in range; rows come back in deterministic order.
 
-    With more than one worker, the cases of one (flavor, n // 2) are one
-    task, so they share one worker's memo: the big block's b is fixed by
+    The cases of one (flavor, n // 2) are one task, so with more than one
+    worker they share one worker's memo: the big block's b is fixed by
     n // 2 and the case row.  The tasks go out with the largest n, the
-    slowest, first, and the rows are put back in sweep order.
+    slowest, first, and the rows are put back in sweep order.  The pool
+    has at most one worker per task; with one, the tasks run in this
+    process, in the same order, under one memo.
     """
     points = sweep_points(n_min, n_max, flavors)
-    tasks = [(field, flavor, n, k) for flavor, n, k in points]
-    workers = pool_size(jobs, len(tasks), os.cpu_count())
+    groups = {}
+    for flavor, n, k in points:
+        groups.setdefault((flavor, n // 2), []).append((field, flavor, n, k))
+    order = sorted(groups.values(), key=lambda group: -group[-1][2])
+    workers = pool_size(jobs, len(order), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        groups = {}
-        for task in tasks:
-            groups.setdefault((task[1], task[2] // 2), []).append(task)
-        order = sorted(groups.values(), key=lambda group: -group[-1][2])
         with ProcessPoolExecutor(workers, initializer=_set_memo, initargs=({},)) as pool:
-            done = [row for rows in pool.map(_sweep_group, order) for row in rows]
-        by_point = {(row.flavor, row.n, row.k): row for row in done}
-        return [by_point[point] for point in points]
-    _set_memo({})
-    try:
-        return [_sweep_one(t) for t in tasks]
-    finally:
-        _set_memo(None)
+            done = list(pool.map(_sweep_group, order))
+    else:
+        _set_memo({})
+        try:
+            done = list(map(_sweep_group, order))
+        finally:
+            _set_memo(None)
+    by_point = {(row.flavor, row.n, row.k): row for rows in done for row in rows}
+    return [by_point[point] for point in points]
 
 
 def sweep_consistent(rows) -> bool:

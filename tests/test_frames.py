@@ -453,44 +453,6 @@ def test_native_diagonalization_matches_the_generic_reference(m):
         assert_canonical(f, d)
 
 
-def times_t1(m):
-    """m with every entry times T1 (its source twists one lower): the value
-    at [1:0] is zero, so its rank there is short of min(nrows, ncols)."""
-    f = m.field
-    t1 = BinaryForm.monomial(f, 1, 1)
-    src = tuple(a - 1 for a in m.src)
-    rows = [
-        [t1 if i == j else BinaryForm.zero(f, a - b) for j, b in enumerate(src)]
-        for i, a in enumerate(m.src)
-    ]
-    return m @ GradedMatrix(f, src, m.src, rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(mixed_graded_matrices(), st.booleans())
-def test_generic_rank_matches_the_reference(m, shorten):
-    # a full rank at [1:0] answers with no Smith form; a short one (always,
-    # when every entry is divisible by T1) falls back to rank_everywhere
-    if shorten:
-        m = times_t1(m)
-    expected = reference_rank_profile(m).generic_rank
-    full = min(m.nrows, m.ncols)
-    at_infinity = linalg.rank(m.field, m.value_at_infinity(), m.ncols)
-    assert m.generic_rank() == expected
-    assert (m._profile is None) == (at_infinity == full)
-    if shorten and full:
-        assert m._profile is not None
-    assert m.generic_rank() == m.rank_everywhere().generic_rank == expected
-
-
-def test_generic_rank_reads_a_kept_profile():
-    # the Smith form's answer is kept and read back, whatever the point says
-    m = times_t1(coords_column())
-    assert m.rank_everywhere() == (1, False)
-    assert m.generic_rank() == 1
-    assert GradedMatrix.zero(QQ, (), (0, 0)).generic_rank() == 0
-
-
 @st.composite
 def polynomial_pairs(draw):
     field = draw(st.sampled_from(ALL_FIELDS))

@@ -145,6 +145,22 @@ def test_a_pairing_keeps_its_hash():
         assert built != Pairing.diagonal_ones(field, 6)
 
 
+def test_a_pairing_keeps_its_gram_matrix_out_of_equality_and_hash():
+    # the constant Gram matrix pairing_map multiplies by is built once and
+    # kept, and a pairing that keeps it compares, hashes and pickles as one
+    # that does not
+    for field in (QQ, PrimeField(7)):
+        built, plain = Pairing.hyperbolic(field, 3, "skew"), Pairing.hyperbolic(field, 3, "skew")
+        gram = built._gram()
+        assert built._gram() is gram and "_gram_matrix" not in plain.__dict__
+        assert gram.src == gram.dst == (0,) * 6
+        assert gram.value_at_infinity() == [list(row) for row in built.matrix]
+        assert built == plain and hash(built) == hash(plain)
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == plain and hash(copy) == hash(plain) and copy._gram() == gram
+        assert len({built: 1, plain: 2, copy: 3}) == 1
+
+
 def test_pairing_entries_are_reduced_into_the_field():
     gf7 = PrimeField(7)
     assert Pairing("skew", ((0, 1), (-1, 0)), gf7).matrix == ((0, 1), (6, 0))
@@ -701,6 +717,9 @@ def test_native_pairing_map_matches_the_form_arithmetic_reference(case):
     for row in pm.entries:
         for form in row:
             assert_canonical(e.field, form.coeffs)
+    if e.gen.rank_everywhere() == (e.rank, True):  # a subbundle: the kept profile holds
+        fresh = GradedMatrix(pm.field, pm.src, pm.dst, pm.entries)
+        assert pm._profile == fresh.rank_everywhere() == (e.rank, True)
 
 
 def test_pairing_map_needs_a_trivial_ambient():

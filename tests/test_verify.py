@@ -261,9 +261,8 @@ def test_phi_times_t0_fails_only_the_degree_condition(field):
         assert (psi @ phi).is_zero()
         assert psi.rank_everywhere() == (psi.nrows, True)
         assert phi.ncols == psi.ncols - psi.nrows
-        assert phi.generic_rank() == phi.ncols
         assert sum(phi.src) == sum(psi.src) - sum(psi.dst) - 1
-        assert not phi.rank_everywhere().constant
+        assert phi.rank_everywhere() == (phi.ncols, False)
 
 
 def drop_perp_witnesses(monkeypatch):
@@ -278,10 +277,10 @@ def drop_perp_witnesses(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
-def test_perp_reads_each_generic_rank_at_one_point(field, monkeypatch):
+def test_every_pairing_map_perp_scans_keeps_its_smith_form_profile(field, monkeypatch):
     # every pairing map perp scans in the n <= 24 sweep with the witnesses
-    # dropped has full rank at [1:0], so its generic rank needs no Smith
-    # form; the Smith form agrees
+    # dropped keeps the profile pairing_map proves, and a fresh Smith form
+    # of its entries agrees
     scanned = []
 
     def collect(m):
@@ -293,11 +292,9 @@ def test_perp_reads_each_generic_rank_at_one_point(field, monkeypatch):
     assert sweep_consistent(run_sweep(field, 2, 24, [None, "symmetric", "skew"]))
     assert scanned
     for m in scanned:
-        assert m._profile is None
         fresh = GradedMatrix(m.field, m.src, m.dst, m.entries)
-        assert fresh.generic_rank() == m.nrows
         assert fresh._profile is None
-        assert fresh.rank_everywhere().generic_rank == m.nrows
+        assert m._profile == fresh.rank_everywhere() == (m.nrows, True)
 
 
 def test_sweep_to_8_matches_exceptional_list():
@@ -555,6 +552,22 @@ def test_pool_size_clamps_to_cpus_and_tasks():
     assert pool_size(16, 3, 8) == 3
     assert pool_size(4, 100, None) == 1
     assert pool_size(4, 0, 8) == 1
+
+
+def test_a_one_group_sweep_starts_no_pool(monkeypatch):
+    # n = 8 and 9 classical are one (flavor, n // 2) group, so --jobs 2 has
+    # one task and runs it in this process, with the serial rows
+    import concurrent.futures
+
+    serial = run_sweep(QQ, 8, 9, [None])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-group sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    assert run_sweep(QQ, 8, 9, [None], jobs=2) == serial
+    assert [(r.n, r.k) for r in serial] == [(n, k) for n in (8, 9) for k in range(1, 5)]
 
 
 def test_psi_degree_matches_quotient_degrees():
