@@ -16,6 +16,10 @@ block, pulled back by a finite cover in cases I-III, and a filler with no
 columns.  A row names the small block, its columns in each lower member,
 and (a, b) as a function of l = k // 2 and m = n // 2; ``_isotropic``
 builds every row the same way, and ``build_isotropic`` picks the row.
+The pairing is ``Pairing.orthogonal_sum`` of the blocks' pairings, which
+keeps them as its summands, and every member column lies in one of them:
+``verify.certify`` splits the members along those summands
+(``sheaves.orthogonal_blocks``) and runs its pairing stages on them.
 
 Each builder assembles only the top member; every lower member is given
 by its witness into the member above (``_flag``): the matrix L with

@@ -94,8 +94,8 @@ class Pairing:
     ``Pairing(...)`` reduces, tests symmetry (n^2) and eliminates (n x n).
     The constructors skip that (``_valid``) where it is proved: hyperbolic
     and identity Gram matrices are signed permutations, and a block sum of
-    valid pairings of one flavor, or a principal union of whole blocks of
-    one, keeps the flavor and has a product of nonzero determinants."""
+    valid pairings of one flavor keeps the flavor and has a product of
+    nonzero determinants.  A block sum keeps its summands (``summands``)."""
 
     flavor: str  # "symmetric" | "skew"
     matrix: tuple  # n x n Gram matrix, rows of scalars
@@ -175,7 +175,10 @@ class Pairing:
 
     @classmethod
     def orthogonal_sum(cls, *pairings: "Pairing") -> "Pairing":
-        pairings = [p for p in pairings if p.dim > 0]
+        """The block sum of the nonempty ``pairings``, in order, which it
+        keeps in the instance dict for ``summands``, as ``_gram`` keeps the
+        Gram matrix: equality, the hash and the fields do not see them."""
+        pairings = tuple(p for p in pairings if p.dim > 0)
         if not pairings:
             raise ValueError("empty orthogonal sum")
         f = pairings[0].field
@@ -187,7 +190,13 @@ class Pairing:
         for p in pairings:
             rows += [(f.zero,) * off + row + (f.zero,) * (n - off - p.dim) for row in p.matrix]
             off += p.dim
-        return cls._valid(flavor, rows, f)
+        total = cls._valid(flavor, rows, f)
+        total.__dict__["_summands"] = pairings
+        return total
+
+    def summands(self) -> tuple:
+        """The summands ``orthogonal_sum`` made this pairing of, else (self,)."""
+        return self.__dict__.get("_summands", (self,))
 
 
 # ---------------------------------------------------------------------------
@@ -490,82 +499,56 @@ def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
 
 class Block(NamedTuple):
     coords: tuple  # ambient coordinates of the block, ascending
-    pairing: Optional[Pairing]  # beta on coords; None if no member has a column here
+    pairing: Pairing  # beta on coords: a summand of beta, or beta itself
     chunks: tuple  # per member, its columns there: a Subbundle of O^len(coords)
     witness: object = None  # a builder's perp witness, checked before use (verify)
 
 
 def orthogonal_blocks(beta: Pairing, members) -> list:
-    """The orthogonal blocks of the ambient of ``members``, by first coordinate.
+    """The orthogonal blocks of the ambient of ``members``, in order.
 
-    A block is a connected component of the graph joining coordinates i, j
-    when beta pairs them or one member column is nonzero at both, except
-    that the components no member column lies in (a zero column goes with
-    coordinate 0) are one block, whose chunks are all empty.  A member's
-    chunk is its columns there on the block's coordinates; equal chunks of
-    a block are one object.
+    When every member column lies in one summand of beta
+    (``Pairing.summands``; a zero column goes with the first), each summand
+    is a block on its coordinates, with the summand itself as its pairing;
+    otherwise the whole ambient is one block, with beta.  A member's chunk
+    is its columns there on the block's coordinates; equal chunks of a
+    block are one object.
 
     A set S of coordinates is an orthogonal block when beta pairs no
     coordinate of S with one outside it and every member column lies in S
-    or outside it.  Each component is one, and a union of orthogonal
-    blocks is one: no coordinate of the union is paired with one outside
-    it, for it lies in one of the blocks, and a column lies in one of
-    them or outside all of them.  What follows uses only these two
-    properties, so it holds for the untouched components joined.
+    or outside it.  The Gram matrix of an orthogonal sum is block diagonal
+    by construction, so the summands are blocks when no column crosses
+    two of them; the whole ambient always is one.
 
     Why the pairing stages may run per block: beta is the orthogonal sum of
-    its (valid, see ``Pairing``) block restrictions, and a member E is the
-    sum of its chunks E_B.  So E is isotropic iff each E_B is; a perp is a
-    direct sum over blocks (x is orthogonal to E iff each block part x_B is
-    to E_B), and ``perp`` of an empty chunk is the whole block; for F in
-    E^perp the lift of F into E^perp is block diagonal, so E^perp/F is the
-    union of the block quotients E_B^perp/F_B.  A chunk of an everywhere-
-    injective member is everywhere injective (independent columns stay so,
-    the dropped rows being zero), and its entries are the member's, so neither is checked.
-
-    The components come from one union-find pass over the Gram rows and
-    the column supports; coordinates taken in ascending order then meet
-    the blocks in the order of their first coordinates."""
+    the blocks' pairings, and a member E is the sum of its chunks E_B.  So E
+    is isotropic iff each E_B is; a perp is a direct sum over blocks (x is
+    orthogonal to E iff each block part x_B is to E_B), and ``perp`` of an
+    empty chunk is the whole block; for F in E^perp the lift of F into
+    E^perp is block diagonal, so E^perp/F is the union of the block
+    quotients E_B^perp/F_B.  A chunk of an everywhere-injective member is
+    everywhere injective (independent columns stay so, the dropped rows
+    being zero), and its entries are the member's, so neither is checked."""
     n = beta.dim
     if any(m.ambient != (0,) * n for m in members):
         raise ValueError("a pairing needs a trivial ambient frame of its dimension")
+    summands = beta.summands()
+    owner = [s for s, p in enumerate(summands) for _ in range(p.dim)]  # per coordinate
     supports = [m.gen.support() for m in members]
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def join(group):
-        r = root(group[0])
-        for i in group[1:]:
-            parent[root(i)] = r
-
-    for i, row in enumerate(beta.matrix):
-        join([i] + [j for j, b in enumerate(row) if b])
-    for sup in supports:
-        for c in sup:
-            if c:
-                join([i for i, _ in c])
-    touched = {root(c[0][0] if c else 0) for sup in supports for c in sup}
-    untouched = [i for i in range(n) if root(i) not in touched]
-    if untouched:
-        join(untouched)
-    coords_of = {}  # root -> coordinates, ascending, by first coordinate
-    label = [root(i) for i in range(n)]
-    for i, r in enumerate(label):
-        coords_of.setdefault(r, []).append(i)
-    columns_of = [{r: [] for r in coords_of} for _ in members]
-    for columns, sup in zip(columns_of, supports):
-        for j, c in enumerate(sup):
-            columns[label[c[0][0] if c else 0]].append(j)
-    f, blocks = beta.field, []
-    for block, coords in coords_of.items():
-        coords, chunks = tuple(coords), []
-        for m, columns in zip(members, columns_of):
-            js = columns[block]
+    homes = [[owner[c[0][0]] if c else 0 for c in sup] for sup in supports]  # per column
+    if any(
+        owner[i] != s
+        for sup, home in zip(supports, homes)
+        for c, s in zip(sup, home)
+        for i, _ in c
+    ):
+        summands, homes = (beta,), [[0] * len(sup) for sup in supports]
+    f, blocks, start = beta.field, [], 0
+    for s, pairing in enumerate(summands):
+        coords, chunks = tuple(range(start, start + pairing.dim)), []
+        start += pairing.dim
+        for m, home in zip(members, homes):
+            js = [j for j, h in enumerate(home) if h == s]
             src = tuple([m.gen.src[j] for j in js])
             rows = tuple(tuple([m.gen.entries[i][j] for j in js]) for i in coords)
             same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
@@ -573,10 +556,6 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
                 chunk = GradedMatrix._valid(f, src, (0,) * len(coords), rows)
                 same = [Subbundle(chunk, check=False)]
             chunks.append(same[0])
-        pairing = None
-        if any(e.rank for e in chunks):
-            gram = [[beta.matrix[i][j] for j in coords] for i in coords]
-            pairing = Pairing._valid(beta.flavor, gram, f)
         blocks.append(Block(coords, pairing, tuple(chunks)))
     return blocks
 

@@ -27,22 +27,23 @@ is found by elimination (``quotient_type``), so a witness can cost time but
 never change a verdict or a note.
 
 The pairing stages (isotropy, perps and the quotient of a perp by the top)
-run per block of ``sheaves.orthogonal_blocks``: a member is a direct sum of
-chunks, one per orthogonal block, so isotropy holds iff it does on each
-chunk, a perp is the sum of the chunks' perps, and perp/top is the union of
-the block quotients (proved there), each one ``quotient_type`` of the top
-chunk in its block's perp.  A block may have a witness for that
-quotient, as a member inclusion does (``FlagFamily.perps``).  An
-E_{2a,2b} block's is the builder's (psi', inner): once ``_witness_holds``
-has checked it, in the isotropy step, it proves the top chunk isotropic,
-and perp/top is one cokernel scan of inner, run only when a rule asks
-for it.  The skew cubic block's is (P, L), a basis of its low chunk's
-perp and the top's lift into it, checked by ``_lifted_quotient``.
-Neither needs a kernel scan or a lift; the lemmas are in
-``_perp_over_top``.  A refused witness falls back to ``is_isotropic``,
-``perp`` and ``quotient_type``.  A block whose chunk is empty, or whose
-chunk pairs to zero with the top chunk and has the rank the top chunk
-leaves, has its perp/top by its shape.
+run per block of ``sheaves.orthogonal_blocks``, the summands the builder
+added to the pairing, each with the summand itself as its pairing: a
+member is a direct sum of chunks, one per orthogonal block, so isotropy
+holds iff it does on each chunk, a perp is the sum of the chunks' perps,
+and perp/top is the union of the block quotients (proved there), each one
+``quotient_type`` of the top chunk in its block's perp.  A block may have
+a witness for that quotient, as a member inclusion does
+(``FlagFamily.perps``).  An E_{2a,2b} block's is the builder's (psi',
+inner): once ``_witness_holds`` has checked it, in the isotropy step, it
+proves the top chunk isotropic, and perp/top is one cokernel scan of
+inner, run only when a rule asks for it.  The skew cubic block's is (P,
+L), a basis of its low chunk's perp and the top's lift into it, checked
+by ``_lifted_quotient``.  Neither needs a kernel scan or a lift; the
+lemmas are in ``_perp_over_top``.  A refused witness falls back to
+``is_isotropic``, ``perp`` and ``quotient_type``.  A block whose chunk is
+empty, or whose chunk pairs to zero with the top chunk and has the rank
+the top chunk leaves, has its perp/top by its shape.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``),
 and computes each of its block stages (isotropy, the witness checks, the
@@ -469,8 +470,9 @@ def certify(fam: FlagFamily) -> Certificate:
     (skew) the top inside perp(low), nesting, then the types.  The first
     failure gives a refusal certificate with its note.
 
-    The pairing stages run per block of ``orthogonal_blocks``, which
-    proves them equal to the whole-member ones, on the members' chunks
+    The pairing stages run per block of ``orthogonal_blocks`` (the
+    pairing's summands, or the whole ambient if a column crosses two),
+    which proves them equal to the whole-member ones, on the members' chunks
     (equal ones once); perp/top is the union of the block quotients
     (``_perp_over_top``).  No stage runs whose answer a checked fact
     already decides.  An E_{2a,2b} block's perp witness, checked once in

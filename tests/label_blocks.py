@@ -1,13 +1,15 @@
-"""The label-merging block split that ``sheaves.orthogonal_blocks``
-replaced with a union-find pass, kept as a test reference.
+"""A label-merging block split, kept as the test oracle for the summand
+split of ``sheaves.orthogonal_blocks``.
 
-This is the earlier routine, unchanged: every coordinate starts with its
-own label, and each Gram row and each member column merges the labels it
-touches into their least, rewriting the whole label list per group.  The
-union-find pass must give exactly its blocks, once ``fold_untouched``
-has joined those that hold no member column into one: the same
-coordinates, pairings and chunk generators, with the same chunks shared
-as one object.
+It finds the orthogonal blocks from the Gram matrix and the member columns
+alone, with no knowledge of how the pairing was built: every coordinate
+starts with its own label, and each Gram row and each member column merges
+the labels it touches into their least, rewriting the whole label list per
+group.  A block that holds no member column has no pairing.  On every
+family the builders make, the summand split must give exactly its blocks,
+once ``fold_untouched`` has joined those that hold no member column into
+one: the same coordinates, Gram matrices and chunk generators, with the
+same chunks shared as one object.
 """
 
 from twistlines.frames import GradedMatrix

@@ -2,6 +2,7 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -102,19 +103,20 @@ def test_pairing_validation():
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("flavor", ["symmetric", "skew"])
 def test_assembled_pairings_equal_their_validated_construction(field, flavor):
-    # hyperbolic and identity blocks, their sums and the restrictions to
-    # orthogonal blocks are built without validation; each must equal the
-    # pairing that the validating constructor makes of its Gram matrix
+    # hyperbolic and identity blocks and their sums are built without
+    # validation; each must equal the pairing that the validating
+    # constructor makes of its Gram matrix
     parts = [Pairing.hyperbolic(field, 2, flavor), Pairing.hyperbolic(field, 1, flavor)]
     if flavor == "symmetric":
         parts += [Pairing.diagonal_ones(field, 3), Pairing.diagonal_ones(field, 1)]
     total = Pairing.orthogonal_sum(*parts)
     n = total.dim
-    # unit columns keep the blocks the Gram components: (0, 2), (1, 3), ...
+    # unit columns each lie in one summand, so the blocks are the summands
     blocks = orthogonal_blocks(total, [Subbundle.full(field, trivial_frame(n))])
-    assert [b.coords for b in blocks][:3] == [(0, 2), (1, 3), (4, 5)]
-    assert len(blocks) == (3 if flavor == "skew" else 7)
-    for p in parts + [total] + [b.pairing for b in blocks]:
+    assert [b.coords for b in blocks][:3] == [(0, 1, 2, 3), (4, 5), (6, 7, 8)][: len(parts)]
+    assert [b.pairing for b in blocks] == parts
+    assert all(b.pairing is p for b, p in zip(blocks, total.summands()))
+    for p in parts + [total]:
         assert p == Pairing(p.flavor, p.matrix, field)
     # the same Gram matrices made degenerate or asymmetric still raise
     degenerate = [list(row) for row in total.matrix]
@@ -159,6 +161,23 @@ def test_a_pairing_keeps_its_gram_matrix_out_of_equality_and_hash():
         copy = pickle.loads(pickle.dumps(built))
         assert copy == plain and hash(copy) == hash(plain) and copy._gram() == gram
         assert len({built: 1, plain: 2, copy: 3}) == 1
+
+
+def test_an_orthogonal_sum_keeps_its_summands_out_of_equality_and_hash():
+    # the nonempty summands are kept, in order, as given; a pairing made
+    # any other way is its own one summand, and equal pairings compare and
+    # hash as one whatever summands they keep
+    for field in (QQ, PrimeField(7)):
+        plane, ones = Pairing.hyperbolic(field, 1, "symmetric"), Pairing.diagonal_ones(field, 2)
+        total = Pairing.orthogonal_sum(plane, Pairing.diagonal_ones(field, 0), ones)
+        assert total.summands() == (plane, ones)
+        assert all(p is q for p, q in zip(total.summands(), (plane, ones)))
+        assert plane.summands() == (plane,) and plane.summands()[0] is plane
+        checked = Pairing("symmetric", total.matrix, field)
+        assert checked.summands() == (checked,)
+        assert checked == total and hash(checked) == hash(total)
+        copy = pickle.loads(pickle.dumps(total))
+        assert copy == total and copy.summands() == (plane, ones)
 
 
 def test_pairing_entries_are_reduced_into_the_field():
@@ -886,36 +905,41 @@ def test_every_sweep_perp_equals_the_pivot_scan(field, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the union-find block split against the label merging it replaced
-# (``label_blocks``), its untouched blocks folded into one, on orthogonal
-# sums with their coordinates shuffled
+# the summand split: the blocks are the summands the pairing was built
+# of, or one block of the whole ambient when a member column crosses two
 
 
 @hst.composite
-def split_cases(draw):
-    """A pairing that is an orthogonal sum of small pairings of one flavor,
-    its coordinates permuted, and nested members whose columns have random
-    supports: each column is zero or a monomial at each coordinate, and a
-    zero column can occur."""
+def summand_cases(draw):
+    """An orthogonal sum of two to four small pairings of one flavor,
+    unpermuted, and nested members, the top one holding every drawn column.
+    A column is drawn inside one summand or across it and the next: it is
+    zero or a monomial at each coordinate of its range, nonzero at the two
+    coordinates next to the border of a range across two, and a zero
+    column can occur."""
     field = draw(hst.sampled_from(ALL_FIELDS))
-    parts = draw(hst.lists(pairings(field), min_size=1, max_size=4))
-    parts = [p for p in parts if p.flavor == parts[0].flavor]
-    total = Pairing.orthogonal_sum(*parts)
-    n = total.dim
-    perm = draw(hst.permutations(range(n)))
-    rows = [[total.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    beta = Pairing(total.flavor, rows, field)
+    flavor = draw(hst.sampled_from(["symmetric", "skew"]))
+    one_flavor = pairings(field).filter(lambda p: p.flavor == flavor)
+    parts = draw(hst.lists(one_flavor, min_size=2, max_size=4))
+    beta = Pairing.orthogonal_sum(*parts)
+    n, starts = beta.dim, [0, *accumulate(p.dim for p in parts)]
     entry = hst.one_of(hst.none(), hst.tuples(hst.integers(0, 1), hst.sampled_from([1, -1, 2])))
     columns = []
-    for twist in draw(hst.lists(hst.sampled_from([0, -1]), max_size=5)):
+    for twist in draw(hst.lists(hst.sampled_from([0, -1]), min_size=1, max_size=5)):
+        first = draw(hst.integers(0, len(parts) - 1))
+        last = draw(hst.integers(first, min(first + 1, len(parts) - 1)))
+        lo, hi = starts[first], starts[last + 1]
+        specs = [None] * lo + draw(hst.lists(entry, min_size=hi - lo, max_size=hi - lo))
+        if last > first:
+            specs[starts[last] - 1] = specs[starts[last]] = (0, 1)
         forms, zero = [], draw(hst.integers(0, 3)) == 0
-        for spec in draw(hst.lists(entry, min_size=n, max_size=n)):
+        for spec in specs + [None] * (n - hi):
             if zero or spec is None or spec[0] > -twist:
                 forms.append(BinaryForm.zero(field, -twist))
             else:
                 forms.append(BinaryForm.monomial(field, -twist, *spec))
         columns.append((twist, forms))
-    sizes = sorted(draw(hst.lists(hst.integers(0, len(columns)), min_size=1, max_size=3)))
+    sizes = sorted(draw(hst.lists(hst.integers(0, len(columns)), max_size=2))) + [len(columns)]
     members = [
         Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), columns[:size]), check=False)
         if size
@@ -926,15 +950,73 @@ def split_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(split_cases())
-def test_union_find_blocks_equal_the_label_merging_reference(case):
+@given(summand_cases())
+def test_blocks_are_the_summands_or_the_whole_ambient(case):
     beta, members = case
-    found = orthogonal_blocks(beta, members)
-    reference = label_blocks.fold_untouched(beta, label_blocks.orthogonal_blocks(beta, members))
-    assert [b.coords for b in found] == [b.coords for b in reference]
-    for b, ref in zip(found, reference):
-        assert (b.pairing is None) == (ref.pairing is None)
-        assert b.pairing is None or b.pairing.matrix == ref.pairing.matrix
-        assert [e.gen for e in b.chunks] == [e.gen for e in ref.chunks]
-        shared = [[e is other for other in b.chunks] for e in b.chunks]
-        assert shared == [[e is other for other in ref.chunks] for e in ref.chunks]
+    field, n, summands = beta.field, beta.dim, beta.summands()
+    blocks = orthogonal_blocks(beta, members)
+    owner = [s for s, p in enumerate(summands) for _ in range(p.dim)]
+    crossing = any(len({owner[i] for i, _ in c}) > 1 for m in members for c in m.gen.support())
+    if crossing:
+        assert len(blocks) == 1 and blocks[0].pairing is beta
+        assert blocks[0].coords == tuple(range(n))
+    else:
+        assert len(blocks) == len(summands)
+        assert all(b.pairing is p for b, p in zip(blocks, summands))
+        starts = [0, *accumulate(p.dim for p in summands)]
+        assert [b.coords for b in blocks] == [tuple(range(*ab)) for ab in zip(starts, starts[1:])]
+    # each member's chunks, put back in column order, give its generator
+    for j, m in enumerate(members):
+        homes = [0 if crossing or not c else owner[c[0][0]] for c in m.gen.support()]
+        columns = [None] * m.rank
+        for s, b in enumerate(blocks):
+            chunk = b.chunks[j].gen
+            at = [c for c, home in enumerate(homes) if home == s]
+            assert len(at) == chunk.ncols
+            for c, (twist, forms) in zip(at, map(chunk.column, range(chunk.ncols))):
+                full = [BinaryForm.zero(field, -twist)] * n
+                for i, form in zip(b.coords, forms):
+                    full[i] = form
+                columns[c] = (twist, full)
+        assert GradedMatrix.from_columns(field, trivial_frame(n), columns) == m.gen
+    # equal chunks of a block are one object
+    for b in blocks:
+        assert all((e is other) == (e.gen == other.gen) for e in b.chunks for other in b.chunks)
+
+
+def isotropic_families(field, n_max):
+    from twistlines.verify import sweep_points
+
+    for flavor, n, k in sweep_points(2, n_max, ("symmetric", "skew")):
+        if not is_exceptional(flavor, n, k):
+            yield build_isotropic(field, n, k, flavor)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_family_splits_as_the_label_merging_oracle(field):
+    # the label-merging split (``label_blocks``), its blocks that hold no
+    # member column folded into one, finds the same layout in every family
+    families_seen = 0
+    for fam in isotropic_families(field, 24):
+        beta, members = fam.pairing, fam.members
+        found = orthogonal_blocks(beta, members)
+        reference = label_blocks.fold_untouched(beta, label_blocks.orthogonal_blocks(beta, members))
+        assert [b.coords for b in found] == [b.coords for b in reference]
+        for b, ref in zip(found, reference):
+            gram = tuple(tuple(beta.matrix[i][j] for j in b.coords) for i in b.coords)
+            assert b.pairing.matrix == gram
+            assert ref.pairing is None or ref.pairing.matrix == gram
+            assert [e.gen for e in b.chunks] == [e.gen for e in ref.chunks]
+            shared = [[e is other for other in b.chunks] for e in b.chunks]
+            assert shared == [[e is other for other in ref.chunks] for e in ref.chunks]
+        families_seen += 1
+    assert families_seen == 217
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_every_family_block_pairing_is_a_summand_of_the_builder(field):
+    # no block builds a Pairing: each is one the builder summed
+    for fam in isotropic_families(field, 24):
+        summands = fam.pairing.summands()
+        for b in orthogonal_blocks(fam.pairing, fam.members):
+            assert any(b.pairing is p for p in summands), (fam.case, fam.n, fam.k)

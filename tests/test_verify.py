@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -971,25 +972,29 @@ def hyperbolic_planes(flavor, *extra):
 
 
 def assert_blocks(fam, coords, with_columns):
+    """The blocks lie on ``coords``, hold a member column as
+    ``with_columns`` says, and each has a summand of the family's pairing,
+    or the whole pairing, with the Gram matrix of its coordinates."""
     blocks = orthogonal_blocks(fam.pairing, fam.members)
     assert [b.coords for b in blocks] == coords
-    assert [b.pairing is not None for b in blocks] == with_columns
+    assert [any(e.rank for e in b.chunks) for b in blocks] == with_columns
     for b in blocks:
+        assert any(b.pairing is p for p in (fam.pairing, *fam.pairing.summands()))
         rows = tuple(tuple(fam.pairing.matrix[i][j] for j in b.coords) for i in b.coords)
-        assert b.pairing is None or b.pairing.matrix == rows
+        assert b.pairing.matrix == rows
 
 
 def test_a_column_across_two_gram_blocks_merges_them():
-    # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes; the
-    # identity filler on coordinates 4 and 5 holds no member column, so
-    # its two Gram blocks are one orthogonal block
+    # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes, so the
+    # whole ambient is one block, the identity filler on coordinates 4 and
+    # 5 included
     pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
     low = Subbundle.zero(QQ, trivial_frame(6))
     mid_col = (-1, [T0, ZERO1, T1] + [ZERO1] * 3)
     mid = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(6), [mid_col]))
     top = constant_span(6, unit(6, 0), unit(6, 2))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
-    assert_blocks(fam, [(0, 1, 2, 3), (4, 5)], [True, False])
+    assert_blocks(fam, [(0, 1, 2, 3, 4, 5)], [True])
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert cert.flag_quotients == (st(), st(-1), st(1))
@@ -998,20 +1003,21 @@ def test_a_column_across_two_gram_blocks_merges_them():
 
 
 def test_a_block_with_no_member_column_contributes_the_whole_block():
-    # skew planes on (0, 1), (2, 3); the filler hyperbolic(2) splits into
-    # the blocks (4, 6) and (5, 7), and only (4, 6) holds a column
-    pairing = hyperbolic_planes("skew", Pairing.hyperbolic(QQ, 2, "skew"))
-    col = (-1, [ZERO1] * 4 + [T0, ZERO1, T1, ZERO1])
+    # skew planes on (0, 1), (2, 3), (4, 5) and (6, 7), and only the
+    # last holds no column
+    plane = Pairing.hyperbolic(QQ, 1, "skew")
+    pairing = hyperbolic_planes("skew", plane, plane)
+    col = (-1, [ZERO1] * 4 + [T0, T1, ZERO1, ZERO1])
     e0, e2 = ((0, [BinaryForm.constant(QQ, c) for c in unit(8, j)]) for j in (0, 2))
     members = [
         GradedMatrix.from_columns(QQ, trivial_frame(8), cols)
         for cols in ([e0], [e0, col], [e0, col, e2])
     ]
     fam = FlagFamily("hand", 8, 2, "skew", tuple(map(Subbundle, members)), (1, 2, 3), pairing)
-    assert_blocks(fam, [(0, 1), (2, 3), (4, 6), (5, 7)], [True, True, True, False])
+    assert_blocks(fam, [(0, 1), (2, 3), (4, 5), (6, 7)], [True, True, True, False])
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
-    # perp(low)/top: {} on (0, 1), {0} on (2, 3), {1} on (4, 6), {0, 0} on (5, 7)
+    # perp(low)/top: {} on (0, 1), {0} on (2, 3), {1} on (4, 5), {0, 0} on (6, 7)
     quotients = cert.flag_quotients
     assert cert.tev_pieces[0] == quotients[2].dual().tensor(st(1, 0, 0, 0))
 
@@ -1103,13 +1109,18 @@ def inner_of_another_block(fam):
 
 def flipped_gram(fam, pairs):
     """fam's pairing with the sign of <e_i, x_i> and <x_i, e_i> flipped in
-    the big block for i in ``pairs``: still a valid pairing of its flavor."""
+    the big block for i in ``pairs``: the orthogonal sum of the family's
+    summands with the big one replaced by its flipped copy, which the
+    checked constructor finds a valid pairing of its flavor."""
     start, (psi, _) = fam.perps[-1]
-    rows = [list(row) for row in fam.pairing.matrix]
+    summands = list(fam.pairing.summands())
+    big = [0, *accumulate(p.dim for p in summands)].index(start)
+    rows = [list(row) for row in summands[big].matrix]
     for i in pairs:
-        e, x = start + i, start + psi.ncols + i
+        e, x = i, psi.ncols + i
         rows[e][x], rows[x][e] = -rows[e][x], -rows[x][e]
-    return Pairing(fam.flavor, rows, fam.field)
+    summands[big] = Pairing(fam.flavor, rows, fam.field)
+    return Pairing.orthogonal_sum(*summands)
 
 
 def gram_negated(fam):
@@ -1392,16 +1403,18 @@ def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_re
 
 
 def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
-    # on the hyperbolic 6-space, e1 + e2 joins (1, 4) and (2, 5) into one
-    # block of 4, where the top's chunk has rank 1: isotropic, not
-    # Lagrangian, so perp/top there is {0, 0}, and {} on the block (0, 3)
-    pairing = Pairing.hyperbolic(QQ, 3, "symmetric")
+    # a hyperbolic plane on (0, 1), then a hyperbolic 4-space, where the
+    # top's chunk e0 + e1 has rank 1: isotropic, not Lagrangian, so
+    # perp/top there is {0, 0}, and {} on the plane
+    pairing = Pairing.orthogonal_sum(
+        Pairing.hyperbolic(QQ, 1, "symmetric"), Pairing.hyperbolic(QQ, 2, "symmetric")
+    )
     low = Subbundle.zero(QQ, trivial_frame(6))
     mid = constant_span(6, unit(6, 0))
-    top = constant_span(6, unit(6, 0), (0, 1, 1, 0, 0, 0))
+    top = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
     blocks = orthogonal_blocks(pairing, fam.members)
-    assert [b.coords for b in blocks] == [(0, 3), (1, 2, 4, 5)]
+    assert [b.coords for b in blocks] == [(0, 1), (2, 3, 4, 5)]
     facts = verify._isotropy(blocks, 3)
     assert facts == [(True, False), (True, False)]
     assert verify._perp_over_top(blocks, -1, facts) == st(0, 0)
