@@ -22,21 +22,24 @@ keeps them as its summands, and every member column lies in one of them:
 (``sheaves.orthogonal_blocks``) and runs its pairing stages on them.
 
 Each builder assembles only the top member; every lower member is given
-by its witness into the member above (``_flag``): the matrix L with
-members[i+1].gen @ L == members[i].gen, written as a list of columns.  An
-entry is either an index, a unit column selecting that generator, or a
+by its witness into the member above (``_flag``), written as a list of
+columns.  An entry is either an index, selecting that generator, or a
 combination of generators; only the combined column of classical case II
-and the e1 column of case IVa are combinations.  The member's generator is
-the outer columns a selection picks, else the product.  The witnesses are
-kept as the family's ``inclusions``, not trusted data: ``certify`` uses
-one only after checking that product (for a selection, column by column),
-and otherwise finds the inclusion again by elimination.
+and the e1 column of case IVa are combinations.  A list of indices is a
+selection, kept as the tuple of indices, and the member's generator is
+the outer columns it picks; a list with a combination is kept as the
+matrix L with members[i+1].gen @ L == members[i].gen, and the member's
+generator is that product.  The witnesses are kept as the family's
+``inclusions``, not trusted data: ``certify`` uses one only after
+checking it (a selection column by column, a matrix by the product), and
+otherwise finds the inclusion again by elimination.
 
 Every matrix here is assembled from blocks that carry their rank
-profile, so the profiles of the top member and of each witness compose
-(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity`` and
-products) and only the cubic and R3 blocks run a Smith form: an E_{2a,2b}
-block composes its profile from the binomial pair (``build_phi_psi``).
+profile, so the profiles of the top member and of each matrix witness
+compose (``GradedMatrix.direct_sum``, ``pullback_power``, ``identity``
+and products) and only the cubic and R3 blocks run a Smith form: an
+E_{2a,2b} block composes its profile from the binomial pair
+(``build_phi_psi``).
 While ``verify.run_sweep`` runs, each process keeps one memo
 (``_once``), and the builders take their blocks from it: the classical
 monomial column per (field, d), each small block per (field, flavor,
@@ -118,12 +121,14 @@ class FlagFamily:
     not required to be isotropic.  ``requested`` keeps the original (n, k)
     when an odd symmetric dimension was rerouted to its even neighbor.
 
-    ``inclusions`` holds the builder's witness for each adjacent pair: the
-    matrix L_i with members[i+1].gen @ L_i == members[i].gen, from which
-    the builder made members[i] itself.  Empty means no witnesses (the
-    orbit family, hand-built flags).  ``verify.certify``
-    checks each product before it reads a quotient from L_i, and falls back
-    to elimination when a witness is missing or fails.
+    ``inclusions`` holds the builder's witness for each adjacent pair,
+    from which the builder made members[i] itself: a tuple of indices,
+    the columns of members[i+1] that members[i] selects, or the matrix
+    L_i with members[i+1].gen @ L_i == members[i].gen.  Empty means no
+    witnesses (the orbit family, hand-built flags).  ``verify.certify``
+    checks each witness (a selection column by column, a matrix by its
+    product) before it reads a quotient from it, and falls back to
+    elimination when a witness is missing or fails.
 
     ``perps`` holds, per block of the pairing with a perp witness, the
     block's first ambient coordinate and the witness: (psi', inner) for
@@ -143,7 +148,7 @@ class FlagFamily:
     pairing: object
     notes: tuple = ()
     requested: object = None
-    inclusions: tuple = ()  # L_i with members[i+1].gen @ L_i == members[i].gen
+    inclusions: tuple = ()  # per pair: selected indices, or L_i with outer.gen @ L_i == inner.gen
     perps: tuple = ()  # (first coordinate, witness) per block with a perp witness
 
     @property
@@ -329,38 +334,22 @@ def _column(field, twists, specs):
 
 
 def _witness(field, outer, columns):
-    """The witness L into a member with source frame ``outer``, from its
-    list of columns (see ``_flag``), as a direct sum of blocks, each on a
-    run of outer rows: an identity for a run of indices i, i+1, ..., and a
-    ``_column`` from ``_once`` for a combination.  The rows before a run
-    that no column covers form a block with no columns, as do the rows
-    after the last run.  The runs must follow each other down the rows,
-    else ``ValueError``.  Every block with columns carries its profile, so
-    L's composes with no Smith form."""
-    runs = []  # [first row, last row + 1, the combination or None for indices]
-    for col in columns:
-        if isinstance(col, int) and runs and runs[-1][1:] == [col, None]:
-            runs[-1][1] += 1
-        elif isinstance(col, int):
-            runs.append([col, col + 1, None])
-        else:
-            runs.append([min(col), max(col) + 1, col])
-
-    def uncovered(stop):  # the rows from ``row`` to ``stop``, with no columns
-        return GradedMatrix._valid(field, (), outer[row:stop], ((),) * (stop - row))
-
-    blocks, row = [], 0
-    for start, stop, col in runs:
-        if start < row or (col and len(col) != stop - start):
-            raise ValueError("witness columns must cover runs of the outer rows in order")
-        if col is None:
-            block = GradedMatrix.identity(field, outer[start:stop])
-        else:
-            spec = tuple(col[i] for i in range(start, stop))
-            block = _once(_column, field, outer[start:stop], spec)
-        blocks += [uncovered(start), block]
-        row = stop
-    return GradedMatrix.direct_sum(field, *blocks, uncovered(len(outer)))
+    """The witness L into a member with source frame ``outer``, from a list
+    of columns with a combination (see ``_flag``), as a direct sum of
+    blocks, each on a run of outer rows: a 1 x 1 identity for an index i,
+    and a ``_column`` from ``_once`` for a combination.  The runs must
+    cover every outer row, in order, else ``ValueError``.  Every block
+    carries its profile, so L's composes with no Smith form."""
+    runs = [[col] if isinstance(col, int) else sorted(col) for col in columns]
+    if [i for run in runs for i in run] != list(range(len(outer))):
+        raise ValueError("witness columns must cover the outer rows in order")
+    blocks = [
+        GradedMatrix.identity(field, (outer[col],))
+        if isinstance(col, int)
+        else _once(_column, field, tuple(outer[i] for i in run), tuple(col[i] for i in run))
+        for col, run in zip(columns, runs)
+    ]
+    return GradedMatrix.direct_sum(field, *blocks)
 
 
 def _flag(case, n, k, flavor, shape, pairing, top, *lower, perps=()) -> FlagFamily:
@@ -368,29 +357,34 @@ def _flag(case, n, k, flavor, shape, pairing, top, *lower, perps=()) -> FlagFami
     member per entry of ``lower``.  Each is a list of columns of the member
     above it: an index i selects that member's generator i, and
     {i: (d, e) or (d, e, c), ...} is the combination of the generators i
-    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.  The
-    list is the witness L, a matrix from the member's frame to the outer
-    member's, and the member's generator is outer.gen @ L: for a selection
-    (distinct indices only) the selected outer columns themselves, else
-    the product.
+    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.
+
+    A list of indices only is a selection: its witness is the tuple of
+    indices, and the member's generator is the selected outer columns
+    themselves.  A repeated or out-of-range index raises ``ValueError``.
+    A list with a combination is the witness L (``_witness``), a matrix
+    from the member's frame to the outer member's, and the member's
+    generator is outer.gen @ L.
 
     The member is certified by its witness, not by its n-row generator.
     outer.gen is everywhere injective, so at every point the member's rank
-    is L's: the member is everywhere injective iff L is.  A selection
-    witness is, with no check; one with a combination column is checked by
-    its rank profile, composed from its blocks (``_witness``), and a
-    failing one raises ``ValueError``.  ``perps`` goes to the family
-    as it is."""
+    is L's: the member is everywhere injective iff L is.  A selection's L,
+    distinct unit columns, is, with no check; a matrix is checked by its
+    rank profile, composed from its blocks, and a failing one raises
+    ``ValueError``.  ``perps`` goes to the family as it is."""
     field = top.field
     members, inclusions = [top], []
     for columns in lower:
         outer = members[0].gen
-        witness = _witness(field, outer.src, columns)
-        rows = witness.selection()
-        if rows is not None:
-            selected = tuple(tuple(row[i] for i in rows) for row in outer.entries)
-            gen = GradedMatrix._valid(field, witness.src, outer.dst, selected)
+        if all(isinstance(col, int) for col in columns):
+            witness = tuple(columns)
+            if len(set(witness)) != len(witness) or not set(witness) <= set(range(outer.ncols)):
+                raise ValueError(f"flag selection {witness} is not distinct outer columns")
+            src = tuple(outer.src[i] for i in witness)
+            selected = tuple(tuple(row[i] for i in witness) for row in outer.entries)
+            gen = GradedMatrix._valid(field, src, outer.dst, selected)
         else:
+            witness = _witness(field, outer.src, columns)
             profile = witness.rank_everywhere()
             if profile != (witness.ncols, True):
                 raise ValueError(f"flag witness is not everywhere injective: {profile}")

@@ -4,8 +4,8 @@ A frame (a1, ..., am) stands for the split bundle O(a1) + ... + O(am) on
 the projective line.  A GradedMatrix from frame A to frame B is a grid of
 binary forms whose (i, j) entry is homogeneous of degree B[i] - A[j]; the
 constructor rejects any entry violating that constraint.  Products,
-twists, transposed duals, pullbacks and direct sums (and so the zero and
-identity matrices) meet it by construction and skip the check.  The
+twists, transposed duals, pullbacks, direct sums (and so the zero
+matrix) and identities meet it by construction and skip the check.  The
 degree-n piece of a frame is the space of degree-n global sections, of
 dimension sum(max(0, n + a + 1)); basis order is summand-major with the
 T1-exponent ascending inside each summand.  A matrix's degree-n piece is
@@ -149,10 +149,17 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, field, frame):
-        """The direct sum of one 1 x 1 block with entry 1 per twist; its
-        rank is len(frame) at every point, and it keeps that profile."""
-        one = (BinaryForm.constant(field, 1),)
-        m = cls.direct_sum(field, *(cls._valid(field, (a,), (a,), (one,)) for a in frame))
+        """The square matrix on ``frame`` with entry 1 on the diagonal and a
+        zero form, one per degree, off it; its rank is len(frame) at every
+        point, and it keeps that profile."""
+        frame = tuple(frame)
+        one = BinaryForm.constant(field, 1)
+        zeros = {d: BinaryForm.zero(field, d) for d in {b - a for b in frame for a in frame}}
+        rows = tuple(
+            tuple(one if i == j else zeros[b - a] for j, a in enumerate(frame))
+            for i, b in enumerate(frame)
+        )
+        m = cls._valid(field, frame, frame, rows)
         m._profile = RankProfile(len(frame), True)
         return m
 
@@ -196,25 +203,6 @@ class GradedMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.support())
-
-    def selection(self):
-        """The selected row indices, one per column, if every column is a
-        distinct unit column with constant entry 1; else None.
-
-        Such a matrix is the inclusion of the summands it selects, so
-        ``outer @ self`` is the list of outer's columns at those indices.
-        """
-        rows = []
-        for a, nonzero in zip(self.src, self.support()):
-            if len(nonzero) != 1:
-                return None
-            i, terms = nonzero[0]
-            if self.dst[i] != a or len(terms) != 1 or terms[0][1] != 1:
-                return None
-            rows.append(i)
-        if len(set(rows)) != len(rows):
-            return None
-        return rows
 
     def __eq__(self, other):
         return (

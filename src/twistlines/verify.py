@@ -16,15 +16,16 @@ length; a row names the members that must be isotropic, the complement
 beside the top quotient and the formula, and ``certify`` reads it.
 
 Each flag quotient is read from the lift L of a member into the next one.
-A family's builder supplies L as a witness (``FlagFamily.inclusions``), and
-``certify`` checks it with one product, outer.gen @ L == inner.gen, after
-checking that its frames fit.  The outer generator is everywhere injective,
-so a witness that passes is the unique lift elimination would find.  Most
-witnesses are column selections: then the product is a comparison of
-columns, and outer/inner is the summands of outer's frame that L leaves
-out.  A missing, stale or wrong witness fails the check, and the quotient
-is found by elimination (``quotient_type``), so a witness can cost time but
-never change a verdict or a note.
+A family's builder supplies it as a witness (``FlagFamily.inclusions``).
+Most witnesses are selections, a tuple of the outer columns the inner
+member is: ``certify`` compares those columns with the inner ones
+(``_selects``), and outer/inner is the summands of outer's frame left
+out.  A matrix witness L is checked with one product, outer.gen @ L ==
+inner.gen, after checking that its frames fit; the outer generator is
+everywhere injective, so a witness that passes is the unique lift
+elimination would find.  A missing, stale or wrong witness fails its
+check, and the quotient is found by elimination (``quotient_type``), so a
+witness can cost time but never change a verdict or a note.
 
 The pairing stages (isotropy, perps and the quotient of a perp by the top)
 run per block of ``sheaves.orthogonal_blocks``, the summands the builder
@@ -237,39 +238,51 @@ _RULES = {
 
 def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
     """Type of members[i+1]/members[i]: from the family's inclusion witness
-    if its frames fit and it checks, else by elimination.
+    if it checks, else by elimination.
 
-    A selection witness (``GradedMatrix.selection``) checks column by
-    column, and the quotient is the outer summands it leaves out.  Any
-    other witness checks with the product outer.gen @ L == inner.gen.
+    A tuple witness is a selection, checked by ``_selects``, and the
+    quotient is the outer summands it leaves out.  A matrix witness L
+    checks, once its frames fit, with the product outer.gen @ L ==
+    inner.gen.  Anything else is no witness.
     """
     inner, outer = fam.members[i], fam.members[i + 1]
-    lift = fam.inclusions[i] if i < len(fam.inclusions) else None
+    lift = fam.inclusions[i] if inner.rank and i < len(fam.inclusions) else None
+    if isinstance(lift, tuple) and _selects(inner.gen, outer.gen, lift):
+        return SplittingType(tuple(a for j, a in enumerate(outer.gen.src) if j not in lift))
     if (
-        inner.rank
-        and isinstance(lift, GradedMatrix)
+        isinstance(lift, GradedMatrix)
         and lift.field == outer.field
         and lift.dst == outer.gen.src
         and lift.src == inner.gen.src
+        and outer.gen @ lift == inner.gen
     ):
-        rows = lift.selection()
-        if rows is None:
-            if outer.gen @ lift == inner.gen:
-                return _lift_quotient_type(lift)
-        elif _selects(inner.gen, outer.gen, rows):
-            left_out = set(range(outer.rank)) - set(rows)
-            return SplittingType(tuple(outer.gen.src[j] for j in left_out))
+        return _lift_quotient_type(lift)
     return quotient_type(inner, outer)
 
 
-def _selects(inner: GradedMatrix, outer: GradedMatrix, rows) -> bool:
-    """True iff inner's column j is outer's column rows[j], entry by entry:
-    for a selection L this is outer @ L == inner without the product.  The
-    builders copy the selected entries, so most are the same object."""
-    return inner.dst == outer.dst and all(
-        inner_row[j] is outer_row[r] or inner_row[j] == outer_row[r]
-        for inner_row, outer_row in zip(inner.entries, outer.entries)
-        for j, r in enumerate(rows)
+def _selects(inner: GradedMatrix, outer: GradedMatrix, rows: tuple) -> bool:
+    """True iff ``rows`` selects inner from outer: one distinct int in
+    range(outer.ncols) per inner column, inner.src the selected outer.src,
+    and inner's column j outer's column rows[j], entry by entry.  A
+    negative index is refused: Python would read -1 as the last column,
+    and the summands left out would be wrong.
+
+    Then outer @ L == inner for L the matrix of distinct unit columns at
+    ``rows``, with entry 1, and L is the inclusion of the summands of
+    outer's frame it selects.  outer is an isomorphism from its frame onto
+    its image, so outer/inner is the summands left out.  The builders copy
+    the selected entries, so most are the same object."""
+    return (
+        len(rows) == inner.ncols
+        and all(isinstance(r, int) and 0 <= r < outer.ncols for r in rows)
+        and len(set(rows)) == len(rows)
+        and inner.dst == outer.dst
+        and inner.src == tuple(outer.src[r] for r in rows)
+        and all(
+            inner_row[j] is outer_row[r] or inner_row[j] == outer_row[r]
+            for inner_row, outer_row in zip(inner.entries, outer.entries)
+            for j, r in enumerate(rows)
+        )
     )
 
 
@@ -401,7 +414,7 @@ def _witness_holds(e, beta, psi, inner) -> bool:
         or psi.src != (0,) * b
         or inner.dst != tuple(-t for t in psi.dst)
         or psi.nrows != b - a
-        or beta.matrix != Pairing.hyperbolic(f, b, beta.flavor).matrix
+        or beta.matrix != _once(Pairing.hyperbolic, f, b, beta.flavor).matrix
     ):
         return False
     support = gen.support()

@@ -7,6 +7,8 @@ entries, zero columns and rank drops are common.  The field, the target
 frame and the coefficient strategy can be fixed by the caller, e.g. to draw
 a second factor of a product or rational entries with denominators.
 ``assert_canonical`` checks the stored form of computed scalars.
+``unit_columns`` expands a selection witness, a tuple of indices, to the
+matrix of unit columns it stands for.
 
 The ``reference_*`` form operations and ``evaluate`` make one field-method
 call per coefficient operation, so the oracles built from them share no
@@ -101,3 +103,15 @@ def evaluate(m, t0, t1):
         return acc
 
     return [[value(e) for e in row] for row in m.entries]
+
+
+def unit_columns(field, frame, rows):
+    """The matrix from the summands of ``frame`` at ``rows`` into ``frame``
+    whose column j is the unit column at rows[j], with entry 1."""
+    one = BinaryForm.constant(field, 1)
+    columns = []
+    for r in rows:
+        a = frame[r]
+        zeros = [BinaryForm.zero(field, b - a) for b in frame]
+        columns.append((a, [one if i == r else zero for i, zero in enumerate(zeros)]))
+    return GradedMatrix.from_columns(field, frame, columns)

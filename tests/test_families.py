@@ -379,6 +379,42 @@ def families_to_24(field):
                     yield build_family(field, n, k, flavor)
 
 
+def matrix_witnesses(fam):
+    """The witnesses of a family that are matrices, not index tuples."""
+    return [w for w in fam.inclusions if isinstance(w, GradedMatrix)]
+
+
+def test_witnesses_to_24_are_index_tuples_but_the_combinations():
+    # only classical II and case IVa combine generators, both in the low
+    # member; every other witness is a selection, kept as its indices
+    tuples = matrices = 0
+    for fam in families_to_24(QQ):
+        for i, witness in enumerate(fam.inclusions):
+            if isinstance(witness, tuple):
+                tuples += 1
+            else:
+                matrices += 1
+                assert isinstance(witness, GradedMatrix)
+                assert (fam.case, i) in (("classical-II", 0), ("IVa", 0)), (fam.n, fam.k)
+    assert (tuples, matrices) == (573, 127)
+
+
+def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatch):
+    built = []
+
+    class Recording(Subbundle):
+        def __init__(self, gen, check=True):
+            built.append(gen)
+            super().__init__(gen, check)
+
+    top = Subbundle.full(QQ, (0, 0))
+    monkeypatch.setattr(families, "Subbundle", Recording)
+    for columns in ([0, 0], [0, 2], [-1]):
+        with pytest.raises(ValueError, match="is not distinct outer columns"):
+            families._flag("x", 2, 1, None, (1, 2), None, top, columns)
+    assert built == []
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_every_lower_member_to_24_is_everywhere_injective(field):
     # the witness check stands in for the member's own rank profile
@@ -399,7 +435,7 @@ def test_blocks_and_members_to_24_pass_the_checked_constructor(field):
                 for d in (1, 2):
                     assert checked_copy(gen.pullback_power(d)) == gen.pullback_power(d)
     for fam in families_to_24(field):
-        for m in [member.gen for member in fam.members] + list(fam.inclusions):
+        for m in [member.gen for member in fam.members] + matrix_witnesses(fam):
             assert checked_copy(m) == m, (fam.flavor, fam.n, fam.k)
 
 
@@ -432,21 +468,22 @@ def test_composed_profiles_to_24_equal_a_fresh_smith_form(field):
     # the top member's profile composes from its blocks', each witness's
     # from its columns'; each is kept, and is what the whole matrix gives
     for fam in families_to_24(field):
-        for m in [fam.members[-1].gen, *fam.inclusions]:
+        for m in [fam.members[-1].gen, *matrix_witnesses(fam)]:
             assert m._profile == checked_copy(m)._rank_profile(), (fam.n, fam.k, fam.flavor)
 
 
 def test_a_witness_is_the_direct_sum_of_its_columns():
-    # an index, a combination over the next run of rows, a row left out
+    # an index, a combination over the next run of rows, an index
     frame = (0, -1, -2, -3)
     one, zero = BinaryForm.constant(QQ, 1), BinaryForm.zero
     t00, t1 = BinaryForm.monomial(QQ, 2, 0), BinaryForm.monomial(QQ, 1, 1)
-    witness = families._witness(QQ, frame, [0, {1: (2, 0), 2: (1, 1)}])
+    witness = families._witness(QQ, frame, [0, {1: (2, 0), 2: (1, 1)}, 3])
     first = [one, zero(QQ, -1), zero(QQ, -2), zero(QQ, -3)]
     second = [zero(QQ, 3), t00, t1, zero(QQ, 0)]
-    expected = GradedMatrix.from_columns(QQ, frame, [(0, first), (-3, second)])
+    third = [zero(QQ, 3), zero(QQ, 2), zero(QQ, 1), one]
+    expected = GradedMatrix.from_columns(QQ, frame, [(0, first), (-3, second), (-3, third)])
     assert witness == expected
-    assert witness._profile == (2, True) == checked_copy(witness)._rank_profile()
-    for columns in ([2, 0], [0, 0], [{0: (0, 0), 2: (2, 0)}]):
-        with pytest.raises(ValueError, match="runs of the outer rows in order"):
+    assert witness._profile == (3, True) == checked_copy(witness)._rank_profile()
+    for columns in ([2, 0], [0, 0], [{0: (0, 0), 2: (2, 0)}], [0, {1: (2, 0), 2: (1, 1)}]):
+        with pytest.raises(ValueError, match="cover the outer rows in order"):
             families._witness(QQ, frame, columns)

@@ -28,6 +28,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from graded_strategies import unit_columns
 
 from twistlines import sheaves, verify
 from twistlines.cli import main
@@ -142,9 +143,10 @@ def test_exceptional_check_json_bytes(capsys):
 
 def members_digest(field, n_max=12, with_pairing=False):
     """SHA-256 over case, shape, and the frames and entry coefficients of
-    each member's generator matrix and each witness, and with
-    ``with_pairing`` the flavor and Gram matrix of each pairing, for every
-    non-exceptional sweep point with n <= n_max."""
+    each member's generator matrix and each witness (a selection expanded
+    to its unit columns), and with ``with_pairing`` the flavor and Gram
+    matrix of each pairing, for every non-exceptional sweep point with
+    n <= n_max."""
     digest = hashlib.sha256()
     for flavor, n, k in sweep_points(2, n_max, (None, "symmetric", "skew")):
         if is_exceptional(flavor, n, k):
@@ -156,7 +158,11 @@ def members_digest(field, n_max=12, with_pairing=False):
         digest.update(repr((fam.case, fam.shape)).encode())
         if with_pairing and fam.pairing is not None:
             digest.update(repr((fam.pairing.flavor, fam.pairing.matrix)).encode())
-        for mat in [m.gen for m in fam.members] + list(fam.inclusions):
+        witnesses = [
+            unit_columns(field, outer.gen.src, w) if isinstance(w, tuple) else w
+            for w, outer in zip(fam.inclusions, fam.members[1:])
+        ]
+        for mat in [m.gen for m in fam.members] + witnesses:
             coeffs = tuple(tuple(e.coeffs for e in row) for row in mat.entries)
             digest.update(repr((mat.src, mat.dst, coeffs)).encode())
     return digest.hexdigest()

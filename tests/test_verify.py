@@ -3,6 +3,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
+from graded_strategies import unit_columns
 
 from twistlines import families, linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField, RationalField
@@ -429,10 +430,14 @@ def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
     # the check compares identical objects; a rebuilt copy is compared
     fam = build_classical(QQ, 9, 3)
     inner, outer = fam.members[1].gen, fam.members[2].gen
-    rows = fam.inclusions[1].selection()
+    rows = fam.inclusions[1]
     rebuilt = [[BinaryForm(QQ, e.degree, e.coeffs) for e in row] for row in inner.entries]
     copy = GradedMatrix(QQ, inner.src, inner.dst, rebuilt)
     assert verify._selects(copy, outer, rows)
+    # a repeated index is refused though its columns compare equal
+    r = rows[0]
+    twice = GradedMatrix(QQ, (outer.src[r],) * 2, outer.dst, [(row[r],) * 2 for row in outer.entries])
+    assert not verify._selects(twice, outer, (r, r))
 
     def refuse(self, other):
         raise AssertionError("BinaryForm.__eq__ called")
@@ -730,6 +735,8 @@ def test_inclusion_witnesses_are_the_lifts_and_change_no_certificate(field):
         members = fam.members
         assert len(fam.inclusions) == len(members) - 1, fam.case
         for lift, inner, outer in zip(fam.inclusions, members, members[1:]):
+            if isinstance(lift, tuple):
+                lift = unit_columns(field, outer.gen.src, lift)
             assert lift == sub_lift(inner, outer), (fam.case, fam.n, fam.k)
         cert = certify(fam)
         plain = certify(replace(fam, inclusions=()))
@@ -755,6 +762,22 @@ def first_two_columns_swapped(lift):
     return GradedMatrix.from_columns(lift.field, lift.dst, cols)
 
 
+def index_corruptions(rows, outer):
+    """Wrong copies of the selection witness ``rows`` into ``outer``: an
+    out-of-range index, -1 for the last one, one index missing, the
+    indices as a list, and with two or more indices a repeated one and
+    two swapped whose columns differ."""
+    last = len(rows) - 1
+    bad = [(*rows[:last], outer.ncols), (*rows[:last], -1), rows[:last], list(rows)]
+    if last:
+        bad.append((*rows[:last], rows[0]))
+        j = next(j for j in range(1, len(rows)) if outer.column(rows[j]) != outer.column(rows[0]))
+        swapped = list(rows)
+        swapped[0], swapped[j] = rows[j], rows[0]
+        bad.append(tuple(swapped))
+    return bad
+
+
 def with_inclusion(fam, i, lift):
     inclusions = list(fam.inclusions)
     inclusions[i] = lift
@@ -762,8 +785,9 @@ def with_inclusion(fam, i, lift):
 
 
 def test_wrong_witness_is_never_trusted(monkeypatch):
-    # a corrupted witness fails its product check, so the inclusion is found
-    # by elimination and the certificate is the no-witness one
+    # a corrupted witness fails its check, so the inclusion is found by
+    # elimination and the certificate is the no-witness one; a selection's
+    # -1 for its last index, the last outer column, must not pass
     calls = []
     real_solve = linalg.solve_many
 
@@ -784,6 +808,7 @@ def test_wrong_witness_is_never_trusted(monkeypatch):
         ("skew", 8, 2),
     ]
     stale = build_classical(QQ, 9, 4).inclusions[0]  # frames of another family
+    aliased = 0
     for flavor, n, k in cases:
         fam = build_classical(QQ, n, k) if flavor is None else build_isotropic(QQ, n, k, flavor)
         plain = certify(replace(fam, inclusions=()))
@@ -791,13 +816,20 @@ def test_wrong_witness_is_never_trusted(monkeypatch):
         assert certify(fam) == plain
         trusted = len(calls)
         for i, lift in enumerate(fam.inclusions):
-            corrupted = [scaled_by_two(lift), stale, "not a matrix"]
-            if lift.ncols >= 2:
-                corrupted.append(first_two_columns_swapped(lift))
+            corrupted = [stale, "not a matrix"]
+            if isinstance(lift, tuple):
+                outer = fam.members[i + 1].gen
+                corrupted += index_corruptions(lift, outer)
+                aliased += lift[-1] == outer.ncols - 1
+            else:
+                corrupted.append(scaled_by_two(lift))
+                if lift.ncols >= 2:
+                    corrupted.append(first_two_columns_swapped(lift))
             for bad in corrupted:
                 del calls[:]
                 assert certify(with_inclusion(fam, i, bad)) == plain, (fam.case, i)
                 assert len(calls) > trusted, (fam.case, i)
+    assert aliased
 
 
 def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
@@ -858,7 +890,7 @@ def test_selection_witnesses_give_the_elimination_quotient(field, monkeypatch):
     selections = 0
     for fam in sweep_families(field, 16):
         for i, (lift, inner) in enumerate(zip(fam.inclusions, fam.members)):
-            if not inner.rank or lift.selection() is None:
+            if not inner.rank or not isinstance(lift, tuple):
                 continue
             selections += 1
             outer = fam.members[i + 1]
@@ -897,7 +929,7 @@ def test_selection_witness_of_a_changed_member_falls_back_to_elimination(monkeyp
         return real_solve(*args, **kwargs)
 
     fam = build_isotropic(QQ, 6, 3, "skew")
-    assert fam.case == "IVb" and fam.inclusions[1].selection() == [0, 2, 3]
+    assert fam.case == "IVb" and fam.inclusions[1] == (0, 2, 3)
     mid = fam.members[1].gen
     entries = [list(row) for row in mid.entries]
     entries[0][0] = BinaryForm.constant(QQ, 2)
