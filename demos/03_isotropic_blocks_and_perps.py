@@ -49,12 +49,14 @@ print("perp(perp(E)) == E:", same_subsheaf(perp(perp(e, beta), beta), e))
 print()
 print("== perp/E two ways: a kernel scan, or the two binomial sequences ==")
 # E's generator is phi_plus on the e-half and phi_minus on the x-half; with
-# c = b - a, psi' = psi_(a,b)(-c) and inner = phi_(a,c)(-c) are the witness
-# that certify reads from FlagFamily.perps (proof in verify._perp_over_top)
+# c = b - a, psi' = psi_(a,b)(-c), inner = phi_(a,c)(-c) and psi'' =
+# psi_(a,c)(-c) are the witness that certify reads from FlagFamily.perps
+# (proof in verify._witnessed_quotient).  (inner, psi'') is an exact pair,
+# so coker(inner) is read from the frame of psi'' (verify._exact_pair)
 a, b, c = 2, 7, 5
 beta, e = build_E2a2b(QQ, a, b, "skew")
 psi = build_phi_psi(QQ, a, b)[1].twist(-c)  # O^b -> O(a)^c
-inner = build_phi_psi(QQ, a, c)[0].twist(-c)  # O(-c)^a -> O(-a)^c
+inner, psi2 = (m.twist(-c) for m in build_phi_psi(QQ, a, c))  # O(-c)^a -> O(-a)^c -> O^(c-a)
 rows = e.gen.entries
 phi_plus = GradedMatrix(QQ, e.gen.src[:a], (0,) * b, [row[:a] for row in rows[:b]])
 phi_minus = GradedMatrix(QQ, e.gen.src[a:], (0,) * b, [row[a:] for row in rows[b:]])
@@ -62,7 +64,10 @@ print(f"(a,b)=({a},{b}) skew:")
 print(f"  psi' onto at every point: {psi.rank_everywhere() == (c, True)}")
 print(f"  psi' phi_plus = 0: {(psi @ phi_plus).is_zero()}")
 print(f"  psi'^T inner = phi_minus: {psi.transpose_dual() @ inner == phi_minus}")
-q = cokernel_type(inner)
+print(f"  psi'' onto at every point: {psi2.rank_everywhere() == (c - a, True)}")
+print(f"  psi'' inner = 0: {(psi2 @ inner).is_zero()}")
+q = SplittingType(psi2.dst)
+print(f"  coker(inner) from the frame of psi'': {q}, by a cokernel scan: {cokernel_type(inner)}")
 print(f"  coker(inner) with its dual: {SplittingType(q.twists + q.dual().twists)}")
 print(f"  kernel scan and lift:       {quotient_type(e, perp(e, beta))}")
 

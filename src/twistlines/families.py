@@ -52,14 +52,15 @@ block, or a witness's combination column) needs none (``_column``).
 kept, and a build that raises stores nothing.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
-(psi', inner), two matrices of the binomial sequences it is built from
-(``_e2a2b``), pulled back with it by ``_block``; the skew cubic block
-comes with (P, L), a basis of its low chunk's perp and the block's lift
-into it (``_cubic_block``).  ``_isotropic`` hands each to the family's
-``perps`` with the block's first coordinate, and ``verify.certify`` reads
-the block's perp/top from it, once checked, with no kernel scan.  The
-symmetric cubic, R3 and plane blocks have none: ``certify`` answers them
-by their shape.
+(psi', inner, psi''), three matrices of the two binomial sequences it is
+built from (``_e2a2b``), pulled back with it by ``_block``; the skew
+cubic block comes with (P, L), a basis of its low chunk's perp and the
+block's lift into it (``_cubic_block``).  ``_isotropic`` hands each to
+the family's ``perps`` with the block's first coordinate, and
+``verify.certify`` reads the block's perp/top from it, once checked, with
+no kernel scan.  The symmetric cubic, R3 and plane blocks have none:
+``certify`` answers them by their shape, the R3 and symmetric cubic
+blocks with their top chunk as the perp basis.
 """
 from dataclasses import dataclass, replace
 from math import comb
@@ -131,12 +132,14 @@ class FlagFamily:
     elimination when a witness is missing or fails.
 
     ``perps`` holds, per block of the pairing with a perp witness, the
-    block's first ambient coordinate and the witness: (psi', inner) for
-    an E_{2a,2b} block (``_e2a2b``), (P, L) for the skew cubic block
-    (``_cubic_block``).  ``verify.certify`` checks a witness against the
-    block it finds there before it reads isotropy or perp/top from it,
-    and otherwise falls back to ``is_isotropic``, ``perp`` and
-    ``quotient_type``.
+    block's first ambient coordinate and the witness: (psi', inner,
+    psi'') for an E_{2a,2b} block (``_e2a2b``), two exact pairs with
+    the block's generator, and (P, L) for the skew cubic block
+    (``_cubic_block``), a perp basis and the top's lift into it.
+    ``verify.certify`` checks a witness against the block it finds there
+    before it reads isotropy or perp/top from it; a witness that fails,
+    or that is not a tuple of matrices of its length, falls back to
+    ``is_isotropic``, ``perp`` and ``quotient_type``.
     """
 
     case: str
@@ -280,14 +283,16 @@ def build_E2a2b(field, a: int, b: int, flavor: str):
 def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     """The pairing, the unchecked generator phi_plus ⊕ phi_minus of
     ``build_E2a2b``, phi_plus into the e-half and phi_minus into the
-    x-half, and the block's perp witness (psi', inner).  The defaults give
-    the smallest block, E(1,2), the small block of the case I and III rows.
+    x-half, and the block's perp witness (psi', inner, psi'').  The
+    defaults give the smallest block, E(1,2), the small block of the case
+    I and III rows.
 
-    With c = b - a, psi' = psi.twist(-c): O^b -> O(a)^c is everywhere
-    surjective (its profile is kept, see ``build_phi_psi``), psi' phi_plus
-    = 0, and phi_minus = psi'^T inner with inner = phi_(a,c).twist(-c):
-    O(-c)^a -> O(-a)^c.  ``verify._witness_holds`` checks these, and
-    ``verify._witnessed_quotient`` reads perp/top from inner.
+    With c = b - a, psi' = psi_(a,b).twist(-c): O^b -> O(a)^c, and
+    phi_minus = psi'^T inner with inner = phi_(a,c).twist(-c): O(-c)^a ->
+    O(-a)^c, and psi'' = psi_(a,c).twist(-c): O(-a)^c -> O^(c-a), the
+    other half of inner's binomial pair.  ``verify._witnessed_quotient``
+    checks (phi_plus, psi') and (inner, psi'') as exact pairs and the
+    product, and reads perp/top from psi''.
 
     The generator's profile (2a, True) composes with no Smith form where
     ``build_phi_psi`` keeps phi's: phi_plus is phi twisted, phi_minus the
@@ -301,12 +306,11 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     if b < 2 * a:
         raise HypothesisError(f"need b >= 2a, got a={a}, b={b}")
     beta = Pairing.hyperbolic(field, b, flavor)
-    phi, psi = build_phi_psi(field, a, b)
-    phi_plus = phi.twist(-(b - a))  # O(-(b-a))^a -> O^b
-    psi = psi.twist(-(b - a))  # O^b -> O(a)^(b-a)
-    inner = build_phi_psi(field, a, b - a)[0].twist(-(b - a))  # O(-(b-a))^a -> O(-a)^(b-a)
+    c = b - a
+    phi_plus, psi = (m.twist(-c) for m in build_phi_psi(field, a, b))  # O(-c)^a -> O^b -> O(a)^c
+    inner, psi_inner = (m.twist(-c) for m in build_phi_psi(field, a, c))  # -> O(-a)^c -> O^(c-a)
     gen = GradedMatrix.direct_sum(field, phi_plus, psi.transpose_dual() @ inner)
-    return beta, gen, (psi, inner)
+    return beta, gen, (psi, inner, psi_inner)
 
 
 # ---------------------------------------------------------------------------

@@ -528,7 +528,8 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     E^perp is block diagonal, so E^perp/F is the union of the block
     quotients E_B^perp/F_B.  A chunk of an everywhere-injective member is
     everywhere injective (independent columns stay so, the dropped rows
-    being zero), and its entries are the member's, so neither is checked."""
+    being zero), so it keeps the profile (ncols, True), and its entries
+    are the member's, so neither is checked."""
     n = beta.dim
     if any(m.ambient != (0,) * n for m in members):
         raise ValueError("a pairing needs a trivial ambient frame of its dimension")
@@ -554,6 +555,7 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
             same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
             if not same:
                 chunk = GradedMatrix._valid(f, src, (0,) * len(coords), rows)
+                chunk._profile = RankProfile(len(src), True)
                 same = [Subbundle(chunk, check=False)]
             chunks.append(same[0])
         blocks.append(Block(coords, pairing, tuple(chunks)))

@@ -35,22 +35,22 @@ holds iff it does on each chunk, a perp is the sum of the chunks' perps,
 and perp/top is the union of the block quotients (proved there), each one
 ``quotient_type`` of the top chunk in its block's perp.  A block may have
 a witness for that quotient, as a member inclusion does
-(``FlagFamily.perps``).  An E_{2a,2b} block's is the builder's (psi',
-inner): once ``_witness_holds`` has checked it, in the isotropy step, it
-proves the top chunk isotropic, and perp/top is one cokernel scan of
-inner, run only when a rule asks for it.  The skew cubic block's is (P,
-L), a basis of its low chunk's perp and the top's lift into it, checked
-by ``_lifted_quotient``.  Neither needs a kernel scan or a lift; the
-lemmas are in ``_perp_over_top``.  A refused witness falls back to
-``is_isotropic``, ``perp`` and ``quotient_type``.  A block whose chunk is
-empty, or whose chunk pairs to zero with the top chunk and has the rank
-the top chunk leaves, has its perp/top by its shape.
+(``FlagFamily.perps``).  Every such witness rests on one lemma, that of
+an exact pair (``_exact_pair``).  An E_{2a,2b} block's is the builder's
+(psi', inner, psi''), two binomial exact pairs: once
+``_witnessed_quotient`` has checked it, in the isotropy step, it proves
+the top chunk isotropic and gives perp/top from the frame of psi''.  Any
+other nonempty chunk takes a perp basis (P, L), checked by
+``_lifted_quotient``: the top chunk itself when the chunk has the rank
+the top chunk leaves, else the skew cubic block's witness.  An empty
+chunk's perp/top is read from the top chunk.  None needs a kernel scan
+or a lift (``_perp_over_top``); a refused witness falls back to
+``is_isotropic``, ``perp`` and ``quotient_type``.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``),
-and computes each of its block stages (isotropy, the witness checks, the
-pairing of a chunk with the top chunk, perp, quotient, the cokernel of a
-top chunk and of a witness's inner matrix) once through it: the
-key is the stage and its arguments' content, field included, and a stage
+and computes each of its block stages (isotropy, the two witness checks,
+perp, quotient and the cokernel of a top chunk) once through it: the key
+is the stage and its arguments' content, field included, and a stage
 is a deterministic function of that content, so a hit is what a
 recomputation gives and every check still runs once.  The builders take
 their blocks from the same memo, each built, with its rank profile, once
@@ -78,14 +78,13 @@ from .families import (
     build_phi_psi,
     is_exceptional,
 )
-from .frames import GradedMatrix
+from .frames import GradedMatrix, RankProfile
 from .sheaves import (
     Pairing,
     SplittingType,
     Subbundle,
     cokernel_type,
     _lift_quotient_type,
-    _scan_cokernel,
     is_isotropic,
     kernel_free,
     orthogonal_blocks,
@@ -298,180 +297,189 @@ def _blocks(fam: FlagFamily) -> list:
 
 def _isotropy(blocks, count) -> Optional[list]:
     """Check every distinct chunk of the bottom ``count`` members of each
-    block isotropic; None if one is not.  Otherwise, per block, the pair
-    (isotropic, witnessed): whether its top chunk was checked isotropic
-    here, and whether by its E_{2a,2b} witness, the facts
-    ``_perp_over_top`` reads.
+    block isotropic; None if one is not.  Otherwise, per block, the
+    perp/top of its top chunk if its E_{2a,2b} witness gave one here,
+    else None: the value ``_perp_over_top`` reads.
 
     A tested nonempty top chunk of a block with a perp witness is checked
-    by ``_witness_holds`` in place of ``is_isotropic``: a witness that
+    by ``_witnessed_quotient`` in place of ``is_isotropic``: a witness that
     holds proves the chunk isotropic.  A refused witness leaves the chunk
     to ``is_isotropic``."""
-    facts = []
+    found = []
     for b in blocks:
-        top, witnessed = b.chunks[-1], False
+        top, quotient = b.chunks[-1], None
         tested = {id(e): e for e in b.chunks[:count] if e.rank}
         if b.witness is not None and id(top) in tested:
-            witnessed = _once(_witness_holds, top, b.pairing, *b.witness)
-            if witnessed:
+            quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
+            if quotient is not None:
                 del tested[id(top)]
         if not all(_once(is_isotropic, e, b.pairing) for e in tested.values()):
             return None
-        facts.append((witnessed or id(top) in tested, witnessed))
-    return facts
+        found.append(quotient)
+    return found
 
 
-def _perp_over_top(blocks, i, facts) -> SplittingType:
+def _perp_over_top(blocks, i, witnessed) -> SplittingType:
     """perp(member i)/top: per block, the quotient of the perp of member
     i's chunk by the top chunk, joined; raises ``ValueError`` if a top
-    chunk does not lie in its perp.  ``facts`` holds, per block, what
-    ``_isotropy`` checked of its top chunk: (isotropic, witnessed).
+    chunk does not lie in its perp.  ``witnessed`` holds, per block, what
+    ``_isotropy`` read from its E_{2a,2b} witness: perp/top of the top
+    chunk, or None.
 
-    Four rules answer a block; every other block, and one whose witness
-    is refused, takes ``perp`` and ``quotient_type``, which stay the
-    oracle.  Let C be member i's chunk and E the top chunk (the same
-    object when equal, as ``orthogonal_blocks`` makes them).
+    Let C be member i's chunk and E the top chunk (the same object when
+    equal, as ``orthogonal_blocks`` makes them).  Three rules answer a
+    block with no kernel scan and no solve; a block none answers, and one
+    whose witness is refused, takes ``perp`` and ``quotient_type``, which
+    stay the oracle.
     (a) C is empty.  Its perp is the whole block, whose generator is the
         identity, and E's generator is its own lift into it, so perp/top
         is coker(E) (``_lift_quotient_type``), or (0,) * dim if E is empty
-        too.  No perp and no solve.
-    (b) C and E pair to zero, and rank C + rank E = dim.  For C = E that is
-        the isotropy ``_isotropy`` checked; otherwise one product,
-        ``pairing_map(C) @ E.gen`` (``_annihilates``).  The block's pairing
-        is nondegenerate, so C^perp is a subbundle of rank dim - rank C =
-        rank E, and it holds E, a subbundle.  A subbundle inside a
-        subsheaf of equal rank is all of it, so C^perp = E and perp/top is
-        empty: the symmetric cubic block (C = E, Lagrangian) and the R3
-        block (C its low chunk).
-    (c) C is E, and the block's E_{2a,2b} witness held in ``_isotropy``:
-        coker(inner) ∪ coker(inner)^v (``_witnessed_quotient``), by the
-        lemma below.
-    (d) C is not E, and the block's lift witness (P, L) passes
-        ``_lifted_quotient``: coker(L), the skew cubic block.
-
-    The lemma.  Let beta be hyperbolic of dimension 2b (an e-half and an
-    x-half, <e_i, x_j> = delta_ij, <x_j, e_i> = +-delta_ij), and let E's
-    generator be phi_plus on the e-rows ⊕ phi_minus on the x-rows, of a
-    columns each.  Suppose psi': O^b -> O(psi'.dst) is everywhere
-    surjective with b - a rows, psi' phi_plus = 0 and psi'^T inner =
-    phi_minus (^T the transposed dual).  Then E is isotropic and
-    perp(E)/E is coker(inner) ∪ coker(inner)^v.  Proof: the pairing of a
-    phi_plus column with a phi_minus column is an entry of +-phi_minus^T
-    phi_plus = +-inner^T psi' phi_plus = 0, and two columns in one half
-    pair to 0, so E is isotropic.  (u, w) is in perp(E) iff phi_minus^T u
-    = 0 and phi_plus^T w = 0, so perp(E) and E split along the two halves.
-    E's generator is everywhere injective (a chunk of a member), so phi_plus
-    and phi_minus are, and so is inner, as phi_minus = psi'^T inner is.
-    - e-half: ker psi' is a subbundle of rank a holding the subbundle
-      im phi_plus of rank a, and a subbundle of equal rank inside a
-      subsheaf is all of it, so ker psi' = im phi_plus.  As phi_minus^T =
-      inner^T psi' and psi' is onto, ker phi_minus^T / im phi_plus =
-      psi'^-1(ker inner^T) / ker psi' ≅ ker inner^T, which is coker(inner)^v
-      because inner has constant rank.
-    - x-half: psi'^T is everywhere injective and phi_plus^T psi'^T = 0, so
-      im psi'^T is a subbundle of rank b - a inside ker phi_plus^T, of rank
-      b - a: they are equal.  So ker phi_plus^T / im phi_minus =
-      im psi'^T / psi'^T(im inner) ≅ coker(inner).
-    The hypotheses are what ``_witness_holds`` checks, so perp/top is one
-    rank-only cokernel scan of the small matrix inner, run only here: a
-    rule that asks for no perp/top (case III) checks the witness and
-    scans nothing."""
+        too.
+    (b) C is E, and its E_{2a,2b} witness held in ``_isotropy``: the
+        perp/top ``_witnessed_quotient`` read from it.
+    (c) A perp basis (P, L) of C passes ``_lifted_quotient``: perp/top is
+        coker(L).  When rank C + rank E is the block's dimension, the
+        basis is E itself, (E.gen, identity), and perp/top is empty: the
+        symmetric cubic block (C = E, Lagrangian) and the R3 block (C its
+        low chunk).  Otherwise it is the block's witness: the skew cubic
+        block's."""
     twists = ()
-    for b, (isotropic, witnessed) in zip(blocks, facts):
+    for b, found in zip(blocks, witnessed):
         top, chunk, dim = b.chunks[-1], b.chunks[i], len(b.coords)
         if not chunk.rank:
             found = _once(_lift_quotient_type, top.gen) if top.rank else SplittingType((0,) * dim)
-        elif chunk is top and witnessed:
-            found = _once(_witnessed_quotient, b.witness[1])
-        elif chunk.rank + top.rank == dim and (
-            isotropic if chunk is top else _once(_annihilates, chunk, top.gen, b.pairing)
-        ):
-            found = SplittingType(())
-        else:
-            found = None
-            if chunk is not top and b.witness is not None:
-                found = _once(_lifted_quotient, chunk, top, b.pairing, *b.witness)
+        elif chunk is not top or found is None:
+            basis = b.witness
+            if chunk.rank + top.rank == dim:
+                basis = (top.gen, GradedMatrix.identity(top.field, top.gen.src))
+            found = _once(_lifted_quotient, chunk, top, b.pairing, basis)
             if found is None:
                 found = _once(quotient_type, top, _once(perp, chunk, b.pairing))
         twists += found.twists
     return SplittingType(twists)
 
 
-def _witness_holds(e, beta, psi, inner) -> bool:
-    """True iff the E_{2a,2b} witness (psi, inner) meets the hypotheses of
-    the lemma of ``_perp_over_top`` for e: beta is hyperbolic of its
-    flavor on 2b = 2 * psi.ncols coordinates, e's first a = inner.ncols
-    columns vanish off the e-half and its last a off the x-half, psi has
-    b - a rows and is everywhere surjective (a kept profile answers), psi
-    @ phi_plus = 0 and psi^T @ inner = phi_minus.  Then e is isotropic,
-    and perp(e)/e is ``_witnessed_quotient(inner)``."""
+def _exact_pair(phi, psi) -> Optional[SplittingType]:
+    """coker(phi) = O(psi.dst) if 0 -> O(phi.src) -> O(phi.dst) ->
+    O(psi.dst) -> 0 is exact by the checks below, else None.
+
+    The checks: one field, frames that compose (phi.dst = psi.src), psi
+    everywhere surjective (its profile (psi.nrows, True)), psi phi = 0,
+    phi.ncols and sum(phi.src) the rank and degree of K = ker psi, and
+    phi of generic rank phi.ncols.  A kept profile answers each rank:
+    psi's from ``build_phi_psi`` or ``pairing_map``, phi's from
+    ``build_phi_psi`` where its coefficients allow, or a chunk's.
+
+    The saturation lemma: these make the sequence exact, with phi
+    everywhere injective.  Proof: K is the kernel of a surjection of
+    vector bundles, so a subbundle of O(psi.src) of rank #psi.src -
+    #psi.dst and degree sum(psi.src) - sum(psi.dst).  phi maps O(phi.src)
+    into K, and its kernel has rank 0 inside the torsion-free O(phi.src),
+    so it is 0; so im phi is isomorphic to O(phi.src), of K's rank and
+    degree.  K/im phi then has rank 0, so it is torsion, and its length
+    is deg K - deg im phi = 0, so im phi = K.  phi is thus an isomorphism
+    onto the subbundle K, injective on the fiber at every point, and psi
+    maps O(phi.dst)/K onto O(psi.dst).  A short exact sequence of vector
+    bundles stays exact under the transposed dual, so 0 -> O(-psi.dst)
+    -> O(-phi.dst) -> O(-phi.src) -> 0 is exact too."""
+    if (
+        phi.field != psi.field
+        or phi.dst != psi.src
+        or phi.ncols != psi.ncols - psi.nrows
+        or sum(phi.src) != sum(psi.src) - sum(psi.dst)
+        or psi.rank_everywhere() != (psi.nrows, True)
+        or not (psi @ phi).is_zero()
+        or phi.rank_everywhere().generic_rank != phi.ncols
+    ):
+        return None
+    return SplittingType(psi.dst)
+
+
+def _is_witness(witness, length: int) -> bool:
+    """True iff ``witness`` is a tuple of ``length`` matrices; anything
+    else is no witness, and its stage refuses it."""
+    return (
+        isinstance(witness, tuple)
+        and len(witness) == length
+        and all(isinstance(m, GradedMatrix) for m in witness)
+    )
+
+
+def _witnessed_quotient(e, beta, witness) -> Optional[SplittingType]:
+    """perp(e)/e of an E_{2a,2b} top chunk e from the block's witness
+    (psi', inner, psi''), or None if the witness fails.
+
+    It holds when beta is hyperbolic of its flavor on 2b = 2 * psi'.ncols
+    coordinates, e's first a = inner.ncols columns vanish off the e-half
+    and its last a off the x-half, so that e's generator is phi_plus ⊕
+    phi_minus, (phi_plus, psi') and (inner, psi'') are exact pairs
+    (``_exact_pair``), and psi'^T inner = phi_minus (^T the transposed
+    dual).  phi_plus keeps the profile (a, True): its columns are e's, on
+    the rows off which they vanish, and e's generator is everywhere
+    injective.
+
+    The lemma.  Then e is isotropic, and perp(e)/e is coker(inner) ∪
+    coker(inner)^v = O(psi''.dst) ∪ O(-psi''.dst).  Proof: with <e_i, x_j>
+    = delta_ij and <x_j, e_i> = +-delta_ij, (u, w) pairs with a phi_plus
+    column (p, 0) to +-w.p and with a phi_minus column (0, m) to u.m.  So
+    a phi_plus column pairs with a phi_minus column to an entry of
+    +-phi_minus^T phi_plus = +-inner^T psi' phi_plus = 0, and two columns
+    in one half pair to 0: e is isotropic.  (u, w) is in perp(e) iff
+    phi_minus^T u = 0 and phi_plus^T w = 0, so perp(e) and e split along
+    the two halves.  By ``_exact_pair``, ker psi' = im phi_plus, im psi'^T
+    = ker phi_plus^T (the transposed dual sequence), inner is everywhere
+    injective with cokernel O(psi''.dst), and ker inner^T = im psi''^T.
+    - e-half: phi_minus^T = inner^T psi' and psi' is onto, so
+      ker phi_minus^T / im phi_plus = psi'^-1(ker inner^T) / ker psi' ≅
+      ker inner^T ≅ O(-psi''.dst).
+    - x-half: psi'^T is everywhere injective, so ker phi_plus^T / im
+      phi_minus = im psi'^T / psi'^T(im inner) ≅ coker(inner) =
+      O(psi''.dst).
+    For the binomial pairs psi''.dst is (0,) * (c - a), pulled back or
+    not, so perp/top is read from a frame: no scan."""
+    if not _is_witness(witness, 3):
+        return None
+    psi, inner, psi_inner = witness
     f, gen = e.field, e.gen
     b, a = psi.ncols, inner.ncols
     if (
-        psi.field != f
-        or inner.field != f
-        or gen.src[a:] != inner.src
-        or psi.src != (0,) * b
+        inner.field != f
         or inner.dst != tuple(-t for t in psi.dst)
-        or psi.nrows != b - a
         or beta.matrix != _once(Pairing.hyperbolic, f, b, beta.flavor).matrix
     ):
-        return False
+        return None
     support = gen.support()
     if any(i >= b for col in support[:a] for i, _ in col) or any(
         i < b for col in support[a:] for i, _ in col
     ):
-        return False
-    plus = GradedMatrix._valid(f, gen.src[:a], psi.src, tuple(row[:a] for row in gen.entries[:b]))
-    minus = tuple(row[a:] for row in gen.entries[b:])
-    return (
-        psi.rank_everywhere() == (b - a, True)
-        and (psi @ plus).is_zero()
-        and (psi.transpose_dual() @ inner).entries == minus
-    )
-
-
-def _witnessed_quotient(inner) -> SplittingType:
-    """perp(E)/E of a top chunk E whose witness (psi', inner) holds
-    (``_witness_holds``): coker(inner) ∪ coker(inner)^v, by the lemma of
-    ``_perp_over_top``.  inner is everywhere injective there, so the scan
-    runs with its column count as the rank."""
-    coker = _scan_cokernel(inner, inner.ncols)
+        return None
+    plus = GradedMatrix._valid(f, gen.src[:a], gen.dst[:b], tuple(r[:a] for r in gen.entries[:b]))
+    plus._profile = RankProfile(plus.ncols, True)
+    minus = GradedMatrix._valid(f, gen.src[a:], gen.dst[b:], tuple(r[a:] for r in gen.entries[b:]))
+    coker = _exact_pair(inner, psi_inner)
+    if coker is None or _exact_pair(plus, psi) is None or psi.transpose_dual() @ inner != minus:
+        return None
     return SplittingType(coker.twists + coker.dual().twists)
 
 
-def _annihilates(e, m: GradedMatrix, beta) -> bool:
-    """True iff every generator of e pairs to zero with every column of m."""
-    return (pairing_map(e, beta) @ m).is_zero()
+def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
+    """perp(e)/top from a perp basis (P, L) of e, or None if it fails.
 
-
-def _lifted_quotient(e, top, beta, p, lift) -> Optional[SplittingType]:
-    """perp(e)/top from a lift witness (P, L), or None if it fails.
-
-    The witness holds when its frames fit (P maps into e's ambient, L from
-    top's source into P's), P has dim - rank e columns, ``pairing_map(e)
-    @ P`` is zero, P @ L = top.gen, and P is everywhere injective (its
-    rank profile; P is a constant of its block, so a kept one answers).
-    Then perp(e) = im P: im P lies in perp(e), which is a subbundle of
-    rank dim - rank e (beta is nondegenerate), and im P is a subbundle of
-    that rank, so they are equal (a subbundle inside a subsheaf of equal
-    rank is all of it).  So L is the lift of top into perp(e), and
-    perp(e)/top is coker(L) (``_lift_quotient_type``)."""
-    f = e.field
-    if (
-        p.field != f
-        or lift.field != f
-        or p.dst != e.ambient
-        or lift.dst != p.src
-        or lift.src != top.gen.src
-        or p.ncols != len(e.ambient) - e.rank
-    ):
+    It holds when L maps into P's source over e's field, P @ L = top.gen,
+    and (P, pairing_map(e)) is an exact pair (``_exact_pair``).  The
+    pairing map is everywhere surjective with kernel perp(e), so then
+    perp(e) = im P, L is top's lift into it, and perp(e)/top is coker(L)
+    (``_lift_quotient_type``).  P @ L = top.gen also puts top inside
+    perp(e): so P = top.gen with L the identity checks that top is
+    perp(e), and for e = top that is isotropy.  The skew cubic block's P
+    is a constant of its block, with no kept profile: its rank is one
+    Smith form, kept with the block."""
+    if not _is_witness(basis, 2):
         return None
-    if (
-        not _annihilates(e, p, beta)
-        or p @ lift != top.gen
-        or p.rank_everywhere() != (p.ncols, True)
-    ):
+    p, lift = basis
+    if lift.field != e.field or lift.dst != p.src or p @ lift != top.gen:
+        return None
+    if _exact_pair(p, pairing_map(e, beta)) is None:
         return None
     return _lift_quotient_type(lift)
 
@@ -490,12 +498,10 @@ def certify(fam: FlagFamily) -> Certificate:
     (``_perp_over_top``).  No stage runs whose answer a checked fact
     already decides.  An E_{2a,2b} block's perp witness, checked once in
     the isotropy step (``_isotropy``), proves its top chunk isotropic and
-    gives its quotient from one scan of inner, run only if the rule asks
-    for perp/top; the skew cubic block's lift witness gives its low
-    chunk's quotient.  A block whose chunk is empty, or whose chunk pairs
-    to zero with the top chunk and has the rank the top chunk leaves, has
-    its quotient by shape.  Any other block's, or one whose witness
-    fails, is one ``quotient_type`` of the top chunk in its perp.
+    gives its quotient; any other nonempty chunk's quotient comes from a
+    perp basis (``_lifted_quotient``), and an empty chunk's from the top
+    chunk.  A block none of these answers, or one whose witness fails,
+    takes one ``quotient_type`` of the top chunk in its perp.
     """
     members = fam.members
     rule = _RULES.get((fam.flavor, len(members)))
@@ -507,14 +513,14 @@ def certify(fam: FlagFamily) -> Certificate:
     if tuple(m.rank for m in members) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
     blocks = _blocks(fam) if rule.isotropic else ()
-    facts = _isotropy(blocks, rule.isotropic)
-    if facts is None:
+    witnessed = _isotropy(blocks, rule.isotropic)
+    if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
     beside_top = None
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
         try:
-            beside_top = _perp_over_top(blocks, 0, facts)
+            beside_top = _perp_over_top(blocks, 0, witnessed)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
@@ -522,7 +528,7 @@ def certify(fam: FlagFamily) -> Certificate:
     try:
         quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
-            beside_top = _perp_over_top(blocks, -1, facts)
+            beside_top = _perp_over_top(blocks, -1, witnessed)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":
@@ -539,8 +545,8 @@ class SesReport(NamedTuple):
     """The four facts exactness of 0 -> O^a -> O(b-a)^b -> O(b)^(b-a) -> 0
     rests on.  ``kernel_matches``: ker psi has phi's source frame as its
     type and contains every column of phi, so ker psi = im phi; it holds by
-    the degree lemma of ``verify_claim_ses`` where that applies, and is
-    otherwise read from the kernel scan and one lift."""
+    the lemma of ``_exact_pair`` where that applies, and is otherwise read
+    from the kernel scan and one lift."""
 
     a: int
     b: int
@@ -563,43 +569,23 @@ def verify_claim_ses(field, a: int, b: int) -> SesReport:
     """Check exactness of the phi/psi pair: psi phi = 0, phi everywhere
     injective, psi everywhere surjective, and ker psi = im phi.
 
-    The last is certified from phi's and psi's rank profiles alone where
-    the matrices allow it.  Lemma: if psi is everywhere surjective, psi phi
-    = 0, phi has generic rank phi.ncols, and phi.ncols and sum(phi.src) are
-    the rank and degree of K = ker psi, then im phi = K and phi is
-    everywhere injective.  Proof: K is the kernel of a surjection of
-    vector bundles, so a subbundle of O(psi.src) of rank #psi.src -
-    #psi.dst and degree sum(psi.src) - sum(psi.dst).  phi maps O(phi.src)
-    into K, and its kernel has rank 0 inside the torsion-free O(phi.src),
-    so it is 0; so im phi is isomorphic to O(phi.src), of K's rank and
-    degree.  K/im phi then has rank 0, so it is torsion, and its length is
-    deg K - deg im phi = 0, so im phi = K.  phi is thus an isomorphism onto
-    the subbundle K, injective on the fiber at every point.
-
-    ``injective`` and ``surjective`` are read from phi's and psi's
-    profiles, and ``kernel_matches`` holds where the lemma's conditions,
-    read from the matrices and not from (a, b), do.  ``build_phi_psi``
-    proves psi's profile, and phi's wherever its binomial coefficients are
+    Where (phi, psi) passes ``_exact_pair``, all four hold by its lemma,
+    read from the matrices and not from (a, b).  ``build_phi_psi`` proves
+    psi's profile, and phi's wherever its binomial coefficients are
     nonzero in the field, so an exact report there runs no Smith form.
 
-    Otherwise ker psi comes from the Hilbert-function scan
+    Otherwise ``injective`` and ``surjective`` are read from phi's and
+    psi's profiles, and ker psi comes from the Hilbert-function scan
     (``kernel_free``) and must have phi's source frame as its type; if the
     composite is zero, every column of phi must also lift through it
     (``sub_lift``).
     """
     phi, psi = build_phi_psi(field, a, b)
+    if _exact_pair(phi, psi) is not None:
+        return SesReport(a, b, True, True, True, True)
     composite_zero = (psi @ phi).is_zero()
-    phi_profile, psi_profile = phi.rank_everywhere(), psi.rank_everywhere()
-    injective = phi_profile == (a, True)
-    surjective = psi_profile == (b - a, True)
-    if (
-        composite_zero
-        and psi_profile == (psi.nrows, True)
-        and phi.ncols == psi.ncols - psi.nrows
-        and sum(phi.src) == sum(psi.src) - sum(psi.dst)
-        and phi_profile.generic_rank == phi.ncols
-    ):
-        return SesReport(a, b, composite_zero, injective, surjective, True)
+    injective = phi.rank_everywhere() == (a, True)
+    surjective = psi.rank_everywhere() == (b - a, True)
     ker = kernel_free(psi)
     kernel_matches = ker.type == SplittingType(phi.src)
     if kernel_matches and composite_zero:

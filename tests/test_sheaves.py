@@ -995,8 +995,10 @@ def isotropic_families(field, n_max):
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
 def test_every_family_splits_as_the_label_merging_oracle(field):
     # the label-merging split (``label_blocks``), its blocks that hold no
-    # member column folded into one, finds the same layout in every family
-    families_seen = 0
+    # member column folded into one, finds the same layout in every family.
+    # Each chunk keeps the profile (ncols, True), which a fresh Smith form
+    # of each distinct chunk confirms
+    families_seen, profiled = 0, set()
     for fam in isotropic_families(field, 24):
         beta, members = fam.pairing, fam.members
         found = orthogonal_blocks(beta, members)
@@ -1007,6 +1009,11 @@ def test_every_family_splits_as_the_label_merging_oracle(field):
             assert b.pairing.matrix == gram
             assert ref.pairing is None or ref.pairing.matrix == gram
             assert [e.gen for e in b.chunks] == [e.gen for e in ref.chunks]
+            for e in b.chunks:
+                assert e.gen._profile == (e.rank, True)
+                if e.gen not in profiled:
+                    profiled.add(e.gen)
+                    assert e.gen._rank_profile() == (e.rank, True), (fam.case, fam.n, fam.k)
             shared = [[e is other for other in b.chunks] for e in b.chunks]
             assert shared == [[e is other for other in ref.chunks] for e in ref.chunks]
         families_seen += 1
