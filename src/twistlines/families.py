@@ -22,22 +22,21 @@ keeps them as its summands, and every member column lies in one of them:
 (``sheaves.orthogonal_blocks``) and runs its pairing stages on them.
 
 Each builder assembles only the top member; every lower member is given
-by its witness into the member above (``_flag``), written as a list of
-columns.  An entry is either an index, selecting that generator, or a
-combination of generators; only the combined column of classical case II
-and the e1 column of case IVa are combinations.  A list of indices is a
-selection, kept as the tuple of indices, and the member's generator is
-the outer columns it picks; a list with a combination is kept as the
-matrix L with members[i+1].gen @ L == members[i].gen, and the member's
-generator is that product.  The witnesses are kept as the family's
-``inclusions``, not trusted data: ``certify`` uses one only after
-checking it (a selection column by column, a matrix by the product), and
-otherwise finds the inclusion again by elimination.
+by its witness into the member above, the tuple of its columns, which
+the builder writes and the family keeps as its ``inclusions``.  An entry
+is an index, the generator above it selects, or a combination of two of
+them times monomials; only the combined column of classical case II and
+the e1 column of case IVa are combinations.  ``_lower`` reads a witness:
+the member's generator, and the flag quotient from frames, by one lemma
+in its docstring.  The witnesses are not trusted data: ``certify`` reads
+one only if ``_lower`` gives the member from it, and otherwise finds the
+inclusion again by elimination.
 
 Every matrix here is assembled from blocks that carry their rank
-profile, so the profiles of the top member and of each matrix witness
-compose (``GradedMatrix.direct_sum``, ``pullback_power``, ``identity``
-and products) and only the cubic and R3 blocks run a Smith form: an
+profile, so the profile of the top member composes
+(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity`` and
+products), a combination's column reads its own from its monomials
+(``_column``), and only the cubic and R3 blocks run a Smith form: an
 E_{2a,2b} block composes its profile from the binomial pair
 (``build_phi_psi``).
 While ``verify.run_sweep`` runs, each process keeps one memo
@@ -123,13 +122,13 @@ class FlagFamily:
     when an odd symmetric dimension was rerouted to its even neighbor.
 
     ``inclusions`` holds the builder's witness for each adjacent pair,
-    from which the builder made members[i] itself: a tuple of indices,
-    the columns of members[i+1] that members[i] selects, or the matrix
-    L_i with members[i+1].gen @ L_i == members[i].gen.  Empty means no
+    from which the builder made members[i] itself: the tuple of the
+    columns of L_i, members[i+1].gen @ L_i == members[i].gen, each an
+    index or a two-row combination (``_lower``).  Empty means no
     witnesses (the orbit family, hand-built flags).  ``verify.certify``
-    checks each witness (a selection column by column, a matrix by its
-    product) before it reads a quotient from it, and falls back to
-    elimination when a witness is missing or fails.
+    reads a quotient from a witness only if ``_lower`` gives members[i]
+    from it, and falls back to elimination when a witness is missing or
+    fails.
 
     ``perps`` holds, per block of the pairing with a perp witness, the
     block's first ambient coordinate and the witness: (psi', inner,
@@ -151,7 +150,7 @@ class FlagFamily:
     pairing: object
     notes: tuple = ()
     requested: object = None
-    inclusions: tuple = ()  # per pair: selected indices, or L_i with outer.gen @ L_i == inner.gen
+    inclusions: tuple = ()  # per pair: L_i's columns, outer.gen @ L_i == inner.gen (_lower)
     perps: tuple = ()  # (first coordinate, witness) per block with a perp witness
 
     @property
@@ -337,63 +336,86 @@ def _column(field, twists, specs):
     return col
 
 
-def _witness(field, outer, columns):
-    """The witness L into a member with source frame ``outer``, from a list
-    of columns with a combination (see ``_flag``), as a direct sum of
-    blocks, each on a run of outer rows: a 1 x 1 identity for an index i,
-    and a ``_column`` from ``_once`` for a combination.  The runs must
-    cover every outer row, in order, else ``ValueError``.  Every block
-    carries its profile, so L's composes with no Smith form."""
-    runs = [[col] if isinstance(col, int) else sorted(col) for col in columns]
-    if [i for run in runs for i in run] != list(range(len(outer))):
-        raise ValueError("witness columns must cover the outer rows in order")
-    blocks = [
-        GradedMatrix.identity(field, (outer[col],))
-        if isinstance(col, int)
-        else _once(_column, field, tuple(outer[i] for i in run), tuple(col[i] for i in run))
-        for col, run in zip(columns, runs)
-    ]
-    return GradedMatrix.direct_sum(field, *blocks)
+def _lower(outer, witness):
+    """(outer @ L, the twists of coker L) for the inclusion witness L that
+    ``witness`` writes, or None if it writes none.
+
+    ``witness`` is a tuple of L's columns, one per generator of the lower
+    member: an index i is the unit column at outer row i, and a
+    combination ((i1, s1), (i2, s2)) is the column with entry
+    BinaryForm.monomial(field, *s) = c T0^(d-e) T1^e at row i1 and i2, for
+    s = (d, e[, c]), and zero elsewhere (``_column``, through ``_once``).
+    None when an entry is neither, when a row repeats or is not an int in
+    range(outer.ncols), or when a combination's column does not keep the
+    profile (1, True).  An index column of outer @ L is outer's column, the
+    same form objects; a combination's is the product of outer's two
+    columns with it.
+
+    The lemma.  Then L is everywhere injective, and coker L is the
+    summands of outer's frame at the rows no entry names, plus one
+    O(a1 + a2 - t) per combination c: O(t) -> O(a1) + O(a2).  Proof: up to
+    a permutation of rows and columns, L is block diagonal, with a 1 x 1
+    unit per index, the 2 x 1 column c per combination, and a zero row per
+    row left out.  A unit is an isomorphism; c has rank 1 at every point,
+    so it is injective on every fiber and coker c is a line bundle, whose
+    degree is a1 + a2 - t.  So if outer is everywhere injective, so is
+    outer @ L, and outer/inner = coker L for inner = outer @ L: outer is an
+    isomorphism onto its image that carries im L onto inner."""
+    if not isinstance(witness, tuple):
+        return None
+    field, used, columns, src, lines = outer.field, set(), [], [], []
+    for entry in witness:
+        if type(entry) is int:
+            rows = (entry,)
+        elif isinstance(entry, tuple) and len(entry) == 2 and all(
+            isinstance(part, tuple) and len(part) == 2 and isinstance(part[1], tuple)
+            for part in entry
+        ):
+            rows = (entry[0][0], entry[1][0])
+        else:
+            return None
+        for r in rows:
+            if type(r) is not int or not 0 <= r < outer.ncols or r in used:
+                return None
+            used.add(r)
+        if len(rows) == 1:
+            src.append(outer.src[entry])
+            columns.append(tuple(row[entry] for row in outer.entries))
+            continue
+        twists = tuple(outer.src[r] for r in rows)
+        try:
+            col = _once(_column, field, twists, (entry[0][1], entry[1][1]))
+        except (TypeError, ValueError):
+            return None
+        if col.rank_everywhere() != (1, True):
+            return None
+        pair = tuple(tuple(row[r] for r in rows) for row in outer.entries)
+        product = GradedMatrix._valid(field, twists, outer.dst, pair) @ col
+        src.append(col.src[0])
+        columns.append(tuple(row[0] for row in product.entries))
+        lines.append(sum(twists) - col.src[0])
+    entries = tuple(zip(*columns)) if columns else ((),) * outer.nrows
+    left = [a for r, a in enumerate(outer.src) if r not in used]
+    return GradedMatrix._valid(field, tuple(src), outer.dst, entries), (*left, *lines)
 
 
 def _flag(case, n, k, flavor, shape, pairing, top, *lower, perps=()) -> FlagFamily:
     """The family with top member ``top`` and, from the top down, one lower
-    member per entry of ``lower``.  Each is a list of columns of the member
-    above it: an index i selects that member's generator i, and
-    {i: (d, e) or (d, e, c), ...} is the combination of the generators i
-    times BinaryForm.monomial(field, d, e[, c]) = c T0^(d-e) T1^e.
+    member per entry of ``lower``: its inclusion witness into the member
+    above, a tuple of that member's generators and combinations of two of
+    them (``_lower``).  The member's generator is outer.gen @ L, and the
+    witness is kept as the family's inclusion; a witness ``_lower``
+    refuses raises ``ValueError``.
 
-    A list of indices only is a selection: its witness is the tuple of
-    indices, and the member's generator is the selected outer columns
-    themselves.  A repeated or out-of-range index raises ``ValueError``.
-    A list with a combination is the witness L (``_witness``), a matrix
-    from the member's frame to the outer member's, and the member's
-    generator is outer.gen @ L.
-
-    The member is certified by its witness, not by its n-row generator.
-    outer.gen is everywhere injective, so at every point the member's rank
-    is L's: the member is everywhere injective iff L is.  A selection's L,
-    distinct unit columns, is, with no check; a matrix is checked by its
-    rank profile, composed from its blocks, and a failing one raises
-    ``ValueError``.  ``perps`` goes to the family as it is."""
-    field = top.field
+    The member is certified by its witness, not by its n-row generator:
+    outer.gen is everywhere injective, so the member is too (``_lower``'s
+    lemma).  ``perps`` goes to the family as it is."""
     members, inclusions = [top], []
-    for columns in lower:
-        outer = members[0].gen
-        if all(isinstance(col, int) for col in columns):
-            witness = tuple(columns)
-            if len(set(witness)) != len(witness) or not set(witness) <= set(range(outer.ncols)):
-                raise ValueError(f"flag selection {witness} is not distinct outer columns")
-            src = tuple(outer.src[i] for i in witness)
-            selected = tuple(tuple(row[i] for i in witness) for row in outer.entries)
-            gen = GradedMatrix._valid(field, src, outer.dst, selected)
-        else:
-            witness = _witness(field, outer.src, columns)
-            profile = witness.rank_everywhere()
-            if profile != (witness.ncols, True):
-                raise ValueError(f"flag witness is not everywhere injective: {profile}")
-            gen = outer @ witness
-        members.insert(0, Subbundle(gen, check=False))
+    for witness in lower:
+        found = _lower(members[0].gen, witness)
+        if found is None:
+            raise ValueError(f"not a flag witness: {witness!r}")
+        members.insert(0, Subbundle(found[0], check=False))
         inclusions.insert(0, witness)
     members, inclusions = tuple(members), tuple(inclusions)
     return FlagFamily(
@@ -429,12 +451,12 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
     line, curve, unit = (_once(_monomials, field, d) for d in (1, n - 2 * k, 0))
     top = Subbundle(GradedMatrix.direct_sum(field, *[line] * (k - 1), curve, unit))
     if k == 1:
-        case, low = "classical-I", []
+        case, low = "classical-I", ()
     else:
         # mid's generators are the lines, then the curve; low combines the
         # last line times T0^(n-2k) with the curve times T1
-        case, low = "classical-II", [*range(k - 2), {k - 2: (n - 2 * k, 0), k - 1: (1, 1)}]
-    return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, range(k), low)
+        case, low = "classical-II", (*range(k - 2), ((k - 2, (n - 2 * k, 0)), (k - 1, (1, 1))))
+    return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, tuple(range(k)), low)
 
 
 def build_classical_orbit(field, n: int, k: int):
@@ -611,15 +633,15 @@ class _Case(NamedTuple):
 
 # one row per construction, l = k // 2 and m = n // 2; see the module docstring
 _CASES = {
-    "I": _Case(_e2a2b, ([0], []), lambda l, m: (l, m - 2), True),
-    "II": _Case(_cubic_block, ([0, 1], [0]), lambda l, m: (l - 1, m - 3), True),
-    "IIIa": _Case(_e2a2b, ([],), lambda l, m: (l - 1, m - 2), True),
-    "IIIb": _Case(_cubic_block, ([0],), lambda l, m: (l - 1, m - 3), True),
+    "I": _Case(_e2a2b, ((0,), ()), lambda l, m: (l, m - 2), True),
+    "II": _Case(_cubic_block, ((0, 1), (0,)), lambda l, m: (l - 1, m - 3), True),
+    "IIIa": _Case(_e2a2b, ((),), lambda l, m: (l - 1, m - 2), True),
+    "IIIb": _Case(_cubic_block, ((0,),), lambda l, m: (l - 1, m - 3), True),
     # IVa's low member starts with e1 = T0 * col_bp - T1 * col_bm
     "IVa": _Case(
-        _r3_block, ([1, 2], [{0: (1, 0), 1: (1, 1, -1)}]), lambda l, m: (l - 1, m - 2), False
+        _r3_block, ((1, 2), (((0, (1, 0)), (1, (1, 1, -1))),)), lambda l, m: (l - 1, m - 2), False
     ),
-    "IVb": _Case(_plane_block, ([0], []), lambda l, m: (l, m - 1), False),
+    "IVb": _Case(_plane_block, ((0,), ()), lambda l, m: (l, m - 1), False),
 }
 
 
@@ -662,7 +684,7 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     top = Subbundle(GradedMatrix.direct_sum(field, *gens, filler_gen))
     lists, above, nbig = [], small_gen.ncols, top.rank - small_gen.ncols
     for cols in lower:
-        lists.append([*cols, *range(above, above + nbig)])
+        lists.append((*cols, *range(above, above + nbig)))
         above = len(cols)
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
     perps = tuple((at, witness) for at, witness in perps if witness)

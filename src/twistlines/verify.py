@@ -16,16 +16,16 @@ length; a row names the members that must be isotropic, the complement
 beside the top quotient and the formula, and ``certify`` reads it.
 
 Each flag quotient is read from the lift L of a member into the next one.
-A family's builder supplies it as a witness (``FlagFamily.inclusions``).
-Most witnesses are selections, a tuple of the outer columns the inner
-member is: ``certify`` compares those columns with the inner ones
-(``_selects``), and outer/inner is the summands of outer's frame left
-out.  A matrix witness L is checked with one product, outer.gen @ L ==
-inner.gen, after checking that its frames fit; the outer generator is
-everywhere injective, so a witness that passes is the unique lift
-elimination would find.  A missing, stale or wrong witness fails its
-check, and the quotient is found by elimination (``quotient_type``), so a
-witness can cost time but never change a verdict or a note.
+A family's builder supplies it as a witness (``FlagFamily.inclusions``),
+the tuple of L's columns: an index, which selects an outer generator, or
+a combination of two.  ``certify`` reads a witness only if
+``families._lower`` gives the inner generator from it; the outer
+generator is everywhere injective, so L is then the unique lift
+elimination would find, and outer/inner is read from frames with no
+scan: the summands left out, plus one line per combination.  A missing,
+stale or wrong witness fails that check, and the quotient is found by
+elimination (``quotient_type``), so a witness can cost time but never
+change a verdict or a note.
 
 The pairing stages (isotropy, perps and the quotient of a perp by the top)
 run per block of ``sheaves.orthogonal_blocks``, the summands the builder
@@ -72,6 +72,7 @@ from typing import NamedTuple, Optional
 from .families import (
     ExceptionalCaseError,
     FlagFamily,
+    _lower,
     _once,
     _set_memo,
     build_family,
@@ -237,61 +238,30 @@ _RULES = {
 
 def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
     """Type of members[i+1]/members[i]: from the family's inclusion witness
-    if it checks, else by elimination.
+    if ``_lower`` gives members[i]'s generator from it, else by elimination
+    (``quotient_type``).
 
-    A tuple witness is a selection, checked by ``_selects``, and the
-    quotient is the outer summands it leaves out.  A matrix witness L
-    checks, once its frames fit, with the product outer.gen @ L ==
-    inner.gen.  Anything else is no witness.
+    A witness that gives it is a lift L with outer.gen @ L = inner.gen, and
+    outer/inner is coker L, which ``_lower`` reads from frames, with no
+    scan (its lemma).  Anything else is no witness.
     """
     inner, outer = fam.members[i], fam.members[i + 1]
-    lift = fam.inclusions[i] if inner.rank and i < len(fam.inclusions) else None
-    if isinstance(lift, tuple) and _selects(inner.gen, outer.gen, lift):
-        return SplittingType(tuple(a for j, a in enumerate(outer.gen.src) if j not in lift))
-    if (
-        isinstance(lift, GradedMatrix)
-        and lift.field == outer.field
-        and lift.dst == outer.gen.src
-        and lift.src == inner.gen.src
-        and outer.gen @ lift == inner.gen
-    ):
-        return _lift_quotient_type(lift)
+    found = _lower(outer.gen, fam.inclusions[i]) if i < len(fam.inclusions) else None
+    if found is not None and found[0] == inner.gen:
+        return SplittingType(found[1])
     return quotient_type(inner, outer)
-
-
-def _selects(inner: GradedMatrix, outer: GradedMatrix, rows: tuple) -> bool:
-    """True iff ``rows`` selects inner from outer: one distinct int in
-    range(outer.ncols) per inner column, inner.src the selected outer.src,
-    and inner's column j outer's column rows[j], entry by entry.  A
-    negative index is refused: Python would read -1 as the last column,
-    and the summands left out would be wrong.
-
-    Then outer @ L == inner for L the matrix of distinct unit columns at
-    ``rows``, with entry 1, and L is the inclusion of the summands of
-    outer's frame it selects.  outer is an isomorphism from its frame onto
-    its image, so outer/inner is the summands left out.  The builders copy
-    the selected entries, so most are the same object."""
-    return (
-        len(rows) == inner.ncols
-        and all(isinstance(r, int) and 0 <= r < outer.ncols for r in rows)
-        and len(set(rows)) == len(rows)
-        and inner.dst == outer.dst
-        and inner.src == tuple(outer.src[r] for r in rows)
-        and all(
-            inner_row[j] is outer_row[r] or inner_row[j] == outer_row[r]
-            for inner_row, outer_row in zip(inner.entries, outer.entries)
-            for j, r in enumerate(rows)
-        )
-    )
 
 
 def _blocks(fam: FlagFamily) -> list:
     """``orthogonal_blocks`` of the family's members, each with the perp
-    witness the builder gave for the block at its first coordinate."""
+    witness the builder gave for the block at its first coordinate.  A
+    ``perps`` entry that is not a pair with an int coordinate is none."""
     blocks = orthogonal_blocks(fam.pairing, fam.members)
-    if not fam.perps:
+    witnesses = dict(
+        p for p in fam.perps if isinstance(p, tuple) and len(p) == 2 and type(p[0]) is int
+    )
+    if not witnesses:
         return blocks
-    witnesses = dict(fam.perps)
     return [b._replace(witness=witnesses.get(b.coords[0])) for b in blocks]
 
 

@@ -7,8 +7,8 @@ entries, zero columns and rank drops are common.  The field, the target
 frame and the coefficient strategy can be fixed by the caller, e.g. to draw
 a second factor of a product or rational entries with denominators.
 ``assert_canonical`` checks the stored form of computed scalars.
-``unit_columns`` expands a selection witness, a tuple of indices, to the
-matrix of unit columns it stands for.
+``witness_matrix`` expands an inclusion witness, a tuple of indices and
+two-row combinations, to the matrix it stands for.
 
 The ``reference_*`` form operations and ``evaluate`` make one field-method
 call per coefficient operation, so the oracles built from them share no
@@ -105,13 +105,18 @@ def evaluate(m, t0, t1):
     return [[value(e) for e in row] for row in m.entries]
 
 
-def unit_columns(field, frame, rows):
-    """The matrix from the summands of ``frame`` at ``rows`` into ``frame``
-    whose column j is the unit column at rows[j], with entry 1."""
-    one = BinaryForm.constant(field, 1)
+def witness_matrix(field, frame, witness):
+    """The matrix into ``frame`` whose column j is witness[j] written out:
+    for an index r the unit column at r, with entry 1, and for a
+    combination ((r1, s1), (r2, s2)) the column with entries
+    BinaryForm.monomial(field, *s) at r1 and r2; every other entry zero."""
     columns = []
-    for r in rows:
-        a = frame[r]
-        zeros = [BinaryForm.zero(field, b - a) for b in frame]
-        columns.append((a, [one if i == r else zero for i, zero in enumerate(zeros)]))
+    for entry in witness:
+        parts = [(entry, (0, 0))] if isinstance(entry, int) else entry
+        (r, (d, *_)) = parts[0]
+        a = frame[r] - d
+        forms = [BinaryForm.zero(field, b - a) for b in frame]
+        for r, spec in parts:
+            forms[r] = BinaryForm.monomial(field, *spec)
+        columns.append((a, forms))
     return GradedMatrix.from_columns(field, frame, columns)

@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from graded_strategies import witness_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -23,6 +24,7 @@ from twistlines.families import (
 from twistlines.sheaves import (
     SplittingType,
     Subbundle,
+    cokernel_type,
     is_isotropic,
     perp,
     quotient_type,
@@ -363,11 +365,16 @@ def test_constructions_work_over_prime_field():
 def test_flag_refuses_a_combination_witness_that_drops_rank():
     # T0 e0 + T0 e1 vanishes at [0:1]; T0 e0 + T1 e1 vanishes nowhere
     top = Subbundle.full(QQ, (0, 0))
-    with pytest.raises(ValueError, match="not everywhere injective"):
-        families._flag("x", 2, 1, None, (1, 2), None, top, [{0: (1, 0), 1: (1, 0)}])
-    fam = families._flag("x", 2, 1, None, (1, 2), None, top, [{0: (1, 0), 1: (1, 1)}])
+    drops, keeps = ((0, (1, 0)), (1, (1, 0))), ((0, (1, 0)), (1, (1, 1)))
+    assert families._lower(top.gen, (drops,)) is None
+    with pytest.raises(ValueError, match="not a flag witness"):
+        families._flag("x", 2, 1, None, (1, 2), None, top, (drops,))
+    fam = families._flag("x", 2, 1, None, (1, 2), None, top, (keeps,))
     assert fam.members[0].type == st(-1)
-    assert fam.inclusions[0].rank_everywhere() == (1, True)
+    assert fam.inclusions == ((keeps,),)
+    # coker of O(-1) -> O + O is O(0 + 0 - (-1))
+    assert families._lower(top.gen, (keeps,))[1] == (1,)
+    assert quotient_type(fam.members[0], top) == st(1)
 
 
 def families_to_24(field):
@@ -379,24 +386,33 @@ def families_to_24(field):
                     yield build_family(field, n, k, flavor)
 
 
-def matrix_witnesses(fam):
-    """The witnesses of a family that are matrices, not index tuples."""
-    return [w for w in fam.inclusions if isinstance(w, GradedMatrix)]
+def combination_columns(fam):
+    """The column ``_lower`` builds for each combination entry of a
+    family's witnesses."""
+    return [
+        families._column(
+            fam.field, tuple(outer.gen.src[r] for r, _ in entry), tuple(s for _, s in entry)
+        )
+        for witness, outer in zip(fam.inclusions, fam.members[1:])
+        for entry in witness
+        if not isinstance(entry, int)
+    ]
 
 
 def test_witnesses_to_24_are_index_tuples_but_the_combinations():
-    # only classical II and case IVa combine generators, both in the low
-    # member; every other witness is a selection, kept as its indices
-    tuples = matrices = 0
+    # every witness is a tuple; only classical II and case IVa combine
+    # generators, one combination each, in the low member
+    witnesses = combined = 0
     for fam in families_to_24(QQ):
         for i, witness in enumerate(fam.inclusions):
-            if isinstance(witness, tuple):
-                tuples += 1
-            else:
-                matrices += 1
-                assert isinstance(witness, GradedMatrix)
+            assert isinstance(witness, tuple)
+            witnesses += 1
+            combinations = [entry for entry in witness if not isinstance(entry, int)]
+            if combinations:
+                combined += 1
+                assert len(combinations) == 1
                 assert (fam.case, i) in (("classical-II", 0), ("IVa", 0)), (fam.n, fam.k)
-    assert (tuples, matrices) == (573, 127)
+    assert (witnesses, combined) == (700, 127)
 
 
 def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatch):
@@ -409,9 +425,10 @@ def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatc
 
     top = Subbundle.full(QQ, (0, 0))
     monkeypatch.setattr(families, "Subbundle", Recording)
-    for columns in ([0, 0], [0, 2], [-1]):
-        with pytest.raises(ValueError, match="is not distinct outer columns"):
-            families._flag("x", 2, 1, None, (1, 2), None, top, columns)
+    for witness in ((0, 0), (0, 2), (-1,), (True,), [0], "0"):
+        assert families._lower(top.gen, witness) is None
+        with pytest.raises(ValueError, match="not a flag witness"):
+            families._flag("x", 2, 1, None, (1, 2), None, top, witness)
     assert built == []
 
 
@@ -435,7 +452,7 @@ def test_blocks_and_members_to_24_pass_the_checked_constructor(field):
                 for d in (1, 2):
                     assert checked_copy(gen.pullback_power(d)) == gen.pullback_power(d)
     for fam in families_to_24(field):
-        for m in [member.gen for member in fam.members] + matrix_witnesses(fam):
+        for m in [member.gen for member in fam.members] + combination_columns(fam):
             assert checked_copy(m) == m, (fam.flavor, fam.n, fam.k)
 
 
@@ -465,25 +482,40 @@ def test_a_monomial_column_is_profiled_without_a_smith_form(case):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_composed_profiles_to_24_equal_a_fresh_smith_form(field):
-    # the top member's profile composes from its blocks', each witness's
-    # from its columns'; each is kept, and is what the whole matrix gives
+    # the top member's profile composes from its blocks', and each
+    # combination column's is read from its monomials; each is kept, and is
+    # what the whole matrix gives
     for fam in families_to_24(field):
-        for m in [fam.members[-1].gen, *matrix_witnesses(fam)]:
+        for m in [fam.members[-1].gen, *combination_columns(fam)]:
             assert m._profile == checked_copy(m)._rank_profile(), (fam.n, fam.k, fam.flavor)
 
 
 def test_a_witness_is_the_direct_sum_of_its_columns():
-    # an index, a combination over the next run of rows, an index
+    # an index, a combination of two rows, an index; into the identity of
+    # the frame, outer @ L is L itself, and the lemma's twists are coker L's
     frame = (0, -1, -2, -3)
     one, zero = BinaryForm.constant(QQ, 1), BinaryForm.zero
     t00, t1 = BinaryForm.monomial(QQ, 2, 0), BinaryForm.monomial(QQ, 1, 1)
-    witness = families._witness(QQ, frame, [0, {1: (2, 0), 2: (1, 1)}, 3])
+    outer = GradedMatrix.identity(QQ, frame)
+    combination = ((1, (2, 0)), (2, (1, 1)))
+    for witness in ((0, combination, 3), (3, combination, 0), (combination,)):
+        gen, twists = families._lower(outer, witness)
+        assert gen == witness_matrix(QQ, frame, witness)
+        assert SplittingType(twists) == cokernel_type(gen)
     first = [one, zero(QQ, -1), zero(QQ, -2), zero(QQ, -3)]
     second = [zero(QQ, 3), t00, t1, zero(QQ, 0)]
     third = [zero(QQ, 3), zero(QQ, 2), zero(QQ, 1), one]
     expected = GradedMatrix.from_columns(QQ, frame, [(0, first), (-3, second), (-3, third)])
-    assert witness == expected
-    assert witness._profile == (3, True) == checked_copy(witness)._rank_profile()
-    for columns in ([2, 0], [0, 0], [{0: (0, 0), 2: (2, 0)}], [0, {1: (2, 0), 2: (1, 1)}]):
-        with pytest.raises(ValueError, match="cover the outer rows in order"):
-            families._witness(QQ, frame, columns)
+    assert families._lower(outer, (0, combination, 3)) == (expected, (0,))
+    refused = [
+        (1, combination),  # a row shared with an index
+        (((0, (0, 0)), (2, (2, 0))),),  # frames that do not fit
+        (((1, (2, 0)), (2, (1, 2))),),  # T1-exponent beyond the degree
+        (((1, (2, 0)),),),  # one row
+        (((1, (2, 0)), (2, (1, 1)), (3, (0, 0))),),  # three rows
+        (((1, (2, 0)), (4, (1, 1))),),  # a row out of range
+        (((1, [2, 0]), (2, (1, 1))),),  # a spec that is not a tuple
+        ({1: (2, 0), 2: (1, 1)},),  # the old map form
+    ]
+    for witness in refused:
+        assert families._lower(outer, witness) is None, witness

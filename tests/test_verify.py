@@ -3,7 +3,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
-from graded_strategies import unit_columns
+from graded_strategies import witness_matrix
 
 from twistlines import families, linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField, RationalField
@@ -461,24 +461,25 @@ def test_a_serial_sweep_builds_each_block_once(monkeypatch):
 
 
 def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
-    # _flag copies a selected member's entries from the member above, so
-    # the check compares identical objects; a rebuilt copy is compared
+    # _lower copies a selected column's entries from the member above, as
+    # _flag did, so the witness check compares identical objects; a rebuilt
+    # copy is compared form by form
     fam = build_classical(QQ, 9, 3)
     inner, outer = fam.members[1].gen, fam.members[2].gen
     rows = fam.inclusions[1]
     rebuilt = [[BinaryForm(QQ, e.degree, e.coeffs) for e in row] for row in inner.entries]
     copy = GradedMatrix(QQ, inner.src, inner.dst, rebuilt)
-    assert verify._selects(copy, outer, rows)
+    assert families._lower(outer, rows)[0] == copy
     # a repeated index is refused though its columns compare equal
-    r = rows[0]
-    twice = GradedMatrix(QQ, (outer.src[r],) * 2, outer.dst, [(row[r],) * 2 for row in outer.entries])
-    assert not verify._selects(twice, outer, (r, r))
+    assert families._lower(outer, (rows[0], rows[0])) is None
+    quotient = verify._flag_quotient(fam, 1)
 
     def refuse(self, other):
         raise AssertionError("BinaryForm.__eq__ called")
 
     monkeypatch.setattr(BinaryForm, "__eq__", refuse)
-    assert verify._selects(inner, outer, rows)
+    assert families._lower(outer, rows)[0] == inner
+    assert verify._flag_quotient(fam, 1) == quotient
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
@@ -769,8 +770,7 @@ def test_inclusion_witnesses_are_the_lifts_and_change_no_certificate(field):
         members = fam.members
         assert len(fam.inclusions) == len(members) - 1, fam.case
         for lift, inner, outer in zip(fam.inclusions, members, members[1:]):
-            if isinstance(lift, tuple):
-                lift = unit_columns(field, outer.gen.src, lift)
+            lift = witness_matrix(field, outer.gen.src, lift)
             assert lift == sub_lift(inner, outer), (fam.case, fam.n, fam.k)
         cert = certify(fam)
         plain = certify(replace(fam, inclusions=()))
@@ -782,18 +782,6 @@ def test_orbit_family_carries_no_witnesses():
     _, orbit = build_classical_orbit(QQ, 7, 3)
     assert orbit.inclusions == ()
     assert certify(orbit).very_twisting
-
-
-def scaled_by_two(lift):
-    two = BinaryForm.constant(lift.field, 2)
-    rows = [[e * two for e in row] for row in lift.entries]
-    return GradedMatrix(lift.field, lift.src, lift.dst, rows)
-
-
-def first_two_columns_swapped(lift):
-    cols = [lift.column(j) for j in range(lift.ncols)]
-    cols[0], cols[1] = cols[1], cols[0]
-    return GradedMatrix.from_columns(lift.field, lift.dst, cols)
 
 
 def index_corruptions(rows, outer):
@@ -809,6 +797,29 @@ def index_corruptions(rows, outer):
         swapped = list(rows)
         swapped[0], swapped[j] = rows[j], rows[0]
         bad.append(tuple(swapped))
+    return bad
+
+
+def combination_corruptions(witness, outer):
+    """Wrong copies of a witness with a combination entry ((r1, s1), (r2,
+    s2)), s1 a power of T0 and s2 of degree 1: a changed coefficient, the
+    second entry T0 too (the column then vanishes at [0:1]), a row shared
+    with an index entry, one-row and three-row combinations, a row out of
+    range, and the entry as a dict.  All but the first are no witness."""
+    j = next(j for j, entry in enumerate(witness) if not isinstance(entry, int))
+    (r1, s1), (r2, s2) = witness[j]
+    shared = next(entry for entry in witness if isinstance(entry, int))
+    entries = [
+        ((r1, s1), (r2, (*s2[:2], 2))),
+        ((r1, s1), (r2, (s2[0], 0))),
+        ((r1, s1), (shared, s2)),
+        ((r1, s1),),
+        ((r1, s1), (r2, s2), (r2, s2)),
+        ((r1, s1), (outer.ncols, s2)),
+        {r1: s1, r2: s2},
+    ]
+    bad = [(*witness[:j], entry, *witness[j + 1 :]) for entry in entries]
+    assert all(families._lower(outer, w) is None for w in bad[1:])
     return bad
 
 
@@ -842,7 +853,7 @@ def test_wrong_witness_is_never_trusted(monkeypatch):
         ("skew", 8, 2),
     ]
     stale = build_classical(QQ, 9, 4).inclusions[0]  # frames of another family
-    aliased = 0
+    aliased = combined = 0
     for flavor, n, k in cases:
         fam = build_classical(QQ, n, k) if flavor is None else build_isotropic(QQ, n, k, flavor)
         plain = certify(replace(fam, inclusions=()))
@@ -850,20 +861,19 @@ def test_wrong_witness_is_never_trusted(monkeypatch):
         assert certify(fam) == plain
         trusted = len(calls)
         for i, lift in enumerate(fam.inclusions):
-            corrupted = [stale, "not a matrix"]
-            if isinstance(lift, tuple):
-                outer = fam.members[i + 1].gen
+            corrupted = [stale, "not a witness"]
+            outer = fam.members[i + 1].gen
+            if all(isinstance(entry, int) for entry in lift):
                 corrupted += index_corruptions(lift, outer)
                 aliased += lift[-1] == outer.ncols - 1
             else:
-                corrupted.append(scaled_by_two(lift))
-                if lift.ncols >= 2:
-                    corrupted.append(first_two_columns_swapped(lift))
+                combined += 1
+                corrupted += combination_corruptions(lift, outer)
             for bad in corrupted:
                 del calls[:]
                 assert certify(with_inclusion(fam, i, bad)) == plain, (fam.case, i)
                 assert len(calls) > trusted, (fam.case, i)
-    assert aliased
+    assert aliased and combined == 2
 
 
 def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
@@ -911,26 +921,45 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_selection_witnesses_give_the_elimination_quotient(field, monkeypatch):
-    # each selection witness is checked column by column and its quotient
-    # is read from the frame; elimination must find the same quotient
-    matched = []
-    real_selects = verify._selects
+    # each witness, a selection or one with a combination, is checked by
+    # _lower and its quotient read from frames; elimination must find the
+    # same quotient, and _flag_quotient must not fall back to it
+    fallbacks = []
+    real_quotient_type = sheaves.quotient_type
 
-    def selects(inner, outer, rows):
-        matched.append(real_selects(inner, outer, rows))
-        return matched[-1]
+    def quotient_type(inner, outer):
+        fallbacks.append((inner, outer))
+        return real_quotient_type(inner, outer)
 
-    monkeypatch.setattr(verify, "_selects", selects)
-    selections = 0
+    monkeypatch.setattr(verify, "quotient_type", quotient_type)
+    witnesses = 0
     for fam in sweep_families(field, 16):
-        for i, (lift, inner) in enumerate(zip(fam.inclusions, fam.members)):
-            if not inner.rank or not isinstance(lift, tuple):
-                continue
-            selections += 1
+        for i, inner in enumerate(fam.members[:-1]):
+            witnesses += 1
             outer = fam.members[i + 1]
-            assert verify._flag_quotient(fam, i) == sheaves.quotient_type(inner, outer)
-    assert selections > 100
-    assert matched == [True] * selections
+            assert verify._flag_quotient(fam, i) == real_quotient_type(inner, outer)
+    assert witnesses > 100
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
+    # every witness quotient is read from frames, the two-row combinations
+    # of classical II and case IVa included
+    scans = []
+    real_scan = sheaves._scan_cokernel
+
+    def scan(m, r):
+        scans.append(m)
+        return real_scan(m, r)
+
+    monkeypatch.setattr(sheaves, "_scan_cokernel", scan)
+    quotients = 0
+    for fam in sweep_families(field, 24):
+        for i in range(len(fam.members) - 1):
+            verify._flag_quotient(fam, i)
+            quotients += 1
+    assert (quotients, len(scans)) == (700, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -1170,6 +1199,17 @@ def test_a_malformed_perp_witness_is_refused(field):
         for change in malformed:
             perps = tuple((at, change(witness)) for at, witness in fam.perps)
             assert certify(replace(fam, perps=perps)) == plain, (fam.case, perps)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_a_malformed_perps_entry_is_ignored(field):
+    # an entry that is not a (coordinate, witness) pair with an int
+    # coordinate names no block; each of these used to raise in certify
+    fam = build_isotropic(field, 12, 3, "symmetric")
+    plain = certify(replace(fam, perps=()))
+    for perps in [("junk",), ((0,),), ((0, None, 1),), (([0], None),), (None,), ((True, None),)]:
+        assert certify(replace(fam, perps=perps)) == plain, perps
+        assert certify(replace(fam, perps=perps + fam.perps)) == plain, perps
 
 
 def is_skew_cubic_block(fam, b):
