@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (capped by CPUs and by case groups, one per flavor and n//2)",
+        help="processes, this one included (capped by CPUs and by case groups, one per flavor and n//2)",
     )
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

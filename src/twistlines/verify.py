@@ -55,9 +55,10 @@ is a deterministic function of that content, so a hit is what a
 recomputation gives and every check still runs once.  The builders take
 their blocks from the same memo, each built, with its rank profile, once
 per process (see ``families``).  A stage that raises stores nothing; a
-direct ``certify`` sees no memo.  With more than one worker,
-``run_sweep`` sends the cases that share their blocks to one worker: one
-task per (flavor, n // 2), the largest n first.
+direct ``certify`` sees no memo.  With more than one process,
+``run_sweep`` keeps the cases that share their blocks, one (flavor,
+n // 2) group, in one process: it deals the groups into shares, runs one
+itself and forks a child for each of the others.
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -631,8 +632,9 @@ def _sweep_one(args):
 
 
 def pool_size(jobs: int, n_tasks: int, cpus) -> int:
-    """Worker processes for a sweep: the requested number, capped by the
-    CPU count (``None`` counts as 1) and by the number of tasks, at least 1."""
+    """Processes for a sweep, this one included: the requested number,
+    capped by the CPU count (``None`` counts as 1) and by the number of
+    tasks, at least 1."""
     return max(1, min(jobs, cpus or 1, n_tasks))
 
 
@@ -640,15 +642,102 @@ def _sweep_group(tasks):
     return [_sweep_one(t) for t in tasks]
 
 
+def _memo_sweep(groups):
+    """The rows of the groups, in turn, under one memo that this process
+    opens here and drops when it returns or raises."""
+    _set_memo({})
+    try:
+        return [row for group in groups for row in _sweep_group(group)]
+    finally:
+        _set_memo(None)
+
+
+def _shares(groups, count):
+    """Deal the groups into ``count`` shares: one at a time, the largest
+    first, each to the share with the fewest cases so far."""
+    shares = [[] for _ in range(count)]
+    sizes = [0] * count
+    for group in sorted(groups, key=len, reverse=True):
+        i = sizes.index(min(sizes))
+        shares[i].append(group)
+        sizes[i] += len(group)
+    return shares
+
+
+def _may_fork() -> bool:
+    """True where ``os.fork`` exists and this process runs one thread: a
+    fork copies only the calling thread, so a lock that another one held
+    would stay held in the child."""
+    import threading
+
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _forked_sweep(shares):
+    """The rows of every share: this process runs the first, one forked
+    child each of the others.
+
+    Each child opens its own memo, writes one pickle of its rows to its
+    own pipe and leaves through ``os._exit``, so it never returns into the
+    caller or flushes the caller's stdio.  A pipe's write end is closed
+    here before the next fork, so its EOF comes from its own child alone.
+    A child that exits nonzero, or sends no complete pickle, raises
+    ``RuntimeError``; whatever raises, every child still running is
+    killed and reaped before this returns.
+    """
+    import pickle
+    import signal
+
+    pipes, running = [], []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child: it leaves only through os._exit
+                    status = 1
+                    try:
+                        with open(write_end, "wb") as out:
+                            pickle.dump(_memo_sweep(share), out)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write_end)
+            running.append(pid)
+        rows = _memo_sweep(shares[0])
+        for pid, pipe in zip(list(running), pipes):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if status != 0:
+                raise RuntimeError(f"sweep worker {pid} exited with status {status}")
+            try:
+                rows += pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise RuntimeError(f"sweep worker {pid} sent no complete rows") from exc
+        return rows
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
     """Certify every case in range; rows come back in deterministic order.
 
-    The cases of one (flavor, n // 2) are one task, so with more than one
-    worker they share one worker's memo: the big block's b is fixed by
-    n // 2 and the case row.  The tasks go out with the largest n, the
-    slowest, first, and the rows are put back in sweep order.  The pool
-    has at most one worker per task; with one, the tasks run in this
-    process, in the same order, under one memo.
+    The cases of one (flavor, n // 2) are one group, and a group runs
+    under one process's memo: the big block's b is fixed by n // 2 and
+    the case row.  With one process (``pool_size``), the groups run here
+    with the largest n, the slowest, first.  With w > 1, they are dealt
+    into w shares of about equal case counts (``_shares``); w - 1 forked
+    children run one share each while this process runs the first, and
+    the rows are put back in sweep order.  A fork copies only the calling
+    thread, so where ``os.fork`` is missing or another thread runs, the
+    sweep runs serially, with the same rows.
     """
     points = sweep_points(n_min, n_max, flavors)
     groups = {}
@@ -656,18 +745,11 @@ def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
         groups.setdefault((flavor, n // 2), []).append((field, flavor, n, k))
     order = sorted(groups.values(), key=lambda group: -group[-1][2])
     workers = pool_size(jobs, len(order), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, initializer=_set_memo, initargs=({},)) as pool:
-            done = list(pool.map(_sweep_group, order))
+    if workers > 1 and _may_fork():
+        rows = _forked_sweep(_shares(order, workers))
     else:
-        _set_memo({})
-        try:
-            done = list(map(_sweep_group, order))
-        finally:
-            _set_memo(None)
-    by_point = {(row.flavor, row.n, row.k): row for rows in done for row in rows}
+        rows = _memo_sweep(order)
+    by_point = {(row.flavor, row.n, row.k): row for row in rows}
     return [by_point[point] for point in points]
 
 

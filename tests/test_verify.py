@@ -353,14 +353,133 @@ def test_sweep_points_skip_odd_skew():
     assert all(n % 2 == 0 for _, n, _ in pts)
 
 
+def _counted_forks(monkeypatch):
+    """Count the forks run_sweep makes; a child's own count is lost."""
+    forks = []
+    real = verify.os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(verify.os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def deadline():
+    """Fail a pool test that waits on a child for more than a minute."""
+    import signal
+
+    def overrun(signum, frame):
+        raise TimeoutError("a sweep pool test overran its deadline")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        verify.os.waitpid(-1, verify.os.WNOHANG)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
-def test_sweep_parallel_matches_serial(field):
-    # each worker keeps its own memo and takes whole (flavor, n // 2)
-    # groups; the rows come back in sweep order
+def test_sweep_parallel_matches_serial(field, monkeypatch, deadline):
+    # each process keeps its own memo and takes whole (flavor, n // 2)
+    # groups; the rows come back in sweep order.  Three processes are two
+    # forked children, with shares of 55, 55 and 54 cases
     flavors = [None, "symmetric", "skew"]
     serial = run_sweep(field, 2, 16, flavors)
-    parallel = run_sweep(field, 2, 16, flavors, jobs=2)
-    assert serial == parallel
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    forks = _counted_forks(monkeypatch)
+    assert run_sweep(field, 2, 16, flavors, jobs=2) == serial
+    assert len(forks) == 1
+    assert run_sweep(field, 2, 16, flavors, jobs=3) == serial
+    assert len(forks) == 3
+    assert families._memo is None
+    _no_child_left()
+
+
+def test_pool_shares_deal_the_largest_group_to_the_smallest_share():
+    groups = {}
+    for point in sweep_points(2, 18, SWEEP_FLAVORS):
+        groups.setdefault((point[0], point[1] // 2), []).append(point)
+    order = sorted(groups.values(), key=lambda group: -group[-1][1])
+    shares = verify._shares(order, 3)
+    sizes = [sum(map(len, share)) for share in shares]
+    # a round-robin deal of the n-sorted groups gives 81/81/45 cases
+    assert sizes == [69, 69, 69]
+    assert sorted(id(g) for share in shares for g in share) == sorted(map(id, order))
+
+
+def test_a_dead_pool_child_raises_and_leaves_no_process(monkeypatch, deadline):
+    # a child that dies before it sends its rows fails the sweep, naming
+    # its exit status; no partial row list comes back
+    me = verify.os.getpid()
+    real = verify._sweep_group
+
+    def group(tasks):
+        if verify.os.getpid() != me:
+            verify.os._exit(3)
+        return real(tasks)
+
+    monkeypatch.setattr(verify, "_sweep_group", group)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=3)
+    assert families._memo is None
+    _no_child_left()
+
+
+def test_a_failing_pool_parent_kills_and_reaps_every_child(monkeypatch, deadline):
+    # the children would run for a minute; the parent's own share raises
+    # at once, and the pool kills and reaps them before the error leaves
+    import time
+
+    class Stop(BaseException):
+        pass
+
+    me = verify.os.getpid()
+
+    def group(tasks):
+        if verify.os.getpid() != me:
+            time.sleep(60)
+        raise Stop
+
+    monkeypatch.setattr(verify, "_sweep_group", group)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(Stop):
+        run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=3)
+    assert len(forks) == 2
+    assert families._memo is None
+    _no_child_left()
+
+
+def test_a_sweep_under_threads_forks_nothing(monkeypatch):
+    # a fork copies only the calling thread, so with another thread alive
+    # the sweep runs serially, with the same rows
+    import threading
+
+    serial = run_sweep(QQ, 2, 10, SWEEP_FLAVORS)
+
+    def refuse():
+        raise AssertionError("a sweep forked while another thread ran")
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        monkeypatch.setattr(verify.os, "fork", refuse)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=2) == serial
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +717,12 @@ def test_pool_size_clamps_to_cpus_and_tasks():
 def test_a_one_group_sweep_starts_no_pool(monkeypatch):
     # n = 8 and 9 classical are one (flavor, n // 2) group, so --jobs 2 has
     # one task and runs it in this process, with the serial rows
-    import concurrent.futures
-
     serial = run_sweep(QQ, 8, 9, [None])
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-group sweep started a process pool")
+    def refuse():
+        raise AssertionError("a one-group sweep forked a child")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify.os, "fork", refuse)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     assert run_sweep(QQ, 8, 9, [None], jobs=2) == serial
     assert [(r.n, r.k) for r in serial] == [(n, k) for n in (8, 9) for k in range(1, 5)]
