@@ -433,6 +433,13 @@ def cokernel_type(m: GradedMatrix) -> SplittingType:
     generators are built.  For injective m, 0 -> src -> dst -> Q -> 0 is
     exact, so a type of degree other than deg dst - deg src, which a wrong
     nullity in the scan can give, raises ``RuntimeError``.
+
+    That check does not prove the type: a wrong nullity that keeps the
+    degree passes it.  For m = (T0, T1, 0)^T: O(-1) -> O^2 + O(3), whose
+    cokernel is {3, 1}, a rank one too large at degree 1 of t gives
+    {2, 2}, of the same degree, and nothing raises.  An exact pair
+    (``verify._exact_pair``) is a proof; ROADMAP item 2 reads every
+    classical cokernel from one.
     """
     profile = m.rank_everywhere()
     if not profile.constant:

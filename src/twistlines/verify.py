@@ -407,7 +407,15 @@ def _witnessed_quotient(e, beta, witness) -> Optional[SplittingType]:
       phi_minus = im psi'^T / psi'^T(im inner) ≅ coker(inner) =
       O(psi''.dst).
     For the binomial pairs psi''.dst is (0,) * (c - a), pulled back or
-    not, so perp/top is read from a frame: no scan."""
+    not, so perp/top is read from a frame: no scan.
+
+    Why psi'^T inner is formed again and compared with e's minus half,
+    though ``families._e2a2b`` built that half as this very product: the
+    witness is untrusted data, and the two exact pairs speak of psi',
+    inner and psi'' alone.  The plus half is tied to e by its own exact
+    pair with psi'; the minus half only by this comparison.  Without it, a
+    chunk whose plus half fits the witness would pass whatever its minus
+    half, and be declared isotropic with the witness's perp/top."""
     if not _is_witness(witness, 3):
         return None
     psi, inner, psi_inner = witness

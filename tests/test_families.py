@@ -386,19 +386,6 @@ def families_to_24(field):
                     yield build_family(field, n, k, flavor)
 
 
-def combination_columns(fam):
-    """The column ``_lower`` builds for each combination entry of a
-    family's witnesses."""
-    return [
-        families._column(
-            fam.field, tuple(outer.gen.src[r] for r, _ in entry), tuple(s for _, s in entry)
-        )
-        for witness, outer in zip(fam.inclusions, fam.members[1:])
-        for entry in witness
-        if not isinstance(entry, int)
-    ]
-
-
 def test_witnesses_to_24_are_index_tuples_but_the_combinations():
     # every witness is a tuple; only classical II and case IVa combine
     # generators, one combination each, in the low member
@@ -432,30 +419,6 @@ def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatc
     assert built == []
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_every_lower_member_to_24_is_everywhere_injective(field):
-    # the witness check stands in for the member's own rank profile
-    for fam in families_to_24(field):
-        for member in fam.members[:-1]:
-            if member.rank:
-                Subbundle(member.gen, check=True)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_blocks_and_members_to_24_pass_the_checked_constructor(field):
-    # every E_{2a,2b} generator the n <= 24 families can use, as built and
-    # pulled back, and every member and witness they hold
-    for flavor in ("symmetric", "skew"):
-        for b in range(2, 13):
-            for a in range(1, b // 2 + 1):
-                gen = families._e2a2b(field, flavor, a, b)[1]
-                for d in (1, 2):
-                    assert checked_copy(gen.pullback_power(d)) == gen.pullback_power(d)
-    for fam in families_to_24(field):
-        for m in [member.gen for member in fam.members] + combination_columns(fam):
-            assert checked_copy(m) == m, (fam.flavor, fam.n, fam.k)
-
-
 # ---------------------------------------------------------------------------
 # rank profiles built with their matrices
 
@@ -478,16 +441,6 @@ def test_a_monomial_column_is_profiled_without_a_smith_form(case):
     col = families._column(field, twists, specs)
     assert col == checked_copy(col)
     assert col._profile == checked_copy(col)._rank_profile()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_composed_profiles_to_24_equal_a_fresh_smith_form(field):
-    # the top member's profile composes from its blocks', and each
-    # combination column's is read from its monomials; each is kept, and is
-    # what the whole matrix gives
-    for fam in families_to_24(field):
-        for m in [fam.members[-1].gen, *combination_columns(fam)]:
-            assert m._profile == checked_copy(m)._rank_profile(), (fam.n, fam.k, fam.flavor)
 
 
 def test_a_witness_is_the_direct_sum_of_its_columns():

@@ -12,9 +12,16 @@ memo.  The oracle builds each family again and certifies it
 * with a fresh Smith form in every ``rank_everywhere``, building included,
   which must equal the profile the matrix kept, if it kept one.
 
-A witness that names another member must be refused, not read: each
+The oracle pass counts what it switched off: one call of the whole-member
+split per isotropic family, and at least one ``quotient_type`` per flag
+quotient, so a certifier that stops reading ``verify._blocks`` or the
+witnesses cannot turn it into a comparison of the fast path with itself.
+
+A witness that does not fit its family must be refused, not read: each
 family is also certified on the fast path with every inclusion witness
-missing its last column, and that certificate must be the oracle's too.
+missing its last column, with one entry of every E(2a, 2b) witness
+(psi', inner, psi'') doubled, and with one entry of every perp basis
+(P, L) doubled, and each of those certificates must be the oracle's too.
 """
 
 from dataclasses import replace
@@ -45,20 +52,48 @@ def whole_members(fam):
     return [Block(tuple(range(fam.pairing.dim)), fam.pairing, fam.members)]
 
 
+def counted(calls, stage):
+    """``stage``, recording the arguments of each call in ``calls``."""
+    return lambda *args: calls.append(args) or stage(*args)
+
+
+def doubled(fam, length):
+    """fam with the first nonzero entry of the first matrix of each perp
+    witness of ``length`` matrices doubled, or None if it has none: psi' of
+    an E(2a, 2b) triple (psi', inner, psi''), or P of a perp basis (P, L)."""
+    perps = []
+    for at, witness in fam.perps:
+        if len(witness) == length:
+            m, *rest = witness
+            entries = [list(row) for row in m.entries]
+            i, j = next((i, j) for i, row in enumerate(entries) for j, e in enumerate(row) if e)
+            entries[i][j] += entries[i][j]
+            witness = (GradedMatrix(m.field, m.src, m.dst, entries), *rest)
+        perps.append((at, witness))
+    return replace(fam, perps=tuple(perps)) if tuple(perps) != fam.perps else None
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
 def test_every_certificate_to_24_equals_the_switch_off_oracle(field, monkeypatch):
-    fast, stale = {}, {}
+    # per point: the sweep's certificate, then the fast certificates of the
+    # family with its refused witnesses
+    fast = {}
     for row in run_sweep(field, 2, 24, FLAVORS):
         if row.status != "exceptional":
-            point = (row.flavor, row.n, row.k)
-            fast[point] = row.certificate.to_json_dict()
             fam = build_family(field, row.n, row.k, row.flavor)
-            lost = tuple(witness[:-1] for witness in fam.inclusions)
-            stale[point] = certify(replace(fam, inclusions=lost)).to_json_dict()
-    assert len(fast) == 360
+            lost = replace(fam, inclusions=tuple(witness[:-1] for witness in fam.inclusions))
+            bad = [b for b in (lost, doubled(fam, 3), doubled(fam, 2)) if b is not None]
+            certs = [row.certificate, *map(certify, bad)]
+            fast[row.flavor, row.n, row.k] = [cert.to_json_dict() for cert in certs]
+    assert len(fast) == 360 and sum(map(len, fast.values())) == 2 * 360 + 185 + 30
+    split, lifted = [], []
     monkeypatch.setattr(GradedMatrix, "rank_everywhere", fresh_profile)
-    monkeypatch.setattr(verify, "_blocks", whole_members)
-    for (flavor, n, k), cert in fast.items():
-        fam = build_family(field, n, k, flavor)
-        oracle = certify(replace(fam, inclusions=(), perps=())).to_json_dict()
-        assert cert == oracle == stale[flavor, n, k], (flavor, n, k)
+    monkeypatch.setattr(verify, "_blocks", counted(split, whole_members))
+    monkeypatch.setattr(verify, "quotient_type", counted(lifted, verify.quotient_type))
+    for (flavor, n, k), certs in fast.items():
+        fam = replace(build_family(field, n, k, flavor), inclusions=(), perps=())
+        del split[:], lifted[:]
+        oracle = certify(fam).to_json_dict()
+        assert len(split) == (flavor is not None), (flavor, n, k)
+        assert len(lifted) >= len(fam.members) - 1, (flavor, n, k)
+        assert certs == [oracle] * len(certs), (flavor, n, k)

@@ -3,7 +3,6 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
-from graded_strategies import witness_matrix
 
 from twistlines import families, linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField, RationalField
@@ -39,6 +38,18 @@ from twistlines.verify import (
 
 def st(*twists):
     return SplittingType(tuple(twists))
+
+
+def first_arguments(monkeypatch, module, name):
+    """The first argument of every call of ``module.name`` from now on."""
+    calls, stage = [], getattr(module, name)
+
+    def recording(first, *rest):
+        calls.append(first)
+        return stage(first, *rest)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def test_classical_42_verdict():
@@ -489,14 +500,6 @@ def test_a_sweep_under_threads_forks_nothing(monkeypatch):
 SWEEP_FLAVORS = (None, "symmetric", "skew")
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
-def test_memo_rows_equal_the_per_case_rows(field):
-    rows = run_sweep(field, 2, 16, SWEEP_FLAVORS)
-    points = sweep_points(2, 16, SWEEP_FLAVORS)
-    assert families._memo is None
-    assert rows == [verify._sweep_one((field, *point)) for point in points]
-
-
 def test_no_memo_outlives_a_sweep(monkeypatch):
     run_sweep(PrimeField(3), 2, 8, SWEEP_FLAVORS)  # some of its cases raise
     assert families._memo is None
@@ -579,7 +582,7 @@ def test_a_serial_sweep_builds_each_block_once(monkeypatch):
     assert len(smith) <= 100
 
 
-def test_selects_needs_no_form_comparison_for_shared_entries(monkeypatch):
+def test_lower_needs_no_form_comparison_for_shared_entries(monkeypatch):
     # _lower copies a selected column's entries from the member above, as
     # _flag did, so the witness check compares identical objects; a rebuilt
     # copy is compared form by form
@@ -748,18 +751,6 @@ def test_certificates_deterministic():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
-def test_prime_backend_matches_rational_on_sample():
-    gf = PrimeField(10007)
-    for (n, k, flavor) in [(7, 3, None), (12, 3, "symmetric"), (8, 4, "skew")]:
-        if flavor is None:
-            fam_q, fam_p = build_classical(QQ, n, k), build_classical(gf, n, k)
-        else:
-            fam_q = build_isotropic(QQ, n, k, flavor)
-            fam_p = build_isotropic(gf, n, k, flavor)
-        cq, cp = certify(fam_q), certify(fam_p)
-        assert cq.to_json_dict() == cp.to_json_dict()
-
-
 def constant_span(n, *vectors):
     """The trivial subbundle of O^n spanned by constant vectors over QQ."""
     cols = [(0, [BinaryForm.constant(QQ, c) for c in v]) for v in vectors]
@@ -877,22 +868,6 @@ def sweep_families(field, n_max):
             yield build_classical(field, n, k)
         else:
             yield build_isotropic(field, n, k, flavor)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_inclusion_witnesses_are_the_lifts_and_change_no_certificate(field):
-    # oracle: each witness is the lift elimination finds, and certifying
-    # without the witnesses gives the same certificate
-    for fam in sweep_families(field, 16):
-        members = fam.members
-        assert len(fam.inclusions) == len(members) - 1, fam.case
-        for lift, inner, outer in zip(fam.inclusions, members, members[1:]):
-            lift = witness_matrix(field, outer.gen.src, lift)
-            assert lift == sub_lift(inner, outer), (fam.case, fam.n, fam.k)
-        cert = certify(fam)
-        plain = certify(replace(fam, inclusions=()))
-        assert plain.to_json_dict() == cert.to_json_dict()
-        assert plain == cert
 
 
 def test_orbit_family_carries_no_witnesses():
@@ -1033,11 +1008,12 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# selection witnesses and the members built without a re-check
+# witnesses read by families._lower, and the members built without a
+# re-check
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_selection_witnesses_give_the_elimination_quotient(field, monkeypatch):
+def test_lower_witnesses_give_the_elimination_quotient(field, monkeypatch):
     # each witness, a selection or one with a combination, is checked by
     # _lower and its quotient read from frames; elimination must find the
     # same quotient, and _flag_quotient must not fall back to it
@@ -1063,14 +1039,7 @@ def test_selection_witnesses_give_the_elimination_quotient(field, monkeypatch):
 def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
     # every witness quotient is read from frames, the two-row combinations
     # of classical II and case IVa included
-    scans = []
-    real_scan = sheaves._scan_cokernel
-
-    def scan(m, r):
-        scans.append(m)
-        return real_scan(m, r)
-
-    monkeypatch.setattr(sheaves, "_scan_cokernel", scan)
+    scans = first_arguments(monkeypatch, sheaves, "_scan_cokernel")
     quotients = 0
     for fam in sweep_families(field, 24):
         for i in range(len(fam.members) - 1):
@@ -1097,7 +1066,7 @@ def test_members_built_without_a_check_are_everywhere_injective(field, monkeypat
         assert gen.rank_everywhere() == (gen.ncols, True)
 
 
-def test_selection_witness_of_a_changed_member_falls_back_to_elimination(monkeypatch):
+def test_a_lower_witness_of_a_changed_member_falls_back_to_elimination(monkeypatch):
     # IVb: mid selects the top's generators 0, 2, 3; doubling mid's unit
     # entry keeps the subsheaf but breaks the column comparison, so the
     # quotient and the certificate come from elimination and do not change
@@ -1161,15 +1130,6 @@ def whole_member_certify(fam):
         beside_top = sheaves.cokernel_type(top.gen)
     pieces, psi = rule.formula(low.type, *quotients, beside_top)
     return verify._finish(fam, [low.type, *quotients], pieces, psi, rule.notes)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_blockwise_certificates_equal_the_whole_member_oracle(field):
-    families_seen = 0
-    for fam in sweep_families(field, 24):
-        assert certify(fam) == whole_member_certify(fam), (fam.case, fam.n, fam.k)
-        families_seen += 1
-    assert families_seen == 360
 
 
 T0 = BinaryForm.monomial(QQ, 1, 0)
@@ -1253,45 +1213,15 @@ def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
     # case IIb at n = 20, k = 8 is the cubic block (6 coordinates) plus a
     # hyperbolic block of 14: every perp scans a map from one block.  The
     # perp witnesses are dropped, so the hyperbolic block is scanned too
-    widths = []
-    real_kernel_free = sheaves.kernel_free
-
-    def kernel_free(m):
-        widths.append(m.ncols)
-        return real_kernel_free(m)
-
-    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     fam = build_isotropic(QQ, 20, 8, "symmetric")
     assert certify(replace(fam, perps=())).very_twisting
-    assert widths and max(widths) == 14
+    assert scans and max(m.ncols for m in scans) == 14
 
 
 # ---------------------------------------------------------------------------
 # perp witnesses of the E(2a, 2b) blocks; perp and quotient_type are the
 # oracle and the fallback
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_witness_quotients_to_24_equal_perp_and_quotient_type(field):
-    # every E(2a, 2b) block of every n <= 24 family, the small E(1,2)
-    # blocks included; each distinct block is checked once.  The skew
-    # cubic block's witness speaks of its low chunk (see below)
-    seen = set()
-    for fam in sweep_families(field, 24):
-        blocks = [b for b in verify._blocks(fam) if b.witness] if fam.flavor else []
-        assert len(blocks) == len(fam.perps), (fam.case, fam.n, fam.k)
-        for b in blocks:
-            top = b.chunks[-1]
-            if is_skew_cubic_block(fam, b):
-                assert verify._witnessed_quotient(top, b.pairing, b.witness) is None
-                continue
-            key = (top.gen, b.pairing, b.witness)
-            if key not in seen:
-                seen.add(key)
-                oracle = sheaves.quotient_type(top, sheaves.perp(top, b.pairing))
-                found = verify._witnessed_quotient(top, b.pairing, b.witness)
-                assert found == oracle, (fam.case, fam.n, fam.k)
-    assert len(seen) == 52
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -1327,11 +1257,6 @@ def test_a_malformed_perps_entry_is_ignored(field):
     for perps in [("junk",), ((0,),), ((0, None, 1),), (([0], None),), (None,), ((True, None),)]:
         assert certify(replace(fam, perps=perps)) == plain, perps
         assert certify(replace(fam, perps=perps + fam.perps)) == plain, perps
-
-
-def is_skew_cubic_block(fam, b):
-    """True iff b is the cubic block of a skew case II family."""
-    return fam.flavor == "skew" and fam.case in ("IIa-skew", "IIb") and b.coords[0] == 0
 
 
 def with_big_witness(fam, i, m):
@@ -1425,14 +1350,7 @@ def low_chunk_not_the_top_chunk(fam):
     "corrupt", [*BIG_WITNESS_CORRUPTIONS, gram_negated, low_chunk_not_the_top_chunk]
 )
 def test_a_refused_perp_witness_falls_back_to_the_kernel_scan(field, corrupt, monkeypatch):
-    scans = []
-    real_kernel_free = sheaves.kernel_free
-
-    def kernel_free(m):
-        scans.append(m)
-        return real_kernel_free(m)
-
-    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     # Ib with a big block (a, b) = (3, 8), IIb with (1, 4), Ib with (1, 3),
     # on both flavors: each b > 2a, so the block is not Lagrangian and its
     # perp/top is not decided by its shape
@@ -1475,14 +1393,7 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
     # symmetric cubic block's top chunk is Lagrangian, the R3 block's low
     # chunk has the rank its top chunk leaves, and the skew cubic block has
     # a lift witness, so none is left
-    scans = []
-    real_kernel_free = sheaves.kernel_free
-
-    def kernel_free(m):
-        scans.append(m)
-        return real_kernel_free(m)
-
-    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     assert sweep_consistent(run_sweep(field, 2, 24, SWEEP_FLAVORS))
     assert scans == []
 
@@ -1492,71 +1403,6 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
 # witnessed E(2a, 2b) top chunk and a perp basis, the top chunk itself
 # or the skew cubic block's lift witness; perp and quotient_type are the
 # oracle
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_blocks_answered_by_their_shape_equal_perp_and_quotient_type(field):
-    seen, rules = set(), set()
-    for fam in sweep_families(field, 24):
-        rule = verify._RULES[fam.flavor, len(fam.members)]
-        i = {"perp(top)": -1, "perp(low)": 0}.get(rule.beside_top)
-        if i is None:
-            continue
-        blocks = verify._blocks(fam)
-        witnessed = verify._isotropy(blocks, rule.isotropic)
-        for b, found in zip(blocks, witnessed):
-            top, chunk = b.chunks[-1], b.chunks[i]
-            if not chunk.rank:
-                answered_by = "a: empty chunk"
-            elif chunk is top and found is not None:
-                answered_by = "b: witness"
-            elif chunk.rank + top.rank == len(b.coords):
-                answered_by = "c: the top chunk, " + ("Lagrangian" if chunk is top else "not C")
-            elif b.witness:
-                answered_by = "c: lift witness"
-            else:
-                continue
-            key = (top.gen, chunk.gen, b.pairing)
-            if key not in seen:
-                seen.add(key)
-                rules.add(answered_by)
-                oracle = sheaves.quotient_type(top, sheaves.perp(chunk, b.pairing))
-                assert verify._perp_over_top([b], i, [found]) == oracle, (fam.case, fam.n)
-    assert rules == {
-        "a: empty chunk",
-        "b: witness",
-        "c: the top chunk, Lagrangian",
-        "c: the top chunk, not C",
-        "c: lift witness",
-    }
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_skew_cubic_and_r3_blocks_to_24_equal_perp_and_quotient_type(field, monkeypatch):
-    # the low chunks of the skew cubic block (case II) and of the R3 block
-    # (case IVa) of every n <= 24 family: perp/top from the lift witness
-    # and from the shape rule, with no perp, equals the oracle's
-    def refuse(e, beta):
-        raise AssertionError("perp called")
-
-    seen = {}
-    for fam in sweep_families(field, 24):
-        if fam.flavor != "skew" or fam.case not in ("IIa-skew", "IIb", "IVa"):
-            continue
-        b = verify._blocks(fam)[0]
-        low, top = b.chunks[0], b.chunks[-1]
-        shape = (4, 1, 3) if fam.case == "IVa" else (6, 1, 3)
-        assert (len(b.coords), low.rank, top.rank) == shape
-        assert (b.witness is None) == (fam.case == "IVa")
-        with monkeypatch.context() as m:
-            m.setattr(verify, "perp", refuse)
-            found = verify._perp_over_top([b], 0, verify._isotropy([b], 2))
-        oracle = sheaves.quotient_type(top, sheaves.perp(low, b.pairing))
-        assert found == oracle, (fam.case, fam.n, fam.k)
-        seen.setdefault(fam.case, set()).add((low.gen, top.gen, b.pairing))
-    assert sorted(seen) == ["IIa-skew", "IIb", "IVa"]
-    # one distinct block of each kind
-    assert len(seen["IIa-skew"] | seen["IIb"]) == 1 and len(seen["IVa"]) == 1
 
 
 def with_cubic_witness(fam, p, lift):
@@ -1592,14 +1438,7 @@ def l_entry_doubled(fam):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 @pytest.mark.parametrize("corrupt", [p_column_doubled, p_pairing_with_g, l_entry_doubled])
 def test_a_refused_lift_witness_falls_back_to_the_kernel_scan(field, corrupt, monkeypatch):
-    scans = []
-    real_kernel_free = sheaves.kernel_free
-
-    def kernel_free(m):
-        scans.append(m)
-        return real_kernel_free(m)
-
-    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     for n, k in [(6, 2), (14, 4), (20, 8)]:
         fam = build_isotropic(field, n, k, "skew")
         assert fam.case in ("IIa-skew", "IIb") and fam.perps[0][0] == 0
