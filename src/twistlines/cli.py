@@ -9,6 +9,7 @@ notes}.
 import argparse
 import json
 import sys
+from collections import Counter
 from math import comb
 
 from .families import (
@@ -130,13 +131,11 @@ def cmd_sweep(args) -> int:
     field = _parse_field(args.field, _binom_bound_for_dim(args.n_max))
     flavors = _flavors(args) or [flavor for _, flavor in _FLAVOR_FLAGS]
     rows = run_sweep(field, args.n_min, args.n_max, flavors, jobs=args.jobs)
-    verified = sum(1 for r in rows if r.status == "very-twisting")
-    exceptional = sum(1 for r in rows if r.status == "exceptional")
-    failed = sum(1 for r in rows if r.status == "failed")
+    count = Counter(r.status for r in rows)
     ok = sweep_consistent(rows)
     summary = (
-        f"verified={verified} exceptional={exceptional} failed={failed} "
-        f"consistent={'yes' if ok else 'NO'}"
+        f"verified={count['very-twisting']} exceptional={count['exceptional']} "
+        f"failed={count['failed']} consistent={'yes' if ok else 'NO'}"
     )
     _emit(
         args,
@@ -233,12 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--classical", action="store_true")
     p_sweep.add_argument("--symmetric", action="store_true")
     p_sweep.add_argument("--skew", action="store_true")
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="processes, this one included (capped by CPUs and by case groups, one per flavor and n//2)",
-    )
+    jobs_help = "processes, this one included (capped by CPUs and by case groups, one per"
+    p_sweep.add_argument("--jobs", type=int, default=1, help=f"{jobs_help} flavor and n//2)")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -1,67 +1,50 @@
 """The explicit flag families on the projective line.
 
-Each builder assembles a nested chain of certified subbundles of a trivial
-bundle, together with the pairing the chain must respect.  The matrix data
-is exactly the binomial/monomial data the constructions call for; every
-member is certified as a locally split subbundle on construction, the top
-by its rank profile and a lower member by its witness into the member
-above, as ``_flag`` proves (the positivity layer sits in ``verify``).
+A family is an orthogonal sum of blocks, as in the paper, and a builder
+hands it over as its blocks (``FlagFamily.blocks``), one ``Part`` each:
+the block's summand of the pairing (none when classical), its top chunk
+as the direct sum of the builder's blocks, each lower member's witness
+into the chunk above, and its perp witness.  The classical top is k - 2
+lines (T0, T1), the last line with the degree-(n - 2k) monomial curve,
+one block since low's combined column joins them, and a unit.  Every
+isotropic case (I-IV) is one row of ``_CASES``: a small block (E(1,2),
+the cubic block, the R3 block or a hyperbolic plane), an optional
+E_{2a,2b} block, pulled back by a finite cover in cases I-III, and a
+filler with no columns.  A row names the small block, its columns in
+each lower member, and (a, b) as a function of l = k // 2 and m = n // 2.
+Every big-block column lies in every lower member, so its witness is the
+identity.  The pairing is ``Pairing.orthogonal_sum`` of the summands.
 
-Every top member is the direct sum of its blocks
-(``GradedMatrix.direct_sum``).  The classical top is k - 1 lines, the
-degree-(n - 2k) monomial curve and a unit.  Every isotropic case (I-IV) is
-one row of ``_CASES``: an orthogonal sum of a small block (E(1,2), the
-cubic block, the R3 block or a hyperbolic plane), an optional E_{2a,2b}
-block, pulled back by a finite cover in cases I-III, and a filler with no
-columns.  A row names the small block, its columns in each lower member,
-and (a, b) as a function of l = k // 2 and m = n // 2; ``_isotropic``
-builds every row the same way, and ``build_isotropic`` picks the row.
-The pairing is ``Pairing.orthogonal_sum`` of the blocks' pairings, which
-keeps them as its summands, and every member column lies in one of them:
-``verify.certify`` splits the members along those summands
-(``sheaves.orthogonal_blocks``) and runs its pairing stages on them.
+A member is defined as the direct sum of its chunks, which ``_chunks``
+gives per block: the top chunk, checked everywhere injective, and each
+lower chunk with its flag quotient, read from its witness by ``_lower``,
+whose docstring holds the one proof.  A witness entry is an index, the
+generator above it selects, or a combination of two of them times
+monomials (only classical II's combined column and case IVa's e1 column).
+A family makes its members, and joins its witnesses, only when they are
+read; ``verify.certify`` reads the blocks.
 
-Each builder assembles only the top member; every lower member is given
-by its witness into the member above, the tuple of its columns, which
-the builder writes and the family keeps as its ``inclusions``.  An entry
-is an index, the generator above it selects, or a combination of two of
-them times monomials; only the combined column of classical case II and
-the e1 column of case IVa are combinations.  ``_lower`` reads a witness:
-the member's generator, and the flag quotient from frames, by one lemma
-in its docstring.  The witnesses are not trusted data: ``certify`` reads
-one only if ``_lower`` gives the member from it, and otherwise finds the
-inclusion again by elimination.
-
-Every matrix here is assembled from blocks that carry their rank
-profile, so the profile of the top member composes
-(``GradedMatrix.direct_sum``, ``pullback_power``, ``identity`` and
-products), a combination's column reads its own from its monomials
-(``_column``), and only the cubic and R3 blocks run a Smith form: an
-E_{2a,2b} block composes its profile from the binomial pair
-(``build_phi_psi``).
-While ``verify.run_sweep`` runs, each process keeps one memo
-(``_once``), and the builders take their blocks from it: the classical
+Every block carries its rank profile with no Smith form: a column of
+monomials by ``_column``, an E_{2a,2b} block from the binomial pair
+(``build_phi_psi``), the cubic and R3 blocks by the minors in their
+docstrings.  While ``verify.run_sweep`` runs, each process keeps one
+memo (``_once``), and the builders take their blocks from it: the
 monomial column per (field, d), each small block per (field, flavor,
 kind), the pulled-back E_{2a,2b} block with its pairing per (field,
-flavor, a, b, d), and each combination column of a witness per its
-content.  So a sweep worker builds each distinct block, and runs a
-cubic or R3 block's Smith form, once; a column of monomials (a classical
-block, or a witness's combination column) needs none (``_column``).
-``verify``'s block stages share the memo.  Outside a sweep nothing is
-kept, and a build that raises stores nothing.
+flavor, a, b, d), and each combination column per its content.
+``verify``'s block stages share it.  Outside a sweep nothing is kept.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
 (psi', inner, psi''), three matrices of the two binomial sequences it is
 built from (``_e2a2b``), pulled back with it by ``_block``; the skew
-cubic block comes with (P, L), a basis of its low chunk's perp and the
-block's lift into it (``_cubic_block``).  ``_isotropic`` hands each to
-the family's ``perps`` with the block's first coordinate, and
-``verify.certify`` reads the block's perp/top from it, once checked, with
-no kernel scan.  The symmetric cubic, R3 and plane blocks have none:
-``certify`` answers them by their shape, the R3 and symmetric cubic
-blocks with their top chunk as the perp basis.
+cubic block with (P, L), a basis of its low chunk's perp and the block's
+lift into it (``_cubic_block``), which ``verify`` checks before use.
+The symmetric cubic, R3 and plane blocks have none: ``certify`` answers
+them by their shape.
 """
+import dataclasses
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -73,6 +56,7 @@ __all__ = [
     "ExceptionalCaseError",
     "HypothesisError",
     "FlagFamily",
+    "Part",
     "OrbitDatum",
     "EXCEPTIONAL_CASES",
     "is_exceptional",
@@ -112,6 +96,15 @@ def is_exceptional(flavor, n: int, k: int) -> bool:
     return (flavor, n, k) in EXCEPTIONAL_CASES
 
 
+class Part(NamedTuple):
+    """One block of a family as its builder writes it (``FlagFamily.blocks``)."""
+
+    pairing: object  # the block's summand of the family's pairing; None when classical
+    top: tuple  # the builder's blocks, whose direct sum is the top member's chunk
+    lower: tuple  # per lower member, from the top down: its chunk's witness into the one above
+    witness: object = None  # the block's perp witness, or None
+
+
 @dataclass(frozen=True, eq=False)
 class FlagFamily:
     """A flag of subbundles of O^n with its case tag and optional pairing.
@@ -121,41 +114,51 @@ class FlagFamily:
     not required to be isotropic.  ``requested`` keeps the original (n, k)
     when an odd symmetric dimension was rerouted to its even neighbor.
 
-    ``inclusions`` holds the builder's witness for each adjacent pair,
-    from which the builder made members[i] itself: the tuple of the
-    columns of L_i, members[i+1].gen @ L_i == members[i].gen, each an
-    index or a two-row combination (``_lower``).  Empty means no
-    witnesses (the orbit family, hand-built flags).  ``verify.certify``
-    reads a quotient from a witness only if ``_lower`` gives members[i]
-    from it, and falls back to elimination when a witness is missing or
-    fails.
-
-    ``perps`` holds, per block of the pairing with a perp witness, the
-    block's first ambient coordinate and the witness: (psi', inner,
-    psi'') for an E_{2a,2b} block (``_e2a2b``), two exact pairs with
-    the block's generator, and (P, L) for the skew cubic block
-    (``_cubic_block``), a perp basis and the top's lift into it.
-    ``verify.certify`` checks a witness against the block it finds there
-    before it reads isotropy or perp/top from it; a witness that fails,
-    or that is not a tuple of matrices of its length, falls back to
-    ``is_isotropic``, ``perp`` and ``quotient_type``.
+    A builder gives the family by its ``blocks`` with ``members`` None:
+    the members, direct sums of the blocks' chunks, are assembled on first
+    read, and ``verify.certify`` reads the blocks.  A family whose members
+    were given, by its constructor or by ``dataclasses.replace`` (which
+    passes the members it reads), takes the member path: the orbit family,
+    hand-built flags, and any family with its members, inclusions or
+    perps changed.  ``inclusions`` holds a witness per adjacent pair, the
+    columns of L_i, members[i+1].gen @ L_i == members[i].gen (``_lower``),
+    and ``perps``, per block with a perp witness, its first coordinate and
+    the witness (``_e2a2b``, ``_cubic_block``); a builder's are its
+    blocks' (``_flag``).  The member path reads a witness only once
+    ``verify`` has checked it, and otherwise falls back to elimination.
     """
 
     case: str
     n: int
     k: int
     flavor: object  # None | "symmetric" | "skew"
-    members: tuple
+    members: tuple  # None: the blocks' members, assembled on first read
     shape: tuple
     pairing: object
     notes: tuple = ()
     requested: object = None
-    inclusions: tuple = ()  # per pair: L_i's columns, outer.gen @ L_i == inner.gen (_lower)
-    perps: tuple = ()  # (first coordinate, witness) per block with a perp witness
+    # factory defaults leave no class attribute, so __getattr__ can answer these
+    inclusions: tuple = dataclasses.field(default_factory=tuple)  # per pair: L_i's columns
+    perps: tuple = dataclasses.field(default_factory=tuple)  # (first coordinate, witness)
+    blocks: tuple = ()  # per block, its Part, when the family is given by its blocks
+
+    def __post_init__(self):
+        if self.members is None:  # given by its blocks: read through __getattr__
+            for name in _FROM_BLOCKS:
+                object.__delattr__(self, name)
+
+    def __getattr__(self, name):
+        """What a family given by its blocks makes from them, once."""
+        if name not in _FROM_BLOCKS or "blocks" not in vars(self):
+            raise AttributeError(name)
+        made = vars(self).setdefault("_made", {})
+        if name not in made:
+            made[name] = _FROM_BLOCKS[name](self.blocks)
+        return made[name]
 
     @property
     def field(self):
-        return self.members[-1].field
+        return self.blocks[0].top[0].field if self.blocks else self.members[-1].field
 
 
 @dataclass(frozen=True)
@@ -296,10 +299,7 @@ def _e2a2b(field, flavor: str, a: int = 1, b: int = 2):
     The generator's profile (2a, True) composes with no Smith form where
     ``build_phi_psi`` keeps phi's: phi_plus is phi twisted, phi_minus the
     product of two everywhere-injective maps, psi'^T and inner, and the
-    generator their direct sum.  ``_isotropic`` embeds this block, or its
-    pullback, in a block-diagonal top member, whose rank profile composes
-    from its blocks', so the check of the top certifies the block too.
-    """
+    generator their direct sum."""
     if a < 1:
         raise HypothesisError(f"need a >= 1, got a={a}")
     if b < 2 * a:
@@ -360,9 +360,12 @@ def _lower(outer, witness):
     so it is injective on every fiber and coker c is a line bundle, whose
     degree is a1 + a2 - t.  So if outer is everywhere injective, so is
     outer @ L, and outer/inner = coker L for inner = outer @ L: outer is an
-    isomorphism onto its image that carries im L onto inner."""
+    isomorphism onto its image that carries im L onto inner.  The identity
+    witness, every index in order, gives outer itself and no quotient."""
     if not isinstance(witness, tuple):
         return None
+    if witness == tuple(range(outer.ncols)) and all(type(i) is int for i in witness):
+        return outer, ()
     field, used, columns, src, lines = outer.field, set(), [], [], []
     for entry in witness:
         if type(entry) is int:
@@ -399,28 +402,64 @@ def _lower(outer, witness):
     return GradedMatrix._valid(field, tuple(src), outer.dst, entries), (*left, *lines)
 
 
-def _flag(case, n, k, flavor, shape, pairing, top, *lower, perps=()) -> FlagFamily:
-    """The family with top member ``top`` and, from the top down, one lower
-    member per entry of ``lower``: its inclusion witness into the member
-    above, a tuple of that member's generators and combinations of two of
-    them (``_lower``).  The member's generator is outer.gen @ L, and the
-    witness is kept as the family's inclusion; a witness ``_lower``
-    refuses raises ``ValueError``.
-
-    The member is certified by its witness, not by its n-row generator:
-    outer.gen is everywhere injective, so the member is too (``_lower``'s
-    lemma).  ``perps`` goes to the family as it is."""
-    members, inclusions = [top], []
-    for witness in lower:
-        found = _lower(members[0].gen, witness)
+def _chunks(part):
+    """Each member's chunk in the block ``part``, and the twists of each
+    flag quotient's summand there, both bottom first: the direct sum of
+    ``part.top``, checked everywhere injective by its blocks' profiles,
+    then each chunk ``_lower`` reads from its witness into the one above,
+    everywhere injective by its lemma.  A refused witness raises
+    ``ValueError``."""
+    top = part.top[0]
+    if len(part.top) > 1:
+        top = GradedMatrix.direct_sum(top.field, *part.top)
+    chunks, quotients = [Subbundle(top)], []
+    for witness in part.lower:
+        found = _lower(chunks[-1].gen, witness)
         if found is None:
             raise ValueError(f"not a flag witness: {witness!r}")
-        members.insert(0, Subbundle(found[0], check=False))
-        inclusions.insert(0, witness)
-    members, inclusions = tuple(members), tuple(inclusions)
-    return FlagFamily(
-        case, n, k, flavor, members, shape, pairing, inclusions=inclusions, perps=perps
-    )
+        above = chunks[-1]
+        chunks.append(above if found[0] is above.gen else Subbundle(found[0], check=False))
+        quotients.append(found[1])
+    return tuple(chunks[::-1]), tuple(quotients[::-1])
+
+
+def _flag(case, n, k, flavor, shape, pairing, parts) -> FlagFamily:
+    """The family given by its blocks ``parts``, in ambient order."""
+    return FlagFamily(case, n, k, flavor, None, shape, pairing, blocks=tuple(parts))
+
+
+def _members(parts):
+    """Per member of the blocks ``parts``, the direct sum of its chunks."""
+    per_member = zip(*(_once(_chunks, part)[0] for part in parts), strict=True)
+    field = parts[0].top[0].field
+    sums = (GradedMatrix.direct_sum(field, *(c.gen for c in cs)) for cs in per_member)
+    return tuple(Subbundle(m, check=False) for m in sums)
+
+
+def _inclusions(parts):
+    """The blocks' witnesses of each member into the one above, joined,
+    each index moved past the earlier blocks' columns in the member above."""
+    inclusions, widths = [], [sum(m.ncols for m in part.top) for part in parts]
+    for level in zip(*(part.lower for part in parts), strict=True):  # from the top down
+        starts = accumulate(widths, initial=0)
+        shifted = (
+            e + s if type(e) is int else tuple((r + s, spec) for r, spec in e)
+            for witness, s in zip(level, starts)
+            for e in witness
+        )
+        inclusions.insert(0, tuple(shifted))
+        widths = [len(witness) for witness in level]
+    return tuple(inclusions)
+
+
+def _perps(parts):
+    """Each perp witness of the blocks ``parts`` at its block's first coordinate."""
+    starts = accumulate((sum(m.nrows for m in part.top) for part in parts), initial=0)
+    return tuple((s, part.witness) for s, part in zip(starts, parts) if part.witness is not None)
+
+
+# what a family given by its blocks makes from them on first read
+_FROM_BLOCKS = {"members": _members, "inclusions": _inclusions, "perps": _perps}
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +483,19 @@ def _monomials(field, d):
 def build_classical(field, n: int, k: int) -> FlagFamily:
     """The (k-1, k, k+1)-flag inside O^n for the classical Grassmannian.
 
-    The top member is line^(k-1) ⊕ curve ⊕ unit, each block the column
-    O(-d) -> O^(d+1) of all degree-d monomials: k-1 lines (T0, T1) with
-    d = 1, the curve with d = n-2k, and the unit with d = 0."""
+    The top member is line^(k-1) ⊕ curve ⊕ unit, each the column O(-d) ->
+    O^(d+1) of all degree-d monomials: d = 1, n-2k and 0.  mid drops the
+    unit; low is the first k-2 lines and the last line times T0^(n-2k)
+    plus the curve times T1, which joins those two into one block."""
     _classical_point(n, k)
     line, curve, unit = (_once(_monomials, field, d) for d in (1, n - 2 * k, 0))
-    top = Subbundle(GradedMatrix.direct_sum(field, *[line] * (k - 1), curve, unit))
     if k == 1:
-        case, low = "classical-I", ()
+        case, parts = "classical-I", [Part(None, (curve,), ((0,), ()))]
     else:
-        # mid's generators are the lines, then the curve; low combines the
-        # last line times T0^(n-2k) with the curve times T1
-        case, low = "classical-II", (*range(k - 2), ((k - 2, (n - 2 * k, 0)), (k - 1, (1, 1))))
-    return _flag(case, n, k, None, (k - 1, k, k + 1), None, top, tuple(range(k)), low)
+        joined = Part(None, (line, curve), ((0, 1), (((0, (n - 2 * k, 0)), (1, (1, 1))),)))
+        case, parts = "classical-II", [*[Part(None, (line,), ((0,), (0,)))] * (k - 2), joined]
+    parts.append(Part(None, (unit,), ((), ())))
+    return _flag(case, n, k, None, (k - 1, k, k + 1), None, parts)
 
 
 def build_classical_orbit(field, n: int, k: int):
@@ -469,70 +508,30 @@ def build_classical_orbit(field, n: int, k: int):
     """
     _classical_point(n, k)
     r = n + 1 - 2 * k
-    c = -((k - 1) + (r + 1) * r // 2)
-    weights = []
-    for _ in range(k - 1):
-        weights.extend([0, 1])
-    weights.extend(range(1, r + 1))
-    weights.append(c)
-    weights = tuple(weights)
+    weights = (0, 1) * (k - 1) + tuple(range(1, r + 1)) + (-((k - 1) + (r + 1) * r // 2),)
 
-    one, zero = field.one, field.zero
+    def ones(start, stop):  # the constant column, 1 on coordinates start..stop-1
+        return tuple(field.one if start <= i < stop else field.zero for i in range(n))
 
-    def unit_pairs():
-        cols = []
-        for i in range(k - 1):
-            col = [zero] * n
-            col[2 * i] = one
-            col[2 * i + 1] = one
-            cols.append(tuple(col))
-        return cols
-
-    ones_middle = tuple(
-        one if 2 * k - 2 <= i < 2 * k - 2 + r else zero for i in range(n)
-    )
-    unit_last = tuple(one if i == n - 1 else zero for i in range(n))
-    top_cols = unit_pairs() + [ones_middle, unit_last]
-    mid_cols = unit_pairs() + [ones_middle]
-    if k == 1:
-        low_cols = []
-    else:
-        bridge = tuple(one if 2 * k - 4 <= i < 2 * k - 2 + r else zero for i in range(n))
-        low_cols = unit_pairs()[: k - 2] + [bridge]
-    datum = OrbitDatum(
-        weights=weights,
-        base_members=(tuple(low_cols), tuple(mid_cols), tuple(top_cols)),
-    )
-    members = tuple(
-        _orbit_member(field, weights, cols, n) for cols in datum.base_members
-    )
-    fam = FlagFamily(
-        case="classical-orbit",
-        n=n,
-        k=k,
-        flavor=None,
-        members=members,
-        shape=(k - 1, k, k + 1),
-        pairing=None,
-    )
-    return datum, fam
+    pairs = [ones(2 * i, 2 * i + 2) for i in range(k - 1)]
+    middle = ones(2 * k - 2, 2 * k - 2 + r)
+    low = () if k == 1 else (*pairs[: k - 2], ones(2 * k - 4, 2 * k - 2 + r))
+    datum = OrbitDatum(weights, (low, (*pairs, middle), (*pairs, middle, ones(n - 1, n))))
+    members = tuple(_orbit_member(field, weights, cols, n) for cols in datum.base_members)
+    return datum, FlagFamily("classical-orbit", n, k, None, members, (k - 1, k, k + 1), None)
 
 
 def _orbit_member(field, weights, cols, n) -> Subbundle:
-    if not cols:
-        return Subbundle.zero(field, trivial_frame(n))
     out = []
     for col in cols:
         support = [w for w, v in zip(weights, col) if not field.is_zero(v)]
-        lo, hi = min(support), max(support)
-        forms = []
-        for w, v in zip(weights, col):
-            d = hi - lo
-            if field.is_zero(v):
-                forms.append(BinaryForm.zero(field, d))
-            else:
-                forms.append(BinaryForm.monomial(field, d, w - lo, v))
-        out.append((-(hi - lo), forms))
+        lo, d = min(support), max(support) - min(support)
+        zero = BinaryForm.zero(field, d)
+        forms = [
+            zero if field.is_zero(v) else BinaryForm.monomial(field, d, w - lo, v)
+            for w, v in zip(weights, col)
+        ]
+        out.append((-d, forms))
     return Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), out))
 
 
@@ -549,7 +548,17 @@ def _cubic_block(field, flavor):
     into it, P @ L = (g, f1, f2): g = -T0^2 e0 + T0 T1 (e1 - x1) + T1^2 x2,
     f1 = -T0 (e1 - x1) + 2 (T0 e1 + T1 x0), f2 = -T1 (e1 - x1) + 2 (T1 e1
     + T0 e2).  ``verify._lifted_quotient`` checks both before it reads
-    perp(g)/top from L."""
+    perp(g)/top from L.
+
+    The generator and P keep the profile (ncols, True), with no Smith
+    form.  Proof: in the basis e0, e1, e2, x0, x1, x2, the maximal minors
+    on rows (e0, e2, x1) and (x2, x0, x1) of the symmetric generator are
+    -T0^4 and T1^4, those on rows (e0, e1, e2) and (x2, e1, x0) of the
+    skew one -2 T0^4 and -2 T1^4, and P's without row x0 and without row
+    e2 are T0^2 and -T1^2.  T0 and T1 have no common zero, and 2 is a unit
+    (``PrimeField`` refuses characteristic 2), so at every point, the
+    generic one included, one of each pair is nonzero: the rank is the
+    column count everywhere."""
     t0 = BinaryForm.monomial(field, 1, 0)
     t1 = BinaryForm.monomial(field, 1, 1)
     t00 = BinaryForm.monomial(field, 2, 0)
@@ -562,11 +571,11 @@ def _cubic_block(field, flavor):
         g = (-2, [t00, t01, z2, z2, z2, t11])
         f1 = (-1, [z1, z1, t0, z1, -t1, z1])
         f2 = (-1, [z1, z1, z1, t1, -t0, z1])
-        return beta, GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2])
+        return beta, _profiled(GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2]))
     g = (-2, [-t00, t01, z2, z2, -t01, t11])
     f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
     f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
-    gen = GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2])
+    gen = _profiled(GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2]))
     one, two, z0 = (BinaryForm.constant(field, c) for c in (1, 2, 0))
     p = GradedMatrix.from_columns(
         field,
@@ -588,12 +597,16 @@ def _cubic_block(field, flavor):
             (-1, [z1, -t1, z1, two, z0]),
         ],
     )
-    return beta, gen, (p, lift)
+    return beta, gen, (_profiled(p), lift)
 
 
 def _r3_block(field, flavor):
     """col_a, col_bp, col_bm in a skew hyperbolic 4-space: the R3 block,
-    whose top member is not isotropic."""
+    whose top member is not isotropic.
+
+    It keeps the profile (3, True), with no Smith form: in the basis e0,
+    e1, x0, x1 its maximal minors on rows (e0, e1, x1) and (e1, x0, x1)
+    are -T0^2 and T1^2, which have no common zero."""
     t0 = BinaryForm.monomial(field, 1, 0)
     t1 = BinaryForm.monomial(field, 1, 1)
     one = BinaryForm.constant(field, 1)
@@ -603,7 +616,13 @@ def _r3_block(field, flavor):
     col_bp = (-1, [t0, t1, z1, z1])
     col_bm = (-1, [z1, z1, -t1, t0])
     gen = GradedMatrix.from_columns(field, trivial_frame(4), [col_a, col_bp, col_bm])
-    return Pairing.hyperbolic(field, 2, flavor), gen
+    return Pairing.hyperbolic(field, 2, flavor), _profiled(gen)
+
+
+def _profiled(m):
+    """m, keeping the profile (m.ncols, True) a lemma gives it."""
+    m._profile = RankProfile(m.ncols, True)
+    return m
 
 
 def _plane_block(field, flavor):
@@ -646,14 +665,11 @@ _CASES = {
 
 
 def _block(build, field, flavor, d, *ab):
-    """The pairing, the generator and the perp witness of one block of an
-    isotropic top member: build(field, flavor, *ab), pulled back by
-    T -> T^d, with its rank profile, found before the pullback, which
-    keeps it.  The E_{2a,2b} and plane blocks carry theirs; the cubic and
-    R3 blocks, and an E_{2a,2b} block whose phi keeps none, run one Smith
-    form.  The witness is that of an E_{2a,2b} block (``_e2a2b``) or of
-    the skew cubic block (``_cubic_block``), pulled back too, else None.
-    ``_isotropic`` takes every block through ``_once``."""
+    """The pairing, the generator and the perp witness of one isotropic
+    block, build(field, flavor, *ab), pulled back by T -> T^d with its
+    rank profile, found before the pullback, which keeps it (a Smith form
+    only where ``build_phi_psi`` keeps no profile for phi), and with the
+    witness pulled back too.  ``_isotropic`` takes it through ``_once``."""
     beta, gen, *witness = build(field, flavor, *ab)
     gen.rank_everywhere()
     witness = tuple(m.pullback_power(d) for m in witness[0]) if witness else None
@@ -664,31 +680,22 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     """The family of one ``_CASES`` row: the small block, then the big
     block, then the filler, each a block of the pairing and of the top,
     whose filler block has no columns.  A lower member is its small-block
-    columns followed by every big-block column, which in the member above
-    start right after that member's small-block entries.  A one-step
-    (case III) flag has shape (k-2, k).  The family's ``perps`` holds the
-    perp witness of each block that has one, at its first coordinate."""
+    columns followed by every big-block column: the big block's witness
+    is the identity.  A one-step (case III) flag has shape (k-2, k)."""
     small, lower, big, pulled = row
-    beta, small_gen, witness = _once(_block, small, field, flavor, 1)
-    pairings, gens, perps = [beta], [small_gen], [(0, witness)]
+    beta, gen, witness = _once(_block, small, field, flavor, 1)
+    parts = [Part(beta, (gen,), lower, witness)]
     a, b = big(k // 2, n // 2)
     if a:
         d = _finite_cover_degree(a, b) if pulled else 1
-        beta_big, e_big, witness = _once(_block, _e2a2b, field, flavor, d, a, b)
-        perps.append((beta.dim, witness))
-        pairings.append(beta_big)
-        gens.append(e_big)
-    filler = n - sum(p.dim for p in pairings)
-    pairing = Pairing.orthogonal_sum(*pairings, _filler_pairing(field, flavor, filler))
-    filler_gen = GradedMatrix.zero(field, (), trivial_frame(filler))
-    top = Subbundle(GradedMatrix.direct_sum(field, *gens, filler_gen))
-    lists, above, nbig = [], small_gen.ncols, top.rank - small_gen.ncols
-    for cols in lower:
-        lists.append((*cols, *range(above, above + nbig)))
-        above = len(cols)
+        beta, gen, witness = _once(_block, _e2a2b, field, flavor, d, a, b)
+        parts.append(Part(beta, (gen,), (tuple(range(gen.ncols)),) * len(lower), witness))
+    if filler := n - sum(part.pairing.dim for part in parts):
+        top = GradedMatrix.zero(field, (), trivial_frame(filler))
+        parts.append(Part(_filler_pairing(field, flavor, filler), (top,), ((),) * len(lower)))
+    pairing = Pairing.orthogonal_sum(*(part.pairing for part in parts))
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
-    perps = tuple((at, witness) for at, witness in perps if witness)
-    return _flag(case, n, k, flavor, shape, pairing, top, *lists, perps=perps)
+    return _flag(case, n, k, flavor, shape, pairing, parts)
 
 
 def case_Ia(field, n: int, flavor: str) -> FlagFamily:
@@ -726,18 +733,12 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
         row = ("III" if flavor == "symmetric" else "IV") + ("b" if k % 2 else "a")
         return _isotropic(row, field, n, k, flavor, _CASES[row])
     # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension;
-    # replace keeps the members and their inclusion witnesses
+    # members=None keeps it given by its blocks, and its witnesses with them
+    note = f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag"
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
-    return replace(
-        fam,
-        requested=(n, k),
-        notes=fam.notes
-        + (f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag",),
-    )
+    return replace(fam, members=None, requested=(n, k), notes=fam.notes + (note,))
 
 
 def build_family(field, n: int, k: int, flavor) -> FlagFamily:
     """The classical family when ``flavor`` is None, else the isotropic one."""
-    if flavor is None:
-        return build_classical(field, n, k)
-    return build_isotropic(field, n, k, flavor)
+    return build_classical(field, n, k) if flavor is None else build_isotropic(field, n, k, flavor)

@@ -15,50 +15,42 @@ These are the rows of one table, ``_RULES``, keyed by flavor and flag
 length; a row names the members that must be isotropic, the complement
 beside the top quotient and the formula, and ``certify`` reads it.
 
-Each flag quotient is read from the lift L of a member into the next one.
-A family's builder supplies it as a witness (``FlagFamily.inclusions``),
-the tuple of L's columns: an index, which selects an outer generator, or
-a combination of two.  ``certify`` reads a witness only if
-``families._lower`` gives the inner generator from it; the outer
-generator is everywhere injective, so L is then the unique lift
-elimination would find, and outer/inner is read from frames with no
-scan: the summands left out, plus one line per combination.  A missing,
-stale or wrong witness fails that check, and the quotient is found by
-elimination (``quotient_type``), so a witness can cost time but never
+``certify`` reads a family by its blocks, each with its summand of the
+pairing: a member is the direct sum of its chunks, one per block, so
+isotropy holds iff it does on each chunk, a perp is the sum of the
+chunks' perps, and perp/top, outer/inner and ambient/top are the unions
+of the block quotients.  A family a builder gives by its blocks
+(``FlagFamily.blocks``) is read from them (``_built``): each block's
+chunks and flag quotients come from its witnesses through
+``families._lower``, and no n-row member is assembled.  A family given
+by its members takes the member path: its blocks are
+``sheaves.orthogonal_blocks`` of the members, a flag quotient is read
+from an inclusion witness only if ``_lower`` gives the inner generator
+from it, else found by elimination (``quotient_type``), and a classical
+ambient/top is the top's cokernel.  A witness can cost time but never
 change a verdict or a note.
 
-The pairing stages (isotropy, perps and the quotient of a perp by the top)
-run per block of ``sheaves.orthogonal_blocks``, the summands the builder
-added to the pairing, each with the summand itself as its pairing: a
-member is a direct sum of chunks, one per orthogonal block, so isotropy
-holds iff it does on each chunk, a perp is the sum of the chunks' perps,
-and perp/top is the union of the block quotients (proved there), each one
-``quotient_type`` of the top chunk in its block's perp.  A block may have
-a witness for that quotient, as a member inclusion does
-(``FlagFamily.perps``).  Every such witness rests on one lemma, that of
-an exact pair (``_exact_pair``).  An E_{2a,2b} block's is the builder's
-(psi', inner, psi''), two binomial exact pairs: once
-``_witnessed_quotient`` has checked it, in the isotropy step, it proves
-the top chunk isotropic and gives perp/top from the frame of psi''.  Any
-other nonempty chunk takes a perp basis (P, L), checked by
-``_lifted_quotient``: the top chunk itself when the chunk has the rank
-the top chunk leaves, else the skew cubic block's witness.  An empty
-chunk's perp/top is read from the top chunk.  None needs a kernel scan
-or a lift (``_perp_over_top``); a refused witness falls back to
-``is_isotropic``, ``perp`` and ``quotient_type``.
+A block may have a witness for its perp/top (``FlagFamily.perps``), and
+every such witness rests on one lemma, that of an exact pair
+(``_exact_pair``).  An E_{2a,2b} block's is the builder's (psi', inner,
+psi''), two binomial exact pairs: once ``_witnessed_quotient`` has
+checked it, in the isotropy step, it proves the top chunk isotropic and
+gives perp/top from the frame of psi''.  Any other nonempty chunk takes
+a perp basis (P, L), checked by ``_lifted_quotient``: the top chunk
+itself when the chunk has the rank the top chunk leaves, else the skew
+cubic block's witness.  An empty chunk's perp/top is read from the top
+chunk.  None needs a kernel scan or a lift (``_perp_over_top``); a
+refused witness falls back to ``is_isotropic``, ``perp`` and
+``quotient_type``.
 
-While ``run_sweep`` runs, each process keeps one memo (``families._once``),
-and computes each of its block stages (isotropy, the two witness checks,
-perp, quotient and the cokernel of a top chunk) once through it: the key
-is the stage and its arguments' content, field included, and a stage
-is a deterministic function of that content, so a hit is what a
-recomputation gives and every check still runs once.  The builders take
-their blocks from the same memo, each built, with its rank profile, once
-per process (see ``families``).  A stage that raises stores nothing; a
-direct ``certify`` sees no memo.  With more than one process,
-``run_sweep`` keeps the cases that share their blocks, one (flavor,
-n // 2) group, in one process: it deals the groups into shares, runs one
-itself and forks a child for each of the others.
+While ``run_sweep`` runs, each process keeps one memo (``families._once``)
+and computes each block stage once through it: the key is the stage and
+its arguments' content, field included, and a stage is a deterministic
+function of that content, so a hit is what a recomputation gives.  A
+stage that raises stores nothing; a direct ``certify`` sees no memo.
+With more than one process, ``run_sweep`` keeps the cases that share
+their blocks, one (flavor, n // 2) group, in one process: it deals the
+groups into shares, runs one itself and forks a child for each other.
 
 The smoothness condition on the evaluation map is not computed: the
 targets here are homogeneous, so their tangent bundles are globally
@@ -73,6 +65,7 @@ from typing import NamedTuple, Optional
 from .families import (
     ExceptionalCaseError,
     FlagFamily,
+    _chunks,
     _lower,
     _once,
     _set_memo,
@@ -82,6 +75,7 @@ from .families import (
 )
 from .frames import GradedMatrix, RankProfile
 from .sheaves import (
+    Block,
     Pairing,
     SplittingType,
     Subbundle,
@@ -114,13 +108,7 @@ _HOMOGENEOUS_NOTE = (
 )
 _PIECEWISE_NOTE = "tangent positivity certified piecewise on the extension"
 # the predicates a very twisting certificate needs, in the order reported
-_PREDICATES = (
-    "flag_valid",
-    "isotropy_ok",
-    "tev_ample",
-    "tev_rank_positive",
-    "psi_deg_nonneg",
-)
+_PREDICATES = ("flag_valid", "isotropy_ok", "tev_ample", "tev_rank_positive", "psi_deg_nonneg")
 
 
 @dataclass(frozen=True)
@@ -261,27 +249,28 @@ def _blocks(fam: FlagFamily) -> list:
     witnesses = dict(
         p for p in fam.perps if isinstance(p, tuple) and len(p) == 2 and type(p[0]) is int
     )
-    if not witnesses:
-        return blocks
     return [b._replace(witness=witnesses.get(b.coords[0])) for b in blocks]
 
 
-def _isotropy(blocks, count) -> Optional[list]:
+def _isotropy(blocks, count, nested=False) -> Optional[list]:
     """Check every distinct chunk of the bottom ``count`` members of each
-    block isotropic; None if one is not.  Otherwise, per block, the
-    perp/top of its top chunk if its E_{2a,2b} witness gave one here,
-    else None: the value ``_perp_over_top`` reads.
-
-    A tested nonempty top chunk of a block with a perp witness is checked
-    by ``_witnessed_quotient`` in place of ``is_isotropic``: a witness that
-    holds proves the chunk isotropic.  A refused witness leaves the chunk
-    to ``is_isotropic``."""
+    block isotropic, or only the highest if the chunks are ``nested`` (a
+    subsheaf of an isotropic one is isotropic); None if one is not.  Else,
+    per block, the perp/top of its top chunk if a check here gave it: by
+    ``_witnessed_quotient`` from the block's perp witness, or with none
+    and half the block's rank (the symmetric cubic block) by
+    ``_lifted_quotient`` with the chunk as its own perp basis, each in
+    place of ``is_isotropic``; else None.  ``_perp_over_top`` reads it."""
     found = []
     for b in blocks:
         top, quotient = b.chunks[-1], None
-        tested = {id(e): e for e in b.chunks[:count] if e.rank}
-        if b.witness is not None and id(top) in tested:
-            quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
+        tested = {id(e): e for e in b.chunks[count - 1 if nested else 0 : count] if e.rank}
+        if id(top) in tested:
+            if b.witness is not None:
+                quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
+            elif 2 * top.rank == len(b.coords):
+                basis = (top.gen, GradedMatrix.identity(top.field, top.gen.src))
+                quotient = _once(_lifted_quotient, top, top, b.pairing, basis)
             if quotient is not None:
                 del tested[id(top)]
         if not all(_once(is_isotropic, e, b.pairing) for e in tested.values()):
@@ -369,10 +358,8 @@ def _exact_pair(phi, psi) -> Optional[SplittingType]:
 def _is_witness(witness, length: int) -> bool:
     """True iff ``witness`` is a tuple of ``length`` matrices; anything
     else is no witness, and its stage refuses it."""
-    return (
-        isinstance(witness, tuple)
-        and len(witness) == length
-        and all(isinstance(m, GradedMatrix) for m in witness)
+    return isinstance(witness, tuple) and len(witness) == length and all(
+        isinstance(m, GradedMatrix) for m in witness
     )
 
 
@@ -450,9 +437,7 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
     perp(e) = im P, L is top's lift into it, and perp(e)/top is coker(L)
     (``_lift_quotient_type``).  P @ L = top.gen also puts top inside
     perp(e): so P = top.gen with L the identity checks that top is
-    perp(e), and for e = top that is isotropy.  The skew cubic block's P
-    is a constant of its block, with no kept profile: its rank is one
-    Smith form, kept with the block."""
+    perp(e), and for e = top that is isotropy."""
     if not _is_witness(basis, 2):
         return None
     p, lift = basis
@@ -463,6 +448,37 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
     return _lift_quotient_type(lift)
 
 
+def _built(fam: FlagFamily):
+    """A family given by its blocks as ``certify`` reads it: per block a
+    ``Block`` on its coordinates, and per member and flag quotient its
+    type, the union of the blocks' (a member is the direct sum of its
+    chunks); None on the member path.  A block ``_chunks`` refuses raises
+    ``ValueError``, as reading the members does."""
+    if not fam.blocks or "members" in vars(fam):
+        return None
+    found = [_once(_chunks, part) for part in fam.blocks]
+    blocks, start = [], 0
+    for part, (chunks, _) in zip(fam.blocks, found):
+        dim = chunks[-1].gen.nrows
+        blocks.append(Block(tuple(range(start, start + dim)), part.pairing, chunks, part.witness))
+        start += dim
+
+    def union(per_block):  # per member or quotient, the union of its twists in each block
+        return [SplittingType(sum(twists, ())) for twists in zip(*per_block, strict=True)]
+
+    types = union([tuple(c.gen.src for c in b.chunks) for b in blocks])
+    return blocks, types, union([quotients for _, quotients in found])
+
+
+def _ambient(fam: FlagFamily) -> SplittingType:
+    """ambient/top of a classical family given by its blocks: the union of
+    the cokernels of its line, curve and unit blocks, each distinct one
+    found once (the cokernel of a direct sum is the sum of the cokernels)."""
+    pieces = [m for part in fam.blocks for m in part.top]
+    coker = {id(m): _once(cokernel_type, m) for m in {id(m): m for m in pieces}.values()}
+    return SplittingType(sum((coker[id(m)].twists for m in pieces), ()))
+
+
 def certify(fam: FlagFamily) -> Certificate:
     """Certify a flag family by the rule for its flavor and length.
 
@@ -470,32 +486,25 @@ def certify(fam: FlagFamily) -> Certificate:
     (skew) the top inside perp(low), nesting, then the types.  The first
     failure gives a refusal certificate with its note.
 
-    The pairing stages run per block of ``orthogonal_blocks`` (the
-    pairing's summands, or the whole ambient if a column crosses two),
-    which proves them equal to the whole-member ones, on the members' chunks
-    (equal ones once); perp/top is the union of the block quotients
-    (``_perp_over_top``).  No stage runs whose answer a checked fact
-    already decides.  An E_{2a,2b} block's perp witness, checked once in
-    the isotropy step (``_isotropy``), proves its top chunk isotropic and
-    gives its quotient; any other nonempty chunk's quotient comes from a
-    perp basis (``_lifted_quotient``), and an empty chunk's from the top
-    chunk.  A block none of these answers, or one whose witness fails,
-    takes one ``quotient_type`` of the top chunk in its perp.
+    A family given by its blocks is read from them (``_built``); a family
+    given by its members takes the member path (see the module
+    docstring).  Either way the pairing stages run per block, on the
+    chunks (equal ones once): ``_isotropy``, then ``_perp_over_top``,
+    which joins the block quotients.  No stage runs whose answer a checked
+    fact already decides.
     """
-    members = fam.members
-    rule = _RULES.get((fam.flavor, len(members)))
+    built = _built(fam)
+    blocks, types, quotients = built or (None, [m.type for m in fam.members], None)
+    rule = _RULES.get((fam.flavor, len(types)))
     if rule is None:
-        raise ValueError(
-            f"no certificate rule for a {fam.flavor or 'classical'} flag "
-            f"of {len(members)} members"
-        )
-    if tuple(m.rank for m in members) != fam.shape:
+        kind = fam.flavor or "classical"
+        raise ValueError(f"no certificate rule for a {kind} flag of {len(types)} members")
+    if tuple(t.rank for t in types) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    blocks = _blocks(fam) if rule.isotropic else ()
-    witnessed = _isotropy(blocks, rule.isotropic)
+    blocks = (blocks or _blocks(fam)) if rule.isotropic else ()
+    witnessed = _isotropy(blocks, rule.isotropic, built is not None)
     if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
-    low, top = members[0], members[-1]
     beside_top = None
     if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
         try:
@@ -505,15 +514,16 @@ def certify(fam: FlagFamily) -> Certificate:
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
             )
     try:
-        quotients = [_flag_quotient(fam, i) for i in range(len(members) - 1)]
+        if quotients is None:
+            quotients = [_flag_quotient(fam, i) for i in range(len(types) - 1)]
         if rule.beside_top == "perp(top)":
             beside_top = _perp_over_top(blocks, -1, witnessed)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":
-        beside_top = cokernel_type(top.gen)
-    pieces, psi = rule.formula(low.type, *quotients, beside_top)
-    return _finish(fam, [low.type, *quotients], pieces, psi, rule.notes)
+        beside_top = _ambient(fam) if built else cokernel_type(fam.members[-1].gen)
+    pieces, psi = rule.formula(types[0], *quotients, beside_top)
+    return _finish(fam, [types[0], *quotients], pieces, psi, rule.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +546,7 @@ class SesReport(NamedTuple):
 
     @property
     def exact(self) -> bool:
-        return (
-            self.composite_zero
-            and self.injective
-            and self.surjective
-            and self.kernel_matches
-        )
+        return all(self[2:])  # the four facts
 
 
 def verify_claim_ses(field, a: int, b: int) -> SesReport:
@@ -615,14 +620,13 @@ _SWEEP_FIELDS = ("case", "flag_quotients", "tev_pieces", "psi_degree")
 
 
 def sweep_points(n_min: int, n_max: int, flavors):
-    points = []
-    for flavor in flavors:
-        for n in range(max(2, n_min), n_max + 1):
-            if flavor == "skew" and n % 2:
-                continue
-            for k in range(1, n // 2 + 1):
-                points.append((flavor, n, k))
-    return points
+    return [
+        (flavor, n, k)
+        for flavor in flavors
+        for n in range(max(2, n_min), n_max + 1)
+        if not (flavor == "skew" and n % 2)
+        for k in range(1, n // 2 + 1)
+    ]
 
 
 def _sweep_one(args):

@@ -11,7 +11,9 @@ from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix
 from twistlines.families import (
     ExceptionalCaseError,
+    FlagFamily,
     HypothesisError,
+    Part,
     build_classical,
     build_classical_orbit,
     build_E2a2b,
@@ -362,16 +364,23 @@ def test_constructions_work_over_prime_field():
 # lower members certified by their witnesses
 
 
+def one_block_flag(top, witness):
+    """The two-member family given by one block, the top member ``top``,
+    whose lower member is given by ``witness``."""
+    part = Part(None, (top.gen,), (witness,))
+    return FlagFamily("x", 2, 1, None, None, (1, 2), None, blocks=(part,))
+
+
 def test_flag_refuses_a_combination_witness_that_drops_rank():
     # T0 e0 + T0 e1 vanishes at [0:1]; T0 e0 + T1 e1 vanishes nowhere
     top = Subbundle.full(QQ, (0, 0))
     drops, keeps = ((0, (1, 0)), (1, (1, 0))), ((0, (1, 0)), (1, (1, 1)))
     assert families._lower(top.gen, (drops,)) is None
     with pytest.raises(ValueError, match="not a flag witness"):
-        families._flag("x", 2, 1, None, (1, 2), None, top, (drops,))
-    fam = families._flag("x", 2, 1, None, (1, 2), None, top, (keeps,))
+        one_block_flag(top, (drops,)).members
+    fam = one_block_flag(top, (keeps,))
     assert fam.members[0].type == st(-1)
-    assert fam.inclusions == ((keeps,),)
+    assert families._flag("x", 2, 1, None, (1, 2), None, fam.blocks).inclusions == ((keeps,),)
     # coker of O(-1) -> O + O is O(0 + 0 - (-1))
     assert families._lower(top.gen, (keeps,))[1] == (1,)
     assert quotient_type(fam.members[0], top) == st(1)
@@ -415,8 +424,9 @@ def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatc
     for witness in ((0, 0), (0, 2), (-1,), (True,), [0], "0"):
         assert families._lower(top.gen, witness) is None
         with pytest.raises(ValueError, match="not a flag witness"):
-            families._flag("x", 2, 1, None, (1, 2), None, top, witness)
-    assert built == []
+            one_block_flag(top, witness).members
+    # the top chunk is checked, and no member is built from a refused witness
+    assert built and all(gen is top.gen for gen in built)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +442,18 @@ def monomial_columns(draw):
     degrees = draw(hst.lists(hst.integers(0, 4), min_size=1, max_size=4))
     specs = tuple((d, draw(hst.integers(0, d)), draw(hst.integers(-8, 8))) for d in degrees)
     return field, tuple(src + d for d in degrees), specs
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5), PrimeField(10007)], ids=str)
+def test_the_constant_blocks_keep_the_profile_of_their_minors(field):
+    # the cubic block of both flavors, its skew perp basis P and the R3
+    # block keep (ncols, True) by the minors in their docstrings, with no
+    # Smith form; a fresh one agrees in every odd characteristic tried
+    sym, skew = (families._cubic_block(field, flavor) for flavor in ("symmetric", "skew"))
+    blocks = [sym[1], skew[1], skew[2][0], families._r3_block(field, "skew")[1]]
+    assert [(m.nrows, m.ncols) for m in blocks] == [(6, 3), (6, 3), (6, 5), (4, 3)]
+    for m in blocks:
+        assert m._profile == checked_copy(m).rank_everywhere() == (m.ncols, True)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
+from graded_strategies import witness_matrix
 
 from twistlines import families, linalg, sheaves, verify
 from twistlines.fields import QQ, PrimeField, RationalField
@@ -10,6 +11,7 @@ from twistlines.families import (
     FlagFamily,
     build_classical,
     build_classical_orbit,
+    build_family,
     build_isotropic,
     build_phi_psi,
     case_Ia,
@@ -318,8 +320,9 @@ def drop_perp_witnesses(monkeypatch):
     one in a sweep (E(2a, 2b), skew cubic) go through perp."""
     real_flag = families._flag
 
-    def flag(*args, perps=()):
-        return real_flag(*args)
+    def flag(*args):
+        *head, parts = args
+        return real_flag(*head, [part._replace(witness=None) for part in parts])
 
     monkeypatch.setattr(families, "_flag", flag)
 
@@ -1048,6 +1051,92 @@ def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
     assert (quotients, len(scans)) == (700, 0)
 
 
+def from_blocks(fam, parts):
+    """fam given by the blocks ``parts`` in place of its own."""
+    return families._flag(fam.case, fam.n, fam.k, fam.flavor, fam.shape, fam.pairing, parts)
+
+
+def with_part(fam, i, **fields):
+    """fam given by its blocks with block i's ``fields`` replaced."""
+    parts = list(fam.blocks)
+    parts[i] = parts[i]._replace(**fields)
+    return from_blocks(fam, parts)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
+    # every builder family with n <= 12 is read by its blocks, with no
+    # split of the members and no member quotient; its members, assembled
+    # on first read, are the n-row direct sum of the builder's blocks cut
+    # down by the inclusion witnesses; a family with its members,
+    # inclusions or perps given takes the member path, to the same
+    # certificate
+    split = first_arguments(monkeypatch, verify, "_blocks")
+    lifted = first_arguments(monkeypatch, verify, "_flag_quotient")
+    families_seen = 0
+    for fam in sweep_families(field, 12):
+        families_seen += 1
+        cert = certify(fam)
+        assert (split, lifted) == ([], []), (fam.case, fam.n, fam.k)
+        top = GradedMatrix.direct_sum(field, *(m for part in fam.blocks for m in part.top))
+        assembled = [top]
+        for witness in reversed(fam.inclusions):
+            assembled.insert(0, assembled[0] @ witness_matrix(field, assembled[0].src, witness))
+        assert [m.gen for m in fam.members] == assembled, (fam.case, fam.n, fam.k)
+        assert certify(fam) == cert and not split and not lifted
+        for given in (
+            replace(fam, members=fam.members),
+            replace(fam, inclusions=()),
+            replace(fam, perps=()),
+        ):
+            assert certify(given) == cert, (fam.case, fam.n, fam.k)
+            assert split == [given] * (fam.flavor is not None)
+            assert lifted == [given] * (len(fam.members) - 1)
+            del split[:], lifted[:]
+    assert families_seen == 87
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_a_corrupted_block_is_refused_or_read_as_the_family_it_gives(field):
+    # in the first block of classical-II, Ib, IVa and IIa-skew: a witness
+    # _lower refuses, a top block with a zero column, or (beside other
+    # blocks) a missing witness gives no members, and certify raises as
+    # reading them does; a bottom witness that _lower takes but drops every
+    # column gives another family, certified as the member path certifies
+    # it; a doubled entry in any block's perp witness is refused, and the
+    # certificate is the one with no witness
+    for flavor, n, k in [(None, 9, 3), ("symmetric", 12, 3), ("skew", 8, 4), ("skew", 6, 2)]:
+        fam = build_family(field, n, k, flavor)
+        part = fam.blocks[0]
+        above = len(part.lower[-2]) if len(part.lower) > 1 else part.top[0].ncols
+        top = part.top[0]
+        zero = (top.src[0], [BinaryForm.zero(field, b - top.src[0]) for b in top.dst])
+        others = [top.column(j) for j in range(1, top.ncols)]
+        zeroed = GradedMatrix.from_columns(field, top.dst, [zero, *others])
+        ragged = [with_part(fam, 0, lower=part.lower[:-1])] if len(fam.blocks) > 1 else []
+        for bad in (
+            with_part(fam, 0, lower=(*part.lower[:-1], (above,))),
+            with_part(fam, 0, top=(zeroed,)),
+            *ragged,
+        ):
+            with pytest.raises(ValueError):
+                bad.members
+            with pytest.raises(ValueError):
+                certify(bad)
+        emptied = with_part(fam, 0, lower=(*part.lower[:-1], ()))
+        shape = (fam.shape[0] - len(part.lower[-1]), *fam.shape[1:])
+        emptied = replace(emptied, members=None, shape=shape)
+        assert certify(emptied) == certify(replace(emptied, inclusions=())), (flavor, n, k)
+        plain = certify(fam)
+        for i, part in enumerate(fam.blocks):
+            if part.witness is not None:
+                m, *rest = part.witness
+                r, c = next((r, c) for r, row in enumerate(m.entries) for c, e in enumerate(row) if e)
+                doubled = (with_entry(m, r, c, m.entries[r][c] + m.entries[r][c]), *rest)
+                assert certify(with_part(fam, i, witness=doubled)) == plain, (flavor, n, k, i)
+                assert certify(with_part(fam, i, witness=None)) == plain, (flavor, n, k, i)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_members_built_without_a_check_are_everywhere_injective(field, monkeypatch):
     unchecked = []
@@ -1059,8 +1148,8 @@ def test_members_built_without_a_check_are_everywhere_injective(field, monkeypat
             super().__init__(gen, check)
 
     monkeypatch.setattr(families, "Subbundle", Recording)
-    for _ in sweep_families(field, 16):
-        pass
+    for fam in sweep_families(field, 16):
+        fam.members  # assembled from the blocks on first read
     assert len(unchecked) > 100
     for gen in unchecked:
         assert gen.rank_everywhere() == (gen.ncols, True)
@@ -1399,6 +1488,64 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the two witness stages, each given an input that exactly one of their
+# checks refuses
+
+
+def e2a2b_block(field, flavor, a=2, b=5):
+    """The top chunk, pairing and witness of an E(2a, 2b) block, b > 2a."""
+    beta, gen, witness = families._e2a2b(field, flavor, a, b)
+    return gen, beta, witness
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_a_witnessed_quotient_refuses_a_changed_minus_half(field, flavor):
+    # the minus half's first entry off zero doubled: its support stays in
+    # the x-half and both exact pairs still hold, but psi'^T inner differs
+    gen, beta, witness = e2a2b_block(field, flavor)
+    assert verify._witnessed_quotient(Subbundle(gen), beta, witness) == st(0, 0)
+    a, b = witness[1].ncols, witness[0].ncols
+    i = next(i for i in range(b, 2 * b) if gen.entries[i][a])
+    bad = with_entry(gen, i, a, gen.entries[i][a] + gen.entries[i][a])
+    assert verify._witnessed_quotient(Subbundle(bad, check=False), beta, witness) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_a_witnessed_quotient_refuses_a_plus_half_off_its_exact_pair(field, flavor):
+    # the plus half's first entry off zero doubled: psi' no longer kills
+    # it; the minus half and the support are unchanged
+    gen, beta, witness = e2a2b_block(field, flavor)
+    i = next(i for i in range(witness[0].ncols) if gen.entries[i][0])
+    bad = with_entry(gen, i, 0, gen.entries[i][0] + gen.entries[i][0])
+    assert verify._witnessed_quotient(Subbundle(bad, check=False), beta, witness) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("flavor", ["symmetric", "skew"])
+def test_a_witnessed_quotient_refuses_an_entry_in_the_wrong_half(field, flavor):
+    # a plus column given an entry in the x-half, which neither the plus
+    # half (its e-half rows) nor the minus half (the minus columns) holds
+    gen, beta, witness = e2a2b_block(field, flavor)
+    b = witness[0].ncols
+    assert gen.entries[b][0].is_zero()
+    bad = with_entry(gen, b, 0, BinaryForm.monomial(field, gen.entries[b][0].degree, 0))
+    assert verify._witnessed_quotient(Subbundle(bad, check=False), beta, witness) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
+def test_a_lifted_quotient_refuses_a_lift_onto_another_top(field):
+    # the skew cubic block's (P, L) against its top with f1 and f2 swapped:
+    # (P, pairing_map(g)) is still an exact pair, but P @ L is not the top
+    beta, gen, basis = families._cubic_block(field, "skew")
+    low = Subbundle(GradedMatrix.from_columns(field, gen.dst, [gen.column(0)]))
+    assert verify._lifted_quotient(low, Subbundle(gen), beta, basis) == st(1, 1)
+    swapped = GradedMatrix.from_columns(field, gen.dst, [gen.column(j) for j in (0, 2, 1)])
+    assert verify._lifted_quotient(low, Subbundle(swapped), beta, basis) is None
+
+
+# ---------------------------------------------------------------------------
 # blocks whose perp/top a checked fact decides: an empty chunk, a
 # witnessed E(2a, 2b) top chunk and a perp basis, the top chunk itself
 # or the skew cubic block's lift witness; perp and quotient_type are the
@@ -1530,7 +1677,8 @@ def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
     blocks = orthogonal_blocks(pairing, fam.members)
     assert [b.coords for b in blocks] == [(0, 1), (2, 3, 4, 5)]
-    assert verify._isotropy(blocks, 3) == [None, None]
+    # e0 is half the plane: its own perp, read by its exact pair in _isotropy
+    assert verify._isotropy(blocks, 3) == [st(), None]
     assert verify._perp_over_top(blocks, -1, [None, None]) == st(0, 0)
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
