@@ -50,7 +50,7 @@ print()
 print("== perp/E two ways: a kernel scan, or the two binomial sequences ==")
 # E's generator is phi_plus on the e-half and phi_minus on the x-half; with
 # c = b - a, psi' = psi_(a,b)(-c), inner = phi_(a,c)(-c) and psi'' =
-# psi_(a,c)(-c) are the witness that certify reads from FlagFamily.perps
+# psi_(a,c)(-c) are the witness that certify reads from Part.witness
 # (proof in verify._witnessed_quotient).  (inner, psi'') is an exact pair,
 # so coker(inner) is read from the frame of psi'' (verify._exact_pair)
 a, b, c = 2, 7, 5
@@ -75,10 +75,10 @@ print()
 print("== the skew cubic block's perp/top two ways: a kernel scan, or its lift witness ==")
 # skew (6, 2) is the cubic block alone; the skew rule asks for perp(g)/E,
 # g the low member.  The builder hands certify P, a basis of perp(g), and
-# L with P @ L = E (FlagFamily.perps); proof in verify._lifted_quotient
+# L with P @ L = E (its Part.witness); proof in verify._lifted_quotient
 fam = build_isotropic(QQ, 6, 2, "skew")
 low, top = fam.members[0], fam.members[-1]
-p, lift = fam.perps[0][1]
+p, lift = fam.blocks[0].witness
 print(f"{fam.case} (n, k) = (6, 2):")
 print(f"  pairing_map(g) @ P = 0: {(pairing_map(low, fam.pairing) @ p).is_zero()}")
 print(f"  P everywhere injective: {p.rank_everywhere() == (p.ncols, True)}")

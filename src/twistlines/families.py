@@ -21,8 +21,8 @@ lower chunk with its flag quotient, read from its witness by ``_lower``,
 whose docstring holds the one proof.  A witness entry is an index, the
 generator above it selects, or a combination of two of them times
 monomials (only classical II's combined column and case IVa's e1 column).
-A family makes its members, and joins its witnesses, only when they are
-read; ``verify.certify`` reads the blocks.
+A family makes its members and its pairing only when they are read;
+``verify.certify`` reads the blocks, the one place the witnesses are kept.
 
 Every block carries its rank profile with no Smith form: a column of
 monomials by ``_column``, an E_{2a,2b} block from the binomial pair
@@ -42,9 +42,7 @@ lift into it (``_cubic_block``), which ``verify`` checks before use.
 The symmetric cubic, R3 and plane blocks have none: ``certify`` answers
 them by their shape.
 """
-import dataclasses
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -115,17 +113,13 @@ class FlagFamily:
     when an odd symmetric dimension was rerouted to its even neighbor.
 
     A builder gives the family by its ``blocks`` with ``members`` None:
-    the members, direct sums of the blocks' chunks, are assembled on first
-    read, and ``verify.certify`` reads the blocks.  A family whose members
-    were given, by its constructor or by ``dataclasses.replace`` (which
-    passes the members it reads), takes the member path: the orbit family,
-    hand-built flags, and any family with its members, inclusions or
-    perps changed.  ``inclusions`` holds a witness per adjacent pair, the
-    columns of L_i, members[i+1].gen @ L_i == members[i].gen (``_lower``),
-    and ``perps``, per block with a perp witness, its first coordinate and
-    the witness (``_e2a2b``, ``_cubic_block``); a builder's are its
-    blocks' (``_flag``).  The member path reads a witness only once
-    ``verify`` has checked it, and otherwise falls back to elimination.
+    the members, direct sums of the blocks' chunks, and the pairing, the
+    orthogonal sum of the blocks' summands (None when classical), are made
+    on first read, and ``verify.certify`` reads the blocks, with their
+    witnesses.  A family whose members were given, by its constructor or
+    by ``dataclasses.replace`` (which passes the members it reads), takes
+    the member path, which reads no witness: the orbit family, hand-built
+    flags, and any family with its members or pairing changed.
     """
 
     case: str
@@ -134,12 +128,9 @@ class FlagFamily:
     flavor: object  # None | "symmetric" | "skew"
     members: tuple  # None: the blocks' members, assembled on first read
     shape: tuple
-    pairing: object
+    pairing: object  # the blocks' sum, made on first read, when members is None
     notes: tuple = ()
     requested: object = None
-    # factory defaults leave no class attribute, so __getattr__ can answer these
-    inclusions: tuple = dataclasses.field(default_factory=tuple)  # per pair: L_i's columns
-    perps: tuple = dataclasses.field(default_factory=tuple)  # (first coordinate, witness)
     blocks: tuple = ()  # per block, its Part, when the family is given by its blocks
 
     def __post_init__(self):
@@ -423,9 +414,9 @@ def _chunks(part):
     return tuple(chunks[::-1]), tuple(quotients[::-1])
 
 
-def _flag(case, n, k, flavor, shape, pairing, parts) -> FlagFamily:
+def _flag(case, n, k, flavor, shape, parts) -> FlagFamily:
     """The family given by its blocks ``parts``, in ambient order."""
-    return FlagFamily(case, n, k, flavor, None, shape, pairing, blocks=tuple(parts))
+    return FlagFamily(case, n, k, flavor, None, shape, None, blocks=tuple(parts))
 
 
 def _members(parts):
@@ -436,30 +427,14 @@ def _members(parts):
     return tuple(Subbundle(m, check=False) for m in sums)
 
 
-def _inclusions(parts):
-    """The blocks' witnesses of each member into the one above, joined,
-    each index moved past the earlier blocks' columns in the member above."""
-    inclusions, widths = [], [sum(m.ncols for m in part.top) for part in parts]
-    for level in zip(*(part.lower for part in parts), strict=True):  # from the top down
-        starts = accumulate(widths, initial=0)
-        shifted = (
-            e + s if type(e) is int else tuple((r + s, spec) for r, spec in e)
-            for witness, s in zip(level, starts)
-            for e in witness
-        )
-        inclusions.insert(0, tuple(shifted))
-        widths = [len(witness) for witness in level]
-    return tuple(inclusions)
-
-
-def _perps(parts):
-    """Each perp witness of the blocks ``parts`` at its block's first coordinate."""
-    starts = accumulate((sum(m.nrows for m in part.top) for part in parts), initial=0)
-    return tuple((s, part.witness) for s, part in zip(starts, parts) if part.witness is not None)
+def _pairing(parts):
+    """The orthogonal sum of the blocks' summands, or None when classical."""
+    if parts[0].pairing is not None:
+        return Pairing.orthogonal_sum(*(part.pairing for part in parts))
 
 
 # what a family given by its blocks makes from them on first read
-_FROM_BLOCKS = {"members": _members, "inclusions": _inclusions, "perps": _perps}
+_FROM_BLOCKS = {"members": _members, "pairing": _pairing}
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +470,7 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
         joined = Part(None, (line, curve), ((0, 1), (((0, (n - 2 * k, 0)), (1, (1, 1))),)))
         case, parts = "classical-II", [*[Part(None, (line,), ((0,), (0,)))] * (k - 2), joined]
     parts.append(Part(None, (unit,), ((), ())))
-    return _flag(case, n, k, None, (k - 1, k, k + 1), None, parts)
+    return _flag(case, n, k, None, (k - 1, k, k + 1), parts)
 
 
 def build_classical_orbit(field, n: int, k: int):
@@ -693,9 +668,8 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
     if filler := n - sum(part.pairing.dim for part in parts):
         top = GradedMatrix.zero(field, (), trivial_frame(filler))
         parts.append(Part(_filler_pairing(field, flavor, filler), (top,), ((),) * len(lower)))
-    pairing = Pairing.orthogonal_sum(*(part.pairing for part in parts))
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
-    return _flag(case, n, k, flavor, shape, pairing, parts)
+    return _flag(case, n, k, flavor, shape, parts)
 
 
 def case_Ia(field, n: int, flavor: str) -> FlagFamily:
@@ -733,10 +707,10 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
         row = ("III" if flavor == "symmetric" else "IV") + ("b" if k % 2 else "a")
         return _isotropic(row, field, n, k, flavor, _CASES[row])
     # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension;
-    # members=None keeps it given by its blocks, and its witnesses with them
+    # members=None and pairing=None keep it given by its blocks, which make both
     note = f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag"
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
-    return replace(fam, members=None, requested=(n, k), notes=fam.notes + (note,))
+    return replace(fam, members=None, pairing=None, requested=(n, k), notes=fam.notes + (note,))
 
 
 def build_family(field, n: int, k: int, flavor) -> FlagFamily:

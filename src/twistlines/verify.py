@@ -23,14 +23,13 @@ of the block quotients.  A family a builder gives by its blocks
 (``FlagFamily.blocks``) is read from them (``_built``): each block's
 chunks and flag quotients come from its witnesses through
 ``families._lower``, and no n-row member is assembled.  A family given
-by its members takes the member path: its blocks are
-``sheaves.orthogonal_blocks`` of the members, a flag quotient is read
-from an inclusion witness only if ``_lower`` gives the inner generator
-from it, else found by elimination (``quotient_type``), and a classical
-ambient/top is the top's cokernel.  A witness can cost time but never
-change a verdict or a note.
+by its members takes the member path, which reads no witness: its
+blocks are ``sheaves.orthogonal_blocks`` of the members, a flag quotient
+is found by elimination (``quotient_type``), and a classical ambient/top
+is the top's cokernel.  A witness can cost time but never change a
+verdict or a note.
 
-A block may have a witness for its perp/top (``FlagFamily.perps``), and
+A block may have a witness for its perp/top (``Part.witness``), and
 every such witness rests on one lemma, that of an exact pair
 (``_exact_pair``).  An E_{2a,2b} block's is the builder's (psi', inner,
 psi''), two binomial exact pairs: once ``_witnessed_quotient`` has
@@ -66,7 +65,6 @@ from .families import (
     ExceptionalCaseError,
     FlagFamily,
     _chunks,
-    _lower,
     _once,
     _set_memo,
     build_family,
@@ -223,33 +221,6 @@ _RULES = {
         (_PIECEWISE_NOTE,),
     ),
 }
-
-
-def _flag_quotient(fam: FlagFamily, i: int) -> SplittingType:
-    """Type of members[i+1]/members[i]: from the family's inclusion witness
-    if ``_lower`` gives members[i]'s generator from it, else by elimination
-    (``quotient_type``).
-
-    A witness that gives it is a lift L with outer.gen @ L = inner.gen, and
-    outer/inner is coker L, which ``_lower`` reads from frames, with no
-    scan (its lemma).  Anything else is no witness.
-    """
-    inner, outer = fam.members[i], fam.members[i + 1]
-    found = _lower(outer.gen, fam.inclusions[i]) if i < len(fam.inclusions) else None
-    if found is not None and found[0] == inner.gen:
-        return SplittingType(found[1])
-    return quotient_type(inner, outer)
-
-
-def _blocks(fam: FlagFamily) -> list:
-    """``orthogonal_blocks`` of the family's members, each with the perp
-    witness the builder gave for the block at its first coordinate.  A
-    ``perps`` entry that is not a pair with an int coordinate is none."""
-    blocks = orthogonal_blocks(fam.pairing, fam.members)
-    witnesses = dict(
-        p for p in fam.perps if isinstance(p, tuple) and len(p) == 2 and type(p[0]) is int
-    )
-    return [b._replace(witness=witnesses.get(b.coords[0])) for b in blocks]
 
 
 def _isotropy(blocks, count, nested=False) -> Optional[list]:
@@ -501,7 +472,7 @@ def certify(fam: FlagFamily) -> Certificate:
         raise ValueError(f"no certificate rule for a {kind} flag of {len(types)} members")
     if tuple(t.rank for t in types) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    blocks = (blocks or _blocks(fam)) if rule.isotropic else ()
+    blocks = (blocks or orthogonal_blocks(fam.pairing, fam.members)) if rule.isotropic else ()
     witnessed = _isotropy(blocks, rule.isotropic, built is not None)
     if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
@@ -515,7 +486,7 @@ def certify(fam: FlagFamily) -> Certificate:
             )
     try:
         if quotients is None:
-            quotients = [_flag_quotient(fam, i) for i in range(len(types) - 1)]
+            quotients = [quotient_type(*fam.members[i : i + 2]) for i in range(len(types) - 1)]
         if rule.beside_top == "perp(top)":
             beside_top = _perp_over_top(blocks, -1, witnessed)
     except ValueError as exc:

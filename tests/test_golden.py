@@ -30,7 +30,7 @@ from dataclasses import replace
 import pytest
 from graded_strategies import witness_matrix
 
-from twistlines import sheaves, verify
+from twistlines import families, sheaves, verify
 from twistlines.cli import main
 from twistlines.families import (
     build_classical,
@@ -40,6 +40,7 @@ from twistlines.families import (
     is_exceptional,
 )
 from twistlines.fields import QQ, PrimeField
+from twistlines.frames import GradedMatrix
 from twistlines.verify import run_sweep, sweep_points
 
 SWEEP_16_SHA256 = {
@@ -143,8 +144,9 @@ def test_exceptional_check_json_bytes(capsys):
 
 def members_digest(field, n_max=12, with_pairing=False):
     """SHA-256 over case, shape, and the frames and entry coefficients of
-    each member's generator matrix and each witness (expanded to its
-    matrix by ``witness_matrix``), and with ``with_pairing`` the flavor
+    each member's generator matrix and each inclusion witness (the direct
+    sum of its blocks' witnesses, each expanded to its matrix by
+    ``witness_matrix``), and with ``with_pairing`` the flavor
     and Gram matrix of each pairing, for every non-exceptional sweep point
     with n <= n_max."""
     digest = hashlib.sha256()
@@ -158,9 +160,16 @@ def members_digest(field, n_max=12, with_pairing=False):
         digest.update(repr((fam.case, fam.shape)).encode())
         if with_pairing and fam.pairing is not None:
             digest.update(repr((fam.pairing.flavor, fam.pairing.matrix)).encode())
-        witnesses = [
-            witness_matrix(field, outer.gen.src, w)
-            for w, outer in zip(fam.inclusions, fam.members[1:])
+        chunks = [families._chunks(part)[0] for part in fam.blocks]
+        witnesses = [  # per level, bottom first, the direct sum of the blocks' witnesses
+            GradedMatrix.direct_sum(
+                field,
+                *(
+                    witness_matrix(field, cs[i + 1].gen.src, part.lower[-1 - i])
+                    for part, cs in zip(fam.blocks, chunks)
+                ),
+            )
+            for i in range(len(fam.members) - 1)
         ]
         for mat in [m.gen for m in fam.members] + witnesses:
             coeffs = tuple(tuple(e.coeffs for e in row) for row in mat.entries)
@@ -191,8 +200,8 @@ def matrix_text(m):
 
 
 def sweep_every_case(field):
-    """The per-case path, with no memo of the block stages.  Each family's
-    perp witnesses are dropped, so every block perp takes the kernel scan,
+    """The per-case path, with no memo of the block stages.  Each block's
+    perp witness is dropped, so every block perp takes the kernel scan,
     the witnesses' fallback, as every perp did when the pin was taken.
     ``certify`` answers a block with an empty or a Lagrangian chunk by its
     shape, so the chunk its rule reads goes through ``perp`` here, in every
@@ -200,7 +209,8 @@ def sweep_every_case(field):
     for flavor, n, k in sweep_points(2, 20, (None, "symmetric", "skew")):
         if not is_exceptional(flavor, n, k):
             fam = build_family(field, n, k, flavor)
-            verify.certify(replace(fam, perps=()))
+            parts = tuple(part._replace(witness=None) for part in fam.blocks)
+            verify.certify(replace(fam, members=None, pairing=None, blocks=parts))
             i = {"perp(top)": -1, "perp(low)": 0}.get(
                 verify._RULES[flavor, len(fam.members)].beside_top
             )

@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from itertools import accumulate
 
 import pytest
 from graded_strategies import witness_matrix
@@ -591,20 +590,20 @@ def test_lower_needs_no_form_comparison_for_shared_entries(monkeypatch):
     # copy is compared form by form
     fam = build_classical(QQ, 9, 3)
     inner, outer = fam.members[1].gen, fam.members[2].gen
-    rows = fam.inclusions[1]
+    rows = tuple(range(inner.ncols))  # mid is the top but its last column, the unit
     rebuilt = [[BinaryForm(QQ, e.degree, e.coeffs) for e in row] for row in inner.entries]
     copy = GradedMatrix(QQ, inner.src, inner.dst, rebuilt)
     assert families._lower(outer, rows)[0] == copy
     # a repeated index is refused though its columns compare equal
     assert families._lower(outer, (rows[0], rows[0])) is None
-    quotient = verify._flag_quotient(fam, 1)
+    quotients = verify._built(fam)[2]
 
     def refuse(self, other):
         raise AssertionError("BinaryForm.__eq__ called")
 
     monkeypatch.setattr(BinaryForm, "__eq__", refuse)
     assert families._lower(outer, rows)[0] == inner
-    assert verify._flag_quotient(fam, 1) == quotient
+    assert verify._built(fam)[2] == quotients
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
@@ -875,7 +874,7 @@ def sweep_families(field, n_max):
 
 def test_orbit_family_carries_no_witnesses():
     _, orbit = build_classical_orbit(QQ, 7, 3)
-    assert orbit.inclusions == ()
+    assert orbit.blocks == ()
     assert certify(orbit).very_twisting
 
 
@@ -898,16 +897,15 @@ def index_corruptions(rows, outer):
 def combination_corruptions(witness, outer):
     """Wrong copies of a witness with a combination entry ((r1, s1), (r2,
     s2)), s1 a power of T0 and s2 of degree 1: a changed coefficient, the
-    second entry T0 too (the column then vanishes at [0:1]), a row shared
-    with an index entry, one-row and three-row combinations, a row out of
-    range, and the entry as a dict.  All but the first are no witness."""
+    second entry T0 too (the column then vanishes at [0:1]), a row
+    repeated, one-row and three-row combinations, a row out of range, and
+    the entry as a dict.  All but the first are no witness."""
     j = next(j for j, entry in enumerate(witness) if not isinstance(entry, int))
     (r1, s1), (r2, s2) = witness[j]
-    shared = next(entry for entry in witness if isinstance(entry, int))
     entries = [
         ((r1, s1), (r2, (*s2[:2], 2))),
         ((r1, s1), (r2, (s2[0], 0))),
-        ((r1, s1), (shared, s2)),
+        ((r1, s1), (r1, s2)),
         ((r1, s1),),
         ((r1, s1), (r2, s2), (r2, s2)),
         ((r1, s1), (outer.ncols, s2)),
@@ -918,24 +916,24 @@ def combination_corruptions(witness, outer):
     return bad
 
 
-def with_inclusion(fam, i, lift):
-    inclusions = list(fam.inclusions)
-    inclusions[i] = lift
-    return replace(fam, inclusions=tuple(inclusions))
+def read_or_refused(bad):
+    """True if certify reads the family ``bad`` given by its blocks as the
+    member path certifies the members they give; False if a witness is
+    refused, so that it has no members and certify raises."""
+    try:
+        members = bad.members
+    except ValueError:
+        with pytest.raises(ValueError):
+            certify(bad)
+        return False
+    assert certify(bad) == certify(replace(bad, members=members)), bad.case
+    return True
 
 
-def test_wrong_witness_is_never_trusted(monkeypatch):
-    # a corrupted witness fails its check, so the inclusion is found by
-    # elimination and the certificate is the no-witness one; a selection's
-    # -1 for its last index, the last outer column, must not pass
-    calls = []
-    real_solve = linalg.solve_many
-
-    def solve_many(*args, **kwargs):
-        calls.append(None)
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "solve_many", solve_many)
+def test_wrong_witness_is_never_trusted():
+    # a corrupted block witness is refused by _lower, or read as the
+    # family it gives; a selection's -1 for its last index, the last
+    # column of the chunk above, must not pass
     cases = [  # classical-II, Ib, IIb, IIIa, IIIb, IVa, IVb, skew Ib and IIa
         (None, 7, 3),
         ("symmetric", 12, 3),
@@ -947,28 +945,27 @@ def test_wrong_witness_is_never_trusted(monkeypatch):
         ("skew", 10, 3),
         ("skew", 8, 2),
     ]
-    stale = build_classical(QQ, 9, 4).inclusions[0]  # frames of another family
-    aliased = combined = 0
+    stale = build_classical(QQ, 9, 4).blocks[-2].lower[-1]  # frames of another family
+    aliased = combined = read = refused = 0
     for flavor, n, k in cases:
-        fam = build_classical(QQ, n, k) if flavor is None else build_isotropic(QQ, n, k, flavor)
-        plain = certify(replace(fam, inclusions=()))
-        del calls[:]
-        assert certify(fam) == plain
-        trusted = len(calls)
-        for i, lift in enumerate(fam.inclusions):
-            corrupted = [stale, "not a witness"]
-            outer = fam.members[i + 1].gen
-            if all(isinstance(entry, int) for entry in lift):
-                corrupted += index_corruptions(lift, outer)
-                aliased += lift[-1] == outer.ncols - 1
-            else:
-                combined += 1
-                corrupted += combination_corruptions(lift, outer)
-            for bad in corrupted:
-                del calls[:]
-                assert certify(with_inclusion(fam, i, bad)) == plain, (fam.case, i)
-                assert len(calls) > trusted, (fam.case, i)
-    assert aliased and combined == 2
+        fam = build_family(QQ, n, k, flavor)
+        for b, part in enumerate(fam.blocks):
+            chunks = families._chunks(part)[0]
+            for j, lift in enumerate(part.lower):  # from the top down
+                if not lift:
+                    continue
+                outer, corrupted = chunks[-1 - j].gen, [stale, "not a witness"]
+                if all(isinstance(entry, int) for entry in lift):
+                    corrupted += index_corruptions(lift, outer)
+                    aliased += lift[-1] == outer.ncols - 1
+                else:
+                    combined += 1
+                    corrupted += combination_corruptions(lift, outer)
+                for bad in corrupted:
+                    lower = (*part.lower[:j], bad, *part.lower[j + 1 :])
+                    found = read_or_refused(with_part(fam, b, lower=lower))
+                    read, refused = read + found, refused + (not found)
+    assert aliased and combined == 2 and read and refused
 
 
 def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
@@ -1019,7 +1016,7 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
 def test_lower_witnesses_give_the_elimination_quotient(field, monkeypatch):
     # each witness, a selection or one with a combination, is checked by
     # _lower and its quotient read from frames; elimination must find the
-    # same quotient, and _flag_quotient must not fall back to it
+    # same quotient, and _built must not fall back to it
     fallbacks = []
     real_quotient_type = sheaves.quotient_type
 
@@ -1030,10 +1027,10 @@ def test_lower_witnesses_give_the_elimination_quotient(field, monkeypatch):
     monkeypatch.setattr(verify, "quotient_type", quotient_type)
     witnesses = 0
     for fam in sweep_families(field, 16):
+        quotients = verify._built(fam)[2]
         for i, inner in enumerate(fam.members[:-1]):
             witnesses += 1
-            outer = fam.members[i + 1]
-            assert verify._flag_quotient(fam, i) == real_quotient_type(inner, outer)
+            assert quotients[i] == real_quotient_type(inner, fam.members[i + 1])
     assert witnesses > 100
     assert fallbacks == []
 
@@ -1045,15 +1042,14 @@ def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
     scans = first_arguments(monkeypatch, sheaves, "_scan_cokernel")
     quotients = 0
     for fam in sweep_families(field, 24):
-        for i in range(len(fam.members) - 1):
-            verify._flag_quotient(fam, i)
-            quotients += 1
+        quotients += len(verify._built(fam)[2])
     assert (quotients, len(scans)) == (700, 0)
 
 
 def from_blocks(fam, parts):
-    """fam given by the blocks ``parts`` in place of its own."""
-    return families._flag(fam.case, fam.n, fam.k, fam.flavor, fam.shape, fam.pairing, parts)
+    """fam given by the blocks ``parts`` in place of its own, which make its
+    members and pairing."""
+    return replace(fam, members=None, pairing=None, blocks=tuple(parts))
 
 
 def with_part(fam, i, **fields):
@@ -1063,36 +1059,40 @@ def with_part(fam, i, **fields):
     return from_blocks(fam, parts)
 
 
+def with_witnesses(fam, change):
+    """fam given by its blocks with each perp witness w made change(w)."""
+    parts = [p if p.witness is None else p._replace(witness=change(p.witness)) for p in fam.blocks]
+    return from_blocks(fam, parts)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
     # every builder family with n <= 12 is read by its blocks, with no
     # split of the members and no member quotient; its members, assembled
-    # on first read, are the n-row direct sum of the builder's blocks cut
-    # down by the inclusion witnesses; a family with its members,
-    # inclusions or perps given takes the member path, to the same
-    # certificate
-    split = first_arguments(monkeypatch, verify, "_blocks")
-    lifted = first_arguments(monkeypatch, verify, "_flag_quotient")
+    # on first read, are the n-row direct sums of the blocks' chunks, each
+    # the builder's top cut down by the witness matrices; a family with
+    # its members given takes the member path, to the same certificate
+    split = first_arguments(monkeypatch, verify, "orthogonal_blocks")
+    lifted = first_arguments(monkeypatch, verify, "quotient_type")
     families_seen = 0
     for fam in sweep_families(field, 12):
         families_seen += 1
         cert = certify(fam)
         assert (split, lifted) == ([], []), (fam.case, fam.n, fam.k)
-        top = GradedMatrix.direct_sum(field, *(m for part in fam.blocks for m in part.top))
-        assembled = [top]
-        for witness in reversed(fam.inclusions):
-            assembled.insert(0, assembled[0] @ witness_matrix(field, assembled[0].src, witness))
+        per_block = []
+        for part in fam.blocks:
+            chunks = [GradedMatrix.direct_sum(field, *part.top)]
+            for witness in part.lower:
+                chunks.insert(0, chunks[0] @ witness_matrix(field, chunks[0].src, witness))
+            per_block.append(chunks)
+        assembled = [GradedMatrix.direct_sum(field, *chunks) for chunks in zip(*per_block)]
         assert [m.gen for m in fam.members] == assembled, (fam.case, fam.n, fam.k)
         assert certify(fam) == cert and not split and not lifted
-        for given in (
-            replace(fam, members=fam.members),
-            replace(fam, inclusions=()),
-            replace(fam, perps=()),
-        ):
-            assert certify(given) == cert, (fam.case, fam.n, fam.k)
-            assert split == [given] * (fam.flavor is not None)
-            assert lifted == [given] * (len(fam.members) - 1)
-            del split[:], lifted[:]
+        given = replace(fam, members=fam.members)
+        assert certify(given) == cert, (fam.case, fam.n, fam.k)
+        assert split == [fam.pairing] * (fam.flavor is not None)
+        assert [e for e in lifted if any(e is m for m in fam.members)] == list(fam.members[:-1])
+        del split[:], lifted[:]
     assert families_seen == 87
 
 
@@ -1126,7 +1126,7 @@ def test_a_corrupted_block_is_refused_or_read_as_the_family_it_gives(field):
         emptied = with_part(fam, 0, lower=(*part.lower[:-1], ()))
         shape = (fam.shape[0] - len(part.lower[-1]), *fam.shape[1:])
         emptied = replace(emptied, members=None, shape=shape)
-        assert certify(emptied) == certify(replace(emptied, inclusions=())), (flavor, n, k)
+        assert certify(emptied) == certify(replace(emptied, members=emptied.members)), (n, k)
         plain = certify(fam)
         for i, part in enumerate(fam.blocks):
             if part.witness is not None:
@@ -1155,35 +1155,6 @@ def test_members_built_without_a_check_are_everywhere_injective(field, monkeypat
         assert gen.rank_everywhere() == (gen.ncols, True)
 
 
-def test_a_lower_witness_of_a_changed_member_falls_back_to_elimination(monkeypatch):
-    # IVb: mid selects the top's generators 0, 2, 3; doubling mid's unit
-    # entry keeps the subsheaf but breaks the column comparison, so the
-    # quotient and the certificate come from elimination and do not change
-    calls = []
-    real_solve = linalg.solve_many
-
-    def solve_many(*args, **kwargs):
-        calls.append(None)
-        return real_solve(*args, **kwargs)
-
-    fam = build_isotropic(QQ, 6, 3, "skew")
-    assert fam.case == "IVb" and fam.inclusions[1] == (0, 2, 3)
-    mid = fam.members[1].gen
-    entries = [list(row) for row in mid.entries]
-    entries[0][0] = BinaryForm.constant(QQ, 2)
-    bad = with_member(fam, 1, Subbundle(GradedMatrix(QQ, mid.src, mid.dst, entries)))
-    monkeypatch.setattr(linalg, "solve_many", solve_many)
-    assert verify._flag_quotient(bad, 1) == verify._flag_quotient(fam, 1)
-    assert calls
-    plain = certify(replace(fam, inclusions=()))
-    del calls[:]
-    assert certify(fam) == plain
-    trusted = len(calls)
-    del calls[:]
-    assert certify(bad) == plain
-    assert len(calls) > trusted
-
-
 # ---------------------------------------------------------------------------
 # the pairing stages run block by block; the whole-member calls they
 # replaced are the oracle
@@ -1208,7 +1179,7 @@ def whole_member_certify(fam):
             )
     beside_top = None
     try:
-        quotients = [verify._flag_quotient(fam, i) for i in range(len(members) - 1)]
+        quotients = [sheaves.quotient_type(*members[i : i + 2]) for i in range(len(members) - 1)]
         if rule.beside_top == "perp(top)":
             beside_top = sheaves.quotient_type(top, sheaves.perp(top, fam.pairing))
         elif rule.beside_top == "perp(low)":
@@ -1304,7 +1275,7 @@ def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
     # perp witnesses are dropped, so the hyperbolic block is scanned too
     scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     fam = build_isotropic(QQ, 20, 8, "symmetric")
-    assert certify(replace(fam, perps=())).very_twisting
+    assert certify(with_witnesses(fam, lambda w: None)).very_twisting
     assert scans and max(m.ncols for m in scans) == 14
 
 
@@ -1330,36 +1301,23 @@ def test_a_malformed_perp_witness_is_refused(field):
         lambda w: (*w, w[-1]),
     ]
     for fam in (build_isotropic(field, 12, 3, "symmetric"), build_isotropic(field, 6, 2, "skew")):
-        plain = certify(replace(fam, perps=()))
+        plain = certify(with_witnesses(fam, lambda w: None))
         assert plain.very_twisting and plain == certify(fam)
         for change in malformed:
-            perps = tuple((at, change(witness)) for at, witness in fam.perps)
-            assert certify(replace(fam, perps=perps)) == plain, (fam.case, perps)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
-def test_a_malformed_perps_entry_is_ignored(field):
-    # an entry that is not a (coordinate, witness) pair with an int
-    # coordinate names no block; each of these used to raise in certify
-    fam = build_isotropic(field, 12, 3, "symmetric")
-    plain = certify(replace(fam, perps=()))
-    for perps in [("junk",), ((0,),), ((0, None, 1),), (([0], None),), (None,), ((True, None),)]:
-        assert certify(replace(fam, perps=perps)) == plain, perps
-        assert certify(replace(fam, perps=perps + fam.perps)) == plain, perps
+            assert certify(with_witnesses(fam, change)) == plain, (fam.case, change)
 
 
 def with_big_witness(fam, i, m):
     """fam with matrix i of the big block's perp witness (psi', inner,
-    psi'') replaced by m."""
-    start, witness = fam.perps[-1]
-    witness = (*witness[:i], m, *witness[i + 1 :])
-    return replace(fam, perps=(*fam.perps[:-1], (start, witness)))
+    psi'') replaced by m; the big block is block 1, after the small one."""
+    witness = fam.blocks[1].witness
+    return with_part(fam, 1, witness=(*witness[:i], m, *witness[i + 1 :]))
 
 
 def with_entry_doubled(fam, i):
     """fam with entry (0, 0) of the big block's witness matrix i doubled,
     or None if that matrix has no entries."""
-    m = fam.perps[-1][1][i]
+    m = fam.blocks[1].witness[i]
     if not m.entries or not m.entries[0]:
         return None
     return with_big_witness(fam, i, with_entry(m, 0, 0, m.entries[0][0] + m.entries[0][0]))
@@ -1368,7 +1326,7 @@ def with_entry_doubled(fam, i):
 def of_another_block(fam, i):
     """fam with the big block's witness matrix i taken from E(2a, 2b'),
     b' = b + 1."""
-    psi, inner, _ = fam.perps[-1][1]
+    psi, inner, _ = fam.blocks[1].witness
     a, c = inner.ncols, inner.nrows
     other = families._e2a2b(psi.field, fam.flavor, a, a + c + 1)[2][i]
     return with_big_witness(fam, i, other)
@@ -1401,25 +1359,21 @@ BIG_WITNESS_CORRUPTIONS = [
 
 
 def flipped_gram(fam, pairs):
-    """fam's pairing with the sign of <e_i, x_i> and <x_i, e_i> flipped in
-    the big block for i in ``pairs``: the orthogonal sum of the family's
-    summands with the big one replaced by its flipped copy, which the
+    """fam given by its blocks with the sign of <e_i, x_i> and <x_i, e_i>
+    flipped in the big block's summand for i in ``pairs``, which the
     checked constructor finds a valid pairing of its flavor."""
-    start, (psi, *_) = fam.perps[-1]
-    summands = list(fam.pairing.summands())
-    big = [0, *accumulate(p.dim for p in summands)].index(start)
-    rows = [list(row) for row in summands[big].matrix]
+    big = fam.blocks[1]
+    rows = [list(row) for row in big.pairing.matrix]
     for i in pairs:
-        e, x = i, psi.ncols + i
+        e, x = i, big.witness[0].ncols + i
         rows[e][x], rows[x][e] = -rows[e][x], -rows[x][e]
-    summands[big] = Pairing(fam.flavor, rows, fam.field)
-    return Pairing.orthogonal_sum(*summands)
+    return with_part(fam, 1, pairing=Pairing(fam.flavor, rows, fam.field))
 
 
 def gram_negated(fam):
     # the big block's Gram matrix times -1: the chunk is still isotropic
     # with the same perp, but the block is not hyperbolic
-    return replace(fam, pairing=flipped_gram(fam, range(fam.perps[-1][1][0].ncols)))
+    return flipped_gram(fam, range(fam.blocks[1].witness[0].ncols))
 
 
 def low_chunk_not_the_top_chunk(fam):
@@ -1427,11 +1381,9 @@ def low_chunk_not_the_top_chunk(fam):
     # big block's low chunk is not its top chunk
     if fam.flavor != "skew":
         return None
-    low = fam.members[0].gen
-    cols = [low.column(j) for j in range(low.ncols - 1)]
-    low = Subbundle(GradedMatrix.from_columns(low.field, low.dst, cols))
-    shape = (fam.shape[0] - 1, *fam.shape[1:])
-    return replace(fam, members=(low, *fam.members[1:]), shape=shape, inclusions=())
+    mid, low = fam.blocks[1].lower
+    bad = with_part(fam, 1, lower=(mid, low[:-1]))
+    return replace(bad, members=None, pairing=None, shape=(fam.shape[0] - 1, *fam.shape[1:]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -1449,11 +1401,11 @@ def test_a_refused_perp_witness_falls_back_to_the_kernel_scan(field, corrupt, mo
         bad = corrupt(fam)
         if bad is None:
             continue
-        plain = certify(replace(bad, perps=()))
+        plain = certify(with_witnesses(bad, lambda w: None))
         del scans[:]
         assert certify(bad) == plain, (flavor, n, k)
         # the big block is scanned: the small E(1,2) block's witness holds
-        psi = fam.perps[-1][1][0]
+        psi = fam.blocks[1].witness[0]
         assert [m.ncols for m in scans].count(2 * psi.ncols) == 1, (flavor, n, k)
         if corrupt is not low_chunk_not_the_top_chunk:
             assert plain == certify(fam) and plain.very_twisting, (flavor, n, k)
@@ -1464,16 +1416,15 @@ def test_a_perp_witness_needs_the_hyperbolic_gram_matrix(field):
     # one sign flipped makes the chunk not isotropic, and the oracle raises;
     # the witness is refused, so certify's fallback raises the same
     fam = build_isotropic(field, 20, 7, "symmetric")
-    start, witness = fam.perps[-1]
-    for flipped in (flipped_gram(fam, [0]), flipped_gram(fam, [3])):
-        b = orthogonal_blocks(flipped, fam.members)[1]
-        assert b.coords[0] == start
-        assert verify._witnessed_quotient(b.chunks[-1], b.pairing, witness) is None
-        assert verify._isotropy([b._replace(witness=witness)], 3) is None
+    for bad in (flipped_gram(fam, [0]), flipped_gram(fam, [3])):
+        b = verify._built(bad)[0][1]
+        assert b.witness is fam.blocks[1].witness
+        assert verify._witnessed_quotient(b.chunks[-1], b.pairing, b.witness) is None
+        assert verify._isotropy([b], 3) is None
         with pytest.raises(ValueError, match="not contained"):
-            verify._perp_over_top([b._replace(witness=witness)], -1, [None])
-        bad = replace(fam, pairing=flipped)
-        assert certify(bad) == certify(replace(bad, perps=())) and not certify(bad).isotropy_ok
+            verify._perp_over_top([b], -1, [None])
+        plain = certify(with_witnesses(bad, lambda w: None))
+        assert certify(bad) == plain and not plain.isotropy_ok
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -1554,7 +1505,7 @@ def test_a_lifted_quotient_refuses_a_lift_onto_another_top(field):
 
 def with_cubic_witness(fam, p, lift):
     """fam with the skew cubic block's lift witness replaced by (P, L)."""
-    return replace(fam, perps=((0, (p, lift)), *fam.perps[1:]))
+    return with_part(fam, 0, witness=(p, lift))
 
 
 def with_entry(m, i, j, form):
@@ -1564,20 +1515,20 @@ def with_entry(m, i, j, form):
 
 
 def p_column_doubled(fam):
-    p, lift = fam.perps[0][1]
+    p, lift = fam.blocks[0].witness
     return with_cubic_witness(fam, with_entry(p, 0, 0, p.entries[0][0] + p.entries[0][0]), lift)
 
 
 def p_pairing_with_g(fam):
     # x0 in place of e0: <g, x0> = -T0^2, which the first product check,
     # pairing_map(g) @ P = 0, refuses
-    p, lift = fam.perps[0][1]
+    p, lift = fam.blocks[0].witness
     one, zero = p.entries[0][0], p.entries[3][0]
     return with_cubic_witness(fam, with_entry(with_entry(p, 0, 0, zero), 3, 0, one), lift)
 
 
 def l_entry_doubled(fam):
-    p, lift = fam.perps[0][1]
+    p, lift = fam.blocks[0].witness
     doubled = lift.entries[4][1] + lift.entries[4][1]
     return with_cubic_witness(fam, p, with_entry(lift, 4, 1, doubled))
 
@@ -1588,23 +1539,23 @@ def test_a_refused_lift_witness_falls_back_to_the_kernel_scan(field, corrupt, mo
     scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     for n, k in [(6, 2), (14, 4), (20, 8)]:
         fam = build_isotropic(field, n, k, "skew")
-        assert fam.case in ("IIa-skew", "IIb") and fam.perps[0][0] == 0
+        assert fam.case in ("IIa-skew", "IIb") and len(fam.blocks[0].witness) == 2
         bad = corrupt(fam)
-        b = verify._blocks(bad)[0]
+        b = verify._built(bad)[0][0]
         assert verify._lifted_quotient(b.chunks[0], b.chunks[-1], b.pairing, b.witness) is None
         plain = certify(fam)
         assert plain.very_twisting and not scans
-        assert certify(bad) == plain == certify(replace(fam, perps=fam.perps[1:])), (n, k)
+        assert certify(bad) == plain == certify(with_part(fam, 0, witness=None)), (n, k)
         # the cubic block's low chunk, and only it, is scanned
         assert [(m.nrows, m.ncols) for m in scans] == [(1, 6)] * 2, (n, k)
         del scans[:]
 
 
 def top_column_replaced(fam, j, column):
-    top = fam.members[-1].gen
+    """fam given by its blocks with column j of the first block's top replaced."""
+    top = fam.blocks[0].top[0]
     cols = [column if i == j else top.column(i) for i in range(top.ncols)]
-    top = Subbundle(GradedMatrix.from_columns(top.field, top.dst, cols))
-    return replace(fam, members=(*fam.members[:-1], top), inclusions=())
+    return with_part(fam, 0, top=(GradedMatrix.from_columns(top.field, top.dst, cols),))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -1621,13 +1572,13 @@ def test_a_top_not_orthogonal_to_the_low_chunk_is_refused_as_the_oracle_refuses(
     )
     r3 = top_column_replaced(build_isotropic(field, 4, 2, "skew"), 0, (0, [z0, one, z0, one]))
     for bad in (cubic, r3):
-        b = verify._blocks(bad)[0]
+        b = verify._built(bad)[0][0]
         low, top = b.chunks[0], b.chunks[-1]
         assert not (sheaves.pairing_map(low, b.pairing) @ top.gen).is_zero()
         basis = b.witness or (top.gen, GradedMatrix.identity(field, top.gen.src))
         assert verify._lifted_quotient(low, top, b.pairing, basis) is None
         cert = certify(bad)
-        assert cert == whole_member_certify(bad) == certify(replace(bad, perps=()))
+        assert cert == whole_member_certify(bad) == certify(with_witnesses(bad, lambda w: None))
         assert_refused(
             cert,
             "top member is not annihilated by the bottom member",
@@ -1702,9 +1653,7 @@ def test_a_refused_perp_witness_falls_back_to_is_isotropic(field, corrupt, monke
     cases = [("symmetric", 20, 7), ("skew", 14, 4), ("symmetric", 8, 3), ("skew", 8, 3)]
     for flavor, n, k in cases:
         fam = build_isotropic(field, n, k, flavor)
-        start = fam.perps[-1][0]
-        big = [b for b in orthogonal_blocks(fam.pairing, fam.members) if b.coords[0] == start]
-        big_top = big[0].chunks[-1].gen
+        big_top = verify._built(fam)[0][1].chunks[-1].gen
         del checked[:]
         plain = certify(fam)
         assert plain.very_twisting and big_top not in checked, (flavor, n, k)
@@ -1714,4 +1663,4 @@ def test_a_refused_perp_witness_falls_back_to_is_isotropic(field, corrupt, monke
         del checked[:]
         cert = certify(bad)
         assert big_top in checked, (flavor, n, k)
-        assert cert == certify(replace(bad, perps=())) == plain, (flavor, n, k)
+        assert cert == certify(with_witnesses(bad, lambda w: None)) == plain, (flavor, n, k)
