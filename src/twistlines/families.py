@@ -36,11 +36,14 @@ flavor, a, b, d), and each combination column per its content.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
 (psi', inner, psi''), three matrices of the two binomial sequences it is
-built from (``_e2a2b``), pulled back with it by ``_block``; the skew
-cubic block with (P, L), a basis of its low chunk's perp and the block's
-lift into it (``_cubic_block``), which ``verify`` checks before use.
-The symmetric cubic, R3 and plane blocks have none: ``certify`` answers
-them by their shape.
+built from (``_e2a2b``), pulled back with it by ``_block``.  The cubic
+and R3 blocks come with a perp basis (P, L): the skew cubic block's is a
+basis of its low chunk's perp with the block's lift into it
+(``_cubic_block``); the symmetric cubic and R3 blocks' is (gen,
+identity), the top chunk as its own basis, which says that the top
+chunk is the perp of the chunk the rule reads.  ``verify`` checks each
+before use.  The plane block needs none: the chunk whose perp its rule
+reads, the low one, is empty.
 """
 from dataclasses import dataclass, replace
 from math import comb
@@ -515,15 +518,17 @@ def _orbit_member(field, weights, cols, n) -> Subbundle:
 
 
 def _cubic_block(field, flavor):
-    """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block.
+    """g, f1, f2 in a hyperbolic 6-space: the rank-3 cubic block, with its
+    perp witness (P, L).
 
-    The skew block also returns its perp witness (P, L): P's columns e0,
-    e1 - x1, x2, T1 e1 + T0 e2 and T0 e1 + T1 x0 span perp(g), which is
-    where the skew rule asks for a perp, and L is the lift of the block
-    into it, P @ L = (g, f1, f2): g = -T0^2 e0 + T0 T1 (e1 - x1) + T1^2 x2,
-    f1 = -T0 (e1 - x1) + 2 (T0 e1 + T1 x0), f2 = -T1 (e1 - x1) + 2 (T1 e1
-    + T0 e2).  ``verify._lifted_quotient`` checks both before it reads
-    perp(g)/top from L.
+    The symmetric block is Lagrangian, its own perp, so its witness is
+    (gen, identity).  The skew block's: P's columns e0, e1 - x1, x2, T1 e1
+    + T0 e2 and T0 e1 + T1 x0 span perp(g), which is where the skew rule
+    asks for a perp, and L is the lift of the block into it, P @ L = (g,
+    f1, f2): g = -T0^2 e0 + T0 T1 (e1 - x1) + T1^2 x2, f1 = -T0 (e1 - x1)
+    + 2 (T0 e1 + T1 x0), f2 = -T1 (e1 - x1) + 2 (T1 e1 + T0 e2).
+    ``verify._lifted_quotient`` checks either witness before it reads
+    perp/top from L.
 
     The generator and P keep the profile (ncols, True), with no Smith
     form.  Proof: in the basis e0, e1, e2, x0, x1, x2, the maximal minors
@@ -546,7 +551,8 @@ def _cubic_block(field, flavor):
         g = (-2, [t00, t01, z2, z2, z2, t11])
         f1 = (-1, [z1, z1, t0, z1, -t1, z1])
         f2 = (-1, [z1, z1, z1, t1, -t0, z1])
-        return beta, _profiled(GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2]))
+        gen = _profiled(GradedMatrix.from_columns(field, trivial_frame(6), [g, f1, f2]))
+        return beta, gen, (gen, GradedMatrix.identity(field, gen.src))
     g = (-2, [-t00, t01, z2, z2, -t01, t11])
     f1 = (-1, [z1, t0, z1, t1 + t1, t0, z1])
     f2 = (-1, [z1, t1, t0 + t0, z1, t1, z1])
@@ -577,7 +583,9 @@ def _cubic_block(field, flavor):
 
 def _r3_block(field, flavor):
     """col_a, col_bp, col_bm in a skew hyperbolic 4-space: the R3 block,
-    whose top member is not isotropic.
+    whose top member is not isotropic, with its perp witness (gen,
+    identity): the top is the perp of the low chunk e1 = T0 col_bp - T1
+    col_bm, which ``verify._lifted_quotient`` checks before use.
 
     It keeps the profile (3, True), with no Smith form: in the basis e0,
     e1, x0, x1 its maximal minors on rows (e0, e1, x1) and (e1, x0, x1)
@@ -590,8 +598,8 @@ def _r3_block(field, flavor):
     col_a = (0, [z0, one, z0, -one])
     col_bp = (-1, [t0, t1, z1, z1])
     col_bm = (-1, [z1, z1, -t1, t0])
-    gen = GradedMatrix.from_columns(field, trivial_frame(4), [col_a, col_bp, col_bm])
-    return Pairing.hyperbolic(field, 2, flavor), _profiled(gen)
+    gen = _profiled(GradedMatrix.from_columns(field, trivial_frame(4), [col_a, col_bp, col_bm]))
+    return Pairing.hyperbolic(field, 2, flavor), gen, (gen, GradedMatrix.identity(field, gen.src))
 
 
 def _profiled(m):

@@ -32,7 +32,6 @@ __all__ = [
     "sub_lift",
     "pairing_map",
     "perp",
-    "orthogonal_blocks",
     "is_isotropic",
     "same_subsheaf",
 ]
@@ -95,7 +94,7 @@ class Pairing:
     The constructors skip that (``_valid``) where it is proved: hyperbolic
     and identity Gram matrices are signed permutations, and a block sum of
     valid pairings of one flavor keeps the flavor and has a product of
-    nonzero determinants.  A block sum keeps its summands (``summands``)."""
+    nonzero determinants."""
 
     flavor: str  # "symmetric" | "skew"
     matrix: tuple  # n x n Gram matrix, rows of scalars
@@ -175,9 +174,7 @@ class Pairing:
 
     @classmethod
     def orthogonal_sum(cls, *pairings: "Pairing") -> "Pairing":
-        """The block sum of the nonempty ``pairings``, in order, which it
-        keeps in the instance dict for ``summands``, as ``_gram`` keeps the
-        Gram matrix: equality, the hash and the fields do not see them."""
+        """The block sum of the nonempty ``pairings``, in order."""
         pairings = tuple(p for p in pairings if p.dim > 0)
         if not pairings:
             raise ValueError("empty orthogonal sum")
@@ -190,13 +187,7 @@ class Pairing:
         for p in pairings:
             rows += [(f.zero,) * off + row + (f.zero,) * (n - off - p.dim) for row in p.matrix]
             off += p.dim
-        total = cls._valid(flavor, rows, f)
-        total.__dict__["_summands"] = pairings
-        return total
-
-    def summands(self) -> tuple:
-        """The summands ``orthogonal_sum`` made this pairing of, else (self,)."""
-        return self.__dict__.get("_summands", (self,))
+        return cls._valid(flavor, rows, f)
 
 
 # ---------------------------------------------------------------------------
@@ -505,27 +496,11 @@ def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:
 
 
 class Block(NamedTuple):
-    coords: tuple  # ambient coordinates of the block, ascending
-    pairing: Pairing  # beta on coords: a summand of beta, or beta itself
-    chunks: tuple  # per member, its columns there: a Subbundle of O^len(coords)
-    witness: object = None  # a builder's perp witness, checked before use (verify)
-
-
-def orthogonal_blocks(beta: Pairing, members) -> list:
-    """The orthogonal blocks of the ambient of ``members``, in order.
-
-    When every member column lies in one summand of beta
-    (``Pairing.summands``; a zero column goes with the first), each summand
-    is a block on its coordinates, with the summand itself as its pairing;
-    otherwise the whole ambient is one block, with beta.  A member's chunk
-    is its columns there on the block's coordinates; equal chunks of a
-    block are one object.
-
-    A set S of coordinates is an orthogonal block when beta pairs no
-    coordinate of S with one outside it and every member column lies in S
-    or outside it.  The Gram matrix of an orthogonal sum is block diagonal
-    by construction, so the summands are blocks when no column crosses
-    two of them; the whole ambient always is one.
+    """An orthogonal block of a family's ambient, as ``verify.certify``
+    reads it: coordinates that beta pairs with none outside them, holding
+    each member column or none of it.  Its dimension is its top chunk's
+    row count.  The whole ambient, with beta and the whole members, always
+    is one.
 
     Why the pairing stages may run per block: beta is the orthogonal sum of
     the blocks' pairings, and a member E is the sum of its chunks E_B.  So E
@@ -533,40 +508,11 @@ def orthogonal_blocks(beta: Pairing, members) -> list:
     orthogonal to E iff each block part x_B is to E_B), and ``perp`` of an
     empty chunk is the whole block; for F in E^perp the lift of F into
     E^perp is block diagonal, so E^perp/F is the union of the block
-    quotients E_B^perp/F_B.  A chunk of an everywhere-injective member is
-    everywhere injective (independent columns stay so, the dropped rows
-    being zero), so it keeps the profile (ncols, True), and its entries
-    are the member's, so neither is checked."""
-    n = beta.dim
-    if any(m.ambient != (0,) * n for m in members):
-        raise ValueError("a pairing needs a trivial ambient frame of its dimension")
-    summands = beta.summands()
-    owner = [s for s, p in enumerate(summands) for _ in range(p.dim)]  # per coordinate
-    supports = [m.gen.support() for m in members]
-    homes = [[owner[c[0][0]] if c else 0 for c in sup] for sup in supports]  # per column
-    if any(
-        owner[i] != s
-        for sup, home in zip(supports, homes)
-        for c, s in zip(sup, home)
-        for i, _ in c
-    ):
-        summands, homes = (beta,), [[0] * len(sup) for sup in supports]
-    f, blocks, start = beta.field, [], 0
-    for s, pairing in enumerate(summands):
-        coords, chunks = tuple(range(start, start + pairing.dim)), []
-        start += pairing.dim
-        for m, home in zip(members, homes):
-            js = [j for j, h in enumerate(home) if h == s]
-            src = tuple([m.gen.src[j] for j in js])
-            rows = tuple(tuple([m.gen.entries[i][j] for j in js]) for i in coords)
-            same = [e for e in chunks if e.gen.src == src and e.gen.entries == rows]
-            if not same:
-                chunk = GradedMatrix._valid(f, src, (0,) * len(coords), rows)
-                chunk._profile = RankProfile(len(src), True)
-                same = [Subbundle(chunk, check=False)]
-            chunks.append(same[0])
-        blocks.append(Block(coords, pairing, tuple(chunks)))
-    return blocks
+    quotients E_B^perp/F_B."""
+
+    pairing: Pairing  # beta on the block's coordinates
+    chunks: tuple  # per member, its columns there: a Subbundle of the block
+    witness: object = None  # a builder's perp witness, checked before use (verify)
 
 
 def perp(e: Subbundle, beta: Pairing) -> Subbundle:

@@ -23,24 +23,24 @@ of the block quotients.  A family a builder gives by its blocks
 (``FlagFamily.blocks``) is read from them (``_built``): each block's
 chunks and flag quotients come from its witnesses through
 ``families._lower``, and no n-row member is assembled.  A family given
-by its members takes the member path, which reads no witness: its
-blocks are ``sheaves.orthogonal_blocks`` of the members, a flag quotient
-is found by elimination (``quotient_type``), and a classical ambient/top
-is the top's cokernel.  A witness can cost time but never change a
-verdict or a note.
+by its members takes the member path, which reads no witness: it is one
+block, the whole ambient with the whole pairing and the whole members, a
+flag quotient is found by elimination (``quotient_type``), and a
+classical ambient/top is the top's cokernel.  A witness can cost time but
+never change a verdict or a note.
 
 A block may have a witness for its perp/top (``Part.witness``), and
 every such witness rests on one lemma, that of an exact pair
 (``_exact_pair``).  An E_{2a,2b} block's is the builder's (psi', inner,
 psi''), two binomial exact pairs: once ``_witnessed_quotient`` has
 checked it, in the isotropy step, it proves the top chunk isotropic and
-gives perp/top from the frame of psi''.  Any other nonempty chunk takes
-a perp basis (P, L), checked by ``_lifted_quotient``: the top chunk
-itself when the chunk has the rank the top chunk leaves, else the skew
-cubic block's witness.  An empty chunk's perp/top is read from the top
-chunk.  None needs a kernel scan or a lift (``_perp_over_top``); a
-refused witness falls back to ``is_isotropic``, ``perp`` and
-``quotient_type``.
+gives perp/top from the frame of psi''.  Every other witness is a perp
+basis (P, L) of a chunk, checked by ``_lifted_quotient``: the symmetric
+cubic and R3 blocks' is their top chunk with the identity, and the skew
+cubic block's spans its low chunk's perp.  An empty chunk's perp/top is
+read from the top chunk.  None needs a kernel scan or a lift
+(``_perp_over_top``); a block with no witness, or with a refused one,
+falls back to ``is_isotropic``, ``perp`` and ``quotient_type``.
 
 While ``run_sweep`` runs, each process keeps one memo (``families._once``)
 and computes each block stage once through it: the key is the stage and
@@ -81,7 +81,6 @@ from .sheaves import (
     _lift_quotient_type,
     is_isotropic,
     kernel_free,
-    orthogonal_blocks,
     pairing_map,
     perp,
     quotient_type,
@@ -227,21 +226,20 @@ def _isotropy(blocks, count, nested=False) -> Optional[list]:
     """Check every distinct chunk of the bottom ``count`` members of each
     block isotropic, or only the highest if the chunks are ``nested`` (a
     subsheaf of an isotropic one is isotropic); None if one is not.  Else,
-    per block, the perp/top of its top chunk if a check here gave it: by
-    ``_witnessed_quotient`` from the block's perp witness, or with none
-    and half the block's rank (the symmetric cubic block) by
-    ``_lifted_quotient`` with the chunk as its own perp basis, each in
-    place of ``is_isotropic``; else None.  ``_perp_over_top`` reads it."""
+    per block, the perp/top of its top chunk if the block's perp witness
+    gave it here, in place of ``is_isotropic``: an E_{2a,2b} triple by
+    ``_witnessed_quotient``, any other witness as a perp basis of the top
+    chunk by ``_lifted_quotient``; else None.  ``_perp_over_top`` reads
+    it."""
     found = []
     for b in blocks:
         top, quotient = b.chunks[-1], None
         tested = {id(e): e for e in b.chunks[count - 1 if nested else 0 : count] if e.rank}
-        if id(top) in tested:
-            if b.witness is not None:
+        if id(top) in tested and b.witness is not None:
+            if _is_witness(b.witness, 3):
                 quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
-            elif 2 * top.rank == len(b.coords):
-                basis = (top.gen, GradedMatrix.identity(top.field, top.gen.src))
-                quotient = _once(_lifted_quotient, top, top, b.pairing, basis)
+            else:
+                quotient = _once(_lifted_quotient, top, top, b.pairing, b.witness)
             if quotient is not None:
                 del tested[id(top)]
         if not all(_once(is_isotropic, e, b.pairing) for e in tested.values()):
@@ -254,36 +252,33 @@ def _perp_over_top(blocks, i, witnessed) -> SplittingType:
     """perp(member i)/top: per block, the quotient of the perp of member
     i's chunk by the top chunk, joined; raises ``ValueError`` if a top
     chunk does not lie in its perp.  ``witnessed`` holds, per block, what
-    ``_isotropy`` read from its E_{2a,2b} witness: perp/top of the top
-    chunk, or None.
+    ``_isotropy`` read from its perp witness: perp/top of the top chunk,
+    or None.
 
     Let C be member i's chunk and E the top chunk (the same object when
-    equal, as ``orthogonal_blocks`` makes them).  Three rules answer a
-    block with no kernel scan and no solve; a block none answers, and one
-    whose witness is refused, takes ``perp`` and ``quotient_type``, which
-    stay the oracle.
+    equal, as ``families._chunks`` makes them; whole members on the
+    member path).  Three rules answer a block with no kernel scan and no
+    solve; a block none answers takes ``perp`` and ``quotient_type``,
+    which stay the oracle.
     (a) C is empty.  Its perp is the whole block, whose generator is the
         identity, and E's generator is its own lift into it, so perp/top
         is coker(E) (``_lift_quotient_type``), or (0,) * dim if E is empty
-        too.
-    (b) C is E, and its E_{2a,2b} witness held in ``_isotropy``: the
-        perp/top ``_witnessed_quotient`` read from it.
-    (c) A perp basis (P, L) of C passes ``_lifted_quotient``: perp/top is
-        coker(L).  When rank C + rank E is the block's dimension, the
-        basis is E itself, (E.gen, identity), and perp/top is empty: the
-        symmetric cubic block (C = E, Lagrangian) and the R3 block (C its
-        low chunk).  Otherwise it is the block's witness: the skew cubic
-        block's."""
+        too, for the block's dimension dim.
+    (b) C is E, and the block's witness held in ``_isotropy``: the
+        perp/top read there.
+    (c) The block's witness is a perp basis (P, L) of C that passes
+        ``_lifted_quotient``: perp/top is coker(L).  The symmetric cubic
+        and R3 blocks' is (E.gen, identity), which says E is perp(C), so
+        perp/top is empty: there C is E (Lagrangian) or the R3 block's low
+        chunk.  The skew cubic block's spans perp of its low chunk."""
     twists = ()
     for b, found in zip(blocks, witnessed):
-        top, chunk, dim = b.chunks[-1], b.chunks[i], len(b.coords)
+        top, chunk = b.chunks[-1], b.chunks[i]
         if not chunk.rank:
+            dim = top.gen.nrows
             found = _once(_lift_quotient_type, top.gen) if top.rank else SplittingType((0,) * dim)
         elif chunk is not top or found is None:
-            basis = b.witness
-            if chunk.rank + top.rank == dim:
-                basis = (top.gen, GradedMatrix.identity(top.field, top.gen.src))
-            found = _once(_lifted_quotient, chunk, top, b.pairing, basis)
+            found = _once(_lifted_quotient, chunk, top, b.pairing, b.witness)
             if found is None:
                 found = _once(quotient_type, top, _once(perp, chunk, b.pairing))
         twists += found.twists
@@ -421,18 +416,14 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
 
 def _built(fam: FlagFamily):
     """A family given by its blocks as ``certify`` reads it: per block a
-    ``Block`` on its coordinates, and per member and flag quotient its
-    type, the union of the blocks' (a member is the direct sum of its
-    chunks); None on the member path.  A block ``_chunks`` refuses raises
-    ``ValueError``, as reading the members does."""
+    ``Block``, and per member and flag quotient its type, the union of the
+    blocks' (a member is the direct sum of its chunks); None on the member
+    path.  A block ``_chunks`` refuses raises ``ValueError``, as reading
+    the members does."""
     if not fam.blocks or "members" in vars(fam):
         return None
     found = [_once(_chunks, part) for part in fam.blocks]
-    blocks, start = [], 0
-    for part, (chunks, _) in zip(fam.blocks, found):
-        dim = chunks[-1].gen.nrows
-        blocks.append(Block(tuple(range(start, start + dim)), part.pairing, chunks, part.witness))
-        start += dim
+    blocks = [Block(p.pairing, chunks, p.witness) for p, (chunks, _) in zip(fam.blocks, found)]
 
     def union(per_block):  # per member or quotient, the union of its twists in each block
         return [SplittingType(sum(twists, ())) for twists in zip(*per_block, strict=True)]
@@ -472,7 +463,7 @@ def certify(fam: FlagFamily) -> Certificate:
         raise ValueError(f"no certificate rule for a {kind} flag of {len(types)} members")
     if tuple(t.rank for t in types) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    blocks = (blocks or orthogonal_blocks(fam.pairing, fam.members)) if rule.isotropic else ()
+    blocks = (blocks or [Block(fam.pairing, tuple(fam.members))]) if rule.isotropic else ()
     witnessed = _isotropy(blocks, rule.isotropic, built is not None)
     if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
@@ -621,6 +612,14 @@ def pool_size(jobs: int, n_tasks: int, cpus) -> int:
     return max(1, min(jobs, cpus or 1, n_tasks))
 
 
+def _cpus():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's count (None if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _sweep_group(tasks):
     return [_sweep_one(t) for t in tasks]
 
@@ -727,7 +726,7 @@ def run_sweep(field, n_min: int, n_max: int, flavors, jobs: int = 1):
     for flavor, n, k in points:
         groups.setdefault((flavor, n // 2), []).append((field, flavor, n, k))
     order = sorted(groups.values(), key=lambda group: -group[-1][2])
-    workers = pool_size(jobs, len(order), os.cpu_count())
+    workers = pool_size(jobs, len(order), _cpus())
     if workers > 1 and _may_fork():
         rows = _forked_sweep(_shares(order, workers))
     else:

@@ -201,22 +201,15 @@ def matrix_text(m):
 
 def sweep_every_case(field):
     """The per-case path, with no memo of the block stages.  Each block's
-    perp witness is dropped, so every block perp takes the kernel scan,
-    the witnesses' fallback, as every perp did when the pin was taken.
-    ``certify`` answers a block with an empty or a Lagrangian chunk by its
-    shape, so the chunk its rule reads goes through ``perp`` here, in every
-    block, as ``certify`` took it when the pin was taken."""
+    perp witness is dropped, so the perp of every nonempty chunk that a
+    rule reads takes the kernel scan, the witnesses' fallback, as every
+    perp did when the pin was taken; an empty chunk's perp is its whole
+    block, with no scan."""
     for flavor, n, k in sweep_points(2, 20, (None, "symmetric", "skew")):
         if not is_exceptional(flavor, n, k):
             fam = build_family(field, n, k, flavor)
             parts = tuple(part._replace(witness=None) for part in fam.blocks)
             verify.certify(replace(fam, members=None, pairing=None, blocks=parts))
-            i = {"perp(top)": -1, "perp(low)": 0}.get(
-                verify._RULES[flavor, len(fam.members)].beside_top
-            )
-            if i is not None:
-                for b in sheaves.orthogonal_blocks(fam.pairing, fam.members):
-                    sheaves.perp(b.chunks[i], b.pairing)
 
 
 def every_ses_report(field):

@@ -1,7 +1,6 @@
 import pickle
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,12 +11,7 @@ from twistlines import linalg, sheaves
 from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm, random_form
 from twistlines.frames import GradedMatrix, trivial_frame
-from twistlines.families import (
-    build_E2a2b,
-    build_isotropic,
-    build_phi_psi,
-    is_exceptional,
-)
+from twistlines.families import build_E2a2b, build_isotropic, build_phi_psi
 from twistlines.sheaves import (
     Column,
     Pairing,
@@ -27,7 +21,6 @@ from twistlines.sheaves import (
     is_isotropic,
     kernel_free,
     lift_through,
-    orthogonal_blocks,
     pairing_map,
     perp,
     quotient_type,
@@ -107,12 +100,6 @@ def test_assembled_pairings_equal_their_validated_construction(field, flavor):
     if flavor == "symmetric":
         parts += [Pairing.diagonal_ones(field, 3), Pairing.diagonal_ones(field, 1)]
     total = Pairing.orthogonal_sum(*parts)
-    n = total.dim
-    # unit columns each lie in one summand, so the blocks are the summands
-    blocks = orthogonal_blocks(total, [Subbundle.full(field, trivial_frame(n))])
-    assert [b.coords for b in blocks][:3] == [(0, 1, 2, 3), (4, 5), (6, 7, 8)][: len(parts)]
-    assert [b.pairing for b in blocks] == parts
-    assert all(b.pairing is p for b, p in zip(blocks, total.summands()))
     for p in parts + [total]:
         assert p == Pairing(p.flavor, p.matrix, field)
     # the same Gram matrices made degenerate or asymmetric still raise
@@ -161,20 +148,16 @@ def test_a_pairing_keeps_its_gram_matrix_out_of_equality_and_hash():
 
 
 def test_an_orthogonal_sum_keeps_its_summands_out_of_equality_and_hash():
-    # the nonempty summands are kept, in order, as given; a pairing made
-    # any other way is its own one summand, and equal pairings compare and
-    # hash as one whatever summands they keep
+    # an empty summand adds nothing, and the sum compares, hashes and
+    # pickles as the checked pairing of its Gram matrix
     for field in (QQ, PrimeField(7)):
         plane, ones = Pairing.hyperbolic(field, 1, "symmetric"), Pairing.diagonal_ones(field, 2)
         total = Pairing.orthogonal_sum(plane, Pairing.diagonal_ones(field, 0), ones)
-        assert total.summands() == (plane, ones)
-        assert all(p is q for p, q in zip(total.summands(), (plane, ones)))
-        assert plane.summands() == (plane,) and plane.summands()[0] is plane
+        assert total.dim == 4 and total == Pairing.orthogonal_sum(plane, ones)
         checked = Pairing("symmetric", total.matrix, field)
-        assert checked.summands() == (checked,)
         assert checked == total and hash(checked) == hash(total)
         copy = pickle.loads(pickle.dumps(total))
-        assert copy == total and copy.summands() == (plane, ones)
+        assert copy == total and hash(copy) == hash(total)
 
 
 def test_pairing_entries_are_reduced_into_the_field():
@@ -826,119 +809,3 @@ def pivot_scan_kernel(m):
 @given(graded_matrices(fields=ALL_FIELDS))
 def test_kernel_scan_equals_the_pivot_scan(m):
     assert kernel_free(m).gen == pivot_scan_kernel(m).gen
-
-
-# ---------------------------------------------------------------------------
-# the summand split: the blocks are the summands the pairing was built
-# of, or one block of the whole ambient when a member column crosses two
-
-
-@hst.composite
-def summand_cases(draw):
-    """An orthogonal sum of two to four small pairings of one flavor,
-    unpermuted, and nested members, the top one holding every drawn column.
-    A column is drawn inside one summand or across it and the next: it is
-    zero or a monomial at each coordinate of its range, nonzero at the two
-    coordinates next to the border of a range across two, and a zero
-    column can occur."""
-    field = draw(hst.sampled_from(ALL_FIELDS))
-    flavor = draw(hst.sampled_from(["symmetric", "skew"]))
-    one_flavor = pairings(field).filter(lambda p: p.flavor == flavor)
-    parts = draw(hst.lists(one_flavor, min_size=2, max_size=4))
-    beta = Pairing.orthogonal_sum(*parts)
-    n, starts = beta.dim, [0, *accumulate(p.dim for p in parts)]
-    entry = hst.one_of(hst.none(), hst.tuples(hst.integers(0, 1), hst.sampled_from([1, -1, 2])))
-    columns = []
-    for twist in draw(hst.lists(hst.sampled_from([0, -1]), min_size=1, max_size=5)):
-        first = draw(hst.integers(0, len(parts) - 1))
-        last = draw(hst.integers(first, min(first + 1, len(parts) - 1)))
-        lo, hi = starts[first], starts[last + 1]
-        specs = [None] * lo + draw(hst.lists(entry, min_size=hi - lo, max_size=hi - lo))
-        if last > first:
-            specs[starts[last] - 1] = specs[starts[last]] = (0, 1)
-        forms, zero = [], draw(hst.integers(0, 3)) == 0
-        for spec in specs + [None] * (n - hi):
-            if zero or spec is None or spec[0] > -twist:
-                forms.append(BinaryForm.zero(field, -twist))
-            else:
-                forms.append(BinaryForm.monomial(field, -twist, *spec))
-        columns.append((twist, forms))
-    sizes = sorted(draw(hst.lists(hst.integers(0, len(columns)), max_size=2))) + [len(columns)]
-    members = [
-        Subbundle(GradedMatrix.from_columns(field, trivial_frame(n), columns[:size]), check=False)
-        if size
-        else Subbundle.zero(field, trivial_frame(n))
-        for size in sizes
-    ]
-    return beta, members
-
-
-@settings(max_examples=150, deadline=None)
-@given(summand_cases())
-def test_blocks_are_the_summands_or_the_whole_ambient(case):
-    beta, members = case
-    field, n, summands = beta.field, beta.dim, beta.summands()
-    blocks = orthogonal_blocks(beta, members)
-    owner = [s for s, p in enumerate(summands) for _ in range(p.dim)]
-    crossing = any(len({owner[i] for i, _ in c}) > 1 for m in members for c in m.gen.support())
-    if crossing:
-        assert len(blocks) == 1 and blocks[0].pairing is beta
-        assert blocks[0].coords == tuple(range(n))
-    else:
-        assert len(blocks) == len(summands)
-        assert all(b.pairing is p for b, p in zip(blocks, summands))
-        starts = [0, *accumulate(p.dim for p in summands)]
-        assert [b.coords for b in blocks] == [tuple(range(*ab)) for ab in zip(starts, starts[1:])]
-    # each member's chunks, put back in column order, give its generator
-    for j, m in enumerate(members):
-        homes = [0 if crossing or not c else owner[c[0][0]] for c in m.gen.support()]
-        columns = [None] * m.rank
-        for s, b in enumerate(blocks):
-            chunk = b.chunks[j].gen
-            at = [c for c, home in enumerate(homes) if home == s]
-            assert len(at) == chunk.ncols
-            for c, (twist, forms) in zip(at, map(chunk.column, range(chunk.ncols))):
-                full = [BinaryForm.zero(field, -twist)] * n
-                for i, form in zip(b.coords, forms):
-                    full[i] = form
-                columns[c] = (twist, full)
-        assert GradedMatrix.from_columns(field, trivial_frame(n), columns) == m.gen
-    # equal chunks of a block are one object
-    for b in blocks:
-        assert all((e is other) == (e.gen == other.gen) for e in b.chunks for other in b.chunks)
-
-
-def test_chunks_of_one_frame_are_one_object_only_when_equal():
-    # e1 and x1 of the first of two skew planes span two rank-1 members:
-    # there their chunks have one frame and different rows, and keep the
-    # profile a fresh Smith form gives; in the second plane both chunks are
-    # empty, and equal
-    plane = Pairing.hyperbolic(QQ, 1, "skew")
-    one, zero = BinaryForm.constant(QQ, 1), BinaryForm.zero(QQ, 0)
-    e1, x1 = [one, zero], [zero, one]
-    members = [
-        Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(4), [(0, col + [zero, zero])]))
-        for col in (e1, x1)
-    ]
-    first, second = orthogonal_blocks(Pairing.orthogonal_sum(plane, plane), members)
-    spans = [GradedMatrix.from_columns(QQ, trivial_frame(2), [(0, col)]) for col in (e1, x1)]
-    assert [e.gen for e in first.chunks] == spans
-    assert [e.gen._profile for e in first.chunks] == [m._rank_profile() for m in spans]
-    assert second.chunks[0] is second.chunks[1] and not second.chunks[0].rank
-
-
-def isotropic_families(field, n_max):
-    from twistlines.verify import sweep_points
-
-    for flavor, n, k in sweep_points(2, n_max, ("symmetric", "skew")):
-        if not is_exceptional(flavor, n, k):
-            yield build_isotropic(field, n, k, flavor)
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
-def test_every_family_block_pairing_is_a_summand_of_the_builder(field):
-    # no block builds a Pairing: each is one the builder summed
-    for fam in isotropic_families(field, 24):
-        summands = fam.pairing.summands()
-        for b in orthogonal_blocks(fam.pairing, fam.members):
-            assert any(b.pairing is p for p in summands), (fam.case, fam.n, fam.k)

@@ -19,11 +19,11 @@ from twistlines.families import (
 from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix, trivial_frame
 from twistlines.sheaves import (
+    Block,
     Pairing,
     SplittingType,
     Subbundle,
     kernel_free,
-    orthogonal_blocks,
     sub_lift,
 )
 from twistlines.verify import (
@@ -379,6 +379,14 @@ def _counted_forks(monkeypatch):
     return forks
 
 
+def _allow_cpus(monkeypatch, count):
+    """This process may run on ``count`` CPUs: its affinity mask, set on a
+    platform that has none too, so the host's count is not read."""
+    monkeypatch.setattr(
+        verify.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 @pytest.fixture
 def deadline():
     """Fail a pool test that waits on a child for more than a minute."""
@@ -406,7 +414,7 @@ def test_sweep_parallel_matches_serial(field, monkeypatch, deadline):
     # forked children, with shares of 55, 55 and 54 cases
     flavors = [None, "symmetric", "skew"]
     serial = run_sweep(field, 2, 16, flavors)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 4)
     forks = _counted_forks(monkeypatch)
     assert run_sweep(field, 2, 16, flavors, jobs=2) == serial
     assert len(forks) == 1
@@ -440,7 +448,7 @@ def test_a_dead_pool_child_raises_and_leaves_no_process(monkeypatch, deadline):
         return real(tasks)
 
     monkeypatch.setattr(verify, "_sweep_group", group)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 4)
     with pytest.raises(RuntimeError, match="exited with status 3"):
         run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=3)
     assert families._memo is None
@@ -463,7 +471,7 @@ def test_a_failing_pool_parent_kills_and_reaps_every_child(monkeypatch, deadline
         raise Stop
 
     monkeypatch.setattr(verify, "_sweep_group", group)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 4)
     forks = _counted_forks(monkeypatch)
     with pytest.raises(Stop):
         run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=3)
@@ -487,12 +495,27 @@ def test_a_sweep_under_threads_forks_nothing(monkeypatch):
     waiter.start()
     try:
         monkeypatch.setattr(verify.os, "fork", refuse)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 4)
         assert run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=2) == serial
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+
+
+def test_a_sweep_on_one_allowed_cpu_forks_nothing(monkeypatch):
+    # the pool is sized by the CPUs this process may use, not the host's:
+    # with one allowed, --jobs 2 runs serially, with the same rows
+    serial = run_sweep(QQ, 2, 10, SWEEP_FLAVORS)
+
+    def refuse():
+        raise AssertionError("a sweep forked with one CPU allowed")
+
+    monkeypatch.setattr(verify.os, "fork", refuse)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 1)
+    assert verify._cpus() == 1
+    assert run_sweep(QQ, 2, 10, SWEEP_FLAVORS, jobs=2) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +751,7 @@ def test_a_one_group_sweep_starts_no_pool(monkeypatch):
         raise AssertionError("a one-group sweep forked a child")
 
     monkeypatch.setattr(verify.os, "fork", refuse)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 4)
     assert run_sweep(QQ, 8, 9, [None], jobs=2) == serial
     assert [(r.n, r.k) for r in serial] == [(n, k) for n in (8, 9) for k in range(1, 5)]
 
@@ -999,9 +1022,9 @@ def test_witnesses_leave_only_the_perp_lifts_to_elimination(monkeypatch):
     # the E(2a, 2b) and skew cubic blocks read perp/top from their
     # witnesses and lift nothing (166 solves without the E(2a, 2b)
     # witnesses, 93 with them, 32 before the skew cubic witness and the R3
-    # block's shape rule); neither does a block answered by its shape: an
-    # empty chunk, the symmetric cubic block's Lagrangian top chunk or the
-    # R3 block's low chunk
+    # block's shape rule); neither does an empty chunk, nor a block whose
+    # witness is its top chunk with the identity: the symmetric cubic
+    # block's Lagrangian top chunk and the R3 block's low chunk
     assert len(solves) == 0
     assert all(into_perp for _, into_perp in solves)
     assert not [r for r, _ in solves if r in ((None, 3), ("symmetric", 2))]
@@ -1068,31 +1091,36 @@ def with_witnesses(fam, change):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
     # every builder family with n <= 12 is read by its blocks, with no
-    # split of the members and no member quotient; its members, assembled
-    # on first read, are the n-row direct sums of the blocks' chunks, each
-    # the builder's top cut down by the witness matrices; a family with
-    # its members given takes the member path, to the same certificate
-    split = first_arguments(monkeypatch, verify, "orthogonal_blocks")
-    lifted = first_arguments(monkeypatch, verify, "quotient_type")
+    # elimination; its members, assembled on first read, are the n-row
+    # direct sums of the blocks' chunks, each the builder's top cut down by
+    # the witness matrices; a family with its members given takes the
+    # member path, which lifts each member into the next, to the same
+    # certificate
+    lifted, real = [], verify.quotient_type
+    monkeypatch.setattr(verify, "quotient_type", lambda *args: lifted.append(args) or real(*args))
     families_seen = 0
     for fam in sweep_families(field, 12):
         families_seen += 1
         cert = certify(fam)
-        assert (split, lifted) == ([], []), (fam.case, fam.n, fam.k)
+        assert lifted == [], (fam.case, fam.n, fam.k)
         per_block = []
         for part in fam.blocks:
             chunks = [GradedMatrix.direct_sum(field, *part.top)]
             for witness in part.lower:
                 chunks.insert(0, chunks[0] @ witness_matrix(field, chunks[0].src, witness))
             per_block.append(chunks)
+            # equal chunks of a block are one object, so certify tests it once
+            read = families._chunks(part)[0]
+            assert all((e is o) == (e.gen == o.gen) for e in read for o in read), fam.case
         assembled = [GradedMatrix.direct_sum(field, *chunks) for chunks in zip(*per_block)]
         assert [m.gen for m in fam.members] == assembled, (fam.case, fam.n, fam.k)
-        assert certify(fam) == cert and not split and not lifted
+        assert certify(fam) == cert and not lifted
         given = replace(fam, members=fam.members)
         assert certify(given) == cert, (fam.case, fam.n, fam.k)
-        assert split == [fam.pairing] * (fam.flavor is not None)
-        assert [e for e in lifted if any(e is m for m in fam.members)] == list(fam.members[:-1])
-        del split[:], lifted[:]
+        ids = [id(m) for m in fam.members]
+        flag = [(id(a), id(b)) for a, b in lifted if id(a) in ids and id(b) in ids]
+        assert flag == list(zip(ids, ids[1:])), (fam.case, fam.n, fam.k)
+        del lifted[:]
     assert families_seen == 87
 
 
@@ -1203,30 +1231,16 @@ def hyperbolic_planes(flavor, *extra):
     return Pairing.orthogonal_sum(plane, plane, *extra)
 
 
-def assert_blocks(fam, coords, with_columns):
-    """The blocks lie on ``coords``, hold a member column as
-    ``with_columns`` says, and each has a summand of the family's pairing,
-    or the whole pairing, with the Gram matrix of its coordinates."""
-    blocks = orthogonal_blocks(fam.pairing, fam.members)
-    assert [b.coords for b in blocks] == coords
-    assert [any(e.rank for e in b.chunks) for b in blocks] == with_columns
-    for b in blocks:
-        assert any(b.pairing is p for p in (fam.pairing, *fam.pairing.summands()))
-        rows = tuple(tuple(fam.pairing.matrix[i][j] for j in b.coords) for i in b.coords)
-        assert b.pairing.matrix == rows
-
-
 def test_a_column_across_two_gram_blocks_merges_them():
-    # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes, so the
-    # whole ambient is one block, the identity filler on coordinates 4 and
-    # 5 included
+    # mid is T0 e0 + T1 e1, with e0, e1 in two hyperbolic planes, beside
+    # the identity filler on coordinates 4 and 5; the member path reads it
+    # as one block of whole members
     pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
     low = Subbundle.zero(QQ, trivial_frame(6))
     mid_col = (-1, [T0, ZERO1, T1] + [ZERO1] * 3)
     mid = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(6), [mid_col]))
     top = constant_span(6, unit(6, 0), unit(6, 2))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
-    assert_blocks(fam, [(0, 1, 2, 3, 4, 5)], [True])
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert cert.flag_quotients == (st(), st(-1), st(1))
@@ -1246,7 +1260,6 @@ def test_a_block_with_no_member_column_contributes_the_whole_block():
         for cols in ([e0], [e0, col], [e0, col, e2])
     ]
     fam = FlagFamily("hand", 8, 2, "skew", tuple(map(Subbundle, members)), (1, 2, 3), pairing)
-    assert_blocks(fam, [(0, 1), (2, 3), (4, 5), (6, 7)], [True, True, True, False])
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     # perp(low)/top: {} on (0, 1), {0} on (2, 3), {1} on (4, 5), {0, 0} on (6, 7)
@@ -1261,9 +1274,6 @@ def test_a_chunk_that_is_not_isotropic_in_one_block_only():
     mid = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0))
     top = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0), unit(6, 4))
     fam = FlagFamily("hand", 6, 2, "symmetric", (low, mid, top), (1, 2, 3), pairing)
-    blocks = orthogonal_blocks(pairing, fam.members)
-    iso = [[sheaves.is_isotropic(e, b.pairing) for e in b.chunks] for b in blocks[:2]]
-    assert iso == [[True] * 3, [True, False, False]]
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert_refused(cert, "a flag member is not isotropic", (True, False, False, False, False))
@@ -1272,7 +1282,7 @@ def test_a_chunk_that_is_not_isotropic_in_one_block_only():
 def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
     # case IIb at n = 20, k = 8 is the cubic block (6 coordinates) plus a
     # hyperbolic block of 14: every perp scans a map from one block.  The
-    # perp witnesses are dropped, so the hyperbolic block is scanned too
+    # perp witnesses are dropped, so both blocks are scanned
     scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     fam = build_isotropic(QQ, 20, 8, "symmetric")
     assert certify(with_witnesses(fam, lambda w: None)).very_twisting
@@ -1430,9 +1440,9 @@ def test_a_perp_witness_needs_the_hyperbolic_gram_matrix(field):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
     # 55 kernel scans before the perp witnesses, and 3 with them; the
-    # symmetric cubic block's top chunk is Lagrangian, the R3 block's low
-    # chunk has the rank its top chunk leaves, and the skew cubic block has
-    # a lift witness, so none is left
+    # symmetric cubic and R3 blocks have their top chunk with the identity
+    # as their witness, and the skew cubic block a lift witness, so none
+    # is left
     scans = first_arguments(monkeypatch, sheaves, "kernel_free")
     assert sweep_consistent(run_sweep(field, 2, 24, SWEEP_FLAVORS))
     assert scans == []
@@ -1563,7 +1573,8 @@ def test_a_top_not_orthogonal_to_the_low_chunk_is_refused_as_the_oracle_refuses(
     # the skew cubic block with f2 = T1 x1 + T0 x2, <g, f2> = T0 T1^2, and
     # the R3 block with col_a = e1 + x1, <e1, col_a> = 2 T0 T1: each top
     # chunk is everywhere injective and holds the mid chunk, but does not
-    # lie in perp(low); the lift witness and the shape rule both refuse
+    # lie in perp(low); the block's witness refuses, and so does the top
+    # chunk itself with the identity
     t0, t1 = BinaryForm.monomial(field, 1, 0), BinaryForm.monomial(field, 1, 1)
     z1 = BinaryForm.zero(field, 1)
     one, z0 = BinaryForm.constant(field, 1), BinaryForm.zero(field, 0)
@@ -1575,8 +1586,8 @@ def test_a_top_not_orthogonal_to_the_low_chunk_is_refused_as_the_oracle_refuses(
         b = verify._built(bad)[0][0]
         low, top = b.chunks[0], b.chunks[-1]
         assert not (sheaves.pairing_map(low, b.pairing) @ top.gen).is_zero()
-        basis = b.witness or (top.gen, GradedMatrix.identity(field, top.gen.src))
-        assert verify._lifted_quotient(low, top, b.pairing, basis) is None
+        for basis in (b.witness, (top.gen, GradedMatrix.identity(field, top.gen.src))):
+            assert verify._lifted_quotient(low, top, b.pairing, basis) is None
         cert = certify(bad)
         assert cert == whole_member_certify(bad) == certify(with_witnesses(bad, lambda w: None))
         assert_refused(
@@ -1588,11 +1599,10 @@ def test_a_top_not_orthogonal_to_the_low_chunk_is_refused_as_the_oracle_refuses(
 
 @pytest.mark.parametrize("flavor", ["symmetric", "skew"])
 def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_refuses(flavor):
-    # symmetric, on the hyperbolic 4-space: the top's chunk on the block
-    # (0, 2) is e0 + x0, of rank 1, which pairs with itself.  Skew, on the
-    # hyperbolic 6-space: x0 + e1 joins (0, 3) and (1, 4) into one block,
-    # where the top's chunk e0, x0 + e1 has rank 2 and <e0, x0 + e1> = 1;
-    # low's chunk there is e0, whose perp does not hold the top's
+    # symmetric, on the hyperbolic 4-space: the top holds e0 + x0, which
+    # pairs with itself.  Skew, on the hyperbolic 6-space: the top holds
+    # e0 and x0 + e1, and <e0, x0 + e1> = 1, so the perp of low, e0, does
+    # not hold the top
     if flavor == "symmetric":
         dim, low = 4, Subbundle.zero(QQ, trivial_frame(4))
         mid = constant_span(4, unit(4, 1))
@@ -1607,9 +1617,7 @@ def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_re
         flags = (False, True, False, False, False)
     pairing = Pairing.hyperbolic(QQ, dim // 2, flavor)
     fam = FlagFamily("hand", dim, 1, flavor, (low, mid, top), shape, pairing)
-    b = orthogonal_blocks(pairing, fam.members)[0]
-    assert 2 * b.chunks[-1].rank == len(b.coords)
-    assert not sheaves.is_isotropic(b.chunks[-1], b.pairing)
+    assert not sheaves.is_isotropic(top, pairing)
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert_refused(cert, note, flags)
@@ -1617,8 +1625,8 @@ def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_re
 
 def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
     # a hyperbolic plane on (0, 1), then a hyperbolic 4-space, where the
-    # top's chunk e0 + e1 has rank 1: isotropic, not Lagrangian, so
-    # perp/top there is {0, 0}, and {} on the plane
+    # top holds e0 + e1: isotropic, not Lagrangian, so perp/top is {0, 0}
+    # there, and {} on the plane
     pairing = Pairing.orthogonal_sum(
         Pairing.hyperbolic(QQ, 1, "symmetric"), Pairing.hyperbolic(QQ, 2, "symmetric")
     )
@@ -1626,11 +1634,7 @@ def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
     mid = constant_span(6, unit(6, 0))
     top = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
-    blocks = orthogonal_blocks(pairing, fam.members)
-    assert [b.coords for b in blocks] == [(0, 1), (2, 3, 4, 5)]
-    # e0 is half the plane: its own perp, read by its exact pair in _isotropy
-    assert verify._isotropy(blocks, 3) == [st(), None]
-    assert verify._perp_over_top(blocks, -1, [None, None]) == st(0, 0)
+    assert verify._perp_over_top([Block(pairing, fam.members)], -1, [None]) == st(0, 0)
     cert = certify(fam)
     assert cert == whole_member_certify(fam)
     assert cert.tev_pieces[0] == cert.flag_quotients[2].dual().tensor(st(0, 0))
