@@ -130,7 +130,7 @@ def cmd_sweep(args) -> int:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     field = _parse_field(args.field, _binom_bound_for_dim(args.n_max))
     flavors = _flavors(args) or [flavor for _, flavor in _FLAVOR_FLAGS]
-    rows = run_sweep(field, args.n_min, args.n_max, flavors, jobs=args.jobs)
+    rows = run_sweep(field, args.n_min, args.n_max, flavors)
     count = Counter(r.status for r in rows)
     ok = sweep_consistent(rows)
     summary = (
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--classical", action="store_true")
     p_sweep.add_argument("--symmetric", action="store_true")
     p_sweep.add_argument("--skew", action="store_true")
-    jobs_help = "processes, this one included (capped by CPUs and by case groups, one per"
-    p_sweep.add_argument("--jobs", type=int, default=1, help=f"{jobs_help} flavor and n//2)")
+    jobs_help = "ignored, but at least 1: the sweep runs in one process (kept for old scripts)"
+    p_sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -27,12 +27,13 @@ A family makes its members and its pairing only when they are read;
 Every block carries its rank profile with no Smith form: a column of
 monomials by ``_column``, an E_{2a,2b} block from the binomial pair
 (``build_phi_psi``), the cubic and R3 blocks by the minors in their
-docstrings.  While ``verify.run_sweep`` runs, each process keeps one
-memo (``_once``), and the builders take their blocks from it: the
-monomial column per (field, d), each small block per (field, flavor,
-kind), the pulled-back E_{2a,2b} block with its pairing per (field,
-flavor, a, b, d), and each combination column per its content.
-``verify``'s block stages share it.  Outside a sweep nothing is kept.
+docstrings.  While ``verify.run_sweep`` runs, it keeps one memo
+(``_once``), and the builders take their blocks from it: the monomial
+column per (field, d), each small block per (field, flavor, kind), the
+pulled-back E_{2a,2b} block with its pairing per (field, flavor, a, b,
+d), the filler's pairing per (field, flavor, dimension), and each
+combination column per its content.  ``verify``'s block stages share
+it.  Outside a sweep nothing is kept.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
 (psi', inner, psi''), three matrices of the two binomial sequences it is
@@ -169,7 +170,7 @@ class OrbitDatum:
 # ---------------------------------------------------------------------------
 # the sweep memo
 
-_memo = None  # results by content while run_sweep runs, one per process
+_memo = None  # results by content while run_sweep runs
 
 
 def _set_memo(memo):
@@ -675,7 +676,8 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
         parts.append(Part(beta, (gen,), (tuple(range(gen.ncols)),) * len(lower), witness))
     if filler := n - sum(part.pairing.dim for part in parts):
         top = GradedMatrix.zero(field, (), trivial_frame(filler))
-        parts.append(Part(_filler_pairing(field, flavor, filler), (top,), ((),) * len(lower)))
+        beta = _once(_filler_pairing, field, flavor, filler)
+        parts.append(Part(beta, (top,), ((),) * len(lower)))
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
     return _flag(case, n, k, flavor, shape, parts)
 

@@ -25,6 +25,7 @@ check; these digests were taken with the earlier dense elimination.  The
 
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -113,7 +114,12 @@ def test_sweep_16_bytes(capsys, fmt, field):
     assert sha256(out) == SWEEP_16_SHA256[fmt]
 
 
-def test_sweep_16_bytes_with_two_jobs(capsys):
+def test_sweep_16_bytes_with_two_jobs(capsys, monkeypatch):
+    # --jobs is accepted, changes no byte and starts no process
+    def refuse():
+        raise AssertionError("a sweep started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
     out = stdout_of(
         capsys, "sweep", "--n-max", "16", "--format", "json", "--field", "prime:10007",
         "--jobs", "2",
