@@ -30,6 +30,7 @@ from .sheaves import (
 )
 from .families import (
     EXCEPTIONAL_CASES,
+    BlockFamily,
     ExceptionalCaseError,
     FlagFamily,
     HypothesisError,

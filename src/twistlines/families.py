@@ -1,7 +1,8 @@
 """The explicit flag families on the projective line.
 
-A family is an orthogonal sum of blocks, as in the paper, and a builder
-hands it over as its blocks (``FlagFamily.blocks``), one ``Part`` each:
+A family is an orthogonal sum of blocks, as in the paper, and a family
+takes one of two forms.  Every builder makes a block family
+(``BlockFamily``), given by its blocks, one ``Part`` each:
 the block's summand of the pairing (none when classical), its top chunk
 as the direct sum of the builder's blocks, each lower member's witness
 into the chunk above, and its perp witness.  The classical top is k - 2
@@ -21,8 +22,12 @@ lower chunk with its flag quotient, read from its witness by ``_lower``,
 whose docstring holds the one proof.  A witness entry is an index, the
 generator above it selects, or a combination of two of them times
 monomials (only classical II's combined column and case IVa's e1 column).
-A family makes its members and its pairing only when they are read;
-``verify.certify`` reads the blocks, the one place the witnesses are kept.
+A block family makes its members and its pairing only when they are
+read; ``verify.certify`` reads its blocks, the one place the witnesses
+are kept.  A member family (``FlagFamily``) is given by its members and
+pairing: the orbit family, hand-built flags, and a block family's
+``as_members()``, the oracle's form, which ``certify`` takes by the
+member path.
 
 Every block carries its rank profile with no Smith form: a column of
 monomials by ``_column``, an E_{2a,2b} block from the binomial pair
@@ -46,7 +51,8 @@ chunk is the perp of the chunk the rule reads.  ``verify`` checks each
 before use.  The plane block needs none: the chunk whose perp its rule
 reads, the low one, is empty.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -58,6 +64,7 @@ __all__ = [
     "ExceptionalCaseError",
     "HypothesisError",
     "FlagFamily",
+    "BlockFamily",
     "Part",
     "OrbitDatum",
     "EXCEPTIONAL_CASES",
@@ -99,7 +106,7 @@ def is_exceptional(flavor, n: int, k: int) -> bool:
 
 
 class Part(NamedTuple):
-    """One block of a family as its builder writes it (``FlagFamily.blocks``)."""
+    """One block of a family as its builder writes it (``BlockFamily.blocks``)."""
 
     pairing: object  # the block's summand of the family's pairing; None when classical
     top: tuple  # the builder's blocks, whose direct sum is the top member's chunk
@@ -109,51 +116,69 @@ class Part(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FlagFamily:
-    """A flag of subbundles of O^n with its case tag and optional pairing.
+    """A flag of subbundles of O^n given by its members, with its case tag
+    and optional pairing: the member family.
 
     ``members`` is ordered by rank; ``shape`` records the expected ranks.
     In the skew n=2k cases the top member is the R-flag member, which is
     not required to be isotropic.  ``requested`` keeps the original (n, k)
     when an odd symmetric dimension was rerouted to its even neighbor.
 
-    A builder gives the family by its ``blocks`` with ``members`` None:
-    the members, direct sums of the blocks' chunks, and the pairing, the
-    orthogonal sum of the blocks' summands (None when classical), are made
-    on first read, and ``verify.certify`` reads the blocks, with their
-    witnesses.  A family whose members were given, by its constructor or
-    by ``dataclasses.replace`` (which passes the members it reads), takes
-    the member path, which reads no witness: the orbit family, hand-built
-    flags, and any family with its members or pairing changed.
+    ``verify.certify`` takes it by the member path, which reads no
+    witness: the orbit family, hand-built flags, and the oracle's
+    ``BlockFamily.as_members()``.
     """
 
     case: str
     n: int
     k: int
     flavor: object  # None | "symmetric" | "skew"
-    members: tuple  # None: the blocks' members, assembled on first read
+    members: tuple
     shape: tuple
-    pairing: object  # the blocks' sum, made on first read, when members is None
+    pairing: object  # None when classical
     notes: tuple = ()
     requested: object = None
-    blocks: tuple = ()  # per block, its Part, when the family is given by its blocks
 
-    def __post_init__(self):
-        if self.members is None:  # given by its blocks: read through __getattr__
-            for name in _FROM_BLOCKS:
-                object.__delattr__(self, name)
 
-    def __getattr__(self, name):
-        """What a family given by its blocks makes from them, once."""
-        if name not in _FROM_BLOCKS or "blocks" not in vars(self):
-            raise AttributeError(name)
-        made = vars(self).setdefault("_made", {})
-        if name not in made:
-            made[name] = _FROM_BLOCKS[name](self.blocks)
-        return made[name]
+@dataclass(frozen=True, eq=False)
+class BlockFamily:
+    """A flag family given by its blocks, one ``Part`` each: the block
+    family every builder makes.  Its header fields are those of
+    ``FlagFamily``.
 
-    @property
-    def field(self):
-        return self.blocks[0].top[0].field if self.blocks else self.members[-1].field
+    ``verify.certify`` reads the blocks, with their witnesses.  The
+    members, direct sums of the blocks' chunks, and the pairing, the
+    orthogonal sum of the blocks' summands (None when classical), are
+    made on first read and kept; they are not fields, so
+    ``dataclasses.replace`` keeps a block family one, and refuses them.
+    """
+
+    case: str
+    n: int
+    k: int
+    flavor: object  # None | "symmetric" | "skew"
+    shape: tuple
+    blocks: tuple  # per block, its Part
+    notes: tuple = ()
+    requested: object = None
+
+    @cached_property
+    def members(self):
+        """Per member, the direct sum of its chunks in each block."""
+        per_member = zip(*(_once(_chunks, part)[0] for part in self.blocks), strict=True)
+        field = self.blocks[0].top[0].field
+        sums = (GradedMatrix.direct_sum(field, *(c.gen for c in cs)) for cs in per_member)
+        return tuple(Subbundle(m, check=False) for m in sums)
+
+    @cached_property
+    def pairing(self):
+        """The orthogonal sum of the blocks' summands, or None when classical."""
+        if self.blocks[0].pairing is not None:
+            return Pairing.orthogonal_sum(*(part.pairing for part in self.blocks))
+
+    def as_members(self) -> FlagFamily:
+        """The member family of the same fields, members and pairing."""
+        return FlagFamily(*(getattr(self, f.name) for f in fields(FlagFamily)))
 
 
 @dataclass(frozen=True)
@@ -418,29 +443,6 @@ def _chunks(part):
     return tuple(chunks[::-1]), tuple(quotients[::-1])
 
 
-def _flag(case, n, k, flavor, shape, parts) -> FlagFamily:
-    """The family given by its blocks ``parts``, in ambient order."""
-    return FlagFamily(case, n, k, flavor, None, shape, None, blocks=tuple(parts))
-
-
-def _members(parts):
-    """Per member of the blocks ``parts``, the direct sum of its chunks."""
-    per_member = zip(*(_once(_chunks, part)[0] for part in parts), strict=True)
-    field = parts[0].top[0].field
-    sums = (GradedMatrix.direct_sum(field, *(c.gen for c in cs)) for cs in per_member)
-    return tuple(Subbundle(m, check=False) for m in sums)
-
-
-def _pairing(parts):
-    """The orthogonal sum of the blocks' summands, or None when classical."""
-    if parts[0].pairing is not None:
-        return Pairing.orthogonal_sum(*(part.pairing for part in parts))
-
-
-# what a family given by its blocks makes from them on first read
-_FROM_BLOCKS = {"members": _members, "pairing": _pairing}
-
-
 # ---------------------------------------------------------------------------
 # classical Grassmannian
 
@@ -459,7 +461,7 @@ def _monomials(field, d):
     return _column(field, (0,) * (d + 1), [(d, j) for j in range(d + 1)])
 
 
-def build_classical(field, n: int, k: int) -> FlagFamily:
+def build_classical(field, n: int, k: int) -> BlockFamily:
     """The (k-1, k, k+1)-flag inside O^n for the classical Grassmannian.
 
     The top member is line^(k-1) ⊕ curve ⊕ unit, each the column O(-d) ->
@@ -474,7 +476,7 @@ def build_classical(field, n: int, k: int) -> FlagFamily:
         joined = Part(None, (line, curve), ((0, 1), (((0, (n - 2 * k, 0)), (1, (1, 1))),)))
         case, parts = "classical-II", [*[Part(None, (line,), ((0,), (0,)))] * (k - 2), joined]
     parts.append(Part(None, (unit,), ((), ())))
-    return _flag(case, n, k, None, (k - 1, k, k + 1), parts)
+    return BlockFamily(case, n, k, None, (k - 1, k, k + 1), tuple(parts))
 
 
 def build_classical_orbit(field, n: int, k: int):
@@ -660,7 +662,7 @@ def _block(build, field, flavor, d, *ab):
     return beta, gen.pullback_power(d), witness
 
 
-def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
+def _isotropic(case, field, n, k, flavor, row) -> BlockFamily:
     """The family of one ``_CASES`` row: the small block, then the big
     block, then the filler, each a block of the pairing and of the top,
     whose filler block has no columns.  A lower member is its small-block
@@ -679,10 +681,10 @@ def _isotropic(case, field, n, k, flavor, row) -> FlagFamily:
         beta = _once(_filler_pairing, field, flavor, filler)
         parts.append(Part(beta, (top,), ((),) * len(lower)))
     shape = (k - 2, k) if len(lower) == 1 else (k - 1, k, k + 1)
-    return _flag(case, n, k, flavor, shape, parts)
+    return BlockFamily(case, n, k, flavor, shape, tuple(parts))
 
 
-def case_Ia(field, n: int, flavor: str) -> FlagFamily:
+def case_Ia(field, n: int, flavor: str) -> BlockFamily:
     """k = 1 flag: both small members inside one rank-2 isotropic block.
     Unlike ``build_isotropic`` it also builds the exceptional symmetric
     n = 4 flag, whose positivity verdict is what fails."""
@@ -691,7 +693,7 @@ def case_Ia(field, n: int, flavor: str) -> FlagFamily:
     return _isotropic("Ia", field, n, 1, flavor, _CASES["I"])
 
 
-def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
+def build_isotropic(field, n: int, k: int, flavor: str) -> BlockFamily:
     """The isotropic Grassmannian's family, from its ``_CASES`` row.
 
     n >= 2k+2 is case I for odd k and II for even k (Ia and IIa for k <= 2,
@@ -716,13 +718,12 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> FlagFamily:
     if n == 2 * k:
         row = ("III" if flavor == "symmetric" else "IV") + ("b" if k % 2 else "a")
         return _isotropic(row, field, n, k, flavor, _CASES[row])
-    # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension;
-    # members=None and pairing=None keep it given by its blocks, which make both
+    # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension
     note = f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag"
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
-    return replace(fam, members=None, pairing=None, requested=(n, k), notes=fam.notes + (note,))
+    return replace(fam, requested=(n, k), notes=fam.notes + (note,))
 
 
-def build_family(field, n: int, k: int, flavor) -> FlagFamily:
+def build_family(field, n: int, k: int, flavor) -> BlockFamily:
     """The classical family when ``flavor`` is None, else the isotropic one."""
     return build_classical(field, n, k) if flavor is None else build_isotropic(field, n, k, flavor)

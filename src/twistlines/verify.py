@@ -19,15 +19,16 @@ beside the top quotient and the formula, and ``certify`` reads it.
 pairing: a member is the direct sum of its chunks, one per block, so
 isotropy holds iff it does on each chunk, a perp is the sum of the
 chunks' perps, and perp/top, outer/inner and ambient/top are the unions
-of the block quotients.  A family a builder gives by its blocks
-(``FlagFamily.blocks``) is read from them (``_built``): each block's
-chunks and flag quotients come from its witnesses through
-``families._lower``, and no n-row member is assembled.  A family given
-by its members takes the member path, which reads no witness: it is one
-block, the whole ambient with the whole pairing and the whole members, a
-flag quotient is found by elimination (``quotient_type``), and a
-classical ambient/top is the top's cokernel.  A witness can cost time but
-never change a verdict or a note.
+of the block quotients.  A family's form picks its path.  A
+``BlockFamily``, which every builder makes, is read from its blocks
+(``_built``): each block's chunks and flag quotients come from its
+witnesses through ``families._lower``, and no n-row member is
+assembled.  A ``FlagFamily``, given by its members, takes the member
+path, which reads no witness: it is one block, the whole ambient with
+the whole pairing and the whole members, a flag quotient is found by
+elimination (``quotient_type``), and a classical ambient/top is the
+top's cokernel.  A witness can cost time but never change a verdict or
+a note.
 
 A block may have a witness for its perp/top (``Part.witness``), and
 every such witness rests on one lemma, that of an exact pair
@@ -58,8 +59,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .families import (
+    BlockFamily,
     ExceptionalCaseError,
-    FlagFamily,
     _chunks,
     _once,
     _set_memo,
@@ -154,11 +155,11 @@ class Certificate:
         }
 
 
-def _requested(fam: FlagFamily):
+def _requested(fam):
     return fam.requested if fam.requested else (fam.n, fam.k)
 
 
-def _failed(fam: FlagFamily, reason: str, **flags) -> Certificate:
+def _failed(fam, reason: str, **flags) -> Certificate:
     notes = fam.notes + (reason,)
     return Certificate.refusal(fam.case, *_requested(fam), fam.flavor, notes, **flags)
 
@@ -409,13 +410,13 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
     return _lift_quotient_type(lift)
 
 
-def _built(fam: FlagFamily):
-    """A family given by its blocks as ``certify`` reads it: per block a
-    ``Block``, and per member and flag quotient its type, the union of the
-    blocks' (a member is the direct sum of its chunks); None on the member
-    path.  A block ``_chunks`` refuses raises ``ValueError``, as reading
-    the members does."""
-    if not fam.blocks or "members" in vars(fam):
+def _built(fam):
+    """A block family as ``certify`` reads it: per block a ``Block``, and
+    per member and flag quotient its type, the union of the blocks' (a
+    member is the direct sum of its chunks); None for a member family,
+    which takes the member path.  A block ``_chunks`` refuses raises
+    ``ValueError``, as reading the members does."""
+    if not isinstance(fam, BlockFamily):
         return None
     found = [_once(_chunks, part) for part in fam.blocks]
     blocks = [Block(p.pairing, chunks, p.witness) for p, (chunks, _) in zip(fam.blocks, found)]
@@ -427,26 +428,26 @@ def _built(fam: FlagFamily):
     return blocks, types, union([quotients for _, quotients in found])
 
 
-def _ambient(fam: FlagFamily) -> SplittingType:
-    """ambient/top of a classical family given by its blocks: the union of
-    the cokernels of its line, curve and unit blocks, each distinct one
-    found once (the cokernel of a direct sum is the sum of the cokernels)."""
+def _ambient(fam: BlockFamily) -> SplittingType:
+    """ambient/top of a classical block family: the union of the cokernels
+    of its line, curve and unit blocks, each distinct one found once (the
+    cokernel of a direct sum is the sum of the cokernels)."""
     pieces = [m for part in fam.blocks for m in part.top]
     coker = {id(m): _once(cokernel_type, m) for m in {id(m): m for m in pieces}.values()}
     return SplittingType(sum((coker[id(m)].twists for m in pieces), ()))
 
 
-def certify(fam: FlagFamily) -> Certificate:
+def certify(fam) -> Certificate:
     """Certify a flag family by the rule for its flavor and length.
 
     The checks run in order: member ranks, isotropy of the bottom members,
     (skew) the top inside perp(low), nesting, then the types.  The first
     failure gives a refusal certificate with its note.
 
-    A family given by its blocks is read from them (``_built``); a family
-    given by its members takes the member path (see the module
-    docstring).  Either way the pairing stages run per block, on the
-    chunks (equal ones once): ``_isotropy``, then ``_perp_over_top``,
+    The family's type picks the path: a ``BlockFamily`` is read from its
+    blocks (``_built``), a ``FlagFamily`` takes the member path (see the
+    module docstring).  Either way the pairing stages run per block, on
+    the chunks (equal ones once): ``_isotropy``, then ``_perp_over_top``,
     which joins the block quotients.  No stage runs whose answer a checked
     fact already decides.
     """

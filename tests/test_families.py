@@ -10,8 +10,8 @@ from twistlines.fields import QQ, PrimeField
 from twistlines.forms import BinaryForm
 from twistlines.frames import GradedMatrix
 from twistlines.families import (
+    BlockFamily,
     ExceptionalCaseError,
-    FlagFamily,
     HypothesisError,
     Part,
     build_classical,
@@ -368,7 +368,7 @@ def one_block_flag(top, witness):
     """The two-member family given by one block, the top member ``top``,
     whose lower member is given by ``witness``."""
     part = Part(None, (top.gen,), (witness,))
-    return FlagFamily("x", 2, 1, None, None, (1, 2), None, blocks=(part,))
+    return BlockFamily("x", 2, 1, None, (1, 2), (part,))
 
 
 def test_flag_refuses_a_combination_witness_that_drops_rank():

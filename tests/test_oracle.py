@@ -4,10 +4,10 @@ equals the one ``certify`` gives with every fast path switched off.
 The fast certificates are the rows of one serial ``run_sweep``, with its
 memo.  The oracle builds each family again and certifies it
 
-* on the member path (``replace(fam, members=fam.members)``), one block
-  of the whole members with the whole pairing, which reads no witness:
-  every flag quotient is lifted by elimination (``quotient_type``), and
-  every perp is a kernel scan; and
+* as its member family (``fam.as_members()``), which takes the member
+  path: one block of the whole members with the whole pairing, which
+  reads no witness, every flag quotient lifted by elimination
+  (``quotient_type``) and every perp a kernel scan; and
 * with a fresh Smith form in every ``rank_everywhere``, building included,
   which must equal the profile the matrix kept, if it kept one.
 
@@ -99,7 +99,7 @@ def corrupted(fam, length, change):
             changed = changed or witness != part.witness
             part = part._replace(witness=witness)
         parts.append(part)
-    return replace(fam, members=None, pairing=None, blocks=tuple(parts)) if changed else None
+    return replace(fam, blocks=tuple(parts)) if changed else None
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
@@ -121,8 +121,7 @@ def test_every_certificate_to_24_equals_the_switch_off_oracle(field, monkeypatch
     monkeypatch.setattr(GradedMatrix, "rank_everywhere", fresh_profile)
     monkeypatch.setattr(verify, "quotient_type", counted(lifted, verify.quotient_type))
     for (flavor, n, k), certs in fast.items():
-        fam = build_family(field, n, k, flavor)
-        fam = replace(fam, members=fam.members)
+        fam = build_family(field, n, k, flavor).as_members()
         del lifted[:]
         oracle = certify(fam).to_json_dict()
         assert len(lifted) >= len(fam.members) - 1, (flavor, n, k)

@@ -71,9 +71,9 @@ def test_checker_rejects_wrong_shape():
     classical = build_classical(QQ, 6, 2)
     skew = build_isotropic(QQ, 4, 2, "skew")
     for fam in (
-        replace(classical, members=classical.members[:2], shape=(1, 2)),
-        replace(skew, members=skew.members[:2], shape=(1, 2)),
-        replace(sym, members=sym.members + sym.members[-1:], shape=(1, 2, 3, 3)),
+        replace(classical.as_members(), members=classical.members[:2], shape=(1, 2)),
+        replace(skew.as_members(), members=skew.members[:2], shape=(1, 2)),
+        replace(sym.as_members(), members=sym.members + sym.members[-1:], shape=(1, 2, 3, 3)),
         replace(sym, flavor="hermitian"),
     ):
         with pytest.raises(ValueError, match="no certificate rule"):
@@ -316,13 +316,13 @@ def test_an_exact_pair_refuses_a_wrong_pair():
 def drop_perp_witnesses(monkeypatch):
     """Build every family with no perp witnesses, so the blocks that have
     one in a sweep (E(2a, 2b), skew cubic) go through perp."""
-    real_flag = families._flag
+    real_family = families.BlockFamily
 
-    def flag(*args):
+    def family(*args):
         *head, parts = args
-        return real_flag(*head, [part._replace(witness=None) for part in parts])
+        return real_family(*head, tuple(part._replace(witness=None) for part in parts))
 
-    monkeypatch.setattr(families, "_flag", flag)
+    monkeypatch.setattr(families, "BlockFamily", family)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
@@ -620,7 +620,7 @@ def unit(n, i):
 def with_member(fam, i, member):
     members = list(fam.members)
     members[i] = member
-    return replace(fam, members=tuple(members))
+    return replace(fam.as_members(), members=tuple(members))
 
 
 def predicates(cert):
@@ -650,7 +650,7 @@ def test_invalid_flag_shape_reports_failure():
         build_isotropic(QQ, 4, 2, "skew"),
     ):
         e1, e2, e3 = fam.members
-        assert_refused(certify(replace(fam, members=(e2, e1, e3))), note)
+        assert_refused(certify(replace(fam.as_members(), members=(e2, e1, e3))), note)
     sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
     assert_refused(certify(with_member(sym_2k, 0, constant_span(8, unit(8, 6)))), note)
 
@@ -728,7 +728,7 @@ def sweep_families(field, n_max):
 
 def test_orbit_family_carries_no_witnesses():
     _, orbit = build_classical_orbit(QQ, 7, 3)
-    assert orbit.blocks == ()
+    assert type(orbit) is FlagFamily and not hasattr(orbit, "blocks")
     assert certify(orbit).very_twisting
 
 
@@ -780,7 +780,7 @@ def read_or_refused(bad):
         with pytest.raises(ValueError):
             certify(bad)
         return False
-    assert certify(bad) == certify(replace(bad, members=members)), bad.case
+    assert certify(bad) == certify(bad.as_members()), bad.case
     return True
 
 
@@ -900,40 +900,54 @@ def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
     assert (quotients, len(scans)) == (700, 0)
 
 
-def from_blocks(fam, parts):
-    """fam given by the blocks ``parts`` in place of its own, which make its
-    members and pairing."""
-    return replace(fam, members=None, pairing=None, blocks=tuple(parts))
-
-
 def with_part(fam, i, **fields):
     """fam given by its blocks with block i's ``fields`` replaced."""
     parts = list(fam.blocks)
     parts[i] = parts[i]._replace(**fields)
-    return from_blocks(fam, parts)
+    return replace(fam, blocks=tuple(parts))
 
 
 def with_witnesses(fam, change):
     """fam given by its blocks with each perp witness w made change(w)."""
     parts = [p if p.witness is None else p._replace(witness=change(p.witness)) for p in fam.blocks]
-    return from_blocks(fam, parts)
+    return replace(fam, blocks=tuple(parts))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
-    # every builder family with n <= 12 is read by its blocks, with no
-    # elimination; its members, assembled on first read, are the n-row
-    # direct sums of the blocks' chunks, each the builder's top cut down by
-    # the witness matrices; a family with its members given takes the
-    # member path, which lifts each member into the next, to the same
-    # certificate
+    # every builder family with n <= 12 is a block family, read by its
+    # blocks with no elimination, and neither certify nor repr assembles a
+    # member; a replace of a header field keeps it a block family, and a
+    # replace of its members or pairing is refused; its members, assembled
+    # on first read, are the n-row direct sums of the blocks' chunks, each
+    # the builder's top cut down by the witness matrices; its member family
+    # (as_members) takes the member path, which lifts each member into the
+    # next, to the same certificate, also with a header field replaced
     lifted, real = [], verify.quotient_type
     monkeypatch.setattr(verify, "quotient_type", lambda *args: lifted.append(args) or real(*args))
+    made, members = [], families.BlockFamily.members
+    real_members = members.func
+    monkeypatch.setattr(members, "func", lambda fam: made.append(fam) or real_members(fam))
     families_seen = 0
     for fam in sweep_families(field, 12):
         families_seen += 1
         cert = certify(fam)
-        assert lifted == [], (fam.case, fam.n, fam.k)
+        repr(fam)
+        changes = [
+            {"notes": fam.notes + ("moved",)},
+            {"requested": (fam.n + 1, fam.k)},
+            {"shape": tuple(fam.shape)},
+            {"case": fam.case + "*"},
+        ]
+        moved = [certify(replace(fam, **change)) for change in changes]
+        assert lifted == made == [], (fam.case, fam.n, fam.k)
+        for name in ("members", "pairing"):
+            with pytest.raises(TypeError):
+                replace(fam, **{name: getattr(fam, name)})
+        given = fam.as_members()
+        for change, moved_cert in zip(changes, moved):
+            assert certify(replace(given, **change)) == moved_cert, (fam.case, fam.n, fam.k, change)
+        del lifted[:]
         per_block = []
         for part in fam.blocks:
             chunks = [GradedMatrix.direct_sum(field, *part.top)]
@@ -945,13 +959,12 @@ def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
             assert all((e is o) == (e.gen == o.gen) for e in read for o in read), fam.case
         assembled = [GradedMatrix.direct_sum(field, *chunks) for chunks in zip(*per_block)]
         assert [m.gen for m in fam.members] == assembled, (fam.case, fam.n, fam.k)
-        assert certify(fam) == cert and not lifted
-        given = replace(fam, members=fam.members)
+        assert certify(fam) == cert and not lifted and made == [fam]
         assert certify(given) == cert, (fam.case, fam.n, fam.k)
         ids = [id(m) for m in fam.members]
         flag = [(id(a), id(b)) for a, b in lifted if id(a) in ids and id(b) in ids]
         assert flag == list(zip(ids, ids[1:])), (fam.case, fam.n, fam.k)
-        del lifted[:]
+        del lifted[:], made[:]
     assert families_seen == 87
 
 
@@ -984,8 +997,8 @@ def test_a_corrupted_block_is_refused_or_read_as_the_family_it_gives(field):
                 certify(bad)
         emptied = with_part(fam, 0, lower=(*part.lower[:-1], ()))
         shape = (fam.shape[0] - len(part.lower[-1]), *fam.shape[1:])
-        emptied = replace(emptied, members=None, shape=shape)
-        assert certify(emptied) == certify(replace(emptied, members=emptied.members)), (n, k)
+        emptied = replace(emptied, shape=shape)
+        assert certify(emptied) == certify(emptied.as_members()), (n, k)
         plain = certify(fam)
         for i, part in enumerate(fam.blocks):
             if part.witness is not None:
@@ -1208,7 +1221,7 @@ def flipped_gram(fam, pairs):
     for i in pairs:
         e, x = i, big.witness[0].ncols + i
         rows[e][x], rows[x][e] = -rows[e][x], -rows[x][e]
-    return with_part(fam, 1, pairing=Pairing(fam.flavor, rows, fam.field))
+    return with_part(fam, 1, pairing=Pairing(fam.flavor, rows, big.top[0].field))
 
 
 def gram_negated(fam):
@@ -1224,7 +1237,7 @@ def low_chunk_not_the_top_chunk(fam):
         return None
     mid, low = fam.blocks[1].lower
     bad = with_part(fam, 1, lower=(mid, low[:-1]))
-    return replace(bad, members=None, pairing=None, shape=(fam.shape[0] - 1, *fam.shape[1:]))
+    return replace(bad, shape=(fam.shape[0] - 1, *fam.shape[1:]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
