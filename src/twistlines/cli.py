@@ -7,7 +7,6 @@ notes}.
 """
 
 import argparse
-import json
 import sys
 from collections import Counter
 from math import comb
@@ -61,6 +60,8 @@ def _binom_bound_for_dim(n: int) -> int:
 
 
 def _emit(args, payload_json: dict, payload_text: str) -> None:
+    import json  # here, so that a text report does not load it
+
     out = json.dumps(payload_json, indent=2) if args.format == "json" else payload_text
     if args.out:
         try:

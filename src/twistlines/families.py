@@ -27,7 +27,8 @@ read; ``verify.certify`` reads its blocks, the one place the witnesses
 are kept.  A member family (``FlagFamily``) is given by its members and
 pairing: the orbit family, hand-built flags, and a block family's
 ``as_members()``, the oracle's form, which ``certify`` takes by the
-member path.
+member path.  Both forms are immutable records, compared by identity;
+``fam.replace(...)`` changes header fields and keeps the form.
 
 Every block carries its rank profile with no Smith form: a column of
 monomials by ``_column``, an E_{2a,2b} block from the binomial pair
@@ -51,14 +52,13 @@ chunk is the perp of the chunk the rule reads.  ``verify`` checks each
 before use.  The plane block needs none: the chunk whose perp its rule
 reads, the low one, is empty.
 """
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
 from .forms import BinaryForm
 from .frames import GradedMatrix, RankProfile, trivial_frame
-from .sheaves import Pairing, Subbundle
+from .sheaves import Pairing, Subbundle, _Record
 
 __all__ = [
     "ExceptionalCaseError",
@@ -114,8 +114,7 @@ class Part(NamedTuple):
     witness: object = None  # the block's perp witness, or None
 
 
-@dataclass(frozen=True, eq=False)
-class FlagFamily:
+class FlagFamily(_Record, eq=False):
     """A flag of subbundles of O^n given by its members, with its case tag
     and optional pairing: the member family.
 
@@ -140,8 +139,7 @@ class FlagFamily:
     requested: object = None
 
 
-@dataclass(frozen=True, eq=False)
-class BlockFamily:
+class BlockFamily(_Record, eq=False):
     """A flag family given by its blocks, one ``Part`` each: the block
     family every builder makes.  Its header fields are those of
     ``FlagFamily``.
@@ -149,8 +147,8 @@ class BlockFamily:
     ``verify.certify`` reads the blocks, with their witnesses.  The
     members, direct sums of the blocks' chunks, and the pairing, the
     orthogonal sum of the blocks' summands (None when classical), are
-    made on first read and kept; they are not fields, so
-    ``dataclasses.replace`` keeps a block family one, and refuses them.
+    made on first read and kept; they are not fields, so ``replace``
+    keeps a block family one, and refuses them.
     """
 
     case: str
@@ -178,11 +176,10 @@ class BlockFamily:
 
     def as_members(self) -> FlagFamily:
         """The member family of the same fields, members and pairing."""
-        return FlagFamily(*(getattr(self, f.name) for f in fields(FlagFamily)))
+        return FlagFamily(*(getattr(self, name) for name in FlagFamily._fields))
 
 
-@dataclass(frozen=True)
-class OrbitDatum:
+class OrbitDatum(_Record):
     """Diagonal 1-parameter subgroup weights plus a constant base flag."""
 
     weights: tuple
@@ -721,7 +718,7 @@ def build_isotropic(field, n: int, k: int, flavor: str) -> BlockFamily:
     # n == 2k + 1, symmetric only: a maximal isotropic flag in odd dimension
     note = f"odd-dimension case ({n},{k}) verified via the ({n + 1},{k + 1}) flag"
     fam = build_isotropic(field, n + 1, k + 1, "symmetric")
-    return replace(fam, requested=(n, k), notes=fam.notes + (note,))
+    return fam.replace(requested=(n, k), notes=fam.notes + (note,))
 
 
 def build_family(field, n: int, k: int, flavor) -> BlockFamily:

@@ -12,7 +12,6 @@ rank.  Every degree piece reaches ``linalg`` as the sparse rows of
 ``GradedMatrix.sparse_piece``.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from typing import NamedTuple, Optional
 
@@ -37,14 +36,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class _Record:
+    """An immutable value class, as a frozen dataclass without the import.
+
+    The annotated names of a subclass are its fields, in order; a field
+    assigned in the class body is its default.  ``__init__`` takes them
+    positionally or by keyword.  A record equals only a record of its own
+    class with equal fields and hashes as their tuple, unless the class
+    says ``eq=False``, which keeps identity.  Assigning or deleting an
+    attribute raises ``AttributeError``; pickle and copy restore the
+    instance ``__dict__`` without assigning."""
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names, given = self._fields, dict(zip(self._fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed; TypeError for a non-field."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class SplittingType(_Record):
     """Multiset of twists e1 >= ... >= er of a split bundle."""
 
     twists: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(sorted(self.twists, reverse=True)))
+    def __init__(self, twists):
+        self.__dict__["twists"] = tuple(sorted(twists, reverse=True))
 
     @property
     def rank(self) -> int:
@@ -86,8 +132,7 @@ class SplittingType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(_Record):
     """Nondegenerate symmetric or skew-symmetric scalar pairing.
 
     ``Pairing(...)`` reduces, tests symmetry (n^2) and eliminates (n x n).
@@ -100,9 +145,9 @@ class Pairing:
     matrix: tuple  # n x n Gram matrix, rows of scalars
     field: object
 
-    def __post_init__(self):
-        f = self.field
-        object.__setattr__(self, "matrix", tuple(tuple(map(f.of, r)) for r in self.matrix))
+    def __init__(self, flavor, matrix, field):
+        matrix = tuple(tuple(map(field.of, r)) for r in matrix)
+        self.__dict__.update(flavor=flavor, matrix=matrix, field=field)
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix):
             raise ValueError("pairing matrix must be square")
@@ -111,11 +156,11 @@ class Pairing:
         for i in range(n):
             for j in range(n):
                 m, mt = self.matrix[i][j], self.matrix[j][i]
-                if not (m == mt if self.flavor == "symmetric" else f.is_zero(m + mt)):
+                if not (m == mt if self.flavor == "symmetric" else field.is_zero(m + mt)):
                     raise ValueError(f"pairing matrix is not {self.flavor}")
         if self.flavor == "skew" and n % 2:
             raise ValueError("a nondegenerate skew pairing needs even dimension")
-        if linalg.rank(f, self.matrix, n) != n:
+        if linalg.rank(field, self.matrix, n) != n:
             raise ValueError("pairing matrix is degenerate")
 
     @classmethod

@@ -55,7 +55,6 @@ generated and the condition holds automatically; certificates record that
 discharge as a note.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .families import (
@@ -74,6 +73,7 @@ from .sheaves import (
     Pairing,
     SplittingType,
     Subbundle,
+    _Record,
     cokernel_type,
     _lift_quotient_type,
     is_isotropic,
@@ -104,8 +104,7 @@ _PIECEWISE_NOTE = "tangent positivity certified piecewise on the extension"
 _PREDICATES = ("flag_valid", "isotropy_ok", "tev_ample", "tev_rank_positive", "psi_deg_nonneg")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     case: str
     n: int
     k: int

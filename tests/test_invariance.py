@@ -18,8 +18,6 @@ by g but not the pairing must fail isotropy, wherever some member that
 must be isotropic has rank 2 or more.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from twistlines import linalg
@@ -67,7 +65,7 @@ def moved(fam, g, pairing_too=True):
         ginv = inverse(field, g)
         gram = product(product([list(c) for c in zip(*ginv)], beta.matrix), ginv)
         beta = Pairing(beta.flavor, gram, field)
-    return replace(fam.as_members(), members=members, pairing=beta)
+    return fam.as_members().replace(members=members, pairing=beta)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)

@@ -32,8 +32,6 @@ frame, and the false claim an empty perp(low)/top, so a witness stage
 that trusted them would make another certificate.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from twistlines import verify
@@ -99,7 +97,7 @@ def corrupted(fam, length, change):
             changed = changed or witness != part.witness
             part = part._replace(witness=witness)
         parts.append(part)
-    return replace(fam, blocks=tuple(parts)) if changed else None
+    return fam.replace(blocks=tuple(parts)) if changed else None
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)

@@ -115,6 +115,37 @@ def test_assembled_pairings_equal_their_validated_construction(field, flavor):
         Pairing.hyperbolic(field, 1, "hermitian")
 
 
+def test_a_splitting_type_is_a_value_of_its_own_class():
+    # equal and hashed alike however its twists are ordered, never equal to
+    # the bare tuple of them, shown as a multiset, and immutable
+    low, high = st(1, 3), st(3, 1)
+    assert low == high and hash(low) == hash(high) and low.twists == (3, 1)
+    assert low != (3, 1) and (3, 1) != low and low != st(3, 1, 0)
+    assert repr(low) == "{3, 1}" and repr(st()) == "{}"
+    with pytest.raises(AttributeError):
+        low.twists = (1,)
+    with pytest.raises(AttributeError):
+        del low.twists
+    assert low.twists == (3, 1)
+
+
+def test_a_pairing_compares_and_hashes_by_its_fields_alone():
+    # a pairing that keeps its hash and its Gram matrix equals one that
+    # keeps neither; each of flavor, Gram matrix and field is compared
+    for field, other in ((QQ, PrimeField(5)), (PrimeField(7), QQ)):
+        kept, plain = (Pairing.hyperbolic(field, 2, "symmetric") for _ in range(2))
+        hash(kept), kept._gram()
+        assert {"_hash", "_gram_matrix"} <= set(kept.__dict__) - set(plain.__dict__)
+        assert kept == plain and hash(kept) == hash(plain)
+        assert kept != Pairing._valid("skew", kept.matrix, field)
+        assert kept != Pairing.diagonal_ones(field, 4)
+        assert kept != Pairing.hyperbolic(other, 2, "symmetric")
+        assert kept != kept.matrix
+        for name in ("flavor", "matrix", "field"):
+            with pytest.raises(AttributeError):
+                setattr(kept, name, getattr(plain, name))
+
+
 def test_a_pairing_keeps_its_hash():
     # the hash is computed once and kept, equal for equal pairings however
     # built, and the same in a pickled copy

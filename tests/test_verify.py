@@ -1,5 +1,6 @@
+import copy
 import json
-from dataclasses import replace
+import pickle
 
 import pytest
 from graded_strategies import witness_matrix
@@ -27,6 +28,7 @@ from twistlines.sheaves import (
     sub_lift,
 )
 from twistlines.verify import (
+    Certificate,
     SesReport,
     certify,
     run_sweep,
@@ -71,10 +73,10 @@ def test_checker_rejects_wrong_shape():
     classical = build_classical(QQ, 6, 2)
     skew = build_isotropic(QQ, 4, 2, "skew")
     for fam in (
-        replace(classical.as_members(), members=classical.members[:2], shape=(1, 2)),
-        replace(skew.as_members(), members=skew.members[:2], shape=(1, 2)),
-        replace(sym.as_members(), members=sym.members + sym.members[-1:], shape=(1, 2, 3, 3)),
-        replace(sym, flavor="hermitian"),
+        classical.as_members().replace(members=classical.members[:2], shape=(1, 2)),
+        skew.as_members().replace(members=skew.members[:2], shape=(1, 2)),
+        sym.as_members().replace(members=sym.members + sym.members[-1:], shape=(1, 2, 3, 3)),
+        sym.replace(flavor="hermitian"),
     ):
         with pytest.raises(ValueError, match="no certificate rule"):
             certify(fam)
@@ -607,6 +609,93 @@ def test_certificates_deterministic():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
+CERTIFICATE_FIELDS = (
+    "case",
+    "n",
+    "k",
+    "flavor",
+    "flag_quotients",
+    "tev_pieces",
+    "psi_type",
+    "psi_degree",
+    "flag_valid",
+    "isotropy_ok",
+    "tev_ample",
+    "tev_rank_positive",
+    "psi_deg_nonneg",
+    "notes",
+)
+
+
+def test_certificate_equality_sees_every_field():
+    # built from these names alone, so a field missing from them raises
+    cert = certify(build_isotropic(QQ, 10, 3, "skew"))
+    values = {name: getattr(cert, name) for name in CERTIFICATE_FIELDS}
+    for same in (Certificate(**values), Certificate(*values.values())):
+        assert same == cert and hash(same) == hash(cert) and same is not cert
+    for name in CERTIFICATE_FIELDS:
+        changed = Certificate(**{**values, name: "changed"})
+        assert changed != cert and cert != changed, name
+
+
+def test_families_compare_by_identity():
+    first, second = build_isotropic(QQ, 10, 3, "skew"), build_isotropic(QQ, 10, 3, "skew")
+    members = first.as_members()
+    assert first == first and first != second and members != first.as_members()
+    assert len({first, second, members, copy.copy(members), copy.copy(first)}) == 5
+
+
+def test_no_field_of_a_value_or_a_family_can_be_assigned():
+    datum, orbit = build_classical_orbit(QQ, 5, 2)
+    block = build_isotropic(QQ, 8, 3, "skew")
+    for record in (st(2, 1), block.pairing, orbit, block, datum, certify(block)):
+        before = dict(vars(record))
+        names = [name for name in before if not name.startswith("_")]
+        assert names, record
+        for name in names + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert vars(record) == before, record
+
+
+def round_trips(value):
+    """A pickled copy, a shallow copy and a deep copy of ``value``."""
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+def family_contents(fam):
+    """A family's header fields, with its blocks or its members' generators."""
+    header = (fam.case, fam.n, fam.k, fam.flavor, fam.shape, fam.notes, fam.requested)
+    if isinstance(fam, FlagFamily):
+        return header + (tuple(m.gen for m in fam.members), fam.pairing)
+    return header + (fam.blocks,)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_values_and_families_survive_pickle_and_copy(field):
+    # a value comes back equal, with an equal hash; a family, compared by
+    # identity, comes back a new family with equal contents and certificate
+    datum, orbit = build_classical_orbit(field, 7, 3)
+    cases = ((9, 4, None), (10, 3, "symmetric"), (10, 4, "skew"), (9, 4, "symmetric"))
+    fams = [orbit] + [build_family(field, *case) for case in cases]
+    assert fams[-1].requested == (9, 4)
+    refusal = Certificate.refusal("IIIa", 4, 2, "symmetric", ["exceptional"])
+    values = (st(1, 3), fams[2].pairing, certify(fams[3]), refusal, datum)
+    for value in values:
+        for copied in round_trips(value):
+            assert type(copied) is type(value), value
+            assert copied == value and hash(copied) == hash(value), value
+    for fam in fams:
+        cert = certify(fam)
+        for copied in round_trips(fam):
+            assert copied is not fam and type(copied) is type(fam)
+            assert family_contents(copied) == family_contents(fam), fam.case
+            assert certify(copied) == cert, fam.case
+
+
 def constant_span(n, *vectors):
     """The trivial subbundle of O^n spanned by constant vectors over QQ."""
     cols = [(0, [BinaryForm.constant(QQ, c) for c in v]) for v in vectors]
@@ -620,7 +709,7 @@ def unit(n, i):
 def with_member(fam, i, member):
     members = list(fam.members)
     members[i] = member
-    return replace(fam.as_members(), members=tuple(members))
+    return fam.as_members().replace(members=tuple(members))
 
 
 def predicates(cert):
@@ -650,7 +739,7 @@ def test_invalid_flag_shape_reports_failure():
         build_isotropic(QQ, 4, 2, "skew"),
     ):
         e1, e2, e3 = fam.members
-        assert_refused(certify(replace(fam.as_members(), members=(e2, e1, e3))), note)
+        assert_refused(certify(fam.as_members().replace(members=(e2, e1, e3))), note)
     sym_2k = build_isotropic(QQ, 8, 4, "symmetric")
     assert_refused(certify(with_member(sym_2k, 0, constant_span(8, unit(8, 6)))), note)
 
@@ -904,13 +993,13 @@ def with_part(fam, i, **fields):
     """fam given by its blocks with block i's ``fields`` replaced."""
     parts = list(fam.blocks)
     parts[i] = parts[i]._replace(**fields)
-    return replace(fam, blocks=tuple(parts))
+    return fam.replace(blocks=tuple(parts))
 
 
 def with_witnesses(fam, change):
     """fam given by its blocks with each perp witness w made change(w)."""
     parts = [p if p.witness is None else p._replace(witness=change(p.witness)) for p in fam.blocks]
-    return replace(fam, blocks=tuple(parts))
+    return fam.replace(blocks=tuple(parts))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
@@ -939,14 +1028,14 @@ def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
             {"shape": tuple(fam.shape)},
             {"case": fam.case + "*"},
         ]
-        moved = [certify(replace(fam, **change)) for change in changes]
+        moved = [certify(fam.replace(**change)) for change in changes]
         assert lifted == made == [], (fam.case, fam.n, fam.k)
         for name in ("members", "pairing"):
             with pytest.raises(TypeError):
-                replace(fam, **{name: getattr(fam, name)})
+                fam.replace(**{name: getattr(fam, name)})
         given = fam.as_members()
         for change, moved_cert in zip(changes, moved):
-            assert certify(replace(given, **change)) == moved_cert, (fam.case, fam.n, fam.k, change)
+            assert certify(given.replace(**change)) == moved_cert, (fam.case, fam.n, fam.k, change)
         del lifted[:]
         per_block = []
         for part in fam.blocks:
@@ -997,7 +1086,7 @@ def test_a_corrupted_block_is_refused_or_read_as_the_family_it_gives(field):
                 certify(bad)
         emptied = with_part(fam, 0, lower=(*part.lower[:-1], ()))
         shape = (fam.shape[0] - len(part.lower[-1]), *fam.shape[1:])
-        emptied = replace(emptied, shape=shape)
+        emptied = emptied.replace(shape=shape)
         assert certify(emptied) == certify(emptied.as_members()), (n, k)
         plain = certify(fam)
         for i, part in enumerate(fam.blocks):
@@ -1237,7 +1326,7 @@ def low_chunk_not_the_top_chunk(fam):
         return None
     mid, low = fam.blocks[1].lower
     bad = with_part(fam, 1, lower=(mid, low[:-1]))
-    return replace(bad, shape=(fam.shape[0] - 1, *fam.shape[1:]))
+    return bad.replace(shape=(fam.shape[0] - 1, *fam.shape[1:]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
