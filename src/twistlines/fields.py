@@ -52,8 +52,6 @@ def is_prime(n: int) -> bool:
 
 def _demote(x):
     """A Fraction with denominator 1 as an int; anything else unchanged."""
-    if type(x) is int:
-        return x
     if x.denominator == 1:
         return x.numerator
     return x

@@ -214,10 +214,17 @@ def _mod_back_substitute(p, ech, pivots, x):
 
 
 def _primitive(vec):
-    """The integer vector divided by its content, leading entry positive."""
-    g = gcd(*vec)
-    if g > 1:
-        vec = [v // g for v in vec]
+    """The back-substituted kernel vector with its leading entry positive.
+
+    It is already primitive.  Let w be the rational kernel vector with 1
+    at its free column and 0 at the other free columns, and D the lcm of
+    the denominators of w's entries.  ``_int_back_substitute`` keeps y =
+    d * w on the coordinates set so far, with d the lcm of their
+    denominators: filling pivot column c gives w_c = t / d with t = -s /
+    row[c], and the least m with m * t integral is |row[c]| / gcd(s,
+    row[c]), the factor it multiplies by.  So the vector is D * w.  A
+    prime q dividing every entry divides D (the free entry), and (D / q)
+    * w would be integral, against D being least; so its content is 1."""
     for v in vec:
         if v:
             if v < 0:

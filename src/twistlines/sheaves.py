@@ -122,9 +122,6 @@ class SplittingType(_Record):
     def is_globally_generated(self) -> bool:
         return all(e >= 0 for e in self.twists)
 
-    def __iter__(self):
-        return iter(self.twists)
-
     def __repr__(self):
         return "{" + ", ".join(map(str, self.twists)) + "}"
 
@@ -470,6 +467,13 @@ def cokernel_type(m: GradedMatrix) -> SplittingType:
     exact, so a type of degree other than deg dst - deg src, which a wrong
     nullity in the scan can give, raises ``RuntimeError``.
 
+    The rank comes from m's profile (``rank_everywhere``), so a kept one
+    runs no Smith form.  A lift L with outer @ L = inner, inner everywhere
+    injective, keeps (L.ncols, True) once its check has passed
+    (``sub_lift``, ``verify._lifted_quotient``): a vector L kills at a
+    point is killed by inner, so L has rank L.ncols at every point, and
+    outer/inner = coker(L) is read with no Smith form.
+
     That check does not prove the type: a wrong nullity that keeps the
     degree passes it.  For m = (T0, T1, 0)^T: O(-1) -> O^2 + O(3), whose
     cokernel is {3, 1}, a rank one too large at degree 1 of t gives
@@ -480,11 +484,7 @@ def cokernel_type(m: GradedMatrix) -> SplittingType:
     profile = m.rank_everywhere()
     if not profile.constant:
         raise ValueError("cokernel not locally free: pointwise rank is not constant")
-    return _scan_cokernel(m, profile.generic_rank)
-
-
-def _scan_cokernel(m: GradedMatrix, r: int) -> SplittingType:
-    """``cokernel_type`` of m known to have constant pointwise rank r."""
+    r = profile.generic_rank
     scan = _hilbert_scan(m.transpose_dual(), r, False)
     coker = SplittingType(tuple(n for n, g, _ in scan for _ in range(g)))
     if r == len(m.src) and coker.degree != sum(m.dst) - sum(m.src):
@@ -496,12 +496,14 @@ def _scan_cokernel(m: GradedMatrix, r: int) -> SplittingType:
 
 
 def sub_lift(inner: Subbundle, outer: Subbundle) -> GradedMatrix:
-    """The matrix L with outer.gen @ L = inner.gen (membership certified)."""
+    """The matrix L with outer.gen @ L = inner.gen (membership certified),
+    with the profile (L.ncols, True) that ``cokernel_type`` reads."""
     if inner.ambient != outer.ambient:
         raise ValueError("subbundles live in different ambient frames")
     lift = _lift(outer.gen, inner.gen)
     if lift is None:
         raise ValueError("E1 not contained in E2")
+    lift._profile = RankProfile(lift.ncols, True)
     return lift
 
 
@@ -509,15 +511,7 @@ def quotient_type(inner: Subbundle, outer: Subbundle) -> SplittingType:
     """Splitting type of outer/inner for nested subbundles of one ambient."""
     if inner.rank == 0:
         return outer.type
-    return _lift_quotient_type(sub_lift(inner, outer))
-
-
-def _lift_quotient_type(lift: GradedMatrix) -> SplittingType:
-    """Splitting type of outer/inner, given a lift L with outer.gen @ L = inner.gen
-    (a top chunk's gen is its own lift into its block).  No rank profile: a
-    vector L kills at a point is killed by inner.gen = outer.gen @ L, which
-    is everywhere injective, so L has constant rank ncols too."""
-    return _scan_cokernel(lift, lift.ncols)
+    return cokernel_type(sub_lift(inner, outer))
 
 
 def pairing_map(e: Subbundle, beta: Pairing) -> GradedMatrix:

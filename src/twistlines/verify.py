@@ -19,16 +19,17 @@ beside the top quotient and the formula, and ``certify`` reads it.
 pairing: a member is the direct sum of its chunks, one per block, so
 isotropy holds iff it does on each chunk, a perp is the sum of the
 chunks' perps, and perp/top, outer/inner and ambient/top are the unions
-of the block quotients.  A family's form picks its path.  A
-``BlockFamily``, which every builder makes, is read from its blocks
-(``_built``): each block's chunks and flag quotients come from its
-witnesses through ``families._lower``, and no n-row member is
-assembled.  A ``FlagFamily``, given by its members, takes the member
-path, which reads no witness: it is one block, the whole ambient with
-the whole pairing and the whole members, a flag quotient is found by
-elimination (``quotient_type``), and a classical ambient/top is the
-top's cokernel.  A witness can cost time but never change a verdict or
-a note.
+of the block quotients.  ``_built`` reads both forms of a family.  A
+``BlockFamily``, which every builder makes, is read from its blocks:
+each block's chunks and flag quotients come from its witnesses through
+``families._lower``, and no n-row member is assembled.  A
+``FlagFamily``, given by its members, takes the member path, which
+reads no witness: it is one block, the whole ambient with the whole
+pairing and the whole members, a flag quotient is found by elimination
+(``quotient_type``), and a classical ambient/top is the top's
+cokernel.  Every cokernel, of a lift or of a top, is read by
+``cokernel_type``.  A witness can cost time but never change a verdict
+or a note.
 
 A block may have a witness for its perp/top (``Part.witness``), and
 every such witness rests on one lemma, that of an exact pair
@@ -75,7 +76,6 @@ from .sheaves import (
     Subbundle,
     _Record,
     cokernel_type,
-    _lift_quotient_type,
     is_isotropic,
     kernel_free,
     pairing_map,
@@ -222,18 +222,17 @@ def _isotropy(blocks, count, nested=False) -> Optional[list]:
     block isotropic, or only the highest if the chunks are ``nested`` (a
     subsheaf of an isotropic one is isotropic); None if one is not.  Else,
     per block, the perp/top of its top chunk if the block's perp witness
-    gave it here, in place of ``is_isotropic``: an E_{2a,2b} triple by
-    ``_witnessed_quotient``, any other witness as a perp basis of the top
-    chunk by ``_lifted_quotient``; else None.  ``_perp_over_top`` reads
-    it."""
+    gave it here, in place of ``is_isotropic``: ``_witnessed_quotient``
+    is asked first, then ``_lifted_quotient``, and each refuses a witness
+    that is not its own (an E_{2a,2b} triple, a perp basis of the top
+    chunk); else None.  ``_perp_over_top`` reads it."""
     found = []
     for b in blocks:
         top, quotient = b.chunks[-1], None
         tested = {id(e): e for e in b.chunks[count - 1 if nested else 0 : count] if e.rank}
         if id(top) in tested and b.witness is not None:
-            if _is_witness(b.witness, 3):
-                quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
-            else:
+            quotient = _once(_witnessed_quotient, top, b.pairing, b.witness)
+            if quotient is None:
                 quotient = _once(_lifted_quotient, top, top, b.pairing, b.witness)
             if quotient is not None:
                 del tested[id(top)]
@@ -257,8 +256,9 @@ def _perp_over_top(blocks, i, witnessed) -> SplittingType:
     which stay the oracle.
     (a) C is empty.  Its perp is the whole block, whose generator is the
         identity, and E's generator is its own lift into it, so perp/top
-        is coker(E) (``_lift_quotient_type``), or (0,) * dim if E is empty
-        too, for the block's dimension dim.
+        is coker(E) (``cokernel_type``, which reads the profile E's check
+        kept), or (0,) * dim if E is empty too, for the block's dimension
+        dim.
     (b) C is E, and the block's witness held in ``_isotropy``: the
         perp/top read there.
     (c) The block's witness is a perp basis (P, L) of C that passes
@@ -271,7 +271,7 @@ def _perp_over_top(blocks, i, witnessed) -> SplittingType:
         top, chunk = b.chunks[-1], b.chunks[i]
         if not chunk.rank:
             dim = top.gen.nrows
-            found = _once(_lift_quotient_type, top.gen) if top.rank else SplittingType((0,) * dim)
+            found = _once(cokernel_type, top.gen) if top.rank else SplittingType((0,) * dim)
         elif chunk is not top or found is None:
             found = _once(_lifted_quotient, chunk, top, b.pairing, b.witness)
             if found is None:
@@ -395,10 +395,11 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
     It holds when L maps into P's source over e's field, P @ L = top.gen,
     and (P, pairing_map(e)) is an exact pair (``_exact_pair``).  The
     pairing map is everywhere surjective with kernel perp(e), so then
-    perp(e) = im P, L is top's lift into it, and perp(e)/top is coker(L)
-    (``_lift_quotient_type``).  P @ L = top.gen also puts top inside
-    perp(e): so P = top.gen with L the identity checks that top is
-    perp(e), and for e = top that is isotropy."""
+    perp(e) = im P, L is top's lift into it, and perp(e)/top is coker(L).
+    P @ L = top.gen also puts top inside perp(e): so P = top.gen with L
+    the identity checks that top is perp(e), and for e = top that is
+    isotropy.  top is everywhere injective, so L keeps the profile
+    (L.ncols, True), and ``cokernel_type`` reads coker(L) from it."""
     if not _is_witness(basis, 2):
         return None
     p, lift = basis
@@ -406,17 +407,23 @@ def _lifted_quotient(e, top, beta, basis) -> Optional[SplittingType]:
         return None
     if _exact_pair(p, pairing_map(e, beta)) is None:
         return None
-    return _lift_quotient_type(lift)
+    lift._profile = RankProfile(lift.ncols, True)
+    return cokernel_type(lift)
 
 
 def _built(fam):
-    """A block family as ``certify`` reads it: per block a ``Block``, and
-    per member and flag quotient its type, the union of the blocks' (a
-    member is the direct sum of its chunks); None for a member family,
-    which takes the member path.  A block ``_chunks`` refuses raises
-    ``ValueError``, as reading the members does."""
+    """A family as ``certify`` reads it: per block a ``Block``, per member
+    its type, and per flag quotient its type, or None.
+
+    A block family's members and quotients are the unions of the blocks'
+    (a member is the direct sum of its chunks), read by ``_chunks``; a
+    block it refuses raises ``ValueError``, as reading the members does.
+    A member family is one block of whole members, with the whole
+    pairing, and its quotients None: the member path finds them by
+    elimination."""
     if not isinstance(fam, BlockFamily):
-        return None
+        members = tuple(fam.members)
+        return [Block(fam.pairing, members)], [m.type for m in members], None
     found = [_once(_chunks, part) for part in fam.blocks]
     blocks = [Block(p.pairing, chunks, p.witness) for p, (chunks, _) in zip(fam.blocks, found)]
 
@@ -443,23 +450,23 @@ def certify(fam) -> Certificate:
     (skew) the top inside perp(low), nesting, then the types.  The first
     failure gives a refusal certificate with its note.
 
-    The family's type picks the path: a ``BlockFamily`` is read from its
-    blocks (``_built``), a ``FlagFamily`` takes the member path (see the
-    module docstring).  Either way the pairing stages run per block, on
-    the chunks (equal ones once): ``_isotropy``, then ``_perp_over_top``,
-    which joins the block quotients.  No stage runs whose answer a checked
-    fact already decides.
+    ``_built`` reads either form: a ``BlockFamily`` by its blocks, a
+    ``FlagFamily`` as one block of whole members, whose flag quotients
+    the member path finds (see the module docstring).  Either way the
+    pairing stages run per block, on the chunks (equal ones once):
+    ``_isotropy``, then ``_perp_over_top``, which joins the block
+    quotients.  No stage runs whose answer a checked fact already
+    decides.
     """
-    built = _built(fam)
-    blocks, types, quotients = built or (None, [m.type for m in fam.members], None)
+    blocks, types, quotients = _built(fam)
+    by_blocks = quotients is not None
     rule = _RULES.get((fam.flavor, len(types)))
     if rule is None:
         kind = fam.flavor or "classical"
         raise ValueError(f"no certificate rule for a {kind} flag of {len(types)} members")
     if tuple(t.rank for t in types) != fam.shape:
         return _failed(fam, "flag member ranks do not match the expected shape")
-    blocks = (blocks or [Block(fam.pairing, tuple(fam.members))]) if rule.isotropic else ()
-    witnessed = _isotropy(blocks, rule.isotropic, built is not None)
+    witnessed = _isotropy(blocks, rule.isotropic, by_blocks)
     if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     beside_top = None
@@ -471,14 +478,14 @@ def certify(fam) -> Certificate:
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
             )
     try:
-        if quotients is None:
+        if not by_blocks:
             quotients = [quotient_type(*fam.members[i : i + 2]) for i in range(len(types) - 1)]
         if rule.beside_top == "perp(top)":
             beside_top = _perp_over_top(blocks, -1, witnessed)
     except ValueError as exc:
         return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":
-        beside_top = _ambient(fam) if built else cokernel_type(fam.members[-1].gen)
+        beside_top = _ambient(fam) if by_blocks else cokernel_type(fam.members[-1].gen)
     pieces, psi = rule.formula(types[0], *quotients, beside_top)
     return _finish(fam, [types[0], *quotients], pieces, psi, rule.notes)
 

@@ -109,6 +109,19 @@ def test_check_rejects_bad_prime(capsys):
     assert "binomial" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("prime:x", "cannot parse prime in --field 'prime:x'"),
+        ("foo", "unknown field 'foo' (use rational or prime:P)"),
+    ],
+)
+def test_check_rejects_an_unreadable_field(capsys, spec, message):
+    code, out, err = run(capsys, "check", "--classical", "--n", "6", "--k", "2", "--field", spec)
+    assert code == 2 and not out
+    assert err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981])
 def test_check_rejects_the_miller_rabin_pseudoprimes(capsys, p):
     # psi_12 and psi_13 are composite; over either ring a certificate is void

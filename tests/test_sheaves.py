@@ -90,6 +90,25 @@ def test_pairing_validation():
         Pairing("symmetric", ((QQ.zero, QQ.zero), (QQ.zero, QQ.one)), QQ)  # degenerate
 
 
+def test_a_pairing_refuses_a_malformed_gram_matrix_or_sum():
+    for flavor, rows, message in [
+        ("symmetric", ((1, 0),), "must be square"),
+        ("hermitian", ((1,),), "unknown pairing flavor"),
+        ("skew", ((0,),), "needs even dimension"),  # skew, but of odd dimension
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Pairing(flavor, rows, QQ)
+    plane = Pairing.hyperbolic(QQ, 1, "symmetric")
+    for summands, message in [
+        ((), "empty orthogonal sum"),
+        ((Pairing.diagonal_ones(QQ, 0),), "empty orthogonal sum"),
+        ((plane, Pairing.hyperbolic(QQ, 1, "skew")), "one flavor over one field"),
+        ((plane, Pairing.hyperbolic(PrimeField(7), 1, "symmetric")), "one flavor over one field"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Pairing.orthogonal_sum(*summands)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("flavor", ["symmetric", "skew"])
 def test_assembled_pairings_equal_their_validated_construction(field, flavor):
@@ -255,7 +274,7 @@ def test_kernel_scan_with_a_wrong_nullity_in_one_degree_raises(monkeypatch, inde
     m.rank_everywhere()  # kept on m, so only the scan sees the patch
     original = linalg.nullspace
     nonempty = [n for n in range(-max(m.src), 12) if nullity(m, n)]
-    degrees = [n for n in nonempty if n <= max(-e for e in kernel_free(m).type)]
+    degrees = [n for n in nonempty if n <= max(-e for e in kernel_free(m).type.twists)]
     assert degrees
     for bad in degrees:
 
@@ -469,6 +488,17 @@ def test_perp_involution():
     for flavor in ("symmetric", "skew"):
         beta, e = build_E2a2b(QQ, 1, 3, flavor)
         assert same_subsheaf(perp(perp(e, beta), beta), e)
+
+
+def test_same_subsheaf_needs_one_ambient_one_rank_and_mutual_members():
+    def span(n, *units):
+        cols = [(0, [BinaryForm.constant(QQ, int(i == j)) for i in range(n)]) for j in units]
+        return Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(n), cols))
+
+    assert same_subsheaf(span(4, 0, 1), span(4, 1, 0))
+    assert not same_subsheaf(span(4, 0), span(3, 0))  # different ambients
+    assert not same_subsheaf(span(4, 0), span(4, 0, 1))  # different ranks
+    assert not same_subsheaf(span(4, 0), span(4, 1))  # neither holds the other
 
 
 def test_isotropic_examples():

@@ -42,15 +42,19 @@ def st(*twists):
     return SplittingType(tuple(twists))
 
 
-def first_arguments(monkeypatch, module, name):
-    """The first argument of every call of ``module.name`` from now on."""
-    calls, stage = [], getattr(module, name)
+def recorded(monkeypatch, owner, name, *also, args=False):
+    """Every call of ``owner.name`` from now on, recorded and passed
+    through: its first argument, or its argument tuple if ``args``.  The
+    recorder also takes the function's place in each module of ``also``
+    that binds it at import."""
+    calls, real = [], getattr(owner, name)
 
-    def recording(first, *rest):
-        calls.append(first)
-        return stage(first, *rest)
+    def recording(*given):
+        calls.append(given if args else given[0])
+        return real(*given)
 
-    monkeypatch.setattr(module, name, recording)
+    for target in (owner, *also):
+        monkeypatch.setattr(target, name, recording)
     return calls
 
 
@@ -195,14 +199,7 @@ def test_exact_ses_reports_need_no_kernel_scan(field, monkeypatch):
 def test_exact_ses_reports_run_no_smith_form(field, monkeypatch):
     # psi keeps its rank profile from build_phi_psi's lemma, and phi's
     # generic rank is read at [1:0]
-    profiled = []
-    original = GradedMatrix._rank_profile
-
-    def counted(m):
-        profiled.append(m)
-        return original(m)
-
-    monkeypatch.setattr(GradedMatrix, "_rank_profile", counted)
+    profiled = recorded(monkeypatch, GradedMatrix, "_rank_profile")
     for a, b in SES_PAIRS:
         profiled.clear()
         assert verify_claim_ses(field, a, b).exact, (a, b)
@@ -253,14 +250,8 @@ def test_corrupted_ses_pairs_take_the_kernel_scan(field, corrupt, monkeypatch):
         pairs[a, b] = corrupt(*build_phi_psi(f, a, b))
         return pairs[a, b]
 
-    scans = []
-
-    def counted(m):
-        scans.append(m)
-        return sheaves.kernel_free(m)
-
     monkeypatch.setattr(verify, "build_phi_psi", corrupted)
-    monkeypatch.setattr(verify, "kernel_free", counted)
+    scans = recorded(monkeypatch, verify, "kernel_free")
     for a, b in [(1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (4, 9)]:
         report = verify_claim_ses(field, a, b)
         assert report == scan_ses_report(a, b, *pairs[a, b]), (a, b)
@@ -332,13 +323,7 @@ def test_every_pairing_map_perp_scans_keeps_its_smith_form_profile(field, monkey
     # every pairing map perp scans in the n <= 24 sweep with the witnesses
     # dropped keeps the profile pairing_map proves, and a fresh Smith form
     # of its entries agrees
-    scanned = []
-
-    def collect(m):
-        scanned.append(m)
-        return kernel_free(m)
-
-    monkeypatch.setattr(sheaves, "kernel_free", collect)
+    scanned = recorded(monkeypatch, sheaves, "kernel_free")
     drop_perp_witnesses(monkeypatch)
     assert sweep_consistent(run_sweep(field, 2, 24, [None, "symmetric", "skew"]))
     assert scanned
@@ -360,6 +345,12 @@ def test_sweep_to_8_matches_exceptional_list():
         ("symmetric", 4, 1),
         ("symmetric", 4, 2),
     }
+
+
+def test_an_exceptional_row_off_the_list_is_not_consistent():
+    row = verify.SweepRow(None, 5, 2, "exceptional", None)
+    assert not is_exceptional(None, 5, 2) and not sweep_consistent([row])
+    assert sweep_consistent([row._replace(n=2, k=1)])
 
 
 def test_sweep_points_skip_odd_skew():
@@ -394,14 +385,7 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
     assert [set(memo) for memo in seen] == [{(families._monomials, QQ, d) for d in (1, 2, 0)}]
     assert families._memo is None
     # outside a sweep every build makes its blocks again and keeps none
-    built = []
-    original = families._e2a2b
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(families, "_e2a2b", counted)
+    built = recorded(monkeypatch, families, "_e2a2b", args=True)
     first, second = (build_isotropic(QQ, 12, 3, "skew") for _ in range(2))
     assert len(built) == 2 and built[0] == built[1]
     assert first.members[-1].gen is not second.members[-1].gen
@@ -432,30 +416,11 @@ def test_a_serial_sweep_builds_each_block_once(monkeypatch):
     # each distinct (field, flavor, a, b, d) big block and each distinct
     # (field, flavor, dim) filler pairing is built once, and the only
     # Smith forms are those of the distinct blocks
-    blocks, builds, fillers, smith = [], [], [], []
-    original_block, original_e2a2b = families._block, families._e2a2b
-    original_filler, original_profile = families._filler_pairing, GradedMatrix._rank_profile
-
-    def block(*key):
-        blocks.append(key)
-        return original_block(*key)
-
-    def e2a2b(*args):
-        builds.append(args)
-        return original_e2a2b(*args)
-
-    def filler(*key):
-        fillers.append(key)
-        return original_filler(*key)
-
-    def profile(m):
-        smith.append(m)
-        return original_profile(m)
-
-    monkeypatch.setattr(families, "_block", block)
-    monkeypatch.setattr(families, "_e2a2b", e2a2b)
-    monkeypatch.setattr(families, "_filler_pairing", filler)
-    monkeypatch.setattr(GradedMatrix, "_rank_profile", profile)
+    blocks = recorded(monkeypatch, families, "_block", args=True)
+    builds = recorded(monkeypatch, families, "_e2a2b", args=True)
+    fillers = recorded(monkeypatch, families, "_filler_pairing", args=True)
+    smith = recorded(monkeypatch, GradedMatrix, "_rank_profile")
+    e2a2b = families._e2a2b  # its recorder, the stage a big block's key names
     assert sweep_consistent(run_sweep(QQ, 2, 24, SWEEP_FLAVORS))
     assert len(blocks) == len(set(blocks))
     assert len(builds) == sum(key[0] is e2a2b for key in blocks) == 51
@@ -507,21 +472,11 @@ def test_a_stage_that_raises_is_computed_again(monkeypatch, error):
 
 
 def test_a_sweep_scans_each_distinct_perp_once(monkeypatch):
-    perps, kernels = [], []
-    original_perp, original_kernel = verify.perp, sheaves.kernel_free
-
-    def perp(e, beta):
-        perps.append((e.gen, beta))
-        return original_perp(e, beta)
-
-    def kernel_free(m):
-        kernels.append(m)
-        return original_kernel(m)
-
-    monkeypatch.setattr(verify, "perp", perp)
-    monkeypatch.setattr(sheaves, "kernel_free", kernel_free)
+    calls = recorded(monkeypatch, verify, "perp", args=True)
+    kernels = recorded(monkeypatch, sheaves, "kernel_free")
     drop_perp_witnesses(monkeypatch)  # else no block asks for a perp
     run_sweep(QQ, 2, 20, SWEEP_FLAVORS)
+    perps = [(e.gen, beta) for e, beta in calls]
     assert len(perps) == len(set(perps))
     # the perp of an empty chunk is its whole block and scans nothing
     assert len(kernels) == sum(gen.ncols > 0 for gen, _ in perps) > 0
@@ -960,14 +915,8 @@ def test_lower_witnesses_give_the_elimination_quotient(field, monkeypatch):
     # each witness, a selection or one with a combination, is checked by
     # _lower and its quotient read from frames; elimination must find the
     # same quotient, and _built must not fall back to it
-    fallbacks = []
     real_quotient_type = sheaves.quotient_type
-
-    def quotient_type(inner, outer):
-        fallbacks.append((inner, outer))
-        return real_quotient_type(inner, outer)
-
-    monkeypatch.setattr(verify, "quotient_type", quotient_type)
+    fallbacks = recorded(monkeypatch, verify, "quotient_type", args=True)
     witnesses = 0
     for fam in sweep_families(field, 16):
         quotients = verify._built(fam)[2]
@@ -982,7 +931,7 @@ def test_lower_witnesses_give_the_elimination_quotient(field, monkeypatch):
 def test_flag_quotients_to_24_run_no_cokernel_scan(field, monkeypatch):
     # every witness quotient is read from frames, the two-row combinations
     # of classical II and case IVa included
-    scans = first_arguments(monkeypatch, sheaves, "_scan_cokernel")
+    scans = recorded(monkeypatch, sheaves, "cokernel_type", verify)
     quotients = 0
     for fam in sweep_families(field, 24):
         quotients += len(verify._built(fam)[2])
@@ -1012,11 +961,8 @@ def test_a_family_given_by_its_blocks_is_its_member_path(field, monkeypatch):
     # the builder's top cut down by the witness matrices; its member family
     # (as_members) takes the member path, which lifts each member into the
     # next, to the same certificate, also with a header field replaced
-    lifted, real = [], verify.quotient_type
-    monkeypatch.setattr(verify, "quotient_type", lambda *args: lifted.append(args) or real(*args))
-    made, members = [], families.BlockFamily.members
-    real_members = members.func
-    monkeypatch.setattr(members, "func", lambda fam: made.append(fam) or real_members(fam))
+    lifted = recorded(monkeypatch, verify, "quotient_type", args=True)
+    made = recorded(monkeypatch, families.BlockFamily.members, "func")
     families_seen = 0
     for fam in sweep_families(field, 12):
         families_seen += 1
@@ -1144,7 +1090,7 @@ def whole_member_certify(fam):
         if rule.beside_top == "perp(top)":
             beside_top = sheaves.quotient_type(top, sheaves.perp(top, fam.pairing))
         elif rule.beside_top == "perp(low)":
-            beside_top = sheaves._lift_quotient_type(rest_lift)
+            beside_top = sheaves.cokernel_type(rest_lift)
     except ValueError as exc:
         return verify._failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":
@@ -1216,7 +1162,7 @@ def test_no_pairing_map_is_wider_than_its_block(monkeypatch):
     # case IIb at n = 20, k = 8 is the cubic block (6 coordinates) plus a
     # hyperbolic block of 14: every perp scans a map from one block.  The
     # perp witnesses are dropped, so both blocks are scanned
-    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
+    scans = recorded(monkeypatch, sheaves, "kernel_free")
     fam = build_isotropic(QQ, 20, 8, "symmetric")
     assert certify(with_witnesses(fam, lambda w: None)).very_twisting
     assert scans and max(m.ncols for m in scans) == 14
@@ -1334,7 +1280,7 @@ def low_chunk_not_the_top_chunk(fam):
     "corrupt", [*BIG_WITNESS_CORRUPTIONS, gram_negated, low_chunk_not_the_top_chunk]
 )
 def test_a_refused_perp_witness_falls_back_to_the_kernel_scan(field, corrupt, monkeypatch):
-    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
+    scans = recorded(monkeypatch, sheaves, "kernel_free")
     # Ib with a big block (a, b) = (3, 8), IIb with (1, 4), Ib with (1, 3),
     # on both flavors: each b > 2a, so the block is not Lagrangian and its
     # perp/top is not decided by its shape
@@ -1376,7 +1322,7 @@ def test_a_serial_sweep_scans_no_hyperbolic_block(field, monkeypatch):
     # symmetric cubic and R3 blocks have their top chunk with the identity
     # as their witness, and the skew cubic block a lift witness, so none
     # is left
-    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
+    scans = recorded(monkeypatch, sheaves, "kernel_free")
     assert sweep_consistent(run_sweep(field, 2, 24, SWEEP_FLAVORS))
     assert scans == []
 
@@ -1479,7 +1425,7 @@ def l_entry_doubled(fam):
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF10007"])
 @pytest.mark.parametrize("corrupt", [p_column_doubled, p_pairing_with_g, l_entry_doubled])
 def test_a_refused_lift_witness_falls_back_to_the_kernel_scan(field, corrupt, monkeypatch):
-    scans = first_arguments(monkeypatch, sheaves, "kernel_free")
+    scans = recorded(monkeypatch, sheaves, "kernel_free")
     for n, k in [(6, 2), (14, 4), (20, 8)]:
         fam = build_isotropic(field, n, k, "skew")
         assert fam.case in ("IIa-skew", "IIb") and len(fam.blocks[0].witness) == 2
