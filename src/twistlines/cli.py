@@ -56,7 +56,7 @@ def _parse_field(spec: str, binom_bound: int):
 def _binom_bound_for_dim(n: int) -> int:
     # n < 0 is left for the builder to refuse as a usage error
     b = max(n, 0) // 2
-    return comb(b, b // 2) if b else 1
+    return comb(b, b // 2)
 
 
 def _emit(args, payload_json: dict, payload_text: str) -> None:
@@ -220,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--k", type=int, required=True)
     flavor = p_check.add_mutually_exclusive_group()
-    flavor.add_argument("--classical", action="store_true")
-    flavor.add_argument("--symmetric", action="store_true")
-    flavor.add_argument("--skew", action="store_true")
+    for flag, _ in _FLAVOR_FLAGS:
+        flavor.add_argument(f"--{flag}", action="store_true")
     p_check.add_argument("--expect-exceptional", action="store_true")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
@@ -230,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="certify every case in a range")
     p_sweep.add_argument("--n-min", type=int, default=2)
     p_sweep.add_argument("--n-max", type=int, default=8)
-    p_sweep.add_argument("--classical", action="store_true")
-    p_sweep.add_argument("--symmetric", action="store_true")
-    p_sweep.add_argument("--skew", action="store_true")
+    for flag, _ in _FLAVOR_FLAGS:
+        p_sweep.add_argument(f"--{flag}", action="store_true")
     jobs_help = "ignored, but at least 1: the sweep runs in one process (kept for old scripts)"
     p_sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     _add_common(p_sweep)

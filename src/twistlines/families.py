@@ -37,9 +37,8 @@ docstrings.  While ``verify.run_sweep`` runs, it keeps one memo
 (``_once``), and the builders take their blocks from it: the monomial
 column per (field, d), each small block per (field, flavor, kind), the
 pulled-back E_{2a,2b} block with its pairing per (field, flavor, a, b,
-d), the filler's pairing per (field, flavor, dimension), and each
-combination column per its content.  ``verify``'s block stages share
-it.  Outside a sweep nothing is kept.
+d), and the filler's pairing per (field, flavor, dimension).  ``verify``'s
+block stages share it.  Outside a sweep nothing is kept.
 
 An E_{2a,2b} block, big or the small E(1,2), comes with its perp witness
 (psi', inner, psi''), three matrices of the two binomial sequences it is
@@ -361,7 +360,7 @@ def _lower(outer, witness):
     member: an index i is the unit column at outer row i, and a
     combination ((i1, s1), (i2, s2)) is the column with entry
     BinaryForm.monomial(field, *s) = c T0^(d-e) T1^e at row i1 and i2, for
-    s = (d, e[, c]), and zero elsewhere (``_column``, through ``_once``).
+    s = (d, e[, c]), and zero elsewhere (``_column``).
     None when an entry is neither, when a row repeats or is not an int in
     range(outer.ncols), or when a combination's column does not keep the
     profile (1, True).  An index column of outer @ L is outer's column, the
@@ -404,7 +403,7 @@ def _lower(outer, witness):
             continue
         twists = tuple(outer.src[r] for r in rows)
         try:
-            col = _once(_column, field, twists, (entry[0][1], entry[1][1]))
+            col = _column(field, twists, (entry[0][1], entry[1][1]))
         except (TypeError, ValueError):
             return None
         if col.rank_everywhere() != (1, True):

@@ -111,9 +111,6 @@ class SplittingType(_Record):
             raise ValueError("wedge2 is only defined for rank-2 types")
         return SplittingType((self.twists[0] + self.twists[1],))
 
-    def scaled(self, d: int) -> "SplittingType":
-        return SplittingType(tuple(d * e for e in self.twists))
-
     @property
     def is_ample(self) -> bool:
         return all(e >= 1 for e in self.twists)
@@ -258,14 +255,6 @@ class Subbundle:
                 )
         self.gen = gen
         self.type = SplittingType(gen.src)
-
-    @classmethod
-    def zero(cls, field, ambient) -> "Subbundle":
-        return cls(GradedMatrix.zero(field, (), ambient), check=False)
-
-    @classmethod
-    def full(cls, field, ambient) -> "Subbundle":
-        return cls(GradedMatrix.identity(field, ambient), check=False)
 
     @property
     def field(self):
@@ -557,7 +546,7 @@ class Block(NamedTuple):
 def perp(e: Subbundle, beta: Pairing) -> Subbundle:
     """Annihilator subbundle of e under beta."""
     if e.rank == 0:
-        return Subbundle.full(e.field, e.ambient)
+        return Subbundle(GradedMatrix.identity(e.field, e.ambient), check=False)
     return kernel_free(pairing_map(e, beta))
 
 

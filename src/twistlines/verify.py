@@ -13,7 +13,8 @@ evaluation map and for the dual psi class:
 
 These are the rows of one table, ``_RULES``, keyed by flavor and flag
 length; a row names the members that must be isotropic, the complement
-beside the top quotient and the formula, and ``certify`` reads it.
+beside the top quotient (the ambient's cokernel, perp(member i)/top for
+a member index i, or none) and the formula, and ``certify`` reads it.
 
 ``certify`` reads a family by its blocks, each with its summand of the
 pairing: a member is the direct sum of its chunks, one per block, so
@@ -196,7 +197,7 @@ def _one_step(low, q, beside_top):
 class _Rule(NamedTuple):
     isotropic: int  # members, from the bottom, that must be isotropic
     isotropy_note: str
-    beside_top: Optional[str]  # "ambient" | "perp(top)" | "perp(low)" | None
+    beside_top: object  # "ambient", i for perp(member i)/top (skew 0, symmetric -1), or None
     formula: object  # (low type, *quotients, beside_top) -> (pieces, psi)
     notes: tuple = ()
 
@@ -205,12 +206,12 @@ _NOT_ISOTROPIC = "a flag member is not isotropic"
 # one row per (flavor, number of members); see the module docstring
 _RULES = {
     (None, 3): _Rule(0, "", "ambient", _two_step),
-    ("symmetric", 3): _Rule(3, _NOT_ISOTROPIC, "perp(top)", _two_step),
+    ("symmetric", 3): _Rule(3, _NOT_ISOTROPIC, -1, _two_step),
     ("symmetric", 2): _Rule(2, _NOT_ISOTROPIC, None, _one_step),
     ("skew", 3): _Rule(
         2,
         "a flag member below the top is not isotropic",
-        "perp(low)",
+        0,
         _two_step,
         (_PIECEWISE_NOTE,),
     ),
@@ -470,20 +471,21 @@ def certify(fam) -> Certificate:
     if witnessed is None:
         return _failed(fam, rule.isotropy_note, flag_valid=True)
     beside_top = None
-    if rule.beside_top == "perp(low)":  # the top must lie in perp(low)
+    if isinstance(rule.beside_top, int):
+        # perp(member i)/top raises if the top is not in that perp; a
+        # symmetric top (i = -1) has just passed isotropy, so it lies in
+        # its own perp, and only skew's perp(low) can fail here
         try:
-            beside_top = _perp_over_top(blocks, 0, witnessed)
+            beside_top = _perp_over_top(blocks, rule.beside_top, witnessed)
         except ValueError:
             return _failed(
                 fam, "top member is not annihilated by the bottom member", isotropy_ok=True
             )
-    try:
-        if not by_blocks:
+    if not by_blocks:
+        try:
             quotients = [quotient_type(*fam.members[i : i + 2]) for i in range(len(types) - 1)]
-        if rule.beside_top == "perp(top)":
-            beside_top = _perp_over_top(blocks, -1, witnessed)
-    except ValueError as exc:
-        return _failed(fam, f"flag is not nested: {exc}")
+        except ValueError as exc:
+            return _failed(fam, f"flag is not nested: {exc}")
     if rule.beside_top == "ambient":
         beside_top = _ambient(fam) if by_blocks else cokernel_type(fam.members[-1].gen)
     pieces, psi = rule.formula(types[0], *quotients, beside_top)

@@ -1,9 +1,11 @@
 import json
+from itertools import permutations
 
 import pytest
 
+from twistlines import cli
 from twistlines.cli import main
-from twistlines.fields import QQ
+from twistlines.fields import QQ, is_prime
 
 
 def run(capsys, *argv):
@@ -120,6 +122,27 @@ def test_check_rejects_an_unreadable_field(capsys, spec, message):
     code, out, err = run(capsys, "check", "--classical", "--n", "6", "--k", "2", "--field", spec)
     assert code == 2 and not out
     assert err == f"usage error: {message}\n"
+
+
+def test_the_least_prime_the_cli_accepts_gives_the_rational_reports(capsys, monkeypatch):
+    # the bound each command passes to _parse_field, which accepts a prime
+    # field iff p exceeds twice the bound
+    parse, bounds = cli._parse_field, []
+
+    def recording(spec, bound):
+        bounds.append(bound)
+        return parse(spec, bound)
+
+    monkeypatch.setattr(cli, "_parse_field", recording)
+    sweeps = [("sweep", "--n-max", str(n)) for n in range(2, 25)]
+    for argv in sweeps + [("ses", "--max", str(b)) for b in range(1, 21)]:
+        code, rational, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        p = 2 * bounds[-1] + 1
+        while not is_prime(p):
+            p += 1
+        code, out, _ = run(capsys, *argv, "--field", f"prime:{p}", "--format", "json")
+        assert (code, out) == (0, rational), (argv, p)
 
 
 @pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981])
@@ -329,6 +352,21 @@ def test_sweep_text_rows_carry_quotient_and_tangent_types(capsys):
         assert f"quots={row['flag_quotients']}" in text_out
         assert f"tev={row['tev_pieces']}" in text_out
         assert f"psi={row['psi_degree']}" in text_out
+
+
+def test_sweep_flavor_flags_pick_their_rows_in_one_order(capsys):
+    flavors = ("classical", "symmetric", "skew")
+    code, out, _ = run(capsys, "sweep", "--n-max", "6", "--format", "json")
+    assert code == 0
+    every = json.loads(out)["rows"]
+    for size in (1, 2, 3):
+        for chosen in permutations(flavors, size):
+            flags = [f"--{flavor}" for flavor in chosen]
+            code, out, _ = run(capsys, "sweep", *flags, "--n-max", "6", "--format", "json")
+            assert code == 0
+            picked = [f for f in flavors if f in chosen]
+            expected = [r for f in picked for r in every if r["flavor"] == f]
+            assert json.loads(out)["rows"] == expected, flags
 
 
 def test_check_flavor_flags_are_mutually_exclusive(capsys):

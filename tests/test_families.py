@@ -373,7 +373,7 @@ def one_block_flag(top, witness):
 
 def test_flag_refuses_a_combination_witness_that_drops_rank():
     # T0 e0 + T0 e1 vanishes at [0:1]; T0 e0 + T1 e1 vanishes nowhere
-    top = Subbundle.full(QQ, (0, 0))
+    top = Subbundle(GradedMatrix.identity(QQ, (0, 0)))
     drops, keeps = ((0, (1, 0)), (1, (1, 0))), ((0, (1, 0)), (1, (1, 1)))
     assert families._lower(top.gen, (drops,)) is None
     with pytest.raises(ValueError, match="not a flag witness"):
@@ -419,7 +419,7 @@ def test_flag_refuses_a_selection_of_repeated_or_out_of_range_indices(monkeypatc
             built.append(gen)
             super().__init__(gen, check)
 
-    top = Subbundle.full(QQ, (0, 0))
+    top = Subbundle(GradedMatrix.identity(QQ, (0, 0)))
     monkeypatch.setattr(families, "Subbundle", Recording)
     for witness in ((0, 0), (0, 2), (-1,), (True,), [0], "0"):
         assert families._lower(top.gen, witness) is None

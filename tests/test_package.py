@@ -26,17 +26,16 @@ def test_module_all_resolves(name):
 
 def test_package_reexports_resolve():
     tree = ast.parse(Path(twistlines.__file__).read_text(encoding="utf-8"))
-    reexports = [
-        (node.module, alias.name)
+    republished = [
+        node.module
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
     ]
-    assert reexports
-    for module_name, name in reexports:
+    assert republished
+    for module_name in republished:
         module = importlib.import_module(f"twistlines.{module_name}")
-        assert getattr(twistlines, name) is getattr(module, name), name
-        assert name in getattr(module, "__all__", [name]), name
+        for name in module.__all__:
+            assert getattr(twistlines, name) is getattr(module, name), name
 
 
 def modules_after(code):

@@ -456,7 +456,7 @@ def test_quotients():
     fam = build_isotropic(QQ, 6, 2, "symmetric")
     e1, e2, e3 = fam.members
     assert quotient_type(e2, e3) == st(-1)
-    assert quotient_type(Subbundle.zero(QQ, e3.ambient), e3) == e3.type
+    assert quotient_type(Subbundle(GradedMatrix.zero(QQ, (), e3.ambient)), e3) == e3.type
     beta, e = build_E2a2b(QQ, 1, 3, "symmetric")
     assert quotient_type(e, perp(e, beta)) == st(0, 0)
 
@@ -476,7 +476,7 @@ def test_quotient_rejects_non_nested():
 
 def test_perp_examples():
     beta, e = build_E2a2b(QQ, 1, 2, "symmetric")
-    zero = Subbundle.zero(QQ, e.ambient)
+    zero = Subbundle(GradedMatrix.zero(QQ, (), e.ambient))
     assert perp(zero, beta).type == st(0, 0, 0, 0)
     assert same_subsheaf(perp(e, beta), e)  # self-annihilating
     fam = build_isotropic(QQ, 4, 2, "skew")
@@ -503,7 +503,7 @@ def test_same_subsheaf_needs_one_ambient_one_rank_and_mutual_members():
 
 def test_isotropic_examples():
     beta, e = build_E2a2b(QQ, 1, 2, "symmetric")
-    assert is_isotropic(Subbundle.zero(QQ, e.ambient), beta)
+    assert is_isotropic(Subbundle(GradedMatrix.zero(QQ, (), e.ambient)), beta)
     assert is_isotropic(e, beta)
     fam = build_isotropic(QQ, 6, 2, "symmetric")
     assert is_isotropic(fam.members[2], fam.pairing)
@@ -802,7 +802,7 @@ def span_scan_kernel(m):
     f, src = m.field, m.src
     c = len(src) - (m.rank_everywhere().generic_rank if src and m.dst else 0)
     if c == 0:
-        return Subbundle.zero(f, src)
+        return Subbundle(GradedMatrix.zero(f, (), src))
     n = -max(src)
     prev_null, cols = [], []
     while True:
@@ -845,7 +845,7 @@ def pivot_scan_kernel(m):
     f, src = m.field, m.src
     c = len(src) - m.rank_everywhere().generic_rank
     if c == 0:
-        return Subbundle.zero(f, src)
+        return Subbundle(GradedMatrix.zero(f, (), src))
     n, prev_nullity, cols = -max(src), 0, []
     while True:
         piece = m.degree_piece(n)

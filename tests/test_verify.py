@@ -1077,7 +1077,7 @@ def whole_member_certify(fam):
     if not all(sheaves.is_isotropic(m, fam.pairing) for m in members[: rule.isotropic]):
         return verify._failed(fam, rule.isotropy_note, flag_valid=True)
     low, top = members[0], members[-1]
-    if rule.beside_top == "perp(low)":
+    if rule.beside_top == 0:  # perp(low)
         try:
             rest_lift = sub_lift(top, sheaves.perp(low, fam.pairing))
         except ValueError:
@@ -1087,9 +1087,9 @@ def whole_member_certify(fam):
     beside_top = None
     try:
         quotients = [sheaves.quotient_type(*members[i : i + 2]) for i in range(len(members) - 1)]
-        if rule.beside_top == "perp(top)":
+        if rule.beside_top == -1:  # perp(top)
             beside_top = sheaves.quotient_type(top, sheaves.perp(top, fam.pairing))
-        elif rule.beside_top == "perp(low)":
+        elif rule.beside_top == 0:
             beside_top = sheaves.cokernel_type(rest_lift)
     except ValueError as exc:
         return verify._failed(fam, f"flag is not nested: {exc}")
@@ -1115,7 +1115,7 @@ def test_a_column_across_two_gram_blocks_merges_them():
     # the identity filler on coordinates 4 and 5; the member path reads it
     # as one block of whole members
     pairing = hyperbolic_planes("symmetric", Pairing.diagonal_ones(QQ, 2))
-    low = Subbundle.zero(QQ, trivial_frame(6))
+    low = Subbundle(GradedMatrix.zero(QQ, (), trivial_frame(6)))
     mid_col = (-1, [T0, ZERO1, T1] + [ZERO1] * 3)
     mid = Subbundle(GradedMatrix.from_columns(QQ, trivial_frame(6), [mid_col]))
     top = constant_span(6, unit(6, 0), unit(6, 2))
@@ -1483,7 +1483,7 @@ def test_a_non_isotropic_top_chunk_of_half_its_block_is_refused_as_the_oracle_re
     # e0 and x0 + e1, and <e0, x0 + e1> = 1, so the perp of low, e0, does
     # not hold the top
     if flavor == "symmetric":
-        dim, low = 4, Subbundle.zero(QQ, trivial_frame(4))
+        dim, low = 4, Subbundle(GradedMatrix.zero(QQ, (), trivial_frame(4)))
         mid = constant_span(4, unit(4, 1))
         top = constant_span(4, unit(4, 1), (1, 0, 1, 0))
         shape, note = (0, 1, 2), "a flag member is not isotropic"
@@ -1509,7 +1509,7 @@ def test_an_isotropic_top_chunk_below_half_its_block_takes_the_oracle():
     pairing = Pairing.orthogonal_sum(
         Pairing.hyperbolic(QQ, 1, "symmetric"), Pairing.hyperbolic(QQ, 2, "symmetric")
     )
-    low = Subbundle.zero(QQ, trivial_frame(6))
+    low = Subbundle(GradedMatrix.zero(QQ, (), trivial_frame(6)))
     mid = constant_span(6, unit(6, 0))
     top = constant_span(6, unit(6, 0), (0, 0, 1, 1, 0, 0))
     fam = FlagFamily("hand", 6, 1, "symmetric", (low, mid, top), (0, 1, 2), pairing)
